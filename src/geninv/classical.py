@@ -28,11 +28,16 @@ def _require_square(a, name: str) -> np.ndarray:
     return a
 
 
-def check_q(q) -> int:
-    """Validate a q-BT exponent: any nonnegative integer."""
+def check_q(q, n: int | None = None) -> int:
+    """Validate a q-BT exponent (any nonnegative integer) and clamp it at n.
+
+    n is the dimension of the matrix whose powers q indexes. Since
+    Ind(B) <= n, R(B^q) = R(B^n) for every q >= n, so the clamp is exact;
+    it keeps the powers and their rank anchors from overflowing.
+    """
     if not isinstance(q, (int, np.integer)) or q < 0:
         raise DomainError(f"q must be a nonnegative integer, got {q!r}")
-    return int(q)
+    return int(q) if n is None else min(int(q), n)
 
 
 def drazin(a, tol: Tolerances | None = None) -> np.ndarray:
@@ -72,7 +77,7 @@ def qbt_inverse(a, q: int, tol: Tolerances | None = None,
     from a larger matrix.
     """
     a = _require_square(a, "qbt_inverse")
-    q = check_q(q)
+    q = check_q(q, a.shape[0])
     tol = resolve_tol(tol)
     s1 = max(sigma_max(a), scale or 0.0)
     # A P_{A^q} equals A^{q+1} (A^q)^+ and so has rank exactly

@@ -1,13 +1,20 @@
 """Command-line interface.
 
-Subcommands: one per inverse kind (pinv, drazin, group, core, core-ep,
-bt, qbt, and the weighted wdrazin, wcore-ep, wbt, wqbt), `decompose` for
-the block decompositions, and `verify` for the conformance suites.
-Matrices are read from CSV or JSON files and results are written to
-stdout in the input's format.
+Subcommands: one per inverse kind in `KINDS`, `decompose` for the block
+decompositions, and `verify` for the conformance suites. Matrices are
+read from CSV or JSON files and results are written to stdout in the
+input's format.
 
-Exit codes: 0 success, 2 usage error, 3 parse error, 4 domain error,
-5 verification failure.
+`--verify` appends the residuals of the kind's defining system: penrose1-4
+of B = W A W P_{(AW)^q} for every q-BT member (pinv, bt, qbt, core-ep and
+their weighted forms; a square kind is its weighted form with W absent),
+outer/commute/chain for drazin, group and wdrazin, and
+outer/hermitian_left/chain for core. `--exact` residuals are computed
+exactly, so a correct result prints 0.000000e+00. Any q at or above the
+dimension of AW gives the same member as q = n.
+
+Exit codes: 0 success, 2 usage error, 3 parse error, 4 domain error
+(overflow on badly scaled input included), 5 verification failure.
 """
 
 from __future__ import annotations
@@ -16,27 +23,57 @@ import argparse
 import math
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import exact as ex
-from .classical import (bt_inverse, core_ep, core_inverse, drazin,
+from .classical import (bt_inverse, check_q, core_ep, core_inverse, drazin,
                         group_inverse, qbt_inverse)
 from .decomposition import core_ep_decompose, weighted_core_ep_decompose
 from .errors import (DecompositionError, DomainError, NumericError,
                      ParseError, ShapeError)
 from .io import format_matrix, load_matrix
 from .matrix import (Tolerances, as_matrix, conjugate_transpose, frobenius,
-                     resolve_tol, sigma_max)
+                     sigma_max)
 from .projectors import matrix_index, pinv, power, proj_range
 from .verify import run_all, run_example_checks, run_random_corpus
 from .weighted import (WeightedPair, weighted_bt, weighted_core_ep,
                        weighted_drazin, weighted_qbt)
 
-SQUARE_KINDS = ("pinv", "drazin", "group", "core", "core-ep", "bt", "qbt")
-WEIGHTED_KINDS = ("wdrazin", "wcore-ep", "wbt", "wqbt")
-INVERSE_KINDS = SQUARE_KINDS + WEIGHTED_KINDS
-Q_KINDS = ("qbt", "wqbt")
+
+class Kind(NamedTuple):
+    """One inverse kind: its routine on each path and its defining system,
+    checked at `order`: 0, 1, "q" (the --q value) or "index" (Ind(A), or
+    max(Ind(AW), Ind(WA))). Both routines take q after the matrices when
+    `order` is "q"; `inverse` takes a WeightedPair for a weighted kind."""
+
+    help: str
+    inverse: Callable
+    exact: Callable
+    system: str
+    order: int | str
+    weighted: bool = False
+
+
+KINDS = {
+    "pinv": Kind("Moore-Penrose inverse", pinv, ex.exact_pinv, "penrose", 0),
+    "drazin": Kind("Drazin inverse", drazin, ex.exact_drazin, "drazin", "index"),
+    "group": Kind("group inverse (index at most 1)", group_inverse, ex.exact_group,
+                  "drazin", 1),
+    "core": Kind("core inverse (index at most 1)", core_inverse, ex.exact_core, "core", 1),
+    "core-ep": Kind("core-EP inverse", core_ep, ex.exact_core_ep, "penrose", "index"),
+    "bt": Kind("BT inverse", bt_inverse, ex.exact_bt, "penrose", 1),
+    "qbt": Kind("q-BT inverse", qbt_inverse, ex.exact_qbt, "penrose", "q"),
+    "wdrazin": Kind("W-weighted Drazin inverse", weighted_drazin,
+                    ex.exact_weighted_drazin, "drazin", "index", weighted=True),
+    "wcore-ep": Kind("W-weighted core-EP inverse", weighted_core_ep,
+                     ex.exact_weighted_core_ep, "penrose", "index", weighted=True),
+    "wbt": Kind("W-weighted BT inverse", weighted_bt, ex.exact_weighted_bt,
+                "penrose", 1, weighted=True),
+    "wqbt": Kind("W-weighted q-BT inverse", weighted_qbt, ex.exact_weighted_qbt,
+                 "penrose", "q", weighted=True),
+}
 
 
 class UsageError(Exception):
@@ -49,11 +86,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Generalized matrix inverses over CSV/JSON matrix files.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    def add_common(p, weighted: bool, with_q: bool):
+    for kind, spec in KINDS.items():
+        p = sub.add_parser(kind, help=spec.help)
         p.add_argument("a", help="matrix file (CSV or JSON)")
-        if weighted:
+        if spec.weighted:
             p.add_argument("w", help="weight matrix file (CSV or JSON)")
-        if with_q:
+        if spec.order == "q":
             p.add_argument("--q", type=int, required=True,
                            help="exponent of the range projector (q >= 0)")
         p.add_argument("--exact", action="store_true",
@@ -62,23 +100,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="append residuals of the defining equations")
         p.add_argument("--tol", type=float, default=None,
                        help="residual tolerance (overrides GENINV_TOL)")
-
-    descriptions = {
-        "pinv": "Moore-Penrose inverse",
-        "drazin": "Drazin inverse",
-        "group": "group inverse (index at most 1)",
-        "core": "core inverse (index at most 1)",
-        "core-ep": "core-EP inverse",
-        "bt": "BT inverse",
-        "qbt": "q-BT inverse",
-        "wdrazin": "W-weighted Drazin inverse",
-        "wcore-ep": "W-weighted core-EP inverse",
-        "wbt": "W-weighted BT inverse",
-        "wqbt": "W-weighted q-BT inverse",
-    }
-    for kind in INVERSE_KINDS:
-        p = sub.add_parser(kind, help=descriptions[kind])
-        add_common(p, weighted=kind in WEIGHTED_KINDS, with_q=kind in Q_KINDS)
 
     dec = sub.add_parser("decompose", help="block decompositions")
     dec.add_argument("kind", choices=("core-ep", "weighted-core-ep"))
@@ -122,186 +143,78 @@ def _resolve_tolerance(args) -> Tolerances | None:
 # inverse command
 
 
-def _float_inverse(kind: str, a, w, q, tol) -> np.ndarray:
-    if kind == "pinv":
-        return pinv(a, tol)
-    if kind == "drazin":
-        return drazin(a, tol)
-    if kind == "group":
-        return group_inverse(a, tol)
-    if kind == "core":
-        return core_inverse(a, tol)
-    if kind == "core-ep":
-        return core_ep(a, tol)
-    if kind == "bt":
-        return bt_inverse(a, tol)
-    if kind == "qbt":
-        return qbt_inverse(a, q, tol)
-    pair = WeightedPair.from_matrices(a, w, tol)
-    if kind == "wdrazin":
-        return weighted_drazin(pair, tol)
-    if kind == "wcore-ep":
-        return weighted_core_ep(pair, tol)
-    if kind == "wbt":
-        return weighted_bt(pair, tol)
-    return weighted_qbt(pair, q, tol)
-
-
-def _exact_inverse(kind: str, a, w, q) -> np.ndarray:
-    if kind == "pinv":
-        return ex.exact_pinv(a)
-    if kind == "drazin":
-        return ex.exact_drazin(a)
-    if kind == "group":
-        return ex.exact_group(a)
-    if kind == "core":
-        return ex.exact_core(a)
-    if kind == "core-ep":
-        return ex.exact_core_ep(a)
-    if kind == "bt":
-        return ex.exact_bt(a)
-    if kind == "qbt":
-        return ex.exact_qbt(a, q)
-    if kind == "wdrazin":
-        return ex.exact_weighted_drazin(a, w)
-    if kind == "wcore-ep":
-        return ex.exact_weighted_core_ep(a, w)
-    if kind == "wbt":
-        return ex.exact_weighted_bt(a, w)
-    return ex.exact_weighted_qbt(a, w, q)
-
-
 def _rel(x: np.ndarray, y: np.ndarray) -> float:
-    return frobenius(x - y) / max(1.0, frobenius(y))
+    """|x - y| / max(1, |y|); exact matrices are subtracted before rounding."""
+    d = x - y
+    if d.dtype == object:
+        d, y = ex.float_of(d), ex.float_of(y)
+    return frobenius(d) / max(1.0, frobenius(y))
 
 
-def _penrose(b: np.ndarray, x: np.ndarray) -> dict[str, float]:
+def _residuals(spec: Kind, a, w, x, q, tol) -> dict[str, float]:
+    """Residuals of the kind's defining system on either arithmetic.
+
+    A square kind is its weighted form with W absent (w is None).
+    """
+    exact = a.dtype == object
+    if spec.system == "core":
+        ax = a @ x
+        return {
+            "outer": _rel(x @ a @ x, x),
+            "hermitian_left": _rel(ax.conj().T, ax),
+            "chain": _rel(x @ a @ a, a),
+        }
+    aw = a if w is None else a @ w
+    waw = a if w is None else w @ aw
+    k = check_q(q, aw.shape[0]) if spec.order == "q" else spec.order
+    if k == "index":
+        index = ex.exact_index if exact else (lambda m: matrix_index(m, tol).index)
+        k = index(a) if w is None else max(index(aw), index(w @ a))
+    pw = ex.exact_power if exact else power
+    if spec.system == "drazin":
+        xw = x if w is None else x @ w
+        return {
+            "outer": _rel(x @ waw @ x, x),
+            "commute": _rel(aw @ x, xw @ a),
+            "chain": _rel(xw @ pw(aw, k + 1), pw(aw, k)),
+        }
+    b = waw
+    if k and exact:
+        b = waw @ ex.exact_proj_range(pw(aw, k))
+    elif k:
+        s = sigma_max(a) * (1.0 if w is None else sigma_max(w))
+        b = waw @ proj_range(pw(aw, k), tol, scale=s ** k)
     bx = b @ x
     xb = x @ b
     return {
         "penrose1": _rel(b @ xb, b),
         "penrose2": _rel(x @ bx, x),
-        "penrose3": _rel(conjugate_transpose(bx), bx),
-        "penrose4": _rel(conjugate_transpose(xb), xb),
+        "penrose3": _rel(bx.conj().T, bx),
+        "penrose4": _rel(xb.conj().T, xb),
     }
-
-
-def _float_residuals(kind: str, a, w, x, q, tol) -> dict[str, float]:
-    """Residuals of the defining equations of each inverse kind."""
-    tol = resolve_tol(tol)
-    if kind == "pinv":
-        return _penrose(a, x)
-    if kind in ("drazin", "group"):
-        k = 1 if kind == "group" else matrix_index(a, tol).index
-        return {
-            "outer": _rel(x @ a @ x, x),
-            "commute": _rel(a @ x, x @ a),
-            "chain": _rel(x @ power(a, k + 1), power(a, k)),
-        }
-    if kind == "core":
-        return {
-            "outer": _rel(x @ a @ x, x),
-            "hermitian_left": _rel(conjugate_transpose(a @ x), a @ x),
-            "chain": _rel(x @ a @ a, a),
-        }
-    if kind in ("core-ep", "bt", "qbt"):
-        if kind == "core-ep":
-            q = matrix_index(a, tol).index
-        elif kind == "bt":
-            q = 1
-        s1 = sigma_max(a)
-        b = a @ proj_range(power(a, q), tol, scale=s1 ** q)
-        return _penrose(b, x)
-    aw = a @ w
-    waw = w @ aw
-    sa, sw = sigma_max(a), sigma_max(w)
-    if kind == "wdrazin":
-        k = max(matrix_index(aw, tol).index, matrix_index(w @ a, tol).index)
-        return {
-            "outer": _rel(x @ waw @ x, x),
-            "commute": _rel(aw @ x, x @ w @ a),
-            "chain": _rel(x @ w @ power(aw, k + 1), power(aw, k)),
-        }
-    if kind == "wcore-ep":
-        q = max(matrix_index(aw, tol).index, matrix_index(w @ a, tol).index)
-    elif kind == "wbt":
-        q = 1
-    b = waw @ proj_range(power(aw, q), tol, scale=(sa * sw) ** q)
-    return _penrose(b, x)
-
-
-def _exact_residuals(kind: str, a, w, x, q) -> dict[str, float]:
-    """Same residuals on the exact path; exact agreement prints as zero."""
-    mm = ex._matmul
-    if kind == "pinv":
-        b = a
-    elif kind in ("drazin", "group"):
-        k = 1 if kind == "group" else ex.exact_index(a)
-        return {
-            "outer": _rel(ex.float_of(mm(mm(x, a), x)), ex.float_of(x)),
-            "commute": _rel(ex.float_of(mm(a, x)), ex.float_of(mm(x, a))),
-            "chain": _rel(ex.float_of(mm(x, ex.exact_power(a, k + 1))),
-                          ex.float_of(ex.exact_power(a, k))),
-        }
-    elif kind == "core":
-        ax = ex.float_of(mm(a, x))
-        return {
-            "outer": _rel(ex.float_of(mm(mm(x, a), x)), ex.float_of(x)),
-            "hermitian_left": _rel(conjugate_transpose(ax), ax),
-            "chain": _rel(ex.float_of(mm(mm(x, a), a)), ex.float_of(a)),
-        }
-    elif kind in ("core-ep", "bt", "qbt"):
-        if kind == "core-ep":
-            q = ex.exact_index(a)
-        elif kind == "bt":
-            q = 1
-        b = mm(a, ex.exact_proj_range(ex.exact_power(a, q)))
-    elif kind == "wdrazin":
-        aw, wa = mm(a, w), mm(w, a)
-        k = max(ex.exact_index(aw), ex.exact_index(wa))
-        waw = mm(w, aw)
-        return {
-            "outer": _rel(ex.float_of(mm(mm(x, waw), x)), ex.float_of(x)),
-            "commute": _rel(ex.float_of(mm(aw, x)), ex.float_of(mm(x, wa))),
-            "chain": _rel(ex.float_of(mm(mm(x, w), ex.exact_power(aw, k + 1))),
-                          ex.float_of(ex.exact_power(aw, k))),
-        }
-    else:
-        aw = mm(a, w)
-        if kind == "wcore-ep":
-            q = max(ex.exact_index(aw), ex.exact_index(mm(w, a)))
-        elif kind == "wbt":
-            q = 1
-        b = mm(mm(w, aw), ex.exact_proj_range(ex.exact_power(aw, q)))
-    return _penrose(ex.float_of(b), ex.float_of(x))
 
 
 def _cmd_inverse(args) -> int:
     tol = _resolve_tolerance(args)
-    kind = args.command
-    exact = args.exact
+    spec = KINDS[args.command]
     q = getattr(args, "q", None)
     if q is not None and q < 0:
         raise UsageError(f"--q must be nonnegative, got {q}")
-    a, fmt = load_matrix(args.a, exact=exact)
-    w = None
-    if kind in WEIGHTED_KINDS:
-        w, _ = load_matrix(args.w, exact=exact)
-    if exact:
-        result = _exact_inverse(kind, a, w, q)
+    qarg = [q] if spec.order == "q" else []
+    a, fmt = load_matrix(args.a, exact=args.exact)
+    w = load_matrix(args.w, exact=args.exact)[0] if spec.weighted else None
+    if args.exact:
+        result = spec.exact(a, *qarg) if w is None else spec.exact(a, w, *qarg)
     else:
         a = as_matrix(a)
         if w is not None:
             w = as_matrix(w)
-        result = _float_inverse(kind, a, w, q, tol)
+        operand = a if w is None else WeightedPair.from_matrices(a, w, tol)
+        result = spec.inverse(operand, *qarg, tol)
     print(format_matrix(result, fmt))
     if args.verify:
-        if exact:
-            residuals = _exact_residuals(kind, a, w, result, q)
-        else:
-            residuals = _float_residuals(kind, a, w, result, q, tol)
         print()
-        for name, value in residuals.items():
+        for name, value in _residuals(spec, a, w, result, q, tol).items():
             print(f"residual {name} = {value:.6e}")
     return 0
 
@@ -414,6 +327,9 @@ def main(argv=None) -> int:
         return 3
     except (DomainError, ShapeError, NumericError, DecompositionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 4
+    except OverflowError as exc:
+        print(f"error: overflow on badly scaled input: {exc}", file=sys.stderr)
         return 4
 
 

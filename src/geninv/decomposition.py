@@ -163,17 +163,15 @@ def weighted_core_ep_decompose(p: WeightedPair,
     structural claim (equal core ranks, vanishing lower-left blocks,
     nonsingular A1 and W1, nilpotent A3W3 and W3A3) is validated; a
     violation raises DecompositionError since it signals a rank
-    misclassification at the working tolerance.
+    misclassification at the working tolerance. The core rank is read
+    from the rank sequences the pair was built with.
     """
     tol = resolve_tol(tol)
     a, w = p.a, p.w
     m, n = a.shape
     k = p.k
     sa, sw = sigma_max(a), sigma_max(w)
-    rep_aw = matrix_index(a @ w, tol)
-    rep_wa = matrix_index(w @ a, tol)
-    seq_aw = tuple(rep_aw.rank_sequence)
-    seq_wa = tuple(rep_wa.rank_sequence)
+    seq_aw, seq_wa = p.rank_sequence_aw, p.rank_sequence_wa
     t1 = seq_aw[k] if k < len(seq_aw) else seq_aw[-1]
     t2 = seq_wa[k] if k < len(seq_wa) else seq_wa[-1]
     if t1 != t2:
@@ -326,6 +324,7 @@ def _square_canonical(core, coupling, nil, frame, q: int, tol: Tolerances,
     its pseudoinverse and range projector are rank-pinned rather than
     decided by a cutoff.
     """
+    q = check_q(q, frame.shape[0])
     pq = proj_range(power(nil, q), tol, scale=scale ** q, fixed_rank=rank_q)
     x3 = pinv(nil @ pq, tol, scale=scale, fixed_rank=rank_q1)
     blocks, _ = _canonical_blocks(core, coupling, x3, pq, tol)
@@ -354,7 +353,7 @@ def canonical_weighted_qbt(d: WeightedCoreEPDecomposition, q: int,
     inner inverse X3 = the W3-weighted q-BT inverse of A3. Returns the
     assembled matrix together with (M, Omega_W).
     """
-    q = check_q(q)
+    q = check_q(q, d.u.shape[0])
     tol = resolve_tol(tol)
     sa = sigma_max(d.middle_a())
     sw = sigma_max(d.middle_w())

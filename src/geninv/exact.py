@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .classical import check_q
 from .errors import DomainError, NumericError, ShapeError
 
 MAX_EXACT_DIM = 32
@@ -315,7 +316,7 @@ def exact_qbt(a: np.ndarray, q: int) -> np.ndarray:
     a = _check_size(a)
     if a.shape[0] != a.shape[1]:
         raise ShapeError("the q-BT inverse requires a square matrix")
-    p = exact_proj_range(exact_power(a, q))
+    p = exact_proj_range(exact_power(a, check_q(q, a.shape[0])))
     return exact_pinv(_matmul(a, p))
 
 
@@ -369,7 +370,7 @@ def exact_pair_index(a: np.ndarray, w: np.ndarray) -> tuple[int, int, int]:
 
 def exact_weighted_qbt(a: np.ndarray, w: np.ndarray, q: int) -> np.ndarray:
     a, w = _check_pair(a, w)
-    p = exact_proj_range(exact_power(_matmul(a, w), q))
+    p = exact_proj_range(exact_power(_matmul(a, w), check_q(q, a.shape[0])))
     return exact_pinv(_matmul(_matmul(_matmul(w, a), w), p))
 
 

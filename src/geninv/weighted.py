@@ -22,9 +22,10 @@ from .projectors import matrix_index, pinv, power, proj_range
 class WeightedPair:
     """A validated (A, W) pair with cached indices.
 
-    ind_aw = Ind(AW), ind_wa = Ind(WA), k = max of both. The indices of AW
-    and WA can differ by at most one; a larger spread indicates a rank
-    misclassification and is rejected.
+    ind_aw = Ind(AW), ind_wa = Ind(WA), k = max of both; the rank
+    sequences hold rank((AW)^j) and rank((WA)^j) for j = 0 .. index + 1.
+    The indices of AW and WA can differ by at most one; a larger spread
+    indicates a rank misclassification and is rejected.
     """
 
     a: np.ndarray
@@ -32,6 +33,8 @@ class WeightedPair:
     ind_aw: int
     ind_wa: int
     k: int
+    rank_sequence_aw: tuple[int, ...]
+    rank_sequence_wa: tuple[int, ...]
 
     @classmethod
     def from_matrices(cls, a, w, tol: Tolerances | None = None) -> "WeightedPair":
@@ -44,8 +47,9 @@ class WeightedPair:
         if not np.any(w):
             raise DomainError("weight matrix must be nonzero")
         tol = resolve_tol(tol)
-        ind_aw = matrix_index(a @ w, tol).index
-        ind_wa = matrix_index(w @ a, tol).index
+        rep_aw = matrix_index(a @ w, tol)
+        rep_wa = matrix_index(w @ a, tol)
+        ind_aw, ind_wa = rep_aw.index, rep_wa.index
         if abs(ind_aw - ind_wa) > 1:
             raise NumericError(
                 f"computed indices Ind(AW)={ind_aw}, Ind(WA)={ind_wa} differ by more than one; "
@@ -54,7 +58,9 @@ class WeightedPair:
         w = w.copy()
         a.setflags(write=False)
         w.setflags(write=False)
-        return cls(a=a, w=w, ind_aw=ind_aw, ind_wa=ind_wa, k=max(ind_aw, ind_wa))
+        return cls(a=a, w=w, ind_aw=ind_aw, ind_wa=ind_wa, k=max(ind_aw, ind_wa),
+                   rank_sequence_aw=rep_aw.rank_sequence,
+                   rank_sequence_wa=rep_wa.rank_sequence)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -77,6 +83,7 @@ def _wqbt_rank(a: np.ndarray, w: np.ndarray, q: int, tol: Tolerances,
 def _wqbt_raw(a: np.ndarray, w: np.ndarray, q: int, tol: Tolerances,
               scale_a: float | None = None, scale_w: float | None = None) -> np.ndarray:
     """(W A W P_{(AW)^q})^+ on raw arrays; tolerates W = 0 (used on blocks)."""
+    q = check_q(q, a.shape[0])
     sa = scale_a if scale_a is not None else sigma_max(a)
     sw = scale_w if scale_w is not None else sigma_max(w)
     r = _wqbt_rank(a, w, q, tol, sa, sw)
@@ -89,9 +96,7 @@ def _wqbt_raw(a: np.ndarray, w: np.ndarray, q: int, tol: Tolerances,
 
 def weighted_qbt(p: WeightedPair, q: int, tol: Tolerances | None = None) -> np.ndarray:
     """W-weighted q-BT inverse (W A W P_{(AW)^q})^+, shape m x n."""
-    q = check_q(q)
-    tol = resolve_tol(tol)
-    return _wqbt_raw(p.a, p.w, q, tol)
+    return _wqbt_raw(p.a, p.w, q, resolve_tol(tol))
 
 
 def weighted_bt(p: WeightedPair, tol: Tolerances | None = None) -> np.ndarray:
@@ -117,7 +122,7 @@ def weighted_qbt_product_forms(p: WeightedPair, q: int,
 
     [W (AW)^(q+1) ((AW)^q)^+]^+  and  [(WA)^(q+1) W ((AW)^q)^+]^+.
     """
-    q = check_q(q)
+    q = check_q(q, p.shape[0])
     tol = resolve_tol(tol)
     sa, sw = sigma_max(p.a), sigma_max(p.w)
     r = _wqbt_rank(p.a, p.w, q, tol, sa, sw)
@@ -137,7 +142,7 @@ def weighted_qbt_via_square(p: WeightedPair, q: int,
                             tol: Tolerances | None = None) -> np.ndarray:
     """(W ((AW)^{q-BT})^+)^+: the weighted inverse through the square q-BT
     inverse of the product AW."""
-    q = check_q(q)
+    q = check_q(q, p.shape[0])
     tol = resolve_tol(tol)
     sa, sw = sigma_max(p.a), sigma_max(p.w)
     r = _wqbt_rank(p.a, p.w, q, tol, sa, sw)

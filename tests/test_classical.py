@@ -1,9 +1,13 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from geninv.classical import (bt_inverse, check_q, core_ep, core_inverse, drazin,
                               group_inverse, outer_inverse_check, qbt_inverse)
 from geninv.corpus import random_square
+from geninv.decomposition import canonical_qbt, core_ep_decompose
+from geninv.exact import exact_qbt, requal, rmatrix
 from geninv.errors import DomainError, ShapeError
 from geninv.matrix import conjugate_transpose, frobenius
 from geninv.projectors import matrix_index, pinv, power, proj_range
@@ -20,6 +24,8 @@ class TestCheckQ:
         assert check_q(0) == 0
         assert check_q(3) == 3
         assert check_q(np.int64(2)) == 2
+        assert check_q(3, 4) == 3
+        assert check_q(60, 4) == 4
 
     @pytest.mark.parametrize("bad", [-1, 1.5, "2"])
     def test_rejects_others(self, bad):
@@ -88,6 +94,18 @@ class TestQbtFamily:
         for q in range(4):
             direct = pinv(a @ proj_range(power(a, q)))
             assert rel(qbt_inverse(a, q), direct) < 1e-10
+
+    @pytest.mark.parametrize("q", ["n", 60, 600, 2000])
+    def test_q_beyond_dimension_gives_the_q_n_member(self, q):
+        # A is nonsingular, so every member is A^-1; powers of A overflow
+        # long before q = 2000 unless q is clamped at the dimension.
+        a = np.array([[3, 1], [0, 2]], dtype=np.complex128)
+        q = a.shape[0] if q == "n" else q
+        inv = np.linalg.inv(a)
+        assert rel(qbt_inverse(a, q), inv) < 1e-12
+        assert rel(canonical_qbt(core_ep_decompose(a), q), inv) < 1e-12
+        assert requal(exact_qbt(rmatrix([[3, 1], [0, 2]]), q),
+                      rmatrix([[Fraction(1, 3), Fraction(-1, 6)], [0, Fraction(1, 2)]]))
 
     def test_nilpotent_high_power_is_zero(self):
         n = jordan_nilpotent(3)

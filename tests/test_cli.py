@@ -7,7 +7,8 @@ import pytest
 
 from geninv.cli import main
 from geninv.io import parse_matrix
-from geninv.reference import PAIR_4X3_A, PAIR_4X3_W, WQBT_4X3, float_matrix
+from geninv.reference import (PAIR_4X3_A, PAIR_4X3_W, PAIR_5X4_A, PAIR_5X4_W, WCEP_4X3,
+                              WQBT_4X3, float_matrix)
 
 from conftest import rel
 
@@ -22,6 +23,31 @@ def pair_files(tmp_path):
     a = write_csv(tmp_path / "a.csv", PAIR_4X3_A)
     w = write_csv(tmp_path / "w.csv", PAIR_4X3_W)
     return a, w
+
+
+PENROSE = ["penrose1", "penrose2", "penrose3", "penrose4"]
+DRAZIN = ["outer", "commute", "chain"]
+CORE = ["outer", "hermitian_left", "chain"]
+# integer matrices of index 2 and of index 1
+SQUARE_I2 = [[1, 0, 0, -1, 0, -1], [-1, 3, -1, 1, 0, 0], [0, 3, 1, 2, 0, 3],
+             [0, 0, 0, 0, -1, 0], [0, 0, 0, 0, 0, 0], [1, -3, 1, -1, 0, 0]]
+SQUARE_I1 = [[2, 0, 0, 2, -1], [-1, 1, 1, -1, 1], [1, 0, 1, 4, -2],
+             [0, 0, 0, 0, 0], [0, 0, 0, 0, 0]]
+PAIR_4X3 = [PAIR_4X3_A, PAIR_4X3_W]
+PAIR_5X4 = [PAIR_5X4_A, PAIR_5X4_W]
+VERIFY_CASES = [
+    ("pinv", [], [SQUARE_I2], PENROSE),
+    ("drazin", [], [SQUARE_I2], DRAZIN),
+    ("group", [], [SQUARE_I1], DRAZIN),
+    ("core", [], [SQUARE_I1], CORE),
+    ("core-ep", [], [SQUARE_I2], PENROSE),
+    ("bt", [], [SQUARE_I2], PENROSE),
+    ("qbt", ["--q", "2"], [SQUARE_I2], PENROSE),
+    ("wdrazin", [], PAIR_4X3, DRAZIN),
+    ("wcore-ep", [], PAIR_5X4, PENROSE),
+    ("wbt", [], PAIR_5X4, PENROSE),
+    ("wqbt", ["--q", "1"], PAIR_4X3, PENROSE),
+]
 
 
 def run_main(capsys, *argv):
@@ -69,20 +95,42 @@ class TestInverseCommands:
         assert payload["rows"] == 2
         assert np.array_equal(parse_matrix(out, "json"), [[1, 0], [0, 0]])
 
-    def test_verify_flag_appends_residuals(self, pair_files, capsys):
-        a, w = pair_files
-        code, out, _ = run_main(capsys, "wqbt", "--q", "1", a, w, "--verify")
+    @pytest.mark.parametrize("path", ["float", "exact"])
+    @pytest.mark.parametrize("kind, args, inputs, names", VERIFY_CASES,
+                             ids=[case[0] for case in VERIFY_CASES])
+    def test_verify_prints_the_defining_system(self, tmp_path, capsys, kind, args,
+                                               inputs, names, path):
+        files = [write_csv(tmp_path / f"m{i}.csv", rows) for i, rows in enumerate(inputs)]
+        extra = ["--exact"] if path == "exact" else []
+        code, out, _ = run_main(capsys, kind, *args, *files, *extra, "--verify")
         assert code == 0
-        lines = [ln for ln in out.splitlines() if ln.startswith("residual ")]
-        assert len(lines) == 4
-        for line in lines:
-            assert float(line.split("=")[1]) < 1e-10
+        residuals = [ln.split(" = ") for ln in out.splitlines() if ln.startswith("residual ")]
+        assert [name.removeprefix("residual ") for name, _ in residuals] == names
+        for _, value in residuals:
+            if path == "exact":
+                assert value == "0.000000e+00"
+            else:
+                assert float(value) < 1e-10
 
-    def test_verify_flag_exact_path(self, pair_files, capsys):
-        a, w = pair_files
-        code, out, _ = run_main(capsys, "wdrazin", a, w, "--exact", "--verify")
+    @pytest.mark.parametrize("path", ["float", "exact"])
+    @pytest.mark.parametrize("q", ["n", 60, 600, 2000])
+    def test_q_beyond_dimension_gives_the_q_n_member(self, tmp_path, pair_files, capsys,
+                                                     q, path):
+        extra = ["--exact"] if path == "exact" else []
+        b = write_csv(tmp_path / "b.csv", [[3, 1], [0, 2]])
+        code, out, _ = run_main(capsys, "qbt", "--q", str(2 if q == "n" else q), b,
+                                *extra, "--verify")
         assert code == 0
-        assert "residual outer = 0.000000e+00" in out
+        got = parse_matrix(out.split("\n\n")[0], "csv")
+        assert rel(got, [[1 / 3, -1 / 6], [0, 1 / 2]]) < 1e-12
+        a, w = pair_files
+        code, out, _ = run_main(capsys, "wqbt", "--q", str(4 if q == "n" else q), a, w,
+                                *extra, "--verify")
+        assert code == 0
+        matrix, residuals = out.split("\n\n")
+        assert rel(parse_matrix(matrix, "csv"), float_matrix(WCEP_4X3)) < 1e-12
+        for line in residuals.splitlines():
+            assert float(line.split("=")[1]) < 1e-10
 
 
 class TestErrorPaths:
@@ -107,6 +155,15 @@ class TestErrorPaths:
         a = write_csv(tmp_path / "a.csv", [[1, 2, 3], [4, 5, 6]])
         code, _, err = run_main(capsys, "drazin", a)
         assert code == 4
+
+    @pytest.mark.parametrize("kind", ["core-ep", "drazin"])
+    def test_overflow_is_domain_error(self, tmp_path, capsys, kind):
+        # a 24x24 Jordan chain with links 1e14: sigma_max^j overflows in the index search
+        chain = np.diag(np.full(23, 1e14), 1)
+        a = write_csv(tmp_path / "j.csv", [["%g" % v for v in row] for row in chain])
+        code, _, err = run_main(capsys, kind, a)
+        assert code == 4
+        assert err.startswith("error:")
 
     def test_usage_errors(self, tmp_path, capsys):
         a = write_csv(tmp_path / "a.csv", [[1]])

@@ -55,6 +55,20 @@ class TestWeightedCoreEPDecompose:
             assert frobenius(conjugate_transpose(d.u) @ d.u - np.eye(m)) < 1e-12
             assert frobenius(conjugate_transpose(d.v) @ d.v - np.eye(n)) < 1e-12
 
+    def test_reads_the_pair_rank_sequences(self, pairs, monkeypatch):
+        # the pair already holds both index reports; the decomposition must
+        # not decide them again, possibly at another tolerance
+        def no_index(*args, **kwargs):
+            raise AssertionError("matrix_index called again")
+
+        monkeypatch.setattr("geninv.decomposition.matrix_index", no_index)
+        for p in pairs:
+            d = weighted_core_ep_decompose(p)
+            assert p.rank_sequence_aw == matrix_index(p.a @ p.w).rank_sequence
+            assert p.rank_sequence_wa == matrix_index(p.w @ p.a).rank_sequence
+            assert (d.rank_sequence_aw, d.rank_sequence_wa) == (p.rank_sequence_aw,
+                                                                p.rank_sequence_wa)
+
     def test_leading_blocks_nonsingular(self, pairs):
         for p in pairs:
             d = weighted_core_ep_decompose(p)

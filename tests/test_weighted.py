@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
 
+from geninv.classical import qbt_inverse
 from geninv.corpus import random_pairs, random_planted_pair
+from geninv.decomposition import (canonical_qbt_products, canonical_weighted_qbt,
+                                  weighted_core_ep_decompose)
 from geninv.errors import ShapeError
+from geninv.exact import exact_weighted_qbt, requal, rmatrix
 from geninv.projectors import pinv, power
-from geninv.reference import WQBT_4X3, float_matrix, pair_4x3_float
+from geninv.reference import (PAIR_4X3_A, PAIR_4X3_W, WCEP_4X3, WQBT_4X3, float_matrix,
+                              pair_4x3_float)
 from geninv.weighted import (WeightedPair, cline_shift_check,
                              dual_representation_gap, weighted_bt,
                              weighted_core_ep, weighted_drazin, weighted_qbt,
@@ -56,6 +61,24 @@ class TestKnownValues:
         p = WeightedPair.from_matrices(a, w)
         for q, expected in WQBT_4X3.items():
             assert rel(weighted_qbt(p, q), float_matrix(expected)) < 1e-10
+
+    @pytest.mark.parametrize("q", ["n", 60, 600, 2000])
+    def test_q_beyond_dimension_gives_the_q_n_member(self, q):
+        # k = 3 on the 4x3 pair, so every q >= 3 gives the weighted core-EP inverse
+        a, w = pair_4x3_float()
+        p = WeightedPair.from_matrices(a, w)
+        q = p.shape[0] if q == "n" else q
+        cep = float_matrix(WCEP_4X3)
+        d = weighted_core_ep_decompose(p)
+        routes = [weighted_qbt(p, q), *weighted_qbt_product_forms(p, q),
+                  weighted_qbt_via_square(p, q), canonical_weighted_qbt(d, q)[0]]
+        for x in routes:
+            assert rel(x, cep) < 1e-10
+        x_aw, x_wa = canonical_qbt_products(d, q)
+        assert rel(x_aw, qbt_inverse(a @ w, 3)) < 1e-10
+        assert rel(x_wa, qbt_inverse(w @ a, 3)) < 1e-10
+        exact = exact_weighted_qbt(rmatrix(PAIR_4X3_A), rmatrix(PAIR_4X3_W), q)
+        assert requal(exact, rmatrix(WCEP_4X3))
 
 
 class TestAlternateFormulas:
