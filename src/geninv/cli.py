@@ -151,10 +151,12 @@ def _rel(x: np.ndarray, y: np.ndarray) -> float:
     return frobenius(d) / max(1.0, frobenius(y))
 
 
-def _residuals(spec: Kind, a, w, x, q, tol) -> dict[str, float]:
+def _residuals(spec: Kind, a, w, x, q, tol, pair: WeightedPair | None = None) -> dict[str, float]:
     """Residuals of the kind's defining system on either arithmetic.
 
-    A square kind is its weighted form with W absent (w is None).
+    A square kind is its weighted form with W absent (w is None). A float
+    weighted kind passes the WeightedPair it was computed from, whose k is
+    the order of an "index" system.
     """
     exact = a.dtype == object
     if spec.system == "core":
@@ -167,7 +169,9 @@ def _residuals(spec: Kind, a, w, x, q, tol) -> dict[str, float]:
     aw = a if w is None else a @ w
     waw = a if w is None else w @ aw
     k = check_q(q, aw.shape[0]) if spec.order == "q" else spec.order
-    if k == "index":
+    if k == "index" and pair is not None:
+        k = pair.k
+    elif k == "index":
         index = ex.exact_index if exact else (lambda m: matrix_index(m, tol).index)
         k = index(a) if w is None else max(index(aw), index(w @ a))
     pw = ex.exact_power if exact else power
@@ -203,18 +207,19 @@ def _cmd_inverse(args) -> int:
     qarg = [q] if spec.order == "q" else []
     a, fmt = load_matrix(args.a, exact=args.exact)
     w = load_matrix(args.w, exact=args.exact)[0] if spec.weighted else None
+    pair = None
     if args.exact:
         result = spec.exact(a, *qarg) if w is None else spec.exact(a, w, *qarg)
     else:
         a = as_matrix(a)
         if w is not None:
             w = as_matrix(w)
-        operand = a if w is None else WeightedPair.from_matrices(a, w, tol)
-        result = spec.inverse(operand, *qarg, tol)
+            pair = WeightedPair.from_matrices(a, w, tol)
+        result = spec.inverse(a if pair is None else pair, *qarg, tol)
     print(format_matrix(result, fmt))
     if args.verify:
         print()
-        for name, value in _residuals(spec, a, w, result, q, tol).items():
+        for name, value in _residuals(spec, a, w, result, q, tol, pair).items():
             print(f"residual {name} = {value:.6e}")
     return 0
 

@@ -1,16 +1,25 @@
 """Exact rational-complex arithmetic path.
 
 Scalars are Gaussian rationals (Fraction real and imaginary parts) and
-matrices are numpy object arrays of them, so every operation here is
-exact. The Moore-Penrose inverse comes from a full-rank factorization
-A = FG with A^+ = G* (G G*)^{-1} (F* F)^{-1} F*, which stays inside the
-rational field; SVD-based routes would not. This path is the ground
-truth the float path is compared against and is size-guarded to stay
-desk-scale.
+the public functions take and return numpy object arrays of them, so
+every operation here is exact. Inside, a matrix is held as Gaussian
+integers over one denominator, (R + iI) / d: R and I are object arrays
+of Python ints and d is a positive int, reduced by the gcd of all
+entries after each operation. Products are numpy object `@` on the int
+arrays. Rank, reduced row echelon form and inverse come from
+fraction-free Gauss-Jordan elimination over Z[i] (Bareiss, "Sylvester's
+identity and multistep integer-preserving Gaussian elimination", Math.
+Comp. 1968): every division it makes is exact, so no rational is formed
+until the result is read off. The Moore-Penrose inverse comes from a
+full-rank factorization A = FG with A^+ = G* (G G*)^{-1} (F* F)^{-1} F*,
+which stays inside the rational field; SVD-based routes would not. This
+path is the ground truth the float path is compared against and is
+size-guarded to stay desk-scale.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -187,19 +196,210 @@ def requal(a: np.ndarray, b: np.ndarray) -> bool:
     return all(a[i, j] == b[i, j] for i in range(a.shape[0]) for j in range(a.shape[1]))
 
 
+class _ZMat:
+    """Matrix (re + i im) / den of Gaussian integers over one denominator.
+
+    re and im are object arrays of Python ints and den is a positive int;
+    the constructor divides all three by their common gcd.
+    """
+
+    __slots__ = ("re", "im", "den")
+
+    def __init__(self, re: np.ndarray, im: np.ndarray, den: int = 1):
+        g = math.gcd(den, *re.flat, *im.flat)
+        if g > 1:
+            re, im, den = re // g, im // g, den // g
+        self.re, self.im, self.den = re, im, den
+
+    @classmethod
+    def of(cls, a: np.ndarray) -> "_ZMat":
+        """From an object array of Gaussian rationals."""
+        reals = [v.real for v in a.flat]
+        imags = [v.imag for v in a.flat]
+        den = math.lcm(*(x.denominator for x in reals), *(x.denominator for x in imags))
+
+        def scaled(parts):
+            ints = [x.numerator * (den // x.denominator) for x in parts]
+            return np.array(ints, dtype=object).reshape(a.shape)
+
+        return cls(scaled(reals), scaled(imags), den)
+
+    def to_gr(self) -> np.ndarray:
+        """Object array of GaussianRational entries."""
+        out = np.empty(self.re.shape, dtype=object)
+        d = self.den
+        for idx, r in np.ndenumerate(self.re):
+            out[idx] = GaussianRational(Fraction(r, d), Fraction(self.im[idx], d))
+        return out
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.re.shape
+
+    @property
+    def H(self) -> "_ZMat":
+        return _ZMat(self.re.T, -self.im.T, self.den)
+
+    def __matmul__(self, other: "_ZMat") -> "_ZMat":
+        ar, ai, br, bi = self.re, self.im, other.re, other.im
+        return _ZMat(ar @ br - ai @ bi, ar @ bi + ai @ br, self.den * other.den)
+
+
+def _zeros(m: int, n: int) -> _ZMat:
+    return _ZMat(np.zeros((m, n), dtype=object), np.zeros((m, n), dtype=object))
+
+
+def _eye(n: int) -> _ZMat:
+    return _ZMat(np.eye(n, dtype=object), np.zeros((n, n), dtype=object))
+
+
+def _exact_div(re: np.ndarray, im: np.ndarray, dr: int, di: int):
+    """(re + i im) / (dr + i di) entrywise, when every quotient lies in Z[i].
+
+    Multiplies by the conjugate and divides by the norm; a nonzero
+    remainder means the elimination lost its integrality invariant.
+    """
+    if di:
+        re, im = re * dr + im * di, im * dr - re * di
+        norm = dr * dr + di * di
+    elif dr == 1:
+        return re, im
+    else:
+        norm = dr
+    if (re % norm).any() or (im % norm).any():
+        raise NumericError("inexact division in fraction-free elimination")
+    return re // norm, im // norm
+
+
+def _rref(re: np.ndarray, im: np.ndarray, ncols: int | None = None):
+    """Fraction-free reduced row echelon form: Bareiss's Gauss-Jordan over Z[i].
+
+    Pivots are sought in the first `ncols` columns (all by default).
+    Returns the eliminated (re, im), the pivot columns and the last pivot
+    d = dr + i di: rows [:rank] equal d times the reduced row echelon form.
+    At each pivot p in column c every other row becomes
+    (p row - row[c] pivot_row) / p_prev, whose entries are minors of the
+    input (Sylvester's identity), so each division is exact.
+    """
+    re, im = re.copy(), im.copy()
+    m = re.shape[0]
+    ncols = re.shape[1] if ncols is None else ncols
+    pr, pi = 1, 0
+    pivots: list[int] = []
+    row = 0
+    for col in range(ncols):
+        if row == m:
+            break
+        hit = next((i for i in range(row, m) if re[i, col] or im[i, col]), None)
+        if hit is None:
+            continue
+        if hit != row:
+            re[[row, hit]] = re[[hit, row]]
+            im[[row, hit]] = im[[hit, row]]
+        cr, ci = re[row, col], im[row, col]
+        ur, ui = re[:, col], im[:, col]
+        vr, vi = re[row], im[row]
+        new_re = cr * re - ci * im - (np.multiply.outer(ur, vr) - np.multiply.outer(ui, vi))
+        new_im = cr * im + ci * re - (np.multiply.outer(ur, vi) + np.multiply.outer(ui, vr))
+        re, im = _exact_div(new_re, new_im, pr, pi)
+        re[row], im[row] = vr, vi
+        pr, pi = cr, ci
+        pivots.append(col)
+        row += 1
+    return re, im, pivots, (pr, pi)
+
+
+def _divide(re: np.ndarray, im: np.ndarray, d: tuple[int, int]) -> _ZMat:
+    """(re + i im) / d as a reduced _ZMat."""
+    dr, di = d
+    return _ZMat(re * dr + im * di, im * dr - re * di, dr * dr + di * di)
+
+
+def _rank(a: _ZMat) -> int:
+    return len(_rref(a.re, a.im)[2])
+
+
+def _frf(a: _ZMat) -> tuple[list[int], _ZMat]:
+    """Pivot columns of A and the nonzero rows G of its RREF."""
+    re, im, pivots, d = _rref(a.re, a.im)
+    rank = len(pivots)
+    return pivots, _divide(re[:rank], im[:rank], d)
+
+
+def _inv(a: _ZMat) -> _ZMat:
+    """Inverse of a nonsingular square matrix, from [N | I] with A = N / den."""
+    n = a.shape[0]
+    re, im, pivots, d = _rref(np.hstack([a.re, np.eye(n, dtype=object)]),
+                              np.hstack([a.im, np.zeros((n, n), dtype=object)]), n)
+    if pivots != list(range(n)):
+        raise DomainError("matrix is singular over the rationals")
+    return _divide(re[:, n:] * a.den, im[:, n:] * a.den, d)
+
+
+def _pinv(a: _ZMat) -> _ZMat:
+    pivots, g = _frf(a)
+    if not pivots:
+        return _zeros(a.shape[1], a.shape[0])
+    f = _ZMat(a.re[:, pivots], a.im[:, pivots], a.den)
+    gh, fh = g.H, f.H
+    return (gh @ _inv(g @ gh)) @ (_inv(fh @ f) @ fh)
+
+
+def _power(a: _ZMat, q: int) -> _ZMat:
+    out = _eye(a.shape[0])
+    for _ in range(q):
+        out = out @ a
+    return out
+
+
+def _index(a: _ZMat) -> int:
+    n = a.shape[0]
+    previous = n
+    p = _eye(n)
+    for j in range(1, n + 2):
+        p = p @ a
+        current = _rank(p)
+        if current == previous:
+            return j - 1
+        previous = current
+    return n
+
+
+def _proj_range(b: _ZMat) -> _ZMat:
+    return b @ _pinv(b)
+
+
+def _qbt(a: _ZMat, q: int) -> _ZMat:
+    return _pinv(a @ _proj_range(_power(a, check_q(q, a.shape[0]))))
+
+
+def _drazin(a: _ZMat) -> _ZMat:
+    ak = _power(a, _index(a))
+    return ak @ _pinv(ak @ ak @ a) @ ak
+
+
+def _group(a: _ZMat) -> _ZMat:
+    k = _index(a)
+    if k > 1:
+        raise DomainError(f"group inverse requires index at most 1, computed index {k}")
+    return _drazin(a)
+
+
+def _pair_index(a: _ZMat, w: _ZMat) -> tuple[int, int, int]:
+    ind_aw = _index(a @ w)
+    ind_wa = _index(w @ a)
+    return ind_aw, ind_wa, max(ind_aw, ind_wa)
+
+
+def _weighted_qbt(a: _ZMat, w: _ZMat, q: int) -> _ZMat:
+    p = _proj_range(_power(a @ w, check_q(q, a.shape[0])))
+    return _pinv(w @ a @ w @ p)
+
+
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"cannot multiply {a.shape[0]}x{a.shape[1]} by {b.shape[0]}x{b.shape[1]}")
-    m, k = a.shape
-    n = b.shape[1]
-    out = rzeros(m, n)
-    for i in range(m):
-        for j in range(n):
-            acc = _GR_ZERO
-            for l in range(k):
-                acc = acc + a[i, l] * b[l, j]
-            out[i, j] = acc
-    return out
+    return (_ZMat.of(a) @ _ZMat.of(b)).to_gr()
 
 
 def _check_size(a: np.ndarray) -> np.ndarray:
@@ -212,48 +412,15 @@ def _check_size(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _rref(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form and pivot column indices, exactly."""
-    r = a.copy()
-    m, n = r.shape
-    pivots: list[int] = []
-    row = 0
-    for col in range(n):
-        if row >= m:
-            break
-        pivot_row = next((i for i in range(row, m) if r[i, col]), None)
-        if pivot_row is None:
-            continue
-        if pivot_row != row:
-            r[[row, pivot_row], :] = r[[pivot_row, row], :]
-        pivot = r[row, col]
-        for j in range(col, n):
-            r[row, j] = r[row, j] / pivot
-        for i in range(m):
-            if i != row and r[i, col]:
-                factor = r[i, col]
-                for j in range(col, n):
-                    r[i, j] = r[i, j] - factor * r[row, j]
-        pivots.append(col)
-        row += 1
-    return r, pivots
+def _check_square(a: np.ndarray, what: str) -> _ZMat:
+    a = _check_size(a)
+    if a.shape[0] != a.shape[1]:
+        raise ShapeError(f"{what} requires a square matrix")
+    return _ZMat.of(a)
 
 
 def exact_rank(a: np.ndarray) -> int:
-    a = _check_size(a)
-    return len(_rref(a)[1])
-
-
-def _rinv(a: np.ndarray) -> np.ndarray:
-    """Exact inverse of a nonsingular square rational matrix."""
-    n = a.shape[0]
-    if a.shape[1] != n:
-        raise ShapeError("inverse requires a square matrix")
-    aug = np.concatenate([a, reye(n)], axis=1)
-    r, pivots = _rref(aug)
-    if pivots != list(range(n)):
-        raise DomainError("matrix is singular over the rationals")
-    return r[:, n:]
+    return _rank(_ZMat.of(_check_size(a)))
 
 
 def full_rank_factorization(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -262,116 +429,76 @@ def full_rank_factorization(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     F collects the pivot columns of A; G is the nonzero rows of the RREF.
     """
     a = _check_size(a)
-    r, pivots = _rref(a)
-    rank = len(pivots)
-    f = a[:, pivots] if rank else rzeros(a.shape[0], 0)
-    g = r[:rank, :]
-    return f, g
+    pivots, g = _frf(_ZMat.of(a))
+    f = a[:, pivots] if pivots else rzeros(a.shape[0], 0)
+    return f, g.to_gr()
 
 
 def exact_pinv(a: np.ndarray) -> np.ndarray:
-    a = _check_size(a)
-    f, g = full_rank_factorization(a)
-    if f.shape[1] == 0:
-        return rzeros(a.shape[1], a.shape[0])
-    gh = conj_t(g)
-    fh = conj_t(f)
-    return _matmul(_matmul(gh, _rinv(_matmul(g, gh))),
-                   _matmul(_rinv(_matmul(fh, f)), fh))
+    return _pinv(_ZMat.of(_check_size(a))).to_gr()
 
 
 def exact_power(a: np.ndarray, q: int) -> np.ndarray:
-    a = _check_size(a)
-    if a.shape[0] != a.shape[1]:
-        raise ShapeError("powers require a square matrix")
+    z = _check_square(a, "powers")
     if not isinstance(q, (int, np.integer)) or q < 0:
         raise DomainError(f"exponent must be a nonnegative integer, got {q!r}")
-    out = reye(a.shape[0])
-    for _ in range(int(q)):
-        out = _matmul(out, a)
-    return out
+    return _power(z, int(q)).to_gr()
 
 
 def exact_index(a: np.ndarray) -> int:
-    a = _check_size(a)
-    if a.shape[0] != a.shape[1]:
-        raise ShapeError("index requires a square matrix")
-    n = a.shape[0]
-    previous = n
-    p = reye(n)
-    for j in range(1, n + 2):
-        p = _matmul(p, a)
-        current = exact_rank(p)
-        if current == previous:
-            return j - 1
-        previous = current
-    return n
+    return _index(_check_square(a, "index"))
 
 
 def exact_proj_range(b: np.ndarray) -> np.ndarray:
-    return _matmul(b, exact_pinv(b))
+    return _proj_range(_ZMat.of(b)).to_gr()
 
 
 def exact_qbt(a: np.ndarray, q: int) -> np.ndarray:
-    a = _check_size(a)
-    if a.shape[0] != a.shape[1]:
-        raise ShapeError("the q-BT inverse requires a square matrix")
-    p = exact_proj_range(exact_power(a, check_q(q, a.shape[0])))
-    return exact_pinv(_matmul(a, p))
+    return _qbt(_check_square(a, "the q-BT inverse"), q).to_gr()
 
 
 def exact_drazin(a: np.ndarray) -> np.ndarray:
-    a = _check_size(a)
-    if a.shape[0] != a.shape[1]:
-        raise ShapeError("the Drazin inverse requires a square matrix")
-    k = exact_index(a)
-    ak = exact_power(a, k)
-    return _matmul(_matmul(ak, exact_pinv(exact_power(a, 2 * k + 1))), ak)
+    return _drazin(_check_square(a, "the Drazin inverse")).to_gr()
 
 
 def exact_group(a: np.ndarray) -> np.ndarray:
-    k = exact_index(a)
-    if k > 1:
-        raise DomainError(f"group inverse requires index at most 1, computed index {k}")
-    return exact_drazin(a)
+    return _group(_check_square(a, "index")).to_gr()
 
 
 def exact_core(a: np.ndarray) -> np.ndarray:
-    return _matmul(_matmul(exact_group(a), a), exact_pinv(a))
+    z = _check_square(a, "index")
+    return (_group(z) @ z @ _pinv(z)).to_gr()
 
 
 def exact_core_ep(a: np.ndarray) -> np.ndarray:
-    return exact_qbt(a, exact_index(a))
+    z = _check_square(a, "index")
+    return _qbt(z, _index(z)).to_gr()
 
 
 def exact_bt(a: np.ndarray) -> np.ndarray:
     return exact_qbt(a, 1)
 
 
-def _check_pair(a: np.ndarray, w: np.ndarray):
+def _check_pair(a: np.ndarray, w: np.ndarray) -> tuple[_ZMat, _ZMat]:
     a = _check_size(a)
     w = _check_size(w)
     if a.shape[0] != w.shape[1] or a.shape[1] != w.shape[0]:
         raise ShapeError(
             f"weight must be {a.shape[1]}x{a.shape[0]} for a {a.shape[0]}x{a.shape[1]} matrix, "
             f"got {w.shape[0]}x{w.shape[1]}")
-    if not any(w[i, j] for i in range(w.shape[0]) for j in range(w.shape[1])):
+    zw = _ZMat.of(w)
+    if not (zw.re.any() or zw.im.any()):
         raise DomainError("weight matrix must be nonzero")
-    return a, w
+    return _ZMat.of(a), zw
 
 
 def exact_pair_index(a: np.ndarray, w: np.ndarray) -> tuple[int, int, int]:
     """(Ind(AW), Ind(WA), k) on the exact path."""
-    a, w = _check_pair(a, w)
-    ind_aw = exact_index(_matmul(a, w))
-    ind_wa = exact_index(_matmul(w, a))
-    return ind_aw, ind_wa, max(ind_aw, ind_wa)
+    return _pair_index(*_check_pair(a, w))
 
 
 def exact_weighted_qbt(a: np.ndarray, w: np.ndarray, q: int) -> np.ndarray:
-    a, w = _check_pair(a, w)
-    p = exact_proj_range(exact_power(_matmul(a, w), check_q(q, a.shape[0])))
-    return exact_pinv(_matmul(_matmul(_matmul(w, a), w), p))
+    return _weighted_qbt(*_check_pair(a, w), q).to_gr()
 
 
 def exact_weighted_bt(a: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -379,13 +506,14 @@ def exact_weighted_bt(a: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def exact_weighted_core_ep(a: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return exact_weighted_qbt(a, w, exact_pair_index(a, w)[2])
+    za, zw = _check_pair(a, w)
+    return _weighted_qbt(za, zw, _pair_index(za, zw)[2]).to_gr()
 
 
 def exact_weighted_drazin(a: np.ndarray, w: np.ndarray) -> np.ndarray:
-    a, w = _check_pair(a, w)
-    d = exact_drazin(_matmul(w, a))
-    return _matmul(a, _matmul(d, d))
+    za, zw = _check_pair(a, w)
+    d = _drazin(zw @ za)
+    return (za @ (d @ d)).to_gr()
 
 
 def float_of(a: np.ndarray) -> np.ndarray:

@@ -6,12 +6,16 @@ Two formats: CSV (one row per line, comma-separated entries) and JSON
 `p/q`. Parsing targets either the float path (complex128 arrays) or the
 exact path (Gaussian-rational object arrays); printing floats uses 17
 significant digits and printing exact values uses fraction strings, so a
-parse/print round trip is lossless in both directions.
+parse/print round trip is lossless in both directions. On the float path
+each component is the double nearest its exact value, and a component
+outside the double range is a parse error.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +24,11 @@ from .errors import ParseError
 from .exact import GaussianRational
 
 _IMAG_SUFFIXES = "iIjJ"
+
+# Components that float() rounds exactly as Fraction does; anything else
+# (p/q, underscores, non-ASCII digits, bare signs) goes through Fraction,
+# which keeps the accepted set that of the exact path.
+_DECIMAL = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 
 
 def _split_complex(token: str) -> tuple[str | None, str | None]:
@@ -56,20 +65,38 @@ def _fraction(text: str) -> Fraction:
 
 
 def _parse_token(token: str, exact: bool):
-    """One complex entry from its textual form."""
+    """One complex entry from its textual form.
+
+    A float component that is a plain decimal goes straight to float(),
+    which rounds as Fraction does; raises OverflowError past the double
+    range.
+    """
     re_part, im_part = _split_complex(token)
-    real = _fraction(re_part) if re_part is not None else Fraction(0)
-    imag = _fraction(im_part) if im_part is not None else Fraction(0)
     if exact:
+        real = _fraction(re_part) if re_part is not None else Fraction(0)
+        imag = _fraction(im_part) if im_part is not None else Fraction(0)
         return GaussianRational(real, imag)
-    return complex(float(real), float(imag))
+    values = []
+    for text in (re_part, im_part):
+        if text is None:
+            values.append(0.0)
+        elif not _DECIMAL.fullmatch(text):
+            values.append(float(_fraction(text)))
+        else:
+            value = float(text)
+            if math.isinf(value):
+                raise OverflowError(f"component {text!r} is beyond the double range")
+            if not value and not text.lower().partition("e")[0].strip("+-0."):
+                value = 0.0  # an exact zero is +0.0 through Fraction; an underflow keeps its sign
+            values.append(value)
+    return complex(*values)
 
 
 def parse_entry(token: str, exact: bool = False):
     """Parse a single complex entry; raises ParseError on bad syntax."""
     try:
         return _parse_token(token, exact)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ParseError(f"bad matrix entry {token.strip()!r}: {exc}") from exc
 
 
@@ -103,7 +130,7 @@ def _parse_csv(text: str, exact: bool) -> np.ndarray:
             column = offset + len(part) - len(part.lstrip()) + 1
             try:
                 row.append(_parse_token(part, exact))
-            except (ValueError, ZeroDivisionError) as exc:
+            except (ValueError, ZeroDivisionError, OverflowError) as exc:
                 raise ParseError(f"bad matrix entry {part.strip()!r}: {exc}",
                                  line=lineno, column=column) from exc
             offset += len(part) + 1
@@ -111,11 +138,19 @@ def _parse_csv(text: str, exact: bool) -> np.ndarray:
     return _finish(rows, exact)
 
 
-def _json_component(value, where: str) -> Fraction:
+def _json_component(value, exact: bool, where: str):
+    """A Fraction, or on the float path the double nearest it."""
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise ParseError(f"{where}: component {value!r} is not a number or fraction string")
     try:
-        return Fraction(value)
+        if exact:
+            return Fraction(value)
+        if isinstance(value, str):
+            return float(Fraction(value))
+        if not math.isfinite(value):
+            raise ValueError("not a finite number")
+        # + 0.0 maps -0.0 to +0.0, as the route through Fraction does
+        return float(value) + 0.0
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ParseError(f"{where}: bad component {value!r}: {exc}") from exc
 
@@ -124,22 +159,22 @@ def _json_entry(value, exact: bool, where: str):
     if isinstance(value, str):
         try:
             return _parse_token(value, exact)
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ParseError(f"{where}: bad matrix entry {value!r}: {exc}") from exc
     if isinstance(value, bool):
         raise ParseError(f"{where}: entry {value!r} is not a number")
     if isinstance(value, (int, float)):
-        real, imag = _json_component(value, where), Fraction(0)
+        real, imag = _json_component(value, exact, where), 0
     elif isinstance(value, list):
         if len(value) != 2:
             raise ParseError(f"{where}: a complex entry must be a 2-array [re, im]")
-        real = _json_component(value[0], where)
-        imag = _json_component(value[1], where)
+        real = _json_component(value[0], exact, where)
+        imag = _json_component(value[1], exact, where)
     else:
         raise ParseError(f"{where}: entry {value!r} is not a number, string, or 2-array")
     if exact:
         return GaussianRational(real, imag)
-    return complex(float(real), float(imag))
+    return complex(real, imag)
 
 
 def _parse_json(text: str, exact: bool) -> np.ndarray:

@@ -4,7 +4,9 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from geninv import classical, cli, decomposition, projectors, weighted
 from geninv.cli import main
 from geninv.io import parse_matrix
 from geninv.reference import (PAIR_4X3_A, PAIR_4X3_W, PAIR_5X4_A, PAIR_5X4_W, WCEP_4X3,
@@ -112,6 +114,38 @@ class TestInverseCommands:
             else:
                 assert float(value) < 1e-10
 
+    @pytest.mark.parametrize("kind", ["wcore-ep", "wdrazin"])
+    def test_verify_reuses_the_pair_index(self, tmp_path, capsys, monkeypatch, kind):
+        index_lapack_calls = [0]
+        inside_index = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                index_lapack_calls[0] += bool(inside_index)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def index_span(*args, **kwargs):
+            inside_index.append(True)
+            try:
+                return projectors.matrix_index(*args, **kwargs)
+            finally:
+                inside_index.pop()
+
+        monkeypatch.setattr(np.linalg, "svd", counted(np.linalg.svd))
+        monkeypatch.setattr(scipy.linalg, "qr", counted(scipy.linalg.qr))
+        for module in (classical, cli, decomposition, weighted):
+            monkeypatch.setattr(module, "matrix_index", index_span)
+        files = [write_csv(tmp_path / f"m{i}.csv", rows) for i, rows in enumerate(PAIR_5X4)]
+        runs = {}
+        for extra in ([], ["--verify"]):
+            index_lapack_calls[0] = 0
+            code, out, _ = run_main(capsys, kind, *files, *extra)
+            assert code == 0
+            runs[bool(extra)] = index_lapack_calls[0], out
+        assert runs[True][0] == runs[False][0] > 0
+        assert runs[True][1].startswith(runs[False][1])
+
     @pytest.mark.parametrize("path", ["float", "exact"])
     @pytest.mark.parametrize("q", ["n", 60, 600, 2000])
     def test_q_beyond_dimension_gives_the_q_n_member(self, tmp_path, pair_files, capsys,
@@ -164,6 +198,18 @@ class TestErrorPaths:
         code, _, err = run_main(capsys, kind, a)
         assert code == 4
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("name, text, where", [
+        ("a.csv", "1,2\n3,1e400\n", "line 2, column 3"),
+        ("a.json", '{"rows": 1, "cols": 2, "data": [[1, "1e400"]]}', "data[0][1]"),
+        ("a.json", '{"rows": 1, "cols": 2, "data": [[1, 1e400]]}', "data[0][1]"),
+    ], ids=["csv-cell", "json-string", "json-number"])
+    def test_overflowing_entry_is_parse_error(self, tmp_path, capsys, name, text, where):
+        path = tmp_path / name
+        path.write_text(text)
+        code, _, err = run_main(capsys, "pinv", str(path))
+        assert code == 3
+        assert err.startswith("parse error:") and where in err
 
     def test_usage_errors(self, tmp_path, capsys):
         a = write_csv(tmp_path / "a.csv", [[1]])

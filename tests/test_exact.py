@@ -12,6 +12,7 @@ from geninv.exact import (GaussianRational, exact_bt, exact_core, exact_core_ep,
                           exact_rank, exact_weighted_qbt, float_of,
                           full_rank_factorization, reye, rmatrix,
                           rmatrix_from_complex, rzeros, requal, conj_t, _matmul)
+from geninv.classical import check_q
 from geninv.reference import (INDICES_4X3, INDICES_5X4, pair_4x3_exact,
                               pair_5x4_exact)
 
@@ -95,6 +96,15 @@ class TestExactLinearAlgebra:
         with pytest.raises(DomainError):
             exact_pinv(rzeros(33, 33))
 
+    def test_inexact_elimination_step_raises(self):
+        from geninv.exact import _exact_div
+        five, zero = np.array([[5]], dtype=object), np.array([[0]], dtype=object)
+        re, im = _exact_div(five * 3, five, 1, 2)  # (15 + 5i) / (1 + 2i) = 5 - 5i
+        assert (re[0, 0], im[0, 0]) == (5, -5)
+        for dr, di in ((2, 0), (1, 1)):
+            with pytest.raises(NumericError):
+                _exact_div(five, zero, dr, di)
+
     def test_float_of_overflow(self):
         giant = rmatrix([[g(Fraction(10) ** 400)]])
         with pytest.raises(NumericError):
@@ -173,3 +183,190 @@ def test_exact_pinv_penrose_property(a):
     assert requal(_matmul(xa, x), x)
     assert requal(conj_t(ax), ax)
     assert requal(conj_t(xa), xa)
+
+
+# --------------------------------------------------------------------------
+# Differential tests: the kernel against a slow reference written in this
+# file with per-entry Fraction arithmetic (a triple-loop product and a
+# textbook RREF).
+
+
+def ref_matmul(a, b):
+    m, k = a.shape
+    n = b.shape[1]
+    out = rzeros(m, n)
+    for i in range(m):
+        for j in range(n):
+            acc = g(0)
+            for l in range(k):
+                acc = acc + a[i, l] * b[l, j]
+            out[i, j] = acc
+    return out
+
+
+def ref_rref(a):
+    r = a.copy()
+    m, n = r.shape
+    pivots = []
+    for col in range(n):
+        row = len(pivots)
+        if row == m:
+            break
+        hit = next((i for i in range(row, m) if r[i, col]), None)
+        if hit is None:
+            continue
+        r[[row, hit]] = r[[hit, row]]
+        r[row] = [v / r[row, col] for v in r[row]]
+        for i in range(m):
+            if i != row and r[i, col]:
+                factor = r[i, col]
+                r[i] = [v - factor * p for v, p in zip(r[i], r[row])]
+        pivots.append(col)
+    return r, pivots
+
+
+def ref_frf(a):
+    r, pivots = ref_rref(a)
+    return a[:, pivots] if pivots else rzeros(a.shape[0], 0), r[:len(pivots)]
+
+
+def ref_inv(a):
+    n = a.shape[0]
+    r, pivots = ref_rref(np.concatenate([a, reye(n)], axis=1))
+    assert pivots[:n] == list(range(n))
+    return r[:, n:]
+
+
+def ref_pinv(a):
+    f, gm = ref_frf(a)
+    if f.shape[1] == 0:
+        return rzeros(a.shape[1], a.shape[0])
+    gh, fh = conj_t(gm), conj_t(f)
+    return ref_matmul(ref_matmul(gh, ref_inv(ref_matmul(gm, gh))),
+                      ref_matmul(ref_inv(ref_matmul(fh, f)), fh))
+
+
+def ref_power(a, q):
+    out = reye(a.shape[0])
+    for _ in range(q):
+        out = ref_matmul(out, a)
+    return out
+
+
+def ref_index(a):
+    """Smallest k with rank(A^k) = rank(A^(k+1))."""
+    k, power, rank = 0, reye(a.shape[0]), a.shape[0]
+    while True:
+        power = ref_matmul(power, a)
+        next_rank = len(ref_rref(power)[1])
+        if next_rank == rank:
+            return k
+        k, rank = k + 1, next_rank
+
+
+def ref_drazin(a):
+    k = ref_index(a)
+    ak = ref_power(a, k)
+    return ref_matmul(ref_matmul(ak, ref_pinv(ref_power(a, 2 * k + 1))), ak)
+
+
+def ref_weighted_qbt(a, w, q):
+    aw_q = ref_power(ref_matmul(a, w), check_q(q, a.shape[0]))
+    p = ref_matmul(aw_q, ref_pinv(aw_q))
+    return ref_pinv(ref_matmul(ref_matmul(ref_matmul(w, a), w), p))
+
+
+_small = st.integers(min_value=-3, max_value=3)
+_den = st.integers(min_value=1, max_value=4)
+_entries = st.one_of(
+    st.builds(g, _small, _small),
+    st.builds(lambda a, b, c, d: g(Fraction(a, b), Fraction(c, d)), _small, _den, _small, _den))
+
+
+@st.composite
+def gaussian_matrix(draw, m=None, n=None):
+    """Dense, rank-deficient, zero or (square) strictly upper triangular."""
+    m = draw(st.integers(1, 4)) if m is None else m
+    n = draw(st.integers(1, 4)) if n is None else n
+    shape = draw(st.sampled_from(["dense", "low-rank", "zero"]
+                                 + (["nilpotent"] if m == n else [])))
+
+    def dense(rows, cols):
+        out = rzeros(rows, cols)
+        for idx in np.ndindex(rows, cols):
+            out[idx] = draw(_entries)
+        return out
+
+    if shape == "zero":
+        return rzeros(m, n)
+    if shape == "low-rank":
+        r = draw(st.integers(0, min(m, n) - 1))
+        return ref_matmul(dense(m, r), dense(r, n))
+    a = dense(m, n)
+    if shape == "nilpotent":
+        a[np.tril_indices(n)] = g(0)
+    return a
+
+
+@st.composite
+def matrix_and_right_factor(draw):
+    a = draw(gaussian_matrix())
+    return a, draw(gaussian_matrix(m=a.shape[1]))
+
+
+@st.composite
+def square_matrix(draw):
+    n = draw(st.integers(1, 4))
+    return draw(gaussian_matrix(m=n, n=n))
+
+
+@st.composite
+def weighted_pair(draw):
+    a = draw(gaussian_matrix())
+    w = draw(gaussian_matrix(m=a.shape[1], n=a.shape[0]))
+    if not any(w.flat):
+        w[0, 0] = g(1)
+    return a, w, draw(st.integers(0, 3))
+
+
+def assert_kernel_matches_reference(a):
+    assert exact_rank(a) == len(ref_rref(a)[1])
+    f, gm = full_rank_factorization(a)
+    rf, rg = ref_frf(a)
+    assert requal(f, rf) and requal(gm, rg)
+    assert requal(exact_pinv(a), ref_pinv(a))
+
+
+@given(matrix_and_right_factor())
+@settings(max_examples=60, deadline=None)
+def test_kernel_matches_reference_on_rectangular(ab):
+    a, b = ab
+    assert requal(_matmul(a, b), ref_matmul(a, b))
+    assert_kernel_matches_reference(a)
+
+
+@given(square_matrix())
+@settings(max_examples=60, deadline=None)
+def test_kernel_matches_reference_on_square(a):
+    assert exact_index(a) == ref_index(a)
+    assert requal(exact_drazin(a), ref_drazin(a))
+
+
+@given(weighted_pair())
+@settings(max_examples=40, deadline=None)
+def test_kernel_matches_reference_on_weighted_pairs(awq):
+    a, w, q = awq
+    assert requal(exact_weighted_qbt(a, w, q), ref_weighted_qbt(a, w, q))
+
+
+def test_kernel_matches_reference_at_the_dimension_limit():
+    rng = np.random.default_rng(32)
+    ints = lambda m, n: rng.integers(-2, 3, (m, n)) + 1j * rng.integers(-1, 2, (m, n))
+    a = rmatrix_from_complex(ints(32, 24) @ ints(24, 32))
+    b = rmatrix_from_complex(ints(32, 32))
+    b[:, 5] = g(Fraction(1, 3), Fraction(-2, 5))
+    assert requal(_matmul(a, b), ref_matmul(a, b))
+    assert_kernel_matches_reference(a)
+    nil = rmatrix_from_complex(np.triu(ints(32, 32), 30))
+    assert exact_index(nil) == ref_index(nil) == 2
+    assert requal(exact_drazin(nil), rzeros(32, 32))

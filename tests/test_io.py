@@ -41,6 +41,18 @@ class TestParseEntry:
         v = parse_entry("1.5", exact=True)
         assert v == GaussianRational(Fraction(3, 2))
 
+    @pytest.mark.parametrize("token", ["-0", "-0.0", "+0e10", "-.0E-3", "-1e-400", "1e-400",
+                                       "-2e-324", "4.9e-324", "1_0", "-1.5e+3"])
+    def test_float_component_is_the_double_nearest_its_fraction(self, token):
+        expected = np.complex128(complex(float(Fraction(token)), 0.0))
+        assert np.complex128(parse_entry(token)).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("bad", ["1e400", "-1e400+1i", "1/3+1e309i", "1" * 400 + "/1",
+                                     "inf", "nan"])
+    def test_rejects_components_beyond_double_range(self, bad):
+        with pytest.raises(ParseError):
+            parse_entry(bad)
+
     @pytest.mark.parametrize("bad", ["", "abc", "1+2", "1//2", "1/0", "2+3", "i2", "1+2i3"])
     def test_rejects_malformed(self, bad):
         with pytest.raises(ParseError):
@@ -201,3 +213,16 @@ def test_format_parse_roundtrip_is_lossless(re, im):
 def test_exact_token_roundtrip(a, b, c, d):
     v = GaussianRational(Fraction(a, b), Fraction(c, d))
     assert parse_entry(str(v), exact=True) == v
+
+
+@given(finite, st.sampled_from(["%r", "%.3e", "%.17g", "%.40f", "%E"]))
+@settings(max_examples=200, deadline=None)
+def test_decimal_component_parses_as_through_fraction(x, fmt):
+    text = fmt % x
+    try:
+        expected = np.complex128(complex(float(Fraction(text)), 0.0))
+    except OverflowError:  # rounding the text went past the largest double
+        with pytest.raises(ParseError):
+            parse_entry(text)
+        return
+    assert np.complex128(parse_entry(text)).tobytes() == expected.tobytes()
