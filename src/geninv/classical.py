@@ -3,6 +3,8 @@ BT, and the q-BT inverse (A P_{A^q})^+.
 
 The q-BT inverse interpolates the family: q = 0 gives the Moore-Penrose
 inverse, q = 1 the BT inverse, and any q >= Ind(A) the core-EP inverse.
+Each routine factors A and its powers once: sigma_max(A), the rank
+sequence of the powers and a basis of R(A^q) are read off those SVDs.
 """
 
 from __future__ import annotations
@@ -10,13 +12,14 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .matrix import Tolerances, as_matrix, frobenius, rank, resolve_tol, sigma_max
+from .matrix import Tolerances, as_matrix, frobenius, resolve_tol
 from .projectors import (
+    _power_ranks,
     matrix_index,
     nullspace_contained,
     pinv,
     power,
-    proj_range,
+    range_basis,
     range_contained,
 )
 
@@ -44,8 +47,8 @@ def drazin(a, tol: Tolerances | None = None) -> np.ndarray:
     """Drazin inverse A^d = A^k (A^(2k+1))^+ A^k with k = Ind(A)."""
     a = _require_square(a, "drazin")
     tol = resolve_tol(tol)
-    k = matrix_index(a, tol).index
-    s1 = sigma_max(a)
+    report = matrix_index(a, tol)
+    k, s1 = report.index, report.sigma_max
     ak = power(a, k)
     mid = pinv(power(a, 2 * k + 1), tol, scale=s1 ** (2 * k + 1))
     return ak @ mid @ ak
@@ -55,11 +58,10 @@ def group_inverse(a, tol: Tolerances | None = None) -> np.ndarray:
     """Group inverse A^#, defined only when Ind(A) <= 1."""
     a = _require_square(a, "group_inverse")
     tol = resolve_tol(tol)
-    k = matrix_index(a, tol).index
-    if k > 1:
-        raise DomainError(f"group inverse requires index <= 1, computed index is {k}")
-    s1 = sigma_max(a)
-    return a @ pinv(power(a, 3), tol, scale=s1 ** 3) @ a
+    report = matrix_index(a, tol)
+    if report.index > 1:
+        raise DomainError(f"group inverse requires index <= 1, computed index is {report.index}")
+    return a @ pinv(power(a, 3), tol, scale=report.sigma_max ** 3) @ a
 
 
 def core_inverse(a, tol: Tolerances | None = None) -> np.ndarray:
@@ -69,27 +71,45 @@ def core_inverse(a, tol: Tolerances | None = None) -> np.ndarray:
     return group_inverse(a, tol) @ a @ pinv(a, tol)
 
 
+def _qbt(a: np.ndarray, ranks, aq: np.ndarray, tol: Tolerances, s1: float) -> np.ndarray:
+    """(A P_{A^q})^+ = U (A U)^+ for q = len(ranks) - 2, where ranks holds
+    rank(A^j) for j = 0 .. q + 1, aq = A^q, s1 anchors the cutoffs and the
+    columns of U are the leading rank(A^q) left singular vectors of A^q.
+
+    P = U U* and U* U = I give (A P)^+ = U (A U)^+, so the last SVD factors
+    an n x rank(A^q) matrix. A U has rank exactly rank(A^{q+1}); that rank
+    is decided on the power, whose anchor grows with q, and pinned in the
+    pseudoinverse: the trailing singular values of A U are rounding noise
+    at the scale of A, which a flat cutoff cannot reliably reject.
+    """
+    r = ranks[-1]
+    if r == 0:
+        return np.zeros_like(a)
+    if len(ranks) == 2:
+        return pinv(a, tol, scale=s1, fixed_rank=r)
+    u = range_basis(aq, fixed_rank=ranks[-2])
+    return u @ pinv(a @ u, tol, scale=s1, fixed_rank=r)
+
+
 def qbt_inverse(a, q: int, tol: Tolerances | None = None,
                 scale: float | None = None) -> np.ndarray:
     """q-BT inverse (A P_{A^q})^+ where P projects onto the range of A^q.
 
+    q = 0 is a plain pseudoinverse. Otherwise the ranks of A, A^2, ... are
+    decided until they stabilize at j = Ind(A) + 1 or reach j = q + 1, and
+    q is clamped at Ind(A): every q >= Ind(A) gives the core-EP inverse,
+    and past the index rank(A^{q+1}) would be decided against
+    sigma_max^{q+1}, which cond(A)^q outgrows long before q reaches n.
     `scale` anchors the internal rank cutoffs when `a` is a block derived
     from a larger matrix.
     """
     a = _require_square(a, "qbt_inverse")
     q = check_q(q, a.shape[0])
     tol = resolve_tol(tol)
-    s1 = max(sigma_max(a), scale or 0.0)
-    # A P_{A^q} equals A^{q+1} (A^q)^+ and so has rank exactly
-    # rank(A^{q+1}).  Decide that rank on the power itself, whose anchor
-    # grows with q, and pin the final pseudoinverse to it: the trailing
-    # singular values of A P_{A^q} are rounding noise at the scale of A and
-    # a flat cutoff on the product cannot reliably reject them.
-    r = rank(power(a, q + 1), tol, scale=s1 ** (q + 1))
-    if r == 0:
-        return np.zeros_like(np.asarray(a, dtype=np.complex128))
-    p = proj_range(power(a, q), tol, scale=s1 ** q)
-    return pinv(a @ p, tol, scale=s1, fixed_rank=r)
+    if q == 0:
+        return pinv(a, tol, scale=scale)
+    ranks, s1, aq = _power_ranks(a, tol, q + 1, scale)
+    return _qbt(a, ranks, aq, tol, s1)
 
 
 def bt_inverse(a, tol: Tolerances | None = None) -> np.ndarray:
@@ -98,11 +118,12 @@ def bt_inverse(a, tol: Tolerances | None = None) -> np.ndarray:
 
 
 def core_ep(a, tol: Tolerances | None = None) -> np.ndarray:
-    """Core-EP inverse (A P_{A^k})^+ with k = Ind(A)."""
+    """Core-EP inverse (A P_{A^k})^+ with k = Ind(A); sigma_max(A) and
+    rank(A^{k+1}) come from the index computation."""
     a = _require_square(a, "core_ep")
     tol = resolve_tol(tol)
-    k = matrix_index(a, tol).index
-    return qbt_inverse(a, k, tol)
+    report = matrix_index(a, tol)
+    return _qbt(a, report.rank_sequence, power(a, report.index), tol, report.sigma_max)
 
 
 def outer_inverse_check(a, x, range_gen, null_gen,

@@ -186,7 +186,7 @@ def _residuals(spec: Kind, a, w, x, q, tol, pair: WeightedPair | None = None) ->
     if k and exact:
         b = waw @ ex.exact_proj_range(pw(aw, k))
     elif k:
-        s = sigma_max(a) * (1.0 if w is None else sigma_max(w))
+        s = sigma_max(a) if pair is None else pair.sigma_max_a * pair.sigma_max_w
         b = waw @ proj_range(pw(aw, k), tol, scale=s ** k)
     bx = b @ x
     xb = x @ b
@@ -253,7 +253,7 @@ def _cmd_decompose(args) -> int:
         residuals = {
             "reconstruction": _rel(d.compose(), a),
             "unitarity": frobenius(conjugate_transpose(d.u) @ d.u - eye),
-            "nilpotency": frobenius(nil_pow) / max(1.0, sigma_max(a) ** max(d.index, 1)),
+            "nilpotency": frobenius(nil_pow) / max(1.0, d.sigma_max ** max(d.index, 1)),
         }
     else:
         w, _ = load_matrix(args.w)
@@ -266,7 +266,7 @@ def _cmd_decompose(args) -> int:
                   ("A3", d.a3), ("W1", d.w1), ("W2", d.w2), ("W3", d.w3))
         for label, block in blocks:
             _print_block(label, block, fmt)
-        sa, sw = sigma_max(pair.a), sigma_max(pair.w)
+        sa, sw = pair.sigma_max_a, pair.sigma_max_w
         residuals = {
             "reconstruction_a": _rel(d.compose_a(), pair.a),
             "reconstruction_w": _rel(d.compose_w(), pair.w),

@@ -44,7 +44,8 @@ class CoreEPDecomposition:
     nilpotent A, r = n for a nonsingular one).  rank_sequence holds
     rank(A^j) for j = 0 .. index + 1, decided on the original matrix;
     since T^j stays nonsingular, rank(N^j) = rank(A^j) - r exactly, which
-    anchors rank decisions on the extracted nilpotent block.
+    anchors rank decisions on the extracted nilpotent block. sigma_max is
+    the largest singular value of A, the anchor of those decisions.
     """
 
     u: np.ndarray
@@ -54,6 +55,7 @@ class CoreEPDecomposition:
     rank: int
     index: int
     rank_sequence: tuple[int, ...]
+    sigma_max: float
 
     def power_rank(self, j: int) -> int:
         """rank(A^j), read from the stored sequence (stable past the index)."""
@@ -79,7 +81,8 @@ class WeightedCoreEPDecomposition:
 
     A = U [[A1, A2], [0, A3]] V* and W = V [[W1, W2], [0, W3]] U* with
     A1, W1 nonsingular t x t and A3W3, W3A3 nilpotent of indices Ind(AW)
-    and Ind(WA).
+    and Ind(WA). sigma_max_a and sigma_max_w are those of A and W, read
+    from the pair.
     """
 
     u: np.ndarray
@@ -95,6 +98,8 @@ class WeightedCoreEPDecomposition:
     ind_wa: int
     rank_sequence_aw: tuple[int, ...]
     rank_sequence_wa: tuple[int, ...]
+    sigma_max_a: float
+    sigma_max_w: float
 
     def power_rank_aw(self, j: int) -> int:
         """rank((AW)^j) from the stored sequence; rank((A3W3)^j) is this
@@ -152,6 +157,7 @@ def core_ep_decompose(a, tol: Tolerances | None = None) -> CoreEPDecomposition:
         rank=r,
         index=k,
         rank_sequence=tuple(report.rank_sequence),
+        sigma_max=report.sigma_max,
     )
 
 
@@ -170,7 +176,7 @@ def weighted_core_ep_decompose(p: WeightedPair,
     a, w = p.a, p.w
     m, n = a.shape
     k = p.k
-    sa, sw = sigma_max(a), sigma_max(w)
+    sa, sw = p.sigma_max_a, p.sigma_max_w
     seq_aw, seq_wa = p.rank_sequence_aw, p.rank_sequence_wa
     t1 = seq_aw[k] if k < len(seq_aw) else seq_aw[-1]
     t2 = seq_wa[k] if k < len(seq_wa) else seq_wa[-1]
@@ -210,6 +216,7 @@ def weighted_core_ep_decompose(p: WeightedPair,
         w1=_frozen(w1), w2=_frozen(w2), w3=_frozen(w3),
         t_dim=t, ind_aw=p.ind_aw, ind_wa=p.ind_wa,
         rank_sequence_aw=seq_aw, rank_sequence_wa=seq_wa,
+        sigma_max_a=sa, sigma_max_w=sw,
     )
 
 
@@ -335,11 +342,12 @@ def canonical_qbt(d: CoreEPDecomposition, q: int, tol: Tolerances | None = None)
     """q-BT inverse of a square matrix assembled from its core-EP blocks.
 
     Equals the direct (A P_{A^q})^+ computation; the two routes share no
-    pseudoinverse call on the full matrix.
+    pseudoinverse call on the full matrix, and this one factors only the
+    nilpotent block. q is clamped at the index, as in `qbt_inverse`.
     """
-    q = check_q(q)
+    q = min(check_q(q), d.index)
     tol = resolve_tol(tol)
-    sa = sigma_max(d.middle())
+    sa = d.sigma_max
     rank_q = d.power_rank(q) - d.rank
     rank_q1 = d.power_rank(q + 1) - d.rank
     return _square_canonical(d.t, d.s, d.nil, d.u, q, tol, sa, rank_q, rank_q1)
@@ -351,12 +359,12 @@ def canonical_weighted_qbt(d: WeightedCoreEPDecomposition, q: int,
 
     Core term C = W1 A1 W1, coupling M = W1 A1 W2 + W1 A2 W3 + W2 A3 W3,
     inner inverse X3 = the W3-weighted q-BT inverse of A3. Returns the
-    assembled matrix together with (M, Omega_W).
+    assembled matrix together with (M, Omega_W). q is clamped at
+    max(Ind(AW), Ind(WA)), as in `weighted_qbt`.
     """
-    q = check_q(q, d.u.shape[0])
+    q = min(check_q(q), max(d.ind_aw, d.ind_wa))
     tol = resolve_tol(tol)
-    sa = sigma_max(d.middle_a())
-    sw = sigma_max(d.middle_w())
+    sa, sw = d.sigma_max_a, d.sigma_max_w
     core = d.w1 @ d.a1 @ d.w1
     coupling = d.w1 @ d.a1 @ d.w2 + d.w1 @ d.a2 @ d.w3 + d.w2 @ d.a3 @ d.w3
     x3 = _wqbt_raw(d.a3, d.w3, q, tol, scale_a=sa, scale_w=sw)
@@ -373,9 +381,9 @@ def canonical_qbt_products(d: WeightedCoreEPDecomposition, q: int,
 
     AW is triangularized by U with core A1W1, coupling A1W2 + A2W3 and
     nilpotent part A3W3; WA by V with core W1A1, coupling W1A2 + W2A3 and
-    nilpotent part W3A3.
+    nilpotent part W3A3. q is clamped at max(Ind(AW), Ind(WA)).
     """
-    q = check_q(q)
+    q = min(check_q(q), max(d.ind_aw, d.ind_wa))
     tol = resolve_tol(tol)
     core_aw = d.a1 @ d.w1
     s_aw = d.a1 @ d.w2 + d.a2 @ d.w3

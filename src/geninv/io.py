@@ -8,7 +8,8 @@ exact path (Gaussian-rational object arrays); printing floats uses 17
 significant digits and printing exact values uses fraction strings, so a
 parse/print round trip is lossless in both directions. On the float path
 each component is the double nearest its exact value, and a component
-outside the double range is a parse error.
+outside the double range is a parse error. On the exact path a decimal
+exponent beyond +-MAX_EXACT_EXPONENT is a parse error.
 """
 
 from __future__ import annotations
@@ -29,6 +30,13 @@ _IMAG_SUFFIXES = "iIjJ"
 # (p/q, underscores, non-ASCII digits, bare signs) goes through Fraction,
 # which keeps the accepted set that of the exact path.
 _DECIMAL = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+
+# The largest decimal exponent, in absolute value, that becomes a Fraction:
+# far past the double range, while Fraction's 10**exponent stays cheap (it
+# takes 14 s at 10**7) and printable (Python's int-to-str limit is 4300
+# digits).
+MAX_EXACT_EXPONENT = 1000
+_EXPONENT = re.compile(r"[eE]([+-]?\d+(?:_\d+)*)\s*\Z")
 
 
 def _split_complex(token: str) -> tuple[str | None, str | None]:
@@ -55,13 +63,37 @@ def _split_complex(token: str) -> tuple[str | None, str | None]:
     return t[:split], rest[:-1]
 
 
+def _huge_exponent(text: str) -> re.Match | None:
+    """The exponent match of a decimal whose exponent is beyond
+    +-MAX_EXACT_EXPONENT, else None."""
+    match = _EXPONENT.search(text)
+    if match is not None and abs(int(match.group(1))) > MAX_EXACT_EXPONENT:
+        return match
+    return None
+
+
 def _fraction(text: str) -> Fraction:
     """Fraction from a decimal or p/q string; bare signs mean unit values."""
     if text in ("", "+"):
         return Fraction(1)
     if text == "-":
         return Fraction(-1)
+    if _huge_exponent(text):
+        raise ValueError(f"decimal exponent beyond +-{MAX_EXACT_EXPONENT} on the exact path")
     return Fraction(text)
+
+
+def _nearest_double(text: str) -> float:
+    """float(_fraction(text)), without building 10**exponent for a huge
+    exponent: float() rounds such text the same way, and only an exact zero
+    needs its sign fixed, as Fraction has no -0."""
+    match = _huge_exponent(text)
+    if match is None:
+        return float(_fraction(text))
+    value = float(text)
+    if math.isinf(value):
+        raise OverflowError(f"component {text!r} is beyond the double range")
+    return value if value or Fraction(text[:match.start()]) else 0.0
 
 
 def _parse_token(token: str, exact: bool):
@@ -81,7 +113,7 @@ def _parse_token(token: str, exact: bool):
         if text is None:
             values.append(0.0)
         elif not _DECIMAL.fullmatch(text):
-            values.append(float(_fraction(text)))
+            values.append(_nearest_double(text))
         else:
             value = float(text)
             if math.isinf(value):
@@ -143,10 +175,12 @@ def _json_component(value, exact: bool, where: str):
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise ParseError(f"{where}: component {value!r} is not a number or fraction string")
     try:
+        if isinstance(value, str):
+            if value in ("", "+", "-"):
+                raise ValueError("a bare sign is not a number")
+            return _fraction(value) if exact else _nearest_double(value)
         if exact:
             return Fraction(value)
-        if isinstance(value, str):
-            return float(Fraction(value))
         if not math.isfinite(value):
             raise ValueError("not a finite number")
         # + 0.0 maps -0.0 to +0.0, as the route through Fraction does

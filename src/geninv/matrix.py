@@ -111,32 +111,37 @@ def frobenius(a) -> float:
     return float(np.linalg.norm(a))
 
 
-def sigma_max(a) -> float:
-    """Largest singular value; 0 for an empty matrix."""
+def singular_values(a) -> np.ndarray:
+    """Singular values of a, largest first, from one values-only SVD."""
     a = np.asarray(a)
     if a.size == 0:
-        return 0.0
+        return np.zeros(0)
     try:
-        s = np.linalg.svd(a, compute_uv=False)
+        return np.linalg.svd(a, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"SVD failed: {exc}") from exc
+
+
+def sigma_max(a) -> float:
+    """Largest singular value; 0 for an empty matrix."""
+    s = singular_values(a)
     return float(s[0]) if s.size else 0.0
+
+
+def rank_from_values(s: np.ndarray, shape: tuple[int, int], tol: Tolerances | None = None,
+                     scale: float | None = None) -> int:
+    """Numerical rank from the singular values s of a matrix of the given
+    shape: the count above rank_rtol * max(s[0], scale)."""
+    if s.size == 0:
+        return 0
+    ref = max(float(s[0]), scale or 0.0)
+    return int(np.count_nonzero(s > resolve_tol(tol).rank_cutoff(shape, ref)))
 
 
 def rank(a, tol: Tolerances | None = None, scale: float | None = None) -> int:
     """Numerical rank: singular values above rank_rtol * max(sigma_max, scale)."""
     a = as_matrix(a)
-    tol = resolve_tol(tol)
-    if a.size == 0:
-        return 0
-    try:
-        s = np.linalg.svd(a, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"SVD failed: {exc}") from exc
-    if s.size == 0:
-        return 0
-    ref = max(float(s[0]), scale or 0.0)
-    return int(np.count_nonzero(s > tol.rank_cutoff(a.shape, ref)))
+    return rank_from_values(singular_values(a), a.shape, tol, scale)
 
 
 def svd(a) -> SVDResult:

@@ -404,7 +404,7 @@ def _system_residuals(p: WeightedPair, q: int, tol: Tolerances,
     aw = a @ w
     wa = w @ a
     waw = w @ a @ w
-    sa, sw = sigma_max(a), sigma_max(w)
+    sa, sw = p.sigma_max_a, p.sigma_max_w
     s_waw = sw * sa * sw
     x0 = weighted_qbt(p, q, tol)
     x = x0 if candidate is None else np.asarray(candidate, dtype=np.complex128)
@@ -457,7 +457,7 @@ def run_reduction_checks(p: WeightedPair, tol: Tolerances | None = None) -> list
     atol = tol.residual_atol
     a, w = p.a, p.w
     aw, wa = a @ w, w @ a
-    sa, sw = sigma_max(a), sigma_max(w)
+    sa, sw = p.sigma_max_a, p.sigma_max_w
     out = []
 
     x0 = weighted_qbt(p, 0, tol)
@@ -548,7 +548,7 @@ def _corpus_member_checks(p: WeightedPair, integer: bool, planted_k: int,
     m, n = p.shape
     k = p.k
     aw, wa, waw = a @ w, w @ a, w @ a @ w
-    sa, sw = sigma_max(a), sigma_max(w)
+    sa, sw = p.sigma_max_a, p.sigma_max_w
     s_waw = sw * sa * sw
     s_waw_m = sigma_max(waw)
     s_aw_m = sigma_max(aw)

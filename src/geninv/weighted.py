@@ -15,15 +15,17 @@ import numpy as np
 from .classical import check_q, drazin, qbt_inverse
 from .errors import DomainError, NumericError, ShapeError
 from .matrix import Tolerances, as_matrix, frobenius, rank, resolve_tol, sigma_max
-from .projectors import matrix_index, pinv, power, proj_range
+from .projectors import matrix_index, pinv, power, range_basis
 
 
 @dataclass(frozen=True)
 class WeightedPair:
-    """A validated (A, W) pair with cached indices.
+    """A validated (A, W) pair with cached indices and scales.
 
     ind_aw = Ind(AW), ind_wa = Ind(WA), k = max of both; the rank
-    sequences hold rank((AW)^j) and rank((WA)^j) for j = 0 .. index + 1.
+    sequences hold rank((AW)^j) and rank((WA)^j) for j = 0 .. index + 1;
+    sigma_max_a and sigma_max_w are the largest singular values of A and
+    W, the anchors of every rank decision the weighted routines make.
     The indices of AW and WA can differ by at most one; a larger spread
     indicates a rank misclassification and is rejected.
     """
@@ -35,6 +37,8 @@ class WeightedPair:
     k: int
     rank_sequence_aw: tuple[int, ...]
     rank_sequence_wa: tuple[int, ...]
+    sigma_max_a: float
+    sigma_max_w: float
 
     @classmethod
     def from_matrices(cls, a, w, tol: Tolerances | None = None) -> "WeightedPair":
@@ -60,7 +64,8 @@ class WeightedPair:
         w.setflags(write=False)
         return cls(a=a, w=w, ind_aw=ind_aw, ind_wa=ind_wa, k=max(ind_aw, ind_wa),
                    rank_sequence_aw=rep_aw.rank_sequence,
-                   rank_sequence_wa=rep_wa.rank_sequence)
+                   rank_sequence_wa=rep_wa.rank_sequence,
+                   sigma_max_a=sigma_max(a), sigma_max_w=sigma_max(w))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -82,21 +87,32 @@ def _wqbt_rank(a: np.ndarray, w: np.ndarray, q: int, tol: Tolerances,
 
 def _wqbt_raw(a: np.ndarray, w: np.ndarray, q: int, tol: Tolerances,
               scale_a: float | None = None, scale_w: float | None = None) -> np.ndarray:
-    """(W A W P_{(AW)^q})^+ on raw arrays; tolerates W = 0 (used on blocks)."""
+    """(W A W P_{(AW)^q})^+ on raw arrays; tolerates W = 0 (used on blocks).
+
+    q = 0 is a plain pseudoinverse of W A W. Otherwise, with U the leading
+    left singular vectors of (AW)^q, P = U U* gives the result as
+    U (W A W U)^+, whose last SVD factors an n x rank((AW)^q) matrix.
+    """
     q = check_q(q, a.shape[0])
     sa = scale_a if scale_a is not None else sigma_max(a)
     sw = scale_w if scale_w is not None else sigma_max(w)
+    if q == 0:
+        return pinv(w @ a @ w, tol, scale=sw * sa * sw)
     r = _wqbt_rank(a, w, q, tol, sa, sw)
     if r == 0:
         return np.zeros(a.shape, dtype=np.complex128)
-    aw = a @ w
-    p = proj_range(power(aw, q), tol, scale=(sa * sw) ** q)
-    return pinv(w @ a @ w @ p, tol, scale=sw * sa * sw, fixed_rank=r)
+    u = range_basis(power(a @ w, q), tol, scale=(sa * sw) ** q)
+    return u @ pinv(w @ a @ w @ u, tol, scale=sw * sa * sw, fixed_rank=r)
 
 
 def weighted_qbt(p: WeightedPair, q: int, tol: Tolerances | None = None) -> np.ndarray:
-    """W-weighted q-BT inverse (W A W P_{(AW)^q})^+, shape m x n."""
-    return _wqbt_raw(p.a, p.w, q, resolve_tol(tol))
+    """W-weighted q-BT inverse (W A W P_{(AW)^q})^+, shape m x n.
+
+    q is clamped at k: R((AW)^q) is the same for every q >= k, and past
+    it the rank anchors (sigma_max(A) sigma_max(W))^q only lose accuracy.
+    """
+    return _wqbt_raw(p.a, p.w, min(check_q(q), p.k), resolve_tol(tol),
+                     p.sigma_max_a, p.sigma_max_w)
 
 
 def weighted_bt(p: WeightedPair, tol: Tolerances | None = None) -> np.ndarray:
@@ -122,9 +138,9 @@ def weighted_qbt_product_forms(p: WeightedPair, q: int,
 
     [W (AW)^(q+1) ((AW)^q)^+]^+  and  [(WA)^(q+1) W ((AW)^q)^+]^+.
     """
-    q = check_q(q, p.shape[0])
+    q = min(check_q(q), p.k)
     tol = resolve_tol(tol)
-    sa, sw = sigma_max(p.a), sigma_max(p.w)
+    sa, sw = p.sigma_max_a, p.sigma_max_w
     r = _wqbt_rank(p.a, p.w, q, tol, sa, sw)
     if r == 0:
         zero = np.zeros(p.shape, dtype=np.complex128)
@@ -142,9 +158,9 @@ def weighted_qbt_via_square(p: WeightedPair, q: int,
                             tol: Tolerances | None = None) -> np.ndarray:
     """(W ((AW)^{q-BT})^+)^+: the weighted inverse through the square q-BT
     inverse of the product AW."""
-    q = check_q(q, p.shape[0])
+    q = min(check_q(q), p.k)
     tol = resolve_tol(tol)
-    sa, sw = sigma_max(p.a), sigma_max(p.w)
+    sa, sw = p.sigma_max_a, p.sigma_max_w
     r = _wqbt_rank(p.a, p.w, q, tol, sa, sw)
     if r == 0:
         return np.zeros(p.shape, dtype=np.complex128)

@@ -107,6 +107,23 @@ class TestQbtFamily:
         assert requal(exact_qbt(rmatrix([[3, 1], [0, 2]]), q),
                       rmatrix([[Fraction(1, 3), Fraction(-1, 6)], [0, Fraction(1, 2)]]))
 
+    @pytest.mark.parametrize("q", [10, 20, 40])
+    def test_large_q_on_a_nonsingular_gaussian_matrix(self, q):
+        # cond(A) = 126, so cond(A)^q passes 1/eps near q = 8: a rank of
+        # A^(q+1) decided against sigma_max^(q+1) would drop most of R(A^q).
+        a = np.random.default_rng(1).standard_normal((40, 40))
+        assert rel(qbt_inverse(a, q), np.linalg.inv(a)) < 1e-10
+
+    @pytest.mark.parametrize("q", [10, 20, 40])
+    def test_large_q_on_a_singular_index_one_matrix(self, q):
+        rng = np.random.default_rng(1)
+        middle = np.zeros((40, 40))
+        middle[:20] = rng.standard_normal((20, 40))
+        u = np.linalg.qr(rng.standard_normal((40, 40)))[0]
+        a = u @ middle @ u.T
+        assert matrix_index(a).index == 1
+        assert rel(qbt_inverse(a, q), core_ep(a)) < 1e-10
+
     def test_nilpotent_high_power_is_zero(self):
         n = jordan_nilpotent(3)
         assert np.all(qbt_inverse(n, 3) == 0)

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -208,6 +209,23 @@ class TestErrorPaths:
         path = tmp_path / name
         path.write_text(text)
         code, _, err = run_main(capsys, "pinv", str(path))
+        assert code == 3
+        assert err.startswith("parse error:") and where in err
+
+    @pytest.mark.parametrize("name, text, flags, where", [
+        ("a.csv", "1,2\n3,1e-10000000\n", ["--exact"], "line 2, column 3"),
+        ("a.json", '{"rows": 1, "cols": 2, "data": [[1, "1e10000000"]]}', ["--exact"],
+         "data[0][1]"),
+        ("a.csv", "1,2\n3,1e1_0000000\n", [], "line 2, column 3"),
+    ], ids=["exact-csv", "exact-json-string", "float-underscore"])
+    def test_huge_exponent_is_a_fast_parse_error(self, tmp_path, capsys, name, text, flags,
+                                                 where):
+        # 10**10000000 alone takes seconds to build as a Fraction
+        path = tmp_path / name
+        path.write_text(text)
+        start = time.perf_counter()
+        code, _, err = run_main(capsys, "pinv", str(path), *flags)
+        assert time.perf_counter() - start < 2.0
         assert code == 3
         assert err.startswith("parse error:") and where in err
 

@@ -1,4 +1,6 @@
 import json
+import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 from geninv.errors import ParseError
 from geninv.exact import GaussianRational
-from geninv.io import (detect_format, format_complex, format_matrix,
+from geninv.io import (MAX_EXACT_EXPONENT, detect_format, format_complex, format_matrix,
                        load_matrix, parse_entry, parse_matrix)
 
 
@@ -226,3 +228,20 @@ def test_decimal_component_parses_as_through_fraction(x, fmt):
             parse_entry(text)
         return
     assert np.complex128(parse_entry(text)).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("token, expected", [
+    ("-1e-1_0000000", -0.0), ("-0_0e1_0000000", 0.0), ("2_5e-1_0000000", 0.0)])
+def test_huge_exponent_float_component_is_fast(token, expected):
+    # the float path rounds as through Fraction, without building 10**exponent
+    start = time.perf_counter()
+    value = parse_entry(token)
+    assert time.perf_counter() - start < 1.0
+    assert value == expected and math.copysign(1, value.real) == math.copysign(1, expected)
+
+
+def test_exact_exponent_bound():
+    assert parse_entry(f"1e-{MAX_EXACT_EXPONENT}", exact=True).real == \
+        Fraction(1, 10 ** MAX_EXACT_EXPONENT)
+    with pytest.raises(ParseError, match="exponent"):
+        parse_entry(f"1e{MAX_EXACT_EXPONENT + 1}", exact=True)

@@ -1,0 +1,95 @@
+"""How many SVDs one call takes: each routine factors a matrix once and
+reads sigma_max, ranks and range bases off that factorization."""
+
+import numpy as np
+import pytest
+
+from geninv.classical import core_ep, qbt_inverse
+from geninv.corpus import random_planted_pair, random_square
+from geninv.decomposition import (canonical_qbt, canonical_weighted_qbt, core_ep_decompose,
+                                  weighted_core_ep_decompose)
+from geninv.projectors import matrix_index, pinv, range_contained
+from geninv.weighted import WeightedPair, weighted_qbt
+
+
+@pytest.fixture
+def svds(monkeypatch):
+    """Shapes and keyword arguments of every numpy.linalg.svd call."""
+    calls = []
+    real_svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        calls.append((np.shape(a), kwargs))
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+@pytest.fixture
+def squares():
+    rng = np.random.default_rng(7)
+    return {k: random_square(rng, 10, index=k) for k in (0, 1, 2, 3)}
+
+
+def test_pinv_takes_one_thin_svd(svds, rng):
+    pinv(rng.standard_normal((9, 6)))
+    assert [kwargs.get("full_matrices") for _, kwargs in svds] == [False]
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_matrix_index_takes_index_plus_one(svds, squares, k):
+    report = matrix_index(squares[k])
+    assert report.index == k
+    assert len(svds) == k + 1
+    assert report.sigma_max == pytest.approx(np.linalg.norm(squares[k], 2))
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_qbt_zero_is_one_pinv(svds, squares, k):
+    qbt_inverse(squares[k], 0)
+    assert len(svds) == 1
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_core_ep_takes_at_most_index_plus_three(svds, squares, k):
+    core_ep(squares[k])
+    assert len(svds) <= k + 3
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_canonical_qbt_factors_no_full_size_matrix(svds, squares, k):
+    d = core_ep_decompose(squares[k])
+    svds.clear()
+    for q in range(k + 2):
+        canonical_qbt(d, q)
+    assert all(10 not in shape for shape, _ in svds)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_canonical_weighted_qbt_factors_no_full_size_matrix(svds, k):
+    planted = random_planted_pair(np.random.default_rng(k), k, max_dim=8)
+    p = WeightedPair.from_matrices(planted.a, planted.w)
+    d = weighted_core_ep_decompose(p)
+    svds.clear()
+    for q in range(k + 2):
+        canonical_weighted_qbt(d, q)
+    assert d.t_dim >= 1
+    assert all(max(shape) <= max(p.shape) - d.t_dim for shape, _ in svds)
+
+
+def test_weighted_qbt_reads_the_pair_scales(svds):
+    planted = random_planted_pair(np.random.default_rng(5), 2, max_dim=8)
+    p = WeightedPair.from_matrices(planted.a, planted.w)
+    svds.clear()
+    weighted_qbt(p, 0)
+    assert len(svds) == 1
+    svds.clear()
+    weighted_qbt(p, 1)
+    assert len(svds) == 3
+
+
+def test_range_contained_takes_two(svds, rng):
+    x = rng.standard_normal((8, 3))
+    assert range_contained(x, np.hstack([x, rng.standard_normal((8, 2))]))
+    assert len(svds) == 2

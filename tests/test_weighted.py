@@ -80,6 +80,21 @@ class TestKnownValues:
         exact = exact_weighted_qbt(rmatrix(PAIR_4X3_A), rmatrix(PAIR_4X3_W), q)
         assert requal(exact, rmatrix(WCEP_4X3))
 
+    @pytest.mark.parametrize("q", [10, 20, 40])
+    def test_large_q_on_a_gaussian_pair(self, q):
+        # k = 1 here; past it the anchors (sigma_max(A) sigma_max(W))^q
+        # outgrow the spectrum of (AW)^q, so q must be clamped at k.
+        rng = np.random.default_rng(1)
+        p = WeightedPair.from_matrices(rng.standard_normal((40, 30)),
+                                       rng.standard_normal((30, 40)))
+        assert p.k == 1
+        cep = weighted_core_ep(p)
+        d = weighted_core_ep_decompose(p)
+        routes = [weighted_qbt(p, q), *weighted_qbt_product_forms(p, q),
+                  weighted_qbt_via_square(p, q), canonical_weighted_qbt(d, q)[0]]
+        for x in routes:
+            assert rel(x, cep) < 1e-10
+
 
 class TestAlternateFormulas:
     def test_product_forms_match_direct(self, pairs):
