@@ -81,8 +81,8 @@ class WeightedCoreEPDecomposition:
 
     A = U [[A1, A2], [0, A3]] V* and W = V [[W1, W2], [0, W3]] U* with
     A1, W1 nonsingular t x t and A3W3, W3A3 nilpotent of indices Ind(AW)
-    and Ind(WA). sigma_max_a and sigma_max_w are those of A and W, read
-    from the pair.
+    and Ind(WA). sigma_max_a, sigma_max_w, sigma_max_aw and sigma_max_wa
+    are those of A, W, AW and WA, read from the pair.
     """
 
     u: np.ndarray
@@ -100,6 +100,8 @@ class WeightedCoreEPDecomposition:
     rank_sequence_wa: tuple[int, ...]
     sigma_max_a: float
     sigma_max_w: float
+    sigma_max_aw: float
+    sigma_max_wa: float
 
     def power_rank_aw(self, j: int) -> int:
         """rank((AW)^j) from the stored sequence; rank((A3W3)^j) is this
@@ -217,6 +219,7 @@ def weighted_core_ep_decompose(p: WeightedPair,
         t_dim=t, ind_aw=p.ind_aw, ind_wa=p.ind_wa,
         rank_sequence_aw=seq_aw, rank_sequence_wa=seq_wa,
         sigma_max_a=sa, sigma_max_w=sw,
+        sigma_max_aw=p.sigma_max_aw, sigma_max_wa=p.sigma_max_wa,
     )
 
 
@@ -381,23 +384,17 @@ def canonical_qbt_products(d: WeightedCoreEPDecomposition, q: int,
 
     AW is triangularized by U with core A1W1, coupling A1W2 + A2W3 and
     nilpotent part A3W3; WA by V with core W1A1, coupling W1A2 + W2A3 and
-    nilpotent part W3A3. q is clamped at max(Ind(AW), Ind(WA)).
+    nilpotent part W3A3; their rank anchors are sigma_max(AW) and
+    sigma_max(WA). q is clamped at max(Ind(AW), Ind(WA)).
     """
     q = min(check_q(q), max(d.ind_aw, d.ind_wa))
     tol = resolve_tol(tol)
-    core_aw = d.a1 @ d.w1
-    s_aw = d.a1 @ d.w2 + d.a2 @ d.w3
-    n_aw = d.a3 @ d.w3
-    core_wa = d.w1 @ d.a1
-    s_wa = d.w1 @ d.a2 + d.w2 @ d.a3
-    n_wa = d.w3 @ d.a3
     t = d.t_dim
-    m, n = d.u.shape[0], d.v.shape[0]
-    mid_aw = _assemble(core_aw, s_aw, np.zeros((m - t, t), dtype=np.complex128), n_aw)
-    mid_wa = _assemble(core_wa, s_wa, np.zeros((n - t, t), dtype=np.complex128), n_wa)
-    x_aw = _square_canonical(core_aw, s_aw, n_aw, d.u, q, tol, sigma_max(mid_aw),
+    x_aw = _square_canonical(d.a1 @ d.w1, d.a1 @ d.w2 + d.a2 @ d.w3, d.a3 @ d.w3, d.u, q,
+                             tol, d.sigma_max_aw,
                              d.power_rank_aw(q) - t, d.power_rank_aw(q + 1) - t)
-    x_wa = _square_canonical(core_wa, s_wa, n_wa, d.v, q, tol, sigma_max(mid_wa),
+    x_wa = _square_canonical(d.w1 @ d.a1, d.w1 @ d.a2 + d.w2 @ d.a3, d.w3 @ d.a3, d.v, q,
+                             tol, d.sigma_max_wa,
                              d.power_rank_wa(q) - t, d.power_rank_wa(q + 1) - t)
     return x_aw, x_wa
 

@@ -14,6 +14,7 @@ exponent beyond +-MAX_EXACT_EXPONENT is a parse error.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import re
@@ -29,7 +30,15 @@ _IMAG_SUFFIXES = "iIjJ"
 # Components that float() rounds exactly as Fraction does; anything else
 # (p/q, underscores, non-ASCII digits, bare signs) goes through Fraction,
 # which keeps the accepted set that of the exact path.
-_DECIMAL = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+_UNSIGNED = r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+_DECIMAL = re.compile(r"[+-]?" + _UNSIGNED)
+
+# A CSV line whose every entry is `a`, `bi` or `a+bi` / `a-bi` over
+# _DECIMAL components, with only spaces or tabs around entries: complex()
+# reads each entry as _parse_token does, once the suffix is spelled `j`.
+_ENTRY = rf"[ \t]*{_DECIMAL.pattern}(?:[iIjJ]|[+-]{_UNSIGNED}[iIjJ])?[ \t]*"
+_ROW = re.compile(rf"{_ENTRY}(?:,{_ENTRY})*")
+_TO_J = str.maketrans("iIJ", "jjj")
 
 # The largest decimal exponent, in absolute value, that becomes a Fraction:
 # far past the double range, while Fraction's 10**exponent stays cheap (it
@@ -144,8 +153,34 @@ def _finish(rows: list[list], exact: bool) -> np.ndarray:
     return np.array(rows, dtype=np.complex128)
 
 
+def _parse_row(line: str) -> list[complex] | None:
+    """The values of a float CSV line that _ROW matches, read by complex()
+    in one pass; None when the line needs _parse_token (no match, or an
+    entry beyond the double range)."""
+    if not _ROW.fullmatch(line):
+        return None
+    row = list(map(complex, line.translate(_TO_J).split(",")))
+    # the sum of finite entries can overflow too; _parse_token then decides
+    return row if cmath.isfinite(sum(row)) else None
+
+
+def _parse_entries(parts: list[str], exact: bool, lineno: int) -> list:
+    row = []
+    offset = 0
+    for part in parts:
+        column = offset + len(part) - len(part.lstrip()) + 1
+        try:
+            row.append(_parse_token(part, exact))
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise ParseError(f"bad matrix entry {part.strip()!r}: {exc}",
+                             line=lineno, column=column) from exc
+        offset += len(part) + 1
+    return row
+
+
 def _parse_csv(text: str, exact: bool) -> np.ndarray:
     rows: list[list] = []
+    lines: list[tuple[int, str]] = []
     width = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -156,18 +191,18 @@ def _parse_csv(text: str, exact: bool) -> np.ndarray:
         elif len(parts) != width:
             raise ParseError(
                 f"row has {len(parts)} entries, expected {width}", line=lineno, column=1)
-        row = []
-        offset = 0
-        for part in parts:
-            column = offset + len(part) - len(part.lstrip()) + 1
-            try:
-                row.append(_parse_token(part, exact))
-            except (ValueError, ZeroDivisionError, OverflowError) as exc:
-                raise ParseError(f"bad matrix entry {part.strip()!r}: {exc}",
-                                 line=lineno, column=column) from exc
-            offset += len(part) + 1
-        rows.append(row)
-    return _finish(rows, exact)
+        row = None if exact else _parse_row(line)
+        rows.append(row if row is not None else _parse_entries(parts, exact, lineno))
+        lines.append((lineno, line))
+    out = _finish(rows, exact)
+    if not exact:
+        # complex() keeps the sign of a zero such as `-0`, which _parse_token
+        # reads as +0.0 (an exact zero has no sign); such rows are read again
+        negative_zero = np.signbit(out.view(np.float64)) & (out.view(np.float64) == 0)
+        for i in np.flatnonzero(negative_zero.any(axis=1)):
+            lineno, line = lines[i]
+            out[i] = _parse_entries(line.split(","), exact, lineno)
+    return out
 
 
 def _json_component(value, exact: bool, where: str):
@@ -294,14 +329,8 @@ def _is_exact(matrix: np.ndarray) -> bool:
 
 
 def _format_csv(matrix: np.ndarray) -> str:
-    exact = _is_exact(matrix)
-    lines = []
-    for row in matrix:
-        if exact:
-            lines.append(",".join(str(v) for v in row))
-        else:
-            lines.append(",".join(format_complex(v) for v in row))
-    return "\n".join(lines)
+    entry = str if _is_exact(matrix) else format_complex
+    return "\n".join(",".join(map(entry, row)) for row in matrix.tolist())
 
 
 def _json_value(value, exact: bool):
@@ -318,7 +347,7 @@ def _json_value(value, exact: bool):
 def _format_json(matrix: np.ndarray) -> str:
     exact = _is_exact(matrix)
     m, n = matrix.shape
-    data = [[_json_value(matrix[i, j], exact) for j in range(n)] for i in range(m)]
+    data = [[_json_value(v, exact) for v in row] for row in matrix.tolist()]
     return json.dumps({"rows": m, "cols": n, "data": data})
 
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DomainError, NumericError, ShapeError
 
@@ -164,5 +163,9 @@ def qr_column_pivoted(a) -> QRPivoted:
     if a.size == 0:
         return QRPivoted(np.eye(m, dtype=np.complex128), np.zeros((m, n), dtype=np.complex128),
                          np.arange(n))
+    # Imported on first use: scipy.linalg costs more to import than the rest
+    # of geninv, and only the decompositions need it.
+    import scipy.linalg
+
     q, r, perm = scipy.linalg.qr(a, pivoting=True)
     return QRPivoted(np.asarray(q, dtype=np.complex128), np.asarray(r, dtype=np.complex128), perm)

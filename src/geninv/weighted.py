@@ -25,7 +25,9 @@ class WeightedPair:
     ind_aw = Ind(AW), ind_wa = Ind(WA), k = max of both; the rank
     sequences hold rank((AW)^j) and rank((WA)^j) for j = 0 .. index + 1;
     sigma_max_a and sigma_max_w are the largest singular values of A and
-    W, the anchors of every rank decision the weighted routines make.
+    W, the anchors of every rank decision the weighted routines make;
+    sigma_max_aw and sigma_max_wa those of AW and WA, read off the index
+    computations.
     The indices of AW and WA can differ by at most one; a larger spread
     indicates a rank misclassification and is rejected.
     """
@@ -39,6 +41,8 @@ class WeightedPair:
     rank_sequence_wa: tuple[int, ...]
     sigma_max_a: float
     sigma_max_w: float
+    sigma_max_aw: float
+    sigma_max_wa: float
 
     @classmethod
     def from_matrices(cls, a, w, tol: Tolerances | None = None) -> "WeightedPair":
@@ -65,7 +69,8 @@ class WeightedPair:
         return cls(a=a, w=w, ind_aw=ind_aw, ind_wa=ind_wa, k=max(ind_aw, ind_wa),
                    rank_sequence_aw=rep_aw.rank_sequence,
                    rank_sequence_wa=rep_wa.rank_sequence,
-                   sigma_max_a=sigma_max(a), sigma_max_w=sigma_max(w))
+                   sigma_max_a=sigma_max(a), sigma_max_w=sigma_max(w),
+                   sigma_max_aw=rep_aw.sigma_max, sigma_max_wa=rep_wa.sigma_max)
 
     @property
     def shape(self) -> tuple[int, int]:

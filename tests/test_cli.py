@@ -323,3 +323,32 @@ def test_entry_point_roundtrip(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip().splitlines() == ["1,0", "0,1/2"]
+
+
+SCIPY_PROBE = """
+import json, sys
+import geninv, geninv.cli
+loaded = ["scipy" in sys.modules]
+for argv in sys.argv[1:]:
+    code = geninv.cli.main(argv.split("|"))
+    loaded.append([argv, code, "scipy" in sys.modules])
+sys.stderr.write("\\n" + json.dumps(loaded))
+"""
+
+
+def test_scipy_loads_only_for_decompose(tmp_path):
+    calls = []
+    for i, (kind, args, matrices, _) in enumerate(VERIFY_CASES):
+        files = [write_csv(tmp_path / f"{i}_{j}.csv", rows) for j, rows in enumerate(matrices)]
+        for extra in ([], ["--exact"]):
+            calls.append("|".join([kind, *args, *files, "--verify", *extra]))
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *calls],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stderr.splitlines()[-1])
+    assert loaded == [False] + [[argv, 0, False] for argv in calls]
+    a, w = (write_csv(tmp_path / f"{name}.csv", rows) for name, rows in zip("aw", PAIR_4X3))
+    proc = subprocess.run([sys.executable, "-m", "geninv", "decompose", "weighted-core-ep", a, w],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "A1:" in proc.stdout

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import time
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geninv import io
 from geninv.errors import ParseError
 from geninv.exact import GaussianRational
 from geninv.io import (MAX_EXACT_EXPONENT, detect_format, format_complex, format_matrix,
@@ -189,6 +191,20 @@ class TestFormatting:
         assert payload["rows"] == 1 and payload["cols"] == 2
         assert np.array_equal(parse_matrix(text, "json"), a)
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_float_output_is_format_complex_of_each_entry(self, fmt):
+        tiny = 5e-324
+        a = np.array([[-0.0, 2.5, -3j, complex(-0.0, 1e-310)],
+                      [tiny, complex(1e308, -1e308), -1e308j, complex(-tiny, tiny)]])
+        text = format_matrix(a, fmt)
+        if fmt == "csv":
+            expected = "\n".join(",".join(format_complex(z) for z in row) for row in a)
+            assert text == expected
+        else:
+            entries = [z.real if z.imag == 0 else [z.real, z.imag]
+                       for z in map(complex, a.ravel())]
+            assert text == json.dumps({"rows": 2, "cols": 4, "data": [entries[:4], entries[4:]]})
+
     def test_exact_roundtrip_both_formats(self):
         a = np.empty((1, 2), dtype=object)
         a[0, 0] = GaussianRational(Fraction(1, 3), Fraction(-2, 7))
@@ -245,3 +261,89 @@ def test_exact_exponent_bound():
         Fraction(1, 10 ** MAX_EXACT_EXPONENT)
     with pytest.raises(ParseError, match="exponent"):
         parse_entry(f"1e{MAX_EXACT_EXPONENT + 1}", exact=True)
+
+
+def _per_token(text):
+    """parse_matrix(text, "csv") with every line read by _parse_token."""
+    saved = io._ROW
+    io._ROW = re.compile(r"(?!)")
+    try:
+        return _outcome(text)
+    finally:
+        io._ROW = saved
+
+
+def _outcome(text):
+    try:
+        return parse_matrix(text, "csv").tobytes()
+    except ParseError as exc:
+        return str(exc)
+
+
+def test_row_route_reads_plain_rows():
+    assert io._parse_row(" 1.5,-2e-3i,\t3+4I , .5-6.J,7.e+2j ") == \
+        [1.5, -2e-3j, 3 + 4j, 0.5 - 6j, 700j]
+    for line in ["1,1/2", "1,1_0", "1,i", "1,-i", "1,\xa02", "1,1e400", "1,,2", "1 +2i",
+                 "1e308,1e308", "1+-2i", "1e5e5", "1,\u0662"]:
+        assert io._parse_row(line) is None
+
+
+ROW_CASES = [
+    "-0,0e5,-1e-400\n1e-400i,-0.0-0i,2",
+    "1,2\n3,1e400\n4,5,6",
+    "1,2\n3,4,5\n1e400,1",
+    "1, 1/2\n1_0,\t-i\n",
+    "1,2\n-1e-400,x\n",
+    "1+2I,3J\n-4.5e-3-7j,i\n",
+    "\xa01,2\n3,4\xa0\n",
+    "\t1\t, 2 \n\n 3,4",
+    "-0.0e10-0j,5\n.5,5.\n",
+    "1+-2i,3\n",
+]
+
+
+@pytest.mark.parametrize("text", ROW_CASES)
+def test_row_route_matches_per_token_route_on_fixed_rows(text):
+    assert _outcome(text) == _per_token(text)
+
+
+_strict = st.one_of(
+    st.builds(lambda x, fmt: fmt % x, st.floats(allow_nan=False, allow_infinity=False),
+              st.sampled_from(["%r", "%.3e", "%.17g", "%.5f", "%E"])),
+    st.integers(-10**20, 10**20).map(str))
+_special = st.sampled_from(["-0", "0e5", "-1e-400", "1e400", "-1e400", "1/3", "-2/7", "1_0",
+                            "i", "-i", "+i", "0", "-0.0", ".5", "5.", "007", "1e-320",
+                            "1\xa0", "\u0662", "x", ""])
+_component = st.one_of(_strict, _special)
+
+
+@st.composite
+def _entries(draw):
+    real, imag = draw(_component), draw(_component)
+    suffix = draw(st.sampled_from("iIjJ"))
+    shape = draw(st.sampled_from(["a", "bi", "a+bi"]))
+    if shape == "a":
+        token = real
+    elif shape == "bi":
+        token = imag + suffix
+    else:
+        sign = "-" if imag.startswith("-") else "+"
+        token = real + sign + imag.lstrip("+-") + suffix
+    pad = st.sampled_from(["", " ", "\t", "  \t", "\xa0"])
+    return draw(pad) + token + draw(pad)
+
+
+@st.composite
+def _csv_texts(draw):
+    width = draw(st.integers(1, 4))
+    lines = []
+    for _ in range(draw(st.integers(1, 4))):
+        n = draw(st.sampled_from([width, width, width, width + 1, max(width - 1, 1)]))
+        lines.append(",".join(draw(_entries()) for _ in range(n)))
+    return "\n".join(lines)
+
+
+@given(_csv_texts())
+@settings(max_examples=400, deadline=None)
+def test_row_route_matches_per_token_route(text):
+    assert _outcome(text) == _per_token(text)

@@ -6,8 +6,8 @@ import pytest
 
 from geninv.classical import core_ep, qbt_inverse
 from geninv.corpus import random_planted_pair, random_square
-from geninv.decomposition import (canonical_qbt, canonical_weighted_qbt, core_ep_decompose,
-                                  weighted_core_ep_decompose)
+from geninv.decomposition import (canonical_qbt, canonical_qbt_products, canonical_weighted_qbt,
+                                  core_ep_decompose, weighted_core_ep_decompose)
 from geninv.projectors import matrix_index, pinv, range_contained
 from geninv.weighted import WeightedPair, weighted_qbt
 
@@ -76,6 +76,21 @@ def test_canonical_weighted_qbt_factors_no_full_size_matrix(svds, k):
         canonical_weighted_qbt(d, q)
     assert d.t_dim >= 1
     assert all(max(shape) <= max(p.shape) - d.t_dim for shape, _ in svds)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_canonical_qbt_products_factor_no_full_size_matrix(svds, k):
+    planted = random_planted_pair(np.random.default_rng(k), k, max_dim=8)
+    p = WeightedPair.from_matrices(planted.a, planted.w)
+    d = weighted_core_ep_decompose(p)
+    m, n = p.shape
+    svds.clear()
+    for q in range(k + 2):
+        canonical_qbt_products(d, q)
+    assert d.t_dim >= 1
+    assert not [shape for shape, _ in svds if shape in ((m, m), (n, n))]
+    assert d.sigma_max_aw == pytest.approx(np.linalg.norm(planted.a @ planted.w, 2))
+    assert d.sigma_max_wa == pytest.approx(np.linalg.norm(planted.w @ planted.a, 2))
 
 
 def test_weighted_qbt_reads_the_pair_scales(svds):
