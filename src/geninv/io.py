@@ -29,8 +29,9 @@ _IMAG_SUFFIXES = "iIjJ"
 
 # Components that float() rounds exactly as Fraction does; anything else
 # (p/q, underscores, non-ASCII digits, bare signs) goes through Fraction,
-# which keeps the accepted set that of the exact path.
-_UNSIGNED = r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+# which keeps the accepted set that of the exact path. Each digit string
+# matches one way only, so a line that fails _ROW fails in linear time.
+_UNSIGNED = r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 _DECIMAL = re.compile(r"[+-]?" + _UNSIGNED)
 
 # A CSV line whose every entry is `a`, `bi` or `a+bi` / `a-bi` over

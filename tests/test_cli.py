@@ -229,6 +229,26 @@ class TestErrorPaths:
         assert code == 3
         assert err.startswith("parse error:") and where in err
 
+    @pytest.mark.parametrize("tail, code, where", [
+        ("1/2", 0, ""),
+        ("x", 3, "line 1, column 181"),
+    ], ids=["fraction", "typo"])
+    def test_long_integer_row_off_the_row_route_is_fast(self, tmp_path, tail, code, where):
+        # 60 integer entries, then one the float row grammar rejects: a row
+        # pattern that could split each integer two ways would retry 2**59
+        # splits before falling back. Timed in a child so a stall fails.
+        path = tmp_path / "a.csv"
+        path.write_text(",".join(["10"] * 60 + [tail]) + "\n")
+        probe = ("import sys, time; from geninv.cli import main; t = time.perf_counter(); "
+                 "code = main(['pinv', sys.argv[1]]); "
+                 "sys.stderr.write('\\n%d %.3f' % (code, time.perf_counter() - t))")
+        proc = subprocess.run([sys.executable, "-c", probe, str(path)],
+                              capture_output=True, text=True, timeout=60)
+        got, seconds = proc.stderr.split()[-2:]
+        assert int(got) == code
+        assert float(seconds) < 0.5
+        assert where in proc.stderr
+
     def test_usage_errors(self, tmp_path, capsys):
         a = write_csv(tmp_path / "a.csv", [[1]])
         assert run_main(capsys, "qbt", a)[0] == 2              # missing --q
