@@ -6,6 +6,8 @@ counterparts, plus the core-EP and weighted core-EP decompositions, an
 identity verifier, and a CLI.
 """
 
+import importlib
+
 from .classical import (bt_inverse, core_ep, core_inverse, drazin, group_inverse,
                         outer_inverse_check, qbt_inverse)
 from .decomposition import (CanonicalParts, CoreEPDecomposition,
@@ -25,13 +27,26 @@ from .matrix import (DEFAULT_TOL, Tolerances, as_matrix, conjugate_transpose,
                      frobenius, rank, sigma_max)
 from .projectors import (IndexReport, matrix_index, nullspace_contained, pinv, power,
                          proj_corange, proj_range, range_contained)
-from .verify import (CHECK_REGISTRY, CheckResult, ConformanceReport,
-                     run_all, run_example_checks, run_random_corpus)
 from .weighted import (WeightedPair, cline_shift_check, dual_representation_gap,
                        weighted_bt, weighted_core_ep, weighted_drazin, weighted_qbt,
                        weighted_qbt_product_forms, weighted_qbt_via_square)
 
 __version__ = "0.1.0"
+
+# The conformance runner, with the corpus generator and the reference
+# tables it reads, loads on first use: the CLI's inverse calls never need it.
+_LAZY_MODULES = ("corpus", "reference", "verify")
+_VERIFY_NAMES = ("CHECK_REGISTRY", "CheckResult", "ConformanceReport",
+                 "run_all", "run_example_checks", "run_random_corpus")
+
+
+def __getattr__(name):
+    if name in _LAZY_MODULES:
+        return importlib.import_module(f".{name}", __name__)
+    if name in _VERIFY_NAMES:
+        return getattr(importlib.import_module(".verify", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Tolerances",

@@ -37,7 +37,6 @@ from .io import format_matrix, load_matrix
 from .matrix import (Tolerances, as_matrix, conjugate_transpose, frobenius,
                      sigma_max)
 from .projectors import matrix_index, pinv, power, proj_range
-from .verify import run_all, run_example_checks, run_random_corpus
 from .weighted import (WeightedPair, weighted_bt, weighted_core_ep,
                        weighted_drazin, weighted_qbt)
 
@@ -288,6 +287,9 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # imported here: the conformance runner is only loaded when it runs
+    from .verify import run_all, run_example_checks, run_random_corpus
+
     tol = _resolve_tolerance(args)
     if args.scope == "examples":
         report = run_example_checks(tol)

@@ -36,6 +36,14 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _power_rank(rank_sequence: tuple[int, ...], j: int) -> int:
+    """rank(B^j) from the sequence rank(B^0), ..., rank(B^(Ind(B)+1)),
+    which is stable past the index."""
+    if j < 0:
+        raise DomainError(f"power exponent must be nonnegative, got {j}")
+    return rank_sequence[min(j, len(rank_sequence) - 1)]
+
+
 @dataclass(frozen=True)
 class CoreEPDecomposition:
     """A = U [[T, S], [0, N]] U* with T nonsingular r x r, N nilpotent.
@@ -59,10 +67,7 @@ class CoreEPDecomposition:
 
     def power_rank(self, j: int) -> int:
         """rank(A^j), read from the stored sequence (stable past the index)."""
-        if j < 0:
-            raise DomainError(f"power exponent must be nonnegative, got {j}")
-        rs = self.rank_sequence
-        return rs[j] if j < len(rs) else rs[-1]
+        return _power_rank(self.rank_sequence, j)
 
     def middle(self) -> np.ndarray:
         """The block upper triangular factor [[T, S], [0, N]]."""
@@ -106,17 +111,11 @@ class WeightedCoreEPDecomposition:
     def power_rank_aw(self, j: int) -> int:
         """rank((AW)^j) from the stored sequence; rank((A3W3)^j) is this
         minus t_dim since the leading block A1W1 stays nonsingular."""
-        if j < 0:
-            raise DomainError(f"power exponent must be nonnegative, got {j}")
-        rs = self.rank_sequence_aw
-        return rs[j] if j < len(rs) else rs[-1]
+        return _power_rank(self.rank_sequence_aw, j)
 
     def power_rank_wa(self, j: int) -> int:
         """rank((WA)^j) from the stored sequence."""
-        if j < 0:
-            raise DomainError(f"power exponent must be nonnegative, got {j}")
-        rs = self.rank_sequence_wa
-        return rs[j] if j < len(rs) else rs[-1]
+        return _power_rank(self.rank_sequence_wa, j)
 
     def middle_a(self) -> np.ndarray:
         m = self.u.shape[0]
@@ -180,8 +179,7 @@ def weighted_core_ep_decompose(p: WeightedPair,
     k = p.k
     sa, sw = p.sigma_max_a, p.sigma_max_w
     seq_aw, seq_wa = p.rank_sequence_aw, p.rank_sequence_wa
-    t1 = seq_aw[k] if k < len(seq_aw) else seq_aw[-1]
-    t2 = seq_wa[k] if k < len(seq_wa) else seq_wa[-1]
+    t1, t2 = _power_rank(seq_aw, k), _power_rank(seq_wa, k)
     if t1 != t2:
         raise DecompositionError(
             f"core ranks disagree: rank((AW)^{k})={t1} but rank((WA)^{k})={t2}")

@@ -67,14 +67,6 @@ def resolve_tol(tol: Tolerances | None) -> Tolerances:
     return DEFAULT_TOL if tol is None else tol
 
 
-class SVDResult(NamedTuple):
-    """Full SVD: a = u @ diag(singular_values) @ v.conj().T (rectangular diag)."""
-
-    u: np.ndarray
-    singular_values: np.ndarray
-    v: np.ndarray
-
-
 class QRPivoted(NamedTuple):
     """Column-pivoted QR: a[:, perm] = q @ r with |diag(r)| nonincreasing."""
 
@@ -91,15 +83,6 @@ def as_matrix(a) -> np.ndarray:
     if m.size and not np.all(np.isfinite(m)):
         raise DomainError("matrix entries must be finite")
     return m
-
-
-def multiply(a, b) -> np.ndarray:
-    """Matrix product with explicit conformability checking."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape[0]}x{a.shape[1]} by {b.shape[0]}x{b.shape[1]}")
-    return a @ b
 
 
 def conjugate_transpose(a) -> np.ndarray:
@@ -141,19 +124,6 @@ def rank(a, tol: Tolerances | None = None, scale: float | None = None) -> int:
     """Numerical rank: singular values above rank_rtol * max(sigma_max, scale)."""
     a = as_matrix(a)
     return rank_from_values(singular_values(a), a.shape, tol, scale)
-
-
-def svd(a) -> SVDResult:
-    """Full singular value decomposition of a."""
-    a = as_matrix(a)
-    if a.size == 0:
-        m, n = a.shape
-        return SVDResult(np.eye(m, dtype=np.complex128), np.zeros(0), np.eye(n, dtype=np.complex128))
-    try:
-        u, s, vh = np.linalg.svd(a, full_matrices=True)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"SVD did not converge: {exc}") from exc
-    return SVDResult(u, s, vh.conj().T)
 
 
 def qr_column_pivoted(a) -> QRPivoted:

@@ -33,8 +33,7 @@ from .matrix import (Tolerances, conjugate_transpose, frobenius, rank,
 from .projectors import (nullspace_contained, pinv, power, proj_corange,
                          proj_range, range_contained)
 from .weighted import (WeightedPair, _wqbt_rank, _wqbt_raw, cline_shift_check,
-                       dual_representation_gap, weighted_core_ep,
-                       weighted_drazin, weighted_qbt,
+                       dual_representation_gap, weighted_drazin, weighted_qbt,
                        weighted_qbt_product_forms, weighted_qbt_via_square)
 
 # Lower bound imposed on every expected-inequality gap for the reference
@@ -214,59 +213,58 @@ def _rel(x, y, den: float | None = None) -> float:
     return frobenius(np.asarray(x) - np.asarray(y)) / max(1.0, d)
 
 
-def _range_defect(x, gen, tol: Tolerances, scale: float | None = None) -> float:
-    """How far R(x) sticks out of R(gen): |(I - P_gen) x| / max(1, |x|)."""
-    p = proj_range(gen, tol, scale=scale)
-    return frobenius(x - p @ x) / max(1.0, frobenius(x))
-
-
-def _null_defect(gen, x, tol: Tolerances, scale: float | None = None) -> float:
-    """How far N(gen) sticks out of N(x): |x (I - Q_gen)| / max(1, |x|)."""
-    q = proj_corange(gen, tol, scale=scale)
-    eye = np.eye(q.shape[0], dtype=np.complex128)
-    return frobenius(x @ (eye - q)) / max(1.0, frobenius(x))
-
-
-def _set_eq_flags(x, gen, tol: Tolerances, scale: float | None = None) -> float:
-    """0.0 if R(x) = R(gen) and N(x) = N(gen) by rank tests, else 1.0."""
-    ok = (range_contained(x, gen, tol, scale=scale)
-          and range_contained(gen, x, tol, scale=scale)
-          and nullspace_contained(gen, x, tol, scale=scale)
-          and nullspace_contained(x, gen, tol, scale=scale))
+def _flag(ok: bool) -> float:
+    """0.0 if a predicate holds, else 1.0."""
     return 0.0 if ok else 1.0
 
 
+def _range_defect(x, p_gen) -> float:
+    """How far R(x) sticks out of the range of the orthogonal projector
+    p_gen: |(I - P) x| / max(1, |x|)."""
+    return frobenius(x - p_gen @ x) / max(1.0, frobenius(x))
+
+
+def _null_defect(q_gen, x) -> float:
+    """How far N(gen) sticks out of N(x), for Q = q_gen the projector onto
+    R(gen*): |x (I - Q)| / max(1, |x|)."""
+    eye = np.eye(q_gen.shape[0], dtype=np.complex128)
+    return frobenius(x @ (eye - q_gen)) / max(1.0, frobenius(x))
+
+
+def _same_range(x, y, tol: Tolerances, scale: float) -> bool:
+    """R(x) = R(y), by two rank tests."""
+    return (range_contained(x, y, tol, scale=scale)
+            and range_contained(y, x, tol, scale=scale))
+
+
+def _same_null(x, y, tol: Tolerances, scale: float) -> bool:
+    """N(x) = N(y), by two rank tests."""
+    return (nullspace_contained(y, x, tol, scale=scale)
+            and nullspace_contained(x, y, tol, scale=scale))
+
+
+def _set_eq_flags(x, gen, tol: Tolerances, scale: float) -> float:
+    """0.0 if R(x) = R(gen) and N(x) = N(gen) by rank tests, else 1.0."""
+    return _flag(_same_range(x, gen, tol, scale) and _same_null(x, gen, tol, scale))
+
+
 def _proj_eq_residuals(p_mat, range_gen, null_gen, tol: Tolerances,
-                       scale_r: float | None, scale_n: float | None) -> dict[str, float]:
+                       scale_r: float, scale_n: float) -> dict[str, float]:
     """Residuals for 'p_mat is idempotent with R = R(range_gen), N = N(null_gen)'."""
-    idem = _rel(p_mat @ p_mat, p_mat, max(1.0, frobenius(p_mat)))
-    ok_r = (range_contained(p_mat, range_gen, tol, scale=scale_r)
-            and range_contained(range_gen, p_mat, tol, scale=scale_r))
-    ok_n = (nullspace_contained(null_gen, p_mat, tol, scale=scale_n)
-            and nullspace_contained(p_mat, null_gen, tol, scale=scale_n))
     return {
-        "idempotent": idem,
-        "range_set_mismatch": 0.0 if ok_r else 1.0,
-        "null_set_mismatch": 0.0 if ok_n else 1.0,
+        "idempotent": _rel(p_mat @ p_mat, p_mat, max(1.0, frobenius(p_mat))),
+        "range_set_mismatch": _flag(_same_range(p_mat, range_gen, tol, scale_r)),
+        "null_set_mismatch": _flag(_same_null(p_mat, null_gen, tol, scale_n)),
     }
 
 
 def _exact_flag(got, rows) -> float:
     """0.0 if the exact matrix equals the fraction table, else 1.0."""
-    return 0.0 if requal(got, ref.exact_matrix(rows)) else 1.0
+    return _flag(requal(got, ref.exact_matrix(rows)))
 
 
 # --------------------------------------------------------------------------
 # reference-pair checks
-
-
-def _value_check(check_id: str, float_x, exact_x, rows, atol: float,
-                 detail: str) -> CheckResult:
-    table = ref.float_matrix(rows)
-    return _residual_check(
-        check_id,
-        {"float": _rel(float_x, table), "exact_mismatch": _exact_flag(exact_x, rows)},
-        atol, detail)
 
 
 def _stein_pair() -> tuple[np.ndarray, np.ndarray]:
@@ -282,78 +280,70 @@ def run_example_checks(tol: Tolerances | None = None) -> ConformanceReport:
     """Run every reference-pair check on both the float and exact paths."""
     tol = resolve_tol(tol)
     atol = tol.residual_atol
-    results: list[CheckResult] = []
+    pairs, indices = {}, {}
+    for name, (fa, fw), (ea, ew), expected in (
+            ("pair4x3", ref.pair_4x3_float(), ref.pair_4x3_exact(), ref.INDICES_4X3),
+            ("pair5x4", ref.pair_5x4_float(), ref.pair_5x4_exact(), ref.INDICES_5X4)):
+        p = WeightedPair.from_matrices(fa, fw, tol)
+        got, exact = (p.ind_aw, p.ind_wa, p.k), exact_pair_index(ea, ew)
+        pairs[name] = p, ea, ew
+        indices[name] = _residual_check(
+            f"examples.{name}.indices",
+            {"float_mismatch": _flag(got == expected), "exact_mismatch": _flag(exact == expected)},
+            atol, f"expected {expected}, float {got}, exact {exact}")
+    results = [indices["pair4x3"]]
 
-    fa, fw = ref.pair_4x3_float()
-    ea, ew = ref.pair_4x3_exact()
-    p = WeightedPair.from_matrices(fa, fw, tol)
-    got_idx = (p.ind_aw, p.ind_wa, p.k)
-    exact_idx = exact_pair_index(ea, ew)
-    results.append(_residual_check(
-        "examples.pair4x3.indices",
-        {"float_mismatch": 0.0 if got_idx == ref.INDICES_4X3 else 1.0,
-         "exact_mismatch": 0.0 if exact_idx == ref.INDICES_4X3 else 1.0},
-        atol, f"expected {ref.INDICES_4X3}, float {got_idx}, exact {exact_idx}"))
-
+    p, ea, ew = pairs["pair4x3"]
+    xs = [weighted_qbt(p, q, tol) for q in range(p.k + 1)]
     for q, table in sorted(ref.WQBT_4X3.items()):
-        results.append(_value_check(
+        results.append(_residual_check(
             f"examples.pair4x3.wqbt.q{q}",
-            weighted_qbt(p, q, tol), exact_weighted_qbt(ea, ew, q), table,
+            {"float": _rel(xs[min(q, p.k)], ref.float_matrix(table)),
+             "exact_mismatch": _exact_flag(exact_weighted_qbt(ea, ew, q), table)},
             atol, f"4x3 pair, q={q}"))
 
-    aw, wa = fa @ fw, fw @ fa
+    # dual_representation_gap returns ((AW)^{qbt})^2 A and A ((WA)^{qbt})^2
+    # next to the weighted inverse: the squared products of the table
+    duals = {q: dual_representation_gap(p, q, tol) for q in (1, 2, 3)}
     eaw = _matmul(ea, ew)
     ewa = _matmul(ew, ea)
-    for q in (1, 2, 3):
-        x_aw = qbt_inverse(aw, q, tol)
-        x_wa = qbt_inverse(wa, q, tol)
+    for q, (_, lft, rgt) in duals.items():
         ex_aw = exact_qbt(eaw, q)
         ex_wa = exact_qbt(ewa, q)
         results.append(_residual_check(
             f"examples.pair4x3.square-products.q{q}",
-            {"left_float": _rel(x_aw @ x_aw @ fa,
-                                ref.float_matrix(ref.AW_SQ_PRODUCT_4X3[q])),
+            {"left_float": _rel(lft, ref.float_matrix(ref.AW_SQ_PRODUCT_4X3[q])),
              "left_exact_mismatch": _exact_flag(
                  _matmul(_matmul(ex_aw, ex_aw), ea), ref.AW_SQ_PRODUCT_4X3[q]),
-             "right_float": _rel(fa @ x_wa @ x_wa,
-                                 ref.float_matrix(ref.WA_SQ_PRODUCT_4X3[q])),
+             "right_float": _rel(rgt, ref.float_matrix(ref.WA_SQ_PRODUCT_4X3[q])),
              "right_exact_mismatch": _exact_flag(
                  _matmul(ea, _matmul(ex_wa, ex_wa)), ref.WA_SQ_PRODUCT_4X3[q])},
             atol, f"both squared products, q={q}"))
 
     for q in (1, 2):
-        x, lft, rgt = dual_representation_gap(p, q, tol)
+        x, lft, rgt = duals[q]
         results.append(_gap_check(
             f"examples.pair4x3.dual-gap.q{q}",
             {"x_vs_left": frobenius(x - lft),
              "x_vs_right": frobenius(x - rgt),
              "left_vs_right": frobenius(lft - rgt)},
             EXAMPLE_GAP_FLOOR, f"pairwise distinct at q={q}"))
-    x, lft, rgt = dual_representation_gap(p, 3, tol)
+    x, lft, rgt = duals[3]
     results.append(_make(
         "examples.pair4x3.dual-gap.q3",
         _rel(x, rgt) <= atol and frobenius(x - lft) >= EXAMPLE_GAP_FLOOR,
         {"x_vs_right": _rel(x, rgt), "x_vs_left_gap": frobenius(x - lft)},
         "right product agrees at q=3, left product does not"))
 
-    red = run_reduction_checks(p, tol)
+    red = _reduction_residuals(p, xs, weighted_qbt_product_forms(p, 1, tol), tol)
     results.append(_residual_check(
         "examples.pair4x3.reductions",
-        {r.check_id.rsplit(".", 1)[-1] + "_" + k: v
-         for r in red for k, v in r.residuals.items()},
+        {f"{name}_{k}": v for name, res in red.items() for k, v in res.items()},
         atol, "reduction identities on the 4x3 pair"))
+    results.append(indices["pair5x4"])
 
-    fa5, fw5 = ref.pair_5x4_float()
-    ea5, ew5 = ref.pair_5x4_exact()
-    p5 = WeightedPair.from_matrices(fa5, fw5, tol)
-    exact_idx5 = exact_pair_index(ea5, ew5)
-    got_idx5 = (p5.ind_aw, p5.ind_wa, p5.k)
-    results.append(_residual_check(
-        "examples.pair5x4.indices",
-        {"float_mismatch": 0.0 if got_idx5 == ref.INDICES_5X4 else 1.0,
-         "exact_mismatch": 0.0 if exact_idx5 == ref.INDICES_5X4 else 1.0},
-        atol, f"expected {ref.INDICES_5X4}, float {got_idx5}, exact {exact_idx5}"))
-
+    p5 = pairs["pair5x4"][0]
+    fa5, fw5 = p5.a, p5.w
     x0 = weighted_qbt(p5, 1, tol)
     aw5 = fa5 @ fw5
     q_aw = proj_corange(aw5, tol)
@@ -383,10 +373,10 @@ def run_example_checks(tol: Tolerances | None = None) -> ConformanceReport:
     float_res = _rel(weighted_qbt(ps, 0, tol), pinv(sa, tol))
     e_sa = rmatrix([[int(v.real) for v in row] for row in sa])
     e_sw = rmatrix([[int(v.real) for v in row] for row in sw_])
-    exact_ok = requal(exact_weighted_qbt(e_sa, e_sw, 0), exact_pinv(e_sa))
     results.append(_residual_check(
         "examples.stein.mp-reduction",
-        {"float": float_res, "exact_mismatch": 0.0 if exact_ok else 1.0,
+        {"float": float_res,
+         "exact_mismatch": _flag(requal(exact_weighted_qbt(e_sa, e_sw, 0), exact_pinv(e_sa))),
          "sandwich_is_a": _rel(sw_ @ sa @ sw_, sa)},
         atol, "integer pair with W A W = A"))
 
@@ -397,39 +387,30 @@ def run_example_checks(tol: Tolerances | None = None) -> ConformanceReport:
 # characterization systems
 
 
-def _system_residuals(p: WeightedPair, q: int, tol: Tolerances,
-                      candidate: np.ndarray | None) -> dict[str, dict[str, float]]:
-    """Residuals of all four characterizing systems, keyed by system name."""
+def _system_residuals(p: WeightedPair, x0: np.ndarray, pq: np.ndarray, tol: Tolerances,
+                      candidates: list[np.ndarray]) -> list[dict[str, dict[str, float]]]:
+    """Residuals of all four characterizing systems, keyed by system name,
+    for each candidate; x0 is the computed inverse weighted_qbt(p, q) and
+    pq the projector P_{(AW)^q}, both built by the caller."""
     a, w = p.a, p.w
-    aw = a @ w
-    wa = w @ a
-    waw = w @ a @ w
-    sa, sw = p.sigma_max_a, p.sigma_max_w
-    s_waw = sw * sa * sw
-    x0 = weighted_qbt(p, q, tol)
-    x = x0 if candidate is None else np.asarray(candidate, dtype=np.complex128)
-    pq = proj_range(power(aw, q), tol, scale=(sa * sw) ** q)
-    nx = max(1.0, frobenius(x))
+    aw, wa, waw = a @ w, w @ a, w @ a @ w
+    s_waw = p.sigma_max_w * p.sigma_max_a * p.sigma_max_w
     range_gen = pq @ conjugate_transpose(waw)
-    return {
-        "definition": {
-            "eq1": _rel(x @ waw @ x, x, nx),
-            "eq2": _rel(x @ wa, x0 @ wa),
-            "eq3": _rel(aw @ x, aw @ x0),
-        },
-        "range-form": {
-            "projector_eq": _rel(pq @ x, x0),
-            "range_cond": frobenius(x - pq @ x) / nx,
-        },
-        "left-product": {
-            "product_eq": _rel(aw @ x, aw @ x0),
-            "range_cond": _range_defect(x, range_gen, tol, scale=s_waw),
-        },
-        "right-product": {
-            "product_eq": _rel(x @ wa, x0 @ wa),
-            "null_cond": _null_defect(range_gen, x, tol, scale=s_waw),
-        },
-    }
+    p_gen = proj_range(range_gen, tol, scale=s_waw)
+    q_gen = proj_corange(range_gen, tol, scale=s_waw)
+    out = []
+    for x in candidates:
+        eq2 = _rel(x @ wa, x0 @ wa)
+        eq3 = _rel(aw @ x, aw @ x0)
+        out.append({
+            "definition": {"eq1": _rel(x @ waw @ x, x, max(1.0, frobenius(x))),
+                           "eq2": eq2, "eq3": eq3},
+            "range-form": {"projector_eq": _rel(pq @ x, x0),
+                           "range_cond": _range_defect(x, pq)},
+            "left-product": {"product_eq": eq3, "range_cond": _range_defect(x, p_gen)},
+            "right-product": {"product_eq": eq2, "null_cond": _null_defect(q_gen, x)},
+        })
+    return out
 
 
 def run_system_checks(p: WeightedPair, q: int, tol: Tolerances | None = None,
@@ -440,8 +421,12 @@ def run_system_checks(p: WeightedPair, q: int, tol: Tolerances | None = None,
     atol = tol.residual_atol
     detail = f"{p.shape[0]}x{p.shape[1]} pair, q={q}" + \
         ("" if candidate is None else ", supplied candidate")
+    x0 = weighted_qbt(p, q, tol)
+    pq = proj_range(power(p.a @ p.w, q), tol, scale=(p.sigma_max_a * p.sigma_max_w) ** q)
+    x = x0 if candidate is None else np.asarray(candidate, dtype=np.complex128)
+    [res] = _system_residuals(p, x0, pq, tol, [x])
     out = []
-    for system, eqs in _system_residuals(p, q, tol, candidate).items():
+    for system, eqs in res.items():
         for name, value in eqs.items():
             out.append(CheckResult(
                 check_id=f"system.{system}.{name}",
@@ -451,114 +436,97 @@ def run_system_checks(p: WeightedPair, q: int, tol: Tolerances | None = None,
     return out
 
 
-def run_reduction_checks(p: WeightedPair, tol: Tolerances | None = None) -> list[CheckResult]:
-    """Reduction identities: q=0, q=1, q=Ind(AW), and every q >= k."""
-    tol = resolve_tol(tol)
-    atol = tol.residual_atol
+def _reduction_residuals(p: WeightedPair, xs: list[np.ndarray],
+                         forms_q1: tuple[np.ndarray, np.ndarray],
+                         tol: Tolerances) -> dict[str, dict[str, float]]:
+    """Residuals of the reduction identities q=0, q=1, q=Ind(AW) and every
+    q >= k, keyed by reduction. xs[q] is weighted_qbt(p, q) for q = 0 .. k
+    and forms_q1 the product forms at q = 1; weighted_qbt clamps q at k,
+    so xs[k] is also every member past k and the weighted core-EP inverse."""
     a, w = p.a, p.w
     aw, wa = a @ w, w @ a
-    sa, sw = p.sigma_max_a, p.sigma_max_w
-    out = []
-
-    x0 = weighted_qbt(p, 0, tol)
-    out.append(CheckResult(
-        "reduction.q0", _rel(x0, pinv(w @ a @ w, tol, scale=sw * sa * sw)) <= atol,
-        {"vs_pinv": _rel(x0, pinv(w @ a @ w, tol, scale=sw * sa * sw))},
-        "q=0 equals the pseudoinverse of the sandwich product"))
-
-    x1 = weighted_qbt(p, 1, tol)
-    f1, f2 = weighted_qbt_product_forms(p, 1, tol)
-    res1 = {
-        "eq1": _rel(x1 @ w @ a @ w @ x1, x1, max(1.0, frobenius(x1))),
-        "eq2": _rel(x1 @ wa, f1 @ wa),
-        "eq3": _rel(aw @ x1, aw @ f2),
+    cep = xs[p.k]
+    x1 = xs[min(1, p.k)]
+    f1, f2 = forms_q1
+    s_waw = p.sigma_max_w * p.sigma_max_a * p.sigma_max_w
+    return {
+        "q0": {"vs_pinv": _rel(xs[0], pinv(w @ a @ w, tol, scale=s_waw))},
+        "q1": {"eq1": _rel(x1 @ w @ a @ w @ x1, x1, max(1.0, frobenius(x1))),
+               "eq2": _rel(x1 @ wa, f1 @ wa),
+               "eq3": _rel(aw @ x1, aw @ f2)},
+        "ind-aw": {"vs_core_ep": _rel(xs[p.ind_aw], cep)},
+        "q-ge-k": {f"q{q}": _rel(xs[min(q, p.k)], cep) for q in range(p.k, p.k + 3)},
     }
-    out.append(CheckResult(
-        "reduction.q1", all(v <= atol for v in res1.values()), res1,
-        "q=1 satisfies the one-step defining equations"))
-
-    cep = weighted_core_ep(p, tol)
-    xi = weighted_qbt(p, p.ind_aw, tol)
-    out.append(CheckResult(
-        "reduction.ind-aw", _rel(xi, cep) <= atol, {"vs_core_ep": _rel(xi, cep)},
-        f"q=Ind(AW)={p.ind_aw}"))
-
-    res_k = {f"q{q}": _rel(weighted_qbt(p, q, tol), cep)
-             for q in range(p.k, p.k + 3)}
-    out.append(CheckResult(
-        "reduction.q-ge-k", all(v <= atol for v in res_k.values()), res_k,
-        f"k={p.k}"))
-    return out
 
 
 # --------------------------------------------------------------------------
 # random-corpus runner
 
 
-class _Worst:
-    """Aggregates the worst (largest) residuals seen per measurement name."""
+class _Extreme:
+    """Aggregates the extreme value seen per measurement name: the largest
+    residual or, for expected-inequality checks (gaps=True), the smallest
+    gap; `where` names the member of the most extreme single value."""
 
-    def __init__(self):
+    def __init__(self, gaps: bool):
+        self.gaps = gaps
         self.values: dict[str, float] = {}
         self.where: str = ""
-        self._peak = -1.0
+        self._peak: float | None = None
 
-    def update(self, residuals: dict[str, float], where: str):
-        for k, v in residuals.items():
+    def _beats(self, v: float, than: float) -> bool:
+        return v < than if self.gaps else v > than
+
+    def update(self, values: dict[str, float], where: str):
+        for k, v in values.items():
             v = float(v)
-            if k not in self.values or v > self.values[k]:
+            if k not in self.values or self._beats(v, self.values[k]):
                 self.values[k] = v
-            if v > self._peak:
+            if self._peak is None or self._beats(v, self._peak):
                 self._peak = v
                 self.where = where
 
-    def check(self, check_id: str, threshold: float, detail: str = "") -> CheckResult:
-        note = f"worst at {self.where}" if self.where else "no applicable member"
-        if detail:
-            note = f"{detail}; {note}"
-        return _residual_check(check_id, self.values or {"none": 0.0}, threshold, note)
-
-
-class _Best:
-    """Aggregates the smallest gap seen per measurement name."""
-
-    def __init__(self):
-        self.values: dict[str, float] = {}
-        self.where: str = ""
-
-    def update(self, gaps: dict[str, float], where: str):
-        for k, v in gaps.items():
-            v = float(v)
-            if k not in self.values or v < self.values[k]:
-                self.values[k] = v
-                self.where = where
-
-    def check(self, check_id: str, floor: float, detail: str = "") -> CheckResult:
-        note = f"smallest at {self.where}" if self.where else "no applicable member"
-        if detail:
-            note = f"{detail}; {note}"
-        return _gap_check(check_id, self.values or {"none": floor}, floor, note)
+    def check(self, check_id: str, bound: float) -> CheckResult:
+        """Residuals below `bound`, or gaps above it."""
+        word = "smallest" if self.gaps else "worst"
+        note = f"{word} at {self.where}" if self.where else "no applicable member"
+        note = f"{CHECK_REGISTRY[check_id]}; {note}"
+        if self.gaps:
+            return _gap_check(check_id, self.values or {"none": bound}, bound, note)
+        return _residual_check(check_id, self.values or {"none": 0.0}, bound, note)
 
 
 def _corpus_member_checks(p: WeightedPair, integer: bool, planted_k: int,
                           where: str, tol: Tolerances,
-                          rng: np.random.Generator, agg: dict):
-    """Run every per-member suite and fold residuals into the aggregators."""
+                          rng: np.random.Generator, agg: dict[str, _Extreme]):
+    """Run every per-member suite and fold residuals into the aggregators.
+
+    Operands that several checks read are built once per member, or once
+    per member and exponent, and every check reads that one value.
+    """
     a, w = p.a, p.w
     m, n = p.shape
     k = p.k
     aw, wa, waw = a @ w, w @ a, w @ a @ w
     sa, sw = p.sigma_max_a, p.sigma_max_w
+    s_aw = sa * sw
     s_waw = sw * sa * sw
     s_waw_m = sigma_max(waw)
     s_aw_m = sigma_max(aw)
-    agg["corpus.pair-validity"].update(
-        {"index_mismatch": 0.0 if k == planted_k else 1.0}, where)
+    agg["corpus.pair-validity"].update({"index_mismatch": _flag(k == planted_k)}, where)
+    q_grid = range(k + 2)
+    # weighted_qbt and its product forms clamp q at k, so their entry k
+    # also serves q = k + 1, the last exponent of the grid
+    xs = [weighted_qbt(p, q, tol) for q in range(k + 1)]
+    forms = [weighted_qbt_product_forms(p, q, tol) for q in range(k + 1)]
+    pqs = [proj_range(power(aw, q), tol, scale=s_aw ** q) for q in q_grid]
+    aw_qbts = [qbt_inverse(aw, q, tol) for q in q_grid]
+    aw_cep = core_ep(aw, tol)
+    cep = xs[k]
 
     # reductions (worst case across members)
-    for r in run_reduction_checks(p, tol):
-        suffix = r.check_id.split(".", 1)[1]
-        agg[f"corpus.reductions.{suffix}"].update(r.residuals, where)
+    for name, res in _reduction_residuals(p, xs, forms[min(1, k)], tol).items():
+        agg[f"corpus.reductions.{name}"].update(res, where)
 
     # weighted Drazin equations and dual representations
     xd = weighted_drazin(p, tol)
@@ -575,14 +543,12 @@ def _corpus_member_checks(p: WeightedPair, integer: bool, planted_k: int,
     }, where)
 
     # weighted core-EP system and companion identities
-    cep = weighted_core_ep(p, tol)
     pk_wa = proj_range(power(wa, k), tol, scale=(sw * sa) ** k)
-    pk_aw = proj_range(power(aw, k), tol, scale=(sa * sw) ** k)
+    pk_aw = pqs[k]
     wa_cep = core_ep(wa, tol)
-    aw_cep = core_ep(aw, tol)
     agg["corpus.wcep.system"].update({
         "sandwich_eq": _rel(waw @ cep, pk_wa),
-        "range_cond": frobenius(cep - pk_aw @ cep) / max(1.0, frobenius(cep)),
+        "range_cond": _range_defect(cep, pk_aw),
         "via_square": _rel(cep, a @ wa_cep @ wa_cep),
         "left_compress": _rel(cep @ w @ pk_aw, aw_cep),
         "right_compress": _rel(pk_wa @ w @ cep, wa_cep),
@@ -590,13 +556,11 @@ def _corpus_member_checks(p: WeightedPair, integer: bool, planted_k: int,
 
     # shift identity
     for ell in range(1, k + 3):
-        ok = cline_shift_check(p, ell, tol)
-        agg["corpus.cline-shift"].update({"flag": 0.0 if ok else 1.0},
+        agg["corpus.cline-shift"].update({"flag": _flag(cline_shift_check(p, ell, tol))},
                                          f"{where} ell={ell}")
 
     if k == 1:
-        agg["corpus.k1.core-remark"].update(
-            {"q1_vs_core_ep": _rel(weighted_qbt(p, 1, tol), cep)}, where)
+        agg["corpus.k1.core-remark"].update({"q1_vs_core_ep": _rel(xs[1], cep)}, where)
 
     # decomposition suites (once per member)
     d = weighted_core_ep_decompose(p, tol)
@@ -624,39 +588,34 @@ def _corpus_member_checks(p: WeightedPair, integer: bool, planted_k: int,
 
     d_aw = core_ep_decompose(aw, tol)
 
-    q_grid = range(0, k + 2)
     for q in q_grid:
         where_q = f"{where} q={q}"
-        x = weighted_qbt(p, q, tol)
-        nx = max(1.0, frobenius(x))
-        pq = proj_range(power(aw, q), tol, scale=(sa * sw) ** q)
+        x, pq, aw_qbt = xs[min(q, k)], pqs[q], aw_qbts[q]
         awq1 = power(aw, q + 1)
         s_awq1_m = sigma_max(awq1)
         awq1_h = conjugate_transpose(awq1)
         range_gen = pq @ conjugate_transpose(waw)
         null_gen = awq1_h @ conjugate_transpose(w)
+        inner = pinv(aw_qbt, tol)
+        s_inner = sigma_max(inner)
         # anchors for set predicates: measured factor norms, not powers of
         # norm bounds, so the cutoff tracks the actual magnitudes instead of
         # compounding worst-case overestimates across q
         anchor_rg = _CHAIN_MARGIN * s_waw_m
         anchor_ng = _CHAIN_MARGIN * s_awq1_m * sw
 
-        sysres = _system_residuals(p, q, tol, None)
-        agg["corpus.system.definition"].update(sysres["definition"], where_q)
-        agg["corpus.system.range-form"].update(sysres["range-form"], where_q)
-        agg["corpus.system.left-product"].update(sysres["left-product"], where_q)
-        agg["corpus.system.right-product"].update(sysres["right-product"], where_q)
-
-        # a perturbed candidate must visibly violate every complete system
+        # the computed inverse solves every system; a perturbed candidate
+        # must visibly violate every complete system
         noise = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
         noise *= _PERTURBATION * max(1.0, frobenius(x)) / frobenius(noise)
-        pert = _system_residuals(p, q, tol, x + noise)
-        for system in ("definition", "range-form", "left-product", "right-product"):
+        sysres, pert = _system_residuals(p, x, pq, tol, [x, x + noise])
+        for system, res in sysres.items():
+            agg[f"corpus.system.{system}"].update(res, where_q)
             agg[f"corpus.uniqueness.{system}"].update(
                 {"max_violation": max(pert[system].values())}, where_q)
 
         # representations
-        f1, f2 = weighted_qbt_product_forms(p, q, tol)
+        f1, f2 = forms[min(q, k)]
         agg["corpus.representations.product-forms"].update(
             {"left_form": _rel(f1, x), "right_form": _rel(f2, x)}, where_q)
         agg["corpus.representations.via-square"].update(
@@ -666,49 +625,44 @@ def _corpus_member_checks(p: WeightedPair, integer: bool, planted_k: int,
             {"canonical": _rel(xc, x)}, where_q)
         c_aw, c_wa = canonical_qbt_products(d, q, tol)
         agg["corpus.representations.canonical-products"].update(
-            {"left": _rel(c_aw, qbt_inverse(aw, q, tol)),
+            {"left": _rel(c_aw, aw_qbt),
              "right": _rel(c_wa, qbt_inverse(wa, q, tol))}, where_q)
 
         # range / null-space properties
         agg["corpus.properties.range-null"].update({
-            "range_defect": _range_defect(x, range_gen, tol, scale=anchor_rg),
-            "null_defect": _null_defect(range_gen, x, tol, scale=anchor_rg),
+            "range_defect": _range_defect(x, proj_range(range_gen, tol, scale=anchor_rg)),
+            "null_defect": _null_defect(proj_corange(range_gen, tol, scale=anchor_rg), x),
             "set_mismatch": _set_eq_flags(x, range_gen, tol, scale=anchor_rg),
         }, where_q)
-        aw_qbt = qbt_inverse(aw, q, tol)
-        inner = pinv(aw_qbt, tol)
         adj_gen = conjugate_transpose(inner) @ conjugate_transpose(w)
         agg["corpus.properties.adjoint-range"].update(
             {"set_mismatch": _set_eq_flags(x, adj_gen, tol,
-                                           scale=_CHAIN_MARGIN * sigma_max(inner) * sw)},
+                                           scale=_CHAIN_MARGIN * s_inner * sw)},
             where_q)
         pq_pinv = pinv(power(aw, q), tol, scale=(sa * sw) ** q)
         pow_anchor = _CHAIN_MARGIN * sigma_max(pq_pinv) * s_awq1_m * sw
         pow_gen = conjugate_transpose(pq_pinv) @ null_gen
         agg["corpus.properties.power-range"].update({
-            "range_mismatch": 0.0 if (
-                range_contained(x, pow_gen, tol, scale=pow_anchor)
-                and range_contained(pow_gen, x, tol, scale=pow_anchor)
-            ) else 1.0,
-            "null_mismatch": 0.0 if (
-                nullspace_contained(null_gen, x, tol, scale=anchor_ng)
-                and nullspace_contained(x, null_gen, tol, scale=anchor_ng)
-            ) else 1.0,
+            "range_mismatch": _flag(_same_range(x, pow_gen, tol, pow_anchor)),
+            "null_mismatch": _flag(_same_null(x, null_gen, tol, anchor_ng)),
         }, where_q)
+        # range-subset and projector-fix measure |x - P x| / |x|, the
+        # range condition of the projector system; outer-representation's
+        # equation is the first defining equation
         agg["corpus.properties.range-subset"].update(
-            {"defect": frobenius(x - pq @ x) / nx}, where_q)
+            {"defect": sysres["range-form"]["range_cond"]}, where_q)
         agg["corpus.properties.projector-fix"].update(
-            {"fix": _rel(pq @ x, x, nx)}, where_q)
+            {"fix": sysres["range-form"]["range_cond"]}, where_q)
         agg["corpus.properties.outer-representation"].update({
-            "outer_eq": _rel(x @ waw @ x, x, nx),
-            "spaces_flag": 0.0 if outer_inverse_check(
+            "outer_eq": sysres["definition"]["eq1"],
+            "spaces_flag": _flag(outer_inverse_check(
                 waw, x, range_gen, null_gen, tol,
-                scale=max(anchor_rg, anchor_ng)) else 1.0,
+                scale=max(anchor_rg, anchor_ng))),
         }, where_q)
         agg["corpus.properties.left-projector"].update(
             _proj_eq_residuals(
                 waw @ x, w @ inner @ conjugate_transpose(waw), null_gen, tol,
-                scale_r=_CHAIN_MARGIN * sw * sigma_max(inner) * s_waw_m,
+                scale_r=_CHAIN_MARGIN * sw * s_inner * s_waw_m,
                 scale_n=anchor_ng),
             where_q)
         agg["corpus.properties.right-projector"].update(
@@ -719,28 +673,24 @@ def _corpus_member_checks(p: WeightedPair, integer: bool, planted_k: int,
             where_q)
 
         # square-family checks on the product AW
-        s_aw = sa * sw
-        y = pinv(aw @ proj_range(power(aw, q), tol, scale=s_aw ** q), tol, scale=s_aw)
+        y = pinv(aw @ pq, tol, scale=s_aw)
         agg["corpus.classical.five-way"].update({
             "outer_eq": _rel(aw_qbt @ aw @ aw_qbt, aw_qbt, max(1.0, frobenius(aw_qbt))),
             "left_eq": _rel(aw @ aw_qbt, aw @ y),
             "right_eq": _rel(aw_qbt @ aw, y @ aw),
         }, where_q)
-        pq_aw = proj_range(power(aw, q), tol, scale=s_aw ** q)
-        aq1_h = awq1_h
-        inner_aw = pinv(aw_qbt, tol)
         left_proj = _proj_eq_residuals(
-            aw @ aw_qbt, inner_aw @ conjugate_transpose(aw), aq1_h, tol,
-            scale_r=_CHAIN_MARGIN * sigma_max(inner_aw) * s_aw_m,
+            aw @ aw_qbt, inner @ conjugate_transpose(aw), awq1_h, tol,
+            scale_r=_CHAIN_MARGIN * s_inner * s_aw_m,
             scale_n=_CHAIN_MARGIN * s_awq1_m)
         right_proj = _proj_eq_residuals(
-            aw_qbt @ aw, pq_aw @ conjugate_transpose(aw), aq1_h @ aw, tol,
+            aw_qbt @ aw, pq @ conjugate_transpose(aw), awq1_h @ aw, tol,
             scale_r=_CHAIN_MARGIN * s_aw_m,
             scale_n=_CHAIN_MARGIN * s_awq1_m * s_aw_m)
         agg["corpus.classical.outer"].update({
-            "outer_flag": 0.0 if outer_inverse_check(
-                aw, aw_qbt, pq_aw @ conjugate_transpose(aw), aq1_h, tol,
-                scale=_CHAIN_MARGIN * s_awq1_m * s_aw_m) else 1.0,
+            "outer_flag": _flag(outer_inverse_check(
+                aw, aw_qbt, pq @ conjugate_transpose(aw), awq1_h, tol,
+                scale=_CHAIN_MARGIN * s_awq1_m * s_aw_m)),
             "left_idem": left_proj["idempotent"],
             "left_sets": max(left_proj["range_set_mismatch"],
                              left_proj["null_set_mismatch"]),
@@ -754,23 +704,21 @@ def _corpus_member_checks(p: WeightedPair, integer: bool, planted_k: int,
             {"canonical": _rel(canonical_qbt(d_aw, q, tol), aw_qbt)}, where_q)
 
         # inner Gram simplification of the canonical construction
-        nil_a, nil_w = d.a3, d.w3
-        x3 = _wqbt_raw(nil_a, nil_w, q, tol, scale_a=sa, scale_w=sw)
-        p3q = proj_range(power(nil_a @ nil_w, q), tol, scale=(sa * sw) ** q,
+        x3 = _wqbt_raw(d.a3, d.w3, q, tol, scale_a=sa, scale_w=sw)
+        p3q = proj_range(power(d.a3 @ d.w3, q), tol, scale=(sa * sw) ** q,
                          fixed_rank=d.power_rank_aw(q) - t)
-        inner_mat = nil_w @ nil_a @ nil_w @ p3q
+        inner_mat = d.w3 @ d.a3 @ d.w3 @ p3q
         q_inner = proj_corange(inner_mat, tol, scale=s_waw,
-                               fixed_rank=_wqbt_rank(nil_a, nil_w, q, tol, sa, sw))
+                               fixed_rank=_wqbt_rank(d.a3, d.w3, q, tol, sa, sw))
         z = p3q @ (np.eye(q_inner.shape[0], dtype=np.complex128) - q_inner) @ p3q
         agg["corpus.decomposition.z-identity"].update(
             {"z": _rel(z, p3q - proj_range(x3, tol), 1.0)}, where_q)
 
     # classical reductions for the square product
-    ind_aw = p.ind_aw
     agg["corpus.classical.reductions"].update({
-        "q0": _rel(qbt_inverse(aw, 0, tol), pinv(aw, tol)),
-        "q_ind": _rel(qbt_inverse(aw, ind_aw, tol), core_ep(aw, tol)),
-        "q_beyond": _rel(qbt_inverse(aw, ind_aw + 1, tol), core_ep(aw, tol)),
+        "q0": _rel(aw_qbts[0], pinv(aw, tol)),
+        "q_ind": _rel(aw_qbts[p.ind_aw], aw_cep),
+        "q_beyond": _rel(aw_qbts[p.ind_aw + 1], aw_cep),
     }, where)
 
     # exact-path agreement on integer members
@@ -780,8 +728,7 @@ def _corpus_member_checks(p: WeightedPair, integer: bool, planted_k: int,
         for q in (1, k):
             ex = float_of(exact_weighted_qbt(ea, ew, q))
             agg["corpus.exact.float-agreement"].update(
-                {"float_vs_exact": _rel(weighted_qbt(p, q, tol), ex)},
-                f"{where} q={q}")
+                {"float_vs_exact": _rel(xs[min(q, k)], ex)}, f"{where} q={q}")
 
 
 def run_random_corpus(seed: int, count: int, max_dim: int = 8,
@@ -798,14 +745,8 @@ def run_random_corpus(seed: int, count: int, max_dim: int = 8,
     tol = resolve_tol(tol)
     atol = tol.residual_atol
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5eed]))
-    agg: dict[str, _Worst] = {
-        cid: _Worst() for cid in CHECK_REGISTRY if cid.startswith("corpus.")
-        and not cid.startswith("corpus.uniqueness.")
-    }
-    gaps: dict[str, _Best] = {
-        cid: _Best() for cid in CHECK_REGISTRY if cid.startswith("corpus.uniqueness.")
-    }
-    agg.update(gaps)
+    agg = {cid: _Extreme(gaps=cid.startswith("corpus.uniqueness."))
+           for cid in CHECK_REGISTRY if cid.startswith("corpus.")}
 
     for i, member in enumerate(random_pairs(seed, count, max_dim)):
         p = member.to_weighted(tol)
@@ -820,14 +761,9 @@ def run_random_corpus(seed: int, count: int, max_dim: int = 8,
             agg["corpus.pair-validity"].update(
                 {"library_error": float("inf")}, f"{where}: {exc}")
 
-    results = []
-    for cid in sorted(agg):
-        if cid.startswith("corpus.uniqueness."):
-            results.append(agg[cid].check(cid, CORPUS_GAP_FLOOR,
-                                          CHECK_REGISTRY[cid]))
-        else:
-            results.append(agg[cid].check(cid, atol, CHECK_REGISTRY[cid]))
-    return ConformanceReport(results=tuple(results), corpus_seed=seed, tolerance=tol)
+    results = tuple(agg[cid].check(cid, CORPUS_GAP_FLOOR if agg[cid].gaps else atol)
+                    for cid in sorted(agg))
+    return ConformanceReport(results=results, corpus_seed=seed, tolerance=tol)
 
 
 def run_all(seed: int = 1, count: int = 100, max_dim: int = 8,
@@ -848,7 +784,6 @@ __all__ = [
     "ConformanceReport",
     "run_example_checks",
     "run_system_checks",
-    "run_reduction_checks",
     "run_random_corpus",
     "run_all",
 ]

@@ -348,10 +348,12 @@ def test_entry_point_roundtrip(tmp_path):
 SCIPY_PROBE = """
 import json, sys
 import geninv, geninv.cli
-loaded = ["scipy" in sys.modules]
+def probe():
+    return ["scipy" in sys.modules, "geninv.verify" in sys.modules]
+loaded = [probe()]
 for argv in sys.argv[1:]:
     code = geninv.cli.main(argv.split("|"))
-    loaded.append([argv, code, "scipy" in sys.modules])
+    loaded.append([argv, code, *probe()])
 sys.stderr.write("\\n" + json.dumps(loaded))
 """
 
@@ -366,7 +368,7 @@ def test_scipy_loads_only_for_decompose(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stderr.splitlines()[-1])
-    assert loaded == [False] + [[argv, 0, False] for argv in calls]
+    assert loaded == [[False, False]] + [[argv, 0, False, False] for argv in calls]
     a, w = (write_csv(tmp_path / f"{name}.csv", rows) for name, rows in zip("aw", PAIR_4X3))
     proc = subprocess.run([sys.executable, "-m", "geninv", "decompose", "weighted-core-ep", a, w],
                           capture_output=True, text=True)

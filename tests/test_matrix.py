@@ -3,7 +3,7 @@ import pytest
 
 from geninv.errors import DomainError, ShapeError
 from geninv.matrix import (DEFAULT_TOL, Tolerances, as_matrix, conjugate_transpose,
-                           frobenius, multiply, rank, resolve_tol, sigma_max)
+                           frobenius, rank, resolve_tol, sigma_max)
 
 from conftest import random_complex
 
@@ -33,17 +33,6 @@ class TestAsMatrix:
     def test_rejects_infinity(self):
         with pytest.raises(DomainError):
             as_matrix([[1.0, np.inf]])
-
-
-class TestMultiply:
-    def test_conformable(self):
-        a = as_matrix([[1, 2], [3, 4]])
-        b = as_matrix([[1], [1]])
-        assert np.allclose(multiply(a, b), [[3], [7]])
-
-    def test_rejects_mismatched_shapes(self):
-        with pytest.raises(ShapeError):
-            multiply(np.eye(2), np.eye(3))
 
 
 class TestTolerances:

@@ -9,6 +9,7 @@ from geninv.corpus import random_planted_pair, random_square
 from geninv.decomposition import (canonical_qbt, canonical_qbt_products, canonical_weighted_qbt,
                                   core_ep_decompose, weighted_core_ep_decompose)
 from geninv.projectors import matrix_index, pinv, range_contained
+from geninv.verify import run_example_checks, run_random_corpus
 from geninv.weighted import WeightedPair, weighted_qbt
 
 
@@ -108,3 +109,13 @@ def test_range_contained_takes_two(svds, rng):
     x = rng.standard_normal((8, 3))
     assert range_contained(x, np.hstack([x, rng.standard_normal((8, 2))]))
     assert len(svds) == 2
+
+
+def test_example_checks_share_their_operands(svds):
+    run_example_checks()
+    assert len(svds) == 84
+
+
+def test_corpus_checks_build_each_operand_once_per_member_and_exponent(svds):
+    run_random_corpus(seed=11, count=10, max_dim=7)
+    assert len(svds) == 5085
