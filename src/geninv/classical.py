@@ -46,7 +46,6 @@ def check_q(q, n: int | None = None) -> int:
 def drazin(a, tol: Tolerances | None = None) -> np.ndarray:
     """Drazin inverse A^d = A^k (A^(2k+1))^+ A^k with k = Ind(A)."""
     a = _require_square(a, "drazin")
-    tol = resolve_tol(tol)
     report = matrix_index(a, tol)
     k, s1 = report.index, report.sigma_max
     ak = power(a, k)
@@ -57,7 +56,6 @@ def drazin(a, tol: Tolerances | None = None) -> np.ndarray:
 def group_inverse(a, tol: Tolerances | None = None) -> np.ndarray:
     """Group inverse A^#, defined only when Ind(A) <= 1."""
     a = _require_square(a, "group_inverse")
-    tol = resolve_tol(tol)
     report = matrix_index(a, tol)
     if report.index > 1:
         raise DomainError(f"group inverse requires index <= 1, computed index is {report.index}")
@@ -67,14 +65,13 @@ def group_inverse(a, tol: Tolerances | None = None) -> np.ndarray:
 def core_inverse(a, tol: Tolerances | None = None) -> np.ndarray:
     """Core inverse A^# A A^+, defined only when Ind(A) <= 1."""
     a = _require_square(a, "core_inverse")
-    tol = resolve_tol(tol)
     return group_inverse(a, tol) @ a @ pinv(a, tol)
 
 
-def _qbt(a: np.ndarray, ranks, aq: np.ndarray, tol: Tolerances, s1: float) -> np.ndarray:
+def _qbt(a: np.ndarray, ranks, aq: np.ndarray) -> np.ndarray:
     """(A P_{A^q})^+ = U (A U)^+ for q = len(ranks) - 2, where ranks holds
-    rank(A^j) for j = 0 .. q + 1, aq = A^q, s1 anchors the cutoffs and the
-    columns of U are the leading rank(A^q) left singular vectors of A^q.
+    rank(A^j) for j = 0 .. q + 1, aq = A^q and the columns of U are the
+    leading rank(A^q) left singular vectors of A^q.
 
     P = U U* and U* U = I give (A P)^+ = U (A U)^+, so the last SVD factors
     an n x rank(A^q) matrix. A U has rank exactly rank(A^{q+1}); that rank
@@ -86,13 +83,12 @@ def _qbt(a: np.ndarray, ranks, aq: np.ndarray, tol: Tolerances, s1: float) -> np
     if r == 0:
         return np.zeros_like(a)
     if len(ranks) == 2:
-        return pinv(a, tol, scale=s1, fixed_rank=r)
+        return pinv(a, fixed_rank=r)
     u = range_basis(aq, fixed_rank=ranks[-2])
-    return u @ pinv(a @ u, tol, scale=s1, fixed_rank=r)
+    return u @ pinv(a @ u, fixed_rank=r)
 
 
-def qbt_inverse(a, q: int, tol: Tolerances | None = None,
-                scale: float | None = None) -> np.ndarray:
+def qbt_inverse(a, q: int, tol: Tolerances | None = None) -> np.ndarray:
     """q-BT inverse (A P_{A^q})^+ where P projects onto the range of A^q.
 
     q = 0 is a plain pseudoinverse. Otherwise the ranks of A, A^2, ... are
@@ -100,16 +96,13 @@ def qbt_inverse(a, q: int, tol: Tolerances | None = None,
     q is clamped at Ind(A): every q >= Ind(A) gives the core-EP inverse,
     and past the index rank(A^{q+1}) would be decided against
     sigma_max^{q+1}, which cond(A)^q outgrows long before q reaches n.
-    `scale` anchors the internal rank cutoffs when `a` is a block derived
-    from a larger matrix.
     """
     a = _require_square(a, "qbt_inverse")
     q = check_q(q, a.shape[0])
-    tol = resolve_tol(tol)
     if q == 0:
-        return pinv(a, tol, scale=scale)
-    ranks, s1, aq = _power_ranks(a, tol, q + 1, scale)
-    return _qbt(a, ranks, aq, tol, s1)
+        return pinv(a, tol)
+    ranks, _, aq = _power_ranks(a, tol, q + 1)
+    return _qbt(a, ranks, aq)
 
 
 def bt_inverse(a, tol: Tolerances | None = None) -> np.ndarray:
@@ -118,12 +111,11 @@ def bt_inverse(a, tol: Tolerances | None = None) -> np.ndarray:
 
 
 def core_ep(a, tol: Tolerances | None = None) -> np.ndarray:
-    """Core-EP inverse (A P_{A^k})^+ with k = Ind(A); sigma_max(A) and
-    rank(A^{k+1}) come from the index computation."""
+    """Core-EP inverse (A P_{A^k})^+ with k = Ind(A); rank(A^{k+1}) comes
+    from the index computation."""
     a = _require_square(a, "core_ep")
-    tol = resolve_tol(tol)
     report = matrix_index(a, tol)
-    return _qbt(a, report.rank_sequence, power(a, report.index), tol, report.sigma_max)
+    return _qbt(a, report.rank_sequence, power(a, report.index))
 
 
 def outer_inverse_check(a, x, range_gen, null_gen,

@@ -97,8 +97,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="compute on the exact rational path")
         p.add_argument("--verify", action="store_true",
                        help="append residuals of the defining equations")
-        p.add_argument("--tol", type=float, default=None,
-                       help="residual tolerance (overrides GENINV_TOL)")
 
     dec = sub.add_parser("decompose", help="block decompositions")
     dec.add_argument("kind", choices=("core-ep", "weighted-core-ep"))
@@ -123,7 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_tolerance(args) -> Tolerances | None:
-    value = getattr(args, "tol", None)
+    value = args.tol
     if value is None:
         env = os.environ.get("GENINV_TOL")
         if env is not None and env.strip():
@@ -150,7 +148,7 @@ def _rel(x: np.ndarray, y: np.ndarray) -> float:
     return frobenius(d) / max(1.0, frobenius(y))
 
 
-def _residuals(spec: Kind, a, w, x, q, tol, pair: WeightedPair | None = None) -> dict[str, float]:
+def _residuals(spec: Kind, a, w, x, q, pair: WeightedPair | None = None) -> dict[str, float]:
     """Residuals of the kind's defining system on either arithmetic.
 
     A square kind is its weighted form with W absent (w is None). A float
@@ -171,7 +169,7 @@ def _residuals(spec: Kind, a, w, x, q, tol, pair: WeightedPair | None = None) ->
     if k == "index" and pair is not None:
         k = pair.k
     elif k == "index":
-        index = ex.exact_index if exact else (lambda m: matrix_index(m, tol).index)
+        index = ex.exact_index if exact else (lambda m: matrix_index(m).index)
         k = index(a) if w is None else max(index(aw), index(w @ a))
     pw = ex.exact_power if exact else power
     if spec.system == "drazin":
@@ -186,7 +184,7 @@ def _residuals(spec: Kind, a, w, x, q, tol, pair: WeightedPair | None = None) ->
         b = waw @ ex.exact_proj_range(pw(aw, k))
     elif k:
         s = sigma_max(a) if pair is None else pair.sigma_max_a * pair.sigma_max_w
-        b = waw @ proj_range(pw(aw, k), tol, scale=s ** k)
+        b = waw @ proj_range(pw(aw, k), scale=s ** k)
     bx = b @ x
     xb = x @ b
     return {
@@ -198,7 +196,6 @@ def _residuals(spec: Kind, a, w, x, q, tol, pair: WeightedPair | None = None) ->
 
 
 def _cmd_inverse(args) -> int:
-    tol = _resolve_tolerance(args)
     spec = KINDS[args.command]
     q = getattr(args, "q", None)
     if q is not None and q < 0:
@@ -213,12 +210,12 @@ def _cmd_inverse(args) -> int:
         a = as_matrix(a)
         if w is not None:
             w = as_matrix(w)
-            pair = WeightedPair.from_matrices(a, w, tol)
-        result = spec.inverse(a if pair is None else pair, *qarg, tol)
+            pair = WeightedPair.from_matrices(a, w)
+        result = spec.inverse(a if pair is None else pair, *qarg)
     print(format_matrix(result, fmt))
     if args.verify:
         print()
-        for name, value in _residuals(spec, a, w, result, q, tol, pair).items():
+        for name, value in _residuals(spec, a, w, result, q, pair).items():
             print(f"residual {name} = {value:.6e}")
     return 0
 
@@ -290,6 +287,10 @@ def _cmd_verify(args) -> int:
     # imported here: the conformance runner is only loaded when it runs
     from .verify import run_all, run_example_checks, run_random_corpus
 
+    if args.count < 1:
+        raise UsageError(f"--count must be >= 1, got {args.count}")
+    if args.max_dim < 2:
+        raise UsageError(f"--max-dim must be >= 2, got {args.max_dim}")
     tol = _resolve_tolerance(args)
     if args.scope == "examples":
         report = run_example_checks(tol)

@@ -53,7 +53,7 @@ class CoreEPDecomposition:
     rank(A^j) for j = 0 .. index + 1, decided on the original matrix;
     since T^j stays nonsingular, rank(N^j) = rank(A^j) - r exactly, which
     anchors rank decisions on the extracted nilpotent block. sigma_max is
-    the largest singular value of A, the anchor of those decisions.
+    the largest singular value of A.
     """
 
     u: np.ndarray
@@ -86,8 +86,8 @@ class WeightedCoreEPDecomposition:
 
     A = U [[A1, A2], [0, A3]] V* and W = V [[W1, W2], [0, W3]] U* with
     A1, W1 nonsingular t x t and A3W3, W3A3 nilpotent of indices Ind(AW)
-    and Ind(WA). sigma_max_a, sigma_max_w, sigma_max_aw and sigma_max_wa
-    are those of A, W, AW and WA, read from the pair.
+    and Ind(WA). sigma_max_a and sigma_max_w are those of A and W, read
+    from the pair.
     """
 
     u: np.ndarray
@@ -105,8 +105,6 @@ class WeightedCoreEPDecomposition:
     rank_sequence_wa: tuple[int, ...]
     sigma_max_a: float
     sigma_max_w: float
-    sigma_max_aw: float
-    sigma_max_wa: float
 
     def power_rank_aw(self, j: int) -> int:
         """rank((AW)^j) from the stored sequence; rank((A3W3)^j) is this
@@ -144,7 +142,6 @@ def core_ep_decompose(a, tol: Tolerances | None = None) -> CoreEPDecomposition:
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise ShapeError(f"matrix must be square, got {a.shape[0]}x{a.shape[1]}")
-    tol = resolve_tol(tol)
     report = matrix_index(a, tol)
     k = report.index
     r = report.rank_sequence[k]
@@ -217,7 +214,6 @@ def weighted_core_ep_decompose(p: WeightedPair,
         t_dim=t, ind_aw=p.ind_aw, ind_wa=p.ind_wa,
         rank_sequence_aw=seq_aw, rank_sequence_wa=seq_wa,
         sigma_max_a=sa, sigma_max_w=sw,
-        sigma_max_aw=p.sigma_max_aw, sigma_max_wa=p.sigma_max_wa,
     )
 
 
@@ -239,7 +235,6 @@ def block_pinv(u, v, a1, a2, a3, tol: Tolerances | None = None,
     a1 = as_matrix(a1)
     a2 = as_matrix(a2)
     a3 = as_matrix(a3)
-    tol = resolve_tol(tol)
     t = a1.shape[0]
     if a1.shape[1] != t:
         raise ShapeError(f"leading block must be square, got {a1.shape[0]}x{a1.shape[1]}")
@@ -278,7 +273,6 @@ def block_proj_range(u, t_dim: int, a3, tol: Tolerances | None = None,
     """
     u = as_matrix(u)
     a3 = as_matrix(a3)
-    tol = resolve_tol(tol)
     if u.shape[0] != u.shape[1] or u.shape[0] != t_dim + a3.shape[0]:
         raise ShapeError("frame does not match the block row dimension")
     p3 = proj_range(a3, tol, scale=scale, fixed_rank=a3_rank)
@@ -302,7 +296,7 @@ class CanonicalParts:
     omega: np.ndarray
 
 
-def _canonical_blocks(core, coupling, x3, pq, tol: Tolerances):
+def _canonical_blocks(core, coupling, x3, pq, tol: Tolerances | None):
     """Blocks of [[C* O, -C* O M X3], [G M* O, X3 - G M* O M X3]] with
     G = pq - P_{X3} and O = [C C* + M G M*]^{-1}."""
     px = proj_range(x3, tol)
@@ -322,8 +316,8 @@ def _canonical_blocks(core, coupling, x3, pq, tol: Tolerances):
     return (b11, b12, b21, b22), omega
 
 
-def _square_canonical(core, coupling, nil, frame, q: int, tol: Tolerances,
-                      scale: float, rank_q: int, rank_q1: int) -> np.ndarray:
+def _square_canonical(core, coupling, nil, frame, q: int, tol: Tolerances | None,
+                      rank_q: int, rank_q1: int) -> np.ndarray:
     """Assemble (B P_{B^q})^+ for B = frame [[core, coupling], [0, nil]] frame*.
 
     rank_q and rank_q1 are the exact ranks of nil^q and nil^{q+1}, read off
@@ -333,8 +327,8 @@ def _square_canonical(core, coupling, nil, frame, q: int, tol: Tolerances,
     decided by a cutoff.
     """
     q = check_q(q, frame.shape[0])
-    pq = proj_range(power(nil, q), tol, scale=scale ** q, fixed_rank=rank_q)
-    x3 = pinv(nil @ pq, tol, scale=scale, fixed_rank=rank_q1)
+    pq = proj_range(power(nil, q), fixed_rank=rank_q)
+    x3 = pinv(nil @ pq, fixed_rank=rank_q1)
     blocks, _ = _canonical_blocks(core, coupling, x3, pq, tol)
     return frame @ _assemble(*blocks) @ conjugate_transpose(frame)
 
@@ -347,11 +341,9 @@ def canonical_qbt(d: CoreEPDecomposition, q: int, tol: Tolerances | None = None)
     nilpotent block. q is clamped at the index, as in `qbt_inverse`.
     """
     q = min(check_q(q), d.index)
-    tol = resolve_tol(tol)
-    sa = d.sigma_max
     rank_q = d.power_rank(q) - d.rank
     rank_q1 = d.power_rank(q + 1) - d.rank
-    return _square_canonical(d.t, d.s, d.nil, d.u, q, tol, sa, rank_q, rank_q1)
+    return _square_canonical(d.t, d.s, d.nil, d.u, q, tol, rank_q, rank_q1)
 
 
 def canonical_weighted_qbt(d: WeightedCoreEPDecomposition, q: int,
@@ -364,13 +356,10 @@ def canonical_weighted_qbt(d: WeightedCoreEPDecomposition, q: int,
     max(Ind(AW), Ind(WA)), as in `weighted_qbt`.
     """
     q = min(check_q(q), max(d.ind_aw, d.ind_wa))
-    tol = resolve_tol(tol)
-    sa, sw = d.sigma_max_a, d.sigma_max_w
     core = d.w1 @ d.a1 @ d.w1
     coupling = d.w1 @ d.a1 @ d.w2 + d.w1 @ d.a2 @ d.w3 + d.w2 @ d.a3 @ d.w3
-    x3 = _wqbt_raw(d.a3, d.w3, q, tol, scale_a=sa, scale_w=sw)
-    pq = proj_range(power(d.a3 @ d.w3, q), tol, scale=(sa * sw) ** q,
-                    fixed_rank=d.power_rank_aw(q) - d.t_dim)
+    x3 = _wqbt_raw(d.a3, d.w3, q, tol, d.sigma_max_a, d.sigma_max_w)
+    pq = proj_range(power(d.a3 @ d.w3, q), fixed_rank=d.power_rank_aw(q) - d.t_dim)
     blocks, omega = _canonical_blocks(core, coupling, x3, pq, tol)
     x = d.u @ _assemble(*blocks) @ conjugate_transpose(d.v)
     return x, CanonicalParts(m_block=_frozen(coupling), omega=_frozen(omega))
@@ -382,18 +371,14 @@ def canonical_qbt_products(d: WeightedCoreEPDecomposition, q: int,
 
     AW is triangularized by U with core A1W1, coupling A1W2 + A2W3 and
     nilpotent part A3W3; WA by V with core W1A1, coupling W1A2 + W2A3 and
-    nilpotent part W3A3; their rank anchors are sigma_max(AW) and
-    sigma_max(WA). q is clamped at max(Ind(AW), Ind(WA)).
+    nilpotent part W3A3. q is clamped at max(Ind(AW), Ind(WA)).
     """
     q = min(check_q(q), max(d.ind_aw, d.ind_wa))
-    tol = resolve_tol(tol)
     t = d.t_dim
     x_aw = _square_canonical(d.a1 @ d.w1, d.a1 @ d.w2 + d.a2 @ d.w3, d.a3 @ d.w3, d.u, q,
-                             tol, d.sigma_max_aw,
-                             d.power_rank_aw(q) - t, d.power_rank_aw(q + 1) - t)
+                             tol, d.power_rank_aw(q) - t, d.power_rank_aw(q + 1) - t)
     x_wa = _square_canonical(d.w1 @ d.a1, d.w1 @ d.a2 + d.w2 @ d.a3, d.w3 @ d.a3, d.v, q,
-                             tol, d.sigma_max_wa,
-                             d.power_rank_wa(q) - t, d.power_rank_wa(q + 1) - t)
+                             tol, d.power_rank_wa(q) - t, d.power_rank_wa(q + 1) - t)
     return x_aw, x_wa
 
 

@@ -3,7 +3,7 @@ rank-based range / null-space predicates."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,8 +23,8 @@ class IndexReport:
     """
 
     index: int
-    rank_sequence: tuple[int, ...] = field(default_factory=tuple)
-    sigma_max: float = 0.0
+    rank_sequence: tuple[int, ...]
+    sigma_max: float
 
 
 def _kept(s: np.ndarray, shape: tuple[int, int], tol: Tolerances | None,
@@ -92,19 +92,19 @@ def power(b, q: int) -> np.ndarray:
     return np.linalg.matrix_power(b, int(q))
 
 
-def _power_ranks(b: np.ndarray, tol: Tolerances | None, last: int,
-                 scale: float | None = None) -> tuple[list[int], float, np.ndarray]:
+def _power_ranks(b: np.ndarray, tol: Tolerances | None,
+                 last: int) -> tuple[list[int], float, np.ndarray]:
     """rank(B^j) for j = 0, 1, ... up to the first j with rank(B^j) =
     rank(B^(j-1)), or up to j = last.
 
-    One values-only SVD of B gives both the anchor s1 = max(sigma_max(B),
-    scale) and rank(B); the rank of B^j is taken relative to s1^j. Returns
-    the ranks, s1, and B^(len(ranks) - 2): B^Ind(B) when the ranks
-    stabilized, B^(last - 1) otherwise.
+    One values-only SVD of B gives both the anchor s1 = sigma_max(B) and
+    rank(B); the rank of B^j is taken relative to s1^j. Returns the ranks,
+    s1, and B^(len(ranks) - 2): B^Ind(B) when the ranks stabilized,
+    B^(last - 1) otherwise.
     """
     n = b.shape[0]
     s = singular_values(b)
-    s1 = max(float(s[0]) if s.size else 0.0, scale or 0.0)
+    s1 = float(s[0]) if s.size else 0.0
     ranks = [n, rank_from_values(s, b.shape, tol, s1)]
     prev, bj = np.eye(n, dtype=np.complex128), b
     while ranks[-1] != ranks[-2] and len(ranks) <= last:

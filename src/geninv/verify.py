@@ -510,7 +510,6 @@ def _corpus_member_checks(p: WeightedPair, integer: bool, planted_k: int,
     aw, wa, waw = a @ w, w @ a, w @ a @ w
     sa, sw = p.sigma_max_a, p.sigma_max_w
     s_aw = sa * sw
-    s_waw = sw * sa * sw
     s_waw_m = sigma_max(waw)
     s_aw_m = sigma_max(aw)
     agg["corpus.pair-validity"].update({"index_mismatch": _flag(k == planted_k)}, where)
@@ -704,12 +703,10 @@ def _corpus_member_checks(p: WeightedPair, integer: bool, planted_k: int,
             {"canonical": _rel(canonical_qbt(d_aw, q, tol), aw_qbt)}, where_q)
 
         # inner Gram simplification of the canonical construction
-        x3 = _wqbt_raw(d.a3, d.w3, q, tol, scale_a=sa, scale_w=sw)
-        p3q = proj_range(power(d.a3 @ d.w3, q), tol, scale=(sa * sw) ** q,
-                         fixed_rank=d.power_rank_aw(q) - t)
+        x3 = _wqbt_raw(d.a3, d.w3, q, tol, sa, sw)
+        p3q = proj_range(power(d.a3 @ d.w3, q), fixed_rank=d.power_rank_aw(q) - t)
         inner_mat = d.w3 @ d.a3 @ d.w3 @ p3q
-        q_inner = proj_corange(inner_mat, tol, scale=s_waw,
-                               fixed_rank=_wqbt_rank(d.a3, d.w3, q, tol, sa, sw))
+        q_inner = proj_corange(inner_mat, fixed_rank=_wqbt_rank(d.a3, d.w3, q, tol, sa, sw))
         z = p3q @ (np.eye(q_inner.shape[0], dtype=np.complex128) - q_inner) @ p3q
         agg["corpus.decomposition.z-identity"].update(
             {"z": _rel(z, p3q - proj_range(x3, tol), 1.0)}, where_q)

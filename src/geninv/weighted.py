@@ -25,9 +25,7 @@ class WeightedPair:
     ind_aw = Ind(AW), ind_wa = Ind(WA), k = max of both; the rank
     sequences hold rank((AW)^j) and rank((WA)^j) for j = 0 .. index + 1;
     sigma_max_a and sigma_max_w are the largest singular values of A and
-    W, the anchors of every rank decision the weighted routines make;
-    sigma_max_aw and sigma_max_wa those of AW and WA, read off the index
-    computations.
+    W, the anchors of every rank decision the weighted routines make.
     The indices of AW and WA can differ by at most one; a larger spread
     indicates a rank misclassification and is rejected.
     """
@@ -41,8 +39,6 @@ class WeightedPair:
     rank_sequence_wa: tuple[int, ...]
     sigma_max_a: float
     sigma_max_w: float
-    sigma_max_aw: float
-    sigma_max_wa: float
 
     @classmethod
     def from_matrices(cls, a, w, tol: Tolerances | None = None) -> "WeightedPair":
@@ -54,7 +50,6 @@ class WeightedPair:
                 f"got {w.shape[0]}x{w.shape[1]}")
         if not np.any(w):
             raise DomainError("weight matrix must be nonzero")
-        tol = resolve_tol(tol)
         rep_aw = matrix_index(a @ w, tol)
         rep_wa = matrix_index(w @ a, tol)
         ind_aw, ind_wa = rep_aw.index, rep_wa.index
@@ -69,15 +64,14 @@ class WeightedPair:
         return cls(a=a, w=w, ind_aw=ind_aw, ind_wa=ind_wa, k=max(ind_aw, ind_wa),
                    rank_sequence_aw=rep_aw.rank_sequence,
                    rank_sequence_wa=rep_wa.rank_sequence,
-                   sigma_max_a=sigma_max(a), sigma_max_w=sigma_max(w),
-                   sigma_max_aw=rep_aw.sigma_max, sigma_max_wa=rep_wa.sigma_max)
+                   sigma_max_a=sigma_max(a), sigma_max_w=sigma_max(w))
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.a.shape
 
 
-def _wqbt_rank(a: np.ndarray, w: np.ndarray, q: int, tol: Tolerances,
+def _wqbt_rank(a: np.ndarray, w: np.ndarray, q: int, tol: Tolerances | None,
                sa: float, sw: float) -> int:
     """Exact rank of W A W P_{(AW)^q}, decided on W (AW)^{q+1}.
 
@@ -90,24 +84,24 @@ def _wqbt_rank(a: np.ndarray, w: np.ndarray, q: int, tol: Tolerances,
     return rank(probe, tol, scale=sw * (sa * sw) ** (q + 1))
 
 
-def _wqbt_raw(a: np.ndarray, w: np.ndarray, q: int, tol: Tolerances,
-              scale_a: float | None = None, scale_w: float | None = None) -> np.ndarray:
+def _wqbt_raw(a: np.ndarray, w: np.ndarray, q: int, tol: Tolerances | None,
+              sa: float, sw: float) -> np.ndarray:
     """(W A W P_{(AW)^q})^+ on raw arrays; tolerates W = 0 (used on blocks).
 
-    q = 0 is a plain pseudoinverse of W A W. Otherwise, with U the leading
-    left singular vectors of (AW)^q, P = U U* gives the result as
-    U (W A W U)^+, whose last SVD factors an n x rank((AW)^q) matrix.
+    sa and sw anchor the rank cutoffs: sigma_max of A and W, or of the
+    parent pair when a and w are blocks of a decomposition. q = 0 is a
+    plain pseudoinverse of W A W. Otherwise, with U the leading left
+    singular vectors of (AW)^q, P = U U* gives the result as U (W A W U)^+,
+    whose last SVD factors an n x rank((AW)^q) matrix.
     """
     q = check_q(q, a.shape[0])
-    sa = scale_a if scale_a is not None else sigma_max(a)
-    sw = scale_w if scale_w is not None else sigma_max(w)
     if q == 0:
         return pinv(w @ a @ w, tol, scale=sw * sa * sw)
     r = _wqbt_rank(a, w, q, tol, sa, sw)
     if r == 0:
         return np.zeros(a.shape, dtype=np.complex128)
     u = range_basis(power(a @ w, q), tol, scale=(sa * sw) ** q)
-    return u @ pinv(w @ a @ w @ u, tol, scale=sw * sa * sw, fixed_rank=r)
+    return u @ pinv(w @ a @ w @ u, fixed_rank=r)
 
 
 def weighted_qbt(p: WeightedPair, q: int, tol: Tolerances | None = None) -> np.ndarray:
@@ -116,8 +110,7 @@ def weighted_qbt(p: WeightedPair, q: int, tol: Tolerances | None = None) -> np.n
     q is clamped at k: R((AW)^q) is the same for every q >= k, and past
     it the rank anchors (sigma_max(A) sigma_max(W))^q only lose accuracy.
     """
-    return _wqbt_raw(p.a, p.w, min(check_q(q), p.k), resolve_tol(tol),
-                     p.sigma_max_a, p.sigma_max_w)
+    return _wqbt_raw(p.a, p.w, min(check_q(q), p.k), tol, p.sigma_max_a, p.sigma_max_w)
 
 
 def weighted_bt(p: WeightedPair, tol: Tolerances | None = None) -> np.ndarray:
@@ -132,7 +125,6 @@ def weighted_core_ep(p: WeightedPair, tol: Tolerances | None = None) -> np.ndarr
 
 def weighted_drazin(p: WeightedPair, tol: Tolerances | None = None) -> np.ndarray:
     """W-weighted Drazin inverse A (WA)^d (WA)^d."""
-    tol = resolve_tol(tol)
     d = drazin(p.w @ p.a, tol)
     return p.a @ d @ d
 
@@ -144,7 +136,6 @@ def weighted_qbt_product_forms(p: WeightedPair, q: int,
     [W (AW)^(q+1) ((AW)^q)^+]^+  and  [(WA)^(q+1) W ((AW)^q)^+]^+.
     """
     q = min(check_q(q), p.k)
-    tol = resolve_tol(tol)
     sa, sw = p.sigma_max_a, p.sigma_max_w
     r = _wqbt_rank(p.a, p.w, q, tol, sa, sw)
     if r == 0:
@@ -153,9 +144,8 @@ def weighted_qbt_product_forms(p: WeightedPair, q: int,
     aw = p.a @ p.w
     wa = p.w @ p.a
     pq_pinv = pinv(power(aw, q), tol, scale=(sa * sw) ** q)
-    scale = sw * sa * sw
-    x1 = pinv(p.w @ power(aw, q + 1) @ pq_pinv, tol, scale=scale, fixed_rank=r)
-    x2 = pinv(power(wa, q + 1) @ p.w @ pq_pinv, tol, scale=scale, fixed_rank=r)
+    x1 = pinv(p.w @ power(aw, q + 1) @ pq_pinv, fixed_rank=r)
+    x2 = pinv(power(wa, q + 1) @ p.w @ pq_pinv, fixed_rank=r)
     return x1, x2
 
 
@@ -164,14 +154,11 @@ def weighted_qbt_via_square(p: WeightedPair, q: int,
     """(W ((AW)^{q-BT})^+)^+: the weighted inverse through the square q-BT
     inverse of the product AW."""
     q = min(check_q(q), p.k)
-    tol = resolve_tol(tol)
-    sa, sw = p.sigma_max_a, p.sigma_max_w
-    r = _wqbt_rank(p.a, p.w, q, tol, sa, sw)
+    r = _wqbt_rank(p.a, p.w, q, tol, p.sigma_max_a, p.sigma_max_w)
     if r == 0:
         return np.zeros(p.shape, dtype=np.complex128)
-    aw_qbt = qbt_inverse(p.a @ p.w, q, tol)
-    inner = pinv(aw_qbt, tol)
-    return pinv(p.w @ inner, tol, scale=sw * sa * sw, fixed_rank=r)
+    inner = pinv(qbt_inverse(p.a @ p.w, q, tol), tol)
+    return pinv(p.w @ inner, fixed_rank=r)
 
 
 def cline_shift_check(p: WeightedPair, ell: int, tol: Tolerances | None = None) -> bool:
@@ -195,7 +182,6 @@ def dual_representation_gap(p: WeightedPair, q: int,
     the first and third coincide while the second may still differ.
     """
     q = check_q(q)
-    tol = resolve_tol(tol)
     x = weighted_qbt(p, q, tol)
     aw_qbt = qbt_inverse(p.a @ p.w, q, tol)
     wa_qbt = qbt_inverse(p.w @ p.a, q, tol)

@@ -256,29 +256,48 @@ class TestErrorPaths:
         assert run_main(capsys, "frobnicate", a)[0] == 2
         assert main([]) == 2
 
+    @pytest.mark.parametrize("flag, value", [("--count", "0"), ("--max-dim", "1")])
+    def test_corpus_size_is_a_usage_error(self, capsys, flag, value):
+        code, _, err = run_main(capsys, "verify", "corpus", flag, value)
+        assert code == 2
+        assert err.startswith("usage error:") and flag in err
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "geninv" in capsys.readouterr().out
 
 
 class TestToleranceResolution:
+    # --tol and GENINV_TOL set the residual tolerance, which only the
+    # weighted decomposition's structure checks and the verify runners read
+
     def test_env_var_is_read(self, tmp_path, capsys, monkeypatch):
         a = write_csv(tmp_path / "a.csv", [[1]])
         monkeypatch.setenv("GENINV_TOL", "not-a-number")
-        code, _, err = run_main(capsys, "pinv", a)
-        assert code == 2
-        assert "GENINV_TOL" in err
+        for argv in (["decompose", "core-ep", a], ["verify", "examples"]):
+            code, _, err = run_main(capsys, *argv)
+            assert code == 2
+            assert "GENINV_TOL" in err
 
     def test_flag_overrides_env(self, tmp_path, capsys, monkeypatch):
         a = write_csv(tmp_path / "a.csv", [[1]])
         monkeypatch.setenv("GENINV_TOL", "not-a-number")
-        code, out, _ = run_main(capsys, "pinv", a, "--tol", "1e-8")
+        code, out, _ = run_main(capsys, "decompose", "core-ep", a, "--tol", "1e-8")
         assert code == 0
-        assert out.strip() == "1"
+        assert out.split("T:\n")[1].split("\n")[0] == "1"
 
     def test_nonpositive_tolerance_rejected(self, tmp_path, capsys):
         a = write_csv(tmp_path / "a.csv", [[1]])
-        assert run_main(capsys, "pinv", a, "--tol", "0")[0] == 2
+        assert run_main(capsys, "decompose", "core-ep", a, "--tol", "0")[0] == 2
+        assert run_main(capsys, "verify", "examples", "--tol", "0")[0] == 2
+
+    @pytest.mark.parametrize("kind, files", [("pinv", [[[1]]]), ("wcore-ep", PAIR_5X4)],
+                             ids=["pinv", "wcore-ep"])
+    def test_inverse_kinds_take_no_tolerance(self, tmp_path, capsys, monkeypatch, kind, files):
+        paths = [write_csv(tmp_path / f"m{i}.csv", rows) for i, rows in enumerate(files)]
+        monkeypatch.setenv("GENINV_TOL", "not-a-number")
+        assert run_main(capsys, kind, *paths, "--verify")[0] == 0
+        assert run_main(capsys, kind, *paths, "--tol", "1e-8")[0] == 2
 
 
 class TestDecompose:

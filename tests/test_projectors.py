@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geninv.errors import DomainError
-from geninv.matrix import conjugate_transpose, frobenius, sigma_max
+from geninv.matrix import Tolerances, conjugate_transpose, frobenius, sigma_max
 from geninv.projectors import (matrix_index, nullspace_contained, pinv, power,
-                               proj_corange, proj_range, range_contained)
+                               proj_corange, proj_range, range_basis, range_contained)
 
 from conftest import random_complex, rel
 
@@ -14,6 +14,21 @@ from conftest import random_complex, rel
 def jordan_nilpotent(n):
     """n x n single Jordan block with eigenvalue 0."""
     return np.eye(n, k=1).astype(np.complex128)
+
+
+# cutoff inputs that a pinned rank must ignore: each moves the cutoff rank
+# of diag(1, 1e-2, 1e-4) below 2
+CUTOFF_INPUTS = [{"tol": Tolerances(rank_rtol=0.5)}, {"scale": 1e15},
+                 {"tol": Tolerances(rank_rtol=0.5), "scale": 1e6}]
+
+
+def assert_fixed_rank_ignores_cutoff_inputs(a, r):
+    """With fixed_rank set, pinv, range_basis, proj_range and proj_corange
+    return the same bytes whatever tolerance and scale they are given."""
+    for f in (pinv, range_basis, proj_range, proj_corange):
+        plain = f(a, fixed_rank=r).tobytes()
+        for extra in CUTOFF_INPUTS:
+            assert f(a, fixed_rank=r, **extra).tobytes() == plain, (f.__name__, extra)
 
 
 class TestPinv:
@@ -42,11 +57,15 @@ class TestPinv:
         a = np.diag([1.0, 1e-2, 1e-4]).astype(np.complex128)
         x = pinv(a, fixed_rank=2)
         assert rel(x, np.diag([1.0, 1e2, 0.0])) < 1e-12
+        assert_fixed_rank_ignores_cutoff_inputs(a, 2)
+        for extra in CUTOFF_INPUTS:
+            assert np.count_nonzero(pinv(a, **extra)) < 2
 
     def test_fixed_rank_capped_by_true_rank(self):
         a = np.diag([1.0, 0.0]).astype(np.complex128)
         x = pinv(a, fixed_rank=5)
         assert rel(x, np.diag([1.0, 0.0])) < 1e-15
+        assert_fixed_rank_ignores_cutoff_inputs(a, 5)
 
 
 class TestProjectors:

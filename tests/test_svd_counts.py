@@ -4,7 +4,7 @@ reads sigma_max, ranks and range bases off that factorization."""
 import numpy as np
 import pytest
 
-from geninv.classical import core_ep, qbt_inverse
+from geninv.classical import core_ep, drazin, qbt_inverse
 from geninv.corpus import random_planted_pair, random_square
 from geninv.decomposition import (canonical_qbt, canonical_qbt_products, canonical_weighted_qbt,
                                   core_ep_decompose, weighted_core_ep_decompose)
@@ -53,9 +53,23 @@ def test_qbt_zero_is_one_pinv(svds, squares, k):
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_qbt_takes_min_q_index_plus_three(svds, squares, k):
+    for q in range(1, k + 3):
+        svds.clear()
+        qbt_inverse(squares[k], q)
+        assert len(svds) == (min(q, k) + 3 if k else 2)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_core_ep_takes_at_most_index_plus_three(svds, squares, k):
     core_ep(squares[k])
-    assert len(svds) <= k + 3
+    assert len(svds) == (k + 3 if k else 2)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_drazin_takes_index_plus_two(svds, squares, k):
+    drazin(squares[k])
+    assert len(svds) == k + 2
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
@@ -90,8 +104,13 @@ def test_canonical_qbt_products_factor_no_full_size_matrix(svds, k):
         canonical_qbt_products(d, q)
     assert d.t_dim >= 1
     assert not [shape for shape, _ in svds if shape in ((m, m), (n, n))]
-    assert d.sigma_max_aw == pytest.approx(np.linalg.norm(planted.a @ planted.w, 2))
-    assert d.sigma_max_wa == pytest.approx(np.linalg.norm(planted.w @ planted.a, 2))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_weighted_pair_takes_both_indices_plus_four(svds, k):
+    planted = random_planted_pair(np.random.default_rng(k), k, max_dim=8)
+    p = WeightedPair.from_matrices(planted.a, planted.w)
+    assert len(svds) == p.ind_aw + p.ind_wa + 4
 
 
 def test_weighted_qbt_reads_the_pair_scales(svds):
