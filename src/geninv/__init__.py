@@ -10,17 +10,8 @@ import importlib
 
 from .classical import (bt_inverse, core_ep, core_inverse, drazin, group_inverse,
                         outer_inverse_check, qbt_inverse)
-from .decomposition import (CanonicalParts, CoreEPDecomposition,
-                            WeightedCoreEPDecomposition, block_pinv, block_proj_range,
-                            canonical_qbt, canonical_qbt_products, canonical_weighted_qbt,
-                            core_ep_decompose, weighted_core_ep_decompose)
 from .errors import (DecompositionError, DomainError, NumericError, ParseError,
                      ShapeError)
-from .exact import (GaussianRational, exact_bt, exact_core, exact_core_ep,
-                    exact_drazin, exact_group, exact_index, exact_pair_index,
-                    exact_pinv, exact_qbt, exact_rank, exact_weighted_bt,
-                    exact_weighted_core_ep, exact_weighted_drazin,
-                    exact_weighted_qbt, float_of, rmatrix, rmatrix_from_complex)
 from .io import (detect_format, format_complex, format_matrix, load_matrix,
                  parse_entry, parse_matrix)
 from .matrix import (DEFAULT_TOL, Tolerances, as_matrix, conjugate_transpose,
@@ -33,19 +24,33 @@ from .weighted import (WeightedPair, cline_shift_check, dual_representation_gap,
 
 __version__ = "0.1.0"
 
-# The conformance runner, with the corpus generator and the reference
-# tables it reads, loads on first use: the CLI's inverse calls never need it.
-_LAZY_MODULES = ("corpus", "reference", "verify")
-_VERIFY_NAMES = ("CHECK_REGISTRY", "CheckResult", "ConformanceReport",
-                 "run_all", "run_example_checks", "run_random_corpus")
+# Public name -> the submodule that defines it, loaded on first use. A
+# float inverse call needs none of them: not the decompositions, not the
+# exact path, not the conformance runner with its corpus generator and
+# reference tables. A submodule's own name maps to itself.
+_LAZY = {
+    **{module: module for module in ("corpus", "decomposition", "exact", "reference",
+                                     "verify")},
+    **dict.fromkeys(("CanonicalParts", "CoreEPDecomposition", "WeightedCoreEPDecomposition",
+                     "block_pinv", "block_proj_range", "canonical_qbt",
+                     "canonical_qbt_products", "canonical_weighted_qbt",
+                     "core_ep_decompose", "weighted_core_ep_decompose"), "decomposition"),
+    **dict.fromkeys(("GaussianRational", "exact_bt", "exact_core", "exact_core_ep",
+                     "exact_drazin", "exact_group", "exact_index", "exact_pair_index",
+                     "exact_pinv", "exact_qbt", "exact_rank", "exact_weighted_bt",
+                     "exact_weighted_core_ep", "exact_weighted_drazin",
+                     "exact_weighted_qbt", "float_of", "rmatrix",
+                     "rmatrix_from_complex"), "exact"),
+    **dict.fromkeys(("CHECK_REGISTRY", "CheckResult", "ConformanceReport", "run_all",
+                     "run_example_checks", "run_random_corpus"), "verify"),
+}
 
 
 def __getattr__(name):
-    if name in _LAZY_MODULES:
-        return importlib.import_module(f".{name}", __name__)
-    if name in _VERIFY_NAMES:
-        return getattr(importlib.import_module(".verify", __name__), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{_LAZY[name]}", __name__)
+    return module if name == _LAZY[name] else getattr(module, name)
 
 
 __all__ = [

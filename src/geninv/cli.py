@@ -27,10 +27,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import exact as ex
 from .classical import (bt_inverse, check_q, core_ep, core_inverse, drazin,
                         group_inverse, qbt_inverse)
-from .decomposition import core_ep_decompose, weighted_core_ep_decompose
 from .errors import (DecompositionError, DomainError, NumericError,
                      ParseError, ShapeError)
 from .io import format_matrix, load_matrix
@@ -45,32 +43,33 @@ class Kind(NamedTuple):
     """One inverse kind: its routine on each path and its defining system,
     checked at `order`: 0, 1, "q" (the --q value) or "index" (Ind(A), or
     max(Ind(AW), Ind(WA))). Both routines take q after the matrices when
-    `order` is "q"; `inverse` takes a WeightedPair for a weighted kind."""
+    `order` is "q"; `inverse` takes a WeightedPair for a weighted kind.
+    `exact` names the routine in geninv.exact, which loads only for --exact."""
 
     help: str
     inverse: Callable
-    exact: Callable
+    exact: str
     system: str
     order: int | str
     weighted: bool = False
 
 
 KINDS = {
-    "pinv": Kind("Moore-Penrose inverse", pinv, ex.exact_pinv, "penrose", 0),
-    "drazin": Kind("Drazin inverse", drazin, ex.exact_drazin, "drazin", "index"),
-    "group": Kind("group inverse (index at most 1)", group_inverse, ex.exact_group,
+    "pinv": Kind("Moore-Penrose inverse", pinv, "exact_pinv", "penrose", 0),
+    "drazin": Kind("Drazin inverse", drazin, "exact_drazin", "drazin", "index"),
+    "group": Kind("group inverse (index at most 1)", group_inverse, "exact_group",
                   "drazin", 1),
-    "core": Kind("core inverse (index at most 1)", core_inverse, ex.exact_core, "core", 1),
-    "core-ep": Kind("core-EP inverse", core_ep, ex.exact_core_ep, "penrose", "index"),
-    "bt": Kind("BT inverse", bt_inverse, ex.exact_bt, "penrose", 1),
-    "qbt": Kind("q-BT inverse", qbt_inverse, ex.exact_qbt, "penrose", "q"),
+    "core": Kind("core inverse (index at most 1)", core_inverse, "exact_core", "core", 1),
+    "core-ep": Kind("core-EP inverse", core_ep, "exact_core_ep", "penrose", "index"),
+    "bt": Kind("BT inverse", bt_inverse, "exact_bt", "penrose", 1),
+    "qbt": Kind("q-BT inverse", qbt_inverse, "exact_qbt", "penrose", "q"),
     "wdrazin": Kind("W-weighted Drazin inverse", weighted_drazin,
-                    ex.exact_weighted_drazin, "drazin", "index", weighted=True),
+                    "exact_weighted_drazin", "drazin", "index", weighted=True),
     "wcore-ep": Kind("W-weighted core-EP inverse", weighted_core_ep,
-                     ex.exact_weighted_core_ep, "penrose", "index", weighted=True),
-    "wbt": Kind("W-weighted BT inverse", weighted_bt, ex.exact_weighted_bt,
+                     "exact_weighted_core_ep", "penrose", "index", weighted=True),
+    "wbt": Kind("W-weighted BT inverse", weighted_bt, "exact_weighted_bt",
                 "penrose", 1, weighted=True),
-    "wqbt": Kind("W-weighted q-BT inverse", weighted_qbt, ex.exact_weighted_qbt,
+    "wqbt": Kind("W-weighted q-BT inverse", weighted_qbt, "exact_weighted_qbt",
                  "penrose", "q", weighted=True),
 }
 
@@ -104,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
     dec.add_argument("w", nargs="?", default=None,
                      help="weight matrix file (required for weighted-core-ep)")
     dec.add_argument("--tol", type=float, default=None,
-                     help="residual tolerance (overrides GENINV_TOL)")
+                     help="residual tolerance of weighted-core-ep (overrides GENINV_TOL)")
 
     ver = sub.add_parser("verify", help="run the conformance checks")
     ver.add_argument("scope", choices=("examples", "corpus", "all"))
@@ -144,7 +143,9 @@ def _rel(x: np.ndarray, y: np.ndarray) -> float:
     """|x - y| / max(1, |y|); exact matrices are subtracted before rounding."""
     d = x - y
     if d.dtype == object:
-        d, y = ex.float_of(d), ex.float_of(y)
+        from .exact import float_of
+
+        d, y = float_of(d), float_of(y)
     return frobenius(d) / max(1.0, frobenius(y))
 
 
@@ -156,6 +157,8 @@ def _residuals(spec: Kind, a, w, x, q, pair: WeightedPair | None = None) -> dict
     the order of an "index" system.
     """
     exact = a.dtype == object
+    if exact:
+        from . import exact as ex
     if spec.system == "core":
         ax = a @ x
         return {
@@ -205,7 +208,10 @@ def _cmd_inverse(args) -> int:
     w = load_matrix(args.w, exact=args.exact)[0] if spec.weighted else None
     pair = None
     if args.exact:
-        result = spec.exact(a, *qarg) if w is None else spec.exact(a, w, *qarg)
+        from . import exact
+
+        routine = getattr(exact, spec.exact)
+        result = routine(a, *qarg) if w is None else routine(a, w, *qarg)
     else:
         a = as_matrix(a)
         if w is not None:
@@ -231,7 +237,12 @@ def _print_block(label: str, block: np.ndarray, fmt: str) -> None:
 
 
 def _cmd_decompose(args) -> int:
-    tol = _resolve_tolerance(args)
+    from .decomposition import core_ep_decompose, weighted_core_ep_decompose
+
+    # only the weighted decomposition's structure checks read the tolerance
+    if args.kind == "core-ep" and args.tol is not None:
+        raise UsageError("--tol is read only by decompose weighted-core-ep")
+    tol = _resolve_tolerance(args) if args.kind == "weighted-core-ep" else None
     if args.kind == "weighted-core-ep" and args.w is None:
         raise UsageError("decompose weighted-core-ep requires a weight matrix file")
     if args.kind == "core-ep" and args.w is not None:
@@ -239,7 +250,7 @@ def _cmd_decompose(args) -> int:
     a, fmt = load_matrix(args.a)
     a = as_matrix(a)
     if args.kind == "core-ep":
-        d = core_ep_decompose(a, tol)
+        d = core_ep_decompose(a)
         print(f"rank = {d.rank}")
         print(f"index = {d.index}")
         for label, block in (("U", d.u), ("T", d.t), ("S", d.s), ("N", d.nil)):

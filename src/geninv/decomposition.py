@@ -263,19 +263,13 @@ def block_pinv(u, v, a1, a2, a3, tol: Tolerances | None = None,
     return v @ _assemble(b11, b12, b21, b22) @ conjugate_transpose(u)
 
 
-def block_proj_range(u, t_dim: int, a3, tol: Tolerances | None = None,
-                     scale: float | None = None,
-                     a3_rank: int | None = None) -> np.ndarray:
-    """Range projector of U [[A1, A2], [0, A3]] V*: U diag(I_t, P_{A3}) U*.
-
-    `a3_rank` pins the rank of the extracted block (rank of the parent
-    minus t_dim), as in `block_pinv`.
-    """
+def block_proj_range(u, t_dim: int, a3, tol: Tolerances | None = None) -> np.ndarray:
+    """Range projector of U [[A1, A2], [0, A3]] V*: U diag(I_t, P_{A3}) U*."""
     u = as_matrix(u)
     a3 = as_matrix(a3)
     if u.shape[0] != u.shape[1] or u.shape[0] != t_dim + a3.shape[0]:
         raise ShapeError("frame does not match the block row dimension")
-    p3 = proj_range(a3, tol, scale=scale, fixed_rank=a3_rank)
+    p3 = proj_range(a3, tol)
     top = np.eye(t_dim, dtype=np.complex128)
     z12 = np.zeros((t_dim, a3.shape[0]), dtype=np.complex128)
     z21 = np.zeros((a3.shape[0], t_dim), dtype=np.complex128)

@@ -19,11 +19,11 @@ import json
 import math
 import re
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
 from .errors import ParseError
-from .exact import GaussianRational
 
 _IMAG_SUFFIXES = "iIjJ"
 
@@ -115,6 +115,8 @@ def _parse_token(token: str, exact: bool):
     """
     re_part, im_part = _split_complex(token)
     if exact:
+        from .exact import GaussianRational
+
         real = _fraction(re_part) if re_part is not None else Fraction(0)
         imag = _fraction(im_part) if im_part is not None else Fraction(0)
         return GaussianRational(real, imag)
@@ -243,8 +245,34 @@ def _json_entry(value, exact: bool, where: str):
     else:
         raise ParseError(f"{where}: entry {value!r} is not a number, string, or 2-array")
     if exact:
+        from .exact import GaussianRational
+
         return GaussianRational(real, imag)
     return complex(real, imag)
+
+
+def _float_json_data(data: list, m: int, n: int) -> np.ndarray | None:
+    """`data` read by one np.array when it is an m x n array of JSON numbers
+    or of [re, im] number pairs, every one finite; else None, and the
+    entries go through _json_entry. np.array would read a bool or a numeric
+    string as a number, so any component that is not an int or a float
+    sends the document the per-entry way."""
+    try:
+        values = np.array(data, dtype=np.float64)
+    except (ValueError, TypeError, OverflowError):
+        return None
+    if values.shape == (m, n):
+        components = chain.from_iterable(data)
+    elif values.shape == (m, n, 2):
+        components = chain.from_iterable(chain.from_iterable(data))
+    else:
+        return None
+    if not set(map(type, components)) <= {int, float} or not np.isfinite(values).all():
+        return None
+    values += 0.0  # -0.0 reads as +0.0, as the route through Fraction gives
+    if values.ndim == 2:
+        return values.astype(np.complex128)
+    return values.view(np.complex128)[..., 0]
 
 
 def _parse_json(text: str, exact: bool) -> np.ndarray:
@@ -263,6 +291,10 @@ def _parse_json(text: str, exact: bool) -> np.ndarray:
         raise ParseError("rows and cols must be positive integers")
     if not isinstance(data, list) or len(data) != m:
         raise ParseError(f"data must be an array of {m} rows")
+    if not exact:
+        out = _float_json_data(data, m, n)
+        if out is not None:
+            return out
     rows = []
     for i, row in enumerate(data):
         if not isinstance(row, list) or len(row) != n:
@@ -329,9 +361,32 @@ def _is_exact(matrix: np.ndarray) -> bool:
     return matrix.dtype == object
 
 
+# Row templates by entry kind: imag == 0 (-0.0 too), real == 0, neither.
+# For a finite entry each gives the text format_complex gives.
+_CSV_TEMPLATES = np.array(["%.17g", "%.17gi", "%.17g%+.17gi"], dtype=object)
+
+
 def _format_csv(matrix: np.ndarray) -> str:
-    entry = str if _is_exact(matrix) else format_complex
-    return "\n".join(",".join(map(entry, row)) for row in matrix.tolist())
+    floats = matrix.dtype.kind in "fc" and np.can_cast(matrix.dtype, np.complex128)
+    if not floats or not matrix.size or not np.isfinite(matrix).all():
+        entry = str if _is_exact(matrix) else format_complex
+        return "\n".join(",".join(map(entry, row)) for row in matrix.tolist())
+    # one `%` per row over the components each entry's template reads; the
+    # float64 view needs a C-ordered complex array (QR frames are Fortran)
+    parts = np.ascontiguousarray(matrix, dtype=np.complex128).view(np.float64)
+    real, imag = parts[:, 0::2], parts[:, 1::2]
+    form = np.where(imag == 0, 0, np.where(real == 0, 1, 2))
+    read = np.empty(parts.shape, dtype=bool)
+    read[:, 0::2] = form != 1
+    read[:, 1::2] = form != 0
+    values = parts[read].tolist()
+    lines = []
+    start = 0
+    for template, count in zip(map(",".join, _CSV_TEMPLATES[form].tolist()),
+                               read.sum(axis=1).tolist()):
+        lines.append(template % tuple(values[start:start + count]))
+        start += count
+    return "\n".join(lines)
 
 
 def _json_value(value, exact: bool):

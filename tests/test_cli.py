@@ -274,7 +274,7 @@ class TestToleranceResolution:
     def test_env_var_is_read(self, tmp_path, capsys, monkeypatch):
         a = write_csv(tmp_path / "a.csv", [[1]])
         monkeypatch.setenv("GENINV_TOL", "not-a-number")
-        for argv in (["decompose", "core-ep", a], ["verify", "examples"]):
+        for argv in (["decompose", "weighted-core-ep", a, a], ["verify", "examples"]):
             code, _, err = run_main(capsys, *argv)
             assert code == 2
             assert "GENINV_TOL" in err
@@ -282,14 +282,25 @@ class TestToleranceResolution:
     def test_flag_overrides_env(self, tmp_path, capsys, monkeypatch):
         a = write_csv(tmp_path / "a.csv", [[1]])
         monkeypatch.setenv("GENINV_TOL", "not-a-number")
-        code, out, _ = run_main(capsys, "decompose", "core-ep", a, "--tol", "1e-8")
+        code, out, _ = run_main(capsys, "decompose", "weighted-core-ep", a, a, "--tol", "1e-8")
         assert code == 0
-        assert out.split("T:\n")[1].split("\n")[0] == "1"
+        assert out.split("A1:\n")[1].split("\n")[0] == "1"
 
     def test_nonpositive_tolerance_rejected(self, tmp_path, capsys):
         a = write_csv(tmp_path / "a.csv", [[1]])
-        assert run_main(capsys, "decompose", "core-ep", a, "--tol", "0")[0] == 2
+        assert run_main(capsys, "decompose", "weighted-core-ep", a, a, "--tol", "0")[0] == 2
         assert run_main(capsys, "verify", "examples", "--tol", "0")[0] == 2
+
+    def test_core_ep_decomposition_takes_no_tolerance(self, tmp_path, capsys, monkeypatch):
+        # core_ep_decompose makes rank decisions only; no residual is judged
+        a = write_csv(tmp_path / "a.csv", [[1, 1, 0], [0, 0, 1], [0, 0, 0]])
+        code, out, _ = run_main(capsys, "decompose", "core-ep", a)
+        assert code == 0
+        monkeypatch.setenv("GENINV_TOL", "not-a-number")
+        assert run_main(capsys, "decompose", "core-ep", a) == (0, out, "")
+        code, _, err = run_main(capsys, "decompose", "core-ep", a, "--tol", "1e-8")
+        assert code == 2
+        assert err.startswith("usage error:") and "weighted-core-ep" in err
 
     @pytest.mark.parametrize("kind, files", [("pinv", [[[1]]]), ("wcore-ep", PAIR_5X4)],
                              ids=["pinv", "wcore-ep"])
@@ -367,8 +378,9 @@ def test_entry_point_roundtrip(tmp_path):
 SCIPY_PROBE = """
 import json, sys
 import geninv, geninv.cli
+MODULES = ["scipy", "geninv.verify", "geninv.exact", "geninv.decomposition"]
 def probe():
-    return ["scipy" in sys.modules, "geninv.verify" in sys.modules]
+    return [name in sys.modules for name in MODULES]
 loaded = [probe()]
 for argv in sys.argv[1:]:
     code = geninv.cli.main(argv.split("|"))
@@ -378,16 +390,20 @@ sys.stderr.write("\\n" + json.dumps(loaded))
 
 
 def test_scipy_loads_only_for_decompose(tmp_path):
-    calls = []
+    # every float call runs before the first --exact call, which loads
+    # geninv.exact for the rest of the process
+    float_calls, exact_calls = [], []
     for i, (kind, args, matrices, _) in enumerate(VERIFY_CASES):
         files = [write_csv(tmp_path / f"{i}_{j}.csv", rows) for j, rows in enumerate(matrices)]
-        for extra in ([], ["--exact"]):
-            calls.append("|".join([kind, *args, *files, "--verify", *extra]))
-    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *calls],
+        float_calls.append("|".join([kind, *args, *files, "--verify"]))
+        exact_calls.append("|".join([kind, *args, *files, "--verify", "--exact"]))
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *float_calls, *exact_calls],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stderr.splitlines()[-1])
-    assert loaded == [[False, False]] + [[argv, 0, False, False] for argv in calls]
+    assert loaded == ([[False, False, False, False]]
+                      + [[argv, 0, False, False, False, False] for argv in float_calls]
+                      + [[argv, 0, False, False, True, False] for argv in exact_calls])
     a, w = (write_csv(tmp_path / f"{name}.csv", rows) for name, rows in zip("aw", PAIR_4X3))
     proc = subprocess.run([sys.executable, "-m", "geninv", "decompose", "weighted-core-ep", a, w],
                           capture_output=True, text=True)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geninv import io
+from geninv.decomposition import core_ep_decompose
 from geninv.errors import ParseError
 from geninv.exact import GaussianRational
 from geninv.io import (MAX_EXACT_EXPONENT, detect_format, format_complex, format_matrix,
@@ -215,7 +216,136 @@ class TestFormatting:
             assert back[0, 1] == a[0, 1]
 
 
+def _csv_per_entry(x):
+    """The CSV text of x with every entry through format_complex."""
+    return "\n".join(",".join(map(format_complex, row)) for row in np.asarray(x).tolist())
+
+
+_TINY = 5e-324
+_EDGE = [0.0, -0.0, 1.5, -2.5, _TINY, -_TINY, 2.2250738585072014e-308, 1e-308,
+         1e308, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+class TestFloatCsvRows:
+    # format_matrix(x, "csv") builds one template per row; the text must be
+    # that of format_complex on each entry, byte for byte
+
+    def test_signed_zero_in_each_component(self):
+        zeros = [0.0, -0.0, 1.5, -2.5]
+        x = np.array([[complex(a, b) for b in zeros] for a in zeros])
+        assert format_matrix(x, "csv") == _csv_per_entry(x)
+
+    def test_real_imaginary_and_mixed_rows(self):
+        x = np.array([[1, -2.5, 3e-7], [1j, -2.5j, 3e-7j], [1 + 1j, 2, -3j]])
+        assert format_matrix(x, "csv") == _csv_per_entry(x)
+
+    def test_subnormal_and_extreme_values(self):
+        x = np.array([[complex(a, b) for b in _EDGE] for a in _EDGE])
+        assert format_matrix(x, "csv") == _csv_per_entry(x)
+        assert format_matrix(x.real, "csv") == _csv_per_entry(x.real)
+
+    def test_memory_layouts(self, rng):
+        x = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
+        x[1, 2], x[3, 0], x[4, 4] = 2.0, -3j, complex(-0.0, 1)
+        for view in (np.asfortranarray(x), x.T, x[::2, 1::2], x[1:, ::-1], x.real.T):
+            assert not view.flags.c_contiguous
+            assert format_matrix(view, "csv") == _csv_per_entry(view)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+    def test_empty_matrices(self, shape):
+        x = np.zeros(shape, dtype=np.complex128)
+        assert format_matrix(x, "csv") == _csv_per_entry(x)
+
+    def test_non_finite_entries(self):
+        x = np.array([[np.inf, complex(1, -np.inf)], [complex(np.nan, 1), complex(1, np.nan)]])
+        assert format_matrix(x, "csv") == _csv_per_entry(x)
+
+    def test_decomposition_blocks(self, rng):
+        # the frame U comes from a QR factorization in Fortran order
+        q, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+        t = np.triu(rng.standard_normal((6, 6))) + np.diag([1, 2, 3, 0, 0, 0])
+        t[3:, 3:] = [[0, 1, 0], [0, 0, 1], [0, 0, 0]]
+        d = core_ep_decompose(q @ t @ q.conj().T)
+        assert not d.u.flags.c_contiguous
+        for block in (d.u, d.t, d.s, d.nil):
+            assert format_matrix(block, "csv") == _csv_per_entry(block)
+
+
+def _per_entry_json(text):
+    """parse_matrix(text, "json") with every entry read by _json_entry."""
+    saved = io._float_json_data
+    io._float_json_data = lambda data, m, n: None
+    try:
+        return _json_outcome(text)
+    finally:
+        io._float_json_data = saved
+
+
+def _json_outcome(text):
+    try:
+        out = parse_matrix(text, "json")
+    except ParseError as exc:
+        return str(exc)
+    assert out.dtype == np.complex128 and out.flags.c_contiguous
+    return out.shape, out.tobytes()
+
+
+def _json_doc(data):
+    return json.dumps({"rows": len(data), "cols": len(data[0]), "data": data})
+
+
+_BIG_INTS = [2**53 + 1, -(2**53 + 3), 2**63 + 1, -(2**64) + 3, 2**70 + 1, 10**300]
+
+
+class TestFloatJsonArray:
+    # a document of JSON numbers, or of [re, im] number pairs, is read by one
+    # np.array; any other document keeps the per-entry route
+
+    @pytest.mark.parametrize("data", [
+        [[1, -0.0, 0.0], [2.5, -1e-320, 1e308], _BIG_INTS[:3], _BIG_INTS[3:]],
+        [[[1, -0.0], [-0.0, -0.0], [2**53 + 1, 3]], [[0.0, 1e-320], _BIG_INTS[4:], [-1, 2]]],
+        [[7]],
+    ], ids=["numbers", "pairs", "one"])
+    def test_same_bits_as_per_entry_route(self, data):
+        text = _json_doc(data)
+        assert io._float_json_data(data, len(data), len(data[0])) is not None
+        assert _json_outcome(text) == _per_entry_json(text)
+        parts = parse_matrix(text, "json").view(np.float64)
+        assert not (np.signbit(parts) & (parts == 0)).any()  # -0.0 reads as +0.0
+
+    @pytest.mark.parametrize("data, message", [
+        ([[1, True]], "data[0][1]: entry True is not a number"),
+        ([[[1, False]]], "data[0][0]: component False is not a number or fraction string"),
+        ([[1, "1.5"]], None),
+        ([[["1", 2]]], None),
+        ([[1, float("nan")]], "data[0][1]: bad component nan: not a finite number"),
+        ([[float("inf"), 1]], "data[0][0]: bad component inf: not a finite number"),
+        ([[[1, 2, 3]]], "data[0][0]: a complex entry must be a 2-array [re, im]"),
+        ([[1, 2], [3]], "data row 1 must be an array of 2 entries"),
+        ([[1, [2, 3]], [[4, 5], 6]], None),
+        ([[1, None]], "data[0][1]: entry None is not a number, string, or 2-array"),
+        ([[1, 10**400]], "data[0][1]: bad component"),
+    ], ids=["bool", "bool-component", "string", "string-component", "nan", "infinity",
+            "three-array", "ragged", "mixed", "null", "past-double-range"])
+    def test_other_documents_keep_the_per_entry_route(self, data, message):
+        text = _json_doc(data)
+        outcome = _json_outcome(text)
+        assert outcome == _per_entry_json(text)
+        if message is None:
+            assert isinstance(outcome, tuple)
+        else:
+            assert isinstance(outcome, str) and outcome.startswith(message)
+
+
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+
+@given(st.lists(st.tuples(st.one_of(finite, st.sampled_from(_EDGE)),
+                          st.one_of(finite, st.sampled_from(_EDGE))), min_size=6, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_float_csv_rows_match_format_complex(pairs):
+    x = np.array([complex(a, b) for a, b in pairs]).reshape(2, 3)
+    assert format_matrix(x, "csv") == _csv_per_entry(x)
 
 
 @given(finite, finite)
