@@ -43,29 +43,29 @@ def check_q(q, n: int | None = None) -> int:
     return int(q) if n is None else min(int(q), n)
 
 
-def drazin(a, tol: Tolerances | None = None) -> np.ndarray:
+def drazin(a) -> np.ndarray:
     """Drazin inverse A^d = A^k (A^(2k+1))^+ A^k with k = Ind(A)."""
     a = _require_square(a, "drazin")
-    report = matrix_index(a, tol)
+    report = matrix_index(a)
     k, s1 = report.index, report.sigma_max
     ak = power(a, k)
-    mid = pinv(power(a, 2 * k + 1), tol, scale=s1 ** (2 * k + 1))
+    mid = pinv(power(a, 2 * k + 1), scale=s1 ** (2 * k + 1))
     return ak @ mid @ ak
 
 
-def group_inverse(a, tol: Tolerances | None = None) -> np.ndarray:
+def group_inverse(a) -> np.ndarray:
     """Group inverse A^#, defined only when Ind(A) <= 1."""
     a = _require_square(a, "group_inverse")
-    report = matrix_index(a, tol)
+    report = matrix_index(a)
     if report.index > 1:
         raise DomainError(f"group inverse requires index <= 1, computed index is {report.index}")
-    return a @ pinv(power(a, 3), tol, scale=report.sigma_max ** 3) @ a
+    return a @ pinv(power(a, 3), scale=report.sigma_max ** 3) @ a
 
 
-def core_inverse(a, tol: Tolerances | None = None) -> np.ndarray:
+def core_inverse(a) -> np.ndarray:
     """Core inverse A^# A A^+, defined only when Ind(A) <= 1."""
     a = _require_square(a, "core_inverse")
-    return group_inverse(a, tol) @ a @ pinv(a, tol)
+    return group_inverse(a) @ a @ pinv(a)
 
 
 def _qbt(a: np.ndarray, ranks, aq: np.ndarray) -> np.ndarray:
@@ -88,7 +88,7 @@ def _qbt(a: np.ndarray, ranks, aq: np.ndarray) -> np.ndarray:
     return u @ pinv(a @ u, fixed_rank=r)
 
 
-def qbt_inverse(a, q: int, tol: Tolerances | None = None) -> np.ndarray:
+def qbt_inverse(a, q: int) -> np.ndarray:
     """q-BT inverse (A P_{A^q})^+ where P projects onto the range of A^q.
 
     q = 0 is a plain pseudoinverse. Otherwise the ranks of A, A^2, ... are
@@ -100,21 +100,21 @@ def qbt_inverse(a, q: int, tol: Tolerances | None = None) -> np.ndarray:
     a = _require_square(a, "qbt_inverse")
     q = check_q(q, a.shape[0])
     if q == 0:
-        return pinv(a, tol)
-    ranks, _, aq = _power_ranks(a, tol, q + 1)
+        return pinv(a)
+    ranks, _, aq = _power_ranks(a, q + 1)
     return _qbt(a, ranks, aq)
 
 
-def bt_inverse(a, tol: Tolerances | None = None) -> np.ndarray:
+def bt_inverse(a) -> np.ndarray:
     """BT inverse (A P_A)^+."""
-    return qbt_inverse(a, 1, tol)
+    return qbt_inverse(a, 1)
 
 
-def core_ep(a, tol: Tolerances | None = None) -> np.ndarray:
+def core_ep(a) -> np.ndarray:
     """Core-EP inverse (A P_{A^k})^+ with k = Ind(A); rank(A^{k+1}) comes
     from the index computation."""
     a = _require_square(a, "core_ep")
-    report = matrix_index(a, tol)
+    report = matrix_index(a)
     return _qbt(a, report.rank_sequence, power(a, report.index))
 
 
@@ -140,11 +140,11 @@ def outer_inverse_check(a, x, range_gen, null_gen,
     tol = resolve_tol(tol)
     if not tol.close(frobenius(x @ a @ x - x), frobenius(x)):
         return False
-    if not (range_contained(x, range_gen, tol, scale=scale)
-            and range_contained(range_gen, x, tol, scale=scale)):
+    if not (range_contained(x, range_gen, scale=scale)
+            and range_contained(range_gen, x, scale=scale)):
         return False
-    return (nullspace_contained(null_gen, x, tol, scale=scale)
-            and nullspace_contained(x, null_gen, tol, scale=scale))
+    return (nullspace_contained(null_gen, x, scale=scale)
+            and nullspace_contained(x, null_gen, scale=scale))
 
 
 __all__ = [

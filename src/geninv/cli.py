@@ -23,31 +23,32 @@ import argparse
 import math
 import os
 import sys
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .classical import (bt_inverse, check_q, core_ep, core_inverse, drazin,
-                        group_inverse, qbt_inverse)
+import geninv
+
+from .classical import check_q
 from .errors import (DecompositionError, DomainError, NumericError,
                      ParseError, ShapeError)
 from .io import format_matrix, load_matrix
 from .matrix import (Tolerances, as_matrix, conjugate_transpose, frobenius,
                      sigma_max)
-from .projectors import matrix_index, pinv, power, proj_range
-from .weighted import (WeightedPair, weighted_bt, weighted_core_ep,
-                       weighted_drazin, weighted_qbt)
+from .projectors import matrix_index, power, proj_range
+from .weighted import WeightedPair
 
 
 class Kind(NamedTuple):
-    """One inverse kind: its routine on each path and its defining system,
-    checked at `order`: 0, 1, "q" (the --q value) or "index" (Ind(A), or
-    max(Ind(AW), Ind(WA))). Both routines take q after the matrices when
-    `order` is "q"; `inverse` takes a WeightedPair for a weighted kind.
-    `exact` names the routine in geninv.exact, which loads only for --exact."""
+    """One inverse kind: the names of its routine on each path and its
+    defining system, checked at `order`: 0, 1, "q" (the --q value) or
+    "index" (Ind(A), or max(Ind(AW), Ind(WA))). Both routines take q after
+    the matrices when `order` is "q"; the float one takes a WeightedPair for
+    a weighted kind. Each name is looked up on the geninv package when the
+    kind runs, so the exact path loads only for --exact."""
 
     help: str
-    inverse: Callable
+    inverse: str
     exact: str
     system: str
     order: int | str
@@ -55,21 +56,21 @@ class Kind(NamedTuple):
 
 
 KINDS = {
-    "pinv": Kind("Moore-Penrose inverse", pinv, "exact_pinv", "penrose", 0),
-    "drazin": Kind("Drazin inverse", drazin, "exact_drazin", "drazin", "index"),
-    "group": Kind("group inverse (index at most 1)", group_inverse, "exact_group",
+    "pinv": Kind("Moore-Penrose inverse", "pinv", "exact_pinv", "penrose", 0),
+    "drazin": Kind("Drazin inverse", "drazin", "exact_drazin", "drazin", "index"),
+    "group": Kind("group inverse (index at most 1)", "group_inverse", "exact_group",
                   "drazin", 1),
-    "core": Kind("core inverse (index at most 1)", core_inverse, "exact_core", "core", 1),
-    "core-ep": Kind("core-EP inverse", core_ep, "exact_core_ep", "penrose", "index"),
-    "bt": Kind("BT inverse", bt_inverse, "exact_bt", "penrose", 1),
-    "qbt": Kind("q-BT inverse", qbt_inverse, "exact_qbt", "penrose", "q"),
-    "wdrazin": Kind("W-weighted Drazin inverse", weighted_drazin,
+    "core": Kind("core inverse (index at most 1)", "core_inverse", "exact_core", "core", 1),
+    "core-ep": Kind("core-EP inverse", "core_ep", "exact_core_ep", "penrose", "index"),
+    "bt": Kind("BT inverse", "bt_inverse", "exact_bt", "penrose", 1),
+    "qbt": Kind("q-BT inverse", "qbt_inverse", "exact_qbt", "penrose", "q"),
+    "wdrazin": Kind("W-weighted Drazin inverse", "weighted_drazin",
                     "exact_weighted_drazin", "drazin", "index", weighted=True),
-    "wcore-ep": Kind("W-weighted core-EP inverse", weighted_core_ep,
+    "wcore-ep": Kind("W-weighted core-EP inverse", "weighted_core_ep",
                      "exact_weighted_core_ep", "penrose", "index", weighted=True),
-    "wbt": Kind("W-weighted BT inverse", weighted_bt, "exact_weighted_bt",
+    "wbt": Kind("W-weighted BT inverse", "weighted_bt", "exact_weighted_bt",
                 "penrose", 1, weighted=True),
-    "wqbt": Kind("W-weighted q-BT inverse", weighted_qbt, "exact_weighted_qbt",
+    "wqbt": Kind("W-weighted q-BT inverse", "weighted_qbt", "exact_weighted_qbt",
                  "penrose", "q", weighted=True),
 }
 
@@ -208,16 +209,14 @@ def _cmd_inverse(args) -> int:
     w = load_matrix(args.w, exact=args.exact)[0] if spec.weighted else None
     pair = None
     if args.exact:
-        from . import exact
-
-        routine = getattr(exact, spec.exact)
+        routine = getattr(geninv, spec.exact)
         result = routine(a, *qarg) if w is None else routine(a, w, *qarg)
     else:
         a = as_matrix(a)
         if w is not None:
             w = as_matrix(w)
             pair = WeightedPair.from_matrices(a, w)
-        result = spec.inverse(a if pair is None else pair, *qarg)
+        result = getattr(geninv, spec.inverse)(a if pair is None else pair, *qarg)
     print(format_matrix(result, fmt))
     if args.verify:
         print()
@@ -264,7 +263,7 @@ def _cmd_decompose(args) -> int:
         }
     else:
         w, _ = load_matrix(args.w)
-        pair = WeightedPair.from_matrices(a, as_matrix(w), tol)
+        pair = WeightedPair.from_matrices(a, as_matrix(w))
         d = weighted_core_ep_decompose(pair, tol)
         print(f"t = {d.t_dim}")
         print(f"ind_aw = {d.ind_aw}")

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix import Tolerances
 from .weighted import WeightedPair
 
 
@@ -30,8 +29,8 @@ class PlantedPair:
     planted_index: int
     integer_entries: bool
 
-    def to_weighted(self, tol: Tolerances | None = None) -> WeightedPair:
-        return WeightedPair.from_matrices(self.a, self.w, tol)
+    def to_weighted(self) -> WeightedPair:
+        return WeightedPair.from_matrices(self.a, self.w)
 
 
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:

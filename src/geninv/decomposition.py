@@ -132,7 +132,7 @@ class WeightedCoreEPDecomposition:
         return self.v @ self.middle_w() @ conjugate_transpose(self.u)
 
 
-def core_ep_decompose(a, tol: Tolerances | None = None) -> CoreEPDecomposition:
+def core_ep_decompose(a) -> CoreEPDecomposition:
     """Core-EP decomposition via a pivoted QR of A^k, k = Ind(A).
 
     The first r columns of Q span R(A^k); conjugating by Q block
@@ -142,7 +142,7 @@ def core_ep_decompose(a, tol: Tolerances | None = None) -> CoreEPDecomposition:
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise ShapeError(f"matrix must be square, got {a.shape[0]}x{a.shape[1]}")
-    report = matrix_index(a, tol)
+    report = matrix_index(a)
     k = report.index
     r = report.rank_sequence[k]
     u, _, _ = qr_column_pivoted(power(a, k))
@@ -197,10 +197,10 @@ def weighted_core_ep_decompose(p: WeightedPair,
             f"(norm {frobenius(wb[t:, :t]):.3e})")
     a1, a2, a3 = ab[:t, :t], ab[:t, t:], ab[t:, t:]
     w1, w2, w3 = wb[:t, :t], wb[:t, t:], wb[t:, t:]
-    if rank(a1, tol, scale=sa) != t:
-        raise DecompositionError("leading block A1 is singular at the working tolerance")
-    if rank(w1, tol, scale=sw) != t:
-        raise DecompositionError("leading block W1 is singular at the working tolerance")
+    if rank(a1, scale=sa) != t:
+        raise DecompositionError("leading block A1 is singular at the rank cutoff")
+    if rank(w1, scale=sw) != t:
+        raise DecompositionError("leading block W1 is singular at the rank cutoff")
     if not tol.close(frobenius(power(a3 @ w3, p.ind_aw)), max(1.0, (sa * sw) ** p.ind_aw)):
         raise DecompositionError(
             f"A3W3 is not nilpotent of index {p.ind_aw} at the working tolerance")
@@ -217,8 +217,7 @@ def weighted_core_ep_decompose(p: WeightedPair,
     )
 
 
-def block_pinv(u, v, a1, a2, a3, tol: Tolerances | None = None,
-               scale: float | None = None,
+def block_pinv(u, v, a1, a2, a3, scale: float | None = None,
                a3_rank: int | None = None) -> np.ndarray:
     """Moore-Penrose inverse of B = U [[A1, A2], [0, A3]] V*, A1 nonsingular.
 
@@ -245,9 +244,9 @@ def block_pinv(u, v, a1, a2, a3, tol: Tolerances | None = None,
     if v.shape[0] != v.shape[1] or v.shape[0] != t + a2.shape[1]:
         raise ShapeError("right frame does not match the block column dimension")
     s1 = scale if scale is not None else max(sigma_max(a1), sigma_max(a2), sigma_max(a3))
-    if rank(a1, tol, scale=s1) != t:
+    if rank(a1, scale=s1) != t:
         raise DomainError("leading block is singular; the block formula requires A1 nonsingular")
-    a3p = pinv(a3, tol, scale=s1, fixed_rank=a3_rank)
+    a3p = pinv(a3, scale=s1, fixed_rank=a3_rank)
     iq3 = np.eye(a3.shape[1], dtype=np.complex128) - a3p @ a3
     a1h = conjugate_transpose(a1)
     a2h = conjugate_transpose(a2)
@@ -263,13 +262,13 @@ def block_pinv(u, v, a1, a2, a3, tol: Tolerances | None = None,
     return v @ _assemble(b11, b12, b21, b22) @ conjugate_transpose(u)
 
 
-def block_proj_range(u, t_dim: int, a3, tol: Tolerances | None = None) -> np.ndarray:
+def block_proj_range(u, t_dim: int, a3) -> np.ndarray:
     """Range projector of U [[A1, A2], [0, A3]] V*: U diag(I_t, P_{A3}) U*."""
     u = as_matrix(u)
     a3 = as_matrix(a3)
     if u.shape[0] != u.shape[1] or u.shape[0] != t_dim + a3.shape[0]:
         raise ShapeError("frame does not match the block row dimension")
-    p3 = proj_range(a3, tol)
+    p3 = proj_range(a3)
     top = np.eye(t_dim, dtype=np.complex128)
     z12 = np.zeros((t_dim, a3.shape[0]), dtype=np.complex128)
     z21 = np.zeros((a3.shape[0], t_dim), dtype=np.complex128)
@@ -290,10 +289,10 @@ class CanonicalParts:
     omega: np.ndarray
 
 
-def _canonical_blocks(core, coupling, x3, pq, tol: Tolerances | None):
+def _canonical_blocks(core, coupling, x3, pq):
     """Blocks of [[C* O, -C* O M X3], [G M* O, X3 - G M* O M X3]] with
     G = pq - P_{X3} and O = [C C* + M G M*]^{-1}."""
-    px = proj_range(x3, tol)
+    px = proj_range(x3)
     gap = pq - px
     ch = conjugate_transpose(core)
     mh = conjugate_transpose(coupling)
@@ -310,8 +309,8 @@ def _canonical_blocks(core, coupling, x3, pq, tol: Tolerances | None):
     return (b11, b12, b21, b22), omega
 
 
-def _square_canonical(core, coupling, nil, frame, q: int, tol: Tolerances | None,
-                      rank_q: int, rank_q1: int) -> np.ndarray:
+def _square_canonical(core, coupling, nil, frame, q: int, rank_q: int,
+                      rank_q1: int) -> np.ndarray:
     """Assemble (B P_{B^q})^+ for B = frame [[core, coupling], [0, nil]] frame*.
 
     rank_q and rank_q1 are the exact ranks of nil^q and nil^{q+1}, read off
@@ -323,11 +322,11 @@ def _square_canonical(core, coupling, nil, frame, q: int, tol: Tolerances | None
     q = check_q(q, frame.shape[0])
     pq = proj_range(power(nil, q), fixed_rank=rank_q)
     x3 = pinv(nil @ pq, fixed_rank=rank_q1)
-    blocks, _ = _canonical_blocks(core, coupling, x3, pq, tol)
+    blocks, _ = _canonical_blocks(core, coupling, x3, pq)
     return frame @ _assemble(*blocks) @ conjugate_transpose(frame)
 
 
-def canonical_qbt(d: CoreEPDecomposition, q: int, tol: Tolerances | None = None) -> np.ndarray:
+def canonical_qbt(d: CoreEPDecomposition, q: int) -> np.ndarray:
     """q-BT inverse of a square matrix assembled from its core-EP blocks.
 
     Equals the direct (A P_{A^q})^+ computation; the two routes share no
@@ -337,11 +336,11 @@ def canonical_qbt(d: CoreEPDecomposition, q: int, tol: Tolerances | None = None)
     q = min(check_q(q), d.index)
     rank_q = d.power_rank(q) - d.rank
     rank_q1 = d.power_rank(q + 1) - d.rank
-    return _square_canonical(d.t, d.s, d.nil, d.u, q, tol, rank_q, rank_q1)
+    return _square_canonical(d.t, d.s, d.nil, d.u, q, rank_q, rank_q1)
 
 
-def canonical_weighted_qbt(d: WeightedCoreEPDecomposition, q: int,
-                           tol: Tolerances | None = None) -> tuple[np.ndarray, CanonicalParts]:
+def canonical_weighted_qbt(d: WeightedCoreEPDecomposition,
+                           q: int) -> tuple[np.ndarray, CanonicalParts]:
     """W-weighted q-BT inverse assembled from the weighted core-EP blocks.
 
     Core term C = W1 A1 W1, coupling M = W1 A1 W2 + W1 A2 W3 + W2 A3 W3,
@@ -352,15 +351,15 @@ def canonical_weighted_qbt(d: WeightedCoreEPDecomposition, q: int,
     q = min(check_q(q), max(d.ind_aw, d.ind_wa))
     core = d.w1 @ d.a1 @ d.w1
     coupling = d.w1 @ d.a1 @ d.w2 + d.w1 @ d.a2 @ d.w3 + d.w2 @ d.a3 @ d.w3
-    x3 = _wqbt_raw(d.a3, d.w3, q, tol, d.sigma_max_a, d.sigma_max_w)
+    x3 = _wqbt_raw(d.a3, d.w3, q, d.sigma_max_a, d.sigma_max_w)
     pq = proj_range(power(d.a3 @ d.w3, q), fixed_rank=d.power_rank_aw(q) - d.t_dim)
-    blocks, omega = _canonical_blocks(core, coupling, x3, pq, tol)
+    blocks, omega = _canonical_blocks(core, coupling, x3, pq)
     x = d.u @ _assemble(*blocks) @ conjugate_transpose(d.v)
     return x, CanonicalParts(m_block=_frozen(coupling), omega=_frozen(omega))
 
 
-def canonical_qbt_products(d: WeightedCoreEPDecomposition, q: int,
-                           tol: Tolerances | None = None) -> tuple[np.ndarray, np.ndarray]:
+def canonical_qbt_products(d: WeightedCoreEPDecomposition,
+                           q: int) -> tuple[np.ndarray, np.ndarray]:
     """q-BT inverses of the products AW and WA from the weighted blocks.
 
     AW is triangularized by U with core A1W1, coupling A1W2 + A2W3 and
@@ -370,9 +369,9 @@ def canonical_qbt_products(d: WeightedCoreEPDecomposition, q: int,
     q = min(check_q(q), max(d.ind_aw, d.ind_wa))
     t = d.t_dim
     x_aw = _square_canonical(d.a1 @ d.w1, d.a1 @ d.w2 + d.a2 @ d.w3, d.a3 @ d.w3, d.u, q,
-                             tol, d.power_rank_aw(q) - t, d.power_rank_aw(q + 1) - t)
+                             d.power_rank_aw(q) - t, d.power_rank_aw(q + 1) - t)
     x_wa = _square_canonical(d.w1 @ d.a1, d.w1 @ d.a2 + d.w2 @ d.a3, d.w3 @ d.a3, d.v, q,
-                             tol, d.power_rank_wa(q) - t, d.power_rank_wa(q + 1) - t)
+                             d.power_rank_wa(q) - t, d.power_rank_wa(q + 1) - t)
     return x_aw, x_wa
 
 

@@ -1,13 +1,15 @@
-"""Dense complex matrices, the tolerance model, and basic factorizations.
+"""Dense complex matrices, the rank cutoff, the residual tolerance, and
+basic factorizations.
 
 All matrices are 2-D numpy arrays of complex128. Every rank decision in the
-library goes through the cutoff rule defined here: a singular value counts
-toward the rank iff it exceeds rank_rtol times a reference scale. The
-reference scale is the matrix's own largest singular value by default, but
-callers working with derived quantities (matrix powers, blocks extracted
-from a decomposition) can anchor the cutoff to the parent matrix's scale
-via the `scale` argument; noise floors are set by the data a matrix was
-computed from, not by the matrix itself.
+library goes through the one cutoff rule defined here, `rank_cutoff`: a
+singular value of an m x n matrix counts toward the rank iff it exceeds
+max(m, n) * eps times a reference scale. The reference scale is the
+matrix's own largest singular value by default, but callers working with
+derived quantities (matrix powers, blocks extracted from a decomposition)
+can anchor the cutoff to the parent matrix's scale via the `scale`
+argument; noise floors are set by the data a matrix was computed from, not
+by the matrix itself.
 """
 
 from __future__ import annotations
@@ -24,36 +26,23 @@ _EPS = float(np.finfo(np.float64).eps)
 DEFAULT_RESIDUAL_ATOL = 1e-10
 
 
+def rank_cutoff(shape: tuple[int, int], ref: float) -> float:
+    """Absolute singular-value cutoff for a matrix of the given shape:
+    max(m, n) * eps * ref, or eps * ref when one side is 0."""
+    return (max(shape) * _EPS if min(shape) > 0 else _EPS) * ref
+
+
 @dataclass(frozen=True)
 class Tolerances:
-    """Thresholds governing floating-point rank and equality decisions.
+    """Threshold for equation residuals, applied as
+    ``residual <= residual_atol * max(1, scale)``. Rank decisions do not
+    read it: they all use `rank_cutoff`."""
 
-    rank_rtol: relative singular-value cutoff. None selects the per-matrix
-        default max(rows, cols) * machine epsilon.
-    residual_atol: absolute threshold for equation residuals, applied as
-        ``residual <= residual_atol * max(1, scale)``.
-    """
-
-    rank_rtol: float | None = None
     residual_atol: float = DEFAULT_RESIDUAL_ATOL
 
     def __post_init__(self):
-        if self.rank_rtol is not None:
-            if self.rank_rtol < 0:
-                raise DomainError("rank_rtol must be nonnegative")
-            if 0 < self.rank_rtol < _EPS:
-                raise DomainError("nonzero rank_rtol must be at least machine epsilon")
         if self.residual_atol < 0:
             raise DomainError("residual_atol must be nonnegative")
-
-    def effective_rtol(self, shape: tuple[int, int]) -> float:
-        if self.rank_rtol is not None:
-            return self.rank_rtol
-        return max(shape) * _EPS if min(shape) > 0 else _EPS
-
-    def rank_cutoff(self, shape: tuple[int, int], ref: float) -> float:
-        """Absolute singular-value cutoff for a matrix of the given shape."""
-        return self.effective_rtol(shape) * ref
 
     def close(self, residual: float, scale: float = 1.0) -> bool:
         """True iff a residual is negligible relative to max(1, scale)."""
@@ -110,20 +99,19 @@ def sigma_max(a) -> float:
     return float(s[0]) if s.size else 0.0
 
 
-def rank_from_values(s: np.ndarray, shape: tuple[int, int], tol: Tolerances | None = None,
-                     scale: float | None = None) -> int:
+def rank_from_values(s: np.ndarray, shape: tuple[int, int], scale: float | None = None) -> int:
     """Numerical rank from the singular values s of a matrix of the given
-    shape: the count above rank_rtol * max(s[0], scale)."""
+    shape: the count above rank_cutoff(shape, max(s[0], scale))."""
     if s.size == 0:
         return 0
     ref = max(float(s[0]), scale or 0.0)
-    return int(np.count_nonzero(s > resolve_tol(tol).rank_cutoff(shape, ref)))
+    return int(np.count_nonzero(s > rank_cutoff(shape, ref)))
 
 
-def rank(a, tol: Tolerances | None = None, scale: float | None = None) -> int:
-    """Numerical rank: singular values above rank_rtol * max(sigma_max, scale)."""
+def rank(a, scale: float | None = None) -> int:
+    """Numerical rank: singular values above rank_cutoff(shape, max(sigma_max, scale))."""
     a = as_matrix(a)
-    return rank_from_values(singular_values(a), a.shape, tol, scale)
+    return rank_from_values(singular_values(a), a.shape, scale)
 
 
 def qr_column_pivoted(a) -> QRPivoted:

@@ -41,7 +41,7 @@ class WeightedPair:
     sigma_max_w: float
 
     @classmethod
-    def from_matrices(cls, a, w, tol: Tolerances | None = None) -> "WeightedPair":
+    def from_matrices(cls, a, w) -> "WeightedPair":
         a = as_matrix(a)
         w = as_matrix(w)
         if a.shape[0] != w.shape[1] or a.shape[1] != w.shape[0]:
@@ -50,13 +50,13 @@ class WeightedPair:
                 f"got {w.shape[0]}x{w.shape[1]}")
         if not np.any(w):
             raise DomainError("weight matrix must be nonzero")
-        rep_aw = matrix_index(a @ w, tol)
-        rep_wa = matrix_index(w @ a, tol)
+        rep_aw = matrix_index(a @ w)
+        rep_wa = matrix_index(w @ a)
         ind_aw, ind_wa = rep_aw.index, rep_wa.index
         if abs(ind_aw - ind_wa) > 1:
             raise NumericError(
                 f"computed indices Ind(AW)={ind_aw}, Ind(WA)={ind_wa} differ by more than one; "
-                "rank tolerance misclassification")
+                "rank cutoff misclassification")
         a = a.copy()
         w = w.copy()
         a.setflags(write=False)
@@ -71,8 +71,7 @@ class WeightedPair:
         return self.a.shape
 
 
-def _wqbt_rank(a: np.ndarray, w: np.ndarray, q: int, tol: Tolerances | None,
-               sa: float, sw: float) -> int:
+def _wqbt_rank(a: np.ndarray, w: np.ndarray, q: int, sa: float, sw: float) -> int:
     """Exact rank of W A W P_{(AW)^q}, decided on W (AW)^{q+1}.
 
     W A W maps R((AW)^q) onto R(W (AW)^{q+1}), so the two ranks agree.
@@ -81,11 +80,10 @@ def _wqbt_rank(a: np.ndarray, w: np.ndarray, q: int, tol: Tolerances | None,
     the scale of the factors, which a flat cutoff cannot reliably reject.
     """
     probe = w @ power(a @ w, q + 1)
-    return rank(probe, tol, scale=sw * (sa * sw) ** (q + 1))
+    return rank(probe, scale=sw * (sa * sw) ** (q + 1))
 
 
-def _wqbt_raw(a: np.ndarray, w: np.ndarray, q: int, tol: Tolerances | None,
-              sa: float, sw: float) -> np.ndarray:
+def _wqbt_raw(a: np.ndarray, w: np.ndarray, q: int, sa: float, sw: float) -> np.ndarray:
     """(W A W P_{(AW)^q})^+ on raw arrays; tolerates W = 0 (used on blocks).
 
     sa and sw anchor the rank cutoffs: sigma_max of A and W, or of the
@@ -96,68 +94,66 @@ def _wqbt_raw(a: np.ndarray, w: np.ndarray, q: int, tol: Tolerances | None,
     """
     q = check_q(q, a.shape[0])
     if q == 0:
-        return pinv(w @ a @ w, tol, scale=sw * sa * sw)
-    r = _wqbt_rank(a, w, q, tol, sa, sw)
+        return pinv(w @ a @ w, scale=sw * sa * sw)
+    r = _wqbt_rank(a, w, q, sa, sw)
     if r == 0:
         return np.zeros(a.shape, dtype=np.complex128)
-    u = range_basis(power(a @ w, q), tol, scale=(sa * sw) ** q)
+    u = range_basis(power(a @ w, q), scale=(sa * sw) ** q)
     return u @ pinv(w @ a @ w @ u, fixed_rank=r)
 
 
-def weighted_qbt(p: WeightedPair, q: int, tol: Tolerances | None = None) -> np.ndarray:
+def weighted_qbt(p: WeightedPair, q: int) -> np.ndarray:
     """W-weighted q-BT inverse (W A W P_{(AW)^q})^+, shape m x n.
 
     q is clamped at k: R((AW)^q) is the same for every q >= k, and past
     it the rank anchors (sigma_max(A) sigma_max(W))^q only lose accuracy.
     """
-    return _wqbt_raw(p.a, p.w, min(check_q(q), p.k), tol, p.sigma_max_a, p.sigma_max_w)
+    return _wqbt_raw(p.a, p.w, min(check_q(q), p.k), p.sigma_max_a, p.sigma_max_w)
 
 
-def weighted_bt(p: WeightedPair, tol: Tolerances | None = None) -> np.ndarray:
+def weighted_bt(p: WeightedPair) -> np.ndarray:
     """W-weighted BT inverse (W A W P_{AW})^+; the q = 1 member of the family."""
-    return weighted_qbt(p, 1, tol)
+    return weighted_qbt(p, 1)
 
 
-def weighted_core_ep(p: WeightedPair, tol: Tolerances | None = None) -> np.ndarray:
+def weighted_core_ep(p: WeightedPair) -> np.ndarray:
     """W-weighted core-EP inverse (W A W P_{(AW)^k})^+ with k = max index."""
-    return weighted_qbt(p, p.k, tol)
+    return weighted_qbt(p, p.k)
 
 
-def weighted_drazin(p: WeightedPair, tol: Tolerances | None = None) -> np.ndarray:
+def weighted_drazin(p: WeightedPair) -> np.ndarray:
     """W-weighted Drazin inverse A (WA)^d (WA)^d."""
-    d = drazin(p.w @ p.a, tol)
+    d = drazin(p.w @ p.a)
     return p.a @ d @ d
 
 
-def weighted_qbt_product_forms(p: WeightedPair, q: int,
-                               tol: Tolerances | None = None) -> tuple[np.ndarray, np.ndarray]:
+def weighted_qbt_product_forms(p: WeightedPair, q: int) -> tuple[np.ndarray, np.ndarray]:
     """The two product expressions for the W-weighted q-BT inverse:
 
     [W (AW)^(q+1) ((AW)^q)^+]^+  and  [(WA)^(q+1) W ((AW)^q)^+]^+.
     """
     q = min(check_q(q), p.k)
     sa, sw = p.sigma_max_a, p.sigma_max_w
-    r = _wqbt_rank(p.a, p.w, q, tol, sa, sw)
+    r = _wqbt_rank(p.a, p.w, q, sa, sw)
     if r == 0:
         zero = np.zeros(p.shape, dtype=np.complex128)
         return zero, zero.copy()
     aw = p.a @ p.w
     wa = p.w @ p.a
-    pq_pinv = pinv(power(aw, q), tol, scale=(sa * sw) ** q)
+    pq_pinv = pinv(power(aw, q), scale=(sa * sw) ** q)
     x1 = pinv(p.w @ power(aw, q + 1) @ pq_pinv, fixed_rank=r)
     x2 = pinv(power(wa, q + 1) @ p.w @ pq_pinv, fixed_rank=r)
     return x1, x2
 
 
-def weighted_qbt_via_square(p: WeightedPair, q: int,
-                            tol: Tolerances | None = None) -> np.ndarray:
+def weighted_qbt_via_square(p: WeightedPair, q: int) -> np.ndarray:
     """(W ((AW)^{q-BT})^+)^+: the weighted inverse through the square q-BT
     inverse of the product AW."""
     q = min(check_q(q), p.k)
-    r = _wqbt_rank(p.a, p.w, q, tol, p.sigma_max_a, p.sigma_max_w)
+    r = _wqbt_rank(p.a, p.w, q, p.sigma_max_a, p.sigma_max_w)
     if r == 0:
         return np.zeros(p.shape, dtype=np.complex128)
-    inner = pinv(qbt_inverse(p.a @ p.w, q, tol), tol)
+    inner = pinv(qbt_inverse(p.a @ p.w, q))
     return pinv(p.w @ inner, fixed_rank=r)
 
 
@@ -174,17 +170,16 @@ def cline_shift_check(p: WeightedPair, ell: int, tol: Tolerances | None = None) 
     return tol.close(frobenius(left - right), frobenius(right))
 
 
-def dual_representation_gap(p: WeightedPair, q: int,
-                            tol: Tolerances | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def dual_representation_gap(p: WeightedPair, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The triple (A^{qbt,W}, ((AW)^{qbt})^2 A, A ((WA)^{qbt})^2).
 
     Exposed as data: for 1 <= q < k the three generally differ, for q >= k
     the first and third coincide while the second may still differ.
     """
     q = check_q(q)
-    x = weighted_qbt(p, q, tol)
-    aw_qbt = qbt_inverse(p.a @ p.w, q, tol)
-    wa_qbt = qbt_inverse(p.w @ p.a, q, tol)
+    x = weighted_qbt(p, q)
+    aw_qbt = qbt_inverse(p.a @ p.w, q)
+    wa_qbt = qbt_inverse(p.w @ p.a, q)
     return x, aw_qbt @ aw_qbt @ p.a, p.a @ wa_qbt @ wa_qbt
 
 

@@ -199,7 +199,7 @@ def test_criterion_6_characterizing_systems_and_perturbed_candidates(wpairs):
             bad = [r for r in true_results if not r.passed]
             assert not bad, (i, q, [(r.check_id, r.residuals) for r in bad])
 
-            x = weighted_qbt(p, q, tol)
+            x = weighted_qbt(p, q)
             direction = random_complex(drng, *x.shape)
             direction /= frobenius(direction)
             candidate = x + 1e-3 * direction

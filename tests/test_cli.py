@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import geninv
 from geninv import classical, cli, decomposition, projectors, weighted
 from geninv.cli import main
 from geninv.io import parse_matrix
@@ -114,6 +115,20 @@ class TestInverseCommands:
                 assert value == "0.000000e+00"
             else:
                 assert float(value) < 1e-10
+
+    def test_inverse_is_looked_up_on_the_package_when_called(self, tmp_path, capsys,
+                                                             monkeypatch):
+        calls = []
+        core_ep = geninv.core_ep
+
+        def counting(*args):
+            calls.append(args)
+            return core_ep(*args)
+
+        monkeypatch.setattr(geninv, "core_ep", counting)
+        code, _, _ = run_main(capsys, "core-ep", write_csv(tmp_path / "a.csv", SQUARE_I2))
+        assert code == 0
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("kind", ["wcore-ep", "wdrazin"])
     def test_verify_reuses_the_pair_index(self, tmp_path, capsys, monkeypatch, kind):

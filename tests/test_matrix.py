@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
 
-from geninv.errors import DomainError, ShapeError
+from geninv.classical import outer_inverse_check
+from geninv.decomposition import weighted_core_ep_decompose
+from geninv.errors import DecompositionError, DomainError, ShapeError
 from geninv.matrix import (DEFAULT_TOL, Tolerances, as_matrix, conjugate_transpose,
-                           frobenius, rank, resolve_tol, sigma_max)
+                           frobenius, rank, rank_cutoff, resolve_tol, sigma_max)
+from geninv.corpus import random_planted_pair
+from geninv.projectors import pinv
+from geninv.weighted import WeightedPair, cline_shift_check
 
 from conftest import random_complex
 
@@ -40,13 +45,9 @@ class TestTolerances:
         assert DEFAULT_TOL.residual_atol == 1e-10
 
     def test_rank_cutoff_scales_with_dimension_and_reference(self):
-        tol = Tolerances()
         eps = np.finfo(np.float64).eps
-        assert tol.rank_cutoff((3, 5), 2.0) == pytest.approx(5 * eps * 2.0)
-
-    def test_explicit_rank_rtol_wins(self):
-        tol = Tolerances(rank_rtol=1e-3)
-        assert tol.rank_cutoff((100, 100), 1.0) == pytest.approx(1e-3)
+        assert rank_cutoff((3, 5), 2.0) == pytest.approx(5 * eps * 2.0)
+        assert rank_cutoff((0, 5), 2.0) == pytest.approx(eps * 2.0)
 
     def test_close_uses_scale(self):
         tol = Tolerances(residual_atol=1e-10)
@@ -58,6 +59,33 @@ class TestTolerances:
         custom = Tolerances(residual_atol=1e-5)
         assert resolve_tol(custom) is custom
         assert resolve_tol(None) is DEFAULT_TOL
+
+
+class TestResidualTolerance:
+    """residual_atol reaches each function whose verdict reads a residual: a
+    correct input passes at the default and fails below its rounding error."""
+
+    TIGHT = Tolerances(residual_atol=1e-30)
+
+    @pytest.fixture
+    def pair(self):
+        planted = random_planted_pair(np.random.default_rng(3), 2, max_dim=6)
+        return WeightedPair.from_matrices(planted.a, planted.w)
+
+    def test_weighted_core_ep_decompose(self, pair):
+        weighted_core_ep_decompose(pair)
+        with pytest.raises(DecompositionError):
+            weighted_core_ep_decompose(pair, self.TIGHT)
+
+    def test_outer_inverse_check(self, rng):
+        a = random_complex(rng, 5, 5, rank=3)
+        x, gen = pinv(a), conjugate_transpose(a)
+        assert outer_inverse_check(a, x, gen, gen)
+        assert not outer_inverse_check(a, x, gen, gen, self.TIGHT)
+
+    def test_cline_shift_check(self, pair):
+        assert cline_shift_check(pair, 3)
+        assert not cline_shift_check(pair, 3, self.TIGHT)
 
 
 class TestRank:

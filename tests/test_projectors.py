@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geninv.errors import DomainError
-from geninv.matrix import Tolerances, conjugate_transpose, frobenius, sigma_max
+from geninv.matrix import conjugate_transpose, frobenius, sigma_max
 from geninv.projectors import (matrix_index, nullspace_contained, pinv, power,
                                proj_corange, proj_range, range_basis, range_contained)
 
@@ -18,13 +18,12 @@ def jordan_nilpotent(n):
 
 # cutoff inputs that a pinned rank must ignore: each moves the cutoff rank
 # of diag(1, 1e-2, 1e-4) below 2
-CUTOFF_INPUTS = [{"tol": Tolerances(rank_rtol=0.5)}, {"scale": 1e15},
-                 {"tol": Tolerances(rank_rtol=0.5), "scale": 1e6}]
+CUTOFF_INPUTS = [{"scale": 1e15}]
 
 
 def assert_fixed_rank_ignores_cutoff_inputs(a, r):
     """With fixed_rank set, pinv, range_basis, proj_range and proj_corange
-    return the same bytes whatever tolerance and scale they are given."""
+    return the same bytes whatever scale they are given."""
     for f in (pinv, range_basis, proj_range, proj_corange):
         plain = f(a, fixed_rank=r).tobytes()
         for extra in CUTOFF_INPUTS:

@@ -1,10 +1,17 @@
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
-from geninv.matrix import Tolerances
+from geninv import classical, projectors, verify
+from geninv.errors import DecompositionError, DomainError, NumericError, ShapeError
+from geninv.matrix import DEFAULT_TOL, Tolerances
+from geninv.projectors import IndexReport
+from geninv.reference import pair_4x3_float
 from geninv.verify import (CHECK_REGISTRY, run_all, run_example_checks,
                            run_random_corpus)
+from geninv.weighted import WeightedPair
 
 # frozen manifest: every check the verifier is expected to perform
 EXPECTED_CHECK_IDS = (
@@ -139,3 +146,70 @@ class TestDeterminism:
         first = run_random_corpus(seed=7, count=8, max_dim=7)
         second = run_random_corpus(seed=8, count=8, max_dim=7)
         assert first.to_json() != second.to_json()
+
+
+def member_measurements(p: WeightedPair) -> dict[str, dict[str, float]]:
+    """The measurements of every corpus check on the single member p, folded
+    as run_random_corpus folds them; a library error ends the member's run
+    there, as it does in the runner."""
+    agg = {cid: verify._Extreme(gaps=cid.startswith("corpus.uniqueness."))
+           for cid in CHECK_REGISTRY if cid.startswith("corpus.")}
+    try:
+        verify._corpus_member_checks(p, False, p.k, "member", DEFAULT_TOL,
+                                     np.random.default_rng(0), agg)
+    except (DomainError, ShapeError, NumericError, DecompositionError):
+        pass
+    return {cid: e.values for cid, e in agg.items()}
+
+
+@pytest.fixture(scope="module")
+def pair4x3():
+    return WeightedPair.from_matrices(*pair_4x3_float())
+
+
+class TestMeasurementsSeeFaults:
+    """Each fault below reaches both sides of a comparison that once read
+    the same call chain twice, and so read 0.0 whatever the library did."""
+
+    @pytest.fixture
+    def cutoff_drops_one(self, monkeypatch):
+        """Every cutoff-decided pseudoinverse keeps one singular value too few."""
+        kept = projectors._kept
+
+        def short(s, shape, scale, fixed_rank):
+            r = kept(s, shape, scale, fixed_rank)
+            return max(r - 1, 0) if fixed_rank is None else r
+
+        monkeypatch.setattr(projectors, "_kept", short)
+
+    def test_unfaulted_member_passes(self, pair4x3):
+        values = member_measurements(pair4x3)
+        for cid in ("corpus.reductions.q0", "corpus.classical.reductions",
+                    "corpus.reductions.q-ge-k", "corpus.wdrazin.equations"):
+            assert max(values[cid].values()) <= DEFAULT_TOL.residual_atol, cid
+
+    def test_q0_sees_a_short_pseudoinverse(self, pair4x3, cutoff_drops_one):
+        values = member_measurements(pair4x3)["corpus.reductions.q0"]
+        assert values["penrose1"] > 1e-3
+
+    def test_classical_q0_sees_a_short_pseudoinverse(self, pair4x3, cutoff_drops_one):
+        values = member_measurements(pair4x3)["corpus.classical.reductions"]
+        assert values["q0_penrose1"] > 1e-3
+
+    def test_q_ge_k_sees_an_understated_index(self, pair4x3):
+        assert pair4x3.ind_aw == pair4x3.k
+        short = dataclasses.replace(pair4x3, ind_aw=pair4x3.k - 1, k=pair4x3.k - 1)
+        values = member_measurements(short)["corpus.reductions.q-ge-k"]
+        assert values["k+1"] > 1e-3
+
+    def test_right_product_sees_an_understated_index(self, pair4x3, monkeypatch):
+        matrix_index = classical.matrix_index
+
+        def understated(b):
+            r = matrix_index(b)
+            k = max(r.index - 1, 0)
+            return IndexReport(k, r.rank_sequence[:k + 2], r.sigma_max)
+
+        monkeypatch.setattr(classical, "matrix_index", understated)
+        values = member_measurements(pair4x3)["corpus.wdrazin.equations"]
+        assert values["right_product"] > 1e-3
