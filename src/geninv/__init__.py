@@ -16,8 +16,8 @@ from .io import (detect_format, format_complex, format_matrix, load_matrix,
                  parse_entry, parse_matrix)
 from .matrix import (DEFAULT_TOL, Tolerances, as_matrix, conjugate_transpose,
                      frobenius, rank, sigma_max)
-from .projectors import (IndexReport, matrix_index, nullspace_contained, pinv, power,
-                         proj_corange, proj_range, range_contained)
+from .projectors import (IndexReport, matrix_index, nullspace_contained, nullspace_equal, pinv,
+                         power, proj_corange, proj_range, range_contained, range_equal)
 from .weighted import (WeightedPair, cline_shift_check, dual_representation_gap,
                        weighted_bt, weighted_core_ep, weighted_drazin, weighted_qbt,
                        weighted_qbt_product_forms, weighted_qbt_via_square)
@@ -74,6 +74,8 @@ __all__ = [
     "matrix_index",
     "range_contained",
     "nullspace_contained",
+    "range_equal",
+    "nullspace_equal",
     "drazin",
     "group_inverse",
     "core_inverse",

@@ -14,13 +14,14 @@ import numpy as np
 from .errors import DomainError, ShapeError
 from .matrix import Tolerances, as_matrix, frobenius, resolve_tol
 from .projectors import (
+    _Factored,
+    _nullspace_equal,
     _power_ranks,
+    _range_equal,
     matrix_index,
-    nullspace_contained,
     pinv,
     power,
     range_basis,
-    range_contained,
 )
 
 
@@ -125,7 +126,8 @@ def outer_inverse_check(a, x, range_gen, null_gen,
     N(X) = N(null_gen): XAX = X plus both set equalities (rank-based).
 
     `scale` anchors the rank decisions when the generators are derived
-    products whose entries may be rounding noise.
+    products whose entries may be rounding noise. A passing candidate
+    takes 5 SVDs: one per stack, one per generator and one of X.
     """
     a = as_matrix(a)
     x = as_matrix(x)
@@ -137,14 +139,18 @@ def outer_inverse_check(a, x, range_gen, null_gen,
         raise ShapeError("range generator must have as many rows as the candidate")
     if null_gen.shape[1] != x.shape[1]:
         raise ShapeError("null-space generator must have as many columns as the candidate")
-    tol = resolve_tol(tol)
-    if not tol.close(frobenius(x @ a @ x - x), frobenius(x)):
+    return _outer_inverse_check(a, _Factored(x), _Factored(range_gen), _Factored(null_gen),
+                                resolve_tol(tol), scale)
+
+
+def _outer_inverse_check(a: np.ndarray, x: _Factored, range_gen: _Factored,
+                         null_gen: _Factored, tol: Tolerances, scale: float | None) -> bool:
+    """`outer_inverse_check` on validated operands whose singular values a
+    caller may already hold."""
+    xm = x.a
+    if not tol.close(frobenius(xm @ a @ xm - xm), frobenius(xm)):
         return False
-    if not (range_contained(x, range_gen, scale=scale)
-            and range_contained(range_gen, x, scale=scale)):
-        return False
-    return (nullspace_contained(null_gen, x, scale=scale)
-            and nullspace_contained(x, null_gen, scale=scale))
+    return _range_equal(x, range_gen, scale) and _nullspace_equal(x, null_gen, scale)
 
 
 __all__ = [

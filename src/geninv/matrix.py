@@ -69,7 +69,7 @@ def as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2:
         raise ShapeError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if m.size and not np.all(np.isfinite(m)):
+    if m.size and not np.isfinite(m).all():
         raise DomainError("matrix entries must be finite")
     return m
 

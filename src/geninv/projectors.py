@@ -4,6 +4,7 @@ rank-based range / null-space predicates."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -123,17 +124,57 @@ def matrix_index(b) -> IndexReport:
     return IndexReport(index=len(ranks) - 2, rank_sequence=tuple(ranks), sigma_max=s1)
 
 
+class _Factored:
+    """A matrix whose singular values are taken on first read and then
+    kept, so every rank decision on it shares one values-only SVD."""
+
+    def __init__(self, a: np.ndarray):
+        self.a = a
+
+    @cached_property
+    def s(self) -> np.ndarray:
+        return singular_values(self.a)
+
+
+def _stacked_rank_equal(stacked: np.ndarray, scale: float | None, *operands: _Factored) -> bool:
+    """rank(stacked) = rank(op) for every operand, all cut off against
+    ref = max(sigma_max(stacked), scale). One SVD of the stack gives its
+    sigma_max and its rank; the operands are read in order and the first
+    mismatch stops, so a later operand is factored only if the earlier
+    ones agree."""
+    s = singular_values(stacked)
+    ref = max(float(s[0]) if s.size else 0.0, scale or 0.0)
+    r = rank_from_values(s, stacked.shape, ref)
+    return all(rank_from_values(op.s, op.a.shape, ref) == r for op in operands)
+
+
+def _range_equal(x: _Factored, y: _Factored, scale: float | None) -> bool:
+    return _stacked_rank_equal(np.hstack([y.a, x.a]), scale, y, x)
+
+
+def _nullspace_equal(x: _Factored, y: _Factored, scale: float | None) -> bool:
+    return _stacked_rank_equal(np.vstack([y.a, x.a]), scale, y, x)
+
+
+def _operands(x, y, axis: int, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """x and y as matrices, which must agree in size along `axis` (0: rows,
+    1: columns)."""
+    x = as_matrix(x)
+    y = as_matrix(y)
+    if x.shape[axis] != y.shape[axis]:
+        side = ("row", "column")[axis]
+        raise ShapeError(f"{name} needs equal {side} counts, got {x.shape[axis]} and {y.shape[axis]}")
+    return x, y
+
+
 def range_contained(x, y, scale: float | None = None) -> bool:
     """True iff R(x) is contained in R(y), decided as rank([y | x]) = rank(y).
 
     `scale` anchors the rank cutoff when x or y is a derived quantity whose
     entries may be pure rounding noise.
     """
-    x = as_matrix(x)
-    y = as_matrix(y)
-    if x.shape[0] != y.shape[0]:
-        raise ShapeError(f"range_contained needs equal row counts, got {x.shape[0]} and {y.shape[0]}")
-    return _stacked_rank_equal(np.hstack([y, x]), y, scale)
+    x, y = _operands(x, y, 0, "range_contained")
+    return _stacked_rank_equal(np.hstack([y, x]), scale, _Factored(y))
 
 
 def nullspace_contained(y, x, scale: float | None = None) -> bool:
@@ -141,19 +182,26 @@ def nullspace_contained(y, x, scale: float | None = None) -> bool:
 
     `scale` anchors the rank cutoff as in `range_contained`.
     """
-    x = as_matrix(x)
-    y = as_matrix(y)
-    if x.shape[1] != y.shape[1]:
-        raise ShapeError(f"nullspace_contained needs equal column counts, got {y.shape[1]} and {x.shape[1]}")
-    return _stacked_rank_equal(np.vstack([y, x]), y, scale)
+    y, x = _operands(y, x, 1, "nullspace_contained")
+    return _stacked_rank_equal(np.vstack([y, x]), scale, _Factored(y))
 
 
-def _stacked_rank_equal(stacked: np.ndarray, y: np.ndarray, scale: float | None) -> bool:
-    """rank(stacked) = rank(y), both cut off against max(sigma_max(stacked),
-    scale); one SVD of the stack gives its sigma_max and its rank."""
-    s = singular_values(stacked)
-    ref = max(float(s[0]) if s.size else 0.0, scale or 0.0)
-    return rank_from_values(s, stacked.shape, ref) == rank(y, scale=ref)
+def range_equal(x, y, scale: float | None = None) -> bool:
+    """True iff R(x) = R(y), decided as rank([y | x]) = rank(y) = rank(x).
+
+    One SVD of the stack and one of each operand: 3 in all, 2 when
+    rank(y) already differs. `scale` anchors the rank cutoff as in
+    `range_contained`.
+    """
+    x, y = _operands(x, y, 0, "range_equal")
+    return _range_equal(_Factored(x), _Factored(y), scale)
+
+
+def nullspace_equal(x, y, scale: float | None = None) -> bool:
+    """True iff N(x) = N(y), decided as rank(rows(y, x)) = rank(y) = rank(x),
+    with the SVD count of `range_equal`."""
+    x, y = _operands(x, y, 1, "nullspace_equal")
+    return _nullspace_equal(_Factored(x), _Factored(y), scale)
 
 
 __all__ = [
@@ -166,4 +214,6 @@ __all__ = [
     "matrix_index",
     "range_contained",
     "nullspace_contained",
+    "range_equal",
+    "nullspace_equal",
 ]

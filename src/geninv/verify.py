@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import reference as ref
-from .classical import core_ep, drazin, outer_inverse_check, qbt_inverse
+from .classical import _outer_inverse_check, core_ep, drazin, qbt_inverse
 from .corpus import random_pairs
 from .decomposition import (block_pinv, canonical_qbt, canonical_qbt_products,
                             canonical_weighted_qbt, core_ep_decompose,
@@ -28,10 +28,10 @@ from .decomposition import (block_pinv, canonical_qbt, canonical_qbt_products,
 from .errors import (DecompositionError, DomainError, NumericError, ShapeError)
 from .exact import (_matmul, exact_pair_index, exact_pinv, exact_qbt,
                     exact_weighted_qbt, float_of, requal, rmatrix)
-from .matrix import (Tolerances, conjugate_transpose, frobenius, rank,
+from .matrix import (Tolerances, as_matrix, conjugate_transpose, frobenius, rank,
                      resolve_tol, sigma_max)
-from .projectors import (nullspace_contained, pinv, power, proj_corange,
-                         proj_range, range_basis, range_contained)
+from .projectors import (_Factored, _nullspace_equal, _range_equal, pinv, power,
+                         proj_corange, proj_range, range_basis)
 from .weighted import (WeightedPair, _wqbt_rank, _wqbt_raw, cline_shift_check,
                        dual_representation_gap, weighted_drazin, weighted_qbt,
                        weighted_qbt_product_forms, weighted_qbt_via_square)
@@ -228,28 +228,25 @@ def _null_defect(q_gen, x) -> float:
     return frobenius(x @ (eye - q_gen)) / max(1.0, frobenius(x))
 
 
-def _same_range(x, y, scale: float) -> bool:
-    """R(x) = R(y), by two rank tests."""
-    return range_contained(x, y, scale=scale) and range_contained(y, x, scale=scale)
+def _operand(a) -> _Factored:
+    """An operand of the set predicates; its singular values are taken on
+    first use and shared by every predicate that reads it."""
+    return _Factored(as_matrix(a))
 
 
-def _same_null(x, y, scale: float) -> bool:
-    """N(x) = N(y), by two rank tests."""
-    return nullspace_contained(y, x, scale=scale) and nullspace_contained(x, y, scale=scale)
-
-
-def _set_eq_flags(x, gen, scale: float) -> float:
+def _set_eq_flags(x: _Factored, gen: _Factored, scale: float) -> float:
     """0.0 if R(x) = R(gen) and N(x) = N(gen) by rank tests, else 1.0."""
-    return _flag(_same_range(x, gen, scale) and _same_null(x, gen, scale))
+    return _flag(_range_equal(x, gen, scale) and _nullspace_equal(x, gen, scale))
 
 
-def _proj_eq_residuals(p_mat, range_gen, null_gen, scale_r: float,
-                       scale_n: float) -> dict[str, float]:
+def _proj_eq_residuals(p_mat: _Factored, range_gen: _Factored, null_gen: _Factored,
+                       scale_r: float, scale_n: float) -> dict[str, float]:
     """Residuals for 'p_mat is idempotent with R = R(range_gen), N = N(null_gen)'."""
+    pm = p_mat.a
     return {
-        "idempotent": _rel(p_mat @ p_mat, p_mat, max(1.0, frobenius(p_mat))),
-        "range_set_mismatch": _flag(_same_range(p_mat, range_gen, scale_r)),
-        "null_set_mismatch": _flag(_same_null(p_mat, null_gen, scale_n)),
+        "idempotent": _rel(pm @ pm, pm, max(1.0, frobenius(pm))),
+        "range_set_mismatch": _flag(_range_equal(p_mat, range_gen, scale_r)),
+        "null_set_mismatch": _flag(_nullspace_equal(p_mat, null_gen, scale_n)),
     }
 
 
@@ -330,12 +327,9 @@ def run_example_checks(tol: Tolerances | None = None) -> ConformanceReport:
         {"x_vs_right": _rel(x, rgt), "x_vs_left_gap": frobenius(x - lft)},
         "right product agrees at q=3, left product does not"))
 
-    # The frozen tables above pin q = 0 and q = 3 >= k on this pair; these
-    # two reductions only compare the library's own routes.
-    s_waw = p.sigma_max_w * p.sigma_max_a * p.sigma_max_w
-    red = {"q0": {"vs_pinv": _rel(xs[0], pinv(p.w @ p.a @ p.w, scale=s_waw))},
-           **_reduction_residuals(p, xs, weighted_qbt_product_forms(p, 1)),
-           "q-ge-k": {f"q{q}": _rel(xs[min(q, p.k)], xs[p.k]) for q in range(p.k, p.k + 3)}}
+    s_aw = p.sigma_max_a * p.sigma_max_w
+    pk = proj_range(power(p.a @ p.w, p.k), scale=s_aw ** p.k)
+    red = _reduction_residuals(p, xs, weighted_qbt_product_forms(p, 1), pk)
     results.append(_residual_check(
         "examples.pair4x3.reductions",
         {f"{name}_{k}": v for name, res in red.items() for k, v in res.items()},
@@ -448,19 +442,31 @@ def _penrose_residuals(b: np.ndarray, x: np.ndarray) -> dict[str, float]:
 
 
 def _reduction_residuals(p: WeightedPair, xs: list[np.ndarray],
-                         forms_q1: tuple[np.ndarray, np.ndarray]) -> dict[str, dict[str, float]]:
-    """Residuals of the reduction identities q=1 and q=Ind(AW), keyed by
-    reduction. xs[q] is weighted_qbt(p, q) for q = 0 .. k and forms_q1 the
-    product forms at q = 1; xs[k] is the weighted core-EP inverse."""
+                         forms_q1: tuple[np.ndarray, np.ndarray],
+                         pk: np.ndarray) -> dict[str, dict[str, float]]:
+    """Residuals of the reduction identities, keyed by reduction. xs[q] is
+    weighted_qbt(p, q) for q = 0 .. k, forms_q1 the product forms at q = 1
+    and pk = P_{(AW)^k}; xs[k] is the weighted core-EP inverse.
+
+    q = 0 is read as the Penrose equations of xs[0] against WAW, and q >= k
+    as the range stabilization R((AW)^q) = R((AW)^k) that lets weighted_qbt
+    clamp q at k: U U* for a basis U of R((AW)^q), q = k + 1, k + 2,
+    against pk. Neither compares weighted_qbt with another of its calls.
+    """
     a, w = p.a, p.w
     aw, wa = a @ w, w @ a
-    x1 = xs[min(1, p.k)]
+    k = p.k
+    x1 = xs[min(1, k)]
     f1, f2 = forms_q1
+    s_aw = p.sigma_max_a * p.sigma_max_w
+    bases = {q: range_basis(power(aw, q), scale=s_aw ** q) for q in (k + 1, k + 2)}
     return {
+        "q0": _penrose_residuals(w @ a @ w, xs[0]),
         "q1": {"eq1": _rel(x1 @ w @ a @ w @ x1, x1, max(1.0, frobenius(x1))),
                "eq2": _rel(x1 @ wa, f1 @ wa),
                "eq3": _rel(aw @ x1, aw @ f2)},
-        "ind-aw": {"vs_core_ep": _rel(xs[p.ind_aw], xs[p.k])},
+        "ind-aw": {"vs_core_ep": _rel(xs[p.ind_aw], xs[k])},
+        "q-ge-k": {f"k+{q - k}": _rel(u @ conjugate_transpose(u), pk) for q, u in bases.items()},
     }
 
 
@@ -507,7 +513,8 @@ def _corpus_member_checks(p: WeightedPair, integer: bool, planted_k: int,
     """Run every per-member suite and fold residuals into the aggregators.
 
     Operands that several checks read are built once per member, or once
-    per member and exponent, and every check reads that one value.
+    per member and exponent, and every check reads that one value; so are
+    the singular values of every set-predicate operand.
     """
     a, w = p.a, p.w
     m, n = p.shape
@@ -522,20 +529,18 @@ def _corpus_member_checks(p: WeightedPair, integer: bool, planted_k: int,
     # weighted_qbt and its product forms clamp q at k, so their entry k
     # also serves q = k + 1, the last exponent of the grid
     xs = [weighted_qbt(p, q) for q in range(k + 1)]
+    x_ops = [_operand(x) for x in xs]
     forms = [weighted_qbt_product_forms(p, q) for q in range(k + 1)]
-    pqs = [proj_range(power(aw, q), scale=s_aw ** q) for q in q_grid]
+    # P_{(AW)^q} = (AW)^q ((AW)^q)^+, and the pseudoinverse serves the
+    # power-range generator too
+    pq_pinvs = [pinv(power(aw, q), scale=s_aw ** q) for q in q_grid]
+    pqs = [power(aw, q) @ pq_pinvs[q] for q in q_grid]
     aw_qbts = [qbt_inverse(aw, q) for q in q_grid]
     aw_cep = core_ep(aw)
     cep = xs[k]
 
-    # reductions (worst case across members); q >= k reads the range
-    # stabilization R((AW)^q) = R((AW)^k) that lets weighted_qbt clamp q at
-    # k, with P_{(AW)^q} = U U* built from a basis U of R((AW)^q)
-    reductions = _reduction_residuals(p, xs, forms[min(1, k)])
-    reductions["q0"] = _penrose_residuals(waw, xs[0])
-    bases = {q: range_basis(power(aw, q), scale=s_aw ** q) for q in (k + 1, k + 2)}
-    reductions["q-ge-k"] = {f"k+{q - k}": _rel(u @ conjugate_transpose(u), pqs[k])
-                            for q, u in bases.items()}
+    # reductions (worst case across members)
+    reductions = _reduction_residuals(p, xs, forms[min(1, k)], pqs[k])
     for name, res in reductions.items():
         agg[f"corpus.reductions.{name}"].update(res, where)
 
@@ -601,12 +606,13 @@ def _corpus_member_checks(p: WeightedPair, integer: bool, planted_k: int,
 
     for q in q_grid:
         where_q = f"{where} q={q}"
-        x, pq, aw_qbt = xs[min(q, k)], pqs[q], aw_qbts[q]
+        x, x_op, pq, aw_qbt = xs[min(q, k)], x_ops[min(q, k)], pqs[q], aw_qbts[q]
         awq1 = power(aw, q + 1)
         s_awq1_m = sigma_max(awq1)
         awq1_h = conjugate_transpose(awq1)
         range_gen = pq @ conjugate_transpose(waw)
         null_gen = awq1_h @ conjugate_transpose(w)
+        range_op, null_op = _operand(range_gen), _operand(null_gen)
         inner = pinv(aw_qbt)
         s_inner = sigma_max(inner)
         # anchors for set predicates: measured factor norms, not powers of
@@ -643,19 +649,19 @@ def _corpus_member_checks(p: WeightedPair, integer: bool, planted_k: int,
         agg["corpus.properties.range-null"].update({
             "range_defect": _range_defect(x, proj_range(range_gen, scale=anchor_rg)),
             "null_defect": _null_defect(proj_corange(range_gen, scale=anchor_rg), x),
-            "set_mismatch": _set_eq_flags(x, range_gen, scale=anchor_rg),
+            "set_mismatch": _set_eq_flags(x_op, range_op, scale=anchor_rg),
         }, where_q)
         adj_gen = conjugate_transpose(inner) @ conjugate_transpose(w)
         agg["corpus.properties.adjoint-range"].update(
-            {"set_mismatch": _set_eq_flags(x, adj_gen,
+            {"set_mismatch": _set_eq_flags(x_op, _operand(adj_gen),
                                            scale=_CHAIN_MARGIN * s_inner * sw)},
             where_q)
-        pq_pinv = pinv(power(aw, q), scale=(sa * sw) ** q)
+        pq_pinv = pq_pinvs[q]
         pow_anchor = _CHAIN_MARGIN * sigma_max(pq_pinv) * s_awq1_m * sw
         pow_gen = conjugate_transpose(pq_pinv) @ null_gen
         agg["corpus.properties.power-range"].update({
-            "range_mismatch": _flag(_same_range(x, pow_gen, pow_anchor)),
-            "null_mismatch": _flag(_same_null(x, null_gen, anchor_ng)),
+            "range_mismatch": _flag(_range_equal(x_op, _operand(pow_gen), pow_anchor)),
+            "null_mismatch": _flag(_nullspace_equal(x_op, null_op, anchor_ng)),
         }, where_q)
         # range-subset and projector-fix measure |x - P x| / |x|, the
         # range condition of the projector system; outer-representation's
@@ -666,19 +672,19 @@ def _corpus_member_checks(p: WeightedPair, integer: bool, planted_k: int,
             {"fix": sysres["range-form"]["range_cond"]}, where_q)
         agg["corpus.properties.outer-representation"].update({
             "outer_eq": sysres["definition"]["eq1"],
-            "spaces_flag": _flag(outer_inverse_check(
-                waw, x, range_gen, null_gen, tol,
+            "spaces_flag": _flag(_outer_inverse_check(
+                waw, x_op, range_op, null_op, tol,
                 scale=max(anchor_rg, anchor_ng))),
         }, where_q)
         agg["corpus.properties.left-projector"].update(
             _proj_eq_residuals(
-                waw @ x, w @ inner @ conjugate_transpose(waw), null_gen,
+                _operand(waw @ x), _operand(w @ inner @ conjugate_transpose(waw)), null_op,
                 scale_r=_CHAIN_MARGIN * sw * s_inner * s_waw_m,
                 scale_n=anchor_ng),
             where_q)
         agg["corpus.properties.right-projector"].update(
             _proj_eq_residuals(
-                x @ waw, range_gen, null_gen @ waw,
+                _operand(x @ waw), range_op, _operand(null_gen @ waw),
                 scale_r=anchor_rg,
                 scale_n=_CHAIN_MARGIN * s_awq1_m * sw * s_waw_m),
             where_q)
@@ -690,17 +696,18 @@ def _corpus_member_checks(p: WeightedPair, integer: bool, planted_k: int,
             "left_eq": _rel(aw @ aw_qbt, aw @ y),
             "right_eq": _rel(aw_qbt @ aw, y @ aw),
         }, where_q)
+        aw_range_op, awq1_h_op = _operand(pq @ conjugate_transpose(aw)), _operand(awq1_h)
         left_proj = _proj_eq_residuals(
-            aw @ aw_qbt, inner @ conjugate_transpose(aw), awq1_h,
+            _operand(aw @ aw_qbt), _operand(inner @ conjugate_transpose(aw)), awq1_h_op,
             scale_r=_CHAIN_MARGIN * s_inner * s_aw_m,
             scale_n=_CHAIN_MARGIN * s_awq1_m)
         right_proj = _proj_eq_residuals(
-            aw_qbt @ aw, pq @ conjugate_transpose(aw), awq1_h @ aw,
+            _operand(aw_qbt @ aw), aw_range_op, _operand(awq1_h @ aw),
             scale_r=_CHAIN_MARGIN * s_aw_m,
             scale_n=_CHAIN_MARGIN * s_awq1_m * s_aw_m)
         agg["corpus.classical.outer"].update({
-            "outer_flag": _flag(outer_inverse_check(
-                aw, aw_qbt, pq @ conjugate_transpose(aw), awq1_h, tol,
+            "outer_flag": _flag(_outer_inverse_check(
+                aw, _operand(aw_qbt), aw_range_op, awq1_h_op, tol,
                 scale=_CHAIN_MARGIN * s_awq1_m * s_aw_m)),
             "left_idem": left_proj["idempotent"],
             "left_sets": max(left_proj["range_set_mismatch"],

@@ -5,8 +5,10 @@ from hypothesis import strategies as st
 
 from geninv.errors import DomainError
 from geninv.matrix import conjugate_transpose, frobenius, sigma_max
-from geninv.projectors import (matrix_index, nullspace_contained, pinv, power,
-                               proj_corange, proj_range, range_basis, range_contained)
+from geninv.errors import ShapeError
+from geninv.projectors import (matrix_index, nullspace_contained, nullspace_equal, pinv, power,
+                               proj_corange, proj_range, range_basis, range_contained,
+                               range_equal)
 
 from conftest import random_complex, rel
 
@@ -135,6 +137,81 @@ class TestSubspaceTests:
         x = random_complex(rng, 4, 5) @ gen
         assert nullspace_contained(gen, x)
         assert not nullspace_contained(jordan_nilpotent(5), np.eye(5))
+
+
+
+class TestSubspaceEqualities:
+    def test_equal_ranges_and_null_spaces(self, rng):
+        gen = random_complex(rng, 6, 4, rank=3)
+        x = gen @ random_complex(rng, 4, 5)
+        assert range_equal(x, gen) and range_equal(gen, x)
+        h = conjugate_transpose
+        assert nullspace_equal(h(x), h(gen)) and nullspace_equal(h(gen), h(x))
+
+    def test_strict_inclusion_either_way_is_not_equality(self, rng):
+        gen = random_complex(rng, 6, 4, rank=3)
+        inside = gen @ random_complex(rng, 4, 2)
+        assert range_contained(inside, gen)
+        assert not range_equal(inside, gen)
+        assert not range_equal(gen, inside)
+        # two combinations of the rows of gen* have a strictly larger null space
+        full = conjugate_transpose(gen)
+        rows = random_complex(rng, 2, 4) @ full
+        assert nullspace_contained(full, rows)
+        assert not nullspace_equal(rows, full)
+        assert not nullspace_equal(full, rows)
+
+    def test_rank_deficient_operands(self):
+        x = np.diag([1.0, 2.0, 0.0, 0.0]).astype(np.complex128)
+        y = np.diag([3.0, 0.0, 0.0, 0.0]).astype(np.complex128)
+        y[1, 2] = 1.0
+        assert range_equal(x, y)
+        assert not nullspace_equal(x, y)
+        assert nullspace_equal(x, np.diag([-1.0, 5.0, 0.0, 0.0]))
+        assert not range_equal(x, np.diag([1.0, 0.0, 1.0, 0.0]))
+
+    def test_zero_column_and_zero_row_operands(self, rng):
+        empty_cols = np.zeros((5, 0), dtype=np.complex128)
+        assert range_equal(empty_cols, np.zeros((5, 3)))
+        assert not range_equal(empty_cols, random_complex(rng, 5, 2))
+        assert not range_equal(random_complex(rng, 5, 2), empty_cols)
+        empty_rows = np.zeros((0, 4), dtype=np.complex128)
+        assert nullspace_equal(empty_rows, np.zeros((3, 4)))
+        assert not nullspace_equal(empty_rows, random_complex(rng, 2, 4))
+
+    def test_scale_anchors_a_noise_level_operand(self, rng):
+        noise = 1e-17 * random_complex(rng, 5, 3)
+        zero = np.zeros((5, 2), dtype=np.complex128)
+        assert not range_equal(noise, zero)
+        assert range_equal(noise, zero, scale=1.0)
+        assert not nullspace_equal(conjugate_transpose(noise), np.zeros((2, 5)))
+        assert nullspace_equal(conjugate_transpose(noise), np.zeros((2, 5)), scale=1.0)
+
+    def test_shape_mismatch_is_rejected(self, rng):
+        with pytest.raises(ShapeError):
+            range_equal(random_complex(rng, 4, 2), random_complex(rng, 5, 2))
+        with pytest.raises(ShapeError):
+            nullspace_equal(random_complex(rng, 2, 4), random_complex(rng, 2, 5))
+
+    def test_agree_with_both_containments_on_random_low_rank_pairs(self):
+        rng = np.random.default_rng(4242)
+        outcomes = {True: 0, False: 0}
+        for _ in range(300):
+            m = int(rng.integers(2, 8))
+            basis = random_complex(rng, m, m, rank=int(rng.integers(1, m + 1)))
+            # y spans a random part of R(basis), often all of it
+            y = basis @ random_complex(rng, m, int(rng.integers(1, m + 1)),
+                                       rank=int(rng.integers(1, m + 1)))
+            x = basis @ random_complex(rng, m, int(rng.integers(1, m + 1)),
+                                       rank=int(rng.integers(1, m + 1)))
+            scale = [None, float(sigma_max(basis))][int(rng.integers(0, 2))]
+            both = range_contained(x, y, scale) and range_contained(y, x, scale)
+            assert range_equal(x, y, scale) == both
+            xh, yh = conjugate_transpose(x), conjugate_transpose(y)
+            both = nullspace_contained(yh, xh, scale) and nullspace_contained(xh, yh, scale)
+            assert nullspace_equal(xh, yh, scale) == both
+            outcomes[both] += 1
+        assert min(outcomes.values()) >= 50, outcomes
 
 
 @st.composite

@@ -4,11 +4,12 @@ reads sigma_max, ranks and range bases off that factorization."""
 import numpy as np
 import pytest
 
-from geninv.classical import core_ep, drazin, qbt_inverse
+from geninv.classical import core_ep, drazin, outer_inverse_check, qbt_inverse
 from geninv.corpus import random_planted_pair, random_square
 from geninv.decomposition import (canonical_qbt, canonical_qbt_products, canonical_weighted_qbt,
                                   core_ep_decompose, weighted_core_ep_decompose)
-from geninv.projectors import matrix_index, pinv, range_contained
+from geninv.matrix import conjugate_transpose
+from geninv.projectors import matrix_index, nullspace_equal, pinv, range_contained, range_equal
 from geninv.verify import run_example_checks, run_random_corpus
 from geninv.weighted import WeightedPair, weighted_qbt
 
@@ -130,11 +131,36 @@ def test_range_contained_takes_two(svds, rng):
     assert len(svds) == 2
 
 
+def test_range_equal_takes_three_or_two_on_failure(svds, rng):
+    x = rng.standard_normal((8, 3))
+    y = x @ rng.standard_normal((3, 4))
+    assert range_equal(x, y)
+    assert len(svds) == 3
+    svds.clear()
+    assert not range_equal(x, y[:, :2])
+    assert len(svds) == 2
+
+
+def test_nullspace_equal_takes_three(svds, rng):
+    x = rng.standard_normal((3, 8))
+    assert nullspace_equal(x, rng.standard_normal((4, 3)) @ x)
+    assert len(svds) == 3
+
+
+def test_passing_outer_inverse_check_takes_five(svds, squares):
+    a = squares[1]
+    ah = conjugate_transpose(a)
+    x = pinv(a)
+    svds.clear()
+    assert outer_inverse_check(a, x, ah, ah)
+    assert len(svds) == 5
+
+
 def test_example_checks_share_their_operands(svds):
     run_example_checks()
-    assert len(svds) == 84
+    assert len(svds) == 86
 
 
 def test_corpus_checks_build_each_operand_once_per_member_and_exponent(svds):
     run_random_corpus(seed=11, count=10, max_dim=7)
-    assert len(svds) == 5085
+    assert len(svds) == 3554

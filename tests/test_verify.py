@@ -162,6 +162,13 @@ def member_measurements(p: WeightedPair) -> dict[str, dict[str, float]]:
     return {cid: e.values for cid, e in agg.items()}
 
 
+def example_reductions() -> verify.CheckResult:
+    """The examples.pair4x3.reductions result of a fresh example run."""
+    [check] = [r for r in run_example_checks().results
+               if r.check_id == "examples.pair4x3.reductions"]
+    return check
+
+
 @pytest.fixture(scope="module")
 def pair4x3():
     return WeightedPair.from_matrices(*pair_4x3_float())
@@ -201,6 +208,26 @@ class TestMeasurementsSeeFaults:
         short = dataclasses.replace(pair4x3, ind_aw=pair4x3.k - 1, k=pair4x3.k - 1)
         values = member_measurements(short)["corpus.reductions.q-ge-k"]
         assert values["k+1"] > 1e-3
+
+    def test_example_q0_sees_a_short_pseudoinverse(self, cutoff_drops_one):
+        check = example_reductions()
+        assert not check.passed
+        assert check.residuals["q0_penrose1"] > 1e-3
+
+    def test_example_q_ge_k_sees_an_understated_index(self, monkeypatch):
+        from_matrices = WeightedPair.from_matrices
+
+        def understated(a, w):
+            p = from_matrices(a, w)
+            if p.shape != (4, 3):
+                return p
+            assert p.ind_aw == p.k
+            return dataclasses.replace(p, ind_aw=p.k - 1, k=p.k - 1)
+
+        monkeypatch.setattr(WeightedPair, "from_matrices", staticmethod(understated))
+        check = example_reductions()
+        assert not check.passed
+        assert min(check.residuals["q-ge-k_k+1"], check.residuals["q-ge-k_k+2"]) > 1e-3
 
     def test_right_product_sees_an_understated_index(self, pair4x3, monkeypatch):
         matrix_index = classical.matrix_index
