@@ -4,7 +4,8 @@ BT, and the q-BT inverse (A P_{A^q})^+.
 The q-BT inverse interpolates the family: q = 0 gives the Moore-Penrose
 inverse, q = 1 the BT inverse, and any q >= Ind(A) the core-EP inverse.
 Each routine factors A and its powers once: sigma_max(A), the rank
-sequence of the powers and a basis of R(A^q) are read off those SVDs.
+sequence of the powers, a basis of R(A^q) and A^+ are read off those
+SVDs, and the powers the index search forms are not formed again.
 """
 
 from __future__ import annotations
@@ -12,17 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .matrix import Tolerances, as_matrix, frobenius, resolve_tol
-from .projectors import (
-    _Factored,
-    _nullspace_equal,
-    _power_ranks,
-    _range_equal,
-    matrix_index,
-    pinv,
-    power,
-    range_basis,
-)
+from .matrix import Tolerances, as_matrix, exponent, frobenius, resolve_tol
+from .projectors import _Factored, _nullspace_equal, _power_ranks, _range_equal, pinv, power
 
 
 def _require_square(a, name: str) -> np.ndarray:
@@ -39,54 +31,57 @@ def check_q(q, n: int | None = None) -> int:
     Ind(B) <= n, R(B^q) = R(B^n) for every q >= n, so the clamp is exact;
     it keeps the powers and their rank anchors from overflowing.
     """
-    if not isinstance(q, (int, np.integer)) or q < 0:
-        raise DomainError(f"q must be a nonnegative integer, got {q!r}")
-    return int(q) if n is None else min(int(q), n)
+    q = exponent(q, "q")
+    return q if n is None else min(q, n)
+
+
+def _index_search(a: _Factored) -> tuple[int, float, dict[int, _Factored]]:
+    """Ind(A), sigma_max(A) and the powers the index search kept, among
+    them A^Ind(A) and A^(Ind(A)+1), each held with its factorization."""
+    ranks, s1, powers = _power_ranks(a, a.a.shape[0] + 1)
+    return len(ranks) - 2, s1, powers
+
+
+def _drazin(a: _Factored, k: int, s1: float,
+            powers: dict[int, _Factored] | None = None) -> np.ndarray:
+    """A^d = A^k (A^(2k+1))^+ A^k for k = Ind(A), the cutoff anchored at
+    s1^(2k+1) with s1 = sigma_max(A); A^+ from A's own SVD when k = 0.
+    `powers` holds A^k and A^(k+1) when the index search already formed
+    them; A^(2k+1) is then one product, A^(k+1) A^k."""
+    if k == 0:
+        return a.pinv(scale=s1)
+    if powers is None:
+        ak = power(a.a, k)
+        ak1 = ak @ a.a
+    else:
+        ak, ak1 = powers[k].a, powers[k + 1].a
+    return ak @ pinv(ak1 @ ak, scale=s1 ** (2 * k + 1)) @ ak
 
 
 def drazin(a) -> np.ndarray:
     """Drazin inverse A^d = A^k (A^(2k+1))^+ A^k with k = Ind(A)."""
-    a = _require_square(a, "drazin")
-    report = matrix_index(a)
-    k, s1 = report.index, report.sigma_max
-    ak = power(a, k)
-    mid = pinv(power(a, 2 * k + 1), scale=s1 ** (2 * k + 1))
-    return ak @ mid @ ak
+    a = _Factored(_require_square(a, "drazin"))
+    return _drazin(a, *_index_search(a))
+
+
+def _group(a: _Factored) -> np.ndarray:
+    k, s1, powers = _index_search(a)
+    if k > 1:
+        raise DomainError(f"group inverse requires index <= 1, computed index is {k}")
+    return _drazin(a, k, s1, powers)
 
 
 def group_inverse(a) -> np.ndarray:
-    """Group inverse A^#, defined only when Ind(A) <= 1."""
-    a = _require_square(a, "group_inverse")
-    report = matrix_index(a)
-    if report.index > 1:
-        raise DomainError(f"group inverse requires index <= 1, computed index is {report.index}")
-    return a @ pinv(power(a, 3), scale=report.sigma_max ** 3) @ a
+    """Group inverse A^# = A (A^3)^+ A (A^+ when A is nonsingular), defined
+    only when Ind(A) <= 1."""
+    return _group(_Factored(_require_square(a, "group_inverse")))
 
 
 def core_inverse(a) -> np.ndarray:
-    """Core inverse A^# A A^+, defined only when Ind(A) <= 1."""
-    a = _require_square(a, "core_inverse")
-    return group_inverse(a) @ a @ pinv(a)
-
-
-def _qbt(a: np.ndarray, ranks, aq: np.ndarray) -> np.ndarray:
-    """(A P_{A^q})^+ = U (A U)^+ for q = len(ranks) - 2, where ranks holds
-    rank(A^j) for j = 0 .. q + 1, aq = A^q and the columns of U are the
-    leading rank(A^q) left singular vectors of A^q.
-
-    P = U U* and U* U = I give (A P)^+ = U (A U)^+, so the last SVD factors
-    an n x rank(A^q) matrix. A U has rank exactly rank(A^{q+1}); that rank
-    is decided on the power, whose anchor grows with q, and pinned in the
-    pseudoinverse: the trailing singular values of A U are rounding noise
-    at the scale of A, which a flat cutoff cannot reliably reject.
-    """
-    r = ranks[-1]
-    if r == 0:
-        return np.zeros_like(a)
-    if len(ranks) == 2:
-        return pinv(a, fixed_rank=r)
-    u = range_basis(aq, fixed_rank=ranks[-2])
-    return u @ pinv(a @ u, fixed_rank=r)
+    """Core inverse A^# A A^+, defined only when Ind(A) <= 1. One thin SVD
+    of A serves rank(A) and A^+."""
+    a = _Factored(_require_square(a, "core_inverse"), thin=True)
+    return _group(a) @ a.a @ a.pinv()
 
 
 def qbt_inverse(a, q: int) -> np.ndarray:
@@ -97,13 +92,28 @@ def qbt_inverse(a, q: int) -> np.ndarray:
     q is clamped at Ind(A): every q >= Ind(A) gives the core-EP inverse,
     and past the index rank(A^{q+1}) would be decided against
     sigma_max^{q+1}, which cond(A)^q outgrows long before q reaches n.
+
+    With U the leading rank(A^q) left singular vectors of A^q, P = U U*
+    and U* U = I give (A P)^+ = U (A U)^+, so the last SVD factors an
+    n x rank(A^q) matrix. The search takes the thin SVD of A^q itself, so
+    U costs no SVD of its own unless the ranks stabilize before j = q.
+    A U has rank exactly rank(A^{q+1}); that rank is decided on the power,
+    whose anchor grows with q, and pinned in the pseudoinverse: the
+    trailing singular values of A U are rounding noise at the scale of A,
+    which a flat cutoff cannot reliably reject.
     """
-    a = _require_square(a, "qbt_inverse")
-    q = check_q(q, a.shape[0])
+    a = _Factored(_require_square(a, "qbt_inverse"))
+    q = check_q(q, a.a.shape[0])
     if q == 0:
-        return pinv(a)
-    ranks, _, aq = _power_ranks(a, q + 1)
-    return _qbt(a, ranks, aq)
+        return a.pinv()
+    ranks, _, powers = _power_ranks(a, q + 1, thin_at=q)
+    q, r = len(ranks) - 2, ranks[-1]  # q clamped at Ind(A)
+    if r == 0:
+        return np.zeros_like(a.a)
+    if q == 0:
+        return a.pinv(fixed_rank=r)
+    u = powers[q].range_basis(fixed_rank=ranks[-2])
+    return u @ pinv(a.a @ u, fixed_rank=r)
 
 
 def bt_inverse(a) -> np.ndarray:
@@ -112,11 +122,10 @@ def bt_inverse(a) -> np.ndarray:
 
 
 def core_ep(a) -> np.ndarray:
-    """Core-EP inverse (A P_{A^k})^+ with k = Ind(A); rank(A^{k+1}) comes
-    from the index computation."""
+    """Core-EP inverse (A P_{A^k})^+ with k = Ind(A): the q-BT inverse at
+    q = n >= Ind(A), whose rank search stops at the index."""
     a = _require_square(a, "core_ep")
-    report = matrix_index(a)
-    return _qbt(a, report.rank_sequence, power(a, report.index))
+    return qbt_inverse(a, a.shape[0])
 
 
 def outer_inverse_check(a, x, range_gen, null_gen,

@@ -20,7 +20,7 @@ from .classical import check_q
 from .errors import DecompositionError, DomainError, NumericError, ShapeError
 from .matrix import (Tolerances, as_matrix, conjugate_transpose, frobenius,
                      qr_column_pivoted, rank, resolve_tol, sigma_max)
-from .projectors import matrix_index, pinv, power, proj_range
+from .projectors import _Factored, matrix_index, pinv, power, proj_range
 from .weighted import WeightedPair, _wqbt_raw
 
 
@@ -289,10 +289,9 @@ class CanonicalParts:
     omega: np.ndarray
 
 
-def _canonical_blocks(core, coupling, x3, pq):
+def _canonical_blocks(core, coupling, x3, pq, px):
     """Blocks of [[C* O, -C* O M X3], [G M* O, X3 - G M* O M X3]] with
-    G = pq - P_{X3} and O = [C C* + M G M*]^{-1}."""
-    px = proj_range(x3)
+    G = pq - px, px = P_{X3} and O = [C C* + M G M*]^{-1}."""
     gap = pq - px
     ch = conjugate_transpose(core)
     mh = conjugate_transpose(coupling)
@@ -317,12 +316,16 @@ def _square_canonical(core, coupling, nil, frame, q: int, rank_q: int,
     the parent's rank sequence by the caller; the extracted block's own
     trailing singular values are rounding noise at the parent's scale, so
     its pseudoinverse and range projector are rank-pinned rather than
-    decided by a cutoff.
+    decided by a cutoff. X3 = (nil P)^+ gives P_{X3} = X3 (nil P), which
+    keeps the rank X3 was built with and takes no SVD; P = I at q = 0.
     """
     q = check_q(q, frame.shape[0])
-    pq = proj_range(power(nil, q), fixed_rank=rank_q)
-    x3 = pinv(nil @ pq, fixed_rank=rank_q1)
-    blocks, _ = _canonical_blocks(core, coupling, x3, pq)
+    pq = power(nil, q)
+    if q:
+        pq = proj_range(pq, fixed_rank=rank_q)
+    m = nil @ pq
+    x3 = pinv(m, fixed_rank=rank_q1)
+    blocks, _ = _canonical_blocks(core, coupling, x3, pq, x3 @ m)
     return frame @ _assemble(*blocks) @ conjugate_transpose(frame)
 
 
@@ -351,9 +354,13 @@ def canonical_weighted_qbt(d: WeightedCoreEPDecomposition,
     q = min(check_q(q), max(d.ind_aw, d.ind_wa))
     core = d.w1 @ d.a1 @ d.w1
     coupling = d.w1 @ d.a1 @ d.w2 + d.w1 @ d.a2 @ d.w3 + d.w2 @ d.a3 @ d.w3
-    x3 = _wqbt_raw(d.a3, d.w3, q, d.sigma_max_a, d.sigma_max_w)
-    pq = proj_range(power(d.a3 @ d.w3, q), fixed_rank=d.power_rank_aw(q) - d.t_dim)
-    blocks, omega = _canonical_blocks(core, coupling, x3, pq)
+    # one SVD of (A3W3)^q gives both X3's range basis and P_{(A3W3)^q}; X3 =
+    # (W3A3W3 P)^+ gives P_{X3} = X3 W3A3W3 P with the rank X3 was built with
+    awq = _Factored(power(d.a3 @ d.w3, q))
+    x3 = _wqbt_raw(d.a3, d.w3, q, d.sigma_max_a, d.sigma_max_w, awq)
+    pq = awq.a if q == 0 else awq.proj_range(fixed_rank=d.power_rank_aw(q) - d.t_dim)
+    px = x3 @ d.w3 @ d.a3 @ d.w3 @ pq
+    blocks, omega = _canonical_blocks(core, coupling, x3, pq, px)
     x = d.u @ _assemble(*blocks) @ conjugate_transpose(d.v)
     return x, CanonicalParts(m_block=_frozen(coupling), omega=_frozen(omega))
 

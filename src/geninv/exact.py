@@ -27,6 +27,7 @@ import numpy as np
 
 from .classical import check_q
 from .errors import DomainError, NumericError, ShapeError
+from .matrix import exponent
 
 MAX_EXACT_DIM = 32
 
@@ -440,9 +441,7 @@ def exact_pinv(a: np.ndarray) -> np.ndarray:
 
 def exact_power(a: np.ndarray, q: int) -> np.ndarray:
     z = _check_square(a, "powers")
-    if not isinstance(q, (int, np.integer)) or q < 0:
-        raise DomainError(f"exponent must be a nonnegative integer, got {q!r}")
-    return _power(z, int(q)).to_gr()
+    return _power(z, exponent(q, "exponent")).to_gr()
 
 
 def exact_index(a: np.ndarray) -> int:

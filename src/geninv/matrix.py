@@ -74,6 +74,15 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+def exponent(q, name: str, least: int = 0) -> int:
+    """q as an int, or DomainError unless it is an integer >= least. A bool
+    is rejected although bool subclasses int."""
+    if isinstance(q, bool) or not isinstance(q, (int, np.integer)) or q < least:
+        kind = "positive" if least > 0 else "nonnegative"
+        raise DomainError(f"{name} must be a {kind} integer, got {q!r}")
+    return int(q)
+
+
 def conjugate_transpose(a) -> np.ndarray:
     return as_matrix(a).conj().T
 

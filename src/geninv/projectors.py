@@ -8,8 +8,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
-from .matrix import as_matrix, rank, rank_from_values, singular_values
+from .errors import NumericError, ShapeError
+from .matrix import as_matrix, exponent, rank_from_values, singular_values
 
 
 @dataclass(frozen=True)
@@ -36,46 +36,100 @@ def _kept(s: np.ndarray, shape: tuple[int, int], scale: float | None,
     return min(int(fixed_rank), int(np.count_nonzero(s > 0.0)))
 
 
-def pinv(a, scale: float | None = None, fixed_rank: int | None = None) -> np.ndarray:
-    """Moore-Penrose inverse via SVD with a relative singular-value cutoff.
+class _Factored:
+    """A matrix and its SVD, taken on first use and then kept.
 
-    `scale` optionally anchors the cutoff to a parent matrix's largest
-    singular value when `a` is a derived quantity (power, extracted block).
+    `usv` is the thin SVD; the pseudoinverse, range basis and both
+    projectors read it, so one factorization serves them all. `s` reads
+    the thin SVD's values when it is held, or when `thin` asks for it
+    because a caller will need the vectors later; otherwise it takes a
+    values-only SVD, which is all a rank decision needs.
+
+    `scale` anchors the cutoff to a parent matrix's largest singular value
+    when the matrix is a derived quantity (power, extracted block).
     `fixed_rank` bypasses the cutoff and keeps exactly that many singular
     values; callers use it when the rank is known from structure and the
-    trailing singular values of `a` are pure rounding noise.
+    trailing singular values are pure rounding noise. A rank pinned at 0
+    keeps nothing and takes no SVD.
     """
-    a = as_matrix(a)
-    m, n = a.shape
-    if a.size == 0:
-        return np.zeros((n, m), dtype=np.complex128)
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    r = _kept(s, a.shape, scale, fixed_rank)
-    if r == 0:
-        return np.zeros((n, m), dtype=np.complex128)
-    return (vh[:r].conj().T / s[:r]) @ u[:, :r].conj().T
+
+    def __init__(self, a: np.ndarray, thin: bool = False):
+        self.a = a
+        self.thin = thin
+
+    @cached_property
+    def usv(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        m, n = self.a.shape
+        if self.a.size == 0:
+            return (np.zeros((m, 0), dtype=np.complex128), np.zeros(0),
+                    np.zeros((0, n), dtype=np.complex128))
+        try:
+            return np.linalg.svd(self.a, full_matrices=False)
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(f"SVD failed: {exc}") from exc
+
+    @cached_property
+    def s(self) -> np.ndarray:
+        if self.thin or "usv" in self.__dict__:
+            return self.usv[1]
+        return singular_values(self.a)
+
+    @property
+    def sigma_max(self) -> float:
+        return float(self.s[0]) if self.s.size else 0.0
+
+    def rank(self, scale: float | None = None) -> int:
+        return rank_from_values(self.s, self.a.shape, scale)
+
+    def _keep(self, scale: float | None, fixed_rank: int | None) -> int:
+        """How many singular values `pinv` and `range_basis` keep."""
+        return 0 if fixed_rank == 0 else _kept(self.usv[1], self.a.shape, scale, fixed_rank)
+
+    def pinv(self, scale: float | None = None, fixed_rank: int | None = None) -> np.ndarray:
+        r = self._keep(scale, fixed_rank)
+        if r == 0:
+            return np.zeros(self.a.shape[::-1], dtype=np.complex128)
+        u, s, vh = self.usv
+        return (vh[:r].conj().T / s[:r]) @ u[:, :r].conj().T
+
+    def pinv_sigma_max(self, scale: float | None = None) -> float:
+        """sigma_max of `pinv(scale)`: the reciprocal of the last kept value."""
+        r = self._keep(scale, None)
+        return 1.0 / float(self.usv[1][r - 1]) if r else 0.0
+
+    def range_basis(self, scale: float | None = None,
+                    fixed_rank: int | None = None) -> np.ndarray:
+        r = self._keep(scale, fixed_rank)
+        return self.usv[0][:, :r] if r else np.zeros((self.a.shape[0], 0), dtype=np.complex128)
+
+    def proj_range(self, scale: float | None = None, fixed_rank: int | None = None) -> np.ndarray:
+        return self.a @ self.pinv(scale, fixed_rank)
+
+    def proj_corange(self, scale: float | None = None,
+                     fixed_rank: int | None = None) -> np.ndarray:
+        return self.pinv(scale, fixed_rank) @ self.a
+
+
+def pinv(a, scale: float | None = None, fixed_rank: int | None = None) -> np.ndarray:
+    """Moore-Penrose inverse via one thin SVD with a relative singular-value
+    cutoff; `scale` and `fixed_rank` as in `_Factored`."""
+    return _Factored(as_matrix(a)).pinv(scale, fixed_rank)
 
 
 def range_basis(b, scale: float | None = None, fixed_rank: int | None = None) -> np.ndarray:
     """Orthonormal basis U_r of the range of B: the leading left singular
     vectors of one thin SVD, r decided as in `pinv`, so U_r U_r* = P_B."""
-    b = as_matrix(b)
-    if b.size == 0:
-        return np.zeros((b.shape[0], 0), dtype=np.complex128)
-    u, s, _ = np.linalg.svd(b, full_matrices=False)
-    return u[:, :_kept(s, b.shape, scale, fixed_rank)]
+    return _Factored(as_matrix(b)).range_basis(scale, fixed_rank)
 
 
 def proj_range(b, scale: float | None = None, fixed_rank: int | None = None) -> np.ndarray:
     """Orthogonal projector P_B = B B^+ onto the range of B."""
-    b = as_matrix(b)
-    return b @ pinv(b, scale, fixed_rank)
+    return _Factored(as_matrix(b)).proj_range(scale, fixed_rank)
 
 
 def proj_corange(b, scale: float | None = None, fixed_rank: int | None = None) -> np.ndarray:
     """Orthogonal projector Q_B = B^+ B onto the range of B*."""
-    b = as_matrix(b)
-    return pinv(b, scale, fixed_rank) @ b
+    return _Factored(as_matrix(b)).proj_corange(scale, fixed_rank)
 
 
 def power(b, q: int) -> np.ndarray:
@@ -83,29 +137,35 @@ def power(b, q: int) -> np.ndarray:
     b = as_matrix(b)
     if b.shape[0] != b.shape[1]:
         raise ShapeError(f"power requires a square matrix, got {b.shape[0]}x{b.shape[1]}")
-    if not isinstance(q, (int, np.integer)) or q < 0:
-        raise DomainError(f"exponent must be a nonnegative integer, got {q!r}")
-    return np.linalg.matrix_power(b, int(q))
+    return np.linalg.matrix_power(b, exponent(q, "exponent"))
 
 
-def _power_ranks(b: np.ndarray, last: int) -> tuple[list[int], float, np.ndarray]:
+def _power_ranks(b: _Factored, last: int,
+                 thin_at: int = 0) -> tuple[list[int], float, dict[int, _Factored]]:
     """rank(B^j) for j = 0, 1, ... up to the first j with rank(B^j) =
     rank(B^(j-1)), or up to j = last.
 
-    One values-only SVD of B gives both the anchor s1 = sigma_max(B) and
-    rank(B); the rank of B^j is taken relative to s1^j. Returns the ranks,
-    s1, and B^(len(ranks) - 2): B^Ind(B) when the ranks stabilized,
-    B^(last - 1) otherwise.
+    One SVD of B gives both the anchor s1 = sigma_max(B) and rank(B); the
+    rank of B^j is taken relative to s1^j. Each SVD is values only, except
+    that B^thin_at takes the thin one, which the caller's range basis or
+    pseudoinverse of that power then reads. Returns the ranks, s1 and the
+    powers a caller may read, keyed by exponent and held with their
+    factorizations: B, B^thin_at and the last two formed, which are
+    B^Ind(B) and B^(Ind(B)+1) when the ranks stabilized.
     """
-    n = b.shape[0]
-    s = singular_values(b)
-    s1 = float(s[0]) if s.size else 0.0
-    ranks = [n, rank_from_values(s, b.shape, s1)]
-    prev, bj = np.eye(n, dtype=np.complex128), b
+    n = b.a.shape[0]
+    if thin_at == 1:
+        b.thin = True
+    s1 = b.sigma_max
+    ranks = [n, b.rank(s1)]
+    powers = {1: b}
     while ranks[-1] != ranks[-2] and len(ranks) <= last:
-        prev, bj = bj, bj @ b
-        ranks.append(rank(bj, scale=s1 ** len(ranks)))
-    return ranks, s1, prev
+        j = len(ranks)
+        powers[j] = bj = _Factored(powers[j - 1].a @ b.a, thin=j == thin_at)
+        if j - 2 not in (1, thin_at):
+            powers.pop(j - 2, None)
+        ranks.append(bj.rank(s1 ** j))
+    return ranks, s1, powers
 
 
 def matrix_index(b) -> IndexReport:
@@ -120,20 +180,8 @@ def matrix_index(b) -> IndexReport:
     n = b.shape[0]
     if n != b.shape[1]:
         raise ShapeError(f"matrix_index requires a square matrix, got {b.shape[0]}x{b.shape[1]}")
-    ranks, s1, _ = _power_ranks(b, n + 1)
+    ranks, s1, _ = _power_ranks(_Factored(b), n + 1)
     return IndexReport(index=len(ranks) - 2, rank_sequence=tuple(ranks), sigma_max=s1)
-
-
-class _Factored:
-    """A matrix whose singular values are taken on first read and then
-    kept, so every rank decision on it shares one values-only SVD."""
-
-    def __init__(self, a: np.ndarray):
-        self.a = a
-
-    @cached_property
-    def s(self) -> np.ndarray:
-        return singular_values(self.a)
 
 
 def _stacked_rank_equal(stacked: np.ndarray, scale: float | None, *operands: _Factored) -> bool:

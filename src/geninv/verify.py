@@ -381,17 +381,24 @@ def run_example_checks(tol: Tolerances | None = None) -> ConformanceReport:
 # characterization systems
 
 
+def _range_generator(p: WeightedPair, pq: np.ndarray) -> _Factored:
+    """P_{(AW)^q} (WAW)*, whose range is R(X) and whose adjoint's null space
+    is N(X); one thin SVD serves its projectors and its rank decisions."""
+    return _Factored(pq @ conjugate_transpose(p.w @ p.a @ p.w), thin=True)
+
+
 def _system_residuals(p: WeightedPair, x0: np.ndarray, pq: np.ndarray,
+                      range_gen: _Factored,
                       candidates: list[np.ndarray]) -> list[dict[str, dict[str, float]]]:
     """Residuals of all four characterizing systems, keyed by system name,
-    for each candidate; x0 is the computed inverse weighted_qbt(p, q) and
-    pq the projector P_{(AW)^q}, both built by the caller."""
+    for each candidate; x0 is the computed inverse weighted_qbt(p, q), pq
+    the projector P_{(AW)^q} and range_gen `_range_generator(p, pq)`, all
+    built by the caller."""
     a, w = p.a, p.w
     aw, wa, waw = a @ w, w @ a, w @ a @ w
     s_waw = p.sigma_max_w * p.sigma_max_a * p.sigma_max_w
-    range_gen = pq @ conjugate_transpose(waw)
-    p_gen = proj_range(range_gen, scale=s_waw)
-    q_gen = proj_corange(range_gen, scale=s_waw)
+    p_gen = range_gen.proj_range(scale=s_waw)
+    q_gen = range_gen.proj_corange(scale=s_waw)
     out = []
     for x in candidates:
         eq2 = _rel(x @ wa, x0 @ wa)
@@ -418,7 +425,7 @@ def run_system_checks(p: WeightedPair, q: int, tol: Tolerances | None = None,
     x0 = weighted_qbt(p, q)
     pq = proj_range(power(p.a @ p.w, q), scale=(p.sigma_max_a * p.sigma_max_w) ** q)
     x = x0 if candidate is None else np.asarray(candidate, dtype=np.complex128)
-    [res] = _system_residuals(p, x0, pq, [x])
+    [res] = _system_residuals(p, x0, pq, _range_generator(p, pq), [x])
     out = []
     for system, eqs in res.items():
         for name, value in eqs.items():
@@ -533,8 +540,9 @@ def _corpus_member_checks(p: WeightedPair, integer: bool, planted_k: int,
     forms = [weighted_qbt_product_forms(p, q) for q in range(k + 1)]
     # P_{(AW)^q} = (AW)^q ((AW)^q)^+, and the pseudoinverse serves the
     # power-range generator too
-    pq_pinvs = [pinv(power(aw, q), scale=s_aw ** q) for q in q_grid]
-    pqs = [power(aw, q) @ pq_pinvs[q] for q in q_grid]
+    awqs = [_Factored(power(aw, q), thin=True) for q in q_grid]
+    pq_pinvs = [f.pinv(scale=s_aw ** q) for q, f in zip(q_grid, awqs)]
+    pqs = [f.a @ f_pinv for f, f_pinv in zip(awqs, pq_pinvs)]
     aw_qbts = [qbt_inverse(aw, q) for q in q_grid]
     aw_cep = core_ep(aw)
     cep = xs[k]
@@ -543,6 +551,16 @@ def _corpus_member_checks(p: WeightedPair, integer: bool, planted_k: int,
     reductions = _reduction_residuals(p, xs, forms[min(1, k)], pqs[k])
     for name, res in reductions.items():
         agg[f"corpus.reductions.{name}"].update(res, where)
+
+    # classical reductions for the square product: the Penrose equations of
+    # (AW)^{q-BT} against AW at q = 0, and against AW P_{(AW)^Ind(AW)} at
+    # q = Ind(AW) and Ind(AW) + 1, both worst of four
+    b_ind = aw @ pqs[p.ind_aw]
+    agg["corpus.classical.reductions"].update({
+        **{f"q0_{name}": v for name, v in _penrose_residuals(aw, aw_qbts[0]).items()},
+        "q_ind": max(_penrose_residuals(b_ind, aw_qbts[p.ind_aw]).values()),
+        "q_beyond": max(_penrose_residuals(b_ind, aw_qbts[p.ind_aw + 1]).values()),
+    }, where)
 
     # weighted Drazin equations and dual representations
     xd = weighted_drazin(p)
@@ -607,14 +625,17 @@ def _corpus_member_checks(p: WeightedPair, integer: bool, planted_k: int,
     for q in q_grid:
         where_q = f"{where} q={q}"
         x, x_op, pq, aw_qbt = xs[min(q, k)], x_ops[min(q, k)], pqs[q], aw_qbts[q]
-        awq1 = power(aw, q + 1)
-        s_awq1_m = sigma_max(awq1)
-        awq1_h = conjugate_transpose(awq1)
-        range_gen = pq @ conjugate_transpose(waw)
+        awq1_h_op = _operand(conjugate_transpose(awqs[q].a @ aw))
+        awq1_h = awq1_h_op.a
+        s_awq1_m = awq1_h_op.sigma_max
         null_gen = awq1_h @ conjugate_transpose(w)
-        range_op, null_op = _operand(range_gen), _operand(null_gen)
-        inner = pinv(aw_qbt)
-        s_inner = sigma_max(inner)
+        range_op, null_op = _range_generator(p, pq), _operand(null_gen)
+        # one thin SVD of (AW)^{q-BT} gives its pseudoinverse, that
+        # pseudoinverse's sigma_max and the singular values the set
+        # predicates read
+        aw_qbt_op = _Factored(aw_qbt, thin=True)
+        inner = aw_qbt_op.pinv()
+        s_inner = aw_qbt_op.pinv_sigma_max()
         # anchors for set predicates: measured factor norms, not powers of
         # norm bounds, so the cutoff tracks the actual magnitudes instead of
         # compounding worst-case overestimates across q
@@ -625,7 +646,7 @@ def _corpus_member_checks(p: WeightedPair, integer: bool, planted_k: int,
         # must visibly violate every complete system
         noise = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
         noise *= _PERTURBATION * max(1.0, frobenius(x)) / frobenius(noise)
-        sysres, pert = _system_residuals(p, x, pq, [x, x + noise])
+        sysres, pert = _system_residuals(p, x, pq, range_op, [x, x + noise])
         for system, res in sysres.items():
             agg[f"corpus.system.{system}"].update(res, where_q)
             agg[f"corpus.uniqueness.{system}"].update(
@@ -647,8 +668,8 @@ def _corpus_member_checks(p: WeightedPair, integer: bool, planted_k: int,
 
         # range / null-space properties
         agg["corpus.properties.range-null"].update({
-            "range_defect": _range_defect(x, proj_range(range_gen, scale=anchor_rg)),
-            "null_defect": _null_defect(proj_corange(range_gen, scale=anchor_rg), x),
+            "range_defect": _range_defect(x, range_op.proj_range(scale=anchor_rg)),
+            "null_defect": _null_defect(range_op.proj_corange(scale=anchor_rg), x),
             "set_mismatch": _set_eq_flags(x_op, range_op, scale=anchor_rg),
         }, where_q)
         adj_gen = conjugate_transpose(inner) @ conjugate_transpose(w)
@@ -657,7 +678,7 @@ def _corpus_member_checks(p: WeightedPair, integer: bool, planted_k: int,
                                            scale=_CHAIN_MARGIN * s_inner * sw)},
             where_q)
         pq_pinv = pq_pinvs[q]
-        pow_anchor = _CHAIN_MARGIN * sigma_max(pq_pinv) * s_awq1_m * sw
+        pow_anchor = _CHAIN_MARGIN * awqs[q].pinv_sigma_max(scale=s_aw ** q) * s_awq1_m * sw
         pow_gen = conjugate_transpose(pq_pinv) @ null_gen
         agg["corpus.properties.power-range"].update({
             "range_mismatch": _flag(_range_equal(x_op, _operand(pow_gen), pow_anchor)),
@@ -696,7 +717,7 @@ def _corpus_member_checks(p: WeightedPair, integer: bool, planted_k: int,
             "left_eq": _rel(aw @ aw_qbt, aw @ y),
             "right_eq": _rel(aw_qbt @ aw, y @ aw),
         }, where_q)
-        aw_range_op, awq1_h_op = _operand(pq @ conjugate_transpose(aw)), _operand(awq1_h)
+        aw_range_op = _operand(pq @ conjugate_transpose(aw))
         left_proj = _proj_eq_residuals(
             _operand(aw @ aw_qbt), _operand(inner @ conjugate_transpose(aw)), awq1_h_op,
             scale_r=_CHAIN_MARGIN * s_inner * s_aw_m,
@@ -707,7 +728,7 @@ def _corpus_member_checks(p: WeightedPair, integer: bool, planted_k: int,
             scale_n=_CHAIN_MARGIN * s_awq1_m * s_aw_m)
         agg["corpus.classical.outer"].update({
             "outer_flag": _flag(_outer_inverse_check(
-                aw, _operand(aw_qbt), aw_range_op, awq1_h_op, tol,
+                aw, aw_qbt_op, aw_range_op, awq1_h_op, tol,
                 scale=_CHAIN_MARGIN * s_awq1_m * s_aw_m)),
             "left_idem": left_proj["idempotent"],
             "left_sets": max(left_proj["range_set_mismatch"],
@@ -723,19 +744,14 @@ def _corpus_member_checks(p: WeightedPair, integer: bool, planted_k: int,
 
         # inner Gram simplification of the canonical construction
         x3 = _wqbt_raw(d.a3, d.w3, q, sa, sw)
-        p3q = proj_range(power(d.a3 @ d.w3, q), fixed_rank=d.power_rank_aw(q) - t)
+        a3w3q = power(d.a3 @ d.w3, q)
+        p3q = proj_range(a3w3q, fixed_rank=d.power_rank_aw(q) - t)
         inner_mat = d.w3 @ d.a3 @ d.w3 @ p3q
-        q_inner = proj_corange(inner_mat, fixed_rank=_wqbt_rank(d.a3, d.w3, q, sa, sw))
+        q_inner = proj_corange(inner_mat, fixed_rank=_wqbt_rank(
+            d.w3, a3w3q @ d.a3 @ d.w3, q, sa, sw))
         z = p3q @ (np.eye(q_inner.shape[0], dtype=np.complex128) - q_inner) @ p3q
         agg["corpus.decomposition.z-identity"].update(
             {"z": _rel(z, p3q - proj_range(x3), 1.0)}, where_q)
-
-    # classical reductions for the square product
-    agg["corpus.classical.reductions"].update({
-        **{f"q0_{name}": v for name, v in _penrose_residuals(aw, aw_qbts[0]).items()},
-        "q_ind": _rel(aw_qbts[p.ind_aw], aw_cep),
-        "q_beyond": _rel(aw_qbts[p.ind_aw + 1], aw_cep),
-    }, where)
 
     # exact-path agreement on integer members
     if integer:

@@ -12,10 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import check_q, drazin, qbt_inverse
+from .classical import _drazin, check_q, qbt_inverse
 from .errors import DomainError, NumericError, ShapeError
-from .matrix import Tolerances, as_matrix, frobenius, rank, resolve_tol, sigma_max
-from .projectors import matrix_index, pinv, power, range_basis
+from .matrix import Tolerances, as_matrix, exponent, frobenius, rank, resolve_tol, sigma_max
+from .projectors import _Factored, matrix_index, pinv, power
 
 
 @dataclass(frozen=True)
@@ -25,7 +25,8 @@ class WeightedPair:
     ind_aw = Ind(AW), ind_wa = Ind(WA), k = max of both; the rank
     sequences hold rank((AW)^j) and rank((WA)^j) for j = 0 .. index + 1;
     sigma_max_a and sigma_max_w are the largest singular values of A and
-    W, the anchors of every rank decision the weighted routines make.
+    W, the anchors of every rank decision the weighted routines make;
+    sigma_max_wa is that of WA, the anchor of its Drazin inverse.
     The indices of AW and WA can differ by at most one; a larger spread
     indicates a rank misclassification and is rejected.
     """
@@ -39,6 +40,7 @@ class WeightedPair:
     rank_sequence_wa: tuple[int, ...]
     sigma_max_a: float
     sigma_max_w: float
+    sigma_max_wa: float
 
     @classmethod
     def from_matrices(cls, a, w) -> "WeightedPair":
@@ -64,41 +66,48 @@ class WeightedPair:
         return cls(a=a, w=w, ind_aw=ind_aw, ind_wa=ind_wa, k=max(ind_aw, ind_wa),
                    rank_sequence_aw=rep_aw.rank_sequence,
                    rank_sequence_wa=rep_wa.rank_sequence,
-                   sigma_max_a=sigma_max(a), sigma_max_w=sigma_max(w))
+                   sigma_max_a=sigma_max(a), sigma_max_w=sigma_max(w),
+                   sigma_max_wa=rep_wa.sigma_max)
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.a.shape
 
 
-def _wqbt_rank(a: np.ndarray, w: np.ndarray, q: int, sa: float, sw: float) -> int:
-    """Exact rank of W A W P_{(AW)^q}, decided on W (AW)^{q+1}.
+def _wqbt_rank(w: np.ndarray, awq1: np.ndarray, q: int, sa: float, sw: float) -> int:
+    """Exact rank of W A W P_{(AW)^q}, decided on W (AW)^{q+1}, with awq1 =
+    (AW)^{q+1}.
 
     W A W maps R((AW)^q) onto R(W (AW)^{q+1}), so the two ranks agree.
     Deciding on the power keeps the rank anchor growing with q; the
     trailing singular values of the product itself are rounding noise at
     the scale of the factors, which a flat cutoff cannot reliably reject.
     """
-    probe = w @ power(a @ w, q + 1)
-    return rank(probe, scale=sw * (sa * sw) ** (q + 1))
+    return rank(w @ awq1, scale=sw * (sa * sw) ** (q + 1))
 
 
-def _wqbt_raw(a: np.ndarray, w: np.ndarray, q: int, sa: float, sw: float) -> np.ndarray:
+def _wqbt_raw(a: np.ndarray, w: np.ndarray, q: int, sa: float, sw: float,
+              awq: _Factored | None = None) -> np.ndarray:
     """(W A W P_{(AW)^q})^+ on raw arrays; tolerates W = 0 (used on blocks).
 
     sa and sw anchor the rank cutoffs: sigma_max of A and W, or of the
     parent pair when a and w are blocks of a decomposition. q = 0 is a
     plain pseudoinverse of W A W. Otherwise, with U the leading left
     singular vectors of (AW)^q, P = U U* gives the result as U (W A W U)^+,
-    whose last SVD factors an n x rank((AW)^q) matrix.
+    whose last SVD factors an n x rank((AW)^q) matrix. `awq` is (AW)^q
+    when the caller holds it, so that the caller's projector and U read
+    one SVD of it.
     """
     q = check_q(q, a.shape[0])
     if q == 0:
         return pinv(w @ a @ w, scale=sw * sa * sw)
-    r = _wqbt_rank(a, w, q, sa, sw)
+    aw = a @ w
+    if awq is None:
+        awq = _Factored(power(aw, q))
+    r = _wqbt_rank(w, awq.a @ aw, q, sa, sw)
     if r == 0:
         return np.zeros(a.shape, dtype=np.complex128)
-    u = range_basis(power(a @ w, q), scale=(sa * sw) ** q)
+    u = awq.range_basis(scale=(sa * sw) ** q)
     return u @ pinv(w @ a @ w @ u, fixed_rank=r)
 
 
@@ -122,8 +131,9 @@ def weighted_core_ep(p: WeightedPair) -> np.ndarray:
 
 
 def weighted_drazin(p: WeightedPair) -> np.ndarray:
-    """W-weighted Drazin inverse A (WA)^d (WA)^d."""
-    d = drazin(p.w @ p.a)
+    """W-weighted Drazin inverse A (WA)^d (WA)^d; (WA)^d reads Ind(WA) and
+    sigma_max(WA) from the pair, so its only SVD is that of (WA)^(2k+1)."""
+    d = _drazin(_Factored(p.w @ p.a), p.ind_wa, p.sigma_max_wa)
     return p.a @ d @ d
 
 
@@ -134,15 +144,16 @@ def weighted_qbt_product_forms(p: WeightedPair, q: int) -> tuple[np.ndarray, np.
     """
     q = min(check_q(q), p.k)
     sa, sw = p.sigma_max_a, p.sigma_max_w
-    r = _wqbt_rank(p.a, p.w, q, sa, sw)
+    aw = p.a @ p.w
+    awq = power(aw, q)
+    awq1 = awq @ aw
+    r = _wqbt_rank(p.w, awq1, q, sa, sw)
     if r == 0:
         zero = np.zeros(p.shape, dtype=np.complex128)
         return zero, zero.copy()
-    aw = p.a @ p.w
-    wa = p.w @ p.a
-    pq_pinv = pinv(power(aw, q), scale=(sa * sw) ** q)
-    x1 = pinv(p.w @ power(aw, q + 1) @ pq_pinv, fixed_rank=r)
-    x2 = pinv(power(wa, q + 1) @ p.w @ pq_pinv, fixed_rank=r)
+    pq_pinv = pinv(awq, scale=(sa * sw) ** q)
+    x1 = pinv(p.w @ awq1 @ pq_pinv, fixed_rank=r)
+    x2 = pinv(power(p.w @ p.a, q + 1) @ p.w @ pq_pinv, fixed_rank=r)
     return x1, x2
 
 
@@ -150,10 +161,11 @@ def weighted_qbt_via_square(p: WeightedPair, q: int) -> np.ndarray:
     """(W ((AW)^{q-BT})^+)^+: the weighted inverse through the square q-BT
     inverse of the product AW."""
     q = min(check_q(q), p.k)
-    r = _wqbt_rank(p.a, p.w, q, p.sigma_max_a, p.sigma_max_w)
+    aw = p.a @ p.w
+    r = _wqbt_rank(p.w, power(aw, q + 1), q, p.sigma_max_a, p.sigma_max_w)
     if r == 0:
         return np.zeros(p.shape, dtype=np.complex128)
-    inner = pinv(qbt_inverse(p.a @ p.w, q))
+    inner = pinv(qbt_inverse(aw, q))
     return pinv(p.w @ inner, fixed_rank=r)
 
 
@@ -162,8 +174,7 @@ def cline_shift_check(p: WeightedPair, ell: int, tol: Tolerances | None = None) 
 
     Always true mathematically; a false return signals an arithmetic bug.
     """
-    if not isinstance(ell, (int, np.integer)) or ell < 1:
-        raise DomainError(f"ell must be a positive integer, got {ell!r}")
+    ell = exponent(ell, "ell", least=1)
     tol = resolve_tol(tol)
     left = power(p.a @ p.w, ell - 1) @ p.a
     right = p.a @ power(p.w @ p.a, ell - 1)

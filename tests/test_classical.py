@@ -7,10 +7,11 @@ from geninv.classical import (bt_inverse, check_q, core_ep, core_inverse, drazin
                               group_inverse, outer_inverse_check, qbt_inverse)
 from geninv.corpus import random_square
 from geninv.decomposition import canonical_qbt, core_ep_decompose
-from geninv.exact import exact_qbt, requal, rmatrix
+from geninv.exact import exact_power, exact_qbt, requal, rmatrix
 from geninv.errors import DomainError, ShapeError
 from geninv.matrix import conjugate_transpose, frobenius
 from geninv.projectors import matrix_index, pinv, power, proj_range
+from geninv.weighted import WeightedPair, cline_shift_check
 
 from conftest import rel
 
@@ -31,6 +32,18 @@ class TestCheckQ:
     def test_rejects_others(self, bad):
         with pytest.raises(DomainError):
             check_q(bad)
+
+    # bool subclasses int: True would silently give the q = 1 member
+    @pytest.mark.parametrize("flag", [True, False])
+    @pytest.mark.parametrize("call", [
+        lambda e: qbt_inverse(np.eye(2), e),
+        lambda e: power(np.eye(2), e),
+        lambda e: cline_shift_check(WeightedPair.from_matrices(np.eye(2), np.eye(2)), e),
+        lambda e: exact_power(rmatrix([[1, 0], [0, 1]]), e),
+    ], ids=["check_q", "power", "cline_shift_check", "exact_power"])
+    def test_rejects_bools(self, call, flag):
+        with pytest.raises(DomainError):
+            call(flag)
 
 
 class TestDrazin:

@@ -141,17 +141,21 @@ class TestInverseCommands:
                 return fn(*args, **kwargs)
             return wrapper
 
-        def index_span(*args, **kwargs):
-            inside_index.append(True)
-            try:
-                return projectors.matrix_index(*args, **kwargs)
-            finally:
-                inside_index.pop()
+        def index_span(fn):
+            def span(*args, **kwargs):
+                inside_index.append(True)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    inside_index.pop()
+            return span
 
         monkeypatch.setattr(np.linalg, "svd", counted(np.linalg.svd))
         monkeypatch.setattr(scipy.linalg, "qr", counted(scipy.linalg.qr))
-        for module in (classical, cli, decomposition, weighted):
-            monkeypatch.setattr(module, "matrix_index", index_span)
+        # the square routines search the index through _power_ranks
+        monkeypatch.setattr(classical, "_power_ranks", index_span(projectors._power_ranks))
+        for module in (cli, decomposition, weighted):
+            monkeypatch.setattr(module, "matrix_index", index_span(projectors.matrix_index))
         files = [write_csv(tmp_path / f"m{i}.csv", rows) for i, rows in enumerate(PAIR_5X4)]
         runs = {}
         for extra in ([], ["--verify"]):

@@ -7,7 +7,6 @@ import pytest
 from geninv import classical, projectors, verify
 from geninv.errors import DecompositionError, DomainError, NumericError, ShapeError
 from geninv.matrix import DEFAULT_TOL, Tolerances
-from geninv.projectors import IndexReport
 from geninv.reference import pair_4x3_float
 from geninv.verify import (CHECK_REGISTRY, run_all, run_example_checks,
                            run_random_corpus)
@@ -230,13 +229,20 @@ class TestMeasurementsSeeFaults:
         assert min(check.residuals["q-ge-k_k+1"], check.residuals["q-ge-k_k+2"]) > 1e-3
 
     def test_right_product_sees_an_understated_index(self, pair4x3, monkeypatch):
-        matrix_index = classical.matrix_index
+        power_ranks = classical._power_ranks
 
-        def understated(b):
-            r = matrix_index(b)
-            k = max(r.index - 1, 0)
-            return IndexReport(k, r.rank_sequence[:k + 2], r.sigma_max)
+        def understated(b, last, thin_at=0):
+            # the search stops at j = Ind(B) and so reports Ind(B) - 1
+            ranks, _, _ = power_ranks(b, last, thin_at)
+            return power_ranks(b, min(last, len(ranks) - 2), thin_at)
 
-        monkeypatch.setattr(classical, "matrix_index", understated)
+        monkeypatch.setattr(classical, "_power_ranks", understated)
         values = member_measurements(pair4x3)["corpus.wdrazin.equations"]
         assert values["right_product"] > 1e-3
+
+    def test_classical_q_beyond_sees_an_understated_index(self, pair4x3):
+        assert pair4x3.ind_aw >= 1
+        short = dataclasses.replace(pair4x3, ind_aw=pair4x3.ind_aw - 1)
+        values = member_measurements(short)["corpus.classical.reductions"]
+        assert values["q_ind"] <= DEFAULT_TOL.residual_atol
+        assert values["q_beyond"] > 1e-3
