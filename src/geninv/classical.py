@@ -11,10 +11,11 @@ SVDs, and the powers the index search forms are not formed again.
 from __future__ import annotations
 
 import numpy as np
+from numpy.linalg import matrix_power
 
 from .errors import DomainError, ShapeError
 from .matrix import Tolerances, as_matrix, exponent, frobenius, resolve_tol
-from .projectors import _Factored, _nullspace_equal, _power_ranks, _range_equal, pinv, power
+from .projectors import _Factored, _nullspace_equal, _power_ranks, _range_equal
 
 
 def _require_square(a, name: str) -> np.ndarray:
@@ -51,11 +52,11 @@ def _drazin(a: _Factored, k: int, s1: float,
     if k == 0:
         return a.pinv(scale=s1)
     if powers is None:
-        ak = power(a.a, k)
+        ak = matrix_power(a.a, k)
         ak1 = ak @ a.a
     else:
         ak, ak1 = powers[k].a, powers[k + 1].a
-    return ak @ pinv(ak1 @ ak, scale=s1 ** (2 * k + 1)) @ ak
+    return ak @ _Factored(ak1 @ ak).pinv(scale=s1 ** (2 * k + 1)) @ ak
 
 
 def drazin(a) -> np.ndarray:
@@ -103,7 +104,11 @@ def qbt_inverse(a, q: int) -> np.ndarray:
     which a flat cutoff cannot reliably reject.
     """
     a = _Factored(_require_square(a, "qbt_inverse"))
-    q = check_q(q, a.a.shape[0])
+    return _qbt(a, check_q(q, a.a.shape[0]))
+
+
+def _qbt(a: _Factored, q: int) -> np.ndarray:
+    """`qbt_inverse` of a validated square matrix, with q <= n."""
     if q == 0:
         return a.pinv()
     ranks, _, powers = _power_ranks(a, q + 1, thin_at=q)
@@ -113,7 +118,7 @@ def qbt_inverse(a, q: int) -> np.ndarray:
     if q == 0:
         return a.pinv(fixed_rank=r)
     u = powers[q].range_basis(fixed_rank=ranks[-2])
-    return u @ pinv(a.a @ u, fixed_rank=r)
+    return u @ _Factored(a.a @ u).pinv(fixed_rank=r)
 
 
 def bt_inverse(a) -> np.ndarray:
@@ -124,8 +129,8 @@ def bt_inverse(a) -> np.ndarray:
 def core_ep(a) -> np.ndarray:
     """Core-EP inverse (A P_{A^k})^+ with k = Ind(A): the q-BT inverse at
     q = n >= Ind(A), whose rank search stops at the index."""
-    a = _require_square(a, "core_ep")
-    return qbt_inverse(a, a.shape[0])
+    a = _Factored(_require_square(a, "core_ep"))
+    return _qbt(a, a.a.shape[0])
 
 
 def outer_inverse_check(a, x, range_gen, null_gen,

@@ -15,19 +15,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import matrix_power
 
 from .classical import check_q
 from .errors import DecompositionError, DomainError, NumericError, ShapeError
-from .matrix import (Tolerances, as_matrix, conjugate_transpose, frobenius,
-                     qr_column_pivoted, rank, resolve_tol, sigma_max)
-from .projectors import _Factored, matrix_index, pinv, power, proj_range
+from .matrix import Tolerances, as_matrix, frobenius, qr_column_pivoted, resolve_tol
+from .projectors import _Factored, _power_ranks
 from .weighted import WeightedPair, _wqbt_raw
 
 
 def _assemble(b11, b12, b21, b22) -> np.ndarray:
-    top = np.hstack([b11, b12])
-    bottom = np.hstack([b21, b22])
-    return np.vstack([top, bottom])
+    top = np.concatenate([b11, b12], axis=1)
+    bottom = np.concatenate([b21, b22], axis=1)
+    return np.concatenate([top, bottom])
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -77,7 +77,7 @@ class CoreEPDecomposition:
 
     def compose(self) -> np.ndarray:
         """Rebuild the original matrix U [[T, S], [0, N]] U*."""
-        return self.u @ self.middle() @ conjugate_transpose(self.u)
+        return self.u @ self.middle() @ self.u.conj().T
 
 
 @dataclass(frozen=True)
@@ -126,10 +126,10 @@ class WeightedCoreEPDecomposition:
         return _assemble(self.w1, self.w2, np.zeros((n - t, t), dtype=np.complex128), self.w3)
 
     def compose_a(self) -> np.ndarray:
-        return self.u @ self.middle_a() @ conjugate_transpose(self.v)
+        return self.u @ self.middle_a() @ self.v.conj().T
 
     def compose_w(self) -> np.ndarray:
-        return self.v @ self.middle_w() @ conjugate_transpose(self.u)
+        return self.v @ self.middle_w() @ self.u.conj().T
 
 
 def core_ep_decompose(a) -> CoreEPDecomposition:
@@ -142,11 +142,11 @@ def core_ep_decompose(a) -> CoreEPDecomposition:
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise ShapeError(f"matrix must be square, got {a.shape[0]}x{a.shape[1]}")
-    report = matrix_index(a)
-    k = report.index
-    r = report.rank_sequence[k]
-    u, _, _ = qr_column_pivoted(power(a, k))
-    b = conjugate_transpose(u) @ a @ u
+    ranks, s1, _ = _power_ranks(_Factored(a), a.shape[0] + 1)
+    k = len(ranks) - 2
+    r = ranks[k]
+    u, _, _ = qr_column_pivoted(matrix_power(a, k))
+    b = u.conj().T @ a @ u
     return CoreEPDecomposition(
         u=_frozen(u),
         t=_frozen(b[:r, :r]),
@@ -154,8 +154,8 @@ def core_ep_decompose(a) -> CoreEPDecomposition:
         nil=_frozen(b[r:, r:]),
         rank=r,
         index=k,
-        rank_sequence=tuple(report.rank_sequence),
-        sigma_max=report.sigma_max,
+        rank_sequence=tuple(ranks),
+        sigma_max=s1,
     )
 
 
@@ -181,12 +181,10 @@ def weighted_core_ep_decompose(p: WeightedPair,
         raise DecompositionError(
             f"core ranks disagree: rank((AW)^{k})={t1} but rank((WA)^{k})={t2}")
     t = t1
-    awk = power(a @ w, k)
-    wak = power(w @ a, k)
-    u, _, _ = qr_column_pivoted(awk)
-    v, _, _ = qr_column_pivoted(wak)
-    ab = conjugate_transpose(u) @ a @ v
-    wb = conjugate_transpose(v) @ w @ u
+    u, _, _ = qr_column_pivoted(matrix_power(a @ w, k))
+    v, _, _ = qr_column_pivoted(matrix_power(w @ a, k))
+    ab = u.conj().T @ a @ v
+    wb = v.conj().T @ w @ u
     if not tol.close(frobenius(ab[t:, :t]), sa):
         raise DecompositionError(
             f"lower-left block of the triangularized matrix is nonzero "
@@ -197,14 +195,16 @@ def weighted_core_ep_decompose(p: WeightedPair,
             f"(norm {frobenius(wb[t:, :t]):.3e})")
     a1, a2, a3 = ab[:t, :t], ab[:t, t:], ab[t:, t:]
     w1, w2, w3 = wb[:t, :t], wb[:t, t:], wb[t:, t:]
-    if rank(a1, scale=sa) != t:
+    if _Factored(a1).rank(scale=sa) != t:
         raise DecompositionError("leading block A1 is singular at the rank cutoff")
-    if rank(w1, scale=sw) != t:
+    if _Factored(w1).rank(scale=sw) != t:
         raise DecompositionError("leading block W1 is singular at the rank cutoff")
-    if not tol.close(frobenius(power(a3 @ w3, p.ind_aw)), max(1.0, (sa * sw) ** p.ind_aw)):
+    if not tol.close(frobenius(matrix_power(a3 @ w3, p.ind_aw)),
+                     max(1.0, (sa * sw) ** p.ind_aw)):
         raise DecompositionError(
             f"A3W3 is not nilpotent of index {p.ind_aw} at the working tolerance")
-    if not tol.close(frobenius(power(w3 @ a3, p.ind_wa)), max(1.0, (sw * sa) ** p.ind_wa)):
+    if not tol.close(frobenius(matrix_power(w3 @ a3, p.ind_wa)),
+                     max(1.0, (sw * sa) ** p.ind_wa)):
         raise DecompositionError(
             f"W3A3 is not nilpotent of index {p.ind_wa} at the working tolerance")
     return WeightedCoreEPDecomposition(
@@ -243,13 +243,14 @@ def block_pinv(u, v, a1, a2, a3, scale: float | None = None,
         raise ShapeError("left frame does not match the block row dimension")
     if v.shape[0] != v.shape[1] or v.shape[0] != t + a2.shape[1]:
         raise ShapeError("right frame does not match the block column dimension")
-    s1 = scale if scale is not None else max(sigma_max(a1), sigma_max(a2), sigma_max(a3))
-    if rank(a1, scale=s1) != t:
+    a1f, a2f, a3f = _Factored(a1), _Factored(a2), _Factored(a3)
+    s1 = scale if scale is not None else max(a1f.sigma_max, a2f.sigma_max, a3f.sigma_max)
+    if a1f.rank(scale=s1) != t:
         raise DomainError("leading block is singular; the block formula requires A1 nonsingular")
-    a3p = pinv(a3, scale=s1, fixed_rank=a3_rank)
+    a3p = a3f.pinv(scale=s1, fixed_rank=a3_rank)
     iq3 = np.eye(a3.shape[1], dtype=np.complex128) - a3p @ a3
-    a1h = conjugate_transpose(a1)
-    a2h = conjugate_transpose(a2)
+    a1h = a1.conj().T
+    a2h = a2.conj().T
     gram = a1 @ a1h + a2 @ iq3 @ a2h
     try:
         omega = np.linalg.inv(gram)
@@ -259,7 +260,7 @@ def block_pinv(u, v, a1, a2, a3, scale: float | None = None,
     b12 = -a1h @ omega @ a2 @ a3p
     b21 = iq3 @ a2h @ omega
     b22 = a3p - iq3 @ a2h @ omega @ a2 @ a3p
-    return v @ _assemble(b11, b12, b21, b22) @ conjugate_transpose(u)
+    return v @ _assemble(b11, b12, b21, b22) @ u.conj().T
 
 
 def block_proj_range(u, t_dim: int, a3) -> np.ndarray:
@@ -268,11 +269,11 @@ def block_proj_range(u, t_dim: int, a3) -> np.ndarray:
     a3 = as_matrix(a3)
     if u.shape[0] != u.shape[1] or u.shape[0] != t_dim + a3.shape[0]:
         raise ShapeError("frame does not match the block row dimension")
-    p3 = proj_range(a3)
+    p3 = _Factored(a3).proj_range()
     top = np.eye(t_dim, dtype=np.complex128)
     z12 = np.zeros((t_dim, a3.shape[0]), dtype=np.complex128)
     z21 = np.zeros((a3.shape[0], t_dim), dtype=np.complex128)
-    return u @ _assemble(top, z12, z21, p3) @ conjugate_transpose(u)
+    return u @ _assemble(top, z12, z21, p3) @ u.conj().T
 
 
 @dataclass(frozen=True)
@@ -293,8 +294,8 @@ def _canonical_blocks(core, coupling, x3, pq, px):
     """Blocks of [[C* O, -C* O M X3], [G M* O, X3 - G M* O M X3]] with
     G = pq - px, px = P_{X3} and O = [C C* + M G M*]^{-1}."""
     gap = pq - px
-    ch = conjugate_transpose(core)
-    mh = conjugate_transpose(coupling)
+    ch = core.conj().T
+    mh = coupling.conj().T
     gram = core @ ch + coupling @ gap @ mh
     try:
         omega = np.linalg.inv(gram)
@@ -320,13 +321,13 @@ def _square_canonical(core, coupling, nil, frame, q: int, rank_q: int,
     keeps the rank X3 was built with and takes no SVD; P = I at q = 0.
     """
     q = check_q(q, frame.shape[0])
-    pq = power(nil, q)
+    pq = matrix_power(nil, q)
     if q:
-        pq = proj_range(pq, fixed_rank=rank_q)
+        pq = _Factored(pq).proj_range(fixed_rank=rank_q)
     m = nil @ pq
-    x3 = pinv(m, fixed_rank=rank_q1)
+    x3 = _Factored(m).pinv(fixed_rank=rank_q1)
     blocks, _ = _canonical_blocks(core, coupling, x3, pq, x3 @ m)
-    return frame @ _assemble(*blocks) @ conjugate_transpose(frame)
+    return frame @ _assemble(*blocks) @ frame.conj().T
 
 
 def canonical_qbt(d: CoreEPDecomposition, q: int) -> np.ndarray:
@@ -356,12 +357,12 @@ def canonical_weighted_qbt(d: WeightedCoreEPDecomposition,
     coupling = d.w1 @ d.a1 @ d.w2 + d.w1 @ d.a2 @ d.w3 + d.w2 @ d.a3 @ d.w3
     # one SVD of (A3W3)^q gives both X3's range basis and P_{(A3W3)^q}; X3 =
     # (W3A3W3 P)^+ gives P_{X3} = X3 W3A3W3 P with the rank X3 was built with
-    awq = _Factored(power(d.a3 @ d.w3, q))
+    awq = _Factored(matrix_power(d.a3 @ d.w3, q))
     x3 = _wqbt_raw(d.a3, d.w3, q, d.sigma_max_a, d.sigma_max_w, awq)
     pq = awq.a if q == 0 else awq.proj_range(fixed_rank=d.power_rank_aw(q) - d.t_dim)
     px = x3 @ d.w3 @ d.a3 @ d.w3 @ pq
     blocks, omega = _canonical_blocks(core, coupling, x3, pq, px)
-    x = d.u @ _assemble(*blocks) @ conjugate_transpose(d.v)
+    x = d.u @ _assemble(*blocks) @ d.v.conj().T
     return x, CanonicalParts(m_block=_frozen(coupling), omega=_frozen(omega))
 
 

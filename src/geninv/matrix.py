@@ -10,10 +10,21 @@ derived quantities (matrix powers, blocks extracted from a decomposition)
 can anchor the cutoff to the parent matrix's scale via the `scale`
 argument; noise floors are set by the data a matrix was computed from, not
 by the matrix itself.
+
+Input is validated once, at the boundary. Every public function that
+takes a matrix passes each input through `as_matrix` (2-D, complex128,
+finite entries) exactly once; a function that takes a `WeightedPair` or a
+decomposition scans nothing, since those were validated when they were
+built. Inside the library, and in the conformance runner's own operands,
+arrays are products of validated arrays and are used as they are: a
+matrix held with its factorization (`projectors._Factored`), the rank
+search `projectors._power_ranks`, `@`, `numpy.linalg.matrix_power` and
+`.conj().T`, never a public wrapper that would scan them again.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -88,7 +99,16 @@ def conjugate_transpose(a) -> np.ndarray:
 
 
 def frobenius(a) -> float:
-    return float(np.linalg.norm(a))
+    """Frobenius norm of any array. For complex128 this is
+    `numpy.linalg.norm`'s own arithmetic without its dispatch: the entries
+    in memory order, re·re + im·im, then the square root, so the value is
+    the same to the last bit."""
+    x = np.asarray(a)
+    if x.dtype != np.complex128:
+        return float(np.linalg.norm(x))
+    x = x.ravel(order="K")
+    re, im = x.real, x.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def singular_values(a) -> np.ndarray:
@@ -104,17 +124,20 @@ def singular_values(a) -> np.ndarray:
 
 def sigma_max(a) -> float:
     """Largest singular value; 0 for an empty matrix."""
-    s = singular_values(a)
+    s = singular_values(as_matrix(a))
     return float(s[0]) if s.size else 0.0
 
 
 def rank_from_values(s: np.ndarray, shape: tuple[int, int], scale: float | None = None) -> int:
     """Numerical rank from the singular values s of a matrix of the given
-    shape: the count above rank_cutoff(shape, max(s[0], scale))."""
-    if s.size == 0:
+    shape: the count above rank_cutoff(shape, max(s[0], scale)). It counts
+    on a list: for the few values of a small matrix that is cheaper than
+    a numpy comparison."""
+    values = s.tolist()
+    if not values:
         return 0
-    ref = max(float(s[0]), scale or 0.0)
-    return int(np.count_nonzero(s > rank_cutoff(shape, ref)))
+    cut = rank_cutoff(shape, max(values[0], scale or 0.0))
+    return len([v for v in values if v > cut])
 
 
 def rank(a, scale: float | None = None) -> int:
@@ -123,9 +146,9 @@ def rank(a, scale: float | None = None) -> int:
     return rank_from_values(singular_values(a), a.shape, scale)
 
 
-def qr_column_pivoted(a) -> QRPivoted:
-    """QR with column pivoting; q is a full m x m unitary."""
-    a = as_matrix(a)
+def qr_column_pivoted(a: np.ndarray) -> QRPivoted:
+    """QR with column pivoting of a validated matrix; q is a full m x m
+    unitary."""
     m, n = a.shape
     if a.size == 0:
         return QRPivoted(np.eye(m, dtype=np.complex128), np.zeros((m, n), dtype=np.complex128),
@@ -134,5 +157,5 @@ def qr_column_pivoted(a) -> QRPivoted:
     # of geninv, and only the decompositions need it.
     import scipy.linalg
 
-    q, r, perm = scipy.linalg.qr(a, pivoting=True)
+    q, r, perm = scipy.linalg.qr(a, pivoting=True, check_finite=False)
     return QRPivoted(np.asarray(q, dtype=np.complex128), np.asarray(r, dtype=np.complex128), perm)

@@ -33,7 +33,7 @@ def _kept(s: np.ndarray, shape: tuple[int, int], scale: float | None,
     `fixed_rank` capped at the nonzero count."""
     if fixed_rank is None:
         return rank_from_values(s, shape, scale)
-    return min(int(fixed_rank), int(np.count_nonzero(s > 0.0)))
+    return min(int(fixed_rank), len([v for v in s.tolist() if v > 0.0]))
 
 
 class _Factored:
@@ -197,11 +197,11 @@ def _stacked_rank_equal(stacked: np.ndarray, scale: float | None, *operands: _Fa
 
 
 def _range_equal(x: _Factored, y: _Factored, scale: float | None) -> bool:
-    return _stacked_rank_equal(np.hstack([y.a, x.a]), scale, y, x)
+    return _stacked_rank_equal(np.concatenate([y.a, x.a], axis=1), scale, y, x)
 
 
 def _nullspace_equal(x: _Factored, y: _Factored, scale: float | None) -> bool:
-    return _stacked_rank_equal(np.vstack([y.a, x.a]), scale, y, x)
+    return _stacked_rank_equal(np.concatenate([y.a, x.a]), scale, y, x)
 
 
 def _operands(x, y, axis: int, name: str) -> tuple[np.ndarray, np.ndarray]:
@@ -222,7 +222,7 @@ def range_contained(x, y, scale: float | None = None) -> bool:
     entries may be pure rounding noise.
     """
     x, y = _operands(x, y, 0, "range_contained")
-    return _stacked_rank_equal(np.hstack([y, x]), scale, _Factored(y))
+    return _stacked_rank_equal(np.concatenate([y, x], axis=1), scale, _Factored(y))
 
 
 def nullspace_contained(y, x, scale: float | None = None) -> bool:
@@ -231,7 +231,7 @@ def nullspace_contained(y, x, scale: float | None = None) -> bool:
     `scale` anchors the rank cutoff as in `range_contained`.
     """
     y, x = _operands(y, x, 1, "nullspace_contained")
-    return _stacked_rank_equal(np.vstack([y, x]), scale, _Factored(y))
+    return _stacked_rank_equal(np.concatenate([y, x]), scale, _Factored(y))
 
 
 def range_equal(x, y, scale: float | None = None) -> bool:

@@ -18,9 +18,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
+from numpy.linalg import matrix_power
 
 from . import reference as ref
-from .classical import _outer_inverse_check, core_ep, drazin, qbt_inverse
+from .classical import _outer_inverse_check, drazin, qbt_inverse
 from .corpus import random_pairs
 from .decomposition import (block_pinv, canonical_qbt, canonical_qbt_products,
                             canonical_weighted_qbt, core_ep_decompose,
@@ -28,10 +29,8 @@ from .decomposition import (block_pinv, canonical_qbt, canonical_qbt_products,
 from .errors import (DecompositionError, DomainError, NumericError, ShapeError)
 from .exact import (_matmul, exact_pair_index, exact_pinv, exact_qbt,
                     exact_weighted_qbt, float_of, requal, rmatrix)
-from .matrix import (Tolerances, as_matrix, conjugate_transpose, frobenius, rank,
-                     resolve_tol, sigma_max)
-from .projectors import (_Factored, _nullspace_equal, _range_equal, pinv, power,
-                         proj_corange, proj_range, range_basis)
+from .matrix import Tolerances, frobenius, resolve_tol
+from .projectors import _Factored, _nullspace_equal, _range_equal, pinv
 from .weighted import (WeightedPair, _wqbt_rank, _wqbt_raw, cline_shift_check,
                        dual_representation_gap, weighted_drazin, weighted_qbt,
                        weighted_qbt_product_forms, weighted_qbt_via_square)
@@ -228,12 +227,6 @@ def _null_defect(q_gen, x) -> float:
     return frobenius(x @ (eye - q_gen)) / max(1.0, frobenius(x))
 
 
-def _operand(a) -> _Factored:
-    """An operand of the set predicates; its singular values are taken on
-    first use and shared by every predicate that reads it."""
-    return _Factored(as_matrix(a))
-
-
 def _set_eq_flags(x: _Factored, gen: _Factored, scale: float) -> float:
     """0.0 if R(x) = R(gen) and N(x) = N(gen) by rank tests, else 1.0."""
     return _flag(_range_equal(x, gen, scale) and _nullspace_equal(x, gen, scale))
@@ -328,7 +321,7 @@ def run_example_checks(tol: Tolerances | None = None) -> ConformanceReport:
         "right product agrees at q=3, left product does not"))
 
     s_aw = p.sigma_max_a * p.sigma_max_w
-    pk = proj_range(power(p.a @ p.w, p.k), scale=s_aw ** p.k)
+    pk = _Factored(matrix_power(p.a @ p.w, p.k)).proj_range(scale=s_aw ** p.k)
     red = _reduction_residuals(p, xs, weighted_qbt_product_forms(p, 1), pk)
     results.append(_residual_check(
         "examples.pair4x3.reductions",
@@ -340,8 +333,8 @@ def run_example_checks(tol: Tolerances | None = None) -> ConformanceReport:
     fa5, fw5 = p5.a, p5.w
     x0 = weighted_qbt(p5, 1)
     aw5 = fa5 @ fw5
-    q_aw = proj_corange(aw5)
-    cand = q_aw @ x0 + (np.eye(5, dtype=np.complex128) - q_aw) @ conjugate_transpose(fw5)
+    q_aw = _Factored(aw5).proj_corange()
+    cand = q_aw @ x0 + (np.eye(5, dtype=np.complex128) - q_aw) @ fw5.conj().T
     waw5 = fw5 @ fa5 @ fw5
     eq1 = _rel(cand @ waw5 @ cand, cand, max(1.0, frobenius(cand)))
     eq3 = _rel(aw5 @ cand, aw5 @ x0)
@@ -384,7 +377,7 @@ def run_example_checks(tol: Tolerances | None = None) -> ConformanceReport:
 def _range_generator(p: WeightedPair, pq: np.ndarray) -> _Factored:
     """P_{(AW)^q} (WAW)*, whose range is R(X) and whose adjoint's null space
     is N(X); one thin SVD serves its projectors and its rank decisions."""
-    return _Factored(pq @ conjugate_transpose(p.w @ p.a @ p.w), thin=True)
+    return _Factored(pq @ (p.w @ p.a @ p.w).conj().T, thin=True)
 
 
 def _system_residuals(p: WeightedPair, x0: np.ndarray, pq: np.ndarray,
@@ -423,7 +416,8 @@ def run_system_checks(p: WeightedPair, q: int, tol: Tolerances | None = None,
     detail = f"{p.shape[0]}x{p.shape[1]} pair, q={q}" + \
         ("" if candidate is None else ", supplied candidate")
     x0 = weighted_qbt(p, q)
-    pq = proj_range(power(p.a @ p.w, q), scale=(p.sigma_max_a * p.sigma_max_w) ** q)
+    pq = _Factored(matrix_power(p.a @ p.w, q)).proj_range(
+        scale=(p.sigma_max_a * p.sigma_max_w) ** q)
     x = x0 if candidate is None else np.asarray(candidate, dtype=np.complex128)
     [res] = _system_residuals(p, x0, pq, _range_generator(p, pq), [x])
     out = []
@@ -455,10 +449,11 @@ def _reduction_residuals(p: WeightedPair, xs: list[np.ndarray],
     weighted_qbt(p, q) for q = 0 .. k, forms_q1 the product forms at q = 1
     and pk = P_{(AW)^k}; xs[k] is the weighted core-EP inverse.
 
-    q = 0 is read as the Penrose equations of xs[0] against WAW, and q >= k
-    as the range stabilization R((AW)^q) = R((AW)^k) that lets weighted_qbt
-    clamp q at k: U U* for a basis U of R((AW)^q), q = k + 1, k + 2,
-    against pk. Neither compares weighted_qbt with another of its calls.
+    q = 0 is read as the Penrose equations of xs[0] against WAW, q =
+    Ind(AW) as those of xs[Ind(AW)] against W A W pk (worst of four), and
+    q >= k as the range stabilization R((AW)^q) = R((AW)^k) that lets
+    weighted_qbt clamp q at k: U U* for a basis U of R((AW)^q), q = k + 1,
+    k + 2, against pk. None compares weighted_qbt with another of its calls.
     """
     a, w = p.a, p.w
     aw, wa = a @ w, w @ a
@@ -466,14 +461,16 @@ def _reduction_residuals(p: WeightedPair, xs: list[np.ndarray],
     x1 = xs[min(1, k)]
     f1, f2 = forms_q1
     s_aw = p.sigma_max_a * p.sigma_max_w
-    bases = {q: range_basis(power(aw, q), scale=s_aw ** q) for q in (k + 1, k + 2)}
+    bases = {q: _Factored(matrix_power(aw, q)).range_basis(scale=s_aw ** q)
+             for q in (k + 1, k + 2)}
     return {
         "q0": _penrose_residuals(w @ a @ w, xs[0]),
         "q1": {"eq1": _rel(x1 @ w @ a @ w @ x1, x1, max(1.0, frobenius(x1))),
                "eq2": _rel(x1 @ wa, f1 @ wa),
                "eq3": _rel(aw @ x1, aw @ f2)},
-        "ind-aw": {"vs_core_ep": _rel(xs[p.ind_aw], xs[k])},
-        "q-ge-k": {f"k+{q - k}": _rel(u @ conjugate_transpose(u), pk) for q, u in bases.items()},
+        "ind-aw": {"vs_core_ep": max(
+            _penrose_residuals(w @ a @ w @ pk, xs[p.ind_aw]).values())},
+        "q-ge-k": {f"k+{q - k}": _rel(u @ u.conj().T, pk) for q, u in bases.items()},
     }
 
 
@@ -521,7 +518,10 @@ def _corpus_member_checks(p: WeightedPair, integer: bool, planted_k: int,
 
     Operands that several checks read are built once per member, or once
     per member and exponent, and every check reads that one value; so are
-    the singular values of every set-predicate operand.
+    the singular values of every set-predicate operand. The routines under
+    check are called through their public entry points; the operands built
+    from the pair (products, powers, adjoints, projectors) are used as they
+    are, with no second validation.
     """
     a, w = p.a, p.w
     m, n = p.shape
@@ -529,22 +529,25 @@ def _corpus_member_checks(p: WeightedPair, integer: bool, planted_k: int,
     aw, wa, waw = a @ w, w @ a, w @ a @ w
     sa, sw = p.sigma_max_a, p.sigma_max_w
     s_aw = sa * sw
-    s_waw_m = sigma_max(waw)
-    s_aw_m = sigma_max(aw)
+    s_waw_m = _Factored(waw).sigma_max
+    s_aw_m = _Factored(aw).sigma_max
     agg["corpus.pair-validity"].update({"index_mismatch": _flag(k == planted_k)}, where)
     q_grid = range(k + 2)
     # weighted_qbt and its product forms clamp q at k, so their entry k
     # also serves q = k + 1, the last exponent of the grid
     xs = [weighted_qbt(p, q) for q in range(k + 1)]
-    x_ops = [_operand(x) for x in xs]
+    x_ops = [_Factored(x) for x in xs]
     forms = [weighted_qbt_product_forms(p, q) for q in range(k + 1)]
     # P_{(AW)^q} = (AW)^q ((AW)^q)^+, and the pseudoinverse serves the
     # power-range generator too
-    awqs = [_Factored(power(aw, q), thin=True) for q in q_grid]
+    awqs = [_Factored(matrix_power(aw, q), thin=True) for q in q_grid]
     pq_pinvs = [f.pinv(scale=s_aw ** q) for q, f in zip(q_grid, awqs)]
     pqs = [f.a @ f_pinv for f, f_pinv in zip(awqs, pq_pinvs)]
+    # the q-BT grids of both products; the core-EP inverse of each is its
+    # entry at the product's own index
     aw_qbts = [qbt_inverse(aw, q) for q in q_grid]
-    aw_cep = core_ep(aw)
+    wa_qbts = [qbt_inverse(wa, q) for q in q_grid]
+    aw_cep, wa_cep = aw_qbts[p.ind_aw], wa_qbts[p.ind_wa]
     cep = xs[k]
 
     # reductions (worst case across members)
@@ -569,7 +572,7 @@ def _corpus_member_checks(p: WeightedPair, integer: bool, planted_k: int,
     agg["corpus.wdrazin.equations"].update({
         "eq1": _rel(xd @ w @ a @ w @ xd, xd, max(1.0, frobenius(xd))),
         "eq2": _rel(aw @ xd, xd @ wa),
-        "eq3": _rel(xd @ w @ power(aw, k + 1), power(aw, k), (sa * sw) ** k),
+        "eq3": _rel(xd @ w @ matrix_power(aw, k + 1), matrix_power(aw, k), (sa * sw) ** k),
         "left_product": _rel(xd, awd @ awd @ a),
         "right_product": _rel(xd, awd @ a @ wad),
         "shift_left": _rel(xd @ w, awd),
@@ -577,9 +580,8 @@ def _corpus_member_checks(p: WeightedPair, integer: bool, planted_k: int,
     }, where)
 
     # weighted core-EP system and companion identities
-    pk_wa = proj_range(power(wa, k), scale=(sw * sa) ** k)
+    pk_wa = _Factored(matrix_power(wa, k)).proj_range(scale=(sw * sa) ** k)
     pk_aw = pqs[k]
-    wa_cep = core_ep(wa)
     agg["corpus.wcep.system"].update({
         "sandwich_eq": _rel(waw @ cep, pk_wa),
         "range_cond": _range_defect(cep, pk_aw),
@@ -593,8 +595,11 @@ def _corpus_member_checks(p: WeightedPair, integer: bool, planted_k: int,
         agg["corpus.cline-shift"].update({"flag": _flag(cline_shift_check(p, ell, tol))},
                                          f"{where} ell={ell}")
 
+    # at k = 1 the q = 1 member is the weighted core-EP inverse: the Penrose
+    # equations of xs[1] against W A W P_{(AW)^k}, worst of four
     if k == 1:
-        agg["corpus.k1.core-remark"].update({"q1_vs_core_ep": _rel(xs[1], cep)}, where)
+        agg["corpus.k1.core-remark"].update(
+            {"q1_vs_core_ep": max(_penrose_residuals(waw @ pqs[k], xs[1]).values())}, where)
 
     # decomposition suites (once per member)
     d = weighted_core_ep_decompose(p, tol)
@@ -608,15 +613,15 @@ def _corpus_member_checks(p: WeightedPair, integer: bool, planted_k: int,
     mid_aw[:t, t:] = d.a1 @ d.w2 + d.a2 @ d.w3
     mid_aw[t:, t:] = d.a3 @ d.w3
     agg["corpus.decomposition.aw-block"].update(
-        {"aw": _rel(d.u @ mid_aw @ conjugate_transpose(d.u), aw, max(1.0, sa * sw))},
+        {"aw": _rel(d.u @ mid_aw @ d.u.conj().T, aw, max(1.0, sa * sw))},
         where)
     agg["corpus.decomposition.nilpotent"].update({
-        "left": frobenius(power(d.a3 @ d.w3, p.ind_aw)) / max(1.0, (sa * sw) ** p.ind_aw),
-        "right": frobenius(power(d.w3 @ d.a3, p.ind_wa)) / max(1.0, (sw * sa) ** p.ind_wa),
+        "left": frobenius(matrix_power(d.a3 @ d.w3, p.ind_aw)) / max(1.0, (sa * sw) ** p.ind_aw),
+        "right": frobenius(matrix_power(d.w3 @ d.a3, p.ind_wa)) / max(1.0, (sw * sa) ** p.ind_wa),
     }, where)
     agg["corpus.decomposition.block-pinv"].update(
         {"vs_svd": _rel(block_pinv(d.u, d.v, d.a1, d.a2, d.a3, scale=sa,
-                                   a3_rank=rank(a) - t),
+                                   a3_rank=_Factored(a).rank() - t),
                         pinv(a))},
         where)
 
@@ -625,11 +630,11 @@ def _corpus_member_checks(p: WeightedPair, integer: bool, planted_k: int,
     for q in q_grid:
         where_q = f"{where} q={q}"
         x, x_op, pq, aw_qbt = xs[min(q, k)], x_ops[min(q, k)], pqs[q], aw_qbts[q]
-        awq1_h_op = _operand(conjugate_transpose(awqs[q].a @ aw))
+        awq1_h_op = _Factored((awqs[q].a @ aw).conj().T)
         awq1_h = awq1_h_op.a
         s_awq1_m = awq1_h_op.sigma_max
-        null_gen = awq1_h @ conjugate_transpose(w)
-        range_op, null_op = _range_generator(p, pq), _operand(null_gen)
+        null_gen = awq1_h @ w.conj().T
+        range_op, null_op = _range_generator(p, pq), _Factored(null_gen)
         # one thin SVD of (AW)^{q-BT} gives its pseudoinverse, that
         # pseudoinverse's sigma_max and the singular values the set
         # predicates read
@@ -664,7 +669,7 @@ def _corpus_member_checks(p: WeightedPair, integer: bool, planted_k: int,
         c_aw, c_wa = canonical_qbt_products(d, q)
         agg["corpus.representations.canonical-products"].update(
             {"left": _rel(c_aw, aw_qbt),
-             "right": _rel(c_wa, qbt_inverse(wa, q))}, where_q)
+             "right": _rel(c_wa, wa_qbts[q])}, where_q)
 
         # range / null-space properties
         agg["corpus.properties.range-null"].update({
@@ -672,16 +677,16 @@ def _corpus_member_checks(p: WeightedPair, integer: bool, planted_k: int,
             "null_defect": _null_defect(range_op.proj_corange(scale=anchor_rg), x),
             "set_mismatch": _set_eq_flags(x_op, range_op, scale=anchor_rg),
         }, where_q)
-        adj_gen = conjugate_transpose(inner) @ conjugate_transpose(w)
+        adj_gen = inner.conj().T @ w.conj().T
         agg["corpus.properties.adjoint-range"].update(
-            {"set_mismatch": _set_eq_flags(x_op, _operand(adj_gen),
+            {"set_mismatch": _set_eq_flags(x_op, _Factored(adj_gen),
                                            scale=_CHAIN_MARGIN * s_inner * sw)},
             where_q)
         pq_pinv = pq_pinvs[q]
         pow_anchor = _CHAIN_MARGIN * awqs[q].pinv_sigma_max(scale=s_aw ** q) * s_awq1_m * sw
-        pow_gen = conjugate_transpose(pq_pinv) @ null_gen
+        pow_gen = pq_pinv.conj().T @ null_gen
         agg["corpus.properties.power-range"].update({
-            "range_mismatch": _flag(_range_equal(x_op, _operand(pow_gen), pow_anchor)),
+            "range_mismatch": _flag(_range_equal(x_op, _Factored(pow_gen), pow_anchor)),
             "null_mismatch": _flag(_nullspace_equal(x_op, null_op, anchor_ng)),
         }, where_q)
         # range-subset and projector-fix measure |x - P x| / |x|, the
@@ -699,31 +704,31 @@ def _corpus_member_checks(p: WeightedPair, integer: bool, planted_k: int,
         }, where_q)
         agg["corpus.properties.left-projector"].update(
             _proj_eq_residuals(
-                _operand(waw @ x), _operand(w @ inner @ conjugate_transpose(waw)), null_op,
+                _Factored(waw @ x), _Factored(w @ inner @ waw.conj().T), null_op,
                 scale_r=_CHAIN_MARGIN * sw * s_inner * s_waw_m,
                 scale_n=anchor_ng),
             where_q)
         agg["corpus.properties.right-projector"].update(
             _proj_eq_residuals(
-                _operand(x @ waw), range_op, _operand(null_gen @ waw),
+                _Factored(x @ waw), range_op, _Factored(null_gen @ waw),
                 scale_r=anchor_rg,
                 scale_n=_CHAIN_MARGIN * s_awq1_m * sw * s_waw_m),
             where_q)
 
         # square-family checks on the product AW
-        y = pinv(aw @ pq, scale=s_aw)
+        y = _Factored(aw @ pq).pinv(scale=s_aw)
         agg["corpus.classical.five-way"].update({
             "outer_eq": _rel(aw_qbt @ aw @ aw_qbt, aw_qbt, max(1.0, frobenius(aw_qbt))),
             "left_eq": _rel(aw @ aw_qbt, aw @ y),
             "right_eq": _rel(aw_qbt @ aw, y @ aw),
         }, where_q)
-        aw_range_op = _operand(pq @ conjugate_transpose(aw))
+        aw_range_op = _Factored(pq @ aw.conj().T)
         left_proj = _proj_eq_residuals(
-            _operand(aw @ aw_qbt), _operand(inner @ conjugate_transpose(aw)), awq1_h_op,
+            _Factored(aw @ aw_qbt), _Factored(inner @ aw.conj().T), awq1_h_op,
             scale_r=_CHAIN_MARGIN * s_inner * s_aw_m,
             scale_n=_CHAIN_MARGIN * s_awq1_m)
         right_proj = _proj_eq_residuals(
-            _operand(aw_qbt @ aw), aw_range_op, _operand(awq1_h @ aw),
+            _Factored(aw_qbt @ aw), aw_range_op, _Factored(awq1_h @ aw),
             scale_r=_CHAIN_MARGIN * s_aw_m,
             scale_n=_CHAIN_MARGIN * s_awq1_m * s_aw_m)
         agg["corpus.classical.outer"].update({
@@ -744,20 +749,20 @@ def _corpus_member_checks(p: WeightedPair, integer: bool, planted_k: int,
 
         # inner Gram simplification of the canonical construction
         x3 = _wqbt_raw(d.a3, d.w3, q, sa, sw)
-        a3w3q = power(d.a3 @ d.w3, q)
-        p3q = proj_range(a3w3q, fixed_rank=d.power_rank_aw(q) - t)
+        a3w3q = matrix_power(d.a3 @ d.w3, q)
+        p3q = _Factored(a3w3q).proj_range(fixed_rank=d.power_rank_aw(q) - t)
         inner_mat = d.w3 @ d.a3 @ d.w3 @ p3q
-        q_inner = proj_corange(inner_mat, fixed_rank=_wqbt_rank(
+        q_inner = _Factored(inner_mat).proj_corange(fixed_rank=_wqbt_rank(
             d.w3, a3w3q @ d.a3 @ d.w3, q, sa, sw))
         z = p3q @ (np.eye(q_inner.shape[0], dtype=np.complex128) - q_inner) @ p3q
         agg["corpus.decomposition.z-identity"].update(
-            {"z": _rel(z, p3q - proj_range(x3), 1.0)}, where_q)
+            {"z": _rel(z, p3q - _Factored(x3).proj_range(), 1.0)}, where_q)
 
     # exact-path agreement on integer members
     if integer:
         ea = rmatrix([[complex(v) for v in row] for row in a])
         ew = rmatrix([[complex(v) for v in row] for row in w])
-        for q in (1, k):
+        for q in sorted({1, k}):
             ex = float_of(exact_weighted_qbt(ea, ew, q))
             agg["corpus.exact.float-agreement"].update(
                 {"float_vs_exact": _rel(xs[min(q, k)], ex)}, f"{where} q={q}")

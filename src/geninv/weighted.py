@@ -11,11 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import matrix_power
 
-from .classical import _drazin, check_q, qbt_inverse
+from .classical import _drazin, _qbt, check_q
 from .errors import DomainError, NumericError, ShapeError
-from .matrix import Tolerances, as_matrix, exponent, frobenius, rank, resolve_tol, sigma_max
-from .projectors import _Factored, matrix_index, pinv, power
+from .matrix import Tolerances, as_matrix, exponent, frobenius, resolve_tol
+from .projectors import _Factored, _power_ranks
 
 
 @dataclass(frozen=True)
@@ -52,9 +53,10 @@ class WeightedPair:
                 f"got {w.shape[0]}x{w.shape[1]}")
         if not np.any(w):
             raise DomainError("weight matrix must be nonzero")
-        rep_aw = matrix_index(a @ w)
-        rep_wa = matrix_index(w @ a)
-        ind_aw, ind_wa = rep_aw.index, rep_wa.index
+        m, n = a.shape
+        ranks_aw, _, _ = _power_ranks(_Factored(a @ w), m + 1)
+        ranks_wa, s_wa, _ = _power_ranks(_Factored(w @ a), n + 1)
+        ind_aw, ind_wa = len(ranks_aw) - 2, len(ranks_wa) - 2
         if abs(ind_aw - ind_wa) > 1:
             raise NumericError(
                 f"computed indices Ind(AW)={ind_aw}, Ind(WA)={ind_wa} differ by more than one; "
@@ -64,10 +66,9 @@ class WeightedPair:
         a.setflags(write=False)
         w.setflags(write=False)
         return cls(a=a, w=w, ind_aw=ind_aw, ind_wa=ind_wa, k=max(ind_aw, ind_wa),
-                   rank_sequence_aw=rep_aw.rank_sequence,
-                   rank_sequence_wa=rep_wa.rank_sequence,
-                   sigma_max_a=sigma_max(a), sigma_max_w=sigma_max(w),
-                   sigma_max_wa=rep_wa.sigma_max)
+                   rank_sequence_aw=tuple(ranks_aw), rank_sequence_wa=tuple(ranks_wa),
+                   sigma_max_a=_Factored(a).sigma_max, sigma_max_w=_Factored(w).sigma_max,
+                   sigma_max_wa=s_wa)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -83,7 +84,7 @@ def _wqbt_rank(w: np.ndarray, awq1: np.ndarray, q: int, sa: float, sw: float) ->
     trailing singular values of the product itself are rounding noise at
     the scale of the factors, which a flat cutoff cannot reliably reject.
     """
-    return rank(w @ awq1, scale=sw * (sa * sw) ** (q + 1))
+    return _Factored(w @ awq1).rank(scale=sw * (sa * sw) ** (q + 1))
 
 
 def _wqbt_raw(a: np.ndarray, w: np.ndarray, q: int, sa: float, sw: float,
@@ -100,15 +101,15 @@ def _wqbt_raw(a: np.ndarray, w: np.ndarray, q: int, sa: float, sw: float,
     """
     q = check_q(q, a.shape[0])
     if q == 0:
-        return pinv(w @ a @ w, scale=sw * sa * sw)
+        return _Factored(w @ a @ w).pinv(scale=sw * sa * sw)
     aw = a @ w
     if awq is None:
-        awq = _Factored(power(aw, q))
+        awq = _Factored(matrix_power(aw, q))
     r = _wqbt_rank(w, awq.a @ aw, q, sa, sw)
     if r == 0:
         return np.zeros(a.shape, dtype=np.complex128)
     u = awq.range_basis(scale=(sa * sw) ** q)
-    return u @ pinv(w @ a @ w @ u, fixed_rank=r)
+    return u @ _Factored(w @ a @ w @ u).pinv(fixed_rank=r)
 
 
 def weighted_qbt(p: WeightedPair, q: int) -> np.ndarray:
@@ -145,15 +146,15 @@ def weighted_qbt_product_forms(p: WeightedPair, q: int) -> tuple[np.ndarray, np.
     q = min(check_q(q), p.k)
     sa, sw = p.sigma_max_a, p.sigma_max_w
     aw = p.a @ p.w
-    awq = power(aw, q)
+    awq = matrix_power(aw, q)
     awq1 = awq @ aw
     r = _wqbt_rank(p.w, awq1, q, sa, sw)
     if r == 0:
         zero = np.zeros(p.shape, dtype=np.complex128)
         return zero, zero.copy()
-    pq_pinv = pinv(awq, scale=(sa * sw) ** q)
-    x1 = pinv(p.w @ awq1 @ pq_pinv, fixed_rank=r)
-    x2 = pinv(power(p.w @ p.a, q + 1) @ p.w @ pq_pinv, fixed_rank=r)
+    pq_pinv = _Factored(awq).pinv(scale=(sa * sw) ** q)
+    x1 = _Factored(p.w @ awq1 @ pq_pinv).pinv(fixed_rank=r)
+    x2 = _Factored(matrix_power(p.w @ p.a, q + 1) @ p.w @ pq_pinv).pinv(fixed_rank=r)
     return x1, x2
 
 
@@ -162,11 +163,11 @@ def weighted_qbt_via_square(p: WeightedPair, q: int) -> np.ndarray:
     inverse of the product AW."""
     q = min(check_q(q), p.k)
     aw = p.a @ p.w
-    r = _wqbt_rank(p.w, power(aw, q + 1), q, p.sigma_max_a, p.sigma_max_w)
+    r = _wqbt_rank(p.w, matrix_power(aw, q + 1), q, p.sigma_max_a, p.sigma_max_w)
     if r == 0:
         return np.zeros(p.shape, dtype=np.complex128)
-    inner = pinv(qbt_inverse(aw, q))
-    return pinv(p.w @ inner, fixed_rank=r)
+    inner = _Factored(_qbt(_Factored(aw), min(q, aw.shape[0]))).pinv()
+    return _Factored(p.w @ inner).pinv(fixed_rank=r)
 
 
 def cline_shift_check(p: WeightedPair, ell: int, tol: Tolerances | None = None) -> bool:
@@ -176,8 +177,8 @@ def cline_shift_check(p: WeightedPair, ell: int, tol: Tolerances | None = None) 
     """
     ell = exponent(ell, "ell", least=1)
     tol = resolve_tol(tol)
-    left = power(p.a @ p.w, ell - 1) @ p.a
-    right = p.a @ power(p.w @ p.a, ell - 1)
+    left = matrix_power(p.a @ p.w, ell - 1) @ p.a
+    right = p.a @ matrix_power(p.w @ p.a, ell - 1)
     return tol.close(frobenius(left - right), frobenius(right))
 
 
@@ -189,8 +190,9 @@ def dual_representation_gap(p: WeightedPair, q: int) -> tuple[np.ndarray, np.nda
     """
     q = check_q(q)
     x = weighted_qbt(p, q)
-    aw_qbt = qbt_inverse(p.a @ p.w, q)
-    wa_qbt = qbt_inverse(p.w @ p.a, q)
+    m, n = p.shape
+    aw_qbt = _qbt(_Factored(p.a @ p.w), min(q, m))
+    wa_qbt = _qbt(_Factored(p.w @ p.a), min(q, n))
     return x, aw_qbt @ aw_qbt @ p.a, p.a @ wa_qbt @ wa_qbt
 
 

@@ -152,10 +152,11 @@ class TestInverseCommands:
 
         monkeypatch.setattr(np.linalg, "svd", counted(np.linalg.svd))
         monkeypatch.setattr(scipy.linalg, "qr", counted(scipy.linalg.qr))
-        # the square routines search the index through _power_ranks
-        monkeypatch.setattr(classical, "_power_ranks", index_span(projectors._power_ranks))
-        for module in (cli, decomposition, weighted):
-            monkeypatch.setattr(module, "matrix_index", index_span(projectors.matrix_index))
+        # the library searches every index through _power_ranks, and the
+        # CLI's residuals through matrix_index
+        for module in (classical, decomposition, weighted):
+            monkeypatch.setattr(module, "_power_ranks", index_span(projectors._power_ranks))
+        monkeypatch.setattr(cli, "matrix_index", index_span(projectors.matrix_index))
         files = [write_csv(tmp_path / f"m{i}.csv", rows) for i, rows in enumerate(PAIR_5X4)]
         runs = {}
         for extra in ([], ["--verify"]):

@@ -212,5 +212,6 @@ def test_example_checks_share_their_operands(svds):
 
 
 def test_corpus_checks_build_each_operand_once_per_member_and_exponent(svds):
+    # the core-EP inverses of AW and WA are entries of their q-BT grids
     run_random_corpus(seed=11, count=10, max_dim=7)
-    assert len(svds) == 2723
+    assert len(svds) == 2625

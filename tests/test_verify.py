@@ -6,6 +6,7 @@ import pytest
 
 from geninv import classical, projectors, verify
 from geninv.errors import DecompositionError, DomainError, NumericError, ShapeError
+from geninv.corpus import random_planted_pair
 from geninv.matrix import DEFAULT_TOL, Tolerances
 from geninv.reference import pair_4x3_float
 from geninv.verify import (CHECK_REGISTRY, run_all, run_example_checks,
@@ -188,6 +189,20 @@ class TestMeasurementsSeeFaults:
 
         monkeypatch.setattr(projectors, "_kept", short)
 
+    @pytest.fixture
+    def bt_for_every_q(self, monkeypatch):
+        """The runner's weighted_qbt returns the BT inverse (q = 1) for
+        every q >= 1, the core-EP inverse among them."""
+        weighted_qbt = verify.weighted_qbt
+        monkeypatch.setattr(verify, "weighted_qbt", lambda p, q: weighted_qbt(p, min(q, 1)))
+
+    @pytest.fixture
+    def q_one_short(self, monkeypatch):
+        """The runner's weighted_qbt returns the q - 1 member for every q >= 1."""
+        weighted_qbt = verify.weighted_qbt
+        monkeypatch.setattr(verify, "weighted_qbt",
+                            lambda p, q: weighted_qbt(p, max(q - 1, 0)))
+
     def test_unfaulted_member_passes(self, pair4x3):
         values = member_measurements(pair4x3)
         for cid in ("corpus.reductions.q0", "corpus.classical.reductions",
@@ -246,3 +261,20 @@ class TestMeasurementsSeeFaults:
         values = member_measurements(short)["corpus.classical.reductions"]
         assert values["q_ind"] <= DEFAULT_TOL.residual_atol
         assert values["q_beyond"] > 1e-3
+
+    def test_ind_aw_sees_the_bt_inverse_for_the_core_ep_inverse(self, pair4x3, bt_for_every_q):
+        assert pair4x3.ind_aw == pair4x3.k >= 2
+        values = member_measurements(pair4x3)["corpus.reductions.ind-aw"]
+        assert values["vs_core_ep"] > 1e-3
+
+    def test_example_ind_aw_sees_the_bt_inverse_for_the_core_ep_inverse(self, bt_for_every_q):
+        check = example_reductions()
+        assert not check.passed
+        assert check.residuals["ind-aw_vs_core_ep"] > 1e-3
+
+    def test_k1_core_remark_sees_a_q_one_short(self, q_one_short):
+        planted = random_planted_pair(np.random.default_rng(1), 1, max_dim=6)
+        p = WeightedPair.from_matrices(planted.a, planted.w)
+        assert p.k == 1
+        values = member_measurements(p)["corpus.k1.core-remark"]
+        assert values["q1_vs_core_ep"] > 1e-3
