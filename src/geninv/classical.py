@@ -3,19 +3,20 @@ BT, and the q-BT inverse (A P_{A^q})^+.
 
 The q-BT inverse interpolates the family: q = 0 gives the Moore-Penrose
 inverse, q = 1 the BT inverse, and any q >= Ind(A) the core-EP inverse.
-Each routine factors A and its powers once: sigma_max(A), the rank
-sequence of the powers, a basis of R(A^q) and A^+ are read off those
-SVDs, and the powers the index search forms are not formed again.
+Each routine takes one thin SVD of A, truncated at r = rank(A), and
+works on A's powers in those r x r coordinates (`projectors._Powers`):
+sigma_max(A), the rank sequence of the powers, a basis of R(A^q), A^+
+and the pseudoinverses of the powers are read off that SVD and SVDs of
+r x r matrices. No power of A is formed at full size.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.linalg import matrix_power
 
 from .errors import DomainError, ShapeError
 from .matrix import Tolerances, as_matrix, exponent, frobenius, resolve_tol
-from .projectors import _Factored, _nullspace_equal, _power_ranks, _range_equal
+from .projectors import _Factored, _nullspace_equal, _Powers, _power_search, _range_equal
 
 
 def _require_square(a, name: str) -> np.ndarray:
@@ -36,51 +37,48 @@ def check_q(q, n: int | None = None) -> int:
     return q if n is None else min(q, n)
 
 
-def _index_search(a: _Factored) -> tuple[int, float, dict[int, _Factored]]:
-    """Ind(A), sigma_max(A) and the powers the index search kept, among
-    them A^Ind(A) and A^(Ind(A)+1), each held with its factorization."""
-    ranks, s1, powers = _power_ranks(a, a.a.shape[0] + 1)
-    return len(ranks) - 2, s1, powers
+def _index_search(a: _Factored) -> tuple[int, _Powers]:
+    """Ind(A) and the chain of A's powers that decided it, which holds
+    P_Ind(A) and P_(Ind(A)+1)."""
+    chain = _power_search(a, a.a.shape[0] + 1)
+    return len(chain.ranks) - 2, chain
 
 
-def _drazin(a: _Factored, k: int, s1: float,
-            powers: dict[int, _Factored] | None = None) -> np.ndarray:
-    """A^d = A^k (A^(2k+1))^+ A^k for k = Ind(A), the cutoff anchored at
-    s1^(2k+1) with s1 = sigma_max(A); A^+ from A's own SVD when k = 0.
-    `powers` holds A^k and A^(k+1) when the index search already formed
-    them; A^(2k+1) is then one product, A^(k+1) A^k."""
+def _drazin(chain: _Powers, k: int, s1: float) -> np.ndarray:
+    """A^d = A^k (A^(2k+1))^+ A^k for k = Ind(A), in the coordinates of the
+    chain: U1 P_k P_(2k+1)^+ P_k V1*, with P_(2k+1) = P_(k+1) V1* U1 P_k and
+    its cutoff that of the n x n power A^(2k+1), anchored at s1^(2k+1),
+    s1 = sigma_max(A). A^+ from A's own SVD when k = 0."""
     if k == 0:
-        return a.pinv(scale=s1)
-    if powers is None:
-        ak = matrix_power(a.a, k)
-        ak1 = ak @ a.a
-    else:
-        ak, ak1 = powers[k].a, powers[k + 1].a
-    return ak @ _Factored(ak1 @ ak).pinv(scale=s1 ** (2 * k + 1)) @ ak
+        return chain.b.pinv(scale=s1)
+    pk, pk1 = chain.power(k).a, chain.power(k + 1).a
+    p2k1 = _Factored(pk1 @ chain.vh1_u1 @ pk, shape=chain.shape)
+    return chain.u1 @ (pk @ p2k1.pinv(scale=s1 ** (2 * k + 1)) @ pk) @ chain.vh1
 
 
 def drazin(a) -> np.ndarray:
     """Drazin inverse A^d = A^k (A^(2k+1))^+ A^k with k = Ind(A)."""
-    a = _Factored(_require_square(a, "drazin"))
-    return _drazin(a, *_index_search(a))
+    a = _Factored(_require_square(a, "drazin"), thin=True)
+    k, chain = _index_search(a)
+    return _drazin(chain, k, chain.s1)
 
 
 def _group(a: _Factored) -> np.ndarray:
-    k, s1, powers = _index_search(a)
+    k, chain = _index_search(a)
     if k > 1:
         raise DomainError(f"group inverse requires index <= 1, computed index is {k}")
-    return _drazin(a, k, s1, powers)
+    return _drazin(chain, k, chain.s1)
 
 
 def group_inverse(a) -> np.ndarray:
     """Group inverse A^# = A (A^3)^+ A (A^+ when A is nonsingular), defined
     only when Ind(A) <= 1."""
-    return _group(_Factored(_require_square(a, "group_inverse")))
+    return _group(_Factored(_require_square(a, "group_inverse"), thin=True))
 
 
 def core_inverse(a) -> np.ndarray:
     """Core inverse A^# A A^+, defined only when Ind(A) <= 1. One thin SVD
-    of A serves rank(A) and A^+."""
+    of A serves rank(A), the frame of A^# and A^+."""
     a = _Factored(_require_square(a, "core_inverse"), thin=True)
     return _group(a) @ a.a @ a.pinv()
 
@@ -94,16 +92,18 @@ def qbt_inverse(a, q: int) -> np.ndarray:
     and past the index rank(A^{q+1}) would be decided against
     sigma_max^{q+1}, which cond(A)^q outgrows long before q reaches n.
 
-    With U the leading rank(A^q) left singular vectors of A^q, P = U U*
-    and U* U = I give (A P)^+ = U (A U)^+, so the last SVD factors an
-    n x rank(A^q) matrix. The search takes the thin SVD of A^q itself, so
-    U costs no SVD of its own unless the ranks stabilize before j = q.
-    A U has rank exactly rank(A^{q+1}); that rank is decided on the power,
-    whose anchor grows with q, and pinned in the pseudoinverse: the
-    trailing singular values of A U are rounding noise at the scale of A,
-    which a flat cutoff cannot reliably reject.
+    One thin SVD of A, A = U1 S1 V1* truncated at r = rank(A), serves
+    everything else in r x r coordinates (`projectors._Powers`): A^q =
+    U1 P_q V1*, so U = U1 Ũ with Ũ the leading rank(A^q) left singular
+    vectors of P_q spans R(A^q), and with M = S1 V1* U1, P = U U* and
+    U* U = I give (A P)^+ = U (A U)^+ = U1 Ũ (M Ũ)^+ U1*. Every SVD after
+    the first factors a matrix no larger than r x r. M Ũ has rank exactly
+    rank(A^{q+1}); that rank is decided on the power, whose anchor grows
+    with q, and pinned in the pseudoinverse: the trailing singular values
+    of M Ũ are rounding noise at the scale of A, which a flat cutoff
+    cannot reliably reject.
     """
-    a = _Factored(_require_square(a, "qbt_inverse"))
+    a = _Factored(_require_square(a, "qbt_inverse"), thin=True)
     return _qbt(a, check_q(q, a.a.shape[0]))
 
 
@@ -111,14 +111,16 @@ def _qbt(a: _Factored, q: int) -> np.ndarray:
     """`qbt_inverse` of a validated square matrix, with q <= n."""
     if q == 0:
         return a.pinv()
-    ranks, _, powers = _power_ranks(a, q + 1, thin_at=q)
+    chain = _power_search(a, q + 1, thin_at=q)
+    ranks = chain.ranks
     q, r = len(ranks) - 2, ranks[-1]  # q clamped at Ind(A)
     if r == 0:
         return np.zeros_like(a.a)
     if q == 0:
         return a.pinv(fixed_rank=r)
-    u = powers[q].range_basis(fixed_rank=ranks[-2])
-    return u @ _Factored(a.a @ u).pinv(fixed_rank=r)
+    ut = chain.basis(q, fixed_rank=ranks[-2])
+    u1 = chain.u1
+    return u1 @ (ut @ _Factored(chain.m @ ut).pinv(fixed_rank=r)) @ u1.conj().T
 
 
 def bt_inverse(a) -> np.ndarray:
@@ -129,7 +131,7 @@ def bt_inverse(a) -> np.ndarray:
 def core_ep(a) -> np.ndarray:
     """Core-EP inverse (A P_{A^k})^+ with k = Ind(A): the q-BT inverse at
     q = n >= Ind(A), whose rank search stops at the index."""
-    a = _Factored(_require_square(a, "core_ep"))
+    a = _Factored(_require_square(a, "core_ep"), thin=True)
     return _qbt(a, a.a.shape[0])
 
 

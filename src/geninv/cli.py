@@ -26,6 +26,7 @@ import sys
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import matrix_power
 
 import geninv
 
@@ -33,9 +34,8 @@ from .classical import check_q
 from .errors import (DecompositionError, DomainError, NumericError,
                      ParseError, ShapeError)
 from .io import format_matrix, load_matrix
-from .matrix import (Tolerances, as_matrix, conjugate_transpose, frobenius,
-                     sigma_max)
-from .projectors import matrix_index, power, proj_range
+from .matrix import Tolerances, frobenius
+from .projectors import _Factored, _power_search
 from .weighted import WeightedPair
 
 
@@ -150,6 +150,11 @@ def _rel(x: np.ndarray, y: np.ndarray) -> float:
     return frobenius(d) / max(1.0, frobenius(y))
 
 
+def _index(b: np.ndarray) -> int:
+    """Ind(B) of a matrix a public routine already validated."""
+    return len(_power_search(_Factored(b), b.shape[0] + 1).ranks) - 2
+
+
 def _residuals(spec: Kind, a, w, x, q, pair: WeightedPair | None = None) -> dict[str, float]:
     """Residuals of the kind's defining system on either arithmetic.
 
@@ -173,9 +178,9 @@ def _residuals(spec: Kind, a, w, x, q, pair: WeightedPair | None = None) -> dict
     if k == "index" and pair is not None:
         k = pair.k
     elif k == "index":
-        index = ex.exact_index if exact else (lambda m: matrix_index(m).index)
+        index = ex.exact_index if exact else _index
         k = index(a) if w is None else max(index(aw), index(w @ a))
-    pw = ex.exact_power if exact else power
+    pw = ex.exact_power if exact else matrix_power
     if spec.system == "drazin":
         xw = x if w is None else x @ w
         return {
@@ -187,8 +192,8 @@ def _residuals(spec: Kind, a, w, x, q, pair: WeightedPair | None = None) -> dict
     if k and exact:
         b = waw @ ex.exact_proj_range(pw(aw, k))
     elif k:
-        s = sigma_max(a) if pair is None else pair.sigma_max_a * pair.sigma_max_w
-        b = waw @ proj_range(pw(aw, k), scale=s ** k)
+        s = _Factored(a).sigma_max if pair is None else pair.sigma_max_a * pair.sigma_max_w
+        b = waw @ _Factored(pw(aw, k)).proj_range(scale=s ** k)
     bx = b @ x
     xb = x @ b
     return {
@@ -212,9 +217,7 @@ def _cmd_inverse(args) -> int:
         routine = getattr(geninv, spec.exact)
         result = routine(a, *qarg) if w is None else routine(a, w, *qarg)
     else:
-        a = as_matrix(a)
         if w is not None:
-            w = as_matrix(w)
             pair = WeightedPair.from_matrices(a, w)
         result = getattr(geninv, spec.inverse)(a if pair is None else pair, *qarg)
     print(format_matrix(result, fmt))
@@ -247,7 +250,6 @@ def _cmd_decompose(args) -> int:
     if args.kind == "core-ep" and args.w is not None:
         raise UsageError("decompose core-ep takes a single matrix file")
     a, fmt = load_matrix(args.a)
-    a = as_matrix(a)
     if args.kind == "core-ep":
         d = core_ep_decompose(a)
         print(f"rank = {d.rank}")
@@ -255,15 +257,15 @@ def _cmd_decompose(args) -> int:
         for label, block in (("U", d.u), ("T", d.t), ("S", d.s), ("N", d.nil)):
             _print_block(label, block, fmt)
         eye = np.eye(d.u.shape[0])
-        nil_pow = power(d.nil, d.index) if d.nil.size else d.nil
+        nil_pow = matrix_power(d.nil, d.index) if d.nil.size else d.nil
         residuals = {
             "reconstruction": _rel(d.compose(), a),
-            "unitarity": frobenius(conjugate_transpose(d.u) @ d.u - eye),
+            "unitarity": frobenius(d.u.conj().T @ d.u - eye),
             "nilpotency": frobenius(nil_pow) / max(1.0, d.sigma_max ** max(d.index, 1)),
         }
     else:
         w, _ = load_matrix(args.w)
-        pair = WeightedPair.from_matrices(a, as_matrix(w))
+        pair = WeightedPair.from_matrices(a, w)
         d = weighted_core_ep_decompose(pair, tol)
         print(f"t = {d.t_dim}")
         print(f"ind_aw = {d.ind_aw}")
@@ -276,11 +278,11 @@ def _cmd_decompose(args) -> int:
         residuals = {
             "reconstruction_a": _rel(d.compose_a(), pair.a),
             "reconstruction_w": _rel(d.compose_w(), pair.w),
-            "unitarity_u": frobenius(conjugate_transpose(d.u) @ d.u - np.eye(d.u.shape[0])),
-            "unitarity_v": frobenius(conjugate_transpose(d.v) @ d.v - np.eye(d.v.shape[0])),
-            "nilpotency_aw": frobenius(power(d.a3 @ d.w3, d.ind_aw))
+            "unitarity_u": frobenius(d.u.conj().T @ d.u - np.eye(d.u.shape[0])),
+            "unitarity_v": frobenius(d.v.conj().T @ d.v - np.eye(d.v.shape[0])),
+            "nilpotency_aw": frobenius(matrix_power(d.a3 @ d.w3, d.ind_aw))
             / max(1.0, (sa * sw) ** d.ind_aw),
-            "nilpotency_wa": frobenius(power(d.w3 @ d.a3, d.ind_wa))
+            "nilpotency_wa": frobenius(matrix_power(d.w3 @ d.a3, d.ind_wa))
             / max(1.0, (sw * sa) ** d.ind_wa),
         }
     print()

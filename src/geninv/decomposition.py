@@ -20,7 +20,7 @@ from numpy.linalg import matrix_power
 from .classical import check_q
 from .errors import DecompositionError, DomainError, NumericError, ShapeError
 from .matrix import Tolerances, as_matrix, frobenius, qr_column_pivoted, resolve_tol
-from .projectors import _Factored, _power_ranks
+from .projectors import _Factored, _Powers, _power_search
 from .weighted import WeightedPair, _wqbt_raw
 
 
@@ -142,7 +142,8 @@ def core_ep_decompose(a) -> CoreEPDecomposition:
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise ShapeError(f"matrix must be square, got {a.shape[0]}x{a.shape[1]}")
-    ranks, s1, _ = _power_ranks(_Factored(a), a.shape[0] + 1)
+    chain = _power_search(_Factored(a), a.shape[0] + 1)
+    ranks, s1 = chain.ranks, chain.s1
     k = len(ranks) - 2
     r = ranks[k]
     u, _, _ = qr_column_pivoted(matrix_power(a, k))
@@ -355,11 +356,24 @@ def canonical_weighted_qbt(d: WeightedCoreEPDecomposition,
     q = min(check_q(q), max(d.ind_aw, d.ind_wa))
     core = d.w1 @ d.a1 @ d.w1
     coupling = d.w1 @ d.a1 @ d.w2 + d.w1 @ d.a2 @ d.w3 + d.w2 @ d.a3 @ d.w3
-    # one SVD of (A3W3)^q gives both X3's range basis and P_{(A3W3)^q}; X3 =
-    # (W3A3W3 P)^+ gives P_{X3} = X3 W3A3W3 P with the rank X3 was built with
-    awq = _Factored(matrix_power(d.a3 @ d.w3, q))
-    x3 = _wqbt_raw(d.a3, d.w3, q, d.sigma_max_a, d.sigma_max_w, awq)
-    pq = awq.a if q == 0 else awq.proj_range(fixed_rank=d.power_rank_aw(q) - d.t_dim)
+    # one chain of A3W3 gives both X3's range basis and P_{(A3W3)^q}, which
+    # read one SVD of its P_q; X3 = (W3A3W3 P)^+ gives P_{X3} = X3 W3A3W3 P
+    # with the rank X3 was built with
+    sa, sw = d.sigma_max_a, d.sigma_max_w
+    rank_q = d.power_rank_aw(q) - d.t_dim
+    r3 = d.a3.shape[0]
+    if q == 0:
+        x3 = _wqbt_raw(d.a3, d.w3, 0, sa, sw)
+        pq = np.eye(r3, dtype=np.complex128)
+    elif rank_q == 0:
+        # (A3W3)^q has rank 0, so P = 0 and X3 = (W3A3W3 P)^+ = 0
+        x3 = np.zeros(d.a3.shape, dtype=np.complex128)
+        pq = np.zeros((r3, r3), dtype=np.complex128)
+    else:
+        aw = _Powers(_Factored(d.a3 @ d.w3, thin=True))
+        x3 = _wqbt_raw(d.a3, d.w3, q, sa, sw, aw)
+        u = aw.u1 @ aw.basis(q, fixed_rank=rank_q)
+        pq = u @ u.conj().T
     px = x3 @ d.w3 @ d.a3 @ d.w3 @ pq
     blocks, omega = _canonical_blocks(core, coupling, x3, pq, px)
     x = d.u @ _assemble(*blocks) @ d.v.conj().T

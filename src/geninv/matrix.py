@@ -17,9 +17,10 @@ finite entries) exactly once; a function that takes a `WeightedPair` or a
 decomposition scans nothing, since those were validated when they were
 built. Inside the library, and in the conformance runner's own operands,
 arrays are products of validated arrays and are used as they are: a
-matrix held with its factorization (`projectors._Factored`), the rank
-search `projectors._power_ranks`, `@`, `numpy.linalg.matrix_power` and
-`.conj().T`, never a public wrapper that would scan them again.
+matrix held with its factorization (`projectors._Factored`), the powers
+of a matrix in its compressed coordinates (`projectors._Powers`) and their
+rank search `projectors._power_search`, `@`, `numpy.linalg.matrix_power`
+and `.conj().T`, never a public wrapper that would scan them again.
 """
 
 from __future__ import annotations

@@ -1,5 +1,9 @@
 """Moore-Penrose inverse, orthogonal projectors, matrix index, and
-rank-based range / null-space predicates."""
+rank-based range / null-space predicates.
+
+The powers of a square matrix are held in the r x r coordinates of its
+thin SVD (`_Powers`), r its rank, so that the index search and every
+routine that reads a power of A factors r x r matrices, not A^j."""
 
 from __future__ import annotations
 
@@ -46,16 +50,20 @@ class _Factored:
     values-only SVD, which is all a rank decision needs.
 
     `scale` anchors the cutoff to a parent matrix's largest singular value
-    when the matrix is a derived quantity (power, extracted block).
+    when the matrix is a derived quantity (power, extracted block), and
+    `shape` is the shape the cutoff reads when the matrix is a compression
+    of a larger one with the same singular values (`_Powers`).
     `fixed_rank` bypasses the cutoff and keeps exactly that many singular
     values; callers use it when the rank is known from structure and the
     trailing singular values are pure rounding noise. A rank pinned at 0
     keeps nothing and takes no SVD.
     """
 
-    def __init__(self, a: np.ndarray, thin: bool = False):
+    def __init__(self, a: np.ndarray, thin: bool = False,
+                 shape: tuple[int, int] | None = None):
         self.a = a
         self.thin = thin
+        self.shape = a.shape if shape is None else shape
 
     @cached_property
     def usv(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -79,11 +87,11 @@ class _Factored:
         return float(self.s[0]) if self.s.size else 0.0
 
     def rank(self, scale: float | None = None) -> int:
-        return rank_from_values(self.s, self.a.shape, scale)
+        return rank_from_values(self.s, self.shape, scale)
 
     def _keep(self, scale: float | None, fixed_rank: int | None) -> int:
         """How many singular values `pinv` and `range_basis` keep."""
-        return 0 if fixed_rank == 0 else _kept(self.usv[1], self.a.shape, scale, fixed_rank)
+        return 0 if fixed_rank == 0 else _kept(self.usv[1], self.shape, scale, fixed_rank)
 
     def pinv(self, scale: float | None = None, fixed_rank: int | None = None) -> np.ndarray:
         r = self._keep(scale, fixed_rank)
@@ -140,48 +148,137 @@ def power(b, q: int) -> np.ndarray:
     return np.linalg.matrix_power(b, exponent(q, "exponent"))
 
 
-def _power_ranks(b: _Factored, last: int,
-                 thin_at: int = 0) -> tuple[list[int], float, dict[int, _Factored]]:
-    """rank(B^j) for j = 0, 1, ... up to the first j with rank(B^j) =
-    rank(B^(j-1)), or up to j = last.
+class _Powers:
+    """The powers of a square matrix B, held in the r x r coordinates of
+    B's thin SVD truncated at r = rank(B).
 
-    One SVD of B gives both the anchor s1 = sigma_max(B) and rank(B); the
-    rank of B^j is taken relative to s1^j. Each SVD is values only, except
-    that B^thin_at takes the thin one, which the caller's range basis or
-    pseudoinverse of that power then reads. Returns the ranks, s1 and the
-    powers a caller may read, keyed by exponent and held with their
-    factorizations: B, B^thin_at and the last two formed, which are
-    B^Ind(B) and B^(Ind(B)+1) when the ranks stabilized.
+    With B = U1 S1 V1* and M = S1 V1* U1, B^j = U1 P_j V1* where P_1 = S1
+    and P_j = M P_(j-1), so sigma(B^j) = sigma(P_j): every power is
+    factored as an r x r matrix, under the cutoff of B^j itself (shape
+    n x n, anchored by the caller, at sigma_max(B)^j for a rank search).
+    A singular value of B dropped by the truncation is at most
+    n eps sigma_max(B), so it moves B^j by at most n eps sigma_max(B)^j,
+    below every cutoff anchored at sigma_max(B)^j or higher.
+
+    sigma_max(B) and rank(B) come from B's own SVD: values only unless B
+    was created thin. The thin SVD is taken only when a power or the frame
+    is read, so a rank search on a nonsingular B takes one values-only SVD.
+    `ranks` holds rank(B^j) for j = 0, 1, ... as far as `_power_search`
+    decided them. The chain keeps P_1, the last two powers formed, which
+    are P_Ind(B) and P_(Ind(B)+1) after a search that stabilized, and a
+    power formed thin because a caller reads its vectors.
     """
-    n = b.a.shape[0]
-    if thin_at == 1:
-        b.thin = True
-    s1 = b.sigma_max
-    ranks = [n, b.rank(s1)]
-    powers = {1: b}
+
+    def __init__(self, b: _Factored):
+        self.b = b
+        n = b.a.shape[0]
+        self.shape = (n, n)
+        self.s1 = b.sigma_max
+        self.ranks = [n, b.rank(self.s1)]
+        self._held: dict[int, _Factored] = {}
+
+    @cached_property
+    def _frame(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """U1, S1, V1* and V1* U1; a B of rank 0 takes no SVD."""
+        r = self.ranks[1]
+        if r:
+            u, s, vh = self.b.usv
+            u1, s, vh1 = u[:, :r], s[:r], vh[:r]
+        else:
+            n = self.shape[0]
+            u1, s, vh1 = (np.zeros((n, 0), dtype=np.complex128), np.zeros(0),
+                          np.zeros((0, n), dtype=np.complex128))
+        return u1, s, vh1, vh1 @ u1
+
+    @property
+    def u1(self) -> np.ndarray:
+        return self._frame[0]
+
+    @property
+    def vh1(self) -> np.ndarray:
+        return self._frame[2]
+
+    @property
+    def vh1_u1(self) -> np.ndarray:
+        """V1* U1, which joins two powers: P_(i+j) = P_i (V1* U1) P_j."""
+        return self._frame[3]
+
+    @cached_property
+    def m(self) -> np.ndarray:
+        """M = S1 V1* U1, the compression of B: B U1 = U1 M."""
+        _, s, _, vh1_u1 = self._frame
+        return s[:, None] * vh1_u1
+
+    def power(self, j: int, thin: bool = False) -> _Factored:
+        """P_j for j >= 1, held with its factorization; `thin` makes a newly
+        formed P_j take its thin SVD for its singular values too."""
+        held = self._held
+        p = held.get(j)
+        if p is not None:
+            return p
+        if j == 1:
+            p = held[1] = _Factored(np.diag(self._frame[1]).astype(np.complex128),
+                                    shape=self.shape)
+            return p
+        e = max([e for e in held if e < j] or [1])
+        prev = self.power(e).a
+        while e < j:
+            e += 1
+            prev = self.m @ prev
+            old = held.get(e - 2)
+            if e - 2 > 1 and old is not None and not old.thin:
+                del held[e - 2]
+            p = held[e] = _Factored(prev, thin=thin and e == j, shape=self.shape)
+        return p
+
+    def basis(self, q: int, scale: float | None = None,
+              fixed_rank: int | None = None) -> np.ndarray:
+        """An orthonormal basis of R(B^q), q >= 1, in U1's coordinates: the
+        leading left singular vectors of P_q, so U1 times it spans R(B^q).
+        The count is decided as in `_Factored.range_basis`; P_1 = S1 is
+        diagonal and takes no SVD."""
+        if q > 1:
+            return self.power(q).range_basis(scale, fixed_rank)
+        s = self._frame[1]
+        keep = 0 if fixed_rank == 0 else _kept(s, self.shape, scale, fixed_rank)
+        return np.eye(s.size, keep, dtype=np.complex128)
+
+
+def _power_search(b: _Factored, last: int, thin_at: int = 0) -> _Powers:
+    """rank(B^j) for j = 0, 1, ... up to the first j with rank(B^j) =
+    rank(B^(j-1)), or up to j = last, each decided on P_j against
+    sigma_max(B)^j; read them from the returned chain's `ranks`.
+
+    P_thin_at is formed thin, so the range basis a caller reads from it
+    costs no second SVD. The only full-size SVDs are those of B: one
+    values-only SVD for sigma_max(B) and rank(B), then, when B is
+    singular, its thin SVD, unless B was created thin, which gives both.
+    """
+    chain = _Powers(b)
+    ranks = chain.ranks
     while ranks[-1] != ranks[-2] and len(ranks) <= last:
         j = len(ranks)
-        powers[j] = bj = _Factored(powers[j - 1].a @ b.a, thin=j == thin_at)
-        if j - 2 not in (1, thin_at):
-            powers.pop(j - 2, None)
-        ranks.append(bj.rank(s1 ** j))
-    return ranks, s1, powers
+        ranks.append(chain.power(j, thin=j == thin_at).rank(chain.s1 ** j))
+    return chain
 
 
 def matrix_index(b) -> IndexReport:
     """Index of a square matrix: rank stabilization point of its powers.
 
-    Powers are computed iteratively; the rank of B^j is taken relative to
-    sigma_max(B)^j, and one SVD of B gives both sigma_max(B) and rank(B):
-    Ind(B) + 1 values-only SVDs in all. The search is capped at n (the
-    index never exceeds n).
+    The rank of B^j is taken relative to sigma_max(B)^j and decided on the
+    r x r compression of B^j (`_Powers`); one values-only SVD of B gives
+    sigma_max(B) and rank(B), and settles a nonsingular B. A singular B
+    adds its thin SVD and one values-only SVD of an r x r matrix per power:
+    Ind(B) + 2 SVDs in all. The search is capped at n (the index never
+    exceeds n).
     """
     b = as_matrix(b)
     n = b.shape[0]
     if n != b.shape[1]:
         raise ShapeError(f"matrix_index requires a square matrix, got {b.shape[0]}x{b.shape[1]}")
-    ranks, s1, _ = _power_ranks(_Factored(b), n + 1)
-    return IndexReport(index=len(ranks) - 2, rank_sequence=tuple(ranks), sigma_max=s1)
+    chain = _power_search(_Factored(b), n + 1)
+    ranks = chain.ranks
+    return IndexReport(index=len(ranks) - 2, rank_sequence=tuple(ranks), sigma_max=chain.s1)
 
 
 def _stacked_rank_equal(stacked: np.ndarray, scale: float | None, *operands: _Factored) -> bool:

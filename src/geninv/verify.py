@@ -753,7 +753,7 @@ def _corpus_member_checks(p: WeightedPair, integer: bool, planted_k: int,
         p3q = _Factored(a3w3q).proj_range(fixed_rank=d.power_rank_aw(q) - t)
         inner_mat = d.w3 @ d.a3 @ d.w3 @ p3q
         q_inner = _Factored(inner_mat).proj_corange(fixed_rank=_wqbt_rank(
-            d.w3, a3w3q @ d.a3 @ d.w3, q, sa, sw))
+            d.w3 @ (a3w3q @ d.a3 @ d.w3), d.w3.shape, q, sa, sw))
         z = p3q @ (np.eye(q_inner.shape[0], dtype=np.complex128) - q_inner) @ p3q
         agg["corpus.decomposition.z-identity"].update(
             {"z": _rel(z, p3q - _Factored(x3).proj_range(), 1.0)}, where_q)

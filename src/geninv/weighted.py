@@ -4,6 +4,10 @@ A is m x n, W is n x m and nonzero. The central object is the W-weighted
 q-BT inverse (W A W P_{(AW)^q})^+, which reduces to (WAW)^+ at q = 0, to
 the W-weighted BT inverse at q = 1, and to the W-weighted core-EP inverse
 for q >= k = max(Ind(AW), Ind(WA)).
+
+Every power of AW is read in the r x r coordinates of AW's thin SVD,
+r = rank(AW) (`projectors._Powers`), and W enters through W U1, so no
+power of AW is factored at full size.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from numpy.linalg import matrix_power
 from .classical import _drazin, _qbt, check_q
 from .errors import DomainError, NumericError, ShapeError
 from .matrix import Tolerances, as_matrix, exponent, frobenius, resolve_tol
-from .projectors import _Factored, _power_ranks
+from .projectors import _Factored, _Powers, _power_search
 
 
 @dataclass(frozen=True)
@@ -54,8 +58,11 @@ class WeightedPair:
         if not np.any(w):
             raise DomainError("weight matrix must be nonzero")
         m, n = a.shape
-        ranks_aw, _, _ = _power_ranks(_Factored(a @ w), m + 1)
-        ranks_wa, s_wa, _ = _power_ranks(_Factored(w @ a), n + 1)
+        # a product with more rows than the inner dimension is singular, so
+        # its thin SVD is taken at once
+        ranks_aw = _power_search(_Factored(a @ w, thin=m > n), m + 1).ranks
+        wa = _power_search(_Factored(w @ a, thin=n > m), n + 1)
+        ranks_wa, s_wa = wa.ranks, wa.s1
         ind_aw, ind_wa = len(ranks_aw) - 2, len(ranks_wa) - 2
         if abs(ind_aw - ind_wa) > 1:
             raise NumericError(
@@ -75,41 +82,53 @@ class WeightedPair:
         return self.a.shape
 
 
-def _wqbt_rank(w: np.ndarray, awq1: np.ndarray, q: int, sa: float, sw: float) -> int:
-    """Exact rank of W A W P_{(AW)^q}, decided on W (AW)^{q+1}, with awq1 =
-    (AW)^{q+1}.
+def _wqbt_rank(probe: np.ndarray, shape: tuple[int, int], q: int, sa: float, sw: float) -> int:
+    """Exact rank of W A W P_{(AW)^q}, decided on W (AW)^{q+1}, of the given
+    shape, or on `probe`, any matrix with its singular values.
 
     W A W maps R((AW)^q) onto R(W (AW)^{q+1}), so the two ranks agree.
     Deciding on the power keeps the rank anchor growing with q; the
     trailing singular values of the product itself are rounding noise at
     the scale of the factors, which a flat cutoff cannot reliably reject.
     """
-    return _Factored(w @ awq1).rank(scale=sw * (sa * sw) ** (q + 1))
+    return _Factored(probe, shape=shape).rank(scale=sw * (sa * sw) ** (q + 1))
+
+
+def _weight_frame(w: np.ndarray, aw: _Powers, q: int, sa: float,
+                  sw: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """W U1 = Qw Rw for the frame U1 of the chain of AW, and rank(W A W
+    P_{(AW)^q}). With (AW)^{q+1} = U1 P_(q+1) V1*, W (AW)^{q+1} has the
+    singular values of Rw P_(q+1), whose sides are at most rank(AW)."""
+    qw, rw = np.linalg.qr(w @ aw.u1)
+    return qw, rw, _wqbt_rank(rw @ aw.power(q + 1).a, w.shape, q, sa, sw)
 
 
 def _wqbt_raw(a: np.ndarray, w: np.ndarray, q: int, sa: float, sw: float,
-              awq: _Factored | None = None) -> np.ndarray:
+              aw: _Powers | None = None) -> np.ndarray:
     """(W A W P_{(AW)^q})^+ on raw arrays; tolerates W = 0 (used on blocks).
 
     sa and sw anchor the rank cutoffs: sigma_max of A and W, or of the
     parent pair when a and w are blocks of a decomposition. q = 0 is a
-    plain pseudoinverse of W A W. Otherwise, with U the leading left
-    singular vectors of (AW)^q, P = U U* gives the result as U (W A W U)^+,
-    whose last SVD factors an n x rank((AW)^q) matrix. `awq` is (AW)^q
+    plain pseudoinverse of W A W. Otherwise one thin SVD of AW, AW =
+    U1 S1 V1* truncated at rank(AW), serves the rest (`_Powers`): with Ũ
+    the leading left singular vectors of P_q, U = U1 Ũ spans R((AW)^q),
+    P = U U* gives the result as U (W A W U)^+, and W A W U = W U1 M Ũ =
+    Qw (Rw M Ũ), so it is U1 Ũ (Rw M Ũ)^+ Qw*, whose last SVD factors a
+    matrix no larger than rank(AW) x rank(AW). `aw` is the chain of AW
     when the caller holds it, so that the caller's projector and U read
-    one SVD of it.
+    one SVD of P_q.
     """
     q = check_q(q, a.shape[0])
     if q == 0:
         return _Factored(w @ a @ w).pinv(scale=sw * sa * sw)
-    aw = a @ w
-    if awq is None:
-        awq = _Factored(matrix_power(aw, q))
-    r = _wqbt_rank(w, awq.a @ aw, q, sa, sw)
+    if aw is None:
+        aw = _Powers(_Factored(a @ w, thin=True))
+    qw, rw, r = _weight_frame(w, aw, q, sa, sw)
     if r == 0:
         return np.zeros(a.shape, dtype=np.complex128)
-    u = awq.range_basis(scale=(sa * sw) ** q)
-    return u @ _Factored(w @ a @ w @ u).pinv(fixed_rank=r)
+    ut = aw.basis(q, scale=(sa * sw) ** q)
+    inner = _Factored(rw @ aw.m @ ut).pinv(fixed_rank=r)
+    return aw.u1 @ (ut @ inner) @ qw.conj().T
 
 
 def weighted_qbt(p: WeightedPair, q: int) -> np.ndarray:
@@ -133,8 +152,10 @@ def weighted_core_ep(p: WeightedPair) -> np.ndarray:
 
 def weighted_drazin(p: WeightedPair) -> np.ndarray:
     """W-weighted Drazin inverse A (WA)^d (WA)^d; (WA)^d reads Ind(WA) and
-    sigma_max(WA) from the pair, so its only SVD is that of (WA)^(2k+1)."""
-    d = _drazin(_Factored(p.w @ p.a), p.ind_wa, p.sigma_max_wa)
+    sigma_max(WA) from the pair, so it takes the thin SVD of WA and, for
+    Ind(WA) > 0, that of the r x r compression of (WA)^(2k+1)."""
+    wa = _Powers(_Factored(p.w @ p.a, thin=True))
+    d = _drazin(wa, p.ind_wa, p.sigma_max_wa)
     return p.a @ d @ d
 
 
@@ -142,31 +163,43 @@ def weighted_qbt_product_forms(p: WeightedPair, q: int) -> tuple[np.ndarray, np.
     """The two product expressions for the W-weighted q-BT inverse:
 
     [W (AW)^(q+1) ((AW)^q)^+]^+  and  [(WA)^(q+1) W ((AW)^q)^+]^+.
+
+    Both read the chain of AW (`_Powers`): ((AW)^q)^+ = V1 P_q^+ U1* for
+    q >= 1, so each operand is an n x rank(AW) matrix times U1*, and
+    U1 times its pseudoinverse is the result. The first operand is
+    W U1 P_(q+1) P_q^+; the second forms (WA)^(q+1) W V1 itself.
     """
     q = min(check_q(q), p.k)
     sa, sw = p.sigma_max_a, p.sigma_max_w
-    aw = p.a @ p.w
-    awq = matrix_power(aw, q)
-    awq1 = awq @ aw
-    r = _wqbt_rank(p.w, awq1, q, sa, sw)
+    aw = _Powers(_Factored(p.a @ p.w, thin=True))
+    w_pq1 = p.w @ aw.u1 @ aw.power(q + 1).a
+    r = _wqbt_rank(w_pq1, p.w.shape, q, sa, sw)
     if r == 0:
         zero = np.zeros(p.shape, dtype=np.complex128)
         return zero, zero.copy()
-    pq_pinv = _Factored(awq).pinv(scale=(sa * sw) ** q)
-    x1 = _Factored(p.w @ awq1 @ pq_pinv).pinv(fixed_rank=r)
-    x2 = _Factored(matrix_power(p.w @ p.a, q + 1) @ p.w @ pq_pinv).pinv(fixed_rank=r)
+    wa_q1_w = matrix_power(p.w @ p.a, q + 1) @ p.w
+    if q == 0:
+        # (AW)^0 = I: the operands are W A W in its two groupings
+        x1 = _Factored(p.w @ (p.a @ p.w)).pinv(fixed_rank=r)
+        return x1, _Factored(wa_q1_w).pinv(fixed_rank=r)
+    pq_pinv = aw.power(q).pinv(scale=(sa * sw) ** q)
+    x1 = aw.u1 @ _Factored(w_pq1 @ pq_pinv).pinv(fixed_rank=r)
+    x2 = aw.u1 @ _Factored(wa_q1_w @ aw.vh1.conj().T @ pq_pinv).pinv(fixed_rank=r)
     return x1, x2
 
 
 def weighted_qbt_via_square(p: WeightedPair, q: int) -> np.ndarray:
     """(W ((AW)^{q-BT})^+)^+: the weighted inverse through the square q-BT
-    inverse of the product AW."""
+    inverse of the product AW, whose thin SVD serves both the rank of the
+    result, decided on W U1 P_(q+1), and the square inverse."""
     q = min(check_q(q), p.k)
-    aw = p.a @ p.w
-    r = _wqbt_rank(p.w, matrix_power(aw, q + 1), q, p.sigma_max_a, p.sigma_max_w)
+    aw = _Factored(p.a @ p.w, thin=True)
+    chain = _Powers(aw)
+    r = _wqbt_rank(p.w @ chain.u1 @ chain.power(q + 1).a, p.w.shape, q,
+                   p.sigma_max_a, p.sigma_max_w)
     if r == 0:
         return np.zeros(p.shape, dtype=np.complex128)
-    inner = _Factored(_qbt(_Factored(aw), min(q, aw.shape[0]))).pinv()
+    inner = _Factored(_qbt(aw, min(q, aw.a.shape[0]))).pinv()
     return _Factored(p.w @ inner).pinv(fixed_rank=r)
 
 

@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 
 import geninv
-from geninv import classical, cli, decomposition, projectors, weighted
+from geninv import classical, cli, decomposition, matrix, projectors, weighted
 from geninv.cli import main
 from geninv.io import parse_matrix
 from geninv.reference import (PAIR_4X3_A, PAIR_4X3_W, PAIR_5X4_A, PAIR_5X4_W, WCEP_4X3,
@@ -152,11 +152,10 @@ class TestInverseCommands:
 
         monkeypatch.setattr(np.linalg, "svd", counted(np.linalg.svd))
         monkeypatch.setattr(scipy.linalg, "qr", counted(scipy.linalg.qr))
-        # the library searches every index through _power_ranks, and the
-        # CLI's residuals through matrix_index
-        for module in (classical, decomposition, weighted):
-            monkeypatch.setattr(module, "_power_ranks", index_span(projectors._power_ranks))
-        monkeypatch.setattr(cli, "matrix_index", index_span(projectors.matrix_index))
+        # the library and the CLI's residuals search every index through
+        # _power_search
+        for module in (classical, decomposition, weighted, cli):
+            monkeypatch.setattr(module, "_power_search", index_span(projectors._power_search))
         files = [write_csv(tmp_path / f"m{i}.csv", rows) for i, rows in enumerate(PAIR_5X4)]
         runs = {}
         for extra in ([], ["--verify"]):
@@ -353,6 +352,43 @@ class TestDecompose:
         assert code == 0
         for label in ("t = ", "ind_aw = 3", "ind_wa = 2", "A1:", "W3:"):
             assert label in out
+
+
+class TestValidateOnce:
+    """A float call scans each input file for non-finite entries once: the
+    routine it calls validates the parsed matrix, and the CLI's --verify
+    residuals and decomposition residuals reuse that matrix."""
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        count = [0]
+        isfinite = np.isfinite
+        own = matrix.as_matrix.__code__
+
+        def counted(x, *args, **kwargs):
+            count[0] += sys._getframe(1).f_code is own
+            return isfinite(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", counted)
+        return count
+
+    @pytest.mark.parametrize("verify", [[], ["--verify"]], ids=["plain", "verify"])
+    @pytest.mark.parametrize("kind, args, inputs, names", VERIFY_CASES,
+                             ids=[case[0] for case in VERIFY_CASES])
+    def test_inverse_scans_each_file_once(self, tmp_path, capsys, scans, kind, args,
+                                          inputs, names, verify):
+        files = [write_csv(tmp_path / f"m{i}.csv", rows) for i, rows in enumerate(inputs)]
+        code, _, _ = run_main(capsys, kind, *args, *files, *verify)
+        assert code == 0
+        assert scans[0] == len(files)
+
+    @pytest.mark.parametrize("kind, inputs", [("core-ep", [SQUARE_I2]),
+                                              ("weighted-core-ep", PAIR_4X3)])
+    def test_decompose_scans_each_file_once(self, tmp_path, capsys, scans, kind, inputs):
+        files = [write_csv(tmp_path / f"m{i}.csv", rows) for i, rows in enumerate(inputs)]
+        code, _, _ = run_main(capsys, "decompose", kind, *files)
+        assert code == 0
+        assert scans[0] == len(files)
 
 
 class TestVerifyCommand:

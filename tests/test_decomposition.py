@@ -61,7 +61,7 @@ class TestWeightedCoreEPDecompose:
         def no_index(*args, **kwargs):
             raise AssertionError("index searched again")
 
-        monkeypatch.setattr("geninv.decomposition._power_ranks", no_index)
+        monkeypatch.setattr("geninv.decomposition._power_search", no_index)
         for p in pairs:
             d = weighted_core_ep_decompose(p)
             assert p.rank_sequence_aw == matrix_index(p.a @ p.w).rank_sequence

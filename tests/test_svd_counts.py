@@ -5,7 +5,8 @@ factorization."""
 import numpy as np
 import pytest
 
-from geninv.classical import core_ep, core_inverse, drazin, outer_inverse_check, qbt_inverse
+from geninv.classical import (core_ep, core_inverse, drazin, group_inverse, outer_inverse_check,
+                              qbt_inverse)
 from geninv.corpus import random_planted_pair, random_square
 from geninv.decomposition import (canonical_qbt, canonical_qbt_products, canonical_weighted_qbt,
                                   core_ep_decompose, weighted_core_ep_decompose)
@@ -41,10 +42,12 @@ def test_pinv_takes_one_thin_svd(svds, rng):
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
-def test_matrix_index_takes_index_plus_one(svds, squares, k):
+def test_matrix_index_takes_index_plus_two(svds, squares, k):
+    # one values-only SVD of A settles a nonsingular A; a singular one adds
+    # its thin SVD and one values-only SVD of P_j per power j = 2 .. k + 1
     report = matrix_index(squares[k])
     assert report.index == k
-    assert len(svds) == k + 1
+    assert len(svds) == (k + 2 if k else 1)
     assert report.sigma_max == pytest.approx(np.linalg.norm(squares[k], 2))
 
 
@@ -55,11 +58,12 @@ def test_qbt_zero_is_one_pinv(svds, squares, k):
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
-def test_qbt_takes_min_q_index_plus_three(svds, squares, k):
-    # up to the index the search takes the thin SVD of A^q, which gives U;
-    # past it the ranks stop at j = k + 1 and A^k is factored again. At
-    # k = 0 the SVD of A serves A^+ when it was taken thin, at q = 1
-    expected = {1: 1, 2: 2} if k == 0 else {q: min(q, k) + 2 if q <= k else k + 3
+def test_qbt_takes_min_q_index_plus_two_or_three(svds, squares, k):
+    # the thin SVD of A, one SVD of P_j per power j = 2 .. min(q, k) + 1, the
+    # one of P_q thin so that it gives U, and (M U)^+. Past the index the
+    # ranks stop at j = k + 1 and P_k is factored again, unless k = 1, whose
+    # U is U1. At k = 0 the SVD of A serves A^+ for every q
+    expected = {1: 1, 2: 1} if k == 0 else {q: min(q, k) + 2 + (q > k > 1)
                                             for q in range(1, k + 3)}
     for q, count in expected.items():
         svds.clear()
@@ -70,13 +74,15 @@ def test_qbt_takes_min_q_index_plus_three(svds, squares, k):
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_core_ep_takes_at_most_index_plus_three(svds, squares, k):
     core_ep(squares[k])
-    assert len(svds) == (k + 3 if k else 2)
+    assert len(svds) == (k + 2 + (k > 1) if k else 1)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_drazin_takes_index_plus_two(svds, squares, k):
+    # the thin SVD of A, P_2 .. P_(k+1) for the ranks and P_(2k+1)^+; A^+
+    # from the SVD of A at k = 0
     drazin(squares[k])
-    assert len(svds) == k + 2
+    assert len(svds) == (k + 2 if k else 1)
 
 
 @pytest.mark.parametrize("k", [0, 1])
@@ -107,11 +113,13 @@ def test_canonical_weighted_qbt_shares_the_power_svd(svds, k):
     for q in range(k + 2):
         svds.clear()
         canonical_weighted_qbt(d, q)
-        # q = 0: (W3 A3 W3)^+ alone. q >= 1: the rank probe W3 (A3 W3)^{q+1};
-        # one SVD of (A3 W3)^q for both U and P_{(A3W3)^q} while it is
-        # nonzero; (W3 A3 W3 U)^+ while the probe's rank is. P_{X3} =
-        # X3 W3 A3 W3 P takes none
-        assert len(svds) == (1 if q == 0 else 1 + (q < p.ind_aw) + (q + 1 < p.ind_aw)), q
+        # q = 0: (W3 A3 W3)^+ alone. q >= Ind(AW): (A3 W3)^q has rank 0, so
+        # P = 0 and X3 = 0 with no SVD. Otherwise the thin SVD of A3 W3, the
+        # rank probe R P_(q+1); one SVD of P_q for both U and P_{(A3W3)^q}
+        # when q >= 2 (P_1 is diagonal); (R M U)^+ while the probe's rank is
+        # nonzero. P_{X3} = X3 W3 A3 W3 P takes none
+        expected = 1 if q == 0 else 0 if q >= p.ind_aw else 2 + (q >= 2) + (q + 1 < p.ind_aw)
+        assert len(svds) == expected, q
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -120,7 +128,8 @@ def test_weighted_drazin_reads_the_pair_index(svds, k):
     p = WeightedPair.from_matrices(planted.a, planted.w)
     svds.clear()
     weighted_drazin(p)
-    assert len(svds) == 1
+    # the thin SVD of WA and P_(2k+1)^+; no rank search
+    assert len(svds) == 2
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
@@ -130,6 +139,64 @@ def test_canonical_qbt_factors_no_full_size_matrix(svds, squares, k):
     for q in range(k + 2):
         canonical_qbt(d, q)
     assert all(10 not in shape for shape, _ in svds)
+
+
+def _ranks_and_sides(svds, full_shapes):
+    """How many SVDs factor a matrix of one of `full_shapes`, whether those
+    come first, and the longest side of any other."""
+    full = [shape in full_shapes for shape, _ in svds]
+    count = sum(full)
+    others = [max(shape) for shape, _ in svds[count:]]
+    return count, all(full[:count]), max(others, default=0)
+
+
+# each routine's calls on a square of index k, one list entry per call
+SQUARE_CALLS = {
+    "matrix_index": lambda a, k: [lambda: matrix_index(a)],
+    "qbt_inverse": lambda a, k: [lambda q=q: qbt_inverse(a, q) for q in range(1, k + 3)],
+    "core_ep": lambda a, k: [lambda: core_ep(a)],
+    "drazin": lambda a, k: [lambda: drazin(a)],
+    "group_inverse": lambda a, k: [lambda: group_inverse(a)] if k == 1 else [],
+    "core_inverse": lambda a, k: [lambda: core_inverse(a)] if k == 1 else [],
+}
+
+
+@pytest.mark.parametrize("name", SQUARE_CALLS)
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_square_routines_factor_only_a_at_full_size(svds, squares, name, k):
+    # after the SVDs of A itself (its thin SVD; `matrix_index` takes its
+    # values first), every SVD factors an r x r compression, r = rank(A)
+    a = squares[k]
+    r = matrix_index(a).rank_sequence[1]
+    assert r < a.shape[0]
+    for call in SQUARE_CALLS[name](a, k):
+        svds.clear()
+        call()
+        count, first, longest = _ranks_and_sides(svds, [a.shape])
+        assert count == (2 if name == "matrix_index" else 1)
+        assert first and longest <= r
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_pair_routines_factor_only_the_operands_at_full_size(svds, k):
+    planted = random_planted_pair(np.random.default_rng(k), k, max_dim=8)
+    a, w = planted.a, planted.w
+    m, n = a.shape
+    svds.clear()
+    p = WeightedPair.from_matrices(a, w)
+    r = max(p.rank_sequence_aw[1], p.rank_sequence_wa[1])
+    assert r < min(m, n)
+    # A and W for their scales, AW and WA for their searches, each at most
+    # twice; every other SVD factors a compression of a power
+    assert all(shape in ((m, n), (n, m), (m, m), (n, n)) or max(shape) <= r
+               for shape, _ in svds)
+    assert sum(max(shape) > r for shape, _ in svds) <= 6
+    r = p.rank_sequence_aw[1]
+    for q in range(1, p.k + 2):
+        svds.clear()
+        weighted_qbt(p, q)
+        count, first, longest = _ranks_and_sides(svds, [(m, m)])
+        assert (count, first) == (1, True) and longest <= r, q
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -158,10 +225,14 @@ def test_canonical_qbt_products_factor_no_full_size_matrix(svds, k):
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_weighted_pair_takes_both_indices_plus_four(svds, k):
+def test_weighted_pair_takes_both_indices_plus_six(svds, k):
+    # sigma_max of A and W; per product, the search of `matrix_index`,
+    # except that a product with more rows than the inner dimension is
+    # singular and takes its thin SVD at once
     planted = random_planted_pair(np.random.default_rng(k), k, max_dim=8)
     p = WeightedPair.from_matrices(planted.a, planted.w)
-    assert len(svds) == p.ind_aw + p.ind_wa + 4
+    m, n = p.shape
+    assert len(svds) == p.ind_aw + p.ind_wa + 6 - (m != n)
 
 
 def test_weighted_qbt_reads_the_pair_scales(svds):
@@ -208,10 +279,10 @@ def test_passing_outer_inverse_check_takes_five(svds, squares):
 
 def test_example_checks_share_their_operands(svds):
     run_example_checks()
-    assert len(svds) == 81
+    assert len(svds) == 96
 
 
 def test_corpus_checks_build_each_operand_once_per_member_and_exponent(svds):
     # the core-EP inverses of AW and WA are entries of their q-BT grids
     run_random_corpus(seed=11, count=10, max_dim=7)
-    assert len(svds) == 2625
+    assert len(svds) == 2683

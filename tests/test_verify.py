@@ -244,14 +244,14 @@ class TestMeasurementsSeeFaults:
         assert min(check.residuals["q-ge-k_k+1"], check.residuals["q-ge-k_k+2"]) > 1e-3
 
     def test_right_product_sees_an_understated_index(self, pair4x3, monkeypatch):
-        power_ranks = classical._power_ranks
+        power_search = classical._power_search
 
         def understated(b, last, thin_at=0):
             # the search stops at j = Ind(B) and so reports Ind(B) - 1
-            ranks, _, _ = power_ranks(b, last, thin_at)
-            return power_ranks(b, min(last, len(ranks) - 2), thin_at)
+            ranks = power_search(b, last, thin_at).ranks
+            return power_search(b, min(last, len(ranks) - 2), thin_at)
 
-        monkeypatch.setattr(classical, "_power_ranks", understated)
+        monkeypatch.setattr(classical, "_power_search", understated)
         values = member_measurements(pair4x3)["corpus.wdrazin.equations"]
         assert values["right_product"] > 1e-3
 
