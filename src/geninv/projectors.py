@@ -164,9 +164,9 @@ class _Powers:
     was created thin. The thin SVD is taken only when a power or the frame
     is read, so a rank search on a nonsingular B takes one values-only SVD.
     `ranks` holds rank(B^j) for j = 0, 1, ... as far as `_power_search`
-    decided them. The chain keeps P_1, the last two powers formed, which
-    are P_Ind(B) and P_(Ind(B)+1) after a search that stabilized, and a
-    power formed thin because a caller reads its vectors.
+    decided them. The chain keeps the last two powers formed, which are
+    P_Ind(B) and P_(Ind(B)+1) after a search that stabilized, and a power
+    formed thin because a caller reads its vectors.
     """
 
     def __init__(self, b: _Factored):
@@ -213,23 +213,22 @@ class _Powers:
         """P_j for j >= 1, held with its factorization; `thin` makes a newly
         formed P_j take its thin SVD for its singular values too."""
         held = self._held
-        p = held.get(j)
-        if p is not None:
-            return p
+        if j in held:
+            return held[j]
         if j == 1:
-            p = held[1] = _Factored(np.diag(self._frame[1]).astype(np.complex128),
-                                    shape=self.shape)
-            return p
-        e = max([e for e in held if e < j] or [1])
-        prev = self.power(e).a
+            held[1] = _Factored(np.diag(self._frame[1]).astype(np.complex128), shape=self.shape)
+            return held[1]
+        e = max((i for i in held if 1 < i < j), default=1)
+        p = held[e].a if e > 1 else None
         while e < j:
             e += 1
-            prev = self.m @ prev
+            # P_2 = M S1 scales the columns of M
+            p = self.m * self._frame[1] if p is None else self.m @ p
             old = held.get(e - 2)
             if e - 2 > 1 and old is not None and not old.thin:
                 del held[e - 2]
-            p = held[e] = _Factored(prev, thin=thin and e == j, shape=self.shape)
-        return p
+            held[e] = _Factored(p, thin=thin and e == j, shape=self.shape)
+        return held[j]
 
     def basis(self, q: int, scale: float | None = None,
               fixed_rank: int | None = None) -> np.ndarray:

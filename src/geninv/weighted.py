@@ -94,15 +94,6 @@ def _wqbt_rank(probe: np.ndarray, shape: tuple[int, int], q: int, sa: float, sw:
     return _Factored(probe, shape=shape).rank(scale=sw * (sa * sw) ** (q + 1))
 
 
-def _weight_frame(w: np.ndarray, aw: _Powers, q: int, sa: float,
-                  sw: float) -> tuple[np.ndarray, np.ndarray, int]:
-    """W U1 = Qw Rw for the frame U1 of the chain of AW, and rank(W A W
-    P_{(AW)^q}). With (AW)^{q+1} = U1 P_(q+1) V1*, W (AW)^{q+1} has the
-    singular values of Rw P_(q+1), whose sides are at most rank(AW)."""
-    qw, rw = np.linalg.qr(w @ aw.u1)
-    return qw, rw, _wqbt_rank(rw @ aw.power(q + 1).a, w.shape, q, sa, sw)
-
-
 def _wqbt_raw(a: np.ndarray, w: np.ndarray, q: int, sa: float, sw: float,
               aw: _Powers | None = None) -> np.ndarray:
     """(W A W P_{(AW)^q})^+ on raw arrays; tolerates W = 0 (used on blocks).
@@ -112,18 +103,20 @@ def _wqbt_raw(a: np.ndarray, w: np.ndarray, q: int, sa: float, sw: float,
     plain pseudoinverse of W A W. Otherwise one thin SVD of AW, AW =
     U1 S1 V1* truncated at rank(AW), serves the rest (`_Powers`): with Ũ
     the leading left singular vectors of P_q, U = U1 Ũ spans R((AW)^q),
-    P = U U* gives the result as U (W A W U)^+, and W A W U = W U1 M Ũ =
-    Qw (Rw M Ũ), so it is U1 Ũ (Rw M Ũ)^+ Qw*, whose last SVD factors a
-    matrix no larger than rank(AW) x rank(AW). `aw` is the chain of AW
-    when the caller holds it, so that the caller's projector and U read
-    one SVD of P_q.
+    P = U U* gives the result as U (W A W U)^+, and with W U1 = Qw Rw,
+    W A W U = W U1 M Ũ = Qw (Rw M Ũ), so it is U1 Ũ (Rw M Ũ)^+ Qw*, and
+    W (AW)^{q+1} = Qw Rw P_(q+1) V1* has the singular values of
+    Rw P_(q+1): every SVD after the first factors a matrix no larger than
+    rank(AW) x rank(AW). `aw` is the chain of AW when the caller holds
+    it, so that the caller's projector and U read one SVD of P_q.
     """
     q = check_q(q, a.shape[0])
     if q == 0:
         return _Factored(w @ a @ w).pinv(scale=sw * sa * sw)
     if aw is None:
         aw = _Powers(_Factored(a @ w, thin=True))
-    qw, rw, r = _weight_frame(w, aw, q, sa, sw)
+    qw, rw = np.linalg.qr(w @ aw.u1)
+    r = _wqbt_rank(rw @ aw.power(q + 1).a, w.shape, q, sa, sw)
     if r == 0:
         return np.zeros(a.shape, dtype=np.complex128)
     ut = aw.basis(q, scale=(sa * sw) ** q)

@@ -83,9 +83,9 @@ def test_chain_powers_are_the_powers(rng):
 
 
 def test_chain_keeps_few_powers():
-    # a long search holds P_1 and the last two powers, not every power
+    # a long search holds the last two powers, not every power
     n = 40
     b = np.diag(np.ones(n - 1), 1).astype(np.complex128)
     chain = _power_search(_Factored(b), n + 1)
     assert len(chain.ranks) - 2 == n
-    assert sorted(chain._held) == [1, n, n + 1]
+    assert sorted(chain._held) == [n, n + 1]
