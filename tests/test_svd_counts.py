@@ -42,12 +42,13 @@ def test_pinv_takes_one_thin_svd(svds, rng):
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
-def test_matrix_index_takes_index_plus_two(svds, squares, k):
+def test_matrix_index_takes_index_plus_one(svds, squares, k):
     # one values-only SVD of A settles a nonsingular A; a singular one adds
-    # its thin SVD and one values-only SVD of P_j per power j = 2 .. k + 1
+    # index plus one: its thin SVD and one values-only SVD of P_j per power
+    # j = 2 .. k + 1
     report = matrix_index(squares[k])
     assert report.index == k
-    assert len(svds) == (k + 2 if k else 1)
+    assert len(svds) == 1 + (k + 1 if k else 0)
     assert report.sigma_max == pytest.approx(np.linalg.norm(squares[k], 2))
 
 
@@ -58,7 +59,7 @@ def test_qbt_zero_is_one_pinv(svds, squares, k):
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
-def test_qbt_takes_min_q_index_plus_two_or_three(svds, squares, k):
+def test_qbt_takes_min_q_index_plus_three(svds, squares, k):
     # the thin SVD of A, one SVD of P_j per power j = 2 .. min(q, k) + 1, the
     # one of P_q thin so that it gives U, and (M U)^+. Past the index the
     # ranks stop at j = k + 1 and P_k is factored again, unless k = 1, whose
@@ -225,14 +226,14 @@ def test_canonical_qbt_products_factor_no_full_size_matrix(svds, k):
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_weighted_pair_takes_both_indices_plus_six(svds, k):
-    # sigma_max of A and W; per product, the search of `matrix_index`,
-    # except that a product with more rows than the inner dimension is
-    # singular and takes its thin SVD at once
+def test_weighted_pair_takes_both_indices_plus_four(svds, k):
+    # per product, the search of `matrix_index`: index plus one after the
+    # values of the product, which a product with more rows than the inner
+    # dimension skips, being singular; plus the values of A and W
     planted = random_planted_pair(np.random.default_rng(k), k, max_dim=8)
     p = WeightedPair.from_matrices(planted.a, planted.w)
     m, n = p.shape
-    assert len(svds) == p.ind_aw + p.ind_wa + 6 - (m != n)
+    assert len(svds) == (p.ind_aw + 1) + (p.ind_wa + 1) + 4 - (m != n)
 
 
 def test_weighted_qbt_reads_the_pair_scales(svds):
