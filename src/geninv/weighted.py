@@ -13,6 +13,7 @@ power of AW is factored at full size.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.linalg import matrix_power
@@ -34,6 +35,11 @@ class WeightedPair:
     sigma_max_wa is that of WA, the anchor of its Drazin inverse.
     The indices of AW and WA can differ by at most one; a larger spread
     indicates a rank misclassification and is rejected.
+
+    The chains of AW and WA (`projectors._Powers`, one thin SVD each) are
+    taken on first use and kept, so every weighted routine and every q on
+    one pair reads the same factorization. They are not fields: equality,
+    `dataclasses.replace` and the printed form see only the data above.
     """
 
     a: np.ndarray
@@ -80,6 +86,14 @@ class WeightedPair:
     @property
     def shape(self) -> tuple[int, int]:
         return self.a.shape
+
+    @cached_property
+    def _aw(self) -> _Powers:
+        return _Powers(_Factored(self.a @ self.w, thin=True))
+
+    @cached_property
+    def _wa(self) -> _Powers:
+        return _Powers(_Factored(self.w @ self.a, thin=True))
 
 
 def _wqbt_rank(probe: np.ndarray, shape: tuple[int, int], q: int, sa: float, sw: float) -> int:
@@ -130,7 +144,8 @@ def weighted_qbt(p: WeightedPair, q: int) -> np.ndarray:
     q is clamped at k: R((AW)^q) is the same for every q >= k, and past
     it the rank anchors (sigma_max(A) sigma_max(W))^q only lose accuracy.
     """
-    return _wqbt_raw(p.a, p.w, min(check_q(q), p.k), p.sigma_max_a, p.sigma_max_w)
+    q = min(check_q(q), p.k)
+    return _wqbt_raw(p.a, p.w, q, p.sigma_max_a, p.sigma_max_w, p._aw if q else None)
 
 
 def weighted_bt(p: WeightedPair) -> np.ndarray:
@@ -145,10 +160,9 @@ def weighted_core_ep(p: WeightedPair) -> np.ndarray:
 
 def weighted_drazin(p: WeightedPair) -> np.ndarray:
     """W-weighted Drazin inverse A (WA)^d (WA)^d; (WA)^d reads Ind(WA) and
-    sigma_max(WA) from the pair, so it takes the thin SVD of WA and, for
-    Ind(WA) > 0, that of the r x r compression of (WA)^(2k+1)."""
-    wa = _Powers(_Factored(p.w @ p.a, thin=True))
-    d = _drazin(wa, p.ind_wa, p.sigma_max_wa)
+    sigma_max(WA) from the pair, so it reads the pair's chain of WA and,
+    for Ind(WA) > 0, factors the r x r compression of (WA)^(2k+1)."""
+    d = _drazin(p._wa, p.ind_wa, p.sigma_max_wa)
     return p.a @ d @ d
 
 
@@ -164,7 +178,7 @@ def weighted_qbt_product_forms(p: WeightedPair, q: int) -> tuple[np.ndarray, np.
     """
     q = min(check_q(q), p.k)
     sa, sw = p.sigma_max_a, p.sigma_max_w
-    aw = _Powers(_Factored(p.a @ p.w, thin=True))
+    aw = p._aw
     w_pq1 = p.w @ aw.u1 @ aw.power(q + 1).a
     r = _wqbt_rank(w_pq1, p.w.shape, q, sa, sw)
     if r == 0:
@@ -186,13 +200,12 @@ def weighted_qbt_via_square(p: WeightedPair, q: int) -> np.ndarray:
     inverse of the product AW, whose thin SVD serves both the rank of the
     result, decided on W U1 P_(q+1), and the square inverse."""
     q = min(check_q(q), p.k)
-    aw = _Factored(p.a @ p.w, thin=True)
-    chain = _Powers(aw)
+    chain = p._aw
     r = _wqbt_rank(p.w @ chain.u1 @ chain.power(q + 1).a, p.w.shape, q,
                    p.sigma_max_a, p.sigma_max_w)
     if r == 0:
         return np.zeros(p.shape, dtype=np.complex128)
-    inner = _Factored(_qbt(aw, min(q, aw.a.shape[0]))).pinv()
+    inner = _Factored(_qbt(chain.b, min(q, p.shape[0]))).pinv()
     return _Factored(p.w @ inner).pinv(fixed_rank=r)
 
 
@@ -217,8 +230,8 @@ def dual_representation_gap(p: WeightedPair, q: int) -> tuple[np.ndarray, np.nda
     q = check_q(q)
     x = weighted_qbt(p, q)
     m, n = p.shape
-    aw_qbt = _qbt(_Factored(p.a @ p.w), min(q, m))
-    wa_qbt = _qbt(_Factored(p.w @ p.a), min(q, n))
+    aw_qbt = _qbt(p._aw.b, min(q, m))
+    wa_qbt = _qbt(p._wa.b, min(q, n))
     return x, aw_qbt @ aw_qbt @ p.a, p.a @ wa_qbt @ wa_qbt
 
 
