@@ -32,9 +32,9 @@ _LAZY = {
     **{module: module for module in ("corpus", "decomposition", "exact", "reference",
                                      "verify")},
     **dict.fromkeys(("CanonicalParts", "CoreEPDecomposition", "WeightedCoreEPDecomposition",
-                     "block_pinv", "block_proj_range", "canonical_qbt",
-                     "canonical_qbt_products", "canonical_weighted_qbt",
-                     "core_ep_decompose", "weighted_core_ep_decompose"), "decomposition"),
+                     "block_pinv", "canonical_qbt", "canonical_qbt_products",
+                     "canonical_weighted_qbt", "core_ep_decompose",
+                     "weighted_core_ep_decompose"), "decomposition"),
     **dict.fromkeys(("GaussianRational", "exact_bt", "exact_core", "exact_core_ep",
                      "exact_drazin", "exact_group", "exact_index", "exact_pair_index",
                      "exact_pinv", "exact_qbt", "exact_rank", "exact_weighted_bt",
@@ -94,7 +94,6 @@ __all__ = [
     "core_ep_decompose",
     "weighted_core_ep_decompose",
     "block_pinv",
-    "block_proj_range",
     "canonical_qbt",
     "canonical_weighted_qbt",
     "canonical_qbt_products",

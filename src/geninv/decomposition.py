@@ -19,7 +19,7 @@ from numpy.linalg import matrix_power
 
 from .classical import check_q
 from .errors import DecompositionError, DomainError, NumericError, ShapeError
-from .matrix import Tolerances, as_matrix, frobenius, qr_column_pivoted, resolve_tol
+from .matrix import Tolerances, as_matrix, frobenius, resolve_tol
 from .projectors import _Factored, _Powers, _power_search
 from .weighted import WeightedPair, _wqbt_raw
 
@@ -132,12 +132,24 @@ class WeightedCoreEPDecomposition:
         return self.v @ self.middle_w() @ self.u.conj().T
 
 
-def core_ep_decompose(a) -> CoreEPDecomposition:
-    """Core-EP decomposition via a pivoted QR of A^k, k = Ind(A).
+def _frame(chain: _Powers, q: int, r: int) -> np.ndarray:
+    """A unitary whose first r columns span R(B^q), r = rank(B^q): the
+    chain's basis of R(B^q) completed by a Householder QR. I when q or r
+    is 0."""
+    n = chain.shape[0]
+    if q == 0 or r == 0:
+        return np.eye(n, dtype=np.complex128)
+    return np.linalg.qr(chain.range_basis(q, fixed_rank=r), mode="complete")[0]
 
-    The first r columns of Q span R(A^k); conjugating by Q block
-    triangularizes A. Degenerate inputs produce empty blocks instead of
-    errors.
+
+def core_ep_decompose(a) -> CoreEPDecomposition:
+    """Core-EP decomposition from the chain of A's powers, k = Ind(A).
+
+    The index search leaves the chain holding P_k, whose leading r left
+    singular vectors, times U1, span R(A^k) (`_Powers.range_basis`);
+    completed to a unitary U, they block triangularize A. Besides the
+    search this takes one r x r SVD, of P_k, when k >= 2. Degenerate
+    inputs produce empty blocks instead of errors.
     """
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
@@ -146,7 +158,7 @@ def core_ep_decompose(a) -> CoreEPDecomposition:
     ranks, s1 = chain.ranks, chain.s1
     k = len(ranks) - 2
     r = ranks[k]
-    u, _, _ = qr_column_pivoted(matrix_power(a, k))
+    u = _frame(chain, k, r)
     b = u.conj().T @ a @ u
     return CoreEPDecomposition(
         u=_frozen(u),
@@ -164,7 +176,9 @@ def weighted_core_ep_decompose(p: WeightedPair,
                                tol: Tolerances | None = None) -> WeightedCoreEPDecomposition:
     """Weighted core-EP decomposition of the pair (A, W).
 
-    U is built from a pivoted QR of (AW)^k, V from (WA)^k. Every
+    U is built from a basis of R((AW)^k), V from one of R((WA)^k), both
+    read off the pair's chains of AW and WA (`_Powers.range_basis`), so
+    no matrix larger than rank(AW) or rank(WA) is factored. Every
     structural claim (equal core ranks, vanishing lower-left blocks,
     nonsingular A1 and W1, nilpotent A3W3 and W3A3) is validated; a
     violation raises DecompositionError since it signals a rank
@@ -173,7 +187,6 @@ def weighted_core_ep_decompose(p: WeightedPair,
     """
     tol = resolve_tol(tol)
     a, w = p.a, p.w
-    m, n = a.shape
     k = p.k
     sa, sw = p.sigma_max_a, p.sigma_max_w
     seq_aw, seq_wa = p.rank_sequence_aw, p.rank_sequence_wa
@@ -182,8 +195,7 @@ def weighted_core_ep_decompose(p: WeightedPair,
         raise DecompositionError(
             f"core ranks disagree: rank((AW)^{k})={t1} but rank((WA)^{k})={t2}")
     t = t1
-    u, _, _ = qr_column_pivoted(matrix_power(a @ w, k))
-    v, _, _ = qr_column_pivoted(matrix_power(w @ a, k))
+    u, v = _frame(p._aw, k, t), _frame(p._wa, k, t)
     ab = u.conj().T @ a @ v
     wb = v.conj().T @ w @ u
     if not tol.close(frobenius(ab[t:, :t]), sa):
@@ -262,19 +274,6 @@ def block_pinv(u, v, a1, a2, a3, scale: float | None = None,
     b21 = iq3 @ a2h @ omega
     b22 = a3p - iq3 @ a2h @ omega @ a2 @ a3p
     return v @ _assemble(b11, b12, b21, b22) @ u.conj().T
-
-
-def block_proj_range(u, t_dim: int, a3) -> np.ndarray:
-    """Range projector of U [[A1, A2], [0, A3]] V*: U diag(I_t, P_{A3}) U*."""
-    u = as_matrix(u)
-    a3 = as_matrix(a3)
-    if u.shape[0] != u.shape[1] or u.shape[0] != t_dim + a3.shape[0]:
-        raise ShapeError("frame does not match the block row dimension")
-    p3 = _Factored(a3).proj_range()
-    top = np.eye(t_dim, dtype=np.complex128)
-    z12 = np.zeros((t_dim, a3.shape[0]), dtype=np.complex128)
-    z21 = np.zeros((a3.shape[0], t_dim), dtype=np.complex128)
-    return u @ _assemble(top, z12, z21, p3) @ u.conj().T
 
 
 @dataclass(frozen=True)
@@ -372,7 +371,7 @@ def canonical_weighted_qbt(d: WeightedCoreEPDecomposition,
     else:
         aw = _Powers(_Factored(d.a3 @ d.w3, thin=True))
         x3 = _wqbt_raw(d.a3, d.w3, q, sa, sw, aw)
-        u = aw.u1 @ aw.basis(q, fixed_rank=rank_q)
+        u = aw.range_basis(q, fixed_rank=rank_q)
         pq = u @ u.conj().T
     px = x3 @ d.w3 @ d.a3 @ d.w3 @ pq
     blocks, omega = _canonical_blocks(core, coupling, x3, pq, px)
@@ -404,7 +403,6 @@ __all__ = [
     "core_ep_decompose",
     "weighted_core_ep_decompose",
     "block_pinv",
-    "block_proj_range",
     "canonical_qbt",
     "canonical_weighted_qbt",
     "canonical_qbt_products",

@@ -372,7 +372,8 @@ def _format_csv(matrix: np.ndarray) -> str:
         entry = str if _is_exact(matrix) else format_complex
         return "\n".join(",".join(map(entry, row)) for row in matrix.tolist())
     # one `%` per row over the components each entry's template reads; the
-    # float64 view needs a C-ordered complex array (QR frames are Fortran)
+    # float64 view needs a C-ordered complex array (a transposed or
+    # Fortran-ordered input is not)
     parts = np.ascontiguousarray(matrix, dtype=np.complex128).view(np.float64)
     real, imag = parts[:, 0::2], parts[:, 1::2]
     form = np.where(imag == 0, 0, np.where(real == 0, 1, 2))

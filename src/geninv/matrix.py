@@ -1,15 +1,16 @@
 """Dense complex matrices, the rank cutoff, the residual tolerance, and
-basic factorizations.
+singular values.
 
-All matrices are 2-D numpy arrays of complex128. Every rank decision in the
-library goes through the one cutoff rule defined here, `rank_cutoff`: a
-singular value of an m x n matrix counts toward the rank iff it exceeds
-max(m, n) * eps times a reference scale. The reference scale is the
-matrix's own largest singular value by default, but callers working with
-derived quantities (matrix powers, blocks extracted from a decomposition)
-can anchor the cutoff to the parent matrix's scale via the `scale`
-argument; noise floors are set by the data a matrix was computed from, not
-by the matrix itself.
+All matrices are 2-D numpy arrays of complex128, and every factorization
+in the library comes from `numpy.linalg`: numpy is its only runtime
+dependency. Every rank decision in the library goes through the one
+cutoff rule defined here, `rank_cutoff`: a singular value of an m x n
+matrix counts toward the rank iff it exceeds max(m, n) * eps times a
+reference scale. The reference scale is the matrix's own largest singular
+value by default, but callers working with derived quantities (matrix
+powers, blocks extracted from a decomposition) can anchor the cutoff to
+the parent matrix's scale via the `scale` argument; noise floors are set
+by the data a matrix was computed from, not by the matrix itself.
 
 Input is validated once, at the boundary. Every public function that
 takes a matrix passes each input through `as_matrix` (2-D, complex128,
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -66,14 +66,6 @@ DEFAULT_TOL = Tolerances()
 
 def resolve_tol(tol: Tolerances | None) -> Tolerances:
     return DEFAULT_TOL if tol is None else tol
-
-
-class QRPivoted(NamedTuple):
-    """Column-pivoted QR: a[:, perm] = q @ r with |diag(r)| nonincreasing."""
-
-    q: np.ndarray
-    r: np.ndarray
-    perm: np.ndarray
 
 
 def as_matrix(a) -> np.ndarray:
@@ -146,17 +138,3 @@ def rank(a, scale: float | None = None) -> int:
     a = as_matrix(a)
     return rank_from_values(singular_values(a), a.shape, scale)
 
-
-def qr_column_pivoted(a: np.ndarray) -> QRPivoted:
-    """QR with column pivoting of a validated matrix; q is a full m x m
-    unitary."""
-    m, n = a.shape
-    if a.size == 0:
-        return QRPivoted(np.eye(m, dtype=np.complex128), np.zeros((m, n), dtype=np.complex128),
-                         np.arange(n))
-    # Imported on first use: scipy.linalg costs more to import than the rest
-    # of geninv, and only the decompositions need it.
-    import scipy.linalg
-
-    q, r, perm = scipy.linalg.qr(a, pivoting=True, check_finite=False)
-    return QRPivoted(np.asarray(q, dtype=np.complex128), np.asarray(r, dtype=np.complex128), perm)

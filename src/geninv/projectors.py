@@ -242,6 +242,12 @@ class _Powers:
         keep = 0 if fixed_rank == 0 else _kept(s, self.shape, scale, fixed_rank)
         return np.eye(s.size, keep, dtype=np.complex128)
 
+    def range_basis(self, q: int, scale: float | None = None,
+                    fixed_rank: int | None = None) -> np.ndarray:
+        """An orthonormal basis of R(B^q), q >= 1, in full coordinates:
+        U1 times `basis(q)`."""
+        return self.u1 @ self.basis(q, scale, fixed_rank)
+
 
 def _power_search(b: _Factored, last: int, thin_at: int = 0) -> _Powers:
     """rank(B^j) for j = 0, 1, ... up to the first j with rank(B^j) =

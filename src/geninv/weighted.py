@@ -37,8 +37,10 @@ class WeightedPair:
     indicates a rank misclassification and is rejected.
 
     The chains of AW and WA (`projectors._Powers`, one thin SVD each) are
-    taken on first use and kept, so every weighted routine and every q on
-    one pair reads the same factorization. They are not fields: equality,
+    those `from_matrices` searched the indices on (a pair built otherwise
+    takes them on first use), and they are kept, so the index searches,
+    every weighted routine, the weighted decomposition and every q on one
+    pair read the same factorization. They are not fields: equality,
     `dataclasses.replace` and the printed form see only the data above.
     """
 
@@ -66,9 +68,9 @@ class WeightedPair:
         m, n = a.shape
         # a product with more rows than the inner dimension is singular, so
         # its thin SVD is taken at once
-        ranks_aw = _power_search(_Factored(a @ w, thin=m > n), m + 1).ranks
+        aw = _power_search(_Factored(a @ w, thin=m > n), m + 1)
         wa = _power_search(_Factored(w @ a, thin=n > m), n + 1)
-        ranks_wa, s_wa = wa.ranks, wa.s1
+        ranks_aw, ranks_wa = aw.ranks, wa.ranks
         ind_aw, ind_wa = len(ranks_aw) - 2, len(ranks_wa) - 2
         if abs(ind_aw - ind_wa) > 1:
             raise NumericError(
@@ -78,10 +80,14 @@ class WeightedPair:
         w = w.copy()
         a.setflags(write=False)
         w.setflags(write=False)
-        return cls(a=a, w=w, ind_aw=ind_aw, ind_wa=ind_wa, k=max(ind_aw, ind_wa),
+        pair = cls(a=a, w=w, ind_aw=ind_aw, ind_wa=ind_wa, k=max(ind_aw, ind_wa),
                    rank_sequence_aw=tuple(ranks_aw), rank_sequence_wa=tuple(ranks_wa),
                    sigma_max_a=_Factored(a).sigma_max, sigma_max_w=_Factored(w).sigma_max,
-                   sigma_max_wa=s_wa)
+                   sigma_max_wa=wa.s1)
+        # the searches' chains become the pair's, so their truncations are
+        # the decisions rank_sequence_aw[1] and rank_sequence_wa[1] record
+        pair.__dict__.update(_aw=aw, _wa=wa)
+        return pair
 
     @property
     def shape(self) -> tuple[int, int]:

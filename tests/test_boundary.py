@@ -11,9 +11,9 @@ from geninv import matrix
 from geninv.classical import (bt_inverse, core_ep, core_inverse, drazin, group_inverse,
                               outer_inverse_check, qbt_inverse)
 from geninv.corpus import random_planted_pair
-from geninv.decomposition import (block_pinv, block_proj_range, canonical_qbt,
-                                  canonical_qbt_products, canonical_weighted_qbt,
-                                  core_ep_decompose, weighted_core_ep_decompose)
+from geninv.decomposition import (block_pinv, canonical_qbt, canonical_qbt_products,
+                                  canonical_weighted_qbt, core_ep_decompose,
+                                  weighted_core_ep_decompose)
 from geninv.errors import DomainError, ShapeError
 from geninv.matrix import as_matrix, conjugate_transpose, rank, sigma_max
 from geninv.projectors import (matrix_index, nullspace_contained, nullspace_equal, pinv, power,
@@ -58,7 +58,6 @@ RAW_CALLS = {
     "WeightedPair.from_matrices": (WeightedPair.from_matrices, [TALL, WIDE]),
     "core_ep_decompose": (core_ep_decompose, [SQUARE]),
     "block_pinv": (block_pinv, [EYE, EYE, 2 * EYE[:1, :1], EYE[:1, 1:], NIL]),
-    "block_proj_range": (lambda u, a3: block_proj_range(u, 1, a3), [EYE, NIL]),
 }
 
 BAD = {

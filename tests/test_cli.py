@@ -5,7 +5,6 @@ import time
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import geninv
 from geninv import classical, cli, decomposition, matrix, projectors, weighted
@@ -151,7 +150,7 @@ class TestInverseCommands:
             return span
 
         monkeypatch.setattr(np.linalg, "svd", counted(np.linalg.svd))
-        monkeypatch.setattr(scipy.linalg, "qr", counted(scipy.linalg.qr))
+        monkeypatch.setattr(np.linalg, "qr", counted(np.linalg.qr))
         # the library and the CLI's residuals search every index through
         # _power_search
         for module in (classical, decomposition, weighted, cli):
@@ -445,23 +444,28 @@ sys.stderr.write("\\n" + json.dumps(loaded))
 """
 
 
-def test_scipy_loads_only_for_decompose(tmp_path):
+def test_scipy_never_loads(tmp_path):
     # every float call runs before the first --exact call, which loads
-    # geninv.exact for the rest of the process
+    # geninv.exact for the rest of the process; the decompositions load
+    # geninv.decomposition and the corpus run geninv.verify, none of them
+    # SciPy
     float_calls, exact_calls = [], []
     for i, (kind, args, matrices, _) in enumerate(VERIFY_CASES):
         files = [write_csv(tmp_path / f"{i}_{j}.csv", rows) for j, rows in enumerate(matrices)]
         float_calls.append("|".join([kind, *args, *files, "--verify"]))
         exact_calls.append("|".join([kind, *args, *files, "--verify", "--exact"]))
-    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *float_calls, *exact_calls],
+    square = write_csv(tmp_path / "square.csv", SQUARE_I2)
+    a, w = (write_csv(tmp_path / f"{name}.csv", rows) for name, rows in zip("aw", PAIR_4X3))
+    decompose_calls = [f"decompose|core-ep|{square}", f"decompose|weighted-core-ep|{a}|{w}"]
+    verify_call = "verify|corpus|--seed|5|--count|6|--max-dim|6"
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *float_calls, *exact_calls,
+                           *decompose_calls, verify_call],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stderr.splitlines()[-1])
     assert loaded == ([[False, False, False, False]]
                       + [[argv, 0, False, False, False, False] for argv in float_calls]
-                      + [[argv, 0, False, False, True, False] for argv in exact_calls])
-    a, w = (write_csv(tmp_path / f"{name}.csv", rows) for name, rows in zip("aw", PAIR_4X3))
-    proc = subprocess.run([sys.executable, "-m", "geninv", "decompose", "weighted-core-ep", a, w],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+                      + [[argv, 0, False, False, True, False] for argv in exact_calls]
+                      + [[argv, 0, False, False, True, True] for argv in decompose_calls]
+                      + [[verify_call, 0, False, True, True, True]])
     assert "A1:" in proc.stdout

@@ -3,12 +3,12 @@ import pytest
 
 from geninv.classical import qbt_inverse
 from geninv.corpus import random_pairs, random_square
-from geninv.decomposition import (block_pinv, block_proj_range, canonical_qbt,
-                                  canonical_qbt_products, canonical_weighted_qbt,
-                                  core_ep_decompose, weighted_core_ep_decompose)
+from geninv.decomposition import (block_pinv, canonical_qbt, canonical_qbt_products,
+                                  canonical_weighted_qbt, core_ep_decompose,
+                                  weighted_core_ep_decompose)
 from geninv.errors import DomainError
 from geninv.matrix import conjugate_transpose, frobenius, rank, sigma_max
-from geninv.projectors import matrix_index, power, proj_range
+from geninv.projectors import matrix_index, power
 from geninv.weighted import weighted_qbt
 
 from conftest import random_complex, rel
@@ -115,12 +115,6 @@ class TestBlockFormulas:
             u, v, a1, a2, a3 = self._random_blocks(rng)
             b = self._assemble(u, v, a1, a2, a3)
             assert rel(block_pinv(u, v, a1, a2, a3), np.linalg.pinv(b)) < 1e-10
-
-    def test_block_proj_range_matches_direct(self, rng):
-        for _ in range(10):
-            u, v, a1, a2, a3 = self._random_blocks(rng)
-            b = self._assemble(u, v, a1, a2, a3)
-            assert rel(block_proj_range(u, a1.shape[0], a3), proj_range(b)) < 1e-10
 
 
 class TestCanonicalForms:

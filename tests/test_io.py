@@ -261,13 +261,15 @@ class TestFloatCsvRows:
         assert format_matrix(x, "csv") == _csv_per_entry(x)
 
     def test_decomposition_blocks(self, rng):
-        # the frame U comes from a QR factorization in Fortran order
+        # the blocks of a decomposition, and a Fortran-ordered frame, which
+        # the row formatter copies to C order first
         q, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
         t = np.triu(rng.standard_normal((6, 6))) + np.diag([1, 2, 3, 0, 0, 0])
         t[3:, 3:] = [[0, 1, 0], [0, 0, 1], [0, 0, 0]]
         d = core_ep_decompose(q @ t @ q.conj().T)
-        assert not d.u.flags.c_contiguous
-        for block in (d.u, d.t, d.s, d.nil):
+        fortran = np.asfortranarray(d.u)
+        assert not fortran.flags.c_contiguous
+        for block in (d.u, d.t, d.s, d.nil, fortran):
             assert format_matrix(block, "csv") == _csv_per_entry(block)
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from geninv import corpus
+from geninv.decomposition import core_ep_decompose
 from geninv.matrix import rank_cutoff
 from geninv.projectors import _Factored, _power_search, matrix_index
 
@@ -61,8 +62,11 @@ def test_random_squares_keep_their_rank_sequences(n, k):
         assert matrix_index(b).rank_sequence == power_rule(b)
 
 
-@pytest.mark.parametrize("link, graded", [(1e-7, False), (1e-9, False), (1.0, True)],
-                         ids=["links-1e-7", "links-1e-9", "graded-1e-4"])
+PROBES = pytest.mark.parametrize("link, graded", [(1e-7, False), (1e-9, False), (1.0, True)],
+                                 ids=["links-1e-7", "links-1e-9", "graded-1e-4"])
+
+
+@PROBES
 def test_probe_squares_keep_their_rank_sequences(link, graded):
     # the rule is kept, right or wrong: the linked cores read index 2 for
     # the planted 3, the graded ones read 3
@@ -71,6 +75,19 @@ def test_probe_squares_keep_their_rank_sequences(link, graded):
         ranks = power_rule(b)
         assert ranks[-1] == 12 and len(ranks) - 2 == (3 if graded else 2)
         assert matrix_index(b).rank_sequence == ranks, seed
+
+
+@PROBES
+def test_probe_squares_decompose_with_a_negligible_lower_left_block(link, graded):
+    # the decomposition keeps U* A U block upper triangular and drops the
+    # lower-left block U2* A U1; its frame spans R(A^k) closely enough that
+    # the dropped block is negligible
+    for seed in range(5):
+        b = probe_square(np.random.default_rng([seed, 24]), link, graded)
+        d = core_ep_decompose(b)
+        u, r = d.u, d.rank
+        dropped = u[:, r:].conj().T @ b @ u[:, :r]
+        assert np.linalg.norm(dropped) <= 1e-10 * np.linalg.norm(b), seed
 
 
 def test_chain_powers_are_the_powers(rng):

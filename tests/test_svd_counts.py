@@ -129,8 +129,9 @@ def test_weighted_drazin_reads_the_pair_index(svds, k):
     p = WeightedPair.from_matrices(planted.a, planted.w)
     svds.clear()
     weighted_drazin(p)
-    # the thin SVD of WA and P_(2k+1)^+; no rank search
-    assert len(svds) == 2
+    # P_(2k+1)^+ alone: the pair holds the chain of WA its index search
+    # built, with its thin SVD and P_k, P_(k+1)
+    assert len(svds) == 1
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
@@ -159,14 +160,16 @@ SQUARE_CALLS = {
     "drazin": lambda a, k: [lambda: drazin(a)],
     "group_inverse": lambda a, k: [lambda: group_inverse(a)] if k == 1 else [],
     "core_inverse": lambda a, k: [lambda: core_inverse(a)] if k == 1 else [],
+    "core_ep_decompose": lambda a, k: [lambda: core_ep_decompose(a)],
 }
 
 
 @pytest.mark.parametrize("name", SQUARE_CALLS)
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_square_routines_factor_only_a_at_full_size(svds, squares, name, k):
-    # after the SVDs of A itself (its thin SVD; `matrix_index` takes its
-    # values first), every SVD factors an r x r compression, r = rank(A)
+    # after the SVDs of A itself (its thin SVD; `matrix_index` and
+    # `core_ep_decompose` take its values first), every SVD factors an
+    # r x r compression, r = rank(A)
     a = squares[k]
     r = matrix_index(a).rank_sequence[1]
     assert r < a.shape[0]
@@ -174,7 +177,7 @@ def test_square_routines_factor_only_a_at_full_size(svds, squares, name, k):
         svds.clear()
         call()
         count, first, longest = _ranks_and_sides(svds, [a.shape])
-        assert count == (2 if name == "matrix_index" else 1)
+        assert count == (2 if name in ("matrix_index", "core_ep_decompose") else 1)
         assert first and longest <= r
 
 
@@ -192,12 +195,35 @@ def test_pair_routines_factor_only_the_operands_at_full_size(svds, k):
     assert all(shape in ((m, n), (n, m), (m, m), (n, n)) or max(shape) <= r
                for shape, _ in svds)
     assert sum(max(shape) > r for shape, _ in svds) <= 6
-    # the pair keeps the chain of AW: one SVD of AW serves every q
+    # the pair keeps the chain of AW its index search built: the SVD of AW
+    # taken there serves every q
     svds.clear()
     for q in range(1, p.k + 2):
         weighted_qbt(p, q)
     count, first, longest = _ranks_and_sides(svds, [(m, m)])
-    assert (count, first) == (1, True) and longest <= p.rank_sequence_aw[1]
+    assert (count, first) == (0, True) and longest <= p.rank_sequence_aw[1]
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_core_ep_decompose_takes_index_plus_three(svds, squares, k):
+    # the index search of `matrix_index`, then P_k thin for the basis of
+    # R(A^k) when k >= 2 (P_1 is diagonal, and the frame is I at k = 0)
+    d = core_ep_decompose(squares[k])
+    assert d.index == k
+    assert len(svds) == {0: 1, 1: 3}.get(k, k + 3)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_weighted_decomposition_factors_no_full_size_matrix(svds, k):
+    # both frames come from the pair's chains of AW and WA; what else is
+    # factored is A1 and W1, t x t
+    planted = random_planted_pair(np.random.default_rng(k), k, max_dim=8)
+    p = WeightedPair.from_matrices(planted.a, planted.w)
+    r = max(p.rank_sequence_aw[1], p.rank_sequence_wa[1])
+    assert r < min(p.shape)
+    svds.clear()
+    weighted_core_ep_decompose(p)
+    assert svds and all(max(shape) <= r for shape, _ in svds)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -244,7 +270,7 @@ def test_weighted_qbt_reads_the_pair_scales(svds):
     assert len(svds) == 1
     svds.clear()
     weighted_qbt(p, 1)
-    assert len(svds) == 3
+    assert len(svds) == 2
 
 
 def test_range_contained_takes_two(svds, rng):
@@ -280,11 +306,11 @@ def test_passing_outer_inverse_check_takes_five(svds, squares):
 
 def test_example_checks_share_their_operands(svds):
     run_example_checks()
-    assert len(svds) == 78
+    assert len(svds) == 74
 
 
 def test_corpus_checks_build_each_operand_once_per_member_and_exponent(svds):
     # the core-EP inverses of AW and WA are entries of their q-BT grids, and
     # each pair's weighted routines share one SVD of AW and one of WA
     run_random_corpus(seed=11, count=10, max_dim=7)
-    assert len(svds) == 2600
+    assert len(svds) == 2589
