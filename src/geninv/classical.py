@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import DomainError, ShapeError
 from .matrix import Tolerances, as_matrix, exponent, frobenius, resolve_tol
-from .projectors import _Factored, _nullspace_equal, _Powers, _power_search, _range_equal
+from .projectors import (_anchor, _Factored, _nullspace_equal, _Powers, _power_search,
+                          _range_equal)
 
 
 def _require_square(a, name: str) -> np.ndarray:
@@ -51,9 +52,10 @@ def _drazin(chain: _Powers, k: int, s1: float) -> np.ndarray:
     s1 = sigma_max(A). A^+ from A's own SVD when k = 0."""
     if k == 0:
         return chain.b.pinv(scale=s1)
+    anchor = _anchor(s1, 2 * k + 1)
     pk, pk1 = chain.power(k).a, chain.power(k + 1).a
     p2k1 = _Factored(pk1 @ chain.vh1_u1 @ pk, shape=chain.shape)
-    return chain.u1 @ (pk @ p2k1.pinv(scale=s1 ** (2 * k + 1)) @ pk) @ chain.vh1
+    return chain.u1 @ (pk @ p2k1.pinv(scale=anchor) @ pk) @ chain.vh1
 
 
 def drazin(a) -> np.ndarray:

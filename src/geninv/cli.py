@@ -11,7 +11,10 @@ their weighted forms; a square kind is its weighted form with W absent),
 outer/commute/chain for drazin, group and wdrazin, and
 outer/hermitian_left/chain for core. `--exact` residuals are computed
 exactly, so a correct result prints 0.000000e+00. Any q at or above the
-dimension of AW gives the same member as q = n.
+dimension of AW gives the same member as q = n. Every residual, and those
+`decompose` appends, comes from the residual layer of `matrix`, which the
+conformance runner reads too: ‖lhs - rhs‖ / max(1, ‖rhs‖), and a
+reconstruction against max(1, sigma_max) of the matrix it rebuilds.
 
 Exit codes: 0 success, 2 usage error, 3 parse error, 4 domain error
 (overflow on badly scaled input included), 5 verification failure.
@@ -25,17 +28,16 @@ import os
 import sys
 from typing import NamedTuple
 
-import numpy as np
 from numpy.linalg import matrix_power
 
 import geninv
 
-from .classical import check_q
+from . import matrix
+from .classical import _index_search, check_q
 from .errors import (DecompositionError, DomainError, NumericError,
                      ParseError, ShapeError)
 from .io import format_matrix, load_matrix
-from .matrix import Tolerances, frobenius
-from .projectors import _Factored, _power_search
+from .projectors import _Factored
 from .weighted import WeightedPair
 
 
@@ -120,7 +122,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_tolerance(args) -> Tolerances | None:
+def _resolve_tolerance(args) -> matrix.Tolerances | None:
     value = args.tol
     if value is None:
         env = os.environ.get("GENINV_TOL")
@@ -133,75 +135,44 @@ def _resolve_tolerance(args) -> Tolerances | None:
         return None
     if not math.isfinite(value) or value <= 0:
         raise UsageError(f"tolerance must be a positive finite number, got {value}")
-    return Tolerances(residual_atol=value)
+    return matrix.Tolerances(residual_atol=value)
 
 
 # --------------------------------------------------------------------------
 # inverse command
 
 
-def _rel(x: np.ndarray, y: np.ndarray) -> float:
-    """|x - y| / max(1, |y|); exact matrices are subtracted before rounding."""
-    d = x - y
-    if d.dtype == object:
-        from .exact import float_of
-
-        d, y = float_of(d), float_of(y)
-    return frobenius(d) / max(1.0, frobenius(y))
-
-
-def _index(b: np.ndarray) -> int:
-    """Ind(B) of a matrix a public routine already validated."""
-    return len(_power_search(_Factored(b), b.shape[0] + 1).ranks) - 2
-
-
 def _residuals(spec: Kind, a, w, x, q, pair: WeightedPair | None = None) -> dict[str, float]:
-    """Residuals of the kind's defining system on either arithmetic.
+    """Residuals of the kind's defining system on either arithmetic, read
+    from the residual layer of `matrix`: this picks the system, its order k
+    and, for a Penrose system, the operand B = W A W P_{(AW)^k}.
 
     A square kind is its weighted form with W absent (w is None). A float
     weighted kind passes the WeightedPair it was computed from, whose k is
     the order of an "index" system.
     """
+    if spec.system == "core":
+        return matrix.core_residuals(a, x)
     exact = a.dtype == object
     if exact:
         from . import exact as ex
-    if spec.system == "core":
-        ax = a @ x
-        return {
-            "outer": _rel(x @ a @ x, x),
-            "hermitian_left": _rel(ax.conj().T, ax),
-            "chain": _rel(x @ a @ a, a),
-        }
     aw = a if w is None else a @ w
-    waw = a if w is None else w @ aw
     k = check_q(q, aw.shape[0]) if spec.order == "q" else spec.order
     if k == "index" and pair is not None:
         k = pair.k
+    elif k == "index" and exact:
+        k = ex.exact_index(a) if w is None else ex.exact_pair_index(a, w)[2]
     elif k == "index":
-        index = ex.exact_index if exact else _index
-        k = index(a) if w is None else max(index(aw), index(w @ a))
-    pw = ex.exact_power if exact else matrix_power
+        k = _index_search(_Factored(a))[0]
     if spec.system == "drazin":
-        xw = x if w is None else x @ w
-        return {
-            "outer": _rel(x @ waw @ x, x),
-            "commute": _rel(aw @ x, xw @ a),
-            "chain": _rel(xw @ pw(aw, k + 1), pw(aw, k)),
-        }
-    b = waw
+        return matrix.drazin_residuals(a, x, k, w)
+    b = a if w is None else w @ aw
     if k and exact:
-        b = waw @ ex.exact_proj_range(pw(aw, k))
+        b = b @ ex.exact_proj_range(ex.exact_power(aw, k))
     elif k:
         s = _Factored(a).sigma_max if pair is None else pair.sigma_max_a * pair.sigma_max_w
-        b = waw @ _Factored(pw(aw, k)).proj_range(scale=s ** k)
-    bx = b @ x
-    xb = x @ b
-    return {
-        "penrose1": _rel(b @ xb, b),
-        "penrose2": _rel(x @ bx, x),
-        "penrose3": _rel(bx.conj().T, bx),
-        "penrose4": _rel(xb.conj().T, xb),
-    }
+        b = b @ _Factored(matrix_power(aw, k)).proj_range(scale=s ** k)
+    return matrix.penrose_residuals(b, x)
 
 
 def _cmd_inverse(args) -> int:
@@ -232,12 +203,6 @@ def _cmd_inverse(args) -> int:
 # decompose command
 
 
-def _print_block(label: str, block: np.ndarray, fmt: str) -> None:
-    print(f"{label}:")
-    text = format_matrix(np.asarray(block), fmt)
-    print(text if text else "(empty)")
-
-
 def _cmd_decompose(args) -> int:
     from .decomposition import core_ep_decompose, weighted_core_ep_decompose
 
@@ -252,39 +217,32 @@ def _cmd_decompose(args) -> int:
     a, fmt = load_matrix(args.a)
     if args.kind == "core-ep":
         d = core_ep_decompose(a)
-        print(f"rank = {d.rank}")
-        print(f"index = {d.index}")
-        for label, block in (("U", d.u), ("T", d.t), ("S", d.s), ("N", d.nil)):
-            _print_block(label, block, fmt)
-        eye = np.eye(d.u.shape[0])
-        nil_pow = matrix_power(d.nil, d.index) if d.nil.size else d.nil
+        header = f"rank = {d.rank}\nindex = {d.index}"
+        blocks = {"U": d.u, "T": d.t, "S": d.s, "N": d.nil}
         residuals = {
-            "reconstruction": _rel(d.compose(), a),
-            "unitarity": frobenius(d.u.conj().T @ d.u - eye),
-            "nilpotency": frobenius(nil_pow) / max(1.0, d.sigma_max ** max(d.index, 1)),
+            "reconstruction": matrix.rel(d.compose(), a, d.sigma_max),
+            "unitarity": matrix.unitarity(d.u),
+            "nilpotency": matrix.nilpotency(d.nil, d.index, d.sigma_max),
         }
     else:
         w, _ = load_matrix(args.w)
         pair = WeightedPair.from_matrices(a, w)
         d = weighted_core_ep_decompose(pair, tol)
-        print(f"t = {d.t_dim}")
-        print(f"ind_aw = {d.ind_aw}")
-        print(f"ind_wa = {d.ind_wa}")
-        blocks = (("U", d.u), ("V", d.v), ("A1", d.a1), ("A2", d.a2),
-                  ("A3", d.a3), ("W1", d.w1), ("W2", d.w2), ("W3", d.w3))
-        for label, block in blocks:
-            _print_block(label, block, fmt)
-        sa, sw = pair.sigma_max_a, pair.sigma_max_w
+        header = f"t = {d.t_dim}\nind_aw = {d.ind_aw}\nind_wa = {d.ind_wa}"
+        blocks = {"U": d.u, "V": d.v, "A1": d.a1, "A2": d.a2, "A3": d.a3,
+                  "W1": d.w1, "W2": d.w2, "W3": d.w3}
+        sa, sw = d.sigma_max_a, d.sigma_max_w
         residuals = {
-            "reconstruction_a": _rel(d.compose_a(), pair.a),
-            "reconstruction_w": _rel(d.compose_w(), pair.w),
-            "unitarity_u": frobenius(d.u.conj().T @ d.u - np.eye(d.u.shape[0])),
-            "unitarity_v": frobenius(d.v.conj().T @ d.v - np.eye(d.v.shape[0])),
-            "nilpotency_aw": frobenius(matrix_power(d.a3 @ d.w3, d.ind_aw))
-            / max(1.0, (sa * sw) ** d.ind_aw),
-            "nilpotency_wa": frobenius(matrix_power(d.w3 @ d.a3, d.ind_wa))
-            / max(1.0, (sw * sa) ** d.ind_wa),
+            "reconstruction_a": matrix.rel(d.compose_a(), pair.a, sa),
+            "reconstruction_w": matrix.rel(d.compose_w(), pair.w, sw),
+            "unitarity_u": matrix.unitarity(d.u),
+            "unitarity_v": matrix.unitarity(d.v),
+            "nilpotency_aw": matrix.nilpotency(d.a3 @ d.w3, d.ind_aw, sa * sw),
+            "nilpotency_wa": matrix.nilpotency(d.w3 @ d.a3, d.ind_wa, sa * sw),
         }
+    print(header)
+    for label, block in blocks.items():
+        print(f"{label}:\n{format_matrix(block, fmt) or '(empty)'}")
     print()
     for name, value in residuals.items():
         print(f"residual {name} = {value:.6e}")
@@ -314,8 +272,7 @@ def _cmd_verify(args) -> int:
     if args.json is not None:
         try:
             with open(args.json, "w", encoding="utf-8") as handle:
-                handle.write(report.to_json())
-                handle.write("\n")
+                handle.write(report.to_json() + "\n")
         except OSError as exc:
             raise UsageError(f"cannot write {args.json}: {exc.strerror or exc}") from exc
     return 0 if report.passed else 5

@@ -19,7 +19,7 @@ from numpy.linalg import matrix_power
 
 from .classical import check_q
 from .errors import DecompositionError, DomainError, NumericError, ShapeError
-from .matrix import Tolerances, as_matrix, frobenius, resolve_tol
+from .matrix import Tolerances, as_matrix, frobenius, nilpotency, resolve_tol
 from .projectors import _Factored, _Powers, _power_search
 from .weighted import WeightedPair, _wqbt_raw
 
@@ -212,14 +212,10 @@ def weighted_core_ep_decompose(p: WeightedPair,
         raise DecompositionError("leading block A1 is singular at the rank cutoff")
     if _Factored(w1).rank(scale=sw) != t:
         raise DecompositionError("leading block W1 is singular at the rank cutoff")
-    if not tol.close(frobenius(matrix_power(a3 @ w3, p.ind_aw)),
-                     max(1.0, (sa * sw) ** p.ind_aw)):
-        raise DecompositionError(
-            f"A3W3 is not nilpotent of index {p.ind_aw} at the working tolerance")
-    if not tol.close(frobenius(matrix_power(w3 @ a3, p.ind_wa)),
-                     max(1.0, (sw * sa) ** p.ind_wa)):
-        raise DecompositionError(
-            f"W3A3 is not nilpotent of index {p.ind_wa} at the working tolerance")
+    for name, n, index in (("A3W3", a3 @ w3, p.ind_aw), ("W3A3", w3 @ a3, p.ind_wa)):
+        if not tol.close(nilpotency(n, index, sa * sw)):
+            raise DecompositionError(
+                f"{name} is not nilpotent of index {index} at the working tolerance")
     return WeightedCoreEPDecomposition(
         u=_frozen(u), v=_frozen(v),
         a1=_frozen(a1), a2=_frozen(a2), a3=_frozen(a3),

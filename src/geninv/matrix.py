@@ -1,5 +1,5 @@
-"""Dense complex matrices, the rank cutoff, the residual tolerance, and
-singular values.
+"""Dense complex matrices, the rank cutoff, the residual tolerance, the
+residuals of the defining systems, and singular values.
 
 All matrices are 2-D numpy arrays of complex128, and every factorization
 in the library comes from `numpy.linalg`: numpy is its only runtime
@@ -22,6 +22,10 @@ matrix held with its factorization (`projectors._Factored`), the powers
 of a matrix in its compressed coordinates (`projectors._Powers`) and their
 rank search `projectors._power_search`, `@`, `numpy.linalg.matrix_power`
 and `.conj().T`, never a public wrapper that would scan them again.
+
+Each defining system's residuals are written once, below `Tolerances`, on
+float or exact matrices alike; the CLI, the conformance runner and the
+weighted decomposition's structure checks all read them.
 """
 
 from __future__ import annotations
@@ -66,6 +70,57 @@ DEFAULT_TOL = Tolerances()
 
 def resolve_tol(tol: Tolerances | None) -> Tolerances:
     return DEFAULT_TOL if tol is None else tol
+
+
+def rel(x, y, den: float | None = None) -> float:
+    """‖x - y‖ / max(1, den) in the Frobenius norm, den = ‖y‖ unless given.
+    Exact matrices are subtracted before rounding."""
+    d = x - y
+    if d.dtype == object:
+        from .exact import float_of
+
+        d, y = float_of(d), float_of(y)
+    return frobenius(d) / max(1.0, frobenius(y) if den is None else den)
+
+
+def penrose_residuals(b, x) -> dict[str, float]:
+    """The four Penrose equations of x as the pseudoinverse of b."""
+    bx, xb = b @ x, x @ b
+    return {"penrose1": rel(b @ xb, b), "penrose2": rel(x @ bx, x),
+            "penrose3": rel(bx.conj().T, bx), "penrose4": rel(xb.conj().T, xb)}
+
+
+def drazin_residuals(a, x, k: int, w=None) -> dict[str, float]:
+    """The W-weighted Drazin system of x at order k >= max(Ind(AW), Ind(WA)):
+    XWAWX = X, AWX = XWA and XW (AW)^(k+1) = (AW)^k; with w None, the
+    square system XAX = X, AX = XA and X A^(k+1) = A^k."""
+    aw = a if w is None else a @ w
+    waw = a if w is None else w @ aw
+    xw = x if w is None else x @ w
+    if aw.dtype == object:
+        from .exact import exact_power as power
+    else:
+        power = np.linalg.matrix_power
+    return {"outer": rel(x @ waw @ x, x), "commute": rel(aw @ x, xw @ a),
+            "chain": rel(xw @ power(aw, k + 1), power(aw, k))}
+
+
+def core_residuals(a, x) -> dict[str, float]:
+    """The core system of x: XAX = X, (AX)* = AX and XA^2 = A."""
+    ax = a @ x
+    return {"outer": rel(x @ a @ x, x), "hermitian_left": rel(ax.conj().T, ax),
+            "chain": rel(x @ a @ a, a)}
+
+
+def nilpotency(n, k: int, scale: float) -> float:
+    """‖N^k‖ / max(1, scale^k): how far N is from nilpotent of index at
+    most k, against the k-th power of its parent's largest singular value."""
+    return frobenius(np.linalg.matrix_power(n, k)) / max(1.0, scale ** k)
+
+
+def unitarity(u) -> float:
+    """‖U* U - I‖."""
+    return frobenius(u.conj().T @ u - np.eye(u.shape[0]))
 
 
 def as_matrix(a) -> np.ndarray:

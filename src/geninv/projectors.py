@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NumericError, ShapeError
+from .errors import DomainError, NumericError, ShapeError
 from .matrix import as_matrix, exponent, rank_from_values, singular_values
 
 
@@ -249,6 +249,16 @@ class _Powers:
         return self.u1 @ self.basis(q, scale, fixed_rank)
 
 
+def _anchor(s1: float, j: int) -> float:
+    """s1^j, the rank anchor of a j-th power, s1 = sigma_max: read before the
+    power is formed, so an overflow is a DomainError naming j."""
+    try:
+        return s1 ** j
+    except OverflowError:
+        raise DomainError(
+            f"sigma_max^{j}, the rank anchor of power {j}, overflows") from None
+
+
 def _power_search(b: _Factored, last: int, thin_at: int = 0) -> _Powers:
     """rank(B^j) for j = 0, 1, ... up to the first j with rank(B^j) =
     rank(B^(j-1)), or up to j = last, each decided on P_j against
@@ -263,7 +273,8 @@ def _power_search(b: _Factored, last: int, thin_at: int = 0) -> _Powers:
     ranks = chain.ranks
     while ranks[-1] != ranks[-2] and len(ranks) <= last:
         j = len(ranks)
-        ranks.append(chain.power(j, thin=j == thin_at).rank(chain.s1 ** j))
+        anchor = _anchor(chain.s1, j)
+        ranks.append(chain.power(j, thin=j == thin_at).rank(anchor))
     return chain
 
 

@@ -29,7 +29,8 @@ from .decomposition import (block_pinv, canonical_qbt, canonical_qbt_products,
 from .errors import (DecompositionError, DomainError, NumericError, ShapeError)
 from .exact import (_matmul, exact_pair_index, exact_pinv, exact_qbt,
                     exact_weighted_qbt, float_of, requal, rmatrix)
-from .matrix import Tolerances, frobenius, resolve_tol
+from . import matrix
+from .matrix import Tolerances, frobenius, rel, resolve_tol
 from .projectors import _Factored, _nullspace_equal, _range_equal, pinv
 from .weighted import (WeightedPair, _wqbt_rank, _wqbt_raw, cline_shift_check,
                        dual_representation_gap, weighted_drazin, weighted_qbt,
@@ -203,21 +204,9 @@ def _gap_check(check_id: str, gaps: dict[str, float], floor: float,
     return _make(check_id, passed, gaps, detail)
 
 
-def _rel(x, y, den: float | None = None) -> float:
-    """Frobenius distance normalized by max(1, den or |y|)."""
-    d = den if den is not None else frobenius(y)
-    return frobenius(np.asarray(x) - np.asarray(y)) / max(1.0, d)
-
-
 def _flag(ok: bool) -> float:
     """0.0 if a predicate holds, else 1.0."""
     return 0.0 if ok else 1.0
-
-
-def _range_defect(x, p_gen) -> float:
-    """How far R(x) sticks out of the range of the orthogonal projector
-    p_gen: |(I - P) x| / max(1, |x|)."""
-    return frobenius(x - p_gen @ x) / max(1.0, frobenius(x))
 
 
 def _null_defect(q_gen, x) -> float:
@@ -237,7 +226,7 @@ def _proj_eq_residuals(p_mat: _Factored, range_gen: _Factored, null_gen: _Factor
     """Residuals for 'p_mat is idempotent with R = R(range_gen), N = N(null_gen)'."""
     pm = p_mat.a
     return {
-        "idempotent": _rel(pm @ pm, pm, max(1.0, frobenius(pm))),
+        "idempotent": rel(pm @ pm, pm),
         "range_set_mismatch": _flag(_range_equal(p_mat, range_gen, scale_r)),
         "null_set_mismatch": _flag(_nullspace_equal(p_mat, null_gen, scale_n)),
     }
@@ -283,7 +272,7 @@ def run_example_checks(tol: Tolerances | None = None) -> ConformanceReport:
     for q, table in sorted(ref.WQBT_4X3.items()):
         results.append(_residual_check(
             f"examples.pair4x3.wqbt.q{q}",
-            {"float": _rel(xs[min(q, p.k)], ref.float_matrix(table)),
+            {"float": rel(xs[min(q, p.k)], ref.float_matrix(table)),
              "exact_mismatch": _exact_flag(exact_weighted_qbt(ea, ew, q), table)},
             atol, f"4x3 pair, q={q}"))
 
@@ -297,10 +286,10 @@ def run_example_checks(tol: Tolerances | None = None) -> ConformanceReport:
         ex_wa = exact_qbt(ewa, q)
         results.append(_residual_check(
             f"examples.pair4x3.square-products.q{q}",
-            {"left_float": _rel(lft, ref.float_matrix(ref.AW_SQ_PRODUCT_4X3[q])),
+            {"left_float": rel(lft, ref.float_matrix(ref.AW_SQ_PRODUCT_4X3[q])),
              "left_exact_mismatch": _exact_flag(
                  _matmul(_matmul(ex_aw, ex_aw), ea), ref.AW_SQ_PRODUCT_4X3[q]),
-             "right_float": _rel(rgt, ref.float_matrix(ref.WA_SQ_PRODUCT_4X3[q])),
+             "right_float": rel(rgt, ref.float_matrix(ref.WA_SQ_PRODUCT_4X3[q])),
              "right_exact_mismatch": _exact_flag(
                  _matmul(ea, _matmul(ex_wa, ex_wa)), ref.WA_SQ_PRODUCT_4X3[q])},
             atol, f"both squared products, q={q}"))
@@ -316,8 +305,8 @@ def run_example_checks(tol: Tolerances | None = None) -> ConformanceReport:
     x, lft, rgt = duals[3]
     results.append(_make(
         "examples.pair4x3.dual-gap.q3",
-        _rel(x, rgt) <= atol and frobenius(x - lft) >= EXAMPLE_GAP_FLOOR,
-        {"x_vs_right": _rel(x, rgt), "x_vs_left_gap": frobenius(x - lft)},
+        rel(x, rgt) <= atol and frobenius(x - lft) >= EXAMPLE_GAP_FLOOR,
+        {"x_vs_right": rel(x, rgt), "x_vs_left_gap": frobenius(x - lft)},
         "right product agrees at q=3, left product does not"))
 
     s_aw = p.sigma_max_a * p.sigma_max_w
@@ -336,8 +325,8 @@ def run_example_checks(tol: Tolerances | None = None) -> ConformanceReport:
     q_aw = _Factored(aw5).proj_corange()
     cand = q_aw @ x0 + (np.eye(5, dtype=np.complex128) - q_aw) @ fw5.conj().T
     waw5 = fw5 @ fa5 @ fw5
-    eq1 = _rel(cand @ waw5 @ cand, cand, max(1.0, frobenius(cand)))
-    eq3 = _rel(aw5 @ cand, aw5 @ x0)
+    eq1 = rel(cand @ waw5 @ cand, cand)
+    eq3 = rel(aw5 @ cand, aw5 @ x0)
     xwa = cand @ fw5 @ fa5
     x0wa = x0 @ fw5 @ fa5
     gap = frobenius(xwa - x0wa)
@@ -346,25 +335,25 @@ def run_example_checks(tol: Tolerances | None = None) -> ConformanceReport:
     results.append(_make(
         "examples.pair5x4.counterexample",
         eq1 <= atol and eq3 <= atol and gap >= EXAMPLE_GAP_FLOOR
-        and _rel(xwa, ref.float_matrix(ref.XWA_5X4)) <= atol
-        and _rel(x0wa, ref.float_matrix(ref.X0WA_5X4)) <= atol
+        and rel(xwa, ref.float_matrix(ref.XWA_5X4)) <= atol
+        and rel(x0wa, ref.float_matrix(ref.X0WA_5X4)) <= atol
         and abs(entry_gap - expected_entry_gap) <= atol,
         {"eq1": eq1, "eq3": eq3, "product_gap": gap,
-         "xwa_table": _rel(xwa, ref.float_matrix(ref.XWA_5X4)),
-         "x0wa_table": _rel(x0wa, ref.float_matrix(ref.X0WA_5X4)),
+         "xwa_table": rel(xwa, ref.float_matrix(ref.XWA_5X4)),
+         "x0wa_table": rel(x0wa, ref.float_matrix(ref.X0WA_5X4)),
          "corner_entry_gap": entry_gap},
         "5x4 pair, q=1: two equations hold, the product equation fails"))
 
     sa, sw_ = _stein_pair()
     ps = WeightedPair.from_matrices(sa, sw_)
-    float_res = _rel(weighted_qbt(ps, 0), pinv(sa))
+    float_res = rel(weighted_qbt(ps, 0), pinv(sa))
     e_sa = rmatrix([[int(v.real) for v in row] for row in sa])
     e_sw = rmatrix([[int(v.real) for v in row] for row in sw_])
     results.append(_residual_check(
         "examples.stein.mp-reduction",
         {"float": float_res,
          "exact_mismatch": _flag(requal(exact_weighted_qbt(e_sa, e_sw, 0), exact_pinv(e_sa))),
-         "sandwich_is_a": _rel(sw_ @ sa @ sw_, sa)},
+         "sandwich_is_a": rel(sw_ @ sa @ sw_, sa)},
         atol, "integer pair with W A W = A"))
 
     return ConformanceReport(results=tuple(results), corpus_seed=0, tolerance=tol)
@@ -394,14 +383,14 @@ def _system_residuals(p: WeightedPair, x0: np.ndarray, pq: np.ndarray,
     q_gen = range_gen.proj_corange(scale=s_waw)
     out = []
     for x in candidates:
-        eq2 = _rel(x @ wa, x0 @ wa)
-        eq3 = _rel(aw @ x, aw @ x0)
+        eq2 = rel(x @ wa, x0 @ wa)
+        eq3 = rel(aw @ x, aw @ x0)
         out.append({
-            "definition": {"eq1": _rel(x @ waw @ x, x, max(1.0, frobenius(x))),
+            "definition": {"eq1": rel(x @ waw @ x, x),
                            "eq2": eq2, "eq3": eq3},
-            "range-form": {"projector_eq": _rel(pq @ x, x0),
-                           "range_cond": _range_defect(x, pq)},
-            "left-product": {"product_eq": eq3, "range_cond": _range_defect(x, p_gen)},
+            "range-form": {"projector_eq": rel(pq @ x, x0),
+                           "range_cond": rel(pq @ x, x)},
+            "left-product": {"product_eq": eq3, "range_cond": rel(p_gen @ x, x)},
             "right-product": {"product_eq": eq2, "null_cond": _null_defect(q_gen, x)},
         })
     return out
@@ -431,17 +420,6 @@ def run_system_checks(p: WeightedPair, q: int, tol: Tolerances | None = None,
     return out
 
 
-def _penrose_residuals(b: np.ndarray, x: np.ndarray) -> dict[str, float]:
-    """The four Penrose equations of x as the pseudoinverse of b."""
-    bx, xb = b @ x, x @ b
-    return {
-        "penrose1": _rel(b @ xb, b),
-        "penrose2": _rel(x @ bx, x),
-        "penrose3": _rel(bx.conj().T, bx),
-        "penrose4": _rel(xb.conj().T, xb),
-    }
-
-
 def _reduction_residuals(p: WeightedPair, xs: list[np.ndarray],
                          forms_q1: tuple[np.ndarray, np.ndarray],
                          pk: np.ndarray) -> dict[str, dict[str, float]]:
@@ -464,13 +442,13 @@ def _reduction_residuals(p: WeightedPair, xs: list[np.ndarray],
     bases = {q: _Factored(matrix_power(aw, q)).range_basis(scale=s_aw ** q)
              for q in (k + 1, k + 2)}
     return {
-        "q0": _penrose_residuals(w @ a @ w, xs[0]),
-        "q1": {"eq1": _rel(x1 @ w @ a @ w @ x1, x1, max(1.0, frobenius(x1))),
-               "eq2": _rel(x1 @ wa, f1 @ wa),
-               "eq3": _rel(aw @ x1, aw @ f2)},
+        "q0": matrix.penrose_residuals(w @ a @ w, xs[0]),
+        "q1": {"eq1": rel(x1 @ w @ a @ w @ x1, x1),
+               "eq2": rel(x1 @ wa, f1 @ wa),
+               "eq3": rel(aw @ x1, aw @ f2)},
         "ind-aw": {"vs_core_ep": max(
-            _penrose_residuals(w @ a @ w @ pk, xs[p.ind_aw]).values())},
-        "q-ge-k": {f"k+{q - k}": _rel(u @ u.conj().T, pk) for q, u in bases.items()},
+            matrix.penrose_residuals(w @ a @ w @ pk, xs[p.ind_aw]).values())},
+        "q-ge-k": {f"k+{q - k}": rel(u @ u.conj().T, pk) for q, u in bases.items()},
     }
 
 
@@ -560,34 +538,33 @@ def _corpus_member_checks(p: WeightedPair, integer: bool, planted_k: int,
     # q = Ind(AW) and Ind(AW) + 1, both worst of four
     b_ind = aw @ pqs[p.ind_aw]
     agg["corpus.classical.reductions"].update({
-        **{f"q0_{name}": v for name, v in _penrose_residuals(aw, aw_qbts[0]).items()},
-        "q_ind": max(_penrose_residuals(b_ind, aw_qbts[p.ind_aw]).values()),
-        "q_beyond": max(_penrose_residuals(b_ind, aw_qbts[p.ind_aw + 1]).values()),
+        **{f"q0_{name}": v for name, v in matrix.penrose_residuals(aw, aw_qbts[0]).items()},
+        "q_ind": max(matrix.penrose_residuals(b_ind, aw_qbts[p.ind_aw]).values()),
+        "q_beyond": max(matrix.penrose_residuals(b_ind, aw_qbts[p.ind_aw + 1]).values()),
     }, where)
 
     # weighted Drazin equations and dual representations
     xd = weighted_drazin(p)
     awd = drazin(aw)
     wad = drazin(wa)
+    eqs = matrix.drazin_residuals(a, xd, k, w)
     agg["corpus.wdrazin.equations"].update({
-        "eq1": _rel(xd @ w @ a @ w @ xd, xd, max(1.0, frobenius(xd))),
-        "eq2": _rel(aw @ xd, xd @ wa),
-        "eq3": _rel(xd @ w @ matrix_power(aw, k + 1), matrix_power(aw, k), (sa * sw) ** k),
-        "left_product": _rel(xd, awd @ awd @ a),
-        "right_product": _rel(xd, awd @ a @ wad),
-        "shift_left": _rel(xd @ w, awd),
-        "shift_right": _rel(w @ xd, wad),
+        "eq1": eqs["outer"], "eq2": eqs["commute"], "eq3": eqs["chain"],
+        "left_product": rel(xd, awd @ awd @ a),
+        "right_product": rel(xd, awd @ a @ wad),
+        "shift_left": rel(xd @ w, awd),
+        "shift_right": rel(w @ xd, wad),
     }, where)
 
     # weighted core-EP system and companion identities
     pk_wa = _Factored(matrix_power(wa, k)).proj_range(scale=(sw * sa) ** k)
     pk_aw = pqs[k]
     agg["corpus.wcep.system"].update({
-        "sandwich_eq": _rel(waw @ cep, pk_wa),
-        "range_cond": _range_defect(cep, pk_aw),
-        "via_square": _rel(cep, a @ wa_cep @ wa_cep),
-        "left_compress": _rel(cep @ w @ pk_aw, aw_cep),
-        "right_compress": _rel(pk_wa @ w @ cep, wa_cep),
+        "sandwich_eq": rel(waw @ cep, pk_wa),
+        "range_cond": rel(pk_aw @ cep, cep),
+        "via_square": rel(cep, a @ wa_cep @ wa_cep),
+        "left_compress": rel(cep @ w @ pk_aw, aw_cep),
+        "right_compress": rel(pk_wa @ w @ cep, wa_cep),
     }, where)
 
     # shift identity
@@ -599,13 +576,13 @@ def _corpus_member_checks(p: WeightedPair, integer: bool, planted_k: int,
     # equations of xs[1] against W A W P_{(AW)^k}, worst of four
     if k == 1:
         agg["corpus.k1.core-remark"].update(
-            {"q1_vs_core_ep": max(_penrose_residuals(waw @ pqs[k], xs[1]).values())}, where)
+            {"q1_vs_core_ep": max(matrix.penrose_residuals(waw @ pqs[k], xs[1]).values())}, where)
 
     # decomposition suites (once per member)
     d = weighted_core_ep_decompose(p, tol)
     agg["corpus.decomposition.roundtrip"].update({
-        "matrix": _rel(d.compose_a(), a, max(1.0, sa)),
-        "weight": _rel(d.compose_w(), w, max(1.0, sw)),
+        "matrix": rel(d.compose_a(), a, sa),
+        "weight": rel(d.compose_w(), w, sw),
     }, where)
     t = d.t_dim
     mid_aw = np.zeros((m, m), dtype=np.complex128)
@@ -613,16 +590,16 @@ def _corpus_member_checks(p: WeightedPair, integer: bool, planted_k: int,
     mid_aw[:t, t:] = d.a1 @ d.w2 + d.a2 @ d.w3
     mid_aw[t:, t:] = d.a3 @ d.w3
     agg["corpus.decomposition.aw-block"].update(
-        {"aw": _rel(d.u @ mid_aw @ d.u.conj().T, aw, max(1.0, sa * sw))},
+        {"aw": rel(d.u @ mid_aw @ d.u.conj().T, aw, s_aw)},
         where)
     agg["corpus.decomposition.nilpotent"].update({
-        "left": frobenius(matrix_power(d.a3 @ d.w3, p.ind_aw)) / max(1.0, (sa * sw) ** p.ind_aw),
-        "right": frobenius(matrix_power(d.w3 @ d.a3, p.ind_wa)) / max(1.0, (sw * sa) ** p.ind_wa),
+        "left": matrix.nilpotency(d.a3 @ d.w3, p.ind_aw, s_aw),
+        "right": matrix.nilpotency(d.w3 @ d.a3, p.ind_wa, s_aw),
     }, where)
     agg["corpus.decomposition.block-pinv"].update(
-        {"vs_svd": _rel(block_pinv(d.u, d.v, d.a1, d.a2, d.a3, scale=sa,
-                                   a3_rank=_Factored(a).rank() - t),
-                        pinv(a))},
+        {"vs_svd": rel(block_pinv(d.u, d.v, d.a1, d.a2, d.a3, scale=sa,
+                                  a3_rank=_Factored(a).rank() - t),
+                       pinv(a))},
         where)
 
     d_aw = core_ep_decompose(aw)
@@ -660,20 +637,20 @@ def _corpus_member_checks(p: WeightedPair, integer: bool, planted_k: int,
         # representations
         f1, f2 = forms[min(q, k)]
         agg["corpus.representations.product-forms"].update(
-            {"left_form": _rel(f1, x), "right_form": _rel(f2, x)}, where_q)
+            {"left_form": rel(f1, x), "right_form": rel(f2, x)}, where_q)
         agg["corpus.representations.via-square"].update(
-            {"via_square": _rel(weighted_qbt_via_square(p, q), x)}, where_q)
+            {"via_square": rel(weighted_qbt_via_square(p, q), x)}, where_q)
         xc, _parts = canonical_weighted_qbt(d, q)
         agg["corpus.representations.canonical"].update(
-            {"canonical": _rel(xc, x)}, where_q)
+            {"canonical": rel(xc, x)}, where_q)
         c_aw, c_wa = canonical_qbt_products(d, q)
         agg["corpus.representations.canonical-products"].update(
-            {"left": _rel(c_aw, aw_qbt),
-             "right": _rel(c_wa, wa_qbts[q])}, where_q)
+            {"left": rel(c_aw, aw_qbt),
+             "right": rel(c_wa, wa_qbts[q])}, where_q)
 
         # range / null-space properties
         agg["corpus.properties.range-null"].update({
-            "range_defect": _range_defect(x, range_op.proj_range(scale=anchor_rg)),
+            "range_defect": rel(range_op.proj_range(scale=anchor_rg) @ x, x),
             "null_defect": _null_defect(range_op.proj_corange(scale=anchor_rg), x),
             "set_mismatch": _set_eq_flags(x_op, range_op, scale=anchor_rg),
         }, where_q)
@@ -718,9 +695,9 @@ def _corpus_member_checks(p: WeightedPair, integer: bool, planted_k: int,
         # square-family checks on the product AW
         y = _Factored(aw @ pq).pinv(scale=s_aw)
         agg["corpus.classical.five-way"].update({
-            "outer_eq": _rel(aw_qbt @ aw @ aw_qbt, aw_qbt, max(1.0, frobenius(aw_qbt))),
-            "left_eq": _rel(aw @ aw_qbt, aw @ y),
-            "right_eq": _rel(aw_qbt @ aw, y @ aw),
+            "outer_eq": rel(aw_qbt @ aw @ aw_qbt, aw_qbt),
+            "left_eq": rel(aw @ aw_qbt, aw @ y),
+            "right_eq": rel(aw_qbt @ aw, y @ aw),
         }, where_q)
         aw_range_op = _Factored(pq @ aw.conj().T)
         left_proj = _proj_eq_residuals(
@@ -745,7 +722,7 @@ def _corpus_member_checks(p: WeightedPair, integer: bool, planted_k: int,
 
         # square canonical form
         agg["corpus.decomposition.square-canonical"].update(
-            {"canonical": _rel(canonical_qbt(d_aw, q), aw_qbt)}, where_q)
+            {"canonical": rel(canonical_qbt(d_aw, q), aw_qbt)}, where_q)
 
         # inner Gram simplification of the canonical construction
         x3 = _wqbt_raw(d.a3, d.w3, q, sa, sw)
@@ -756,7 +733,7 @@ def _corpus_member_checks(p: WeightedPair, integer: bool, planted_k: int,
             d.w3 @ (a3w3q @ d.a3 @ d.w3), d.w3.shape, q, sa, sw))
         z = p3q @ (np.eye(q_inner.shape[0], dtype=np.complex128) - q_inner) @ p3q
         agg["corpus.decomposition.z-identity"].update(
-            {"z": _rel(z, p3q - _Factored(x3).proj_range(), 1.0)}, where_q)
+            {"z": rel(z, p3q - _Factored(x3).proj_range(), 1.0)}, where_q)
 
     # exact-path agreement on integer members
     if integer:
@@ -765,7 +742,7 @@ def _corpus_member_checks(p: WeightedPair, integer: bool, planted_k: int,
         for q in sorted({1, k}):
             ex = float_of(exact_weighted_qbt(ea, ew, q))
             agg["corpus.exact.float-agreement"].update(
-                {"float_vs_exact": _rel(xs[min(q, k)], ex)}, f"{where} q={q}")
+                {"float_vs_exact": rel(xs[min(q, k)], ex)}, f"{where} q={q}")
 
 
 def run_random_corpus(seed: int, count: int, max_dim: int = 8,

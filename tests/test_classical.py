@@ -163,3 +163,24 @@ class TestOuterInverseCheck:
         ah = conjugate_transpose(a)
         x = pinv(a) + 0.1 * np.ones_like(a)
         assert not outer_inverse_check(a, x, ah, ah)
+
+
+class TestOverflow:
+    """sigma_max^j anchors the rank of the j-th power: it is read before the
+    power is formed, so an input whose powers leave the double range is a
+    DomainError naming j, and no numpy overflow warning is raised."""
+
+    @pytest.mark.parametrize("call", [drazin, core_ep, matrix_index, core_ep_decompose,
+                                      lambda a: qbt_inverse(a, 30)],
+                             ids=["drazin", "core_ep", "matrix_index", "core_ep_decompose",
+                                  "qbt_inverse"])
+    def test_jordan_chain_of_large_links(self, call):
+        # a 24x24 Jordan chain with links 1e14: sigma_max^23 overflows
+        with pytest.raises(DomainError, match="power 23"):
+            call(np.diag(np.full(23, 1e14), 1))
+
+    @pytest.mark.parametrize("call", [drazin, group_inverse, core_inverse])
+    def test_drazin_anchor(self, call):
+        # the index search reads sigma_max^2 = 1e300; A^d reads sigma_max^3
+        with pytest.raises(DomainError, match="power 3"):
+            call(np.diag([1e150, 0.0]))

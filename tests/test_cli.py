@@ -115,6 +115,45 @@ class TestInverseCommands:
             else:
                 assert float(value) < 1e-10
 
+    @pytest.mark.parametrize("kind, args, inputs, names", VERIFY_CASES,
+                             ids=[case[0] for case in VERIFY_CASES])
+    def test_verify_sees_a_perturbed_inverse(self, tmp_path, capsys, monkeypatch, kind, args,
+                                             inputs, names):
+        # every residual --verify prints can fail: a 1e-6 relative complex
+        # perturbation of the float result lifts each one above 1e-8
+        name = cli.KINDS[kind].inverse
+        routine = getattr(geninv, name)
+        noise = np.random.default_rng(5)
+
+        def perturbed(*call):
+            x = routine(*call)
+            e = noise.standard_normal(x.shape) + 1j * noise.standard_normal(x.shape)
+            return x + 1e-6 * matrix.frobenius(x) / matrix.frobenius(e) * e
+
+        monkeypatch.setattr(geninv, name, perturbed)
+        files = [write_csv(tmp_path / f"m{i}.csv", rows) for i, rows in enumerate(inputs)]
+        code, out, _ = run_main(capsys, kind, *args, *files, "--verify")
+        assert code == 0
+        residuals = [ln.split(" = ") for ln in out.splitlines() if ln.startswith("residual ")]
+        assert [key.removeprefix("residual ") for key, _ in residuals] == names
+        for key, value in residuals:
+            assert float(value) >= 1e-8, key
+
+    def test_one_penrose_definition(self, tmp_path, capsys, monkeypatch):
+        # --verify and the conformance runner read the one Penrose system of
+        # the residual layer, so a change to it reaches both
+        from geninv.verify import run_example_checks
+
+        monkeypatch.setattr(matrix, "penrose_residuals", lambda b, x: dict.fromkeys(PENROSE, 7.0))
+        code, out, _ = run_main(capsys, "qbt", "--q", "2",
+                                write_csv(tmp_path / "a.csv", SQUARE_I2), "--verify")
+        assert code == 0
+        assert [ln for ln in out.splitlines() if ln.startswith("residual ")] == [
+            f"residual {key} = 7.000000e+00" for key in PENROSE]
+        [check] = [r for r in run_example_checks().results
+                   if r.check_id == "examples.pair4x3.reductions"]
+        assert {key: check.residuals[f"q0_{key}"] for key in PENROSE} == dict.fromkeys(PENROSE, 7.0)
+
     def test_inverse_is_looked_up_on_the_package_when_called(self, tmp_path, capsys,
                                                              monkeypatch):
         calls = []
@@ -151,9 +190,9 @@ class TestInverseCommands:
 
         monkeypatch.setattr(np.linalg, "svd", counted(np.linalg.svd))
         monkeypatch.setattr(np.linalg, "qr", counted(np.linalg.qr))
-        # the library and the CLI's residuals search every index through
-        # _power_search
-        for module in (classical, decomposition, weighted, cli):
+        # the library searches every index through _power_search, and the
+        # CLI's residuals through classical._index_search, which calls it
+        for module in (classical, decomposition, weighted):
             monkeypatch.setattr(module, "_power_search", index_span(projectors._power_search))
         files = [write_csv(tmp_path / f"m{i}.csv", rows) for i, rows in enumerate(PAIR_5X4)]
         runs = {}
@@ -217,6 +256,19 @@ class TestErrorPaths:
         code, _, err = run_main(capsys, kind, a)
         assert code == 4
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("kind", ["core-ep", "drazin"])
+    def test_overflow_prints_one_error_line(self, tmp_path, kind):
+        # in a child, whose stderr pytest does not capture: no numpy warning
+        # comes before the error
+        chain = np.diag(np.full(23, 1e14), 1)
+        a = write_csv(tmp_path / "j.csv", [["%g" % v for v in row] for row in chain])
+        proc = subprocess.run([sys.executable, "-m", "geninv", kind, a],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("error:") and "power 23" in line
 
     @pytest.mark.parametrize("name, text, where", [
         ("a.csv", "1,2\n3,1e400\n", "line 2, column 3"),
