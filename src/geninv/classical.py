@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DomainError, ShapeError
 from .matrix import Tolerances, as_matrix, exponent, frobenius, resolve_tol
 from .projectors import (_anchor, _Factored, _nullspace_equal, _Powers, _power_search,
-                          _range_equal)
+                          _qbt_kernel, _range_equal)
 
 
 def _require_square(a, name: str) -> np.ndarray:
@@ -42,7 +42,7 @@ def _index_search(a: _Factored) -> tuple[int, _Powers]:
     """Ind(A) and the chain of A's powers that decided it, which holds
     P_Ind(A) and P_(Ind(A)+1)."""
     chain = _power_search(a, a.a.shape[0] + 1)
-    return len(chain.ranks) - 2, chain
+    return chain.index, chain
 
 
 def _drazin(chain: _Powers, k: int, s1: float) -> np.ndarray:
@@ -94,16 +94,11 @@ def qbt_inverse(a, q: int) -> np.ndarray:
     and past the index rank(A^{q+1}) would be decided against
     sigma_max^{q+1}, which cond(A)^q outgrows long before q reaches n.
 
-    One thin SVD of A, A = U1 S1 V1* truncated at r = rank(A), serves
-    everything else in r x r coordinates (`projectors._Powers`): A^q =
-    U1 P_q V1*, so U = U1 Ũ with Ũ the leading rank(A^q) left singular
-    vectors of P_q spans R(A^q), and with M = S1 V1* U1, P = U U* and
-    U* U = I give (A P)^+ = U (A U)^+ = U1 Ũ (M Ũ)^+ U1*. Every SVD after
-    the first factors a matrix no larger than r x r. M Ũ has rank exactly
-    rank(A^{q+1}); that rank is decided on the power, whose anchor grows
-    with q, and pinned in the pseudoinverse: the trailing singular values
-    of M Ũ are rounding noise at the scale of A, which a flat cutoff
-    cannot reliably reject.
+    One thin SVD of A, truncated at r = rank(A), serves everything else
+    in r x r coordinates: the rank search on the powers and the q-BT
+    construction `projectors._qbt_kernel`, which the weighted routines
+    share. Every SVD after the first factors a matrix no larger than
+    r x r.
     """
     a = _Factored(_require_square(a, "qbt_inverse"), thin=True)
     return _qbt(a, check_q(q, a.a.shape[0]))
@@ -114,15 +109,10 @@ def _qbt(a: _Factored, q: int) -> np.ndarray:
     if q == 0:
         return a.pinv()
     chain = _power_search(a, q + 1, thin_at=q)
-    ranks = chain.ranks
-    q, r = len(ranks) - 2, ranks[-1]  # q clamped at Ind(A)
-    if r == 0:
-        return np.zeros_like(a.a)
+    q = chain.index  # q clamped at Ind(A)
     if q == 0:
-        return a.pinv(fixed_rank=r)
-    ut = chain.basis(q, fixed_rank=ranks[-2])
-    u1 = chain.u1
-    return u1 @ (ut @ _Factored(chain.m @ ut).pinv(fixed_rank=r)) @ u1.conj().T
+        return a.pinv(fixed_rank=chain.ranks[1])
+    return _qbt_kernel(chain, q)
 
 
 def bt_inverse(a) -> np.ndarray:

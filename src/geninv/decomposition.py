@@ -155,8 +155,7 @@ def core_ep_decompose(a) -> CoreEPDecomposition:
     if a.shape[0] != a.shape[1]:
         raise ShapeError(f"matrix must be square, got {a.shape[0]}x{a.shape[1]}")
     chain = _power_search(_Factored(a), a.shape[0] + 1)
-    ranks, s1 = chain.ranks, chain.s1
-    k = len(ranks) - 2
+    ranks, s1, k = chain.ranks, chain.s1, chain.index
     r = ranks[k]
     u = _frame(chain, k, r)
     b = u.conj().T @ a @ u

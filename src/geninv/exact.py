@@ -370,10 +370,6 @@ def _proj_range(b: _ZMat) -> _ZMat:
     return b @ _pinv(b)
 
 
-def _qbt(a: _ZMat, q: int) -> _ZMat:
-    return _pinv(a @ _proj_range(_power(a, check_q(q, a.shape[0]))))
-
-
 def _drazin(a: _ZMat) -> _ZMat:
     ak = _power(a, _index(a))
     return ak @ _pinv(ak @ ak @ a) @ ak
@@ -392,9 +388,12 @@ def _pair_index(a: _ZMat, w: _ZMat) -> tuple[int, int, int]:
     return ind_aw, ind_wa, max(ind_aw, ind_wa)
 
 
-def _weighted_qbt(a: _ZMat, w: _ZMat, q: int) -> _ZMat:
-    p = _proj_range(_power(a @ w, check_q(q, a.shape[0])))
-    return _pinv(w @ a @ w @ p)
+def _weighted_qbt(a: _ZMat, w: _ZMat | None, q: int) -> _ZMat:
+    """(W A W P_{(AW)^q})^+, the one q-BT construction of the exact path;
+    with w None, the square (A P_{A^q})^+, which is the same with W absent."""
+    aw = a if w is None else a @ w
+    waw = a if w is None else w @ aw
+    return _pinv(waw @ _proj_range(_power(aw, check_q(q, a.shape[0]))))
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -453,7 +452,7 @@ def exact_proj_range(b: np.ndarray) -> np.ndarray:
 
 
 def exact_qbt(a: np.ndarray, q: int) -> np.ndarray:
-    return _qbt(_check_square(a, "the q-BT inverse"), q).to_gr()
+    return _weighted_qbt(_check_square(a, "the q-BT inverse"), None, q).to_gr()
 
 
 def exact_drazin(a: np.ndarray) -> np.ndarray:
@@ -471,7 +470,7 @@ def exact_core(a: np.ndarray) -> np.ndarray:
 
 def exact_core_ep(a: np.ndarray) -> np.ndarray:
     z = _check_square(a, "index")
-    return _qbt(z, _index(z)).to_gr()
+    return _weighted_qbt(z, None, _index(z)).to_gr()
 
 
 def exact_bt(a: np.ndarray) -> np.ndarray:

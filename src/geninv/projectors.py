@@ -177,6 +177,11 @@ class _Powers:
         self.ranks = [n, b.rank(self.s1)]
         self._held: dict[int, _Factored] = {}
 
+    @property
+    def index(self) -> int:
+        """min(Ind(B), last - 1) after `_power_search` up to j = last."""
+        return len(self.ranks) - 2
+
     @cached_property
     def _frame(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """U1, S1, V1* and V1* U1; a B of rank 0 takes no SVD."""
@@ -278,6 +283,39 @@ def _power_search(b: _Factored, last: int, thin_at: int = 0) -> _Powers:
     return chain
 
 
+def _wqbt_rank(probe: np.ndarray, shape: tuple[int, int], q: int, sa: float, sw: float) -> int:
+    """Exact rank of W A W P_{(AW)^q}, decided on `probe`, any matrix with
+    the singular values of W (AW)^{q+1}, of the given shape: W A W maps
+    R((AW)^q) onto R(W (AW)^{q+1}), and the power's anchor grows with q,
+    where the product's own trailing singular values are rounding noise
+    that a flat cutoff cannot reliably reject."""
+    return _Factored(probe, shape=shape).rank(scale=sw * (sa * sw) ** (q + 1))
+
+
+def _qbt_kernel(chain: _Powers, q: int, w: np.ndarray | None = None,
+                sa: float = 0.0, sw: float = 0.0) -> np.ndarray:
+    """(W A W P_{(AW)^q})^+ for q >= 1 on the chain of AW = U1 S1 V1*.
+
+    U1 Ũ spans R((AW)^q), Ũ the leading left singular vectors of P_q, and
+    with W U1 = R L (Householder QR) the result is U1 Ũ (L M Ũ)^+ R*, its
+    rank decided on L P_(q+1) by `_wqbt_rank` and the count of Ũ against
+    (sa sw)^q. With w None it is the square (A P_{A^q})^+: R = U1, L = I,
+    both counts from the chain's search, which must have reached q + 1.
+    The rank of L M Ũ is pinned; its trailing values are rounding noise."""
+    if w is None:
+        right, lm = chain.u1, chain.m
+        r, scale, fixed = chain.ranks[q + 1], None, chain.ranks[q]
+    else:
+        right, left = np.linalg.qr(w @ chain.u1)
+        lm = left @ chain.m
+        r = _wqbt_rank(left @ chain.power(q + 1).a, w.shape, q, sa, sw)
+        scale, fixed = (sa * sw) ** q, None
+    if r == 0:
+        return np.zeros((chain.shape[0], right.shape[0]), dtype=np.complex128)
+    ut = chain.basis(q, scale, fixed)
+    return chain.u1 @ (ut @ _Factored(lm @ ut).pinv(fixed_rank=r)) @ right.conj().T
+
+
 def matrix_index(b) -> IndexReport:
     """Index of a square matrix: rank stabilization point of its powers.
 
@@ -293,8 +331,7 @@ def matrix_index(b) -> IndexReport:
     if n != b.shape[1]:
         raise ShapeError(f"matrix_index requires a square matrix, got {b.shape[0]}x{b.shape[1]}")
     chain = _power_search(_Factored(b), n + 1)
-    ranks = chain.ranks
-    return IndexReport(index=len(ranks) - 2, rank_sequence=tuple(ranks), sigma_max=chain.s1)
+    return IndexReport(index=chain.index, rank_sequence=tuple(chain.ranks), sigma_max=chain.s1)
 
 
 def _stacked_rank_equal(stacked: np.ndarray, scale: float | None, *operands: _Factored) -> bool:

@@ -31,8 +31,8 @@ from .exact import (_matmul, exact_pair_index, exact_pinv, exact_qbt,
                     exact_weighted_qbt, float_of, requal, rmatrix)
 from . import matrix
 from .matrix import Tolerances, frobenius, rel, resolve_tol
-from .projectors import _Factored, _nullspace_equal, _range_equal, pinv
-from .weighted import (WeightedPair, _wqbt_rank, _wqbt_raw, cline_shift_check,
+from .projectors import _Factored, _nullspace_equal, _range_equal, _wqbt_rank, pinv
+from .weighted import (WeightedPair, _wqbt_raw, cline_shift_check,
                        dual_representation_gap, weighted_drazin, weighted_qbt,
                        weighted_qbt_product_forms, weighted_qbt_via_square)
 

@@ -21,7 +21,7 @@ from numpy.linalg import matrix_power
 from .classical import _drazin, _qbt, check_q
 from .errors import DomainError, NumericError, ShapeError
 from .matrix import Tolerances, as_matrix, exponent, frobenius, resolve_tol
-from .projectors import _Factored, _Powers, _power_search
+from .projectors import _Factored, _Powers, _power_search, _qbt_kernel, _wqbt_rank
 
 
 @dataclass(frozen=True)
@@ -70,8 +70,7 @@ class WeightedPair:
         # its thin SVD is taken at once
         aw = _power_search(_Factored(a @ w, thin=m > n), m + 1)
         wa = _power_search(_Factored(w @ a, thin=n > m), n + 1)
-        ranks_aw, ranks_wa = aw.ranks, wa.ranks
-        ind_aw, ind_wa = len(ranks_aw) - 2, len(ranks_wa) - 2
+        ind_aw, ind_wa = aw.index, wa.index
         if abs(ind_aw - ind_wa) > 1:
             raise NumericError(
                 f"computed indices Ind(AW)={ind_aw}, Ind(WA)={ind_wa} differ by more than one; "
@@ -81,7 +80,7 @@ class WeightedPair:
         a.setflags(write=False)
         w.setflags(write=False)
         pair = cls(a=a, w=w, ind_aw=ind_aw, ind_wa=ind_wa, k=max(ind_aw, ind_wa),
-                   rank_sequence_aw=tuple(ranks_aw), rank_sequence_wa=tuple(ranks_wa),
+                   rank_sequence_aw=tuple(aw.ranks), rank_sequence_wa=tuple(wa.ranks),
                    sigma_max_a=_Factored(a).sigma_max, sigma_max_w=_Factored(w).sigma_max,
                    sigma_max_wa=wa.s1)
         # the searches' chains become the pair's, so their truncations are
@@ -102,46 +101,19 @@ class WeightedPair:
         return _Powers(_Factored(self.w @ self.a, thin=True))
 
 
-def _wqbt_rank(probe: np.ndarray, shape: tuple[int, int], q: int, sa: float, sw: float) -> int:
-    """Exact rank of W A W P_{(AW)^q}, decided on W (AW)^{q+1}, of the given
-    shape, or on `probe`, any matrix with its singular values.
-
-    W A W maps R((AW)^q) onto R(W (AW)^{q+1}), so the two ranks agree.
-    Deciding on the power keeps the rank anchor growing with q; the
-    trailing singular values of the product itself are rounding noise at
-    the scale of the factors, which a flat cutoff cannot reliably reject.
-    """
-    return _Factored(probe, shape=shape).rank(scale=sw * (sa * sw) ** (q + 1))
-
-
 def _wqbt_raw(a: np.ndarray, w: np.ndarray, q: int, sa: float, sw: float,
               aw: _Powers | None = None) -> np.ndarray:
     """(W A W P_{(AW)^q})^+ on raw arrays; tolerates W = 0 (used on blocks).
-
-    sa and sw anchor the rank cutoffs: sigma_max of A and W, or of the
-    parent pair when a and w are blocks of a decomposition. q = 0 is a
-    plain pseudoinverse of W A W. Otherwise one thin SVD of AW, AW =
-    U1 S1 V1* truncated at rank(AW), serves the rest (`_Powers`): with Ũ
-    the leading left singular vectors of P_q, U = U1 Ũ spans R((AW)^q),
-    P = U U* gives the result as U (W A W U)^+, and with W U1 = Qw Rw,
-    W A W U = W U1 M Ũ = Qw (Rw M Ũ), so it is U1 Ũ (Rw M Ũ)^+ Qw*, and
-    W (AW)^{q+1} = Qw Rw P_(q+1) V1* has the singular values of
-    Rw P_(q+1): every SVD after the first factors a matrix no larger than
-    rank(AW) x rank(AW). `aw` is the chain of AW when the caller holds
-    it, so that the caller's projector and U read one SVD of P_q.
-    """
+    sa and sw, sigma_max of A and W or of the pair whose blocks a and w
+    are, anchor the rank cutoffs. q = 0 is the pseudoinverse of W A W;
+    otherwise `projectors._qbt_kernel` works on `aw`, the chain of AW, which
+    a caller that holds it passes so that its projector reads one P_q SVD."""
     q = check_q(q, a.shape[0])
     if q == 0:
         return _Factored(w @ a @ w).pinv(scale=sw * sa * sw)
     if aw is None:
         aw = _Powers(_Factored(a @ w, thin=True))
-    qw, rw = np.linalg.qr(w @ aw.u1)
-    r = _wqbt_rank(rw @ aw.power(q + 1).a, w.shape, q, sa, sw)
-    if r == 0:
-        return np.zeros(a.shape, dtype=np.complex128)
-    ut = aw.basis(q, scale=(sa * sw) ** q)
-    inner = _Factored(rw @ aw.m @ ut).pinv(fixed_rank=r)
-    return aw.u1 @ (ut @ inner) @ qw.conj().T
+    return _qbt_kernel(aw, q, w, sa, sw)
 
 
 def weighted_qbt(p: WeightedPair, q: int) -> np.ndarray:

@@ -370,3 +370,10 @@ def test_kernel_matches_reference_at_the_dimension_limit():
     nil = rmatrix_from_complex(np.triu(ints(32, 32), 30))
     assert exact_index(nil) == ref_index(nil) == 2
     assert requal(exact_drazin(nil), rzeros(32, 32))
+
+
+@given(square_matrix(), st.integers(0, 5))
+@settings(max_examples=40, deadline=None)
+def test_square_qbt_is_weighted_qbt_with_identity_weight(a, q):
+    assert requal(exact_qbt(a, q), exact_weighted_qbt(a, reye(a.shape[0]), q))
+

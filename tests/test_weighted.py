@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from geninv.classical import qbt_inverse
-from geninv.corpus import random_pairs, random_planted_pair
+from geninv.corpus import random_pairs, random_planted_pair, random_square
 from geninv.decomposition import (canonical_qbt_products, canonical_weighted_qbt,
                                   weighted_core_ep_decompose)
 from geninv.errors import ShapeError
@@ -94,6 +94,19 @@ class TestKnownValues:
                   weighted_qbt_via_square(p, q), canonical_weighted_qbt(d, q)[0]]
         for x in routes:
             assert rel(x, cep) < 1e-10
+
+
+class TestSquareIsWeightedWithWAbsent:
+    @pytest.mark.parametrize("n", [6, 12])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_qbt_inverse_is_weighted_qbt_with_identity_weight(self, n, k):
+        rng = np.random.default_rng([n, k])
+        for _ in range(3):
+            a = random_square(rng, n, k)
+            p = WeightedPair.from_matrices(a, np.eye(n))
+            assert p.k == k
+            for q in range(k + 3):
+                assert rel(qbt_inverse(a, q), weighted_qbt(p, q)) < 1e-12, q
 
 
 class TestAlternateFormulas:
