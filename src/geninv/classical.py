@@ -7,7 +7,9 @@ Each routine takes one thin SVD of A, truncated at r = rank(A), and
 works on A's powers in those r x r coordinates (`projectors._Powers`):
 sigma_max(A), the rank sequence of the powers, a basis of R(A^q), A^+
 and the pseudoinverses of the powers are read off that SVD and SVDs of
-r x r matrices. No power of A is formed at full size.
+r x r matrices. No power of A is formed at full size. The q-BT inverse
+is the W-weighted one with W absent: one kernel, `projectors._qbt_kernel`,
+builds both.
 """
 
 from __future__ import annotations
@@ -38,10 +40,10 @@ def check_q(q, n: int | None = None) -> int:
     return q if n is None else min(q, n)
 
 
-def _index_search(a: _Factored) -> tuple[int, _Powers]:
-    """Ind(A) and the chain of A's powers that decided it, which holds
-    P_Ind(A) and P_(Ind(A)+1)."""
-    chain = _power_search(a, a.a.shape[0] + 1)
+def _index_search(a: _Factored, q: int | None = None) -> tuple[int, _Powers]:
+    """min(q, Ind(A)), Ind(A) when q is None, and the chain of A's powers
+    that decided it, which holds its P_j and P_(j+1)."""
+    chain = _power_search(a, (a.a.shape[0] if q is None else q) + 1)
     return chain.index, chain
 
 

@@ -11,7 +11,8 @@ their weighted forms; a square kind is its weighted form with W absent),
 outer/commute/chain for drazin, group and wdrazin, and
 outer/hermitian_left/chain for core. `--exact` residuals are computed
 exactly, so a correct result prints 0.000000e+00. Any q at or above the
-dimension of AW gives the same member as q = n. Every residual, and those
+dimension of AW gives the same member as q = n, and a q >= 2 is checked at
+min(q, index), where the routines clamp it. Every residual, and those
 `decompose` appends, comes from the residual layer of `matrix`, which the
 conformance runner reads too: ‖lhs - rhs‖ / max(1, ‖rhs‖), and a
 reconstruction against max(1, sigma_max) of the matrix it rebuilds.
@@ -149,7 +150,10 @@ def _residuals(spec: Kind, a, w, x, q, pair: WeightedPair | None = None) -> dict
 
     A square kind is its weighted form with W absent (w is None). A float
     weighted kind passes the WeightedPair it was computed from, whose k is
-    the order of an "index" system.
+    the index. An order q >= 2 is clamped at the index, as the routines
+    clamp it: past the index the rank of the power would be decided
+    against sigma_max^q, which cond^q outgrows, and a right inverse would
+    be reported as wrong.
     """
     if spec.system == "core":
         return matrix.core_residuals(a, x)
@@ -157,20 +161,24 @@ def _residuals(spec: Kind, a, w, x, q, pair: WeightedPair | None = None) -> dict
     if exact:
         from . import exact as ex
     aw = a if w is None else a @ w
+    fa = _Factored(a)  # a float square A: one SVD for its index and its scale
     k = check_q(q, aw.shape[0]) if spec.order == "q" else spec.order
-    if k == "index" and pair is not None:
-        k = pair.k
-    elif k == "index" and exact:
-        k = ex.exact_index(a) if w is None else ex.exact_pair_index(a, w)[2]
-    elif k == "index":
-        k = _index_search(_Factored(a))[0]
+    if k == "index" or (spec.order == "q" and k >= 2):
+        last = None if k == "index" else k
+        if pair is not None:
+            k = pair.k
+        elif exact:
+            k = ex.exact_index(a) if w is None else ex.exact_pair_index(a, w)[2]
+        else:
+            k = _index_search(fa, last)[0]
+        k = k if last is None else min(last, k)
     if spec.system == "drazin":
         return matrix.drazin_residuals(a, x, k, w)
     b = a if w is None else w @ aw
     if k and exact:
         b = b @ ex.exact_proj_range(ex.exact_power(aw, k))
     elif k:
-        s = _Factored(a).sigma_max if pair is None else pair.sigma_max_a * pair.sigma_max_w
+        s = fa.sigma_max if pair is None else pair.sigma_max_a * pair.sigma_max_w
         b = b @ _Factored(matrix_power(aw, k)).proj_range(scale=s ** k)
     return matrix.penrose_residuals(b, x)
 

@@ -19,7 +19,7 @@ from numpy.linalg import matrix_power
 
 from .classical import check_q
 from .errors import DecompositionError, DomainError, NumericError, ShapeError
-from .matrix import Tolerances, as_matrix, frobenius, nilpotency, resolve_tol
+from .matrix import Tolerances, as_matrix, frobenius, nilpotency, rank_cutoff, resolve_tol
 from .projectors import _Factored, _Powers, _power_search
 from .weighted import WeightedPair, _wqbt_raw
 
@@ -230,7 +230,8 @@ def block_pinv(u, v, a1, a2, a3, scale: float | None = None,
     """Moore-Penrose inverse of B = U [[A1, A2], [0, A3]] V*, A1 nonsingular.
 
     Uses the closed form with Omega = [A1 A1* + A2 (I - Q_{A3}) A2*]^{-1};
-    returns V [[A1* O, -A1* O A2 A3^+], [(I-Q) A2* O, A3^+ - (I-Q) A2* O A2 A3^+]] U*.
+    returns V [[A1* O, -A1* O A2 A3^+], [(I-Q) A2* O, A3^+ - (I-Q) A2* O A2 A3^+]] U*,
+    the canonical blocks of `_canonical_blocks` with G = I - Q_{A3}.
 
     `a3_rank` pins the rank used for A3^+.  When the blocks come from a
     decomposition of a full matrix B, pass rank(B) - t: the trailing
@@ -257,51 +258,44 @@ def block_pinv(u, v, a1, a2, a3, scale: float | None = None,
         raise DomainError("leading block is singular; the block formula requires A1 nonsingular")
     a3p = a3f.pinv(scale=s1, fixed_rank=a3_rank)
     iq3 = np.eye(a3.shape[1], dtype=np.complex128) - a3p @ a3
-    a1h = a1.conj().T
-    a2h = a2.conj().T
-    gram = a1 @ a1h + a2 @ iq3 @ a2h
-    try:
-        omega = np.linalg.inv(gram)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"coupling Gram matrix is numerically singular: {exc}") from exc
-    b11 = a1h @ omega
-    b12 = -a1h @ omega @ a2 @ a3p
-    b21 = iq3 @ a2h @ omega
-    b22 = a3p - iq3 @ a2h @ omega @ a2 @ a3p
-    return v @ _assemble(b11, b12, b21, b22) @ u.conj().T
+    blocks, _ = _canonical_blocks(a1, a2, a3p, iq3)
+    return v @ _assemble(*blocks) @ u.conj().T
 
 
 @dataclass(frozen=True)
 class CanonicalParts:
     """Auxiliary matrices of a canonical q-BT block form.
 
-    m_block is the coupling term (M in the weighted form, S-shaped in the
-    square forms); omega is the inverted Gram factor (Omega_W in the
-    weighted form, Delta in the square forms), nonsingular whenever the
-    parent decomposition is valid.
+    m_block is the coupling term M of the weighted form; omega is its
+    inverted Gram factor Omega_W = (K K*)^{-1} = (K^+)* K^+ for
+    K = [C, M G], defined whenever the parent decomposition is valid.
     """
 
     m_block: np.ndarray
     omega: np.ndarray
 
 
-def _canonical_blocks(core, coupling, x3, pq, px):
+def _canonical_blocks(core, coupling, x3, gap):
     """Blocks of [[C* O, -C* O M X3], [G M* O, X3 - G M* O M X3]] with
-    G = pq - px, px = P_{X3} and O = [C C* + M G M*]^{-1}."""
-    gap = pq - px
-    ch = core.conj().T
-    mh = coupling.conj().T
-    gram = core @ ch + coupling @ gap @ mh
-    try:
-        omega = np.linalg.inv(gram)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"canonical Gram matrix is numerically singular: {exc}") from exc
+    O = [C C* + M G M*]^{-1}, and K^+ for K = [C, M G].
+
+    G, an orthogonal projector (G = G* = G^2), makes C C* + M G M* = K K*,
+    so C* O and G M* O are the two row blocks of K^+ = K* (K K*)^{-1}. One
+    Householder QR K* = Q R gives K^+ = Q R^{-*}, whose error grows like
+    cond(K), where inverting K K* would square it. K has full row rank
+    whenever C is nonsingular; a diagonal entry of R at or under the rank
+    cutoff, against the largest, bounds sigma_min(K) under that cutoff."""
+    kh = np.concatenate([core.conj().T, gap @ coupling.conj().T])
+    q, r = np.linalg.qr(kh)
+    diag = np.abs(np.diagonal(r))
+    if diag.size and diag.min() <= rank_cutoff(kh.shape, diag.max()):
+        raise NumericError("[C, M G] is numerically rank deficient; the canonical "
+                           "block formula requires C nonsingular")
+    k_pinv = q @ np.linalg.inv(r.conj().T)
+    t = core.shape[0]
     mx = coupling @ x3
-    b11 = ch @ omega
-    b12 = -b11 @ mx
-    b21 = gap @ mh @ omega
-    b22 = x3 - b21 @ mx
-    return (b11, b12, b21, b22), omega
+    b11, b21 = k_pinv[:t], k_pinv[t:]
+    return (b11, -b11 @ mx, b21, x3 - b21 @ mx), k_pinv
 
 
 def _square_canonical(core, coupling, nil, frame, q: int, rank_q: int,
@@ -321,7 +315,7 @@ def _square_canonical(core, coupling, nil, frame, q: int, rank_q: int,
         pq = _Factored(pq).proj_range(fixed_rank=rank_q)
     m = nil @ pq
     x3 = _Factored(m).pinv(fixed_rank=rank_q1)
-    blocks, _ = _canonical_blocks(core, coupling, x3, pq, x3 @ m)
+    blocks, _ = _canonical_blocks(core, coupling, x3, pq - x3 @ m)
     return frame @ _assemble(*blocks) @ frame.conj().T
 
 
@@ -369,8 +363,9 @@ def canonical_weighted_qbt(d: WeightedCoreEPDecomposition,
         u = aw.range_basis(q, fixed_rank=rank_q)
         pq = u @ u.conj().T
     px = x3 @ d.w3 @ d.a3 @ d.w3 @ pq
-    blocks, omega = _canonical_blocks(core, coupling, x3, pq, px)
+    blocks, k_pinv = _canonical_blocks(core, coupling, x3, pq - px)
     x = d.u @ _assemble(*blocks) @ d.v.conj().T
+    omega = k_pinv.conj().T @ k_pinv
     return x, CanonicalParts(m_block=_frozen(coupling), omega=_frozen(omega))
 
 

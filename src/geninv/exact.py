@@ -12,9 +12,13 @@ identity and multistep integer-preserving Gaussian elimination", Math.
 Comp. 1968): every division it makes is exact, so no rational is formed
 until the result is read off. The Moore-Penrose inverse comes from a
 full-rank factorization A = FG with A^+ = G* (G G*)^{-1} (F* F)^{-1} F*,
-which stays inside the rational field; SVD-based routes would not. This
-path is the ground truth the float path is compared against and is
-size-guarded to stay desk-scale.
+which stays inside the rational field; SVD-based routes would not. The
+q-BT construction is written once, `_weighted_qbt`, and the square kinds
+call it with W absent. Input is read by one rule (`_check_size`): entries
+that are not all GaussianRational are converted as `rmatrix_from_complex`
+converts them, so an integer numpy array never enters the elimination as
+wrapping numpy integers. This path is the ground truth the float path is
+compared against and is size-guarded to stay desk-scale.
 """
 
 from __future__ import annotations
@@ -144,7 +148,7 @@ def rmatrix(rows) -> np.ndarray:
                 entries.append(GaussianRational(Fraction(value)))
             elif isinstance(value, (float, complex)):
                 value = complex(value)
-                if value.real != int(value.real) or value.imag != int(value.imag):
+                if not (value.real.is_integer() and value.imag.is_integer()):
                     raise DomainError(
                         f"non-integer value {value!r} cannot enter the exact path")
                 entries.append(GaussianRational(Fraction(int(value.real)),
@@ -402,14 +406,21 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (_ZMat.of(a) @ _ZMat.of(b)).to_gr()
 
 
-def _check_size(a: np.ndarray) -> np.ndarray:
+def _check_size(a) -> np.ndarray:
+    """a as an object array of GaussianRational, at most MAX_EXACT_DIM on a
+    side: other entries are converted as `rmatrix` converts them (a numeric
+    array as `rmatrix_from_complex` does), and one that is not an exact
+    integer, Fraction or GaussianRational is a DomainError."""
+    a = np.asarray(a)
     if a.ndim != 2:
         raise ShapeError(f"expected a 2-D matrix, got {a.ndim}-D")
     if max(a.shape, default=0) > MAX_EXACT_DIM:
         raise DomainError(
             f"exact path is limited to {MAX_EXACT_DIM}x{MAX_EXACT_DIM}, got "
             f"{a.shape[0]}x{a.shape[1]}")
-    return a
+    if a.dtype == object and all(type(v) is GaussianRational for v in a.flat):
+        return a
+    return rmatrix(a.tolist()).reshape(a.shape)
 
 
 def _check_square(a: np.ndarray, what: str) -> _ZMat:
@@ -448,7 +459,7 @@ def exact_index(a: np.ndarray) -> int:
 
 
 def exact_proj_range(b: np.ndarray) -> np.ndarray:
-    return _proj_range(_ZMat.of(b)).to_gr()
+    return _proj_range(_ZMat.of(_check_size(b))).to_gr()
 
 
 def exact_qbt(a: np.ndarray, q: int) -> np.ndarray:

@@ -399,14 +399,20 @@ def _system_residuals(p: WeightedPair, x0: np.ndarray, pq: np.ndarray,
 def run_system_checks(p: WeightedPair, q: int, tol: Tolerances | None = None,
                       candidate: np.ndarray | None = None) -> list[CheckResult]:
     """One CheckResult per equation of each of the four characterizing
-    systems, evaluated for the computed inverse or a supplied candidate."""
+    systems, evaluated for the computed inverse or a supplied candidate.
+
+    P_{(AW)^q} is built at min(q, k), where R((AW)^q) stops changing, as
+    `weighted_qbt` clamps q: past k the rank of the full-size power would
+    be decided against (sigma_max(A) sigma_max(W))^q, which the spread of
+    its singular values outgrows."""
     tol = resolve_tol(tol)
     atol = tol.residual_atol
     detail = f"{p.shape[0]}x{p.shape[1]} pair, q={q}" + \
         ("" if candidate is None else ", supplied candidate")
     x0 = weighted_qbt(p, q)
-    pq = _Factored(matrix_power(p.a @ p.w, q)).proj_range(
-        scale=(p.sigma_max_a * p.sigma_max_w) ** q)
+    qk = min(q, p.k)
+    pq = _Factored(matrix_power(p.a @ p.w, qk)).proj_range(
+        scale=(p.sigma_max_a * p.sigma_max_w) ** qk)
     x = x0 if candidate is None else np.asarray(candidate, dtype=np.complex128)
     [res] = _system_residuals(p, x0, pq, _range_generator(p, pq), [x])
     out = []

@@ -7,7 +7,9 @@ for q >= k = max(Ind(AW), Ind(WA)).
 
 Every power of AW is read in the r x r coordinates of AW's thin SVD,
 r = rank(AW) (`projectors._Powers`), and W enters through W U1, so no
-power of AW is factored at full size.
+power of AW is factored at full size. The q-BT construction is one
+kernel, `projectors._qbt_kernel`, which the square q-BT inverse shares
+with W absent.
 """
 
 from __future__ import annotations

@@ -225,6 +225,26 @@ class TestInverseCommands:
             assert float(line.split("=")[1]) < 1e-10
 
 
+    def test_verify_reads_a_right_inverse_as_right_at_large_q(self, tmp_path, capsys):
+        # past the index the rank of the checked power would be decided
+        # against sigma_max^q, which cond^q outgrows; the check clamps its
+        # order at the index, as the routines clamp q
+        rng = np.random.default_rng(0)
+        a = rng.standard_normal((40, 40)) * 30  # index 0
+        square = write_csv(tmp_path / "a.csv", a.tolist())
+        rng = np.random.default_rng(0)
+        pair = [write_csv(tmp_path / f"{name}.csv", (rng.standard_normal(shape) * 6).tolist())
+                for name, shape in (("pa", (40, 30)), ("pw", (30, 40)))]  # k = 1
+        for argv in (["qbt", "--q", "60", square], ["wqbt", "--q", "40", *pair]):
+            code, out, _ = run_main(capsys, *argv, "--verify")
+            assert code == 0
+            result, residuals = out.split("\n\n")
+            for line in residuals.splitlines():
+                assert float(line.split("=")[1]) < 1e-10, (argv[0], line)
+        assert rel(parse_matrix(run_main(capsys, "qbt", "--q", "60", square)[1], "csv"),
+                   np.linalg.inv(a)) < 1e-12
+
+
 class TestErrorPaths:
     def test_missing_file_is_parse_error(self, tmp_path, capsys):
         code, _, err = run_main(capsys, "pinv", str(tmp_path / "nope.csv"))

@@ -3,10 +3,10 @@ import pytest
 
 from geninv.classical import qbt_inverse
 from geninv.corpus import random_pairs, random_square
-from geninv.decomposition import (block_pinv, canonical_qbt, canonical_qbt_products,
-                                  canonical_weighted_qbt, core_ep_decompose,
-                                  weighted_core_ep_decompose)
-from geninv.errors import DomainError
+from geninv.decomposition import (_canonical_blocks, block_pinv, canonical_qbt,
+                                  canonical_qbt_products, canonical_weighted_qbt,
+                                  core_ep_decompose, weighted_core_ep_decompose)
+from geninv.errors import DomainError, NumericError
 from geninv.matrix import conjugate_transpose, frobenius, rank, sigma_max
 from geninv.projectors import matrix_index, power
 from geninv.weighted import weighted_qbt
@@ -133,6 +133,17 @@ class TestCanonicalForms:
                 got, parts = canonical_weighted_qbt(d, q)
                 assert rel(got, x) < 1e-8
                 assert parts.m_block is not None
+                # the leading block of U* X V is C* Omega_W, C = W1 A1 W1
+                t = d.t_dim
+                c = d.w1 @ d.a1 @ d.w1
+                assert rel((d.u.conj().T @ got @ d.v)[:t, :t], c.conj().T @ parts.omega) < 1e-8
+
+    def test_rank_deficient_coupling_is_a_numeric_error(self):
+        # K = [C, M G] with a singular C and M G = 0 has rank 1 < 2
+        core = np.diag([1.0, 0.0]).astype(np.complex128)
+        zero = np.zeros((2, 1), dtype=np.complex128)
+        with pytest.raises(NumericError):
+            _canonical_blocks(core, zero, zero.T, np.eye(1, dtype=np.complex128))
 
     def test_product_canonicals_match_square_qbt(self, pairs):
         for p in pairs[:5]:

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from geninv.errors import DomainError, NumericError
 from geninv.exact import (GaussianRational, exact_bt, exact_core, exact_core_ep,
                           exact_drazin, exact_group, exact_index,
-                          exact_pair_index, exact_pinv, exact_power, exact_qbt,
+                          exact_pair_index, exact_pinv, exact_power, exact_proj_range,
+                          exact_qbt,
                           exact_rank, exact_weighted_qbt, float_of,
                           full_rank_factorization, reye, rmatrix,
                           rmatrix_from_complex, rzeros, requal, conj_t, _matmul)
@@ -377,3 +378,51 @@ def test_kernel_matches_reference_at_the_dimension_limit():
 def test_square_qbt_is_weighted_qbt_with_identity_weight(a, q):
     assert requal(exact_qbt(a, q), exact_weighted_qbt(a, reye(a.shape[0]), q))
 
+
+# --------------------------------------------------------------------------
+# The boundary: a numeric array enters as `rmatrix_from_complex` converts it.
+# Read entry by entry off int64, uint8 or bool scalars, the elimination
+# would wrap or fail instead.
+
+_NUMERIC = {
+    "int8": st.integers(-128, 127),
+    "int32": st.integers(-2 ** 31, 2 ** 31 - 1),
+    "int64": st.integers(-2 ** 63, 2 ** 63 - 1),
+    "uint8": st.integers(0, 255),
+    "bool": st.booleans(),
+    "complex128": st.builds(complex, st.integers(-2 ** 40, 2 ** 40),
+                            st.integers(-2 ** 40, 2 ** 40)),
+}
+
+
+@st.composite
+def numeric_array(draw):
+    """A numeric array of integer entries, or an object array of numpy
+    scalars, of one of the dtypes above."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    dtype = draw(st.sampled_from(sorted(_NUMERIC)))
+    rows = draw(st.lists(st.lists(_NUMERIC[dtype], min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+    a = np.array(rows, dtype=dtype)
+    return a.astype(object) if draw(st.booleans()) else a
+
+
+@given(numeric_array())
+@settings(max_examples=150, deadline=None)
+def test_numeric_arrays_give_the_rmatrix_from_complex_result(a):
+    try:
+        exact = rmatrix_from_complex(a)
+    except DomainError:
+        exact = None
+    if a.dtype != object:
+        assert exact is not None
+    calls = [exact_rank, exact_pinv, exact_proj_range]
+    if a.shape[0] == a.shape[1]:
+        calls += [exact_index, exact_drazin, lambda b: exact_qbt(b, 2)]
+    for call in calls:
+        if exact is None:
+            with pytest.raises(DomainError):
+                call(a)
+        else:
+            got, expected = call(a), call(exact)
+            assert got == expected if isinstance(got, int) else requal(got, expected)

@@ -174,6 +174,19 @@ def pair4x3():
     return WeightedPair.from_matrices(*pair_4x3_float())
 
 
+def test_system_checks_pass_the_computed_inverse_past_k():
+    # P_{(AW)^q} is built at min(q, k): at q = 40 the full-size power's rank
+    # would be decided against (sigma_max(A) sigma_max(W))^40
+    rng = np.random.default_rng(0)
+    p = WeightedPair.from_matrices(rng.standard_normal((40, 30)) * 6,
+                                   rng.standard_normal((30, 40)) * 6)
+    assert p.k == 1
+    for q in (1, 5, 40):
+        failed = {r.check_id: r.residuals for r in verify.run_system_checks(p, q)
+                  if not r.passed}
+        assert not failed, q
+
+
 class TestMeasurementsSeeFaults:
     """Each fault below reaches both sides of a comparison that once read
     the same call chain twice, and so read 0.0 whatever the library did."""

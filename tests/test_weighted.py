@@ -96,6 +96,20 @@ class TestKnownValues:
             assert rel(x, cep) < 1e-10
 
 
+    def test_canonical_form_tracks_the_direct_route(self):
+        # C = W1 A1 W1 has cond 4e2..3e5 on these pairs; the canonical
+        # blocks come from K^+ for K = [C, M G], so their error grows like
+        # cond(C), not like cond(C)^2 as an inverted Gram matrix K K* would
+        worst = 0.0
+        for seed in range(1, 13):
+            rng = np.random.default_rng(seed)
+            p = WeightedPair.from_matrices(rng.standard_normal((40, 30)),
+                                           rng.standard_normal((30, 40)))
+            x, _ = canonical_weighted_qbt(weighted_core_ep_decompose(p), 10)
+            worst = max(worst, rel(x, weighted_core_ep(p)))
+        assert worst < 1e-12
+
+
 class TestSquareIsWeightedWithWAbsent:
     @pytest.mark.parametrize("n", [6, 12])
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
