@@ -12,10 +12,11 @@ outer/commute/chain for drazin, group and wdrazin, and
 outer/hermitian_left/chain for core. `--exact` residuals are computed
 exactly, so a correct result prints 0.000000e+00. Any q at or above the
 dimension of AW gives the same member as q = n, and a q >= 2 is checked at
-min(q, index), where the routines clamp it. Every residual, and those
-`decompose` appends, comes from the residual layer of `matrix`, which the
-conformance runner reads too: ‖lhs - rhs‖ / max(1, ‖rhs‖), and a
-reconstruction against max(1, sigma_max) of the matrix it rebuilds.
+min(q, index), where the routines clamp it. Every residual comes from the
+residual layer of `matrix`, which the conformance runner reads too:
+‖lhs - rhs‖ / max(1, ‖rhs‖), and a reconstruction against
+max(1, sigma_max) of the matrix it rebuilds. `decompose` appends the
+decomposition's own `residuals`, the values the runner reads.
 
 Exit codes: 0 success, 2 usage error, 3 parse error, 4 domain error
 (overflow on badly scaled input included), 5 verification failure.
@@ -227,11 +228,7 @@ def _cmd_decompose(args) -> int:
         d = core_ep_decompose(a)
         header = f"rank = {d.rank}\nindex = {d.index}"
         blocks = {"U": d.u, "T": d.t, "S": d.s, "N": d.nil}
-        residuals = {
-            "reconstruction": matrix.rel(d.compose(), a, d.sigma_max),
-            "unitarity": matrix.unitarity(d.u),
-            "nilpotency": matrix.nilpotency(d.nil, d.index, d.sigma_max),
-        }
+        residuals = d.residuals(a)
     else:
         w, _ = load_matrix(args.w)
         pair = WeightedPair.from_matrices(a, w)
@@ -239,15 +236,7 @@ def _cmd_decompose(args) -> int:
         header = f"t = {d.t_dim}\nind_aw = {d.ind_aw}\nind_wa = {d.ind_wa}"
         blocks = {"U": d.u, "V": d.v, "A1": d.a1, "A2": d.a2, "A3": d.a3,
                   "W1": d.w1, "W2": d.w2, "W3": d.w3}
-        sa, sw = d.sigma_max_a, d.sigma_max_w
-        residuals = {
-            "reconstruction_a": matrix.rel(d.compose_a(), pair.a, sa),
-            "reconstruction_w": matrix.rel(d.compose_w(), pair.w, sw),
-            "unitarity_u": matrix.unitarity(d.u),
-            "unitarity_v": matrix.unitarity(d.v),
-            "nilpotency_aw": matrix.nilpotency(d.a3 @ d.w3, d.ind_aw, sa * sw),
-            "nilpotency_wa": matrix.nilpotency(d.w3 @ d.a3, d.ind_wa, sa * sw),
-        }
+        residuals = d.residuals(pair.a, pair.w)
     print(header)
     for label, block in blocks.items():
         print(f"{label}:\n{format_matrix(block, fmt) or '(empty)'}")

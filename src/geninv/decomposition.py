@@ -7,7 +7,10 @@ A = U [[A1, A2], [0, A3]] V*, W = V [[W1, W2], [0, W3]] U* with A1, W1
 nonsingular and A3W3, W3A3 nilpotent. On top of them: a block formula
 for the Moore-Penrose inverse of a 2x2 upper triangular matrix with
 nonsingular leading block, and canonical block forms of the q-BT and
-W-weighted q-BT inverses.
+W-weighted q-BT inverses, all built by one function, `_canonical`, at
+ranks read off the parent's rank sequence and without the direct route's
+q-BT kernel, so each is an independent check of it. Each decomposition
+reports the residuals `geninv decompose` prints and the runner reads.
 """
 
 from __future__ import annotations
@@ -19,9 +22,10 @@ from numpy.linalg import matrix_power
 
 from .classical import check_q
 from .errors import DecompositionError, DomainError, NumericError, ShapeError
-from .matrix import Tolerances, as_matrix, frobenius, nilpotency, rank_cutoff, resolve_tol
-from .projectors import _Factored, _Powers, _power_search
-from .weighted import WeightedPair, _wqbt_raw
+from .matrix import (Tolerances, as_matrix, frobenius, nilpotency, rank_cutoff, rel,
+                     resolve_tol, unitarity)
+from .projectors import _Factored, _power_search
+from .weighted import WeightedPair
 
 
 def _assemble(b11, b12, b21, b22) -> np.ndarray:
@@ -79,6 +83,14 @@ class CoreEPDecomposition:
         """Rebuild the original matrix U [[T, S], [0, N]] U*."""
         return self.u @ self.middle() @ self.u.conj().T
 
+    def residuals(self, a) -> dict[str, float]:
+        """Reconstruction of A, unitarity of U and nilpotency of N."""
+        return {
+            "reconstruction": rel(self.compose(), a, self.sigma_max),
+            "unitarity": unitarity(self.u),
+            "nilpotency": nilpotency(self.nil, self.index, self.sigma_max),
+        }
+
 
 @dataclass(frozen=True)
 class WeightedCoreEPDecomposition:
@@ -131,11 +143,24 @@ class WeightedCoreEPDecomposition:
     def compose_w(self) -> np.ndarray:
         return self.v @ self.middle_w() @ self.u.conj().T
 
+    def residuals(self, a, w) -> dict[str, float]:
+        """Reconstructions of A and W, unitarity of U and V, nilpotency of
+        A3W3 and W3A3."""
+        sa, sw = self.sigma_max_a, self.sigma_max_w
+        return {
+            "reconstruction_a": rel(self.compose_a(), a, sa),
+            "reconstruction_w": rel(self.compose_w(), w, sw),
+            "unitarity_u": unitarity(self.u),
+            "unitarity_v": unitarity(self.v),
+            "nilpotency_aw": nilpotency(self.a3 @ self.w3, self.ind_aw, sa * sw),
+            "nilpotency_wa": nilpotency(self.w3 @ self.a3, self.ind_wa, sa * sw),
+        }
 
-def _frame(chain: _Powers, q: int, r: int) -> np.ndarray:
+
+def _frame(chain, q: int, r: int) -> np.ndarray:
     """A unitary whose first r columns span R(B^q), r = rank(B^q): the
-    chain's basis of R(B^q) completed by a Householder QR. I when q or r
-    is 0."""
+    basis of R(B^q) read off `chain`, the chain of B's powers, completed
+    by a Householder QR. I when q or r is 0."""
     n = chain.shape[0]
     if q == 0 or r == 0:
         return np.eye(n, dtype=np.complex128)
@@ -231,7 +256,7 @@ def block_pinv(u, v, a1, a2, a3, scale: float | None = None,
 
     Uses the closed form with Omega = [A1 A1* + A2 (I - Q_{A3}) A2*]^{-1};
     returns V [[A1* O, -A1* O A2 A3^+], [(I-Q) A2* O, A3^+ - (I-Q) A2* O A2 A3^+]] U*,
-    the canonical blocks of `_canonical_blocks` with G = I - Q_{A3}.
+    the canonical form of q = 0 (`_canonical`): X3 = A3^+, G = I - Q_{A3}.
 
     `a3_rank` pins the rank used for A3^+.  When the blocks come from a
     decomposition of a full matrix B, pass rank(B) - t: the trailing
@@ -256,10 +281,8 @@ def block_pinv(u, v, a1, a2, a3, scale: float | None = None,
     s1 = scale if scale is not None else max(a1f.sigma_max, a2f.sigma_max, a3f.sigma_max)
     if a1f.rank(scale=s1) != t:
         raise DomainError("leading block is singular; the block formula requires A1 nonsingular")
-    a3p = a3f.pinv(scale=s1, fixed_rank=a3_rank)
-    iq3 = np.eye(a3.shape[1], dtype=np.complex128) - a3p @ a3
-    blocks, _ = _canonical_blocks(a1, a2, a3p, iq3)
-    return v @ _assemble(*blocks) @ u.conj().T
+    middle, _ = _canonical(a1, a2, a3, 0, scale=s1, fixed_rank=a3_rank)
+    return v @ middle @ u.conj().T
 
 
 @dataclass(frozen=True)
@@ -276,7 +299,7 @@ class CanonicalParts:
 
 
 def _canonical_blocks(core, coupling, x3, gap):
-    """Blocks of [[C* O, -C* O M X3], [G M* O, X3 - G M* O M X3]] with
+    """[[C* O, -C* O M X3], [G M* O, X3 - G M* O M X3]] with
     O = [C C* + M G M*]^{-1}, and K^+ for K = [C, M G].
 
     G, an orthogonal projector (G = G* = G^2), makes C C* + M G M* = K K*,
@@ -295,28 +318,31 @@ def _canonical_blocks(core, coupling, x3, gap):
     t = core.shape[0]
     mx = coupling @ x3
     b11, b21 = k_pinv[:t], k_pinv[t:]
-    return (b11, -b11 @ mx, b21, x3 - b21 @ mx), k_pinv
+    return _assemble(b11, -b11 @ mx, b21, x3 - b21 @ mx), k_pinv
 
 
-def _square_canonical(core, coupling, nil, frame, q: int, rank_q: int,
-                      rank_q1: int) -> np.ndarray:
-    """Assemble (B P_{B^q})^+ for B = frame [[core, coupling], [0, nil]] frame*.
+def _canonical(core, coupling, b3, q: int, rank_q: int | None = None, base=None,
+               scale: float | None = None, fixed_rank: int | None = None):
+    """`_canonical_blocks` for the trailing block B3: X3 = (B3 P)^+ and
+    G = P - X3 B3 P, P the orthogonal projector onto R(base^q), base = B3
+    unless given.
 
-    rank_q and rank_q1 are the exact ranks of nil^q and nil^{q+1}, read off
-    the parent's rank sequence by the caller; the extracted block's own
+    P is I at q = 0; otherwise it comes from one SVD of base^q at rank_q,
+    the exact rank the caller reads off the parent's rank sequence, and
+    with X3 it is 0 with no SVD when rank_q is 0. The extracted block's own
     trailing singular values are rounding noise at the parent's scale, so
-    its pseudoinverse and range projector are rank-pinned rather than
-    decided by a cutoff. X3 = (nil P)^+ gives P_{X3} = X3 (nil P), which
-    keeps the rank X3 was built with and takes no SVD; P = I at q = 0.
+    X3 keeps `fixed_rank` singular values where the parent's sequence gives
+    that rank, and otherwise cuts them against `scale`, the parent's.
+    P_{X3} = X3 B3 P keeps the rank X3 was built with and takes no SVD.
     """
-    q = check_q(q, frame.shape[0])
-    pq = matrix_power(nil, q)
-    if q:
-        pq = _Factored(pq).proj_range(fixed_rank=rank_q)
-    m = nil @ pq
-    x3 = _Factored(m).pinv(fixed_rank=rank_q1)
-    blocks, _ = _canonical_blocks(core, coupling, x3, pq - x3 @ m)
-    return frame @ _assemble(*blocks) @ frame.conj().T
+    if q == 0:
+        p = np.eye(b3.shape[1], dtype=np.complex128)
+    else:
+        p = _Factored(matrix_power(b3 if base is None else base, q)).proj_range(
+            fixed_rank=rank_q)
+    m = b3 @ p
+    x3 = _Factored(m).pinv(scale, 0 if rank_q == 0 else fixed_rank)
+    return _canonical_blocks(core, coupling, x3, p - x3 @ m)
 
 
 def canonical_qbt(d: CoreEPDecomposition, q: int) -> np.ndarray:
@@ -324,12 +350,14 @@ def canonical_qbt(d: CoreEPDecomposition, q: int) -> np.ndarray:
 
     Equals the direct (A P_{A^q})^+ computation; the two routes share no
     pseudoinverse call on the full matrix, and this one factors only the
-    nilpotent block. q is clamped at the index, as in `qbt_inverse`.
+    nilpotent block, with the ranks of N^q and N^(q+1) read off the
+    parent's sequence. q is clamped at the index, as in `qbt_inverse`.
     """
     q = min(check_q(q), d.index)
-    rank_q = d.power_rank(q) - d.rank
-    rank_q1 = d.power_rank(q + 1) - d.rank
-    return _square_canonical(d.t, d.s, d.nil, d.u, q, rank_q, rank_q1)
+    r = d.rank
+    middle, _ = _canonical(d.t, d.s, d.nil, q, d.power_rank(q) - r,
+                           fixed_rank=d.power_rank(q + 1) - r)
+    return d.u @ middle @ d.u.conj().T
 
 
 def canonical_weighted_qbt(d: WeightedCoreEPDecomposition,
@@ -337,34 +365,18 @@ def canonical_weighted_qbt(d: WeightedCoreEPDecomposition,
     """W-weighted q-BT inverse assembled from the weighted core-EP blocks.
 
     Core term C = W1 A1 W1, coupling M = W1 A1 W2 + W1 A2 W3 + W2 A3 W3,
-    inner inverse X3 = the W3-weighted q-BT inverse of A3. Returns the
-    assembled matrix together with (M, Omega_W). q is clamped at
-    max(Ind(AW), Ind(WA)), as in `weighted_qbt`.
+    inner inverse X3 = (W3 A3 W3 P_{(A3W3)^q})^+, the W3-weighted q-BT
+    inverse of A3, its rank cut against sigma_max(W) sigma_max(A)
+    sigma_max(W). Returns the assembled matrix together with (M, Omega_W).
+    q is clamped at max(Ind(AW), Ind(WA)), as in `weighted_qbt`.
     """
     q = min(check_q(q), max(d.ind_aw, d.ind_wa))
     core = d.w1 @ d.a1 @ d.w1
     coupling = d.w1 @ d.a1 @ d.w2 + d.w1 @ d.a2 @ d.w3 + d.w2 @ d.a3 @ d.w3
-    # one chain of A3W3 gives both X3's range basis and P_{(A3W3)^q}, which
-    # read one SVD of its P_q; X3 = (W3A3W3 P)^+ gives P_{X3} = X3 W3A3W3 P
-    # with the rank X3 was built with
-    sa, sw = d.sigma_max_a, d.sigma_max_w
-    rank_q = d.power_rank_aw(q) - d.t_dim
-    r3 = d.a3.shape[0]
-    if q == 0:
-        x3 = _wqbt_raw(d.a3, d.w3, 0, sa, sw)
-        pq = np.eye(r3, dtype=np.complex128)
-    elif rank_q == 0:
-        # (A3W3)^q has rank 0, so P = 0 and X3 = (W3A3W3 P)^+ = 0
-        x3 = np.zeros(d.a3.shape, dtype=np.complex128)
-        pq = np.zeros((r3, r3), dtype=np.complex128)
-    else:
-        aw = _Powers(_Factored(d.a3 @ d.w3, thin=True))
-        x3 = _wqbt_raw(d.a3, d.w3, q, sa, sw, aw)
-        u = aw.range_basis(q, fixed_rank=rank_q)
-        pq = u @ u.conj().T
-    px = x3 @ d.w3 @ d.a3 @ d.w3 @ pq
-    blocks, k_pinv = _canonical_blocks(core, coupling, x3, pq - px)
-    x = d.u @ _assemble(*blocks) @ d.v.conj().T
+    middle, k_pinv = _canonical(core, coupling, d.w3 @ d.a3 @ d.w3, q,
+                                d.power_rank_aw(q) - d.t_dim, base=d.a3 @ d.w3,
+                                scale=d.sigma_max_w * d.sigma_max_a * d.sigma_max_w)
+    x = d.u @ middle @ d.v.conj().T
     omega = k_pinv.conj().T @ k_pinv
     return x, CanonicalParts(m_block=_frozen(coupling), omega=_frozen(omega))
 
@@ -379,11 +391,13 @@ def canonical_qbt_products(d: WeightedCoreEPDecomposition,
     """
     q = min(check_q(q), max(d.ind_aw, d.ind_wa))
     t = d.t_dim
-    x_aw = _square_canonical(d.a1 @ d.w1, d.a1 @ d.w2 + d.a2 @ d.w3, d.a3 @ d.w3, d.u, q,
-                             d.power_rank_aw(q) - t, d.power_rank_aw(q + 1) - t)
-    x_wa = _square_canonical(d.w1 @ d.a1, d.w1 @ d.a2 + d.w2 @ d.a3, d.w3 @ d.a3, d.v, q,
-                             d.power_rank_wa(q) - t, d.power_rank_wa(q + 1) - t)
-    return x_aw, x_wa
+    out = []
+    for frame, core, coupling, nil, rank in (
+            (d.u, d.a1 @ d.w1, d.a1 @ d.w2 + d.a2 @ d.w3, d.a3 @ d.w3, d.power_rank_aw),
+            (d.v, d.w1 @ d.a1, d.w1 @ d.a2 + d.w2 @ d.a3, d.w3 @ d.a3, d.power_rank_wa)):
+        middle, _ = _canonical(core, coupling, nil, q, rank(q) - t, fixed_rank=rank(q + 1) - t)
+        out.append(frame @ middle @ frame.conj().T)
+    return out[0], out[1]
 
 
 __all__ = [

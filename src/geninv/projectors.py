@@ -247,11 +247,10 @@ class _Powers:
         keep = 0 if fixed_rank == 0 else _kept(s, self.shape, scale, fixed_rank)
         return np.eye(s.size, keep, dtype=np.complex128)
 
-    def range_basis(self, q: int, scale: float | None = None,
-                    fixed_rank: int | None = None) -> np.ndarray:
-        """An orthonormal basis of R(B^q), q >= 1, in full coordinates:
-        U1 times `basis(q)`."""
-        return self.u1 @ self.basis(q, scale, fixed_rank)
+    def range_basis(self, q: int, fixed_rank: int) -> np.ndarray:
+        """An orthonormal basis of R(B^q), q >= 1, of the known rank, in
+        full coordinates: U1 times `basis(q)`."""
+        return self.u1 @ self.basis(q, fixed_rank=fixed_rank)
 
 
 def _anchor(s1: float, j: int) -> float:

@@ -373,9 +373,9 @@ def _system_residuals(p: WeightedPair, x0: np.ndarray, pq: np.ndarray,
                       range_gen: _Factored,
                       candidates: list[np.ndarray]) -> list[dict[str, dict[str, float]]]:
     """Residuals of all four characterizing systems, keyed by system name,
-    for each candidate; x0 is the computed inverse weighted_qbt(p, q), pq
-    the projector P_{(AW)^q} and range_gen `_range_generator(p, pq)`, all
-    built by the caller."""
+    for each candidate; x0 is the reference inverse at q (a candidate that
+    is x0 reads 0 on eq2 and eq3), pq the projector P_{(AW)^q} and
+    range_gen `_range_generator(p, pq)`, all built by the caller."""
     a, w = p.a, p.w
     aw, wa, waw = a @ w, w @ a, w @ a @ w
     s_waw = p.sigma_max_w * p.sigma_max_a * p.sigma_max_w
@@ -586,10 +586,9 @@ def _corpus_member_checks(p: WeightedPair, integer: bool, planted_k: int,
 
     # decomposition suites (once per member)
     d = weighted_core_ep_decompose(p, tol)
-    agg["corpus.decomposition.roundtrip"].update({
-        "matrix": rel(d.compose_a(), a, sa),
-        "weight": rel(d.compose_w(), w, sw),
-    }, where)
+    d_res = d.residuals(a, w)
+    agg["corpus.decomposition.roundtrip"].update(
+        {"matrix": d_res["reconstruction_a"], "weight": d_res["reconstruction_w"]}, where)
     t = d.t_dim
     mid_aw = np.zeros((m, m), dtype=np.complex128)
     mid_aw[:t, :t] = d.a1 @ d.w1
@@ -598,10 +597,8 @@ def _corpus_member_checks(p: WeightedPair, integer: bool, planted_k: int,
     agg["corpus.decomposition.aw-block"].update(
         {"aw": rel(d.u @ mid_aw @ d.u.conj().T, aw, s_aw)},
         where)
-    agg["corpus.decomposition.nilpotent"].update({
-        "left": matrix.nilpotency(d.a3 @ d.w3, p.ind_aw, s_aw),
-        "right": matrix.nilpotency(d.w3 @ d.a3, p.ind_wa, s_aw),
-    }, where)
+    agg["corpus.decomposition.nilpotent"].update(
+        {"left": d_res["nilpotency_aw"], "right": d_res["nilpotency_wa"]}, where)
     agg["corpus.decomposition.block-pinv"].update(
         {"vs_svd": rel(block_pinv(d.u, d.v, d.a1, d.a2, d.a3, scale=sa,
                                   a3_rank=_Factored(a).rank() - t),
@@ -630,11 +627,12 @@ def _corpus_member_checks(p: WeightedPair, integer: bool, planted_k: int,
         anchor_rg = _CHAIN_MARGIN * s_waw_m
         anchor_ng = _CHAIN_MARGIN * s_awq1_m * sw
 
-        # the computed inverse solves every system; a perturbed candidate
-        # must visibly violate every complete system
+        # the computed inverse solves every system against the canonical form,
+        # an independent route; a perturbed one must visibly violate each
+        xc, _parts = canonical_weighted_qbt(d, q)
         noise = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
         noise *= _PERTURBATION * max(1.0, frobenius(x)) / frobenius(noise)
-        sysres, pert = _system_residuals(p, x, pq, range_op, [x, x + noise])
+        sysres, pert = _system_residuals(p, xc, pq, range_op, [x, x + noise])
         for system, res in sysres.items():
             agg[f"corpus.system.{system}"].update(res, where_q)
             agg[f"corpus.uniqueness.{system}"].update(
@@ -646,7 +644,6 @@ def _corpus_member_checks(p: WeightedPair, integer: bool, planted_k: int,
             {"left_form": rel(f1, x), "right_form": rel(f2, x)}, where_q)
         agg["corpus.representations.via-square"].update(
             {"via_square": rel(weighted_qbt_via_square(p, q), x)}, where_q)
-        xc, _parts = canonical_weighted_qbt(d, q)
         agg["corpus.representations.canonical"].update(
             {"canonical": rel(xc, x)}, where_q)
         c_aw, c_wa = canonical_qbt_products(d, q)

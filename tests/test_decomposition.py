@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from geninv.decomposition import (_canonical_blocks, block_pinv, canonical_qbt,
                                   core_ep_decompose, weighted_core_ep_decompose)
 from geninv.errors import DomainError, NumericError
 from geninv.matrix import conjugate_transpose, frobenius, rank, sigma_max
-from geninv.projectors import matrix_index, power
+from geninv.projectors import _Factored, matrix_index, power
 from geninv.weighted import weighted_qbt
 
 from conftest import random_complex, rel
@@ -153,3 +155,40 @@ class TestCanonicalForms:
                 left, right = canonical_qbt_products(d, q)
                 assert rel(left, qbt_inverse(aw, q)) < 1e-8
                 assert rel(right, qbt_inverse(wa, q)) < 1e-8
+
+
+def test_canonical_forms_are_independent_of_the_qbt_kernel(pairs, monkeypatch):
+    # the canonical route is the check that does not read the q-BT kernel:
+    # with every binding of it made to raise, each canonical form still
+    # matches the direct route, computed before the kernel was cut off
+    rng = np.random.default_rng(17)
+    squares = [random_square(rng, n, index=k) for k in (0, 1, 2, 3) for n in (6, 12)]
+    cases = []
+    for a in squares:
+        d = core_ep_decompose(a)
+        cases += [(lambda d=d, q=q: canonical_qbt(d, q), qbt_inverse(a, q))
+                  for q in range(d.index + 2)]
+    for p in pairs:
+        d = weighted_core_ep_decompose(p)
+        for q in range(p.k + 2):
+            cases.append((lambda d=d, q=q: canonical_weighted_qbt(d, q)[0], weighted_qbt(p, q)))
+            cases.append((lambda d=d, q=q: canonical_qbt_products(d, q),
+                          (qbt_inverse(p.a @ p.w, q), qbt_inverse(p.w @ p.a, q))))
+        a3_rank = _Factored(p.a).rank() - d.t_dim
+        cases.append((lambda d=d, r=a3_rank: block_pinv(d.u, d.v, d.a1, d.a2, d.a3,
+                                                        scale=d.sigma_max_a, a3_rank=r),
+                      np.linalg.pinv(p.a)))
+
+    def kernel_called(*args, **kwargs):
+        raise AssertionError("the q-BT kernel was called")
+
+    for name, module in list(sys.modules.items()):
+        if name == "geninv" or name.startswith("geninv."):
+            for attr in ("_qbt_kernel", "_wqbt_raw"):
+                monkeypatch.setattr(module, attr, kernel_called, raising=False)
+    for route, reference in cases:
+        got = route()
+        if isinstance(reference, tuple):
+            assert all(rel(x, y) < 1e-12 for x, y in zip(got, reference))
+        else:
+            assert rel(got, reference) < 1e-12

@@ -107,7 +107,7 @@ def test_canonical_qbt_factors_only_blocks_of_nonzero_rank(svds, squares, k):
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_canonical_weighted_qbt_shares_the_power_svd(svds, k):
+def test_canonical_weighted_qbt_takes_two_while_the_block_power_is_nonzero(svds, k):
     planted = random_planted_pair(np.random.default_rng(k), k, max_dim=8)
     p = WeightedPair.from_matrices(planted.a, planted.w)
     d = weighted_core_ep_decompose(p)
@@ -115,11 +115,9 @@ def test_canonical_weighted_qbt_shares_the_power_svd(svds, k):
         svds.clear()
         canonical_weighted_qbt(d, q)
         # q = 0: (W3 A3 W3)^+ alone. q >= Ind(AW): (A3 W3)^q has rank 0, so
-        # P = 0 and X3 = 0 with no SVD. Otherwise the thin SVD of A3 W3, the
-        # rank probe R P_(q+1); one SVD of P_q for both U and P_{(A3W3)^q}
-        # when q >= 2 (P_1 is diagonal); (R M U)^+ while the probe's rank is
-        # nonzero. P_{X3} = X3 W3 A3 W3 P takes none
-        expected = 1 if q == 0 else 0 if q >= p.ind_aw else 2 + (q >= 2) + (q + 1 < p.ind_aw)
+        # P = 0 and X3 = 0 with no SVD. Otherwise one SVD of (A3 W3)^q for
+        # P and one of W3 A3 W3 P for X3; P_{X3} = X3 W3 A3 W3 P takes none
+        expected = 1 if q == 0 else 0 if q >= p.ind_aw else 2
         assert len(svds) == expected, q
 
 
@@ -313,4 +311,4 @@ def test_corpus_checks_build_each_operand_once_per_member_and_exponent(svds):
     # the core-EP inverses of AW and WA are entries of their q-BT grids, and
     # each pair's weighted routines share one SVD of AW and one of WA
     run_random_corpus(seed=11, count=10, max_dim=7)
-    assert len(svds) == 2589
+    assert len(svds) == 2583

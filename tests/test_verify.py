@@ -7,7 +7,7 @@ import pytest
 from geninv import classical, projectors, verify
 from geninv.errors import DecompositionError, DomainError, NumericError, ShapeError
 from geninv.corpus import random_planted_pair
-from geninv.matrix import DEFAULT_TOL, Tolerances
+from geninv.matrix import DEFAULT_TOL, Tolerances, frobenius
 from geninv.reference import pair_4x3_float
 from geninv.verify import (CHECK_REGISTRY, run_all, run_example_checks,
                            run_random_corpus)
@@ -291,3 +291,23 @@ class TestMeasurementsSeeFaults:
         assert p.k == 1
         values = member_measurements(p)["corpus.k1.core-remark"]
         assert values["q1_vs_core_ep"] > 1e-3
+
+    def test_system_equations_see_a_perturbed_inverse(self, pair4x3, monkeypatch):
+        # the paper's system and its two product characterizations compare
+        # the runner's inverse with the canonical form, not with itself, so
+        # a 1e-6 relative perturbation of weighted_qbt reaches all four
+        weighted_qbt = verify.weighted_qbt
+        rng = np.random.default_rng(0)
+
+        def perturbed(p, q):
+            x = weighted_qbt(p, q)
+            noise = rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape)
+            return x + 1e-6 * frobenius(x) / frobenius(noise) * noise
+
+        monkeypatch.setattr(verify, "weighted_qbt", perturbed)
+        values = member_measurements(pair4x3)
+        for cid, key in (("corpus.system.definition", "eq2"),
+                         ("corpus.system.definition", "eq3"),
+                         ("corpus.system.left-product", "product_eq"),
+                         ("corpus.system.right-product", "product_eq")):
+            assert values[cid][key] >= 1e-8, (cid, key)
