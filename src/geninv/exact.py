@@ -4,17 +4,31 @@ Scalars are Gaussian rationals (Fraction real and imaginary parts) and
 the public functions take and return numpy object arrays of them, so
 every operation here is exact. Inside, a matrix is held as Gaussian
 integers over one denominator, (R + iI) / d: R and I are object arrays
-of Python ints and d is a positive int, reduced by the gcd of all
-entries after each operation. Products are numpy object `@` on the int
-arrays. Rank, reduced row echelon form and inverse come from
-fraction-free Gauss-Jordan elimination over Z[i] (Bareiss, "Sylvester's
-identity and multistep integer-preserving Gaussian elimination", Math.
-Comp. 1968): every division it makes is exact, so no rational is formed
-until the result is read off. The Moore-Penrose inverse comes from a
-full-rank factorization A = FG with A^+ = G* (G G*)^{-1} (F* F)^{-1} F*,
-which stays inside the rational field; SVD-based routes would not. The
-q-BT construction is written once, `_weighted_qbt`, and the square kinds
-call it with W absent. Input is read by one rule (`_check_size`): entries
+of Python ints (I is None for a real matrix, which then costs one integer
+product where a complex one costs four) and d is a positive int, reduced
+by the gcd of all entries after each operation. Products are numpy
+object `@` on the int arrays. Eliminations are fraction-free over Z[i]
+(Bareiss, "Sylvester's identity and multistep integer-preserving Gaussian
+elimination", Math. Comp. 1968): every division they make is exact, so no
+rational is formed until the result is read off. Ranks and pivot columns
+come from forward-only elimination (`_pivots`), which updates only the
+rows below each pivot; Gauss-Jordan (`_rref`) is kept for the reduced
+form of `full_rank_factorization` and for the r x r inversions (`_inv`)
+of the following, with F the pivot columns of the matrix named:
+
+- Moore-Penrose: MacDuffee's A^+ = G* (F* A G*)^{-1} F* for A = F G, with
+  G = F^+ A substituted, A* F (F* A A* F)^{-1} F*: 2 eliminations;
+- projector onto R(B): F (F* F)^{-1} F*, F from B: 2 eliminations;
+- Drazin: Cline's A^D = F (G A F)^{-1} G for A^k = F G, k = Ind(A), with
+  G = F^+ A^k substituted, F (F* A^(k+1) F)^{-1} F* A^k: the k + 1 ranks
+  of the index search, which leave F, plus 1;
+- q-BT: (W A W P_{(AW)^q})^+ = F (C* C)^{-1} C* for C = W A W F, F from
+  (AW)^q, when q >= Ind(AW): 3 eliminations, 4 below the index (`_qbt`);
+  core-EP reads F off the index search, so it takes the search plus 2.
+
+All of it stays inside the rational field; SVD-based routes would not.
+The q-BT construction is written once, `_qbt`, and the square kinds call
+it with A for W A W. Input is read by one rule (`_check_size`): entries
 that are not all GaussianRational are converted as `rmatrix_from_complex`
 converts them, so an integer numpy array never enters the elimination as
 wrapping numpy integers. This path is the ground truth the float path is
@@ -205,15 +219,20 @@ class _ZMat:
     """Matrix (re + i im) / den of Gaussian integers over one denominator.
 
     re and im are object arrays of Python ints and den is a positive int;
-    the constructor divides all three by their common gcd.
+    the constructor divides all three by their common gcd. im is None when
+    every imaginary part is zero, so a real matrix takes one integer
+    product or update where a complex one takes four.
     """
 
     __slots__ = ("re", "im", "den")
 
-    def __init__(self, re: np.ndarray, im: np.ndarray, den: int = 1):
-        g = math.gcd(den, *re.flat, *im.flat)
+    def __init__(self, re: np.ndarray, im: np.ndarray | None, den: int = 1):
+        if im is not None and not im.any():
+            im = None
+        g = math.gcd(den, *re.flat, *(() if im is None else im.flat))
         if g > 1:
-            re, im, den = re // g, im // g, den // g
+            re, den = re // g, den // g
+            im = None if im is None else im // g
         self.re, self.im, self.den = re, im, den
 
     @classmethod
@@ -221,20 +240,23 @@ class _ZMat:
         """From an object array of Gaussian rationals."""
         reals = [v.real for v in a.flat]
         imags = [v.imag for v in a.flat]
+        if not any(imags):
+            imags = []
         den = math.lcm(*(x.denominator for x in reals), *(x.denominator for x in imags))
 
         def scaled(parts):
             ints = [x.numerator * (den // x.denominator) for x in parts]
             return np.array(ints, dtype=object).reshape(a.shape)
 
-        return cls(scaled(reals), scaled(imags), den)
+        return cls(scaled(reals), scaled(imags) if imags else None, den)
 
     def to_gr(self) -> np.ndarray:
         """Object array of GaussianRational entries."""
         out = np.empty(self.re.shape, dtype=object)
-        d = self.den
+        d, im = self.den, self.im
         for idx, r in np.ndenumerate(self.re):
-            out[idx] = GaussianRational(Fraction(r, d), Fraction(self.im[idx], d))
+            out[idx] = GaussianRational(Fraction(r, d),
+                                        _ZERO if im is None else Fraction(im[idx], d))
         return out
 
     @property
@@ -243,26 +265,32 @@ class _ZMat:
 
     @property
     def H(self) -> "_ZMat":
-        return _ZMat(self.re.T, -self.im.T, self.den)
+        return _ZMat(self.re.T, None if self.im is None else -self.im.T, self.den)
 
     def __matmul__(self, other: "_ZMat") -> "_ZMat":
         ar, ai, br, bi = self.re, self.im, other.re, other.im
-        return _ZMat(ar @ br - ai @ bi, ar @ bi + ai @ br, self.den * other.den)
+        den = self.den * other.den
+        if ai is None:
+            return _ZMat(ar @ br, None if bi is None else ar @ bi, den)
+        if bi is None:
+            return _ZMat(ar @ br, ai @ br, den)
+        return _ZMat(ar @ br - ai @ bi, ar @ bi + ai @ br, den)
 
 
 def _zeros(m: int, n: int) -> _ZMat:
-    return _ZMat(np.zeros((m, n), dtype=object), np.zeros((m, n), dtype=object))
+    return _ZMat(np.zeros((m, n), dtype=object), None)
 
 
 def _eye(n: int) -> _ZMat:
-    return _ZMat(np.eye(n, dtype=object), np.zeros((n, n), dtype=object))
+    return _ZMat(np.eye(n, dtype=object), None)
 
 
-def _exact_div(re: np.ndarray, im: np.ndarray, dr: int, di: int):
+def _exact_div(re: np.ndarray, im: np.ndarray | None, dr: int, di: int):
     """(re + i im) / (dr + i di) entrywise, when every quotient lies in Z[i].
 
     Multiplies by the conjugate and divides by the norm; a nonzero
-    remainder means the elimination lost its integrality invariant.
+    remainder means the elimination lost its integrality invariant. A real
+    elimination (im None) has real pivots, so di is 0 there.
     """
     if di:
         re, im = re * dr + im * di, im * dr - re * di
@@ -271,83 +299,154 @@ def _exact_div(re: np.ndarray, im: np.ndarray, dr: int, di: int):
         return re, im
     else:
         norm = dr
-    if (re % norm).any() or (im % norm).any():
+    if (re % norm).any() or (im is not None and (im % norm).any()):
         raise NumericError("inexact division in fraction-free elimination")
-    return re // norm, im // norm
+    return re // norm, None if im is None else im // norm
 
 
-def _rref(re: np.ndarray, im: np.ndarray, ncols: int | None = None):
+def _update(re, im, rows, cols, row: int, col: int, p: tuple[int, int]):
+    """One Bareiss step on the block (rows, cols) of X = re + i im:
+    (c X - u v) / p, with c = X[row, col] the pivot, u = X[rows, col],
+    v = X[row, cols] and p the previous pivot. The entries are minors of
+    the input (Sylvester's identity), so every division is exact; a real X
+    has real pivots and stays real. Returns the block's re and im, and c."""
+    cr, ur, vr, br = re[row, col], re[rows, col], re[row, cols], re[rows, cols]
+    if im is None:
+        return (*_exact_div(cr * br - np.multiply.outer(ur, vr), None, *p), (cr, 0))
+    ci, ui, vi, bi = im[row, col], im[rows, col], im[row, cols], im[rows, cols]
+    return (*_exact_div(
+        cr * br - ci * bi - (np.multiply.outer(ur, vr) - np.multiply.outer(ui, vi)),
+        cr * bi + ci * br - (np.multiply.outer(ur, vi) + np.multiply.outer(ui, vr)),
+        *p), (cr, ci))
+
+
+def _pivot_row(re, im, row: int, col: int) -> bool:
+    """Swap the first row at or below `row` with a nonzero entry in column
+    col into place; False when there is none."""
+    hit = next((i for i in range(row, re.shape[0])
+                if re[i, col] or (im is not None and im[i, col])), None)
+    if hit is not None and hit != row:
+        re[[row, hit]] = re[[hit, row]]
+        if im is not None:
+            im[[row, hit]] = im[[hit, row]]
+    return hit is not None
+
+
+def _rref(re: np.ndarray, im: np.ndarray | None, ncols: int | None = None):
     """Fraction-free reduced row echelon form: Bareiss's Gauss-Jordan over Z[i].
 
     Pivots are sought in the first `ncols` columns (all by default).
     Returns the eliminated (re, im), the pivot columns and the last pivot
     d = dr + i di: rows [:rank] equal d times the reduced row echelon form.
-    At each pivot p in column c every other row becomes
-    (p row - row[c] pivot_row) / p_prev, whose entries are minors of the
-    input (Sylvester's identity), so each division is exact.
+    At each pivot every row but the pivot row takes the `_update` step.
     """
-    re, im = re.copy(), im.copy()
-    m = re.shape[0]
+    re, im = re.copy(), None if im is None else im.copy()
     ncols = re.shape[1] if ncols is None else ncols
-    pr, pi = 1, 0
+    everything = slice(None)
+    p = (1, 0)
     pivots: list[int] = []
     row = 0
     for col in range(ncols):
-        if row == m:
+        if row == re.shape[0]:
             break
-        hit = next((i for i in range(row, m) if re[i, col] or im[i, col]), None)
-        if hit is None:
+        if not _pivot_row(re, im, row, col):
             continue
-        if hit != row:
-            re[[row, hit]] = re[[hit, row]]
-            im[[row, hit]] = im[[hit, row]]
-        cr, ci = re[row, col], im[row, col]
-        ur, ui = re[:, col], im[:, col]
-        vr, vi = re[row], im[row]
-        new_re = cr * re - ci * im - (np.multiply.outer(ur, vr) - np.multiply.outer(ui, vi))
-        new_im = cr * im + ci * re - (np.multiply.outer(ur, vi) + np.multiply.outer(ui, vr))
-        re, im = _exact_div(new_re, new_im, pr, pi)
-        re[row], im[row] = vr, vi
-        pr, pi = cr, ci
+        old_re, old_im = re, im
+        re, im, p = _update(re, im, everything, everything, row, col, p)
+        re[row] = old_re[row]
+        if im is not None:
+            im[row] = old_im[row]
         pivots.append(col)
         row += 1
-    return re, im, pivots, (pr, pi)
+    return re, im, pivots, p
 
 
-def _divide(re: np.ndarray, im: np.ndarray, d: tuple[int, int]) -> _ZMat:
+def _pivots(a: _ZMat) -> list[int]:
+    """Pivot columns of A by forward-only Bareiss elimination over Z[i].
+
+    The steps of `_rref`, except that each pivot updates only the rows
+    below it, and of those only the columns right of the pivot column (the
+    others are never read again). Those rows are the ones `_rref` holds at
+    the same step, so the pivots are the same; the rows above, which only
+    the reduced form reads, are never formed.
+    """
+    re, im = a.re.copy(), None if a.im is None else a.im.copy()
+    p = (1, 0)
+    pivots: list[int] = []
+    row = 0
+    for col in range(re.shape[1]):
+        if row == re.shape[0]:
+            break
+        if not _pivot_row(re, im, row, col):
+            continue
+        below, right = slice(row + 1, None), slice(col + 1, None)
+        new_re, new_im, p = _update(re, im, below, right, row, col, p)
+        re[below, right] = new_re
+        if im is not None:
+            im[below, right] = new_im
+        pivots.append(col)
+        row += 1
+    return pivots
+
+
+def _divide(re: np.ndarray, im: np.ndarray | None, d: tuple[int, int]) -> _ZMat:
     """(re + i im) / d as a reduced _ZMat."""
     dr, di = d
+    if im is None:
+        return _ZMat(re * dr, None, dr * dr)
     return _ZMat(re * dr + im * di, im * dr - re * di, dr * dr + di * di)
 
 
 def _rank(a: _ZMat) -> int:
-    return len(_rref(a.re, a.im)[2])
+    return len(_pivots(a))
+
+
+def _columns(a: _ZMat, cols: list[int]) -> _ZMat:
+    return _ZMat(a.re[:, cols], None if a.im is None else a.im[:, cols], a.den)
 
 
 def _frf(a: _ZMat) -> tuple[list[int], _ZMat]:
     """Pivot columns of A and the nonzero rows G of its RREF."""
     re, im, pivots, d = _rref(a.re, a.im)
     rank = len(pivots)
-    return pivots, _divide(re[:rank], im[:rank], d)
+    return pivots, _divide(re[:rank], None if im is None else im[:rank], d)
 
 
 def _inv(a: _ZMat) -> _ZMat:
     """Inverse of a nonsingular square matrix, from [N | I] with A = N / den."""
     n = a.shape[0]
-    re, im, pivots, d = _rref(np.hstack([a.re, np.eye(n, dtype=object)]),
-                              np.hstack([a.im, np.zeros((n, n), dtype=object)]), n)
+    im = None if a.im is None else np.hstack([a.im, np.zeros((n, n), dtype=object)])
+    re, im, pivots, d = _rref(np.hstack([a.re, np.eye(n, dtype=object)]), im, n)
     if pivots != list(range(n)):
         raise DomainError("matrix is singular over the rationals")
-    return _divide(re[:, n:] * a.den, im[:, n:] * a.den, d)
+    return _divide(re[:, n:] * a.den, None if im is None else im[:, n:] * a.den, d)
 
 
 def _pinv(a: _ZMat) -> _ZMat:
-    pivots, g = _frf(a)
+    """MacDuffee's A^+ = G* (F* A G*)^{-1} F* for A = F G, with F the pivot
+    columns of A and G = F^+ A substituted: A* F (F* A A* F)^{-1} F*. One
+    forward elimination and one r x r inversion; G is never formed."""
+    pivots = _pivots(a)
     if not pivots:
         return _zeros(a.shape[1], a.shape[0])
-    f = _ZMat(a.re[:, pivots], a.im[:, pivots], a.den)
-    gh, fh = g.H, f.H
-    return (gh @ _inv(g @ gh)) @ (_inv(fh @ f) @ fh)
+    f = _columns(a, pivots)
+    ah_f = a.H @ f
+    return ah_f @ (_inv(ah_f.H @ ah_f) @ f.H)
+
+
+def _pivot_columns(b: _ZMat) -> _ZMat:
+    """The pivot columns of B, a basis of R(B)."""
+    return _columns(b, _pivots(b))
+
+
+def _proj_range(b: _ZMat) -> _ZMat:
+    """F (F* F)^{-1} F* for F the pivot columns of B: the orthogonal
+    projector onto R(B), with one r x r inversion."""
+    f = _pivot_columns(b)
+    if not f.shape[1]:
+        return _zeros(b.shape[0], b.shape[0])
+    fh = f.H
+    return f @ (_inv(fh @ f) @ fh)
 
 
 def _power(a: _ZMat, q: int) -> _ZMat:
@@ -357,33 +456,38 @@ def _power(a: _ZMat, q: int) -> _ZMat:
     return out
 
 
+def _index_search(a: _ZMat) -> tuple[int, _ZMat, _ZMat]:
+    """k = Ind(A), the smallest k with rank(A^k) = rank(A^(k+1)), with A^k
+    and its pivot columns F, a basis of R(A^k); each rank is one forward
+    elimination."""
+    k, power, pivots, following = 0, _eye(a.shape[0]), list(range(a.shape[0])), a
+    while True:
+        following_pivots = _pivots(following)
+        if len(following_pivots) == len(pivots):
+            return k, power, _columns(power, pivots)
+        k, power, pivots = k + 1, following, following_pivots
+        following = power @ a
+
+
 def _index(a: _ZMat) -> int:
-    n = a.shape[0]
-    previous = n
-    p = _eye(n)
-    for j in range(1, n + 2):
-        p = p @ a
-        current = _rank(p)
-        if current == previous:
-            return j - 1
-        previous = current
-    return n
+    return _index_search(a)[0]
 
 
-def _proj_range(b: _ZMat) -> _ZMat:
-    return b @ _pinv(b)
-
-
-def _drazin(a: _ZMat) -> _ZMat:
-    ak = _power(a, _index(a))
-    return ak @ _pinv(ak @ ak @ a) @ ak
+def _drazin(a: _ZMat, ak: _ZMat, f: _ZMat) -> _ZMat:
+    """Cline's A^D = F (G A F)^{-1} G for A^k = F G, k = Ind(A), with F the
+    pivot columns of A^k and G = F^+ A^k substituted:
+    F (F* A^(k+1) F)^{-1} F* A^k, one r x r inversion."""
+    if not f.shape[1]:
+        return _zeros(*a.shape)
+    fh_ak = f.H @ ak
+    return f @ (_inv(fh_ak @ (a @ f)) @ fh_ak)
 
 
 def _group(a: _ZMat) -> _ZMat:
-    k = _index(a)
+    k, ak, f = _index_search(a)
     if k > 1:
         raise DomainError(f"group inverse requires index at most 1, computed index {k}")
-    return _drazin(a)
+    return _drazin(a, ak, f)
 
 
 def _pair_index(a: _ZMat, w: _ZMat) -> tuple[int, int, int]:
@@ -392,12 +496,28 @@ def _pair_index(a: _ZMat, w: _ZMat) -> tuple[int, int, int]:
     return ind_aw, ind_wa, max(ind_aw, ind_wa)
 
 
-def _weighted_qbt(a: _ZMat, w: _ZMat | None, q: int) -> _ZMat:
-    """(W A W P_{(AW)^q})^+, the one q-BT construction of the exact path;
-    with w None, the square (A P_{A^q})^+, which is the same with W absent."""
-    aw = a if w is None else a @ w
-    waw = a if w is None else w @ aw
-    return _pinv(waw @ _proj_range(_power(aw, check_q(q, a.shape[0]))))
+def _qbt(waw: _ZMat, f: _ZMat) -> _ZMat:
+    """(W A W P)^+ for P = F (F* F)^{-1} F* the projector onto R((AW)^q) and
+    F a basis of it: the one q-BT construction of the exact path, which the
+    square kinds call with A for W A W and a basis of R(A^q).
+
+    W A W P = C F^+ with C = W A W F, and C = F_C G_C for F_C the pivot
+    columns of C and G_C = F_C^+ C, so F_C (G_C F^+) is a full-rank
+    factorization and MacDuffee's formula gives F E (F_C* C E)^{-1} F_C*
+    with E = (F* F)^{-1} C* F_C. C has rank rank(W (AW)^(q+1)), which is
+    full exactly when q >= Ind(AW); then F_C = C and the formula is
+    F (C* C)^{-1} C*. P is never formed, and (F* F)^{-1} only below the
+    index.
+    """
+    c = waw @ f
+    pivots = _pivots(c)
+    if not pivots:
+        return _zeros(f.shape[0], waw.shape[0])
+    if len(pivots) == f.shape[1]:
+        return f @ (_inv(c.H @ c) @ c.H)
+    fc = _columns(c, pivots)
+    e = _inv(f.H @ f) @ (c.H @ fc)
+    return f @ e @ (_inv(fc.H @ c @ e) @ fc.H)
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -463,11 +583,14 @@ def exact_proj_range(b: np.ndarray) -> np.ndarray:
 
 
 def exact_qbt(a: np.ndarray, q: int) -> np.ndarray:
-    return _weighted_qbt(_check_square(a, "the q-BT inverse"), None, q).to_gr()
+    z = _check_square(a, "the q-BT inverse")
+    return _qbt(z, _pivot_columns(_power(z, check_q(q, z.shape[0])))).to_gr()
 
 
 def exact_drazin(a: np.ndarray) -> np.ndarray:
-    return _drazin(_check_square(a, "the Drazin inverse")).to_gr()
+    z = _check_square(a, "the Drazin inverse")
+    _k, zk, f = _index_search(z)
+    return _drazin(z, zk, f).to_gr()
 
 
 def exact_group(a: np.ndarray) -> np.ndarray:
@@ -481,7 +604,7 @@ def exact_core(a: np.ndarray) -> np.ndarray:
 
 def exact_core_ep(a: np.ndarray) -> np.ndarray:
     z = _check_square(a, "index")
-    return _weighted_qbt(z, None, _index(z)).to_gr()
+    return _qbt(z, _index_search(z)[2]).to_gr()
 
 
 def exact_bt(a: np.ndarray) -> np.ndarray:
@@ -496,7 +619,7 @@ def _check_pair(a: np.ndarray, w: np.ndarray) -> tuple[_ZMat, _ZMat]:
             f"weight must be {a.shape[1]}x{a.shape[0]} for a {a.shape[0]}x{a.shape[1]} matrix, "
             f"got {w.shape[0]}x{w.shape[1]}")
     zw = _ZMat.of(w)
-    if not (zw.re.any() or zw.im.any()):
+    if not zw.re.any() and zw.im is None:
         raise DomainError("weight matrix must be nonzero")
     return _ZMat.of(a), zw
 
@@ -507,7 +630,9 @@ def exact_pair_index(a: np.ndarray, w: np.ndarray) -> tuple[int, int, int]:
 
 
 def exact_weighted_qbt(a: np.ndarray, w: np.ndarray, q: int) -> np.ndarray:
-    return _weighted_qbt(*_check_pair(a, w), q).to_gr()
+    za, zw = _check_pair(a, w)
+    aw = za @ zw
+    return _qbt(zw @ aw, _pivot_columns(_power(aw, check_q(q, aw.shape[0])))).to_gr()
 
 
 def exact_weighted_bt(a: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -515,13 +640,19 @@ def exact_weighted_bt(a: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def exact_weighted_core_ep(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The q-BT inverse at q = k = max(Ind(AW), Ind(WA)). R((AW)^q) is the
+    same for every q >= Ind(AW), so the basis from AW's index search serves
+    and Ind(WA) is never needed."""
     za, zw = _check_pair(a, w)
-    return _weighted_qbt(za, zw, _pair_index(za, zw)[2]).to_gr()
+    aw = za @ zw
+    return _qbt(zw @ aw, _index_search(aw)[2]).to_gr()
 
 
 def exact_weighted_drazin(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     za, zw = _check_pair(a, w)
-    d = _drazin(zw @ za)
+    wa = zw @ za
+    _k, wak, f = _index_search(wa)
+    d = _drazin(wa, wak, f)
     return (za @ (d @ d)).to_gr()
 
 

@@ -404,16 +404,18 @@ def run_system_checks(p: WeightedPair, q: int, tol: Tolerances | None = None,
     P_{(AW)^q} is built at min(q, k), where R((AW)^q) stops changing, as
     `weighted_qbt` clamps q: past k the rank of the full-size power would
     be decided against (sigma_max(A) sigma_max(W))^q, which the spread of
-    its singular values outgrows."""
+    its singular values outgrows. The reference x0 is the canonical form,
+    a route that shares no code with `weighted_qbt`, so the computed
+    inverse is compared with something other than itself."""
     tol = resolve_tol(tol)
     atol = tol.residual_atol
     detail = f"{p.shape[0]}x{p.shape[1]} pair, q={q}" + \
         ("" if candidate is None else ", supplied candidate")
-    x0 = weighted_qbt(p, q)
     qk = min(q, p.k)
+    x0, _parts = canonical_weighted_qbt(weighted_core_ep_decompose(p, tol), qk)
     pq = _Factored(matrix_power(p.a @ p.w, qk)).proj_range(
         scale=(p.sigma_max_a * p.sigma_max_w) ** qk)
-    x = x0 if candidate is None else np.asarray(candidate, dtype=np.complex128)
+    x = weighted_qbt(p, q) if candidate is None else np.asarray(candidate, dtype=np.complex128)
     [res] = _system_residuals(p, x0, pq, _range_generator(p, pq), [x])
     out = []
     for system, eqs in res.items():

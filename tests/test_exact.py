@@ -10,7 +10,8 @@ from geninv.exact import (GaussianRational, exact_bt, exact_core, exact_core_ep,
                           exact_drazin, exact_group, exact_index,
                           exact_pair_index, exact_pinv, exact_power, exact_proj_range,
                           exact_qbt,
-                          exact_rank, exact_weighted_qbt, float_of,
+                          exact_rank, exact_weighted_core_ep, exact_weighted_drazin,
+                          exact_weighted_qbt, float_of,
                           full_rank_factorization, reye, rmatrix,
                           rmatrix_from_complex, rzeros, requal, conj_t, _matmul)
 from geninv.classical import check_q
@@ -371,6 +372,37 @@ def test_kernel_matches_reference_at_the_dimension_limit():
     nil = rmatrix_from_complex(np.triu(ints(32, 32), 30))
     assert exact_index(nil) == ref_index(nil) == 2
     assert requal(exact_drazin(nil), rzeros(32, 32))
+
+
+@given(gaussian_matrix())
+@settings(max_examples=60, deadline=None)
+def test_proj_range_matches_reference(b):
+    assert requal(exact_proj_range(b), ref_matmul(b, ref_pinv(b)))
+
+
+@given(square_matrix())
+@settings(max_examples=60, deadline=None)
+def test_core_ep_matches_reference(a):
+    assert requal(exact_core_ep(a), ref_weighted_qbt(a, reye(a.shape[0]), ref_index(a)))
+
+
+@given(square_matrix().filter(lambda a: ref_index(a) <= 1))
+@settings(max_examples=40, deadline=None)
+def test_group_and_core_match_reference_at_index_at_most_one(a):
+    group = ref_drazin(a)
+    assert requal(exact_group(a), group)
+    assert requal(exact_core(a), ref_matmul(ref_matmul(group, a), ref_pinv(a)))
+
+
+@given(weighted_pair())
+@settings(max_examples=40, deadline=None)
+def test_weighted_core_ep_and_drazin_match_reference(awq):
+    a, w, _q = awq
+    aw, wa = ref_matmul(a, w), ref_matmul(w, a)
+    k = max(ref_index(aw), ref_index(wa))
+    assert requal(exact_weighted_core_ep(a, w), ref_weighted_qbt(a, w, k))
+    d = ref_drazin(wa)
+    assert requal(exact_weighted_drazin(a, w), ref_matmul(a, ref_matmul(d, d)))
 
 
 @given(square_matrix(), st.integers(0, 5))

@@ -187,6 +187,27 @@ def test_system_checks_pass_the_computed_inverse_past_k():
         assert not failed, q
 
 
+def test_system_checks_see_a_perturbed_inverse(pair4x3, monkeypatch):
+    # without a candidate the computed inverse is compared with the canonical
+    # form, not with itself, so a 1e-6 relative perturbation of weighted_qbt
+    # reaches the two definition equations and both product equations
+    weighted_qbt = verify.weighted_qbt
+    rng = np.random.default_rng(0)
+
+    def perturbed(p, q):
+        x = weighted_qbt(p, q)
+        noise = rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape)
+        return x + 1e-6 * frobenius(x) / frobenius(noise) * noise
+
+    monkeypatch.setattr(verify, "weighted_qbt", perturbed)
+    values = {r.check_id: r.residuals for r in verify.run_system_checks(pair4x3, 2)}
+    for cid, key in (("system.definition.eq2", "eq2"),
+                     ("system.definition.eq3", "eq3"),
+                     ("system.left-product.product_eq", "product_eq"),
+                     ("system.right-product.product_eq", "product_eq")):
+        assert values[cid][key] >= 1e-8, (cid, values[cid])
+
+
 class TestMeasurementsSeeFaults:
     """Each fault below reaches both sides of a comparison that once read
     the same call chain twice, and so read 0.0 whatever the library did."""
