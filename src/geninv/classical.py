@@ -103,18 +103,15 @@ def qbt_inverse(a, q: int) -> np.ndarray:
     r x r.
     """
     a = _Factored(_require_square(a, "qbt_inverse"), thin=True)
-    return _qbt(a, check_q(q, a.a.shape[0]))
+    q = check_q(q, a.a.shape[0])
+    return _qbt(_power_search(a, q + 1, thin_at=q), q)
 
 
-def _qbt(a: _Factored, q: int) -> np.ndarray:
-    """`qbt_inverse` of a validated square matrix, with q <= n."""
-    if q == 0:
-        return a.pinv()
-    chain = _power_search(a, q + 1, thin_at=q)
-    q = chain.index  # q clamped at Ind(A)
-    if q == 0:
-        return a.pinv(fixed_rank=chain.ranks[1])
-    return _qbt_kernel(chain, q)
+def _qbt(chain: _Powers, q: int) -> np.ndarray:
+    """(A P_{A^q})^+ on the chain of A's powers, searched up to j = q + 1
+    at least, with q clamped at the index the search found."""
+    q = min(q, chain.index)
+    return chain.b.pinv() if q == 0 else _qbt_kernel(chain, q)
 
 
 def bt_inverse(a) -> np.ndarray:
@@ -126,7 +123,8 @@ def core_ep(a) -> np.ndarray:
     """Core-EP inverse (A P_{A^k})^+ with k = Ind(A): the q-BT inverse at
     q = n >= Ind(A), whose rank search stops at the index."""
     a = _Factored(_require_square(a, "core_ep"), thin=True)
-    return _qbt(a, a.a.shape[0])
+    n = a.a.shape[0]
+    return _qbt(_power_search(a, n + 1, thin_at=n), n)
 
 
 def outer_inverse_check(a, x, range_gen, null_gen,

@@ -154,7 +154,8 @@ def _residuals(spec: Kind, a, w, x, q, pair: WeightedPair | None = None) -> dict
     the index. An order q >= 2 is clamped at the index, as the routines
     clamp it: past the index the rank of the power would be decided
     against sigma_max^q, which cond^q outgrows, and a right inverse would
-    be reported as wrong.
+    be reported as wrong. An exact Penrose system searches Ind(AW) only:
+    R((AW)^k) is fixed from k = Ind(AW) on.
     """
     if spec.system == "core":
         return matrix.core_residuals(a, x)
@@ -168,8 +169,10 @@ def _residuals(spec: Kind, a, w, x, q, pair: WeightedPair | None = None) -> dict
         last = None if k == "index" else k
         if pair is not None:
             k = pair.k
+        elif exact and w is not None and spec.system == "drazin":
+            k = ex.exact_pair_index(a, w)[2]
         elif exact:
-            k = ex.exact_index(a) if w is None else ex.exact_pair_index(a, w)[2]
+            k = ex.exact_index(aw)
         else:
             k = _index_search(fa, last)[0]
         k = k if last is None else min(last, k)

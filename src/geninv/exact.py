@@ -23,8 +23,9 @@ of the following, with F the pivot columns of the matrix named:
   G = F^+ A^k substituted, F (F* A^(k+1) F)^{-1} F* A^k: the k + 1 ranks
   of the index search, which leave F, plus 1;
 - q-BT: (W A W P_{(AW)^q})^+ = F (C* C)^{-1} C* for C = W A W F, F from
-  (AW)^q, when q >= Ind(AW): 3 eliminations, 4 below the index (`_qbt`);
-  core-EP reads F off the index search, so it takes the search plus 2.
+  (AW)^q, when q >= Ind(AW): 3 eliminations, 4 below the index (`_qbt`),
+  2 at q = 0 ((W A W)^+); core-EP reads F off the index search, so it
+  takes the search plus 2.
 
 All of it stays inside the rational field; SVD-based routes would not.
 The q-BT construction is written once, `_qbt`, and the square kinds call
@@ -520,6 +521,12 @@ def _qbt(waw: _ZMat, f: _ZMat) -> _ZMat:
     return f @ e @ (_inv(fc.H @ c @ e) @ fc.H)
 
 
+def _qbt_at(waw: _ZMat, aw: _ZMat, q: int) -> _ZMat:
+    """`_qbt` on the pivot columns of (AW)^q, or (W A W)^+ at q = 0 (P = I)."""
+    q = check_q(q, aw.shape[0])
+    return _pinv(waw) if q == 0 else _qbt(waw, _pivot_columns(_power(aw, q)))
+
+
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"cannot multiply {a.shape[0]}x{a.shape[1]} by {b.shape[0]}x{b.shape[1]}")
@@ -584,7 +591,7 @@ def exact_proj_range(b: np.ndarray) -> np.ndarray:
 
 def exact_qbt(a: np.ndarray, q: int) -> np.ndarray:
     z = _check_square(a, "the q-BT inverse")
-    return _qbt(z, _pivot_columns(_power(z, check_q(q, z.shape[0])))).to_gr()
+    return _qbt_at(z, z, q).to_gr()
 
 
 def exact_drazin(a: np.ndarray) -> np.ndarray:
@@ -632,7 +639,7 @@ def exact_pair_index(a: np.ndarray, w: np.ndarray) -> tuple[int, int, int]:
 def exact_weighted_qbt(a: np.ndarray, w: np.ndarray, q: int) -> np.ndarray:
     za, zw = _check_pair(a, w)
     aw = za @ zw
-    return _qbt(zw @ aw, _pivot_columns(_power(aw, check_q(q, aw.shape[0])))).to_gr()
+    return _qbt_at(zw @ aw, aw, q).to_gr()
 
 
 def exact_weighted_bt(a: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -31,8 +31,8 @@ from .exact import (_matmul, exact_pair_index, exact_pinv, exact_qbt,
                     exact_weighted_qbt, float_of, requal, rmatrix)
 from . import matrix
 from .matrix import Tolerances, frobenius, rel, resolve_tol
-from .projectors import _Factored, _nullspace_equal, _range_equal, _wqbt_rank, pinv
-from .weighted import (WeightedPair, _wqbt_raw, cline_shift_check,
+from .projectors import _Factored, _nullspace_equal, _range_equal, pinv
+from .weighted import (WeightedPair, cline_shift_check,
                        dual_representation_gap, weighted_drazin, weighted_qbt,
                        weighted_qbt_product_forms, weighted_qbt_via_square)
 
@@ -104,7 +104,7 @@ CHECK_REGISTRY: dict[str, str] = {
     "corpus.decomposition.roundtrip": "decomposition recomposes both inputs",
     "corpus.decomposition.aw-block": "block triangular form of the product",
     "corpus.decomposition.nilpotent": "trailing blocks multiply to nilpotents of the stated indices",
-    "corpus.decomposition.z-identity": "projector-difference simplification of the inner Gram factor",
+    "corpus.decomposition.z-identity": "canonical Omega inverts C C* + M Z M*, Z = P(I - Q)P",
     "corpus.decomposition.block-pinv": "closed-form block pseudoinverse matches the SVD route",
     "corpus.decomposition.square-canonical": "square canonical form matches the direct inverse",
     "corpus.classical.five-way": "equivalent equation systems for the square inverse",
@@ -631,7 +631,7 @@ def _corpus_member_checks(p: WeightedPair, integer: bool, planted_k: int,
 
         # the computed inverse solves every system against the canonical form,
         # an independent route; a perturbed one must visibly violate each
-        xc, _parts = canonical_weighted_qbt(d, q)
+        xc, parts = canonical_weighted_qbt(d, q)
         noise = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
         noise *= _PERTURBATION * max(1.0, frobenius(x)) / frobenius(noise)
         sysres, pert = _system_residuals(p, xc, pq, range_op, [x, x + noise])
@@ -729,16 +729,15 @@ def _corpus_member_checks(p: WeightedPair, integer: bool, planted_k: int,
         agg["corpus.decomposition.square-canonical"].update(
             {"canonical": rel(canonical_qbt(d_aw, q), aw_qbt)}, where_q)
 
-        # inner Gram simplification of the canonical construction
-        x3 = _wqbt_raw(d.a3, d.w3, q, sa, sw)
-        a3w3q = matrix_power(d.a3 @ d.w3, q)
-        p3q = _Factored(a3w3q).proj_range(fixed_rank=d.power_rank_aw(q) - t)
-        inner_mat = d.w3 @ d.a3 @ d.w3 @ p3q
-        q_inner = _Factored(inner_mat).proj_corange(fixed_rank=_wqbt_rank(
-            d.w3 @ (a3w3q @ d.a3 @ d.w3), d.w3.shape, q, sa, sw))
-        z = p3q @ (np.eye(q_inner.shape[0], dtype=np.complex128) - q_inner) @ p3q
+        # the canonical form's Omega inverts C C* + M Z M* with the paper's
+        # Z = P (I - Q) P, P onto R((A3W3)^q), Q onto R((W3A3W3 P)*)
+        p3 = _Factored(matrix_power(d.a3 @ d.w3, q)).proj_range(fixed_rank=d.power_rank_aw(q) - t)
+        q3 = _Factored(d.w3 @ d.a3 @ d.w3 @ p3).proj_corange(scale=sw * sa * sw)
+        z = p3 @ (np.eye(m - t) - q3) @ p3
+        c, mb = d.w1 @ d.a1 @ d.w1, parts.m_block
+        gram = c @ c.conj().T + mb @ z @ mb.conj().T
         agg["corpus.decomposition.z-identity"].update(
-            {"z": rel(z, p3q - _Factored(x3).proj_range(), 1.0)}, where_q)
+            {"z": rel(gram @ parts.omega, np.eye(t))}, where_q)
 
     # exact-path agreement on integer members
     if integer:

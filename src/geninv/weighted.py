@@ -9,7 +9,7 @@ Every power of AW is read in the r x r coordinates of AW's thin SVD,
 r = rank(AW) (`projectors._Powers`), and W enters through W U1, so no
 power of AW is factored at full size. The q-BT construction is one
 kernel, `projectors._qbt_kernel`, which the square q-BT inverse shares
-with W absent.
+with W absent; q = 0 is the pseudoinverse of W A W.
 """
 
 from __future__ import annotations
@@ -39,11 +39,11 @@ class WeightedPair:
     indicates a rank misclassification and is rejected.
 
     The chains of AW and WA (`projectors._Powers`, one thin SVD each) are
-    those `from_matrices` searched the indices on (a pair built otherwise
-    takes them on first use), and they are kept, so the index searches,
-    every weighted routine, the weighted decomposition and every q on one
-    pair read the same factorization. They are not fields: equality,
-    `dataclasses.replace` and the printed form see only the data above.
+    those `from_matrices` searched the indices on; a pair built otherwise
+    (by `dataclasses.replace`) runs the same searches on first use. Every
+    weighted routine, the weighted decomposition and every q on one pair
+    read them. They are not fields: equality, `dataclasses.replace` and
+    the printed form see only the data above.
     """
 
     a: np.ndarray
@@ -67,11 +67,7 @@ class WeightedPair:
                 f"got {w.shape[0]}x{w.shape[1]}")
         if not np.any(w):
             raise DomainError("weight matrix must be nonzero")
-        m, n = a.shape
-        # a product with more rows than the inner dimension is singular, so
-        # its thin SVD is taken at once
-        aw = _power_search(_Factored(a @ w, thin=m > n), m + 1)
-        wa = _power_search(_Factored(w @ a, thin=n > m), n + 1)
+        aw, wa = _searched(a, w), _searched(w, a)
         ind_aw, ind_wa = aw.index, wa.index
         if abs(ind_aw - ind_wa) > 1:
             raise NumericError(
@@ -96,36 +92,32 @@ class WeightedPair:
 
     @cached_property
     def _aw(self) -> _Powers:
-        return _Powers(_Factored(self.a @ self.w, thin=True))
+        return _searched(self.a, self.w)
 
     @cached_property
     def _wa(self) -> _Powers:
-        return _Powers(_Factored(self.w @ self.a, thin=True))
+        return _searched(self.w, self.a)
 
 
-def _wqbt_raw(a: np.ndarray, w: np.ndarray, q: int, sa: float, sw: float,
-              aw: _Powers | None = None) -> np.ndarray:
-    """(W A W P_{(AW)^q})^+ on raw arrays; tolerates W = 0 (used on blocks).
-    sa and sw, sigma_max of A and W or of the pair whose blocks a and w
-    are, anchor the rank cutoffs. q = 0 is the pseudoinverse of W A W;
-    otherwise `projectors._qbt_kernel` works on `aw`, the chain of AW, which
-    a caller that holds it passes so that its projector reads one P_q SVD."""
-    q = check_q(q, a.shape[0])
-    if q == 0:
-        return _Factored(w @ a @ w).pinv(scale=sw * sa * sw)
-    if aw is None:
-        aw = _Powers(_Factored(a @ w, thin=True))
-    return _qbt_kernel(aw, q, w, sa, sw)
+def _searched(x: np.ndarray, y: np.ndarray) -> _Powers:
+    """The chain of the square product X Y, its index searched. A product
+    with more rows than the inner dimension is singular, so its thin SVD
+    is taken at once."""
+    n = x.shape[0]
+    return _power_search(_Factored(x @ y, thin=n > x.shape[1]), n + 1)
 
 
 def weighted_qbt(p: WeightedPair, q: int) -> np.ndarray:
     """W-weighted q-BT inverse (W A W P_{(AW)^q})^+, shape m x n.
 
-    q is clamped at k: R((AW)^q) is the same for every q >= k, and past
-    it the rank anchors (sigma_max(A) sigma_max(W))^q only lose accuracy.
+    q is clamped at min(k, m): R((AW)^q) is fixed from q = Ind(AW) <= m on,
+    and past it the anchors (sigma_max(A) sigma_max(W))^q only lose accuracy.
     """
-    q = min(check_q(q), p.k)
-    return _wqbt_raw(p.a, p.w, q, p.sigma_max_a, p.sigma_max_w, p._aw if q else None)
+    q = min(check_q(q), p.k, p.shape[0])
+    sa, sw = p.sigma_max_a, p.sigma_max_w
+    if q == 0:
+        return _Factored(p.w @ p.a @ p.w).pinv(scale=sw * sa * sw)
+    return _qbt_kernel(p._aw, q, p.w, sa, sw)
 
 
 def weighted_bt(p: WeightedPair) -> np.ndarray:
@@ -185,7 +177,7 @@ def weighted_qbt_via_square(p: WeightedPair, q: int) -> np.ndarray:
                    p.sigma_max_a, p.sigma_max_w)
     if r == 0:
         return np.zeros(p.shape, dtype=np.complex128)
-    inner = _Factored(_qbt(chain.b, min(q, p.shape[0]))).pinv()
+    inner = _Factored(_qbt(chain, q)).pinv()
     return _Factored(p.w @ inner).pinv(fixed_rank=r)
 
 
@@ -209,9 +201,8 @@ def dual_representation_gap(p: WeightedPair, q: int) -> tuple[np.ndarray, np.nda
     """
     q = check_q(q)
     x = weighted_qbt(p, q)
-    m, n = p.shape
-    aw_qbt = _qbt(p._aw.b, min(q, m))
-    wa_qbt = _qbt(p._wa.b, min(q, n))
+    aw_qbt = _qbt(p._aw, q)
+    wa_qbt = _qbt(p._wa, q)
     return x, aw_qbt @ aw_qbt @ p.a, p.a @ wa_qbt @ wa_qbt
 
 

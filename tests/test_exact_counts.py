@@ -12,7 +12,8 @@ from geninv.exact import (exact_core, exact_core_ep, exact_drazin, exact_group, 
                           exact_pinv, exact_proj_range, exact_qbt, exact_rank,
                           exact_weighted_core_ep, exact_weighted_drazin, exact_weighted_qbt,
                           full_rank_factorization, rmatrix)
-from geninv.reference import INDICES_4X3, pair_4x3_exact
+from geninv.cli import main
+from geninv.reference import INDICES_4X3, PAIR_4X3_A, PAIR_4X3_W, pair_4x3_exact
 
 
 @pytest.fixture
@@ -108,8 +109,12 @@ def test_core_ep_is_the_rank_search_plus_two(eliminations, k):
 @pytest.mark.parametrize("q", [0, 1, 2, 5])
 def test_qbt_takes_three_from_the_index_on_and_four_below(eliminations, q):
     # ranks of A^q and of C = A F; below the index C loses rank and
-    # (F* F)^{-1} is needed beside the inversion of F_C* C E
+    # (F* F)^{-1} is needed beside the inversion of F_C* C E. At q = 0,
+    # P = I and the inverse is the pseudoinverse of A
     exact_qbt(square(2), q)
+    if q == 0:
+        assert eliminations == counts(forward=1, rref=1, inv=1)
+        return
     inversions = 2 if q < 2 else 1
     assert eliminations == counts(forward=2, rref=inversions, inv=inversions)
 
@@ -129,6 +134,10 @@ def test_weighted_routines(eliminations):
     for q in range(ind_aw + 2):
         eliminations.update(counts())
         exact_weighted_qbt(a, w, q)
+        if q == 0:
+            # P = I: the pseudoinverse of W A W
+            assert eliminations == counts(forward=1, rref=1, inv=1)
+            continue
         inversions = 2 if q < ind_aw else 1
         assert eliminations == counts(forward=2, rref=inversions, inv=inversions), q
     eliminations.update(counts())
@@ -138,3 +147,27 @@ def test_weighted_routines(eliminations):
     eliminations.update(counts())
     exact_weighted_drazin(a, w)
     assert eliminations == counts(forward=ind_wa + 1, rref=1, inv=1)
+
+
+@pytest.mark.parametrize("argv, expected", [
+    # the routine: AW's index search (Ind(AW) + 1 = 4 ranks), the rank of
+    # C and one inversion; the residuals: AW's index search again and the
+    # projector onto R((AW)^k)
+    (["wcore-ep"], counts(forward=10, rref=2, inv=2)),
+    # the routine: the ranks of (AW)^3 and of C, and one inversion
+    (["wqbt", "--q", "3"], counts(forward=7, rref=2, inv=2)),
+])
+def test_exact_penrose_residuals_search_only_the_index_of_aw(eliminations, tmp_path, capsys,
+                                                             argv, expected):
+    # a Penrose system reads only R((AW)^k), which is fixed from Ind(AW)
+    # on, so the residuals search no index of WA
+    files = []
+    for name, rows in (("a", PAIR_4X3_A), ("w", PAIR_4X3_W)):
+        path = tmp_path / f"{name}.csv"
+        path.write_text("\n".join(",".join(map(str, row)) for row in rows) + "\n")
+        files.append(str(path))
+    assert main([*argv, *files, "--exact", "--verify"]) == 0
+    residuals = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("residual ")]
+    assert len(residuals) == 4
+    assert all(ln.endswith(" = 0.000000e+00") for ln in residuals)
+    assert eliminations == expected

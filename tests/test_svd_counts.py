@@ -304,11 +304,11 @@ def test_passing_outer_inverse_check_takes_five(svds, squares):
 
 def test_example_checks_share_their_operands(svds):
     run_example_checks()
-    assert len(svds) == 74
+    assert len(svds) == 63
 
 
 def test_corpus_checks_build_each_operand_once_per_member_and_exponent(svds):
     # the core-EP inverses of AW and WA are entries of their q-BT grids, and
     # each pair's weighted routines share one SVD of AW and one of WA
     run_random_corpus(seed=11, count=10, max_dim=7)
-    assert len(svds) == 2583
+    assert len(svds) == 2418

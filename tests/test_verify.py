@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from geninv import classical, projectors, verify
+from geninv import classical, decomposition, projectors, verify
 from geninv.errors import DecompositionError, DomainError, NumericError, ShapeError
 from geninv.corpus import random_planted_pair
 from geninv.matrix import DEFAULT_TOL, Tolerances, frobenius
@@ -206,6 +206,26 @@ def test_system_checks_see_a_perturbed_inverse(pair4x3, monkeypatch):
                      ("system.left-product.product_eq", "product_eq"),
                      ("system.right-product.product_eq", "product_eq")):
         assert values[cid][key] >= 1e-8, (cid, values[cid])
+
+
+def test_z_identity_sees_a_perturbed_gram_factor(monkeypatch):
+    # z-identity reads the canonical form's own Omega: with the projector G
+    # it is built from moved by a 1e-6 relative Hermitian perturbation,
+    # Omega no longer inverts the Gram factor C C* + M Z M*
+    canonical_blocks = decomposition._canonical_blocks
+    rng = np.random.default_rng(0)
+
+    def perturbed(core, coupling, x3, gap):
+        e = rng.standard_normal(gap.shape) + 1j * rng.standard_normal(gap.shape)
+        e = e + e.conj().T
+        if frobenius(e):
+            gap = gap + 1e-6 * frobenius(gap) / frobenius(e) * e
+        return canonical_blocks(core, coupling, x3, gap)
+
+    monkeypatch.setattr(decomposition, "_canonical_blocks", perturbed)
+    [check] = [r for r in run_random_corpus(seed=1, count=30).results
+               if r.check_id == "corpus.decomposition.z-identity"]
+    assert check.residuals["z"] >= 1e-8
 
 
 class TestMeasurementsSeeFaults:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,20 @@ class TestWeightedPair:
     def test_shape_is_of_a(self):
         a, w = pair_4x3_float()
         assert WeightedPair.from_matrices(a, w).shape == (4, 3)
+
+    def test_a_replaced_pair_searches_the_same_chains(self, pairs):
+        # dataclasses.replace keeps no chain: the copy searches AW and WA on
+        # first use as from_matrices does, so the routines that read the
+        # square q-BT inverses of the products return the same bits
+        for p in pairs:
+            copy = dataclasses.replace(p)
+            assert (copy._aw.ranks, copy._wa.ranks) == (list(p.rank_sequence_aw),
+                                                        list(p.rank_sequence_wa))
+            for q in range(p.k + 2):
+                assert np.array_equal(weighted_qbt_via_square(copy, q),
+                                      weighted_qbt_via_square(p, q)), q
+                for x, y in zip(dual_representation_gap(copy, q), dual_representation_gap(p, q)):
+                    assert np.array_equal(x, y), q
 
 
 class TestReductions:
