@@ -163,7 +163,7 @@ def _residuals(spec: Kind, a, w, x, q, pair: WeightedPair | None = None) -> dict
     if exact:
         from . import exact as ex
     aw = a if w is None else a @ w
-    fa = _Factored(a)  # a float square A: one SVD for its index and its scale
+    fa = _Factored(a, thin=True)  # a float square A: one thin SVD for its index and its scale
     k = check_q(q, aw.shape[0]) if spec.order == "q" else spec.order
     if k == "index" or (spec.order == "q" and k >= 2):
         last = None if k == "index" else k

@@ -16,6 +16,7 @@ reports the residuals `geninv decompose` prints and the runner reads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.linalg import matrix_power
@@ -143,6 +144,16 @@ class WeightedCoreEPDecomposition:
     def compose_w(self) -> np.ndarray:
         return self.v @ self.middle_w() @ self.u.conj().T
 
+    @cached_property
+    def _qbt_blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The blocks of `canonical_weighted_qbt` that do not depend on q:
+        C = W1 A1 W1, M (frozen, as `CanonicalParts` holds it), W3 A3 W3 and
+        A3 W3. Kept on the decomposition once built, as the pair keeps its
+        chains; not a field."""
+        a1, a2, a3, w1, w2, w3 = self.a1, self.a2, self.a3, self.w1, self.w2, self.w3
+        coupling = w1 @ a1 @ w2 + w1 @ a2 @ w3 + w2 @ a3 @ w3
+        return w1 @ a1 @ w1, _frozen(coupling), w3 @ a3 @ w3, a3 @ w3
+
     def residuals(self, a, w) -> dict[str, float]:
         """Reconstructions of A and W, unitarity of U and V, nilpotency of
         A3W3 and W3A3."""
@@ -158,28 +169,34 @@ class WeightedCoreEPDecomposition:
 
 
 def _frame(chain, q: int, r: int) -> np.ndarray:
-    """A unitary whose first r columns span R(B^q), r = rank(B^q): the
-    basis of R(B^q) read off `chain`, the chain of B's powers, completed
-    by a Householder QR. I when q or r is 0."""
+    """[U1 Ũ | U2], a unitary whose first r columns span R(B^q), r =
+    rank(B^q), read off `chain`, the chain of B's powers: U = [U1 | U2] is
+    the n x n left factor of B's thin SVD, U1 its first rank(B) columns,
+    and Ũ the left singular factor of P_q, or I at q = 1, whose leading r
+    columns span R(P_q). I when q or r is 0."""
     n = chain.shape[0]
     if q == 0 or r == 0:
         return np.eye(n, dtype=np.complex128)
-    return np.linalg.qr(chain.range_basis(q, fixed_rank=r), mode="complete")[0]
+    u = chain.b.usv[0]
+    if q == 1:
+        return u
+    r1 = chain.ranks[1]
+    return np.concatenate([u[:, :r1] @ chain.power(q).usv[0], u[:, r1:]], axis=1)
 
 
 def core_ep_decompose(a) -> CoreEPDecomposition:
     """Core-EP decomposition from the chain of A's powers, k = Ind(A).
 
-    The index search leaves the chain holding P_k, whose leading r left
-    singular vectors, times U1, span R(A^k) (`_Powers.range_basis`);
-    completed to a unitary U, they block triangularize A. Besides the
-    search this takes one r x r SVD, of P_k, when k >= 2. Degenerate
+    The index search on A's thin SVD leaves the chain holding P_k; its
+    left singular vectors, times U1, and the rest of the SVD's U form the
+    unitary U that block triangularizes A (`_frame`). Besides the search
+    this takes one r x r SVD, of P_k, when k >= 2, and no QR. Degenerate
     inputs produce empty blocks instead of errors.
     """
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise ShapeError(f"matrix must be square, got {a.shape[0]}x{a.shape[1]}")
-    chain = _power_search(_Factored(a), a.shape[0] + 1)
+    chain = _power_search(_Factored(a, thin=True), a.shape[0] + 1)
     ranks, s1, k = chain.ranks, chain.s1, chain.index
     r = ranks[k]
     u = _frame(chain, k, r)
@@ -200,9 +217,10 @@ def weighted_core_ep_decompose(p: WeightedPair,
                                tol: Tolerances | None = None) -> WeightedCoreEPDecomposition:
     """Weighted core-EP decomposition of the pair (A, W).
 
-    U is built from a basis of R((AW)^k), V from one of R((WA)^k), both
-    read off the pair's chains of AW and WA (`_Powers.range_basis`), so
-    no matrix larger than rank(AW) or rank(WA) is factored. Every
+    U is the frame of R((AW)^k), V that of R((WA)^k), both read off the
+    pair's chains of AW and WA and their thin SVDs (`_frame`), so no
+    matrix larger than rank(AW) or rank(WA) is factored and none is
+    QR-factored. Every
     structural claim (equal core ranks, vanishing lower-left blocks,
     nonsingular A1 and W1, nilpotent A3W3 and W3A3) is validated; a
     violation raises DecompositionError since it signals a rank
@@ -304,17 +322,18 @@ def _canonical_blocks(core, coupling, x3, gap):
 
     G, an orthogonal projector (G = G* = G^2), makes C C* + M G M* = K K*,
     so C* O and G M* O are the two row blocks of K^+ = K* (K K*)^{-1}. One
-    Householder QR K* = Q R gives K^+ = Q R^{-*}, whose error grows like
-    cond(K), where inverting K K* would square it. K has full row rank
-    whenever C is nonsingular; a diagonal entry of R at or under the rank
-    cutoff, against the largest, bounds sigma_min(K) under that cutoff."""
+    Householder QR K* = Q R gives K^+ = Q R^{-*}, taken as (R^{-1} Q*)*
+    with one `numpy.linalg.solve` on R; its error grows like cond(K), where
+    inverting K K* would square it. K has full row rank whenever C is
+    nonsingular; a diagonal entry of R at or under the rank cutoff,
+    against the largest, bounds sigma_min(K) under that cutoff."""
     kh = np.concatenate([core.conj().T, gap @ coupling.conj().T])
     q, r = np.linalg.qr(kh)
     diag = np.abs(np.diagonal(r))
     if diag.size and diag.min() <= rank_cutoff(kh.shape, diag.max()):
         raise NumericError("[C, M G] is numerically rank deficient; the canonical "
                            "block formula requires C nonsingular")
-    k_pinv = q @ np.linalg.inv(r.conj().T)
+    k_pinv = np.linalg.solve(r, q.conj().T).conj().T
     t = core.shape[0]
     mx = coupling @ x3
     b11, b21 = k_pinv[:t], k_pinv[t:]
@@ -367,18 +386,19 @@ def canonical_weighted_qbt(d: WeightedCoreEPDecomposition,
     Core term C = W1 A1 W1, coupling M = W1 A1 W2 + W1 A2 W3 + W2 A3 W3,
     inner inverse X3 = (W3 A3 W3 P_{(A3W3)^q})^+, the W3-weighted q-BT
     inverse of A3, its rank cut against sigma_max(W) sigma_max(A)
-    sigma_max(W). Returns the assembled matrix together with (M, Omega_W).
-    q is clamped at max(Ind(AW), Ind(WA)), as in `weighted_qbt`.
+    sigma_max(W). C, M, W3 A3 W3 and A3 W3 are formed once per
+    decomposition (`_qbt_blocks`). Returns the assembled matrix together
+    with (M, Omega_W). q is clamped at max(Ind(AW), Ind(WA)), as in
+    `weighted_qbt`.
     """
     q = min(check_q(q), max(d.ind_aw, d.ind_wa))
-    core = d.w1 @ d.a1 @ d.w1
-    coupling = d.w1 @ d.a1 @ d.w2 + d.w1 @ d.a2 @ d.w3 + d.w2 @ d.a3 @ d.w3
-    middle, k_pinv = _canonical(core, coupling, d.w3 @ d.a3 @ d.w3, q,
-                                d.power_rank_aw(q) - d.t_dim, base=d.a3 @ d.w3,
+    core, coupling, nil, base = d._qbt_blocks
+    middle, k_pinv = _canonical(core, coupling, nil, q, d.power_rank_aw(q) - d.t_dim,
+                                base=base,
                                 scale=d.sigma_max_w * d.sigma_max_a * d.sigma_max_w)
     x = d.u @ middle @ d.v.conj().T
     omega = k_pinv.conj().T @ k_pinv
-    return x, CanonicalParts(m_block=_frozen(coupling), omega=_frozen(omega))
+    return x, CanonicalParts(m_block=coupling, omega=_frozen(omega))
 
 
 def canonical_qbt_products(d: WeightedCoreEPDecomposition,

@@ -160,11 +160,13 @@ class _Powers:
     n eps sigma_max(B), so it moves B^j by at most n eps sigma_max(B)^j,
     below every cutoff anchored at sigma_max(B)^j or higher.
 
-    sigma_max(B) and rank(B) come from B's own SVD: values only unless B
-    was created thin. The thin SVD is taken only when a power or the frame
-    is read, so a rank search on a nonsingular B takes one values-only SVD.
-    `ranks` holds rank(B^j) for j = 0, 1, ... as far as `_power_search`
-    decided them. The chain keeps the last two powers formed, which are
+    sigma_max(B), rank(B) and the frame come from B's thin SVD, which
+    every caller asks for (`_Factored(b, thin=True)`): a singular B needs
+    its vectors, and a nonsingular one pays the thin SVD where its values
+    alone would do. For a square B that SVD's U is n x n, so it also
+    completes any basis of R(B^q) in U1's coordinates to a unitary
+    (`decomposition._frame`). `ranks` holds rank(B^j) for j = 0, 1, ...
+    as far as `_power_search` decided them. The chain keeps the last two powers formed, which are
     P_Ind(B) and P_(Ind(B)+1) after a search that stabilized, and a power
     formed thin because a caller reads its vectors.
     """
@@ -247,11 +249,6 @@ class _Powers:
         keep = 0 if fixed_rank == 0 else _kept(s, self.shape, scale, fixed_rank)
         return np.eye(s.size, keep, dtype=np.complex128)
 
-    def range_basis(self, q: int, fixed_rank: int) -> np.ndarray:
-        """An orthonormal basis of R(B^q), q >= 1, of the known rank, in
-        full coordinates: U1 times `basis(q)`."""
-        return self.u1 @ self.basis(q, fixed_rank=fixed_rank)
-
 
 def _anchor(s1: float, j: int) -> float:
     """s1^j, the rank anchor of a j-th power, s1 = sigma_max: read before the
@@ -269,9 +266,9 @@ def _power_search(b: _Factored, last: int, thin_at: int = 0) -> _Powers:
     sigma_max(B)^j; read them from the returned chain's `ranks`.
 
     P_thin_at is formed thin, so the range basis a caller reads from it
-    costs no second SVD. The only full-size SVDs are those of B: one
-    values-only SVD for sigma_max(B) and rank(B), then, when B is
-    singular, its thin SVD, unless B was created thin, which gives both.
+    costs no second SVD. The only full-size SVD is that of B, thin when B
+    was created thin, as every caller creates it: it gives sigma_max(B),
+    rank(B) and the frame at once.
     """
     chain = _Powers(b)
     ranks = chain.ranks
@@ -291,45 +288,63 @@ def _wqbt_rank(probe: np.ndarray, shape: tuple[int, int], q: int, sa: float, sw:
     return _Factored(probe, shape=shape).rank(scale=sw * (sa * sw) ** (q + 1))
 
 
-def _qbt_kernel(chain: _Powers, q: int, w: np.ndarray | None = None,
+def _pinned_pinv(x: np.ndarray, r: int) -> np.ndarray:
+    """X^+ for X of pinned rank r. At full column rank X = Q R (thin
+    Householder QR) gives X^+ = R^{-1} Q* with one `numpy.linalg.solve` on R
+    and no SVD; below it, or if R is exactly singular, the SVD keeps r values."""
+    if r >= x.shape[1]:
+        q, rr = np.linalg.qr(x)
+        try:
+            return np.linalg.solve(rr, q.conj().T)
+        except np.linalg.LinAlgError:
+            pass
+    return _Factored(x).pinv(fixed_rank=r)
+
+
+def _qbt_kernel(chain: _Powers, q: int,
+                wu1: tuple[np.ndarray, np.ndarray] | None = None,
                 sa: float = 0.0, sw: float = 0.0) -> np.ndarray:
     """(W A W P_{(AW)^q})^+ for q >= 1 on the chain of AW = U1 S1 V1*.
 
     U1 Ũ spans R((AW)^q), Ũ the leading left singular vectors of P_q, and
-    with W U1 = R L (Householder QR) the result is U1 Ũ (L M Ũ)^+ R*, its
-    rank decided on L P_(q+1) by `_wqbt_rank` and the count of Ũ against
-    (sa sw)^q. With w None it is the square (A P_{A^q})^+: R = U1, L = I,
-    both counts from the chain's search, which must have reached q + 1.
-    The rank of L M Ũ is pinned; its trailing values are rounding noise."""
-    if w is None:
+    with `wu1` = (R, L), the Householder QR W U1 = R L that the pair keeps,
+    the result is U1 Ũ (L M Ũ)^+ R*, its rank decided on L P_(q+1) by
+    `_wqbt_rank` and the count of Ũ against (sa sw)^q. With wu1 None it is
+    the square (A P_{A^q})^+: R = U1, L = I, both counts from the chain's
+    search, which must have reached q + 1. The rank of L M Ũ is pinned;
+    its trailing values are rounding noise. When it equals the column
+    count of L M Ũ, which is q >= Ind(A) for the square, one QR replaces
+    the SVD (`_pinned_pinv`)."""
+    if wu1 is None:
         right, lm = chain.u1, chain.m
         r, scale, fixed = chain.ranks[q + 1], None, chain.ranks[q]
     else:
-        right, left = np.linalg.qr(w @ chain.u1)
+        right, left = wu1
         lm = left @ chain.m
-        r = _wqbt_rank(left @ chain.power(q + 1).a, w.shape, q, sa, sw)
+        r = _wqbt_rank(left @ chain.power(q + 1).a, (right.shape[0], chain.shape[0]),
+                       q, sa, sw)
         scale, fixed = (sa * sw) ** q, None
     if r == 0:
         return np.zeros((chain.shape[0], right.shape[0]), dtype=np.complex128)
     ut = chain.basis(q, scale, fixed)
-    return chain.u1 @ (ut @ _Factored(lm @ ut).pinv(fixed_rank=r)) @ right.conj().T
+    return chain.u1 @ (ut @ _pinned_pinv(lm @ ut, r)) @ right.conj().T
 
 
 def matrix_index(b) -> IndexReport:
     """Index of a square matrix: rank stabilization point of its powers.
 
     The rank of B^j is taken relative to sigma_max(B)^j and decided on the
-    r x r compression of B^j (`_Powers`); one values-only SVD of B gives
-    sigma_max(B) and rank(B), and settles a nonsingular B. A singular B
-    adds its thin SVD and one values-only SVD of an r x r matrix per power:
-    Ind(B) + 2 SVDs in all. The search is capped at n (the index never
+    r x r compression of B^j (`_Powers`); one thin SVD of B gives
+    sigma_max(B), rank(B) and the frame, and settles a nonsingular B. A
+    singular B adds one values-only SVD of an r x r matrix per power:
+    Ind(B) + 1 SVDs in all. The search is capped at n (the index never
     exceeds n).
     """
     b = as_matrix(b)
     n = b.shape[0]
     if n != b.shape[1]:
         raise ShapeError(f"matrix_index requires a square matrix, got {b.shape[0]}x{b.shape[1]}")
-    chain = _power_search(_Factored(b), n + 1)
+    chain = _power_search(_Factored(b, thin=True), n + 1)
     return IndexReport(index=chain.index, rank_sequence=tuple(chain.ranks), sigma_max=chain.s1)
 
 

@@ -42,8 +42,11 @@ class WeightedPair:
     those `from_matrices` searched the indices on; a pair built otherwise
     (by `dataclasses.replace`) runs the same searches on first use. Every
     weighted routine, the weighted decomposition and every q on one pair
-    read them. They are not fields: equality, `dataclasses.replace` and
-    the printed form see only the data above.
+    read them. Beside them the pair keeps the Householder QR of W U1, U1
+    the range basis of AW's chain, taken when a q-BT inverse of q >= 1
+    first needs it and then read by every q. None of these are fields:
+    equality, `dataclasses.replace` and the printed form see only the data
+    above.
     """
 
     a: np.ndarray
@@ -98,13 +101,16 @@ class WeightedPair:
     def _wa(self) -> _Powers:
         return _searched(self.w, self.a)
 
+    @cached_property
+    def _wu1(self) -> tuple[np.ndarray, np.ndarray]:
+        """(R, L) with W U1 = R L, the `wu1` of `projectors._qbt_kernel`."""
+        return np.linalg.qr(self.w @ self._aw.u1)
+
 
 def _searched(x: np.ndarray, y: np.ndarray) -> _Powers:
-    """The chain of the square product X Y, its index searched. A product
-    with more rows than the inner dimension is singular, so its thin SVD
-    is taken at once."""
-    n = x.shape[0]
-    return _power_search(_Factored(x @ y, thin=n > x.shape[1]), n + 1)
+    """The chain of the square product X Y, its index searched on the
+    product's thin SVD, which also gives the chain's frame."""
+    return _power_search(_Factored(x @ y, thin=True), x.shape[0] + 1)
 
 
 def weighted_qbt(p: WeightedPair, q: int) -> np.ndarray:
@@ -117,7 +123,7 @@ def weighted_qbt(p: WeightedPair, q: int) -> np.ndarray:
     sa, sw = p.sigma_max_a, p.sigma_max_w
     if q == 0:
         return _Factored(p.w @ p.a @ p.w).pinv(scale=sw * sa * sw)
-    return _qbt_kernel(p._aw, q, p.w, sa, sw)
+    return _qbt_kernel(p._aw, q, p._wu1, sa, sw)
 
 
 def weighted_bt(p: WeightedPair) -> np.ndarray:

@@ -31,6 +31,20 @@ def svds(monkeypatch):
 
 
 @pytest.fixture
+def qrs(monkeypatch):
+    """Shapes of every numpy.linalg.qr call."""
+    calls = []
+    real_qr = np.linalg.qr
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return real_qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    return calls
+
+
+@pytest.fixture
 def squares():
     rng = np.random.default_rng(7)
     return {k: random_square(rng, 10, index=k) for k in (0, 1, 2, 3)}
@@ -43,12 +57,12 @@ def test_pinv_takes_one_thin_svd(svds, rng):
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_matrix_index_takes_index_plus_one(svds, squares, k):
-    # one values-only SVD of A settles a nonsingular A; a singular one adds
-    # index plus one: its thin SVD and one values-only SVD of P_j per power
-    # j = 2 .. k + 1
+    # one thin SVD of A settles a nonsingular A; a singular one adds one
+    # values-only SVD of P_j per power j = 2 .. k + 1
     report = matrix_index(squares[k])
     assert report.index == k
-    assert len(svds) == 1 + (k + 1 if k else 0)
+    assert svds[0] == (squares[k].shape, {"full_matrices": False})
+    assert len(svds) == k + 1
     assert report.sigma_max == pytest.approx(np.linalg.norm(squares[k], 2))
 
 
@@ -61,10 +75,11 @@ def test_qbt_zero_is_one_pinv(svds, squares, k):
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_qbt_takes_min_q_index_plus_three(svds, squares, k):
     # the thin SVD of A, one SVD of P_j per power j = 2 .. min(q, k) + 1, the
-    # one of P_q thin so that it gives U, and (M U)^+. Past the index the
-    # ranks stop at j = k + 1 and P_k is factored again, unless k = 1, whose
-    # U is U1. At k = 0 the SVD of A serves A^+ for every q
-    expected = {1: 1, 2: 1} if k == 0 else {q: min(q, k) + 2 + (q > k > 1)
+    # one of P_q thin so that it gives U, and (M U)^+ while q < k; from q = k
+    # on M U has full column rank and a QR gives its pseudoinverse. Past the
+    # index the ranks stop at j = k + 1 and P_k is factored again, unless
+    # k = 1, whose U is U1. At k = 0 the SVD of A serves A^+ for every q
+    expected = {1: 1, 2: 1} if k == 0 else {q: min(q, k) + 2 + (q > k > 1) - (q >= k)
                                             for q in range(1, k + 3)}
     for q, count in expected.items():
         svds.clear()
@@ -72,10 +87,29 @@ def test_qbt_takes_min_q_index_plus_three(svds, squares, k):
         assert len(svds) == count, q
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_qbt_kernel_takes_one_qr_exactly_from_the_index(svds, qrs, squares, k):
+    # (M U)^+, M U of shape rank(A) x rank(A^q), from one QR and no SVD
+    # exactly when its pinned rank, rank(A^(q+1)), is its column count:
+    # q >= Ind(A). Below the index the SVD stays and no QR is taken
+    ranks = matrix_index(squares[k]).rank_sequence
+    for q in range(1, k + 3):
+        svds.clear()
+        qrs.clear()
+        qbt_inverse(squares[k], q)
+        q_eff = min(q, k)
+        operand = (ranks[1], ranks[q_eff])
+        assert qrs == ([operand] if q >= k else []), q
+        pinv_svds = [shape for shape, kwargs in svds[1 + q_eff:]
+                     if kwargs.get("full_matrices") is False and shape == operand]
+        assert len(pinv_svds) == (q < k), q
+
+
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_core_ep_takes_at_most_index_plus_three(svds, squares, k):
+    # as `qbt_inverse` at q > k: (M U)^+ from a QR, not an SVD
     core_ep(squares[k])
-    assert len(svds) == (k + 2 + (k > 1) if k else 1)
+    assert len(svds) == (k + 1 + (k > 1) if k else 1)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
@@ -165,9 +199,8 @@ SQUARE_CALLS = {
 @pytest.mark.parametrize("name", SQUARE_CALLS)
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_square_routines_factor_only_a_at_full_size(svds, squares, name, k):
-    # after the SVDs of A itself (its thin SVD; `matrix_index` and
-    # `core_ep_decompose` take its values first), every SVD factors an
-    # r x r compression, r = rank(A)
+    # after the thin SVD of A itself, every SVD factors an r x r
+    # compression, r = rank(A)
     a = squares[k]
     r = matrix_index(a).rank_sequence[1]
     assert r < a.shape[0]
@@ -175,7 +208,7 @@ def test_square_routines_factor_only_a_at_full_size(svds, squares, name, k):
         svds.clear()
         call()
         count, first, longest = _ranks_and_sides(svds, [a.shape])
-        assert count == (2 if name in ("matrix_index", "core_ep_decompose") else 1)
+        assert count == 1
         assert first and longest <= r
 
 
@@ -208,7 +241,39 @@ def test_core_ep_decompose_takes_index_plus_three(svds, squares, k):
     # R(A^k) when k >= 2 (P_1 is diagonal, and the frame is I at k = 0)
     d = core_ep_decompose(squares[k])
     assert d.index == k
-    assert len(svds) == {0: 1, 1: 3}.get(k, k + 3)
+    assert len(svds) == k + 1 + (k > 1)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_weighted_qbt_takes_the_qr_of_w_u1_once_per_pair(qrs, k):
+    # the pair keeps the QR of W U1 (n x rank(AW)) its first q-BT inverse
+    # of q >= 1 takes; every other QR is of an operand L M U, one per q
+    # whose pinned rank is its column count
+    planted = random_planted_pair(np.random.default_rng(k), k, max_dim=8)
+    p = WeightedPair.from_matrices(planted.a, planted.w)
+    n, r1 = p.shape[1], p.rank_sequence_aw[1]
+    assert n > r1
+    qrs.clear()
+    for q in range(1, p.k + 2):
+        weighted_qbt(p, q)
+    assert qrs.count((n, r1)) == 1
+    assert qrs[0] == (n, r1)
+    assert all(shape[0] == r1 for shape in qrs[1:])
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_decompositions_take_no_qr(qrs, squares, k):
+    # both frames come from the thin SVDs the chains hold
+    a = squares[k]
+    qrs.clear()
+    core_ep_decompose(a)
+    assert qrs == []
+    if k:
+        planted = random_planted_pair(np.random.default_rng(k), k, max_dim=8)
+        p = WeightedPair.from_matrices(planted.a, planted.w)
+        qrs.clear()
+        weighted_core_ep_decompose(p)
+        assert qrs == []
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -251,13 +316,11 @@ def test_canonical_qbt_products_factor_no_full_size_matrix(svds, k):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_weighted_pair_takes_both_indices_plus_four(svds, k):
-    # per product, the search of `matrix_index`: index plus one after the
-    # values of the product, which a product with more rows than the inner
-    # dimension skips, being singular; plus the values of A and W
+    # per product, the search of `matrix_index`: its thin SVD and one SVD
+    # per power, index plus one; plus the values of A and W
     planted = random_planted_pair(np.random.default_rng(k), k, max_dim=8)
     p = WeightedPair.from_matrices(planted.a, planted.w)
-    m, n = p.shape
-    assert len(svds) == (p.ind_aw + 1) + (p.ind_wa + 1) + 4 - (m != n)
+    assert len(svds) == (p.ind_aw + 1) + (p.ind_wa + 1) + 2
 
 
 def test_weighted_qbt_reads_the_pair_scales(svds):
@@ -304,11 +367,11 @@ def test_passing_outer_inverse_check_takes_five(svds, squares):
 
 def test_example_checks_share_their_operands(svds):
     run_example_checks()
-    assert len(svds) == 63
+    assert len(svds) == 54
 
 
 def test_corpus_checks_build_each_operand_once_per_member_and_exponent(svds):
     # the core-EP inverses of AW and WA are entries of their q-BT grids, and
     # each pair's weighted routines share one SVD of AW and one of WA
     run_random_corpus(seed=11, count=10, max_dim=7)
-    assert len(svds) == 2418
+    assert len(svds) == 2325
