@@ -3,13 +3,17 @@ BT, and the q-BT inverse (A P_{A^q})^+.
 
 The q-BT inverse interpolates the family: q = 0 gives the Moore-Penrose
 inverse, q = 1 the BT inverse, and any q >= Ind(A) the core-EP inverse.
-Each routine takes one thin SVD of A, truncated at r = rank(A), and
+Each routine reads one thin SVD of A, truncated at r = rank(A), and
 works on A's powers in those r x r coordinates (`projectors._Powers`):
 sigma_max(A), the rank sequence of the powers, a basis of R(A^q), A^+
 and the pseudoinverses of the powers are read off that SVD and SVDs of
 r x r matrices. No power of A is formed at full size. The q-BT inverse
 is the W-weighted one with W absent: one kernel, `projectors._qbt_kernel`,
-builds both.
+builds both. A takes that SVD once per distinct value, not per call:
+each routine takes A through `projectors._operand`, which keeps the thin
+SVD of the last operand it factored, so the family of one A (q = 0, 1,
+..., Ind(A), its Drazin, group and core inverses) factors A once at full
+size.
 """
 
 from __future__ import annotations
@@ -18,15 +22,8 @@ import numpy as np
 
 from .errors import DomainError, ShapeError
 from .matrix import Tolerances, as_matrix, exponent, frobenius, resolve_tol
-from .projectors import (_anchor, _Factored, _nullspace_equal, _Powers, _power_search,
-                          _qbt_kernel, _range_equal)
-
-
-def _require_square(a, name: str) -> np.ndarray:
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ShapeError(f"{name} requires a square matrix, got {a.shape[0]}x{a.shape[1]}")
-    return a
+from .projectors import (_anchor, _Factored, _nullspace_equal, _operand, _Powers,
+                          _power_search, _qbt_kernel, _range_equal)
 
 
 def check_q(q, n: int | None = None) -> int:
@@ -62,7 +59,7 @@ def _drazin(chain: _Powers, k: int, s1: float) -> np.ndarray:
 
 def drazin(a) -> np.ndarray:
     """Drazin inverse A^d = A^k (A^(2k+1))^+ A^k with k = Ind(A)."""
-    a = _Factored(_require_square(a, "drazin"), thin=True)
+    a = _operand(a, "drazin")
     k, chain = _index_search(a)
     return _drazin(chain, k, chain.s1)
 
@@ -77,13 +74,13 @@ def _group(a: _Factored) -> np.ndarray:
 def group_inverse(a) -> np.ndarray:
     """Group inverse A^# = A (A^3)^+ A (A^+ when A is nonsingular), defined
     only when Ind(A) <= 1."""
-    return _group(_Factored(_require_square(a, "group_inverse"), thin=True))
+    return _group(_operand(a, "group_inverse"))
 
 
 def core_inverse(a) -> np.ndarray:
     """Core inverse A^# A A^+, defined only when Ind(A) <= 1. One thin SVD
     of A serves rank(A), the frame of A^# and A^+."""
-    a = _Factored(_require_square(a, "core_inverse"), thin=True)
+    a = _operand(a, "core_inverse")
     return _group(a) @ a.a @ a.pinv()
 
 
@@ -100,9 +97,10 @@ def qbt_inverse(a, q: int) -> np.ndarray:
     in r x r coordinates: the rank search on the powers and the q-BT
     construction `projectors._qbt_kernel`, which the weighted routines
     share. Every SVD after the first factors a matrix no larger than
-    r x r.
+    r x r, and the first is skipped when the previous call factored the
+    same A: a q-grid on one A takes A's thin SVD once.
     """
-    a = _Factored(_require_square(a, "qbt_inverse"), thin=True)
+    a = _operand(a, "qbt_inverse")
     q = check_q(q, a.a.shape[0])
     return _qbt(_power_search(a, q + 1, thin_at=q), q)
 
@@ -122,7 +120,7 @@ def bt_inverse(a) -> np.ndarray:
 def core_ep(a) -> np.ndarray:
     """Core-EP inverse (A P_{A^k})^+ with k = Ind(A): the q-BT inverse at
     q = n >= Ind(A), whose rank search stops at the index."""
-    a = _Factored(_require_square(a, "core_ep"), thin=True)
+    a = _operand(a, "core_ep")
     n = a.a.shape[0]
     return _qbt(_power_search(a, n + 1, thin_at=n), n)
 

@@ -39,7 +39,7 @@ from .classical import _index_search, check_q
 from .errors import (DecompositionError, DomainError, NumericError,
                      ParseError, ShapeError)
 from .io import format_matrix, load_matrix
-from .projectors import _Factored
+from .projectors import _Factored, _Operand
 from .weighted import WeightedPair
 
 
@@ -163,7 +163,9 @@ def _residuals(spec: Kind, a, w, x, q, pair: WeightedPair | None = None) -> dict
     if exact:
         from . import exact as ex
     aw = a if w is None else a @ w
-    fa = _Factored(a, thin=True)  # a float square A: one thin SVD for its index and its scale
+    # a float A, validated by the routine: the thin SVD that routine took,
+    # read from the operand memo, serves its index and its scale
+    fa = None if exact else _Operand(a)
     k = check_q(q, aw.shape[0]) if spec.order == "q" else spec.order
     if k == "index" or (spec.order == "q" and k >= 2):
         last = None if k == "index" else k

@@ -25,7 +25,7 @@ from .classical import check_q
 from .errors import DecompositionError, DomainError, NumericError, ShapeError
 from .matrix import (Tolerances, as_matrix, frobenius, nilpotency, rank_cutoff, rel,
                      resolve_tol, unitarity)
-from .projectors import _Factored, _power_search
+from .projectors import _Factored, _operand, _power_search
 from .weighted import WeightedPair
 
 
@@ -190,13 +190,14 @@ def core_ep_decompose(a) -> CoreEPDecomposition:
     The index search on A's thin SVD leaves the chain holding P_k; its
     left singular vectors, times U1, and the rest of the SVD's U form the
     unitary U that block triangularizes A (`_frame`). Besides the search
-    this takes one r x r SVD, of P_k, when k >= 2, and no QR. Degenerate
-    inputs produce empty blocks instead of errors.
+    this takes one r x r SVD, of P_k, when k >= 2, and no QR. A's thin SVD
+    is read from `projectors._operand`'s memo when the previous call
+    factored the same A, as after its q-BT inverses. Degenerate inputs
+    produce empty blocks instead of errors.
     """
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ShapeError(f"matrix must be square, got {a.shape[0]}x{a.shape[1]}")
-    chain = _power_search(_Factored(a, thin=True), a.shape[0] + 1)
+    fa = _operand(a, "core_ep_decompose")
+    a = fa.a
+    chain = _power_search(fa, a.shape[0] + 1)
     ranks, s1, k = chain.ranks, chain.s1, chain.index
     r = ranks[k]
     u = _frame(chain, k, r)

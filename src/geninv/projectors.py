@@ -3,7 +3,15 @@ rank-based range / null-space predicates.
 
 The powers of a square matrix are held in the r x r coordinates of its
 thin SVD (`_Powers`), r its rank, so that the index search and every
-routine that reads a power of A factors r x r matrices, not A^j."""
+routine that reads a power of A factors r x r matrices, not A^j.
+
+Every public routine that reads its operand's thin SVD takes the operand
+through `_operand`, which keeps the thin SVD of the last operand it
+factored: consecutive calls on one matrix (the q-BT family of one A, its
+index, its decomposition) factor it once. A call hits only on an operand
+equal bit for bit to the kept one, so a result never depends on which
+calls came before it. Values-only rank decisions (`matrix.rank`,
+`_stacked_rank_equal`) never read the memo."""
 
 from __future__ import annotations
 
@@ -47,7 +55,10 @@ class _Factored:
     projectors read it, so one factorization serves them all. `s` reads
     the thin SVD's values when it is held, or when `thin` asks for it
     because a caller will need the vectors later; otherwise it takes a
-    values-only SVD, which is all a rank decision needs.
+    values-only SVD, which is all a rank decision needs. Only a public
+    routine's operand (`_Operand`) keeps its SVD across calls; a power,
+    product or block is factored anew by each call, and a values-only `s`
+    is never memoized, since its last bits can differ from the thin SVD's.
 
     `scale` anchors the cutoff to a parent matrix's largest singular value
     when the matrix is a derived quantity (power, extracted block), and
@@ -67,14 +78,7 @@ class _Factored:
 
     @cached_property
     def usv(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        m, n = self.a.shape
-        if self.a.size == 0:
-            return (np.zeros((m, 0), dtype=np.complex128), np.zeros(0),
-                    np.zeros((0, n), dtype=np.complex128))
-        try:
-            return np.linalg.svd(self.a, full_matrices=False)
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(f"SVD failed: {exc}") from exc
+        return _thin_svd(self.a)
 
     @cached_property
     def s(self) -> np.ndarray:
@@ -118,26 +122,84 @@ class _Factored:
         return self.pinv(scale, fixed_rank) @ self.a
 
 
+def _thin_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The thin SVD of a; empty factors, and no SVD, for an empty a."""
+    m, n = a.shape
+    if a.size == 0:
+        return (np.zeros((m, 0), dtype=np.complex128), np.zeros(0),
+                np.zeros((0, n), dtype=np.complex128))
+    try:
+        return np.linalg.svd(a, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"SVD failed: {exc}") from exc
+
+
+# (shape, bytes, (U, s, V*)) of the operand `_Operand` factored last, or
+# None. A miss replaces the whole entry with one assignment of a new tuple,
+# so a thread reads the old entry or the new one, never a mix, and needs no
+# lock: two threads that miss at once each return their own operand's SVD,
+# and the later assignment stays.
+_memo: tuple | None = None
+
+
+class _Operand(_Factored):
+    """A public routine's validated operand: a thin `_Factored` whose SVD
+    is the memo's when the operand has the memo's shape and bytes, and is
+    otherwise taken and put in the memo in place of the old entry. The key
+    is a private copy of the operand's bytes, so a -0.0 that was 0.0, or
+    any in-place edit of the caller's array, misses. The factors are
+    read-only, since every later hit returns the same arrays; `s` is the
+    thin SVD's, so a rank read here is the one a cold call reads."""
+
+    def __init__(self, a: np.ndarray):
+        super().__init__(a, thin=True)
+
+    @cached_property
+    def usv(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        global _memo
+        a = self.a
+        key = a.tobytes()
+        entry = _memo
+        if entry is not None and entry[0] == a.shape and entry[1] == key:
+            return entry[2]
+        usv = _thin_svd(a)
+        for factor in usv:
+            factor.setflags(write=False)
+        _memo = (a.shape, key, usv)
+        return usv
+
+
+def _operand(a, name: str | None = None) -> _Operand:
+    """a validated by `as_matrix`, and square when `name`, the routine that
+    requires it, is given; held with its memoized thin SVD, taken on first
+    use."""
+    a = as_matrix(a)
+    if name is not None and a.shape[0] != a.shape[1]:
+        raise ShapeError(f"{name} requires a square matrix, got {a.shape[0]}x{a.shape[1]}")
+    return _Operand(a)
+
+
 def pinv(a, scale: float | None = None, fixed_rank: int | None = None) -> np.ndarray:
     """Moore-Penrose inverse via one thin SVD with a relative singular-value
     cutoff; `scale` and `fixed_rank` as in `_Factored`."""
-    return _Factored(as_matrix(a)).pinv(scale, fixed_rank)
+    return _operand(a).pinv(scale, fixed_rank)
 
 
 def range_basis(b, scale: float | None = None, fixed_rank: int | None = None) -> np.ndarray:
     """Orthonormal basis U_r of the range of B: the leading left singular
-    vectors of one thin SVD, r decided as in `pinv`, so U_r U_r* = P_B."""
-    return _Factored(as_matrix(b)).range_basis(scale, fixed_rank)
+    vectors of one thin SVD, r decided as in `pinv`, so U_r U_r* = P_B.
+    A copy, since the memo's U is shared and read-only."""
+    return _operand(b).range_basis(scale, fixed_rank).copy()
 
 
 def proj_range(b, scale: float | None = None, fixed_rank: int | None = None) -> np.ndarray:
     """Orthogonal projector P_B = B B^+ onto the range of B."""
-    return _Factored(as_matrix(b)).proj_range(scale, fixed_rank)
+    return _operand(b).proj_range(scale, fixed_rank)
 
 
 def proj_corange(b, scale: float | None = None, fixed_rank: int | None = None) -> np.ndarray:
     """Orthogonal projector Q_B = B^+ B onto the range of B*."""
-    return _Factored(as_matrix(b)).proj_corange(scale, fixed_rank)
+    return _operand(b).proj_corange(scale, fixed_rank)
 
 
 def power(b, q: int) -> np.ndarray:
@@ -337,14 +399,12 @@ def matrix_index(b) -> IndexReport:
     r x r compression of B^j (`_Powers`); one thin SVD of B gives
     sigma_max(B), rank(B) and the frame, and settles a nonsingular B. A
     singular B adds one values-only SVD of an r x r matrix per power:
-    Ind(B) + 1 SVDs in all. The search is capped at n (the index never
+    Ind(B) + 1 SVDs in all, one fewer when the previous call factored the
+    same B (`_operand`). The search is capped at n (the index never
     exceeds n).
     """
-    b = as_matrix(b)
-    n = b.shape[0]
-    if n != b.shape[1]:
-        raise ShapeError(f"matrix_index requires a square matrix, got {b.shape[0]}x{b.shape[1]}")
-    chain = _power_search(_Factored(b, thin=True), n + 1)
+    b = _operand(b, "matrix_index")
+    chain = _power_search(b, b.a.shape[0] + 1)
     return IndexReport(index=chain.index, rank_sequence=tuple(chain.ranks), sigma_max=chain.s1)
 
 

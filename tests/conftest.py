@@ -1,7 +1,42 @@
 import numpy as np
 import pytest
 
+from geninv import projectors
+from geninv.corpus import random_square
 from geninv.matrix import frobenius
+
+
+def cold():
+    """Empty the operand memo, so the next call factors its operand."""
+    projectors._memo = None
+
+
+@pytest.fixture(autouse=True)
+def cold_operand_memo():
+    """Every test starts with the operand memo empty, so a count it pins
+    does not depend on which test ran before it."""
+    cold()
+
+
+@pytest.fixture
+def svds(monkeypatch):
+    """Shapes and keyword arguments of every numpy.linalg.svd call."""
+    calls = []
+    real_svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        calls.append((np.shape(a), kwargs))
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+@pytest.fixture
+def squares():
+    """10 x 10 squares of index k = 0, 1, 2, 3."""
+    rng = np.random.default_rng(7)
+    return {k: random_square(rng, 10, index=k) for k in (0, 1, 2, 3)}
 
 
 @pytest.fixture

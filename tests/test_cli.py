@@ -204,10 +204,11 @@ class TestInverseCommands:
         assert runs[True][0] == runs[False][0] > 0
         assert runs[True][1].startswith(runs[False][1])
 
-    def test_qbt_verify_takes_three_full_size_svds(self, tmp_path, capsys, monkeypatch):
-        # the routine's thin SVD of A; the residuals' thin SVD of A for the
-        # index and the scale, and the SVD of A^2 for its projector. The
-        # residuals search the index a second time, on r x r compressions
+    def test_qbt_verify_takes_two_full_size_svds(self, tmp_path, capsys, monkeypatch):
+        # the routine's thin SVD of A, which the residuals read from the
+        # operand memo for the index and the scale, and the SVD of A^2 for
+        # its projector. The residuals search the index a second time, on
+        # r x r compressions
         shapes = []
         real_svd = np.linalg.svd
 
@@ -219,7 +220,7 @@ class TestInverseCommands:
         a = write_csv(tmp_path / "a.csv", SQUARE_I2)
         code, _, _ = run_main(capsys, "qbt", "--q", "2", a, "--verify")
         assert code == 0
-        assert shapes.count((6, 6)) == 3
+        assert shapes.count((6, 6)) == 2
 
     @pytest.mark.parametrize("path", ["float", "exact"])
     @pytest.mark.parametrize("q", ["n", 60, 600, 2000])

@@ -1,0 +1,185 @@
+"""The operand memo (`projectors._operand`): a public routine called on the
+matrix the previous call factored reads that matrix's thin SVD instead of
+taking it again, and returns what a call on an empty memo returns, bit for
+bit. A hit needs the same shape and bytes; the factors are read-only."""
+
+import dataclasses
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+from conftest import cold
+from geninv import projectors
+from geninv.classical import bt_inverse, core_ep, core_inverse, drazin, group_inverse, qbt_inverse
+from geninv.corpus import random_pairs, random_square
+from geninv.decomposition import core_ep_decompose
+from geninv.matrix import rank
+from geninv.projectors import matrix_index, pinv, proj_corange, proj_range, range_basis
+
+
+def full_size(svds, shape):
+    """How many of the recorded SVDs factor a matrix of `shape`."""
+    return sum(s == shape for s, _ in svds)
+
+
+def bits(out):
+    """A result as bytes: arrays by shape and bytes, dataclasses by field."""
+    if isinstance(out, np.ndarray):
+        return (out.shape, out.dtype.str, out.tobytes())
+    if dataclasses.is_dataclass(out):
+        return tuple(bits(getattr(out, f.name)) for f in dataclasses.fields(out))
+    if isinstance(out, tuple):
+        return tuple(bits(v) for v in out)
+    return repr(out)
+
+
+def routines(index):
+    """Every public routine that reads its operand's thin SVD, by name."""
+    calls = {
+        "drazin": drazin,
+        "bt_inverse": bt_inverse,
+        "core_ep": core_ep,
+        "matrix_index": matrix_index,
+        "core_ep_decompose": core_ep_decompose,
+        "pinv": pinv,
+        "range_basis": range_basis,
+        "proj_range": proj_range,
+        "proj_corange": proj_corange,
+    }
+    calls.update({f"qbt_inverse_{q}": lambda a, q=q: qbt_inverse(a, q)
+                  for q in range(index + 3)})
+    if index <= 1:
+        calls.update(group_inverse=group_inverse, core_inverse=core_inverse)
+    return calls
+
+
+def member59_wa():
+    # seed 3, member 59: WA of cond 3e17 and index 3
+    m = random_pairs(3, 100)[59]
+    return m.w @ m.a
+
+
+def operands():
+    # the `squares` fixture's matrices, and member 59's WA
+    rng = np.random.default_rng(7)
+    out = [(f"square k={k}", random_square(rng, 10, index=k), k) for k in (0, 1, 2, 3)]
+    return out + [("seed 3 member 59 WA", member59_wa(), 3)]
+
+
+OPERANDS = operands()
+
+
+@pytest.mark.parametrize("label, a, k", OPERANDS, ids=[o[0] for o in OPERANDS])
+def test_a_warm_call_equals_a_cold_call(svds, label, a, k):
+    assert matrix_index(a).index == k
+    for name, call in routines(k).items():
+        cold()
+        expected = bits(call(a))
+        # warm: the memo holds A from another routine's call
+        cold()
+        pinv(a)
+        svds.clear()
+        assert bits(call(a)) == expected, name
+        assert full_size(svds, a.shape) == 0, name
+
+
+def test_an_in_place_edit_gives_the_edited_matrix_cold_result(squares):
+    a = squares[2].copy()
+    before = bits(qbt_inverse(a, 2))
+    a[0, 1] += 1.0
+    warm = bits(qbt_inverse(a, 2))
+    cold()
+    assert warm == bits(qbt_inverse(a, 2))
+    assert warm != before
+
+
+@pytest.mark.parametrize("change", ["signed zero", "one ulp"])
+def test_a_bitwise_change_takes_a_new_svd(svds, squares, change):
+    a = squares[1].copy()
+    a[0, 0] = 0.0
+    b = a.copy()
+    if change == "signed zero":
+        b[0, 0] = complex(-0.0, 0.0)
+        assert np.array_equal(a, b)
+    else:
+        b[0, 1] = complex(np.nextafter(a[0, 1].real, np.inf), a[0, 1].imag)
+    qbt_inverse(a, 1)
+    svds.clear()
+    warm = bits(qbt_inverse(b, 1))
+    assert full_size(svds, b.shape) == 1
+    cold()
+    assert warm == bits(qbt_inverse(b, 1))
+
+
+def test_the_same_bytes_in_another_shape_take_a_new_svd(svds, rng):
+    a = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
+    b = a.reshape(6, 4)
+    pinv(a)
+    svds.clear()
+    warm = bits(pinv(b))
+    assert full_size(svds, b.shape) == 1
+    cold()
+    assert warm == bits(pinv(b))
+
+
+def test_a_real_input_shares_the_entry_of_its_complex_copy(svds, rng):
+    a = rng.standard_normal((7, 5))
+    first = bits(pinv(a))
+    svds.clear()
+    assert bits(pinv(a.astype(np.complex128))) == first
+    assert svds == []
+
+
+def test_rank_takes_its_own_values_only_svd(svds, squares):
+    a = squares[2]
+    qbt_inverse(a, 1)
+    svds.clear()
+    rank(a)
+    assert svds == [(a.shape, {"compute_uv": False})]
+
+
+def test_factors_are_read_only_and_range_basis_owns_its_result(squares):
+    a = squares[1]
+    basis = range_basis(a)
+    u, s, vh = projectors._memo[2]
+    assert not (u.flags.writeable or s.flags.writeable or vh.flags.writeable)
+    with pytest.raises(ValueError):
+        u[0, 0] = 1.0
+    assert basis.flags.writeable and basis.flags.owndata
+    expected = basis.copy()
+    basis[:] = 0.0
+    assert bits(range_basis(a)) == bits(expected)
+
+
+def test_threads_alternating_two_operands_match_the_serial_results(squares):
+    # more threads than a small machine has cores, switching as often as
+    # the interpreter allows, each alternating two operands
+    operands = [squares[2], squares[3]]
+    serial = []
+    for a in operands:
+        cold()
+        serial.append(bits(qbt_inverse(a, 1)))
+    calls, threads = 50, 4
+    results = [[] for _ in range(threads)]
+
+    def work(out, start):
+        for i in range(calls):
+            j = (start + i) % 2
+            out.append((j, bits(qbt_inverse(operands[j], 1))))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work, args=(results[t], t)) for t in range(threads)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    for out in results:
+        assert len(out) == calls
+        assert all(got == serial[j] for j, got in out)

@@ -1,33 +1,23 @@
 """How many SVDs one call takes: each routine factors a matrix once and
 reads sigma_max, ranks, range bases and pseudoinverses off that
-factorization."""
+factorization. The pins are cold counts, taken with the operand memo
+empty (`conftest.cold_operand_memo`, and `cold()` between calls on one
+matrix); a warm call, on the operand the previous call factored, takes
+one full-size SVD fewer."""
 
 import numpy as np
 import pytest
 
+from conftest import cold
 from geninv.classical import (core_ep, core_inverse, drazin, group_inverse, outer_inverse_check,
                               qbt_inverse)
-from geninv.corpus import random_planted_pair, random_square
+from geninv.corpus import random_planted_pair
 from geninv.decomposition import (canonical_qbt, canonical_qbt_products, canonical_weighted_qbt,
                                   core_ep_decompose, weighted_core_ep_decompose)
 from geninv.matrix import conjugate_transpose
 from geninv.projectors import matrix_index, nullspace_equal, pinv, range_contained, range_equal
 from geninv.verify import run_example_checks, run_random_corpus
 from geninv.weighted import WeightedPair, weighted_drazin, weighted_qbt
-
-
-@pytest.fixture
-def svds(monkeypatch):
-    """Shapes and keyword arguments of every numpy.linalg.svd call."""
-    calls = []
-    real_svd = np.linalg.svd
-
-    def counted(a, *args, **kwargs):
-        calls.append((np.shape(a), kwargs))
-        return real_svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counted)
-    return calls
 
 
 @pytest.fixture
@@ -42,12 +32,6 @@ def qrs(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "qr", counted)
     return calls
-
-
-@pytest.fixture
-def squares():
-    rng = np.random.default_rng(7)
-    return {k: random_square(rng, 10, index=k) for k in (0, 1, 2, 3)}
 
 
 def test_pinv_takes_one_thin_svd(svds, rng):
@@ -82,6 +66,7 @@ def test_qbt_takes_min_q_index_plus_three(svds, squares, k):
     expected = {1: 1, 2: 1} if k == 0 else {q: min(q, k) + 2 + (q > k > 1) - (q >= k)
                                             for q in range(1, k + 3)}
     for q, count in expected.items():
+        cold()
         svds.clear()
         qbt_inverse(squares[k], q)
         assert len(svds) == count, q
@@ -94,6 +79,7 @@ def test_qbt_kernel_takes_one_qr_exactly_from_the_index(svds, qrs, squares, k):
     # q >= Ind(A). Below the index the SVD stays and no QR is taken
     ranks = matrix_index(squares[k]).rank_sequence
     for q in range(1, k + 3):
+        cold()
         svds.clear()
         qrs.clear()
         qbt_inverse(squares[k], q)
@@ -205,11 +191,28 @@ def test_square_routines_factor_only_a_at_full_size(svds, squares, name, k):
     r = matrix_index(a).rank_sequence[1]
     assert r < a.shape[0]
     for call in SQUARE_CALLS[name](a, k):
+        cold()
         svds.clear()
         call()
         count, first, longest = _ranks_and_sides(svds, [a.shape])
         assert count == 1
         assert first and longest <= r
+
+
+@pytest.mark.parametrize("name", SQUARE_CALLS)
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_a_repeat_call_takes_no_full_size_svd(svds, squares, name, k):
+    # the second call on the same A reads its thin SVD from the operand
+    # memo: no SVD of A, and exactly the r x r SVDs of the first call
+    a = squares[k]
+    for call in SQUARE_CALLS[name](a, k):
+        cold()
+        svds.clear()
+        call()
+        first = svds[1:]
+        svds.clear()
+        call()
+        assert svds == first
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -374,4 +377,4 @@ def test_corpus_checks_build_each_operand_once_per_member_and_exponent(svds):
     # the core-EP inverses of AW and WA are entries of their q-BT grids, and
     # each pair's weighted routines share one SVD of AW and one of WA
     run_random_corpus(seed=11, count=10, max_dim=7)
-    assert len(svds) == 2325
+    assert len(svds) == 2267
