@@ -11,9 +11,10 @@ r x r matrices. No power of A is formed at full size. The q-BT inverse
 is the W-weighted one with W absent: one kernel, `projectors._qbt_kernel`,
 builds both. A takes that SVD once per distinct value, not per call:
 each routine takes A through `projectors._operand`, which keeps the thin
-SVD of the last operand it factored, so the family of one A (q = 0, 1,
-..., Ind(A), its Drazin, group and core inverses) factors A once at full
-size.
+SVD of the last operand it factored and the searched chain of its
+powers, so the family of one A (q = 0, 1, ..., Ind(A), its Drazin, group
+and core inverses) factors A once at full size, decides each rank(A^j)
+once, factors each P_j once and shares one P_(2k+1)^+.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ import numpy as np
 
 from .errors import DomainError, ShapeError
 from .matrix import Tolerances, as_matrix, exponent, frobenius, resolve_tol
-from .projectors import (_anchor, _Factored, _nullspace_equal, _operand, _Powers,
-                          _power_search, _qbt_kernel, _range_equal)
+from .projectors import (_Factored, _nullspace_equal, _operand, _Powers, _power_search,
+                          _qbt_kernel, _range_equal)
 
 
 def check_q(q, n: int | None = None) -> int:
@@ -39,36 +40,34 @@ def check_q(q, n: int | None = None) -> int:
 
 def _index_search(a: _Factored, q: int | None = None) -> tuple[int, _Powers]:
     """min(q, Ind(A)), Ind(A) when q is None, and the chain of A's powers
-    that decided it, which holds its P_j and P_(j+1)."""
+    that decided it. The chain holds P_Ind and P_(Ind+1) once its ranks
+    stopped; an operand's may have been searched past q by an earlier
+    call, so the index is clamped here."""
     chain = _power_search(a, (a.a.shape[0] if q is None else q) + 1)
-    return chain.index, chain
+    return chain.index if q is None else min(q, chain.index), chain
 
 
-def _drazin(chain: _Powers, k: int, s1: float) -> np.ndarray:
+def _drazin(chain: _Powers, k: int) -> np.ndarray:
     """A^d = A^k (A^(2k+1))^+ A^k for k = Ind(A), in the coordinates of the
-    chain: U1 P_k P_(2k+1)^+ P_k V1*, with P_(2k+1) = P_(k+1) V1* U1 P_k and
-    its cutoff that of the n x n power A^(2k+1), anchored at s1^(2k+1),
-    s1 = sigma_max(A). A^+ from A's own SVD when k = 0."""
+    chain: U1 P_k P_(2k+1)^+ P_k V1*, its core P_k P_(2k+1)^+ P_k kept on
+    the chain (`_Powers.core`). A^+ from A's own SVD when k = 0."""
     if k == 0:
-        return chain.b.pinv(scale=s1)
-    anchor = _anchor(s1, 2 * k + 1)
-    pk, pk1 = chain.power(k).a, chain.power(k + 1).a
-    p2k1 = _Factored(pk1 @ chain.vh1_u1 @ pk, shape=chain.shape)
-    return chain.u1 @ (pk @ p2k1.pinv(scale=anchor) @ pk) @ chain.vh1
+        return chain.pinv()
+    return chain.u1 @ chain.core(k) @ chain.vh1
 
 
 def drazin(a) -> np.ndarray:
     """Drazin inverse A^d = A^k (A^(2k+1))^+ A^k with k = Ind(A)."""
     a = _operand(a, "drazin")
     k, chain = _index_search(a)
-    return _drazin(chain, k, chain.s1)
+    return _drazin(chain, k)
 
 
 def _group(a: _Factored) -> np.ndarray:
     k, chain = _index_search(a)
     if k > 1:
         raise DomainError(f"group inverse requires index <= 1, computed index is {k}")
-    return _drazin(chain, k, chain.s1)
+    return _drazin(chain, k)
 
 
 def group_inverse(a) -> np.ndarray:
@@ -97,19 +96,21 @@ def qbt_inverse(a, q: int) -> np.ndarray:
     in r x r coordinates: the rank search on the powers and the q-BT
     construction `projectors._qbt_kernel`, which the weighted routines
     share. Every SVD after the first factors a matrix no larger than
-    r x r, and the first is skipped when the previous call factored the
-    same A: a q-grid on one A takes A's thin SVD once.
+    r x r. The operand memo keeps A's thin SVD and its searched chain, so
+    a q-grid on one A takes A's thin SVD once, decides each rank(A^j) once
+    and factors each P_j once, the last P_q read for a basis and P_Ind,
+    P_(Ind+1) kept.
     """
     a = _operand(a, "qbt_inverse")
     q = check_q(q, a.a.shape[0])
-    return _qbt(_power_search(a, q + 1, thin_at=q), q)
+    return _qbt(_power_search(a, q + 1), q)
 
 
 def _qbt(chain: _Powers, q: int) -> np.ndarray:
     """(A P_{A^q})^+ on the chain of A's powers, searched up to j = q + 1
     at least, with q clamped at the index the search found."""
     q = min(q, chain.index)
-    return chain.b.pinv() if q == 0 else _qbt_kernel(chain, q)
+    return chain.pinv() if q == 0 else _qbt_kernel(chain, q)
 
 
 def bt_inverse(a) -> np.ndarray:
@@ -122,7 +123,7 @@ def core_ep(a) -> np.ndarray:
     q = n >= Ind(A), whose rank search stops at the index."""
     a = _operand(a, "core_ep")
     n = a.a.shape[0]
-    return _qbt(_power_search(a, n + 1, thin_at=n), n)
+    return _qbt(_power_search(a, n + 1), n)
 
 
 def outer_inverse_check(a, x, range_gen, null_gen,

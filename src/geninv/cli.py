@@ -154,8 +154,11 @@ def _residuals(spec: Kind, a, w, x, q, pair: WeightedPair | None = None) -> dict
     the index. An order q >= 2 is clamped at the index, as the routines
     clamp it: past the index the rank of the power would be decided
     against sigma_max^q, which cond^q outgrows, and a right inverse would
-    be reported as wrong. An exact Penrose system searches Ind(AW) only:
-    R((AW)^k) is fixed from k = Ind(AW) on.
+    be reported as wrong. A float square kind reads that index off the
+    chain its routine searched, kept by the operand memo, so it searches
+    nothing itself; the projector onto R(A^k) is still formed from the
+    full-size power, a route apart from that chain. An exact Penrose
+    system searches Ind(AW) only: R((AW)^k) is fixed from k = Ind(AW) on.
     """
     if spec.system == "core":
         return matrix.core_residuals(a, x)
@@ -163,8 +166,9 @@ def _residuals(spec: Kind, a, w, x, q, pair: WeightedPair | None = None) -> dict
     if exact:
         from . import exact as ex
     aw = a if w is None else a @ w
-    # a float A, validated by the routine: the thin SVD that routine took,
-    # read from the operand memo, serves its index and its scale
+    # a float A, validated by the routine: the thin SVD and the searched
+    # chain that routine took, read from the operand memo, serve its index
+    # and its scale with no SVD
     fa = None if exact else _Operand(a)
     k = check_q(q, aw.shape[0]) if spec.order == "q" else spec.order
     if k == "index" or (spec.order == "q" and k >= 2):

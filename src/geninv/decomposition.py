@@ -177,11 +177,11 @@ def _frame(chain, q: int, r: int) -> np.ndarray:
     n = chain.shape[0]
     if q == 0 or r == 0:
         return np.eye(n, dtype=np.complex128)
-    u = chain.b.usv[0]
+    u = chain.usv[0]
     if q == 1:
         return u
     r1 = chain.ranks[1]
-    return np.concatenate([u[:, :r1] @ chain.power(q).usv[0], u[:, r1:]], axis=1)
+    return np.concatenate([u[:, :r1] @ chain.factored(q).usv[0], u[:, r1:]], axis=1)
 
 
 def core_ep_decompose(a) -> CoreEPDecomposition:
@@ -189,11 +189,12 @@ def core_ep_decompose(a) -> CoreEPDecomposition:
 
     The index search on A's thin SVD leaves the chain holding P_k; its
     left singular vectors, times U1, and the rest of the SVD's U form the
-    unitary U that block triangularizes A (`_frame`). Besides the search
-    this takes one r x r SVD, of P_k, when k >= 2, and no QR. A's thin SVD
-    is read from `projectors._operand`'s memo when the previous call
-    factored the same A, as after its q-BT inverses. Degenerate inputs
-    produce empty blocks instead of errors.
+    unitary U that block triangularizes A (`_frame`). The search's thin
+    SVD of P_k gives those vectors, so it takes no SVD besides the search,
+    and no QR. A's thin SVD and its searched chain are read from
+    `projectors._operand`'s memo when the previous call searched the same
+    A, as after its q-BT inverses, and then it takes no SVD. Degenerate
+    inputs produce empty blocks instead of errors.
     """
     fa = _operand(a, "core_ep_decompose")
     a = fa.a

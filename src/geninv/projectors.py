@@ -7,14 +7,17 @@ routine that reads a power of A factors r x r matrices, not A^j.
 
 Every public routine that reads its operand's thin SVD takes the operand
 through `_operand`, which keeps the thin SVD of the last operand it
-factored: consecutive calls on one matrix (the q-BT family of one A, its
-index, its decomposition) factor it once. A call hits only on an operand
-equal bit for bit to the kept one, so a result never depends on which
-calls came before it. Values-only rank decisions (`matrix.rank`,
-`_stacked_rank_equal`) never read the memo."""
+factored and the searched chain of its powers: consecutive calls on one
+matrix (the q-BT family of one A, its index, its Drazin inverse, its
+decomposition) factor it once and decide each rank(A^j) once. A call hits
+only on an operand equal bit for bit to the kept one, and every power the
+chain forms is factored the same way whichever call forms it, so a result
+never depends on which calls came before it. Values-only rank decisions
+(`matrix.rank`, `_stacked_rank_equal`) never read the memo."""
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -56,9 +59,10 @@ class _Factored:
     the thin SVD's values when it is held, or when `thin` asks for it
     because a caller will need the vectors later; otherwise it takes a
     values-only SVD, which is all a rank decision needs. Only a public
-    routine's operand (`_Operand`) keeps its SVD across calls; a power,
-    product or block is factored anew by each call, and a values-only `s`
-    is never memoized, since its last bits can differ from the thin SVD's.
+    routine's operand (`_Operand`) keeps its SVD across calls, with the
+    powers its chain keeps (`_Powers`); a product or block is factored anew
+    by each call, and a values-only `s` is never memoized, since its last
+    bits can differ from the thin SVD's.
 
     `scale` anchors the cutoff to a parent matrix's largest singular value
     when the matrix is a derived quantity (power, extracted block), and
@@ -101,8 +105,7 @@ class _Factored:
         r = self._keep(scale, fixed_rank)
         if r == 0:
             return np.zeros(self.a.shape[::-1], dtype=np.complex128)
-        u, s, vh = self.usv
-        return (vh[:r].conj().T / s[:r]) @ u[:, :r].conj().T
+        return _svd_pinv(self.usv, r)
 
     def pinv_sigma_max(self, scale: float | None = None) -> float:
         """sigma_max of `pinv(scale)`: the reciprocal of the last kept value."""
@@ -121,6 +124,16 @@ class _Factored:
                      fixed_rank: int | None = None) -> np.ndarray:
         return self.pinv(scale, fixed_rank) @ self.a
 
+    def powers(self) -> "_Powers":
+        """A new chain of the powers of this square matrix, on its thin SVD."""
+        return _Powers(self.a.shape, self.usv)
+
+
+def _svd_pinv(usv: tuple[np.ndarray, np.ndarray, np.ndarray], r: int) -> np.ndarray:
+    """V_r S_r^-1 U_r*, the pseudoinverse at rank r from a thin SVD."""
+    u, s, vh = usv
+    return (vh[:r].conj().T / s[:r]) @ u[:, :r].conj().T
+
 
 def _thin_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The thin SVD of a; empty factors, and no SVD, for an empty a."""
@@ -134,11 +147,15 @@ def _thin_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise NumericError(f"SVD failed: {exc}") from exc
 
 
-# (shape, bytes, (U, s, V*)) of the operand `_Operand` factored last, or
-# None. A miss replaces the whole entry with one assignment of a new tuple,
-# so a thread reads the old entry or the new one, never a mix, and needs no
-# lock: two threads that miss at once each return their own operand's SVD,
-# and the later assignment stays.
+# (shape, bytes, (U, s, V*), chain) of the operand `_Operand` factored
+# last, or None; chain is the operand's searched `_Powers`, or None before
+# a search decided anything past rank(A). A miss, and a call that adds to
+# the chain, replaces the whole entry with one assignment of a new tuple,
+# so a thread reads the old entry or the new one, never a mix, and needs
+# no lock: two threads that miss at once each return their own operand's
+# SVD, and the later assignment stays; of two calls that add to one chain
+# at once, the one whose copy is overwritten is searched again by a later
+# call, which costs time and changes no result.
 _memo: tuple | None = None
 
 
@@ -149,24 +166,37 @@ class _Operand(_Factored):
     is a private copy of the operand's bytes, so a -0.0 that was 0.0, or
     any in-place edit of the caller's array, misses. The factors are
     read-only, since every later hit returns the same arrays; `s` is the
-    thin SVD's, so a rank read here is the one a cold call reads."""
+    thin SVD's, so a rank read here is the one a cold call reads. The
+    searched chain of its powers comes from the same entry (`powers`)."""
 
     def __init__(self, a: np.ndarray):
         super().__init__(a, thin=True)
 
     @cached_property
-    def usv(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _entry(self) -> tuple:
         global _memo
         a = self.a
         key = a.tobytes()
         entry = _memo
-        if entry is not None and entry[0] == a.shape and entry[1] == key:
-            return entry[2]
-        usv = _thin_svd(a)
-        for factor in usv:
-            factor.setflags(write=False)
-        _memo = (a.shape, key, usv)
-        return usv
+        if entry is None or entry[0] != a.shape or entry[1] != key:
+            usv = _thin_svd(a)
+            for factor in usv:
+                factor.setflags(write=False)
+            entry = _memo = (a.shape, key, usv, None)
+        return entry
+
+    @property
+    def usv(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self._entry[2]
+
+    def powers(self) -> "_Powers":
+        """A copy of the chain the memo keeps for this operand, the latest
+        one published when the memo still holds it, or a new chain."""
+        shape, key, usv, chain = self._entry
+        latest = _memo
+        if latest is not None and latest[1] is key:
+            chain = latest[3]
+        return _Powers(shape, usv, key) if chain is None else copy(chain)
 
 
 def _operand(a, name: str | None = None) -> _Operand:
@@ -211,39 +241,55 @@ def power(b, q: int) -> np.ndarray:
 
 
 class _Powers:
-    """The powers of a square matrix B, held in the r x r coordinates of
-    B's thin SVD truncated at r = rank(B).
+    """The searched chain of the powers of a square matrix B, held in the
+    r x r coordinates of B's thin SVD truncated at r = rank(B).
 
     With B = U1 S1 V1* and M = S1 V1* U1, B^j = U1 P_j V1* where P_1 = S1
     and P_j = M P_(j-1), so sigma(B^j) = sigma(P_j): every power is
     factored as an r x r matrix, under the cutoff of B^j itself (shape
-    n x n, anchored by the caller, at sigma_max(B)^j for a rank search).
-    A singular value of B dropped by the truncation is at most
-    n eps sigma_max(B), so it moves B^j by at most n eps sigma_max(B)^j,
-    below every cutoff anchored at sigma_max(B)^j or higher.
+    n x n, anchored at sigma_max(B)^j for a rank search). A singular value
+    of B dropped by the truncation is at most n eps sigma_max(B), so it
+    moves B^j by at most n eps sigma_max(B)^j, below every cutoff anchored
+    at sigma_max(B)^j or higher.
 
-    sigma_max(B), rank(B) and the frame come from B's thin SVD, which
-    every caller asks for (`_Factored(b, thin=True)`): a singular B needs
-    its vectors, and a nonsingular one pays the thin SVD where its values
-    alone would do. For a square B that SVD's U is n x n, so it also
-    completes any basis of R(B^q) in U1's coordinates to a unitary
-    (`decomposition._frame`). `ranks` holds rank(B^j) for j = 0, 1, ...
-    as far as `_power_search` decided them. The chain keeps the last two powers formed, which are
-    P_Ind(B) and P_(Ind(B)+1) after a search that stabilized, and a power
-    formed thin because a caller reads its vectors.
+    The chain holds B's shape and thin SVD, never B: sigma_max(B),
+    rank(B) and the frame come from that SVD. For a square B its U is
+    n x n, so it also completes any basis of R(B^q) in U1's coordinates to
+    a unitary (`decomposition._frame`). `ranks` holds rank(B^j) for
+    j = 0, 1, ... as far as `search` decided them, on an operand's chain
+    each on the thin SVD of P_j, which also gives the basis a caller reads
+    from it, so a rank and a basis never depend on which call formed the
+    power (`power`). The chain keeps
+    P_j with its factors for at most three j: the last two ranked, which
+    are P_Ind(B) and P_(Ind(B)+1) once the ranks stopped, and the last one
+    read for a basis (`factored`); and the r x r core P_k P_(2k+1)^+ P_k of
+    the Drazin inverse once formed (`core`). Its memory is O(r^2) whatever
+    the index.
+
+    An operand's chain (`key` set) is shared through the operand memo and
+    is never changed once published: each call works on its own copy
+    (`_Operand.powers`), and one that decides more ranks, keeps a new
+    basis power or forms the core publishes a copy with one assignment
+    (`_publish`). The chain rebinds its containers and never changes one
+    in place, so a shallow copy is a snapshot. A pair's chains
+    (`weighted.WeightedPair`) have no key and change in place.
     """
 
-    def __init__(self, b: _Factored):
-        self.b = b
-        n = b.a.shape[0]
-        self.shape = (n, n)
-        self.s1 = b.sigma_max
-        self.ranks = [n, b.rank(self.s1)]
+    def __init__(self, shape: tuple[int, int], usv: tuple[np.ndarray, np.ndarray, np.ndarray],
+                 key: bytes | None = None):
+        s = usv[1]
+        self.shape = shape
+        self.usv = usv
+        self.key = key
+        self.s1 = float(s[0]) if s.size else 0.0
+        self.ranks = [shape[0], rank_from_values(s, shape, self.s1)]
         self._held: dict[int, _Factored] = {}
+        self._basis = 0
+        self._core: tuple[int, np.ndarray] | None = None
 
     @property
     def index(self) -> int:
-        """min(Ind(B), last - 1) after `_power_search` up to j = last."""
+        """min(Ind(B), last - 1) after `search` up to j = last."""
         return len(self.ranks) - 2
 
     @cached_property
@@ -251,7 +297,7 @@ class _Powers:
         """U1, S1, V1* and V1* U1; a B of rank 0 takes no SVD."""
         r = self.ranks[1]
         if r:
-            u, s, vh = self.b.usv
+            u, s, vh = self.usv
             u1, s, vh1 = u[:, :r], s[:r], vh[:r]
         else:
             n = self.shape[0]
@@ -278,26 +324,70 @@ class _Powers:
         _, s, _, vh1_u1 = self._frame
         return s[:, None] * vh1_u1
 
-    def power(self, j: int, thin: bool = False) -> _Factored:
-        """P_j for j >= 1, held with its factorization; `thin` makes a newly
-        formed P_j take its thin SVD for its singular values too."""
+    def pinv(self) -> np.ndarray:
+        """B^+ from B's thin SVD, its rank decided as in `_Factored.pinv`."""
+        return _svd_pinv(self.usv, _kept(self.usv[1], self.shape, None, None))
+
+    def power(self, j: int) -> _Factored:
+        """P_j for j >= 1, held or formed from the highest power held below
+        it, its SVD taken on first use. An operand's P_j is thin, so its
+        rank is read from the SVD that also gives its basis, whichever call
+        forms it; a pair's chain, searched once when the pair is built,
+        ranks a power on its values alone and takes the thin SVD only for a
+        power whose vectors a routine reads."""
         held = self._held
         if j in held:
             return held[j]
+        s = self._frame[1]
+        thin = self.key is not None
         if j == 1:
-            held[1] = _Factored(np.diag(self._frame[1]).astype(np.complex128), shape=self.shape)
-            return held[1]
-        e = max((i for i in held if 1 < i < j), default=1)
-        p = held[e].a if e > 1 else None
-        while e < j:
-            e += 1
-            # P_2 = M S1 scales the columns of M
-            p = self.m * self._frame[1] if p is None else self.m @ p
-            old = held.get(e - 2)
-            if e - 2 > 1 and old is not None and not old.thin:
-                del held[e - 2]
-            held[e] = _Factored(p, thin=thin and e == j, shape=self.shape)
-        return held[j]
+            return _Factored(np.diag(s).astype(np.complex128), thin=thin, shape=self.shape)
+        e = max((i for i in held if i < j), default=1)
+        # P_2 = M S1 scales the columns of M
+        p = held[e].a if e > 1 else self.m * s
+        for _ in range(max(e, 2), j):
+            p = self.m @ p
+        return _Factored(p, thin=thin, shape=self.shape)
+
+    def _hold(self, j: int, p: _Factored) -> None:
+        """Hold P_j, and drop every power but the last two ranked and the
+        basis power."""
+        last = len(self.ranks) - 1
+        self._held = {i: f for i, f in {**self._held, j: p}.items()
+                      if i in (last - 1, last, self._basis)}
+
+    def _publish(self) -> None:
+        """Put a snapshot of an operand's chain in the operand memo."""
+        global _memo
+        if self.key is not None:
+            _memo = (self.shape, self.key, self.usv, copy(self))
+
+    def search(self, last: int) -> None:
+        """Decide rank(B^j) for j = 2, 3, ... up to the first j with
+        rank(B^j) = rank(B^(j-1)), or up to j = last, each on P_j's thin
+        SVD against sigma_max(B)^j; a chain already searched that far
+        decides nothing."""
+        decided = len(self.ranks)
+        while self.ranks[-1] != self.ranks[-2] and len(self.ranks) <= last:
+            j = len(self.ranks)
+            anchor = _anchor(self.s1, j)
+            p = self.power(j)
+            self.ranks = self.ranks + [p.rank(anchor)]
+            self._hold(j, p)
+        if len(self.ranks) > decided:
+            self._publish()
+
+    def factored(self, q: int) -> _Factored:
+        """P_q, q >= 2, with its thin SVD; held as the basis power when the
+        chain does not hold it already."""
+        p = self._held.get(q)
+        if p is None:
+            p = self.power(q)
+            p.usv  # taken before the chain is published
+            self._basis = q
+            self._hold(q, p)
+            self._publish()
+        return p
 
     def basis(self, q: int, scale: float | None = None,
               fixed_rank: int | None = None) -> np.ndarray:
@@ -306,10 +396,26 @@ class _Powers:
         The count is decided as in `_Factored.range_basis`; P_1 = S1 is
         diagonal and takes no SVD."""
         if q > 1:
-            return self.power(q).range_basis(scale, fixed_rank)
+            return self.factored(q).range_basis(scale, fixed_rank)
         s = self._frame[1]
         keep = 0 if fixed_rank == 0 else _kept(s, self.shape, scale, fixed_rank)
         return np.eye(s.size, keep, dtype=np.complex128)
+
+    def core(self, k: int) -> np.ndarray:
+        """P_k P_(2k+1)^+ P_k for k >= 1, the r x r core of the Drazin
+        inverse B^d = U1 P_k P_(2k+1)^+ P_k V1* at k = Ind(B), with
+        P_(2k+1) = P_(k+1) V1* U1 P_k and its cutoff that of the n x n power
+        B^(2k+1), anchored at sigma_max(B)^(2k+1). Kept for the last k
+        asked, so Drazin, group and core inverses share one P_(2k+1)^+."""
+        if self._core is None or self._core[0] != k:
+            anchor = _anchor(self.s1, 2 * k + 1)
+            pk, pk1 = self.power(k).a, self.power(k + 1).a
+            p2k1 = _Factored(pk1 @ self.vh1_u1 @ pk, shape=self.shape)
+            core = pk @ p2k1.pinv(scale=anchor) @ pk
+            core.setflags(write=False)
+            self._core = (k, core)
+            self._publish()
+        return self._core[1]
 
 
 def _anchor(s1: float, j: int) -> float:
@@ -322,22 +428,19 @@ def _anchor(s1: float, j: int) -> float:
             f"sigma_max^{j}, the rank anchor of power {j}, overflows") from None
 
 
-def _power_search(b: _Factored, last: int, thin_at: int = 0) -> _Powers:
-    """rank(B^j) for j = 0, 1, ... up to the first j with rank(B^j) =
-    rank(B^(j-1)), or up to j = last, each decided on P_j against
-    sigma_max(B)^j; read them from the returned chain's `ranks`.
+def _power_search(b: _Factored, last: int) -> _Powers:
+    """The chain of B's powers, its ranks decided up to the first j with
+    rank(B^j) = rank(B^(j-1)), or up to j = last at least; read them from
+    its `ranks`.
 
-    P_thin_at is formed thin, so the range basis a caller reads from it
-    costs no second SVD. The only full-size SVD is that of B, thin when B
-    was created thin, as every caller creates it: it gives sigma_max(B),
-    rank(B) and the frame at once.
+    The only full-size SVD is the thin SVD of B, which gives sigma_max(B),
+    rank(B) and the frame at once. An operand's chain comes from the
+    operand memo (`_Operand.powers`), so the family of one A decides each
+    rank(A^j) once and factors each P_j once; the chain may then have been
+    searched past `last`.
     """
-    chain = _Powers(b)
-    ranks = chain.ranks
-    while ranks[-1] != ranks[-2] and len(ranks) <= last:
-        j = len(ranks)
-        anchor = _anchor(chain.s1, j)
-        ranks.append(chain.power(j, thin=j == thin_at).rank(anchor))
+    chain = b.powers()
+    chain.search(last)
     return chain
 
 
@@ -398,10 +501,11 @@ def matrix_index(b) -> IndexReport:
     The rank of B^j is taken relative to sigma_max(B)^j and decided on the
     r x r compression of B^j (`_Powers`); one thin SVD of B gives
     sigma_max(B), rank(B) and the frame, and settles a nonsingular B. A
-    singular B adds one values-only SVD of an r x r matrix per power:
-    Ind(B) + 1 SVDs in all, one fewer when the previous call factored the
-    same B (`_operand`). The search is capped at n (the index never
-    exceeds n).
+    singular B adds one thin SVD of an r x r matrix per power: Ind(B) + 1
+    SVDs in all. The operand memo (`_operand`) keeps B's thin SVD and its
+    searched chain, so after any call that searched B this far, another
+    call on the same B takes none. The search is capped at n (the index
+    never exceeds n).
     """
     b = _operand(b, "matrix_index")
     chain = _power_search(b, b.a.shape[0] + 1)

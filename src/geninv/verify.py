@@ -529,10 +529,15 @@ def _corpus_member_checks(p: WeightedPair, integer: bool, planted_k: int,
     awqs = [_Factored(matrix_power(aw, q), thin=True) for q in q_grid]
     pq_pinvs = [f.pinv(scale=s_aw ** q) for q, f in zip(q_grid, awqs)]
     pqs = [f.a @ f_pinv for f, f_pinv in zip(awqs, pq_pinvs)]
-    # the q-BT grids of both products; the core-EP inverse of each is its
-    # entry at the product's own index
+    # the q-BT grids of both products, the core-EP inverse of each its entry
+    # at the product's own index, and their Drazin inverses; each operand's
+    # calls run before the next operand's, so the operand memo serves every
+    # call after its first
     aw_qbts = [qbt_inverse(aw, q) for q in q_grid]
+    awd = drazin(aw)
+    d_aw = core_ep_decompose(aw)
     wa_qbts = [qbt_inverse(wa, q) for q in q_grid]
+    wad = drazin(wa)
     aw_cep, wa_cep = aw_qbts[p.ind_aw], wa_qbts[p.ind_wa]
     cep = xs[k]
 
@@ -553,8 +558,6 @@ def _corpus_member_checks(p: WeightedPair, integer: bool, planted_k: int,
 
     # weighted Drazin equations and dual representations
     xd = weighted_drazin(p)
-    awd = drazin(aw)
-    wad = drazin(wa)
     eqs = matrix.drazin_residuals(a, xd, k, w)
     agg["corpus.wdrazin.equations"].update({
         "eq1": eqs["outer"], "eq2": eqs["commute"], "eq3": eqs["chain"],
@@ -606,8 +609,6 @@ def _corpus_member_checks(p: WeightedPair, integer: bool, planted_k: int,
                                   a3_rank=_Factored(a).rank() - t),
                        pinv(a))},
         where)
-
-    d_aw = core_ep_decompose(aw)
 
     for q in q_grid:
         where_q = f"{where} q={q}"

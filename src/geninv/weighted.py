@@ -110,7 +110,7 @@ class WeightedPair:
 def _searched(x: np.ndarray, y: np.ndarray) -> _Powers:
     """The chain of the square product X Y, its index searched on the
     product's thin SVD, which also gives the chain's frame."""
-    return _power_search(_Factored(x @ y, thin=True), x.shape[0] + 1)
+    return _power_search(_Factored(x @ y), x.shape[0] + 1)
 
 
 def weighted_qbt(p: WeightedPair, q: int) -> np.ndarray:
@@ -137,10 +137,11 @@ def weighted_core_ep(p: WeightedPair) -> np.ndarray:
 
 
 def weighted_drazin(p: WeightedPair) -> np.ndarray:
-    """W-weighted Drazin inverse A (WA)^d (WA)^d; (WA)^d reads Ind(WA) and
-    sigma_max(WA) from the pair, so it reads the pair's chain of WA and,
-    for Ind(WA) > 0, factors the r x r compression of (WA)^(2k+1)."""
-    d = _drazin(p._wa, p.ind_wa, p.sigma_max_wa)
+    """W-weighted Drazin inverse A (WA)^d (WA)^d; (WA)^d reads Ind(WA) from
+    the pair and sigma_max(WA) from the pair's chain of WA, and for
+    Ind(WA) > 0 its first call factors the r x r compression of
+    (WA)^(2k+1), whose core the chain keeps."""
+    d = _drazin(p._wa, p.ind_wa)
     return p.a @ d @ d
 
 

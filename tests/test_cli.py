@@ -13,7 +13,7 @@ from geninv.io import parse_matrix
 from geninv.reference import (PAIR_4X3_A, PAIR_4X3_W, PAIR_5X4_A, PAIR_5X4_W, WCEP_4X3,
                               WQBT_4X3, float_matrix)
 
-from conftest import rel
+from conftest import cold, rel
 
 
 def write_csv(path, rows):
@@ -207,8 +207,7 @@ class TestInverseCommands:
     def test_qbt_verify_takes_two_full_size_svds(self, tmp_path, capsys, monkeypatch):
         # the routine's thin SVD of A, which the residuals read from the
         # operand memo for the index and the scale, and the SVD of A^2 for
-        # its projector. The residuals search the index a second time, on
-        # r x r compressions
+        # its projector
         shapes = []
         real_svd = np.linalg.svd
 
@@ -221,6 +220,29 @@ class TestInverseCommands:
         code, _, _ = run_main(capsys, "qbt", "--q", "2", a, "--verify")
         assert code == 0
         assert shapes.count((6, 6)) == 2
+
+    def test_qbt_verify_searches_no_index_of_its_own(self, tmp_path, capsys, monkeypatch):
+        # the residuals read the index off the chain the routine searched,
+        # which the operand memo keeps: --verify adds the SVD of A^2 for its
+        # projector and no SVD of an r x r power
+        shapes = []
+        real_svd = np.linalg.svd
+
+        def counted(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return real_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        a = write_csv(tmp_path / "a.csv", SQUARE_I2)
+        runs = []
+        for extra in ([], ["--verify"]):
+            cold()
+            shapes.clear()
+            code, _, _ = run_main(capsys, "qbt", "--q", "2", a, *extra)
+            assert code == 0
+            runs.append(list(shapes))
+        assert len(runs[0]) == 3
+        assert runs[1] == runs[0] + [(6, 6)]
 
     @pytest.mark.parametrize("path", ["float", "exact"])
     @pytest.mark.parametrize("q", ["n", 60, 600, 2000])

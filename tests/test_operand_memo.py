@@ -1,11 +1,15 @@
 """The operand memo (`projectors._operand`): a public routine called on the
-matrix the previous call factored reads that matrix's thin SVD instead of
-taking it again, and returns what a call on an empty memo returns, bit for
-bit. A hit needs the same shape and bytes; the factors are read-only."""
+matrix the previous call factored reads that matrix's thin SVD and the
+searched chain of its powers instead of taking them again, and returns
+what a call on an empty memo returns, bit for bit. A hit needs the same
+shape and bytes; the factors are read-only, and a published chain is
+never changed."""
 
 import dataclasses
+import gc
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -83,6 +87,55 @@ def test_a_warm_call_equals_a_cold_call(svds, label, a, k):
         svds.clear()
         assert bits(call(a)) == expected, name
         assert full_size(svds, a.shape) == 0, name
+
+
+@pytest.mark.parametrize("order", ["forward", "reversed"])
+def test_a_family_called_in_turn_equals_its_cold_calls(squares, order):
+    # each call reads the chain the calls before it searched, past its own
+    # q or short of it, and with other powers kept
+    for k, a in squares.items():
+        calls = routines(k)
+        expected = {}
+        for name, call in calls.items():
+            cold()
+            expected[name] = bits(call(a))
+        names = list(calls) if order == "forward" else list(reversed(calls))
+        cold()
+        for name in names:
+            assert bits(calls[name](a)) == expected[name], (k, name)
+
+
+def test_a_long_chain_keeps_at_most_three_powers():
+    # a 64 x 64 Jordan block has index 64: its chain ranks every power, yet
+    # holds P_64, P_65 and the last power a q-BT inverse read for its basis
+    n = 64
+    a = np.diag(np.ones(n - 1), 1).astype(np.complex128)
+    assert matrix_index(a).index == n
+    chain = projectors._memo[3]
+    assert len(chain.ranks) == n + 2 and sorted(chain._held) == [n, n + 1]
+    for q in (*range(n + 2), 40, 3):
+        qbt_inverse(a, q)
+        chain = projectors._memo[3]
+        assert len(chain._held) <= 3, q
+        assert chain.ranks == list(range(n, -1, -1)) + [0]
+    assert sorted(chain._held) == [3, n, n + 1]
+
+
+def test_the_memo_frees_the_old_chain_when_a_new_operand_replaces_it(squares):
+    # the chain holds the shape and the factors, never the operand, so no
+    # reference cycle keeps an old chain until a collection
+    gc.disable()
+    try:
+        qbt_inverse(squares[3], 2)
+        chain = projectors._memo[3]
+        held = weakref.ref(chain._held[3])
+        chain = weakref.ref(chain)
+        alive = chain() is not None and held() is not None
+        qbt_inverse(squares[2], 1)
+        freed = chain() is None and held() is None
+    finally:
+        gc.enable()
+    assert alive and freed
 
 
 def test_an_in_place_edit_gives_the_edited_matrix_cold_result(squares):
@@ -183,3 +236,39 @@ def test_threads_alternating_two_operands_match_the_serial_results(squares):
     for out in results:
         assert len(out) == calls
         assert all(got == serial[j] for j, got in out)
+
+
+def test_threads_sharing_the_chains_match_the_cold_results(squares):
+    # each thread runs the families of two operands from its own offset, so
+    # its calls read chains that other threads published, extend them and
+    # publish again, while other calls replace the entry or empty the memo
+    cases = [(k, name, call) for k in (2, 3) for name, call in routines(k).items()]
+    expected = {}
+    for k, name, call in cases:
+        cold()
+        expected[k, name] = bits(call(squares[k]))
+    cold()
+    threads = 4
+    results = [[] for _ in range(threads)]
+
+    def work(out, start):
+        for i in range(2 * len(cases)):
+            k, name, call = cases[(start * 7 + i) % len(cases)]
+            if i % 3 == start % 3:
+                cold()
+            out.append(((k, name), bits(call(squares[k]))))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work, args=(results[t], t)) for t in range(threads)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    for out in results:
+        assert len(out) == 2 * len(cases)
+        assert all(got == expected[key] for key, got in out)
