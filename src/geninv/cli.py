@@ -30,8 +30,6 @@ import os
 import sys
 from typing import NamedTuple
 
-from numpy.linalg import matrix_power
-
 import geninv
 
 from . import matrix
@@ -39,7 +37,7 @@ from .classical import _index_search, check_q
 from .errors import (DecompositionError, DomainError, NumericError,
                      ParseError, ShapeError)
 from .io import format_matrix, load_matrix
-from .projectors import _Factored, _Operand
+from .projectors import _Operand, _power_projector
 from .weighted import WeightedPair
 
 
@@ -189,7 +187,7 @@ def _residuals(spec: Kind, a, w, x, q, pair: WeightedPair | None = None) -> dict
         b = b @ ex.exact_proj_range(ex.exact_power(aw, k))
     elif k:
         s = fa.sigma_max if pair is None else pair.sigma_max_a * pair.sigma_max_w
-        b = b @ _Factored(matrix_power(aw, k)).proj_range(scale=s ** k)
+        b = b @ _power_projector(aw, k, s)
     return matrix.penrose_residuals(b, x)
 
 

@@ -17,7 +17,7 @@ never depends on which calls came before it. Values-only rank decisions
 
 from __future__ import annotations
 
-from copy import copy
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -147,33 +147,31 @@ def _thin_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise NumericError(f"SVD failed: {exc}") from exc
 
 
-# (shape, bytes, (U, s, V*), chain) of the operand `_Operand` factored
-# last, or None; chain is the operand's searched `_Powers`, or None before
-# a search decided anything past rank(A). A miss, and a call that adds to
-# the chain, replaces the whole entry with one assignment of a new tuple,
-# so a thread reads the old entry or the new one, never a mix, and needs
-# no lock: two threads that miss at once each return their own operand's
-# SVD, and the later assignment stays; of two calls that add to one chain
-# at once, the one whose copy is overwritten is searched again by a later
-# call, which costs time and changes no result.
+# (shape, bytes, chain) of the operand `_Operand` factored last, or None;
+# chain is the operand's `_Powers`, which holds its thin SVD (U, s, V*).
+# A miss replaces the whole entry with one assignment of a new tuple, so a
+# thread reads the old entry or the new one, never a mix: two threads that
+# miss at once each use their own operand's chain, and the later
+# assignment stays. Every call on the operand, in any thread, shares the
+# chain, which changes in place under its own lock (`_Powers`).
 _memo: tuple | None = None
 
 
 class _Operand(_Factored):
-    """A public routine's validated operand: a thin `_Factored` whose SVD
-    is the memo's when the operand has the memo's shape and bytes, and is
-    otherwise taken and put in the memo in place of the old entry. The key
-    is a private copy of the operand's bytes, so a -0.0 that was 0.0, or
-    any in-place edit of the caller's array, misses. The factors are
-    read-only, since every later hit returns the same arrays; `s` is the
-    thin SVD's, so a rank read here is the one a cold call reads. The
-    searched chain of its powers comes from the same entry (`powers`)."""
+    """A public routine's validated operand: a thin `_Factored` whose chain
+    of powers, and with it its thin SVD, is the memo's when the operand has
+    the memo's shape and bytes, and is otherwise made and put in the memo
+    in place of the old entry. The key is a private copy of the operand's
+    bytes, so a -0.0 that was 0.0, or any in-place edit of the caller's
+    array, misses. The factors are read-only, since every later hit
+    returns the same arrays; `s` is the thin SVD's, so a rank read here is
+    the one a cold call reads."""
 
     def __init__(self, a: np.ndarray):
         super().__init__(a, thin=True)
 
     @cached_property
-    def _entry(self) -> tuple:
+    def _chain(self) -> "_Powers":
         global _memo
         a = self.a
         key = a.tobytes()
@@ -182,21 +180,17 @@ class _Operand(_Factored):
             usv = _thin_svd(a)
             for factor in usv:
                 factor.setflags(write=False)
-            entry = _memo = (a.shape, key, usv, None)
-        return entry
+            entry = _memo = (a.shape, key, _Powers(a.shape, usv))
+        return entry[2]
 
     @property
     def usv(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self._entry[2]
+        return self._chain.usv
 
     def powers(self) -> "_Powers":
-        """A copy of the chain the memo keeps for this operand, the latest
-        one published when the memo still holds it, or a new chain."""
-        shape, key, usv, chain = self._entry
-        latest = _memo
-        if latest is not None and latest[1] is key:
-            chain = latest[3]
-        return _Powers(shape, usv, key) if chain is None else copy(chain)
+        """The chain the memo keeps for this operand, shared by every call
+        on it."""
+        return self._chain
 
 
 def _operand(a, name: str | None = None) -> _Operand:
@@ -256,36 +250,34 @@ class _Powers:
     rank(B) and the frame come from that SVD. For a square B its U is
     n x n, so it also completes any basis of R(B^q) in U1's coordinates to
     a unitary (`decomposition._frame`). `ranks` holds rank(B^j) for
-    j = 0, 1, ... as far as `search` decided them, on an operand's chain
-    each on the thin SVD of P_j, which also gives the basis a caller reads
-    from it, so a rank and a basis never depend on which call formed the
-    power (`power`). The chain keeps
-    P_j with its factors for at most three j: the last two ranked, which
-    are P_Ind(B) and P_(Ind(B)+1) once the ranks stopped, and the last one
-    read for a basis (`factored`); and the r x r core P_k P_(2k+1)^+ P_k of
-    the Drazin inverse once formed (`core`). Its memory is O(r^2) whatever
-    the index.
+    j = 0, 1, ... as far as `search` decided them, each on the thin SVD of
+    P_j, which also gives the basis a caller reads from it, so a rank and a
+    basis never depend on which call formed the power (`power`). The chain
+    keeps P_j with its factors for at most three j: the last two ranked,
+    which are P_Ind(B) and P_(Ind(B)+1) once the ranks stopped, and the
+    last one read for a basis (`factored`); and the r x r core
+    P_k P_(2k+1)^+ P_k of the Drazin inverse once formed (`core`). Its
+    memory is O(r^2) whatever the index.
 
-    An operand's chain (`key` set) is shared through the operand memo and
-    is never changed once published: each call works on its own copy
-    (`_Operand.powers`), and one that decides more ranks, keeps a new
-    basis power or forms the core publishes a copy with one assignment
-    (`_publish`). The chain rebinds its containers and never changes one
-    in place, so a shallow copy is a snapshot. A pair's chains
-    (`weighted.WeightedPair`) have no key and change in place.
+    An operand's chain is the operand memo's (`_Operand.powers`) and a
+    pair's are the pair's (`weighted.WeightedPair`); either is shared by
+    every call that reads it, in any thread, and changes in place. It
+    changes only under its lock: `ranks` only grows, and a rank once
+    decided never changes, so a call reads the ranks it searched whatever
+    other calls add after them; the held powers and the core are caches,
+    rebound whole, and a power formed again has the same bits.
     """
 
-    def __init__(self, shape: tuple[int, int], usv: tuple[np.ndarray, np.ndarray, np.ndarray],
-                 key: bytes | None = None):
+    def __init__(self, shape: tuple[int, int], usv: tuple[np.ndarray, np.ndarray, np.ndarray]):
         s = usv[1]
         self.shape = shape
         self.usv = usv
-        self.key = key
         self.s1 = float(s[0]) if s.size else 0.0
         self.ranks = [shape[0], rank_from_values(s, shape, self.s1)]
         self._held: dict[int, _Factored] = {}
         self._basis = 0
         self._core: tuple[int, np.ndarray] | None = None
+        self._lock = threading.Lock()
 
     @property
     def index(self) -> int:
@@ -330,24 +322,20 @@ class _Powers:
 
     def power(self, j: int) -> _Factored:
         """P_j for j >= 1, held or formed from the highest power held below
-        it, its SVD taken on first use. An operand's P_j is thin, so its
-        rank is read from the SVD that also gives its basis, whichever call
-        forms it; a pair's chain, searched once when the pair is built,
-        ranks a power on its values alone and takes the thin SVD only for a
-        power whose vectors a routine reads."""
+        it, its thin SVD taken on first use: its rank is read from the SVD
+        that also gives its basis, whichever call forms it."""
         held = self._held
         if j in held:
             return held[j]
         s = self._frame[1]
-        thin = self.key is not None
         if j == 1:
-            return _Factored(np.diag(s).astype(np.complex128), thin=thin, shape=self.shape)
+            return _Factored(np.diag(s).astype(np.complex128), thin=True, shape=self.shape)
         e = max((i for i in held if i < j), default=1)
         # P_2 = M S1 scales the columns of M
         p = held[e].a if e > 1 else self.m * s
         for _ in range(max(e, 2), j):
             p = self.m @ p
-        return _Factored(p, thin=thin, shape=self.shape)
+        return _Factored(p, thin=True, shape=self.shape)
 
     def _hold(self, j: int, p: _Factored) -> None:
         """Hold P_j, and drop every power but the last two ranked and the
@@ -356,37 +344,29 @@ class _Powers:
         self._held = {i: f for i, f in {**self._held, j: p}.items()
                       if i in (last - 1, last, self._basis)}
 
-    def _publish(self) -> None:
-        """Put a snapshot of an operand's chain in the operand memo."""
-        global _memo
-        if self.key is not None:
-            _memo = (self.shape, self.key, self.usv, copy(self))
-
     def search(self, last: int) -> None:
         """Decide rank(B^j) for j = 2, 3, ... up to the first j with
         rank(B^j) = rank(B^(j-1)), or up to j = last, each on P_j's thin
         SVD against sigma_max(B)^j; a chain already searched that far
         decides nothing."""
-        decided = len(self.ranks)
-        while self.ranks[-1] != self.ranks[-2] and len(self.ranks) <= last:
-            j = len(self.ranks)
-            anchor = _anchor(self.s1, j)
-            p = self.power(j)
-            self.ranks = self.ranks + [p.rank(anchor)]
-            self._hold(j, p)
-        if len(self.ranks) > decided:
-            self._publish()
+        with self._lock:
+            ranks = self.ranks
+            while ranks[-1] != ranks[-2] and len(ranks) <= last:
+                j = len(ranks)
+                anchor = _anchor(self.s1, j)
+                p = self.power(j)
+                ranks.append(p.rank(anchor))
+                self._hold(j, p)
 
     def factored(self, q: int) -> _Factored:
-        """P_q, q >= 2, with its thin SVD; held as the basis power when the
+        """P_q, q >= 2, thin; held as the basis power when the
         chain does not hold it already."""
-        p = self._held.get(q)
-        if p is None:
-            p = self.power(q)
-            p.usv  # taken before the chain is published
-            self._basis = q
-            self._hold(q, p)
-            self._publish()
+        with self._lock:
+            p = self._held.get(q)
+            if p is None:
+                p = self.power(q)
+                self._basis = q
+                self._hold(q, p)
         return p
 
     def basis(self, q: int, scale: float | None = None,
@@ -407,15 +387,15 @@ class _Powers:
         P_(2k+1) = P_(k+1) V1* U1 P_k and its cutoff that of the n x n power
         B^(2k+1), anchored at sigma_max(B)^(2k+1). Kept for the last k
         asked, so Drazin, group and core inverses share one P_(2k+1)^+."""
-        if self._core is None or self._core[0] != k:
-            anchor = _anchor(self.s1, 2 * k + 1)
-            pk, pk1 = self.power(k).a, self.power(k + 1).a
-            p2k1 = _Factored(pk1 @ self.vh1_u1 @ pk, shape=self.shape)
-            core = pk @ p2k1.pinv(scale=anchor) @ pk
-            core.setflags(write=False)
-            self._core = (k, core)
-            self._publish()
-        return self._core[1]
+        with self._lock:
+            if self._core is None or self._core[0] != k:
+                anchor = _anchor(self.s1, 2 * k + 1)
+                pk, pk1 = self.power(k).a, self.power(k + 1).a
+                p2k1 = _Factored(pk1 @ self.vh1_u1 @ pk, shape=self.shape)
+                core = pk @ p2k1.pinv(scale=anchor) @ pk
+                core.setflags(write=False)
+                self._core = (k, core)
+            return self._core[1]
 
 
 def _anchor(s1: float, j: int) -> float:
@@ -428,14 +408,21 @@ def _anchor(s1: float, j: int) -> float:
             f"sigma_max^{j}, the rank anchor of power {j}, overflows") from None
 
 
+def _power_projector(b: np.ndarray, q: int, s: float) -> np.ndarray:
+    """P_{B^q} from the full-size power B^q, its rank decided against s^q
+    for s a scale of B: the reference the checks compare the chain's
+    results with, built apart from it."""
+    return _Factored(np.linalg.matrix_power(b, q)).proj_range(scale=s ** q)
+
+
 def _power_search(b: _Factored, last: int) -> _Powers:
     """The chain of B's powers, its ranks decided up to the first j with
     rank(B^j) = rank(B^(j-1)), or up to j = last at least; read them from
     its `ranks`.
 
     The only full-size SVD is the thin SVD of B, which gives sigma_max(B),
-    rank(B) and the frame at once. An operand's chain comes from the
-    operand memo (`_Operand.powers`), so the family of one A decides each
+    rank(B) and the frame at once. An operand's chain is the operand
+    memo's (`_Operand.powers`), so the family of one A decides each
     rank(A^j) once and factors each P_j once; the chain may then have been
     searched past `last`.
     """

@@ -31,7 +31,7 @@ from .exact import (_matmul, exact_pair_index, exact_pinv, exact_qbt,
                     exact_weighted_qbt, float_of, requal, rmatrix)
 from . import matrix
 from .matrix import Tolerances, frobenius, rel, resolve_tol
-from .projectors import _Factored, _nullspace_equal, _range_equal, pinv
+from .projectors import _Factored, _nullspace_equal, _power_projector, _range_equal, pinv
 from .weighted import (WeightedPair, cline_shift_check,
                        dual_representation_gap, weighted_drazin, weighted_qbt,
                        weighted_qbt_product_forms, weighted_qbt_via_square)
@@ -310,7 +310,7 @@ def run_example_checks(tol: Tolerances | None = None) -> ConformanceReport:
         "right product agrees at q=3, left product does not"))
 
     s_aw = p.sigma_max_a * p.sigma_max_w
-    pk = _Factored(matrix_power(p.a @ p.w, p.k)).proj_range(scale=s_aw ** p.k)
+    pk = _power_projector(p.a @ p.w, p.k, s_aw)
     red = _reduction_residuals(p, xs, weighted_qbt_product_forms(p, 1), pk)
     results.append(_residual_check(
         "examples.pair4x3.reductions",
@@ -406,16 +406,21 @@ def run_system_checks(p: WeightedPair, q: int, tol: Tolerances | None = None,
     be decided against (sigma_max(A) sigma_max(W))^q, which the spread of
     its singular values outgrows. The reference x0 is the canonical form,
     a route that shares no code with `weighted_qbt`, so the computed
-    inverse is compared with something other than itself."""
+    inverse is compared with something other than itself. A candidate
+    must be m x n, the shape of A; a non-finite one fails the checks."""
     tol = resolve_tol(tol)
+    if candidate is not None:
+        candidate = np.asarray(candidate, dtype=np.complex128)
+        if candidate.shape != p.shape:
+            raise ShapeError(f"candidate must be {p.shape[0]}x{p.shape[1]}, "
+                             f"got {'x'.join(map(str, candidate.shape))}")
     atol = tol.residual_atol
     detail = f"{p.shape[0]}x{p.shape[1]} pair, q={q}" + \
         ("" if candidate is None else ", supplied candidate")
     qk = min(q, p.k)
     x0, _parts = canonical_weighted_qbt(weighted_core_ep_decompose(p, tol), qk)
-    pq = _Factored(matrix_power(p.a @ p.w, qk)).proj_range(
-        scale=(p.sigma_max_a * p.sigma_max_w) ** qk)
-    x = weighted_qbt(p, q) if candidate is None else np.asarray(candidate, dtype=np.complex128)
+    pq = _power_projector(p.a @ p.w, qk, p.sigma_max_a * p.sigma_max_w)
+    x = weighted_qbt(p, q) if candidate is None else candidate
     [res] = _system_residuals(p, x0, pq, _range_generator(p, pq), [x])
     out = []
     for system, eqs in res.items():
@@ -568,7 +573,7 @@ def _corpus_member_checks(p: WeightedPair, integer: bool, planted_k: int,
     }, where)
 
     # weighted core-EP system and companion identities
-    pk_wa = _Factored(matrix_power(wa, k)).proj_range(scale=(sw * sa) ** k)
+    pk_wa = _power_projector(wa, k, sw * sa)
     pk_aw = pqs[k]
     agg["corpus.wcep.system"].update({
         "sandwich_eq": rel(waw @ cep, pk_wa),

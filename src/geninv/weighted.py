@@ -42,11 +42,13 @@ class WeightedPair:
     those `from_matrices` searched the indices on; a pair built otherwise
     (by `dataclasses.replace`) runs the same searches on first use. Every
     weighted routine, the weighted decomposition and every q on one pair
-    read them. Beside them the pair keeps the Householder QR of W U1, U1
-    the range basis of AW's chain, taken when a q-BT inverse of q >= 1
-    first needs it and then read by every q. None of these are fields:
-    equality, `dataclasses.replace` and the printed form see only the data
-    above.
+    read them, in any thread: like an operand's chain, each forms its
+    powers thin, so the search's SVD of P_k also gives the decomposition's
+    frame, and changes in place under its lock. Beside them the pair
+    keeps the Householder QR of W U1, U1 the range basis of AW's chain,
+    taken when a q-BT inverse of q >= 1 first needs it and then read by
+    every q. None of these are fields: equality, `dataclasses.replace` and
+    the printed form see only the data above.
     """
 
     a: np.ndarray

@@ -2,8 +2,9 @@
 matrix the previous call factored reads that matrix's thin SVD and the
 searched chain of its powers instead of taking them again, and returns
 what a call on an empty memo returns, bit for bit. A hit needs the same
-shape and bytes; the factors are read-only, and a published chain is
-never changed."""
+shape and bytes, and the factors are read-only. The chain is shared by
+every call on the operand, in any thread, and changes in place under its
+lock."""
 
 import dataclasses
 import gc
@@ -17,10 +18,11 @@ import pytest
 from conftest import cold
 from geninv import projectors
 from geninv.classical import bt_inverse, core_ep, core_inverse, drazin, group_inverse, qbt_inverse
-from geninv.corpus import random_pairs, random_square
-from geninv.decomposition import core_ep_decompose
+from geninv.corpus import random_pairs, random_planted_pair, random_square
+from geninv.decomposition import core_ep_decompose, weighted_core_ep_decompose
 from geninv.matrix import rank
 from geninv.projectors import matrix_index, pinv, proj_corange, proj_range, range_basis
+from geninv.weighted import WeightedPair, weighted_drazin, weighted_qbt
 
 
 def full_size(svds, shape):
@@ -111,11 +113,11 @@ def test_a_long_chain_keeps_at_most_three_powers():
     n = 64
     a = np.diag(np.ones(n - 1), 1).astype(np.complex128)
     assert matrix_index(a).index == n
-    chain = projectors._memo[3]
+    chain = projectors._memo[2]
     assert len(chain.ranks) == n + 2 and sorted(chain._held) == [n, n + 1]
     for q in (*range(n + 2), 40, 3):
         qbt_inverse(a, q)
-        chain = projectors._memo[3]
+        chain = projectors._memo[2]
         assert len(chain._held) <= 3, q
         assert chain.ranks == list(range(n, -1, -1)) + [0]
     assert sorted(chain._held) == [3, n, n + 1]
@@ -127,7 +129,7 @@ def test_the_memo_frees_the_old_chain_when_a_new_operand_replaces_it(squares):
     gc.disable()
     try:
         qbt_inverse(squares[3], 2)
-        chain = projectors._memo[3]
+        chain = projectors._memo[2]
         held = weakref.ref(chain._held[3])
         chain = weakref.ref(chain)
         alive = chain() is not None and held() is not None
@@ -196,7 +198,7 @@ def test_rank_takes_its_own_values_only_svd(svds, squares):
 def test_factors_are_read_only_and_range_basis_owns_its_result(squares):
     a = squares[1]
     basis = range_basis(a)
-    u, s, vh = projectors._memo[2]
+    u, s, vh = projectors._memo[2].usv
     assert not (u.flags.writeable or s.flags.writeable or vh.flags.writeable)
     with pytest.raises(ValueError):
         u[0, 0] = 1.0
@@ -206,22 +208,11 @@ def test_factors_are_read_only_and_range_basis_owns_its_result(squares):
     assert bits(range_basis(a)) == bits(expected)
 
 
-def test_threads_alternating_two_operands_match_the_serial_results(squares):
-    # more threads than a small machine has cores, switching as often as
-    # the interpreter allows, each alternating two operands
-    operands = [squares[2], squares[3]]
-    serial = []
-    for a in operands:
-        cold()
-        serial.append(bits(qbt_inverse(a, 1)))
-    calls, threads = 50, 4
+def in_threads(work, threads=4):
+    """Run work(out, t) in threads t = 0 .. threads - 1, more than a small
+    machine has cores, switching as often as the interpreter allows, and
+    return each thread's list `out`."""
     results = [[] for _ in range(threads)]
-
-    def work(out, start):
-        for i in range(calls):
-            j = (start + i) % 2
-            out.append((j, bits(qbt_inverse(operands[j], 1))))
-
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -233,7 +224,24 @@ def test_threads_alternating_two_operands_match_the_serial_results(squares):
     finally:
         sys.setswitchinterval(interval)
     assert not any(w.is_alive() for w in workers)
-    for out in results:
+    return results
+
+
+def test_threads_alternating_two_operands_match_the_serial_results(squares):
+    # each thread alternates two operands
+    operands = [squares[2], squares[3]]
+    serial = []
+    for a in operands:
+        cold()
+        serial.append(bits(qbt_inverse(a, 1)))
+    calls = 50
+
+    def work(out, start):
+        for i in range(calls):
+            j = (start + i) % 2
+            out.append((j, bits(qbt_inverse(operands[j], 1))))
+
+    for out in in_threads(work):
         assert len(out) == calls
         assert all(got == serial[j] for j, got in out)
 
@@ -248,8 +256,6 @@ def test_threads_sharing_the_chains_match_the_cold_results(squares):
         cold()
         expected[k, name] = bits(call(squares[k]))
     cold()
-    threads = 4
-    results = [[] for _ in range(threads)]
 
     def work(out, start):
         for i in range(2 * len(cases)):
@@ -258,17 +264,31 @@ def test_threads_sharing_the_chains_match_the_cold_results(squares):
                 cold()
             out.append(((k, name), bits(call(squares[k]))))
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        workers = [threading.Thread(target=work, args=(results[t], t)) for t in range(threads)]
-        for w in workers:
-            w.start()
-        for w in workers:
-            w.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(w.is_alive() for w in workers)
-    for out in results:
+    for out in in_threads(work):
         assert len(out) == 2 * len(cases)
         assert all(got == expected[key] for key, got in out)
+
+
+def test_threads_sharing_a_pair_match_the_serial_results():
+    # the threads share the pair's chains of AW and WA: the q-BT inverses
+    # read and hold basis powers, the Drazin inverse forms the core and the
+    # decomposition reads P_k; a pair built by `dataclasses.replace` also
+    # searches its chains and takes the QR of W U1 in whichever thread
+    # comes first
+    planted = random_planted_pair(np.random.default_rng(3), 3, max_dim=8)
+    pair = WeightedPair.from_matrices(planted.a, planted.w)
+    calls = {f"weighted_qbt_{q}": lambda p, q=q: weighted_qbt(p, q) for q in range(pair.k + 2)}
+    calls.update(weighted_drazin=weighted_drazin,
+                 weighted_core_ep_decompose=weighted_core_ep_decompose)
+    serial = {name: bits(call(dataclasses.replace(pair))) for name, call in calls.items()}
+    shared = [pair, dataclasses.replace(pair)]
+    cases = [(i, name) for i in range(len(shared)) for name in calls]
+
+    def work(out, start):
+        for i in range(2 * len(cases)):
+            j, name = cases[(start * 5 + i) % len(cases)]
+            out.append((name, bits(calls[name](shared[j]))))
+
+    for out in in_threads(work):
+        assert len(out) == 2 * len(cases)
+        assert all(got == serial[name] for name, got in out)

@@ -12,7 +12,7 @@ from geninv.projectors import _Factored
 from geninv.reference import pair_4x3_float
 from geninv.verify import (CHECK_REGISTRY, run_all, run_example_checks,
                            run_random_corpus)
-from geninv.weighted import WeightedPair
+from geninv.weighted import WeightedPair, weighted_qbt
 
 # frozen manifest: every check the verifier is expected to perform
 EXPECTED_CHECK_IDS = (
@@ -186,6 +186,22 @@ def test_system_checks_pass_the_computed_inverse_past_k():
         failed = {r.check_id: r.residuals for r in verify.run_system_checks(p, q)
                   if not r.passed}
         assert not failed, q
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (4, 4), (12,)])
+def test_system_checks_reject_a_candidate_of_the_wrong_shape(pair4x3, shape):
+    # A is 4 x 3, so its weighted inverse is 4 x 3 as well
+    with pytest.raises(ShapeError, match="candidate must be 4x3, got "
+                       + "x".join(map(str, shape))):
+        verify.run_system_checks(pair4x3, 1, candidate=np.zeros(shape))
+
+
+def test_system_checks_fail_a_non_finite_candidate(pair4x3):
+    candidate = weighted_qbt(pair4x3, 1).copy()
+    candidate[0, 0] = np.nan
+    results = {r.check_id: r for r in verify.run_system_checks(pair4x3, 1, candidate=candidate)}
+    eq1 = results["system.definition.eq1"]
+    assert not eq1.passed and np.isnan(eq1.residuals["eq1"])
 
 
 def test_system_checks_see_a_perturbed_inverse(pair4x3, monkeypatch):
