@@ -7,10 +7,12 @@ Each routine reads one thin SVD of A, truncated at r = rank(A), and
 works on A's powers in those r x r coordinates (`projectors._Powers`):
 sigma_max(A), the rank sequence of the powers, a basis of R(A^q), A^+
 and the pseudoinverses of the powers are read off that SVD and SVDs of
-r x r matrices. No power of A is formed at full size. The q-BT inverse
-is the W-weighted one with W absent: one kernel, `projectors._qbt_kernel`,
-builds both. A takes that SVD once per distinct value, not per call:
-each routine takes A through `projectors._operand`, which keeps the thin
+r x r matrices. No power of A is formed at full size. Each routine
+reads Ind(A), or its order clamped at it, from the chain's search
+(`_Powers.search`), which alone decides every rank(A^j). The q-BT
+inverse is the W-weighted one with W absent: one kernel,
+`projectors._qbt_kernel`, builds both. A takes that SVD once per
+distinct value, not per call: each routine takes A through `projectors._operand`, which keeps the thin
 SVD of the last operand it factored and the searched chain of its
 powers, so the family of one A (q = 0, 1, ..., Ind(A), its Drazin, group
 and core inverses) factors A once at full size, decides each rank(A^j)
@@ -23,8 +25,7 @@ import numpy as np
 
 from .errors import DomainError, ShapeError
 from .matrix import Tolerances, as_matrix, exponent, frobenius, resolve_tol
-from .projectors import (_Factored, _nullspace_equal, _operand, _Powers, _power_search,
-                          _qbt_kernel, _range_equal)
+from .projectors import _Factored, _nullspace_equal, _operand, _Powers, _qbt_kernel, _range_equal
 
 
 def check_q(q, n: int | None = None) -> int:
@@ -38,15 +39,6 @@ def check_q(q, n: int | None = None) -> int:
     return q if n is None else min(q, n)
 
 
-def _index_search(a: _Factored, q: int | None = None) -> tuple[int, _Powers]:
-    """min(q, Ind(A)), Ind(A) when q is None, and the chain of A's powers
-    that decided it. The chain holds P_Ind and P_(Ind+1) once its ranks
-    stopped; an operand's may have been searched past q by an earlier
-    call, so the index is clamped here."""
-    chain = _power_search(a, (a.a.shape[0] if q is None else q) + 1)
-    return chain.index if q is None else min(q, chain.index), chain
-
-
 def _drazin(chain: _Powers, k: int) -> np.ndarray:
     """A^d = A^k (A^(2k+1))^+ A^k for k = Ind(A), in the coordinates of the
     chain: U1 P_k P_(2k+1)^+ P_k V1*, its core P_k P_(2k+1)^+ P_k kept on
@@ -58,13 +50,13 @@ def _drazin(chain: _Powers, k: int) -> np.ndarray:
 
 def drazin(a) -> np.ndarray:
     """Drazin inverse A^d = A^k (A^(2k+1))^+ A^k with k = Ind(A)."""
-    a = _operand(a, "drazin")
-    k, chain = _index_search(a)
-    return _drazin(chain, k)
+    chain = _operand(a, "drazin").powers()
+    return _drazin(chain, chain.search(chain.shape[0] + 1))
 
 
 def _group(a: _Factored) -> np.ndarray:
-    k, chain = _index_search(a)
+    chain = a.powers()
+    k = chain.search(chain.shape[0] + 1)
     if k > 1:
         raise DomainError(f"group inverse requires index <= 1, computed index is {k}")
     return _drazin(chain, k)
@@ -102,15 +94,15 @@ def qbt_inverse(a, q: int) -> np.ndarray:
     P_(Ind+1) kept.
     """
     a = _operand(a, "qbt_inverse")
-    q = check_q(q, a.a.shape[0])
-    return _qbt(_power_search(a, q + 1), q)
+    return _qbt(a.powers(), check_q(q, a.a.shape[0]))
 
 
 def _qbt(chain: _Powers, q: int) -> np.ndarray:
-    """(A P_{A^q})^+ on the chain of A's powers, searched up to j = q + 1
-    at least, with q clamped at the index the search found."""
-    q = min(q, chain.index)
-    return chain.pinv() if q == 0 else _qbt_kernel(chain, q)
+    """(A P_{A^q})^+ on the chain of A's powers, q clamped at the index
+    the chain's search finds up to j = q + 1, and the rank of the result,
+    rank(A^(q+1)), read from the chain."""
+    q = chain.search(q + 1)
+    return chain.pinv() if q == 0 else _qbt_kernel(chain, q, chain.ranks[q + 1])
 
 
 def bt_inverse(a) -> np.ndarray:
@@ -122,8 +114,7 @@ def core_ep(a) -> np.ndarray:
     """Core-EP inverse (A P_{A^k})^+ with k = Ind(A): the q-BT inverse at
     q = n >= Ind(A), whose rank search stops at the index."""
     a = _operand(a, "core_ep")
-    n = a.a.shape[0]
-    return _qbt(_power_search(a, n + 1), n)
+    return _qbt(a.powers(), a.a.shape[0])
 
 
 def outer_inverse_check(a, x, range_gen, null_gen,

@@ -33,7 +33,7 @@ from typing import NamedTuple
 import geninv
 
 from . import matrix
-from .classical import _index_search, check_q
+from .classical import check_q
 from .errors import (DecompositionError, DomainError, NumericError,
                      ParseError, ShapeError)
 from .io import format_matrix, load_matrix
@@ -178,7 +178,7 @@ def _residuals(spec: Kind, a, w, x, q, pair: WeightedPair | None = None) -> dict
         elif exact:
             k = ex.exact_index(aw)
         else:
-            k = _index_search(fa, last)[0]
+            k = fa.powers().search((aw.shape[0] if last is None else last) + 1)
         k = k if last is None else min(last, k)
     if spec.system == "drazin":
         return matrix.drazin_residuals(a, x, k, w)

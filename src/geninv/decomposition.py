@@ -25,7 +25,7 @@ from .classical import check_q
 from .errors import DecompositionError, DomainError, NumericError, ShapeError
 from .matrix import (Tolerances, as_matrix, frobenius, nilpotency, rank_cutoff, rel,
                      resolve_tol, unitarity)
-from .projectors import _Factored, _operand, _power_search
+from .projectors import _Factored, _operand
 from .weighted import WeightedPair
 
 
@@ -198,8 +198,9 @@ def core_ep_decompose(a) -> CoreEPDecomposition:
     """
     fa = _operand(a, "core_ep_decompose")
     a = fa.a
-    chain = _power_search(fa, a.shape[0] + 1)
-    ranks, s1, k = chain.ranks, chain.s1, chain.index
+    chain = fa.powers()
+    k = chain.search(a.shape[0] + 1)
+    ranks, s1 = chain.ranks, chain.s1
     r = ranks[k]
     u = _frame(chain, k, r)
     b = u.conj().T @ a @ u

@@ -20,7 +20,7 @@ built. Inside the library, and in the conformance runner's own operands,
 arrays are products of validated arrays and are used as they are: a
 matrix held with its factorization (`projectors._Factored`), the powers
 of a matrix in its compressed coordinates (`projectors._Powers`) and their
-rank search `projectors._power_search`, `@`, `numpy.linalg.matrix_power`
+rank search `_Powers.search`, `@`, `numpy.linalg.matrix_power`
 and `.conj().T`, never a public wrapper that would scan them again.
 
 Each defining system's residuals are written once, below `Tolerances`, on

@@ -252,7 +252,10 @@ class _Powers:
     a unitary (`decomposition._frame`). `ranks` holds rank(B^j) for
     j = 0, 1, ... as far as `search` decided them, each on the thin SVD of
     P_j, which also gives the basis a caller reads from it, so a rank and a
-    basis never depend on which call formed the power (`power`). The chain
+    basis never depend on which call formed the power (`power`). `search`
+    is the one place a rank(B^j), j <= Ind(B) + 1, is decided: it returns
+    the index a routine clamps its order at, and `basis` and the kernel's
+    pinned counts read `ranks`. The chain
     keeps P_j with its factors for at most three j: the last two ranked,
     which are P_Ind(B) and P_(Ind(B)+1) once the ranks stopped, and the
     last one read for a basis (`factored`); and the r x r core
@@ -344,11 +347,11 @@ class _Powers:
         self._held = {i: f for i, f in {**self._held, j: p}.items()
                       if i in (last - 1, last, self._basis)}
 
-    def search(self, last: int) -> None:
-        """Decide rank(B^j) for j = 2, 3, ... up to the first j with
-        rank(B^j) = rank(B^(j-1)), or up to j = last, each on P_j's thin
-        SVD against sigma_max(B)^j; a chain already searched that far
-        decides nothing."""
+    def search(self, last: int) -> int:
+        """min(Ind(B), last - 1): decide rank(B^j) for j = 2, 3, ... up to
+        the first j with rank(B^j) = rank(B^(j-1)), or up to j = last, each
+        on P_j's thin SVD against sigma_max(B)^j, once per chain: a chain
+        already searched that far decides nothing."""
         with self._lock:
             ranks = self.ranks
             while ranks[-1] != ranks[-2] and len(ranks) <= last:
@@ -357,6 +360,7 @@ class _Powers:
                 p = self.power(j)
                 ranks.append(p.rank(anchor))
                 self._hold(j, p)
+            return min(self.index, last - 1)
 
     def factored(self, q: int) -> _Factored:
         """P_q, q >= 2, thin; held as the basis power when the
@@ -369,17 +373,15 @@ class _Powers:
                 self._hold(q, p)
         return p
 
-    def basis(self, q: int, scale: float | None = None,
-              fixed_rank: int | None = None) -> np.ndarray:
+    def basis(self, q: int) -> np.ndarray:
         """An orthonormal basis of R(B^q), q >= 1, in U1's coordinates: the
-        leading left singular vectors of P_q, so U1 times it spans R(B^q).
-        The count is decided as in `_Factored.range_basis`; P_1 = S1 is
-        diagonal and takes no SVD."""
+        leading rank(B^q) left singular vectors of P_q, the count `search`
+        decided, so U1 times it spans R(B^q). P_1 = S1 is diagonal and
+        takes no SVD, and neither does a rank of 0."""
+        r = self.ranks[q]
         if q > 1:
-            return self.factored(q).range_basis(scale, fixed_rank)
-        s = self._frame[1]
-        keep = 0 if fixed_rank == 0 else _kept(s, self.shape, scale, fixed_rank)
-        return np.eye(s.size, keep, dtype=np.complex128)
+            return self.factored(q).range_basis(fixed_rank=r)
+        return np.eye(self._frame[1].size, r, dtype=np.complex128)
 
     def core(self, k: int) -> np.ndarray:
         """P_k P_(2k+1)^+ P_k for k >= 1, the r x r core of the Drazin
@@ -415,31 +417,6 @@ def _power_projector(b: np.ndarray, q: int, s: float) -> np.ndarray:
     return _Factored(np.linalg.matrix_power(b, q)).proj_range(scale=s ** q)
 
 
-def _power_search(b: _Factored, last: int) -> _Powers:
-    """The chain of B's powers, its ranks decided up to the first j with
-    rank(B^j) = rank(B^(j-1)), or up to j = last at least; read them from
-    its `ranks`.
-
-    The only full-size SVD is the thin SVD of B, which gives sigma_max(B),
-    rank(B) and the frame at once. An operand's chain is the operand
-    memo's (`_Operand.powers`), so the family of one A decides each
-    rank(A^j) once and factors each P_j once; the chain may then have been
-    searched past `last`.
-    """
-    chain = b.powers()
-    chain.search(last)
-    return chain
-
-
-def _wqbt_rank(probe: np.ndarray, shape: tuple[int, int], q: int, sa: float, sw: float) -> int:
-    """Exact rank of W A W P_{(AW)^q}, decided on `probe`, any matrix with
-    the singular values of W (AW)^{q+1}, of the given shape: W A W maps
-    R((AW)^q) onto R(W (AW)^{q+1}), and the power's anchor grows with q,
-    where the product's own trailing singular values are rounding noise
-    that a flat cutoff cannot reliably reject."""
-    return _Factored(probe, shape=shape).rank(scale=sw * (sa * sw) ** (q + 1))
-
-
 def _pinned_pinv(x: np.ndarray, r: int) -> np.ndarray:
     """X^+ for X of pinned rank r. At full column rank X = Q R (thin
     Householder QR) gives X^+ = R^{-1} Q* with one `numpy.linalg.solve` on R
@@ -453,32 +430,23 @@ def _pinned_pinv(x: np.ndarray, r: int) -> np.ndarray:
     return _Factored(x).pinv(fixed_rank=r)
 
 
-def _qbt_kernel(chain: _Powers, q: int,
-                wu1: tuple[np.ndarray, np.ndarray] | None = None,
-                sa: float = 0.0, sw: float = 0.0) -> np.ndarray:
-    """(W A W P_{(AW)^q})^+ for q >= 1 on the chain of AW = U1 S1 V1*.
+def _qbt_kernel(chain: _Powers, q: int, r: int,
+                wu1: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """(W A W P_{(AW)^q})^+ for q >= 1 on the chain of AW = U1 S1 V1*, r its
+    rank, rank(W (AW)^(q+1)), which the caller decides.
 
-    U1 Ũ spans R((AW)^q), Ũ the leading left singular vectors of P_q, and
+    U1 Ũ spans R((AW)^q), Ũ the chain's basis of it (`_Powers.basis`), and
     with `wu1` = (R, L), the Householder QR W U1 = R L that the pair keeps,
-    the result is U1 Ũ (L M Ũ)^+ R*, its rank decided on L P_(q+1) by
-    `_wqbt_rank` and the count of Ũ against (sa sw)^q. With wu1 None it is
-    the square (A P_{A^q})^+: R = U1, L = I, both counts from the chain's
-    search, which must have reached q + 1. The rank of L M Ũ is pinned;
-    its trailing values are rounding noise. When it equals the column
+    the result is U1 Ũ (L M Ũ)^+ R*. With wu1 None it is the square
+    (A P_{A^q})^+: R = U1, L = I, and r = rank(A^(q+1)) from the chain's
+    search, which must have reached q + 1. The rank of L M Ũ is pinned at
+    r; its trailing values are rounding noise. When r equals the column
     count of L M Ũ, which is q >= Ind(A) for the square, one QR replaces
     the SVD (`_pinned_pinv`)."""
-    if wu1 is None:
-        right, lm = chain.u1, chain.m
-        r, scale, fixed = chain.ranks[q + 1], None, chain.ranks[q]
-    else:
-        right, left = wu1
-        lm = left @ chain.m
-        r = _wqbt_rank(left @ chain.power(q + 1).a, (right.shape[0], chain.shape[0]),
-                       q, sa, sw)
-        scale, fixed = (sa * sw) ** q, None
+    right, lm = (chain.u1, chain.m) if wu1 is None else (wu1[0], wu1[1] @ chain.m)
     if r == 0:
         return np.zeros((chain.shape[0], right.shape[0]), dtype=np.complex128)
-    ut = chain.basis(q, scale, fixed)
+    ut = chain.basis(q)
     return chain.u1 @ (ut @ _pinned_pinv(lm @ ut, r)) @ right.conj().T
 
 
@@ -494,9 +462,9 @@ def matrix_index(b) -> IndexReport:
     call on the same B takes none. The search is capped at n (the index
     never exceeds n).
     """
-    b = _operand(b, "matrix_index")
-    chain = _power_search(b, b.a.shape[0] + 1)
-    return IndexReport(index=chain.index, rank_sequence=tuple(chain.ranks), sigma_max=chain.s1)
+    chain = _operand(b, "matrix_index").powers()
+    k = chain.search(chain.shape[0] + 1)
+    return IndexReport(index=k, rank_sequence=tuple(chain.ranks), sigma_max=chain.s1)
 
 
 def _stacked_rank_equal(stacked: np.ndarray, scale: float | None, *operands: _Factored) -> bool:

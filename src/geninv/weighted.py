@@ -9,7 +9,8 @@ Every power of AW is read in the r x r coordinates of AW's thin SVD,
 r = rank(AW) (`projectors._Powers`), and W enters through W U1, so no
 power of AW is factored at full size. The q-BT construction is one
 kernel, `projectors._qbt_kernel`, which the square q-BT inverse shares
-with W absent; q = 0 is the pseudoinverse of W A W.
+with W absent; q = 0 is the pseudoinverse of W A W. The pair's chain of
+AW decides every rank((AW)^j), and `_member_rank` the member's rank.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from numpy.linalg import matrix_power
 from .classical import _drazin, _qbt, check_q
 from .errors import DomainError, NumericError, ShapeError
 from .matrix import Tolerances, as_matrix, exponent, frobenius, resolve_tol
-from .projectors import _Factored, _Powers, _power_search, _qbt_kernel, _wqbt_rank
+from .projectors import _anchor, _Factored, _Powers, _qbt_kernel
 
 
 @dataclass(frozen=True)
@@ -33,8 +34,7 @@ class WeightedPair:
     ind_aw = Ind(AW), ind_wa = Ind(WA), k = max of both; the rank
     sequences hold rank((AW)^j) and rank((WA)^j) for j = 0 .. index + 1;
     sigma_max_a and sigma_max_w are the largest singular values of A and
-    W, the anchors of every rank decision the weighted routines make;
-    sigma_max_wa is that of WA, the anchor of its Drazin inverse.
+    W, the anchors of every rank decision the weighted routines make.
     The indices of AW and WA can differ by at most one; a larger spread
     indicates a rank misclassification and is rejected.
 
@@ -46,8 +46,8 @@ class WeightedPair:
     powers thin, so the search's SVD of P_k also gives the decomposition's
     frame, and changes in place under its lock. Beside them the pair
     keeps the Householder QR of W U1, U1 the range basis of AW's chain,
-    taken when a q-BT inverse of q >= 1 first needs it and then read by
-    every q. None of these are fields: equality, `dataclasses.replace` and
+    taken when the member rank (`_member_rank`) first needs it and then
+    read by every q. None of these are fields: equality, `dataclasses.replace` and
     the printed form see only the data above.
     """
 
@@ -60,7 +60,6 @@ class WeightedPair:
     rank_sequence_wa: tuple[int, ...]
     sigma_max_a: float
     sigma_max_w: float
-    sigma_max_wa: float
 
     @classmethod
     def from_matrices(cls, a, w) -> "WeightedPair":
@@ -84,8 +83,7 @@ class WeightedPair:
         w.setflags(write=False)
         pair = cls(a=a, w=w, ind_aw=ind_aw, ind_wa=ind_wa, k=max(ind_aw, ind_wa),
                    rank_sequence_aw=tuple(aw.ranks), rank_sequence_wa=tuple(wa.ranks),
-                   sigma_max_a=_Factored(a).sigma_max, sigma_max_w=_Factored(w).sigma_max,
-                   sigma_max_wa=wa.s1)
+                   sigma_max_a=_Factored(a).sigma_max, sigma_max_w=_Factored(w).sigma_max)
         # the searches' chains become the pair's, so their truncations are
         # the decisions rank_sequence_aw[1] and rank_sequence_wa[1] record
         pair.__dict__.update(_aw=aw, _wa=wa)
@@ -112,20 +110,36 @@ class WeightedPair:
 def _searched(x: np.ndarray, y: np.ndarray) -> _Powers:
     """The chain of the square product X Y, its index searched on the
     product's thin SVD, which also gives the chain's frame."""
-    return _power_search(_Factored(x @ y), x.shape[0] + 1)
+    chain = _Factored(x @ y).powers()
+    chain.search(x.shape[0] + 1)
+    return chain
+
+
+def _member_rank(p: WeightedPair, q: int) -> int:
+    """rank(W (AW)^(q+1)), the rank of the q-BT member (W A W P_{(AW)^q})^+,
+    since W A W maps R((AW)^q) onto R(W (AW)^(q+1)); every route to the
+    member reads it here but `weighted_qbt` at q = 0, a pseudoinverse under
+    its own cutoff. Decided on L P_(q+1), which has the singular values of
+    W (AW)^(q+1) (W U1 = R L, the pair's QR), against the power's anchor
+    sigma_max(W) (sigma_max(A) sigma_max(W))^(q+1), read first so that an
+    overflow is a DomainError naming the power; the product's own trailing
+    values are rounding noise that a flat cutoff cannot reliably reject."""
+    sw = p.sigma_max_w
+    anchor = sw * _anchor(p.sigma_max_a * sw, q + 1)
+    return _Factored(p._wu1[1] @ p._aw.power(q + 1).a, shape=p.w.shape).rank(anchor)
 
 
 def weighted_qbt(p: WeightedPair, q: int) -> np.ndarray:
     """W-weighted q-BT inverse (W A W P_{(AW)^q})^+, shape m x n.
 
     q is clamped at min(k, m): R((AW)^q) is fixed from q = Ind(AW) <= m on,
-    and past it the anchors (sigma_max(A) sigma_max(W))^q only lose accuracy.
+    and past it the member rank's anchor (`_member_rank`) only loses accuracy.
     """
     q = min(check_q(q), p.k, p.shape[0])
-    sa, sw = p.sigma_max_a, p.sigma_max_w
     if q == 0:
+        sa, sw = p.sigma_max_a, p.sigma_max_w
         return _Factored(p.w @ p.a @ p.w).pinv(scale=sw * sa * sw)
-    return _qbt_kernel(p._aw, q, p._wu1, sa, sw)
+    return _qbt_kernel(p._aw, q, _member_rank(p, q), p._wu1)
 
 
 def weighted_bt(p: WeightedPair) -> np.ndarray:
@@ -153,15 +167,15 @@ def weighted_qbt_product_forms(p: WeightedPair, q: int) -> tuple[np.ndarray, np.
     [W (AW)^(q+1) ((AW)^q)^+]^+  and  [(WA)^(q+1) W ((AW)^q)^+]^+.
 
     Both read the chain of AW (`_Powers`): ((AW)^q)^+ = V1 P_q^+ U1* for
-    q >= 1, so each operand is an n x rank(AW) matrix times U1*, and
-    U1 times its pseudoinverse is the result. The first operand is
-    W U1 P_(q+1) P_q^+; the second forms (WA)^(q+1) W V1 itself.
+    q >= 1, P_q^+ kept at rank((AW)^q) from the chain's search, so each
+    operand is an n x rank(AW) matrix times U1*, and U1 times its
+    pseudoinverse is the result. The first operand is W U1 P_(q+1) P_q^+;
+    the second forms (WA)^(q+1) W V1 itself. Both pseudoinverses keep the
+    member's rank (`_member_rank`).
     """
     q = min(check_q(q), p.k)
-    sa, sw = p.sigma_max_a, p.sigma_max_w
     aw = p._aw
-    w_pq1 = p.w @ aw.u1 @ aw.power(q + 1).a
-    r = _wqbt_rank(w_pq1, p.w.shape, q, sa, sw)
+    r = _member_rank(p, q)
     if r == 0:
         zero = np.zeros(p.shape, dtype=np.complex128)
         return zero, zero.copy()
@@ -170,23 +184,21 @@ def weighted_qbt_product_forms(p: WeightedPair, q: int) -> tuple[np.ndarray, np.
         # (AW)^0 = I: the operands are W A W in its two groupings
         x1 = _Factored(p.w @ (p.a @ p.w)).pinv(fixed_rank=r)
         return x1, _Factored(wa_q1_w).pinv(fixed_rank=r)
-    pq_pinv = aw.power(q).pinv(scale=(sa * sw) ** q)
-    x1 = aw.u1 @ _Factored(w_pq1 @ pq_pinv).pinv(fixed_rank=r)
+    pq_pinv = aw.power(q).pinv(fixed_rank=aw.ranks[q])
+    x1 = aw.u1 @ _Factored(p.w @ aw.u1 @ aw.power(q + 1).a @ pq_pinv).pinv(fixed_rank=r)
     x2 = aw.u1 @ _Factored(wa_q1_w @ aw.vh1.conj().T @ pq_pinv).pinv(fixed_rank=r)
     return x1, x2
 
 
 def weighted_qbt_via_square(p: WeightedPair, q: int) -> np.ndarray:
     """(W ((AW)^{q-BT})^+)^+: the weighted inverse through the square q-BT
-    inverse of the product AW, whose thin SVD serves both the rank of the
-    result, decided on W U1 P_(q+1), and the square inverse."""
+    inverse of the product AW on the pair's chain of AW, the result kept
+    at the member's rank (`_member_rank`)."""
     q = min(check_q(q), p.k)
-    chain = p._aw
-    r = _wqbt_rank(p.w @ chain.u1 @ chain.power(q + 1).a, p.w.shape, q,
-                   p.sigma_max_a, p.sigma_max_w)
+    r = _member_rank(p, q)
     if r == 0:
         return np.zeros(p.shape, dtype=np.complex128)
-    inner = _Factored(_qbt(chain, q)).pinv()
+    inner = _Factored(_qbt(p._aw, q)).pinv()
     return _Factored(p.w @ inner).pinv(fixed_rank=r)
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import geninv
-from geninv import classical, cli, decomposition, matrix, projectors, weighted
+from geninv import cli, matrix, projectors
 from geninv.cli import main
 from geninv.io import parse_matrix
 from geninv.reference import (PAIR_4X3_A, PAIR_4X3_W, PAIR_5X4_A, PAIR_5X4_W, WCEP_4X3,
@@ -190,10 +190,9 @@ class TestInverseCommands:
 
         monkeypatch.setattr(np.linalg, "svd", counted(np.linalg.svd))
         monkeypatch.setattr(np.linalg, "qr", counted(np.linalg.qr))
-        # the library searches every index through _power_search, and the
-        # CLI's residuals through classical._index_search, which calls it
-        for module in (classical, decomposition, weighted):
-            monkeypatch.setattr(module, "_power_search", index_span(projectors._power_search))
+        # the library and the CLI's residuals search every index through
+        # the chain's one search
+        monkeypatch.setattr(projectors._Powers, "search", index_span(projectors._Powers.search))
         files = [write_csv(tmp_path / f"m{i}.csv", rows) for i, rows in enumerate(PAIR_5X4)]
         runs = {}
         for extra in ([], ["--verify"]):
@@ -329,6 +328,17 @@ class TestErrorPaths:
         assert proc.stdout == ""
         [line] = proc.stderr.splitlines()
         assert line.startswith("error:") and "power 23" in line
+
+    def test_weighted_overflow_prints_one_error_line(self, tmp_path):
+        # the pair builds, and the member rank's anchor (1e200)^2 overflows
+        a = write_csv(tmp_path / "a.csv", [["1e100", 1], [0, 0]])
+        w = write_csv(tmp_path / "w.csv", [[0, 0], [1, "1e100"]])
+        proc = subprocess.run([sys.executable, "-m", "geninv", "wqbt", "--q", "1", a, w],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("error:") and "power 2" in line
 
     @pytest.mark.parametrize("name, text, where", [
         ("a.csv", "1,2\n3,1e400\n", "line 2, column 3"),

@@ -10,7 +10,7 @@ from geninv.decomposition import (_canonical_blocks, block_pinv, canonical_qbt,
                                   core_ep_decompose, weighted_core_ep_decompose)
 from geninv.errors import DomainError, NumericError
 from geninv.matrix import conjugate_transpose, frobenius, rank, sigma_max
-from geninv.projectors import _Factored, matrix_index, power
+from geninv.projectors import _Factored, _Powers, matrix_index, power
 from geninv.weighted import weighted_qbt
 
 from conftest import random_complex, rel
@@ -63,9 +63,10 @@ class TestWeightedCoreEPDecompose:
         def no_index(*args, **kwargs):
             raise AssertionError("index searched again")
 
-        monkeypatch.setattr("geninv.decomposition._power_search", no_index)
-        for p in pairs:
-            d = weighted_core_ep_decompose(p)
+        with monkeypatch.context() as patch:
+            patch.setattr(_Powers, "search", no_index)
+            decompositions = [weighted_core_ep_decompose(p) for p in pairs]
+        for p, d in zip(pairs, decompositions):
             assert p.rank_sequence_aw == matrix_index(p.a @ p.w).rank_sequence
             assert p.rank_sequence_wa == matrix_index(p.w @ p.a).rank_sequence
             assert (d.rank_sequence_aw, d.rank_sequence_wa) == (p.rank_sequence_aw,

@@ -8,7 +8,7 @@ import pytest
 from geninv import corpus
 from geninv.decomposition import core_ep_decompose
 from geninv.matrix import rank_cutoff
-from geninv.projectors import _Factored, _power_search, matrix_index
+from geninv.projectors import _Factored, matrix_index
 
 
 def power_rule(b: np.ndarray) -> tuple[int, ...]:
@@ -92,7 +92,8 @@ def test_probe_squares_decompose_with_a_negligible_lower_left_block(link, graded
 
 def test_chain_powers_are_the_powers(rng):
     b = corpus.random_square(rng, 12, index=3)
-    chain = _power_search(_Factored(b, thin=True), 13)
+    chain = _Factored(b, thin=True).powers()
+    chain.search(13)
     for j in (1, 2, 3, 4, 7):
         bj = np.linalg.matrix_power(b, j)
         got = chain.u1 @ chain.power(j).a @ chain.vh1
@@ -103,6 +104,7 @@ def test_chain_keeps_few_powers():
     # a long search holds the last two powers, not every power
     n = 40
     b = np.diag(np.ones(n - 1), 1).astype(np.complex128)
-    chain = _power_search(_Factored(b), n + 1)
+    chain = _Factored(b).powers()
+    assert chain.search(n + 1) == n
     assert len(chain.ranks) - 2 == n
     assert sorted(chain._held) == [n, n + 1]

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from geninv import classical, decomposition, projectors, verify
 from geninv.errors import DecompositionError, DomainError, NumericError, ShapeError
 from geninv.corpus import random_planted_pair
 from geninv.matrix import DEFAULT_TOL, Tolerances, frobenius
-from geninv.projectors import _Factored
 from geninv.reference import pair_4x3_float
 from geninv.verify import (CHECK_REGISTRY, run_all, run_example_checks,
                            run_random_corpus)
@@ -315,16 +315,15 @@ class TestMeasurementsSeeFaults:
         assert min(check.residuals["q-ge-k_k+1"], check.residuals["q-ge-k_k+2"]) > 1e-3
 
     def test_right_product_sees_an_understated_index(self, pair4x3, monkeypatch):
-        power_search = classical._power_search
+        search = projectors._Powers.search
 
-        def understated(b, last):
-            # the search stops at j = Ind(B) and so reports Ind(B) - 1. The
-            # short chain is searched on a plain copy of the operand: the
-            # operand memo would answer it from the full search above
-            ranks = power_search(b, last).ranks
-            return power_search(_Factored(b.a), min(last, len(ranks) - 2))
+        def understated(chain, last):
+            # the square Drazin inverse's search reports Ind(B) - 1, as if
+            # it stopped at j = Ind(B); every other search is left whole
+            k = search(chain, last)
+            return max(k - 1, 0) if sys._getframe(1).f_code is classical.drazin.__code__ else k
 
-        monkeypatch.setattr(classical, "_power_search", understated)
+        monkeypatch.setattr(projectors._Powers, "search", understated)
         values = member_measurements(pair4x3)["corpus.wdrazin.equations"]
         assert values["right_product"] > 1e-3
 

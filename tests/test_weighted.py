@@ -3,11 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
+from geninv import weighted
 from geninv.classical import qbt_inverse
 from geninv.corpus import random_pairs, random_planted_pair, random_square
 from geninv.decomposition import (canonical_qbt_products, canonical_weighted_qbt,
                                   weighted_core_ep_decompose)
-from geninv.errors import ShapeError
+from geninv.errors import DomainError, ShapeError
 from geninv.exact import exact_weighted_qbt, requal, rmatrix
 from geninv.projectors import pinv, power
 from geninv.reference import (PAIR_4X3_A, PAIR_4X3_W, WCEP_4X3, WQBT_4X3, float_matrix,
@@ -153,6 +154,23 @@ class TestAlternateFormulas:
             for q in range(p.k + 2):
                 assert rel(weighted_qbt_via_square(p, q), weighted_qbt(p, q)) < 1e-8
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_every_route_reads_one_member_rank(self, monkeypatch, k):
+        # rank(W (AW)^(q+1)) is decided in one place: one less there moves
+        # the direct route, both product forms and the via-square route
+        planted = random_planted_pair(np.random.default_rng(k), k, max_dim=8)
+        p = WeightedPair.from_matrices(planted.a, planted.w)
+        routes = {"direct": lambda q: weighted_qbt(p, q),
+                  "left": lambda q: weighted_qbt_product_forms(p, q)[0],
+                  "right": lambda q: weighted_qbt_product_forms(p, q)[1],
+                  "via-square": lambda q: weighted_qbt_via_square(p, q)}
+        before = {(name, q): route(q) for name, route in routes.items()
+                  for q in range(1, p.k + 1)}
+        member_rank = weighted._member_rank
+        monkeypatch.setattr(weighted, "_member_rank", lambda p, q: member_rank(p, q) - 1)
+        for (name, q), x in before.items():
+            assert rel(routes[name](q), x) > 1e-3, (name, q)
+
     def test_dual_representations_coincide_at_high_q(self, pairs):
         # first and third of the triple agree once q reaches k
         for p in pairs[:4]:
@@ -171,6 +189,27 @@ class TestAlternateFormulas:
         for p in pairs[:4]:
             for ell in range(1, 3):
                 assert cline_shift_check(p, ell)
+
+
+class TestOverflow:
+    """The member rank's anchor sigma_max(W) (sigma_max(A) sigma_max(W))^(q+1)
+    is read before the product is factored, so a pair whose anchor leaves
+    the double range is a DomainError naming the power, as for the square
+    routines."""
+
+    @pytest.fixture(scope="class")
+    def pair(self):
+        # builds at k = 2; (sigma_max(A) sigma_max(W))^2 is 1e400
+        p = WeightedPair.from_matrices([[1e100, 1], [0, 0]], [[0, 0], [1, 1e100]])
+        assert p.k == 2
+        return p
+
+    @pytest.mark.parametrize("q", [1, 2])
+    @pytest.mark.parametrize("route", [weighted_qbt, weighted_qbt_product_forms,
+                                       weighted_qbt_via_square])
+    def test_member_rank_anchor(self, pair, route, q):
+        with pytest.raises(DomainError, match=f"power {q + 1}"):
+            route(pair, q)
 
 
 class TestWeightedDrazin:
