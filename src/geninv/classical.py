@@ -3,20 +3,19 @@ BT, and the q-BT inverse (A P_{A^q})^+.
 
 The q-BT inverse interpolates the family: q = 0 gives the Moore-Penrose
 inverse, q = 1 the BT inverse, and any q >= Ind(A) the core-EP inverse.
-Each routine reads one thin SVD of A, truncated at r = rank(A), and
-works on A's powers in those r x r coordinates (`projectors._Powers`):
-sigma_max(A), the rank sequence of the powers, a basis of R(A^q), A^+
-and the pseudoinverses of the powers are read off that SVD and SVDs of
-r x r matrices. No power of A is formed at full size. Each routine
-reads Ind(A), or its order clamped at it, from the chain's search
-(`_Powers.search`), which alone decides every rank(A^j). The q-BT
-inverse is the W-weighted one with W absent: one kernel,
-`projectors._qbt_kernel`, builds both. A takes that SVD once per
-distinct value, not per call: each routine takes A through `projectors._operand`, which keeps the thin
-SVD of the last operand it factored and the searched chain of its
-powers, so the family of one A (q = 0, 1, ..., Ind(A), its Drazin, group
-and core inverses) factors A once at full size, decides each rank(A^j)
-once, factors each P_j once and shares one P_(2k+1)^+.
+Each routine reads A's staircase (`projectors._Staircase`): one thin SVD
+of A, then one SVD per step of a matrix no larger than rank(A) x
+rank(A). Its search (`_Staircase.search`) alone decides every rank(A^j),
+and each routine reads Ind(A), or its order clamped at it, from it. The
+q-BT member of order q is read off step q + 1 with no factorization of
+its own (`_Staircase.member`); q = 0 reads step 1, A's thin SVD, so it is
+A^+. The Drazin inverse reads the r x r core the staircase keeps
+(`_Staircase.core`). A takes that SVD once per distinct value, not per
+call: each routine takes A through `projectors._operand`, which keeps
+the thin SVD of the last operand it factored and its searched staircase,
+so the family of one A (q = 0, 1, ..., Ind(A), its Drazin, group and
+core inverses) factors A once at full size, takes each step once and
+shares one P_(2k+1)^+.
 """
 
 from __future__ import annotations
@@ -25,41 +24,44 @@ import numpy as np
 
 from .errors import DomainError, ShapeError
 from .matrix import Tolerances, as_matrix, exponent, frobenius, resolve_tol
-from .projectors import _Factored, _nullspace_equal, _operand, _Powers, _qbt_kernel, _range_equal
+from .projectors import _Factored, _nullspace_equal, _operand, _range_equal, _Staircase
 
 
 def check_q(q, n: int | None = None) -> int:
     """Validate a q-BT exponent (any nonnegative integer) and clamp it at n.
 
     n is the dimension of the matrix whose powers q indexes. Since
-    Ind(B) <= n, R(B^q) = R(B^n) for every q >= n, so the clamp is exact;
-    it keeps the powers and their rank anchors from overflowing.
+    Ind(B) <= n, R(B^q) = R(B^n) for every q >= n, so the clamp is exact.
     """
     q = exponent(q, "q")
     return q if n is None else min(q, n)
 
 
-def _drazin(chain: _Powers, k: int) -> np.ndarray:
-    """A^d = A^k (A^(2k+1))^+ A^k for k = Ind(A), in the coordinates of the
-    chain: U1 P_k P_(2k+1)^+ P_k V1*, its core P_k P_(2k+1)^+ P_k kept on
-    the chain (`_Powers.core`). A^+ from A's own SVD when k = 0."""
+def _drazin(stairs: _Staircase, k: int) -> np.ndarray:
+    """A^d = A^k (A^(2k+1))^+ A^k for k = Ind(A), in the coordinates of
+    A's thin SVD: U1 P_k P_(2k+1)^+ P_k V1*, its core P_k P_(2k+1)^+ P_k
+    kept on the staircase (`_Staircase.core`). A^+ when k = 0, and 0 when
+    rank(A^k) = 0."""
     if k == 0:
-        return chain.pinv()
-    return chain.u1 @ chain.core(k) @ chain.vh1
+        return stairs.member(0)
+    if stairs.ranks[k] == 0:
+        n = stairs.shape[0]
+        return np.zeros((n, n), dtype=np.complex128)
+    return stairs.u1 @ stairs.core(k) @ stairs.vh1
 
 
 def drazin(a) -> np.ndarray:
     """Drazin inverse A^d = A^k (A^(2k+1))^+ A^k with k = Ind(A)."""
-    chain = _operand(a, "drazin").powers()
-    return _drazin(chain, chain.search(chain.shape[0] + 1))
+    stairs = _operand(a, "drazin").staircase()
+    return _drazin(stairs, stairs.search(stairs.shape[0] + 1))
 
 
 def _group(a: _Factored) -> np.ndarray:
-    chain = a.powers()
-    k = chain.search(chain.shape[0] + 1)
+    stairs = a.staircase()
+    k = stairs.search(stairs.shape[0] + 1)
     if k > 1:
         raise DomainError(f"group inverse requires index <= 1, computed index is {k}")
-    return _drazin(chain, k)
+    return _drazin(stairs, k)
 
 
 def group_inverse(a) -> np.ndarray:
@@ -78,31 +80,21 @@ def core_inverse(a) -> np.ndarray:
 def qbt_inverse(a, q: int) -> np.ndarray:
     """q-BT inverse (A P_{A^q})^+ where P projects onto the range of A^q.
 
-    q = 0 is a plain pseudoinverse. Otherwise the ranks of A, A^2, ... are
-    decided until they stabilize at j = Ind(A) + 1 or reach j = q + 1, and
-    q is clamped at Ind(A): every q >= Ind(A) gives the core-EP inverse,
-    and past the index rank(A^{q+1}) would be decided against
-    sigma_max^{q+1}, which cond(A)^q outgrows long before q reaches n.
-
-    One thin SVD of A, truncated at r = rank(A), serves everything else
-    in r x r coordinates: the rank search on the powers and the q-BT
-    construction `projectors._qbt_kernel`, which the weighted routines
-    share. Every SVD after the first factors a matrix no larger than
-    r x r. The operand memo keeps A's thin SVD and its searched chain, so
-    a q-grid on one A takes A's thin SVD once, decides each rank(A^j) once
-    and factors each P_j once, the last P_q read for a basis and P_Ind,
-    P_(Ind+1) kept.
+    The steps of A's staircase are taken until the ranks stabilize at
+    j = Ind(A) + 1 or reach j = q + 1, and q is clamped at Ind(A): every
+    q >= Ind(A) gives the core-EP inverse. The member is read off step
+    q + 1 (`_Staircase.member`) and takes no factorization of its own;
+    q = 0 reads step 1, so it is A^+. The operand memo keeps A's searched
+    staircase, so a q-grid on one A takes A's thin SVD and each step once.
     """
     a = _operand(a, "qbt_inverse")
-    return _qbt(a.powers(), check_q(q, a.a.shape[0]))
+    return _qbt(a.staircase(), check_q(q, a.a.shape[0]))
 
 
-def _qbt(chain: _Powers, q: int) -> np.ndarray:
-    """(A P_{A^q})^+ on the chain of A's powers, q clamped at the index
-    the chain's search finds up to j = q + 1, and the rank of the result,
-    rank(A^(q+1)), read from the chain."""
-    q = chain.search(q + 1)
-    return chain.pinv() if q == 0 else _qbt_kernel(chain, q, chain.ranks[q + 1])
+def _qbt(stairs: _Staircase, q: int) -> np.ndarray:
+    """(A P_{A^q})^+ on A's staircase, q clamped at the index its search
+    finds up to j = q + 1."""
+    return stairs.member(stairs.search(q + 1))
 
 
 def bt_inverse(a) -> np.ndarray:
@@ -114,7 +106,7 @@ def core_ep(a) -> np.ndarray:
     """Core-EP inverse (A P_{A^k})^+ with k = Ind(A): the q-BT inverse at
     q = n >= Ind(A), whose rank search stops at the index."""
     a = _operand(a, "core_ep")
-    return _qbt(a.powers(), a.a.shape[0])
+    return _qbt(a.staircase(), a.a.shape[0])
 
 
 def outer_inverse_check(a, x, range_gen, null_gen,

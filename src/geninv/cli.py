@@ -153,9 +153,9 @@ def _residuals(spec: Kind, a, w, x, q, pair: WeightedPair | None = None) -> dict
     clamp it: past the index the rank of the power would be decided
     against sigma_max^q, which cond^q outgrows, and a right inverse would
     be reported as wrong. A float square kind reads that index off the
-    chain its routine searched, kept by the operand memo, so it searches
-    nothing itself; the projector onto R(A^k) is still formed from the
-    full-size power, a route apart from that chain. An exact Penrose
+    staircase its routine searched, kept by the operand memo, so it
+    searches nothing itself; the projector onto R(A^k) is still formed from
+    the full-size power, a route apart from that staircase. An exact Penrose
     system searches Ind(AW) only: R((AW)^k) is fixed from k = Ind(AW) on.
     """
     if spec.system == "core":
@@ -165,7 +165,7 @@ def _residuals(spec: Kind, a, w, x, q, pair: WeightedPair | None = None) -> dict
         from . import exact as ex
     aw = a if w is None else a @ w
     # a float A, validated by the routine: the thin SVD and the searched
-    # chain that routine took, read from the operand memo, serve its index
+    # staircase that routine took, read from the operand memo, serve its index
     # and its scale with no SVD
     fa = None if exact else _Operand(a)
     k = check_q(q, aw.shape[0]) if spec.order == "q" else spec.order
@@ -178,7 +178,7 @@ def _residuals(spec: Kind, a, w, x, q, pair: WeightedPair | None = None) -> dict
         elif exact:
             k = ex.exact_index(aw)
         else:
-            k = fa.powers().search((aw.shape[0] if last is None else last) + 1)
+            k = fa.staircase().search((aw.shape[0] if last is None else last) + 1)
         k = k if last is None else min(last, k)
     if spec.system == "drazin":
         return matrix.drazin_residuals(a, x, k, w)

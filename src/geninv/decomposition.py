@@ -9,8 +9,10 @@ for the Moore-Penrose inverse of a 2x2 upper triangular matrix with
 nonsingular leading block, and canonical block forms of the q-BT and
 W-weighted q-BT inverses, all built by one function, `_canonical`, at
 ranks read off the parent's rank sequence and without the direct route's
-q-BT kernel, so each is an independent check of it. Each decomposition
-reports the residuals `geninv decompose` prints and the runner reads.
+member read (`projectors._Staircase.member`), so each is an independent
+check of it. Both decompositions take their frame [U_k | complement]
+from a staircase step (`_Staircase.frame`). Each decomposition reports
+the residuals `geninv decompose` prints and the runner reads.
 """
 
 from __future__ import annotations
@@ -168,41 +170,24 @@ class WeightedCoreEPDecomposition:
         }
 
 
-def _frame(chain, q: int, r: int) -> np.ndarray:
-    """[U1 Ũ | U2], a unitary whose first r columns span R(B^q), r =
-    rank(B^q), read off `chain`, the chain of B's powers: U = [U1 | U2] is
-    the n x n left factor of B's thin SVD, U1 its first rank(B) columns,
-    and Ũ the left singular factor of P_q, or I at q = 1, whose leading r
-    columns span R(P_q). I when q or r is 0."""
-    n = chain.shape[0]
-    if q == 0 or r == 0:
-        return np.eye(n, dtype=np.complex128)
-    u = chain.usv[0]
-    if q == 1:
-        return u
-    r1 = chain.ranks[1]
-    return np.concatenate([u[:, :r1] @ chain.factored(q).usv[0], u[:, r1:]], axis=1)
-
-
 def core_ep_decompose(a) -> CoreEPDecomposition:
-    """Core-EP decomposition from the chain of A's powers, k = Ind(A).
+    """Core-EP decomposition from A's staircase, k = Ind(A).
 
-    The index search on A's thin SVD leaves the chain holding P_k; its
-    left singular vectors, times U1, and the rest of the SVD's U form the
-    unitary U that block triangularizes A (`_frame`). The search's thin
-    SVD of P_k gives those vectors, so it takes no SVD besides the search,
-    and no QR. A's thin SVD and its searched chain are read from
+    The index search on A's staircase holds step k, whose basis U_k,
+    completed by one QR, is the unitary U = [U_k | complement] that block
+    triangularizes A (`_Staircase.frame`), so it takes no SVD besides the
+    search. A's thin SVD and its searched staircase are read from
     `projectors._operand`'s memo when the previous call searched the same
     A, as after its q-BT inverses, and then it takes no SVD. Degenerate
     inputs produce empty blocks instead of errors.
     """
     fa = _operand(a, "core_ep_decompose")
     a = fa.a
-    chain = fa.powers()
-    k = chain.search(a.shape[0] + 1)
-    ranks, s1 = chain.ranks, chain.s1
+    stairs = fa.staircase()
+    k = stairs.search(a.shape[0] + 1)
+    ranks, s1 = stairs.ranks, stairs.s1
     r = ranks[k]
-    u = _frame(chain, k, r)
+    u = stairs.frame(k)
     b = u.conj().T @ a @ u
     return CoreEPDecomposition(
         u=_frozen(u),
@@ -220,10 +205,10 @@ def weighted_core_ep_decompose(p: WeightedPair,
                                tol: Tolerances | None = None) -> WeightedCoreEPDecomposition:
     """Weighted core-EP decomposition of the pair (A, W).
 
-    U is the frame of R((AW)^k), V that of R((WA)^k), both read off the
-    pair's chains of AW and WA and their thin SVDs (`_frame`), so no
-    matrix larger than rank(AW) or rank(WA) is factored and none is
-    QR-factored. Every
+    U is the frame of R((AW)^k), V that of R((WA)^k), both read off step
+    k of the pair's staircases of AW and WA and completed by one QR each
+    (`_Staircase.frame`), so no matrix larger than rank(AW) or rank(WA) is
+    SVD-factored. Every
     structural claim (equal core ranks, vanishing lower-left blocks,
     nonsingular A1 and W1, nilpotent A3W3 and W3A3) is validated; a
     violation raises DecompositionError since it signals a rank
@@ -240,7 +225,7 @@ def weighted_core_ep_decompose(p: WeightedPair,
         raise DecompositionError(
             f"core ranks disagree: rank((AW)^{k})={t1} but rank((WA)^{k})={t2}")
     t = t1
-    u, v = _frame(p._aw, k, t), _frame(p._wa, k, t)
+    u, v = p._aw.frame(k), p._wa.frame(k)
     ab = u.conj().T @ a @ v
     wb = v.conj().T @ w @ u
     if not tol.close(frobenius(ab[t:, :t]), sa):

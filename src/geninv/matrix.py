@@ -7,10 +7,12 @@ dependency. Every rank decision in the library goes through the one
 cutoff rule defined here, `rank_cutoff`: a singular value of an m x n
 matrix counts toward the rank iff it exceeds max(m, n) * eps times a
 reference scale. The reference scale is the matrix's own largest singular
-value by default, but callers working with derived quantities (matrix
-powers, blocks extracted from a decomposition) can anchor the cutoff to
-the parent matrix's scale via the `scale` argument; noise floors are set
-by the data a matrix was computed from, not by the matrix itself.
+value by default, but callers working with derived quantities (blocks
+extracted from a decomposition, products of a pair) can anchor the cutoff
+to the parent matrix's scale via the `scale` argument; noise floors are
+set by the data a matrix was computed from, not by the matrix itself.
+Only the Drazin core (`projectors._Staircase.core`) and `nilpotency` read
+a power of a scale, through `_anchor`.
 
 Input is validated once, at the boundary. Every public function that
 takes a matrix passes each input through `as_matrix` (2-D, complex128,
@@ -18,10 +20,10 @@ finite entries) exactly once; a function that takes a `WeightedPair` or a
 decomposition scans nothing, since those were validated when they were
 built. Inside the library, and in the conformance runner's own operands,
 arrays are products of validated arrays and are used as they are: a
-matrix held with its factorization (`projectors._Factored`), the powers
-of a matrix in its compressed coordinates (`projectors._Powers`) and their
-rank search `_Powers.search`, `@`, `numpy.linalg.matrix_power`
-and `.conj().T`, never a public wrapper that would scan them again.
+matrix held with its factorization (`projectors._Factored`), the
+staircase of a square matrix (`projectors._Staircase`) and its rank search
+`_Staircase.search`, `@`, `numpy.linalg.matrix_power` and `.conj().T`,
+never a public wrapper that would scan them again.
 
 Each defining system's residuals are written once, below `Tolerances`, on
 float or exact matrices alike; the CLI, the conformance runner and the
@@ -112,10 +114,22 @@ def core_residuals(a, x) -> dict[str, float]:
             "chain": rel(x @ a @ a, a)}
 
 
+def _anchor(s1: float, j: int) -> float:
+    """s1^j, the anchor of a j-th power, s1 = sigma_max: read before the
+    power is formed, so an overflow is a DomainError naming j."""
+    try:
+        return s1 ** j
+    except OverflowError:
+        raise DomainError(
+            f"sigma_max^{j}, the anchor of power {j}, overflows") from None
+
+
 def nilpotency(n, k: int, scale: float) -> float:
     """‖N^k‖ / max(1, scale^k): how far N is from nilpotent of index at
-    most k, against the k-th power of its parent's largest singular value."""
-    return frobenius(np.linalg.matrix_power(n, k)) / max(1.0, scale ** k)
+    most k, against the k-th power of its parent's largest singular value,
+    read first (`_anchor`)."""
+    anchor = _anchor(scale, k)
+    return frobenius(np.linalg.matrix_power(n, k)) / max(1.0, anchor)
 
 
 def unitarity(u) -> float:

@@ -1,18 +1,19 @@
 """Moore-Penrose inverse, orthogonal projectors, matrix index, and
 rank-based range / null-space predicates.
 
-The powers of a square matrix are held in the r x r coordinates of its
-thin SVD (`_Powers`), r its rank, so that the index search and every
-routine that reads a power of A factors r x r matrices, not A^j.
+A square matrix is deflated one step at a time by its staircase
+(`_Staircase`): one SVD per step, each no larger than rank(A) x rank(A),
+decides every rank(A^j) under one flat cutoff and gives a basis of each
+R(A^j), the q-BT members and the decomposition frames.
 
 Every public routine that reads its operand's thin SVD takes the operand
 through `_operand`, which keeps the thin SVD of the last operand it
-factored and the searched chain of its powers: consecutive calls on one
-matrix (the q-BT family of one A, its index, its Drazin inverse, its
-decomposition) factor it once and decide each rank(A^j) once. A call hits
-only on an operand equal bit for bit to the kept one, and every power the
-chain forms is factored the same way whichever call forms it, so a result
-never depends on which calls came before it. Values-only rank decisions
+factored and its searched staircase: consecutive calls on one matrix (the
+q-BT family of one A, its index, its Drazin inverse, its decomposition)
+factor it once and decide each rank(A^j) once. A call hits only on an
+operand equal bit for bit to the kept one, and every step the staircase
+forms is formed the same way whichever call forms it, so a result never
+depends on which calls came before it. Values-only rank decisions
 (`matrix.rank`, `_stacked_rank_equal`) never read the memo."""
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, NumericError, ShapeError
-from .matrix import as_matrix, exponent, rank_from_values, singular_values
+from .errors import NumericError, ShapeError
+from .matrix import _anchor, as_matrix, exponent, rank_cutoff, rank_from_values, singular_values
 
 
 @dataclass(frozen=True)
@@ -60,14 +61,14 @@ class _Factored:
     because a caller will need the vectors later; otherwise it takes a
     values-only SVD, which is all a rank decision needs. Only a public
     routine's operand (`_Operand`) keeps its SVD across calls, with the
-    powers its chain keeps (`_Powers`); a product or block is factored anew
+    steps its staircase keeps (`_Staircase`); a product or block is factored anew
     by each call, and a values-only `s` is never memoized, since its last
     bits can differ from the thin SVD's.
 
     `scale` anchors the cutoff to a parent matrix's largest singular value
     when the matrix is a derived quantity (power, extracted block), and
     `shape` is the shape the cutoff reads when the matrix is a compression
-    of a larger one with the same singular values (`_Powers`).
+    of a larger one with the same singular values (`_Staircase.core`).
     `fixed_rank` bypasses the cutoff and keeps exactly that many singular
     values; callers use it when the rank is known from structure and the
     trailing singular values are pure rounding noise. A rank pinned at 0
@@ -124,9 +125,9 @@ class _Factored:
                      fixed_rank: int | None = None) -> np.ndarray:
         return self.pinv(scale, fixed_rank) @ self.a
 
-    def powers(self) -> "_Powers":
-        """A new chain of the powers of this square matrix, on its thin SVD."""
-        return _Powers(self.a.shape, self.usv)
+    def staircase(self) -> "_Staircase":
+        """A new staircase of this square matrix, on its thin SVD."""
+        return _Staircase(self.a, self.usv)
 
 
 def _svd_pinv(usv: tuple[np.ndarray, np.ndarray, np.ndarray], r: int) -> np.ndarray:
@@ -147,19 +148,19 @@ def _thin_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise NumericError(f"SVD failed: {exc}") from exc
 
 
-# (shape, bytes, chain) of the operand `_Operand` factored last, or None;
-# chain is the operand's `_Powers`, which holds its thin SVD (U, s, V*).
-# A miss replaces the whole entry with one assignment of a new tuple, so a
-# thread reads the old entry or the new one, never a mix: two threads that
-# miss at once each use their own operand's chain, and the later
-# assignment stays. Every call on the operand, in any thread, shares the
-# chain, which changes in place under its own lock (`_Powers`).
+# (shape, bytes, staircase) of the operand `_Operand` factored last, or
+# None; the staircase holds the operand's thin SVD (U, s, V*). A miss
+# replaces the whole entry with one assignment of a new tuple, so a thread
+# reads the old entry or the new one, never a mix: two threads that miss
+# at once each use their own operand's staircase, and the later assignment
+# stays. Every call on the operand, in any thread, shares the staircase,
+# which changes in place under its own lock (`_Staircase`).
 _memo: tuple | None = None
 
 
 class _Operand(_Factored):
-    """A public routine's validated operand: a thin `_Factored` whose chain
-    of powers, and with it its thin SVD, is the memo's when the operand has
+    """A public routine's validated operand: a thin `_Factored` whose
+    staircase, and with it its thin SVD, is the memo's when the operand has
     the memo's shape and bytes, and is otherwise made and put in the memo
     in place of the old entry. The key is a private copy of the operand's
     bytes, so a -0.0 that was 0.0, or any in-place edit of the caller's
@@ -171,7 +172,7 @@ class _Operand(_Factored):
         super().__init__(a, thin=True)
 
     @cached_property
-    def _chain(self) -> "_Powers":
+    def _staircase(self) -> "_Staircase":
         global _memo
         a = self.a
         key = a.tobytes()
@@ -180,17 +181,18 @@ class _Operand(_Factored):
             usv = _thin_svd(a)
             for factor in usv:
                 factor.setflags(write=False)
-            entry = _memo = (a.shape, key, _Powers(a.shape, usv))
+            own = np.frombuffer(key, dtype=np.complex128).reshape(a.shape)
+            entry = _memo = (a.shape, key, _Staircase(own, usv))
         return entry[2]
 
     @property
     def usv(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self._chain.usv
+        return self._staircase.usv
 
-    def powers(self) -> "_Powers":
-        """The chain the memo keeps for this operand, shared by every call
-        on it."""
-        return self._chain
+    def staircase(self) -> "_Staircase":
+        """The staircase the memo keeps for this operand, shared by every
+        call on it."""
+        return self._staircase
 
 
 def _operand(a, name: str | None = None) -> _Operand:
@@ -234,51 +236,72 @@ def power(b, q: int) -> np.ndarray:
     return np.linalg.matrix_power(b, exponent(q, "exponent"))
 
 
-class _Powers:
-    """The searched chain of the powers of a square matrix B, held in the
-    r x r coordinates of B's thin SVD truncated at r = rank(B).
+@dataclass(frozen=True, eq=False)
+class _Step:
+    """Step j of a staircase: `basis` is U_j, orthonormal columns spanning
+    R(B^j), and `m` is M_j, with B U_j = U_j M_j. For j >= 2,
+    M_(j-1) = U' S' V'* keeps r_j values: U_j = U_(j-1) U'_r, `s` is S'_r,
+    `x` is U_(j-1) V'_r and M_j = S'_r V'_r* U'_r, so B U_(j-1) = U_j S'_r x*
+    up to the values dropped."""
 
-    With B = U1 S1 V1* and M = S1 V1* U1, B^j = U1 P_j V1* where P_1 = S1
-    and P_j = M P_(j-1), so sigma(B^j) = sigma(P_j): every power is
-    factored as an r x r matrix, under the cutoff of B^j itself (shape
-    n x n, anchored at sigma_max(B)^j for a rank search). A singular value
-    of B dropped by the truncation is at most n eps sigma_max(B), so it
-    moves B^j by at most n eps sigma_max(B)^j, below every cutoff anchored
-    at sigma_max(B)^j or higher.
+    basis: np.ndarray
+    s: np.ndarray | None
+    x: np.ndarray | None
+    m: np.ndarray | None
 
-    The chain holds B's shape and thin SVD, never B: sigma_max(B),
-    rank(B) and the frame come from that SVD. For a square B its U is
-    n x n, so it also completes any basis of R(B^q) in U1's coordinates to
-    a unitary (`decomposition._frame`). `ranks` holds rank(B^j) for
-    j = 0, 1, ... as far as `search` decided them, each on the thin SVD of
-    P_j, which also gives the basis a caller reads from it, so a rank and a
-    basis never depend on which call formed the power (`power`). `search`
-    is the one place a rank(B^j), j <= Ind(B) + 1, is decided: it returns
-    the index a routine clamps its order at, and `basis` and the kernel's
-    pinned counts read `ranks`. The chain
-    keeps P_j with its factors for at most three j: the last two ranked,
-    which are P_Ind(B) and P_(Ind(B)+1) once the ranks stopped, and the
-    last one read for a basis (`factored`); and the r x r core
-    P_k P_(2k+1)^+ P_k of the Drazin inverse once formed (`core`). Its
-    memory is O(r^2) whatever the index.
 
-    An operand's chain is the operand memo's (`_Operand.powers`) and a
-    pair's are the pair's (`weighted.WeightedPair`); either is shared by
-    every call that reads it, in any thread, and changes in place. It
-    changes only under its lock: `ranks` only grows, and a rank once
-    decided never changes, so a call reads the ranks it searched whatever
-    other calls add after them; the held powers and the core are caches,
-    rebound whole, and a power formed again has the same bits.
+class _Staircase:
+    """The staircase of a square matrix B: B deflated one step at a time
+    (Kublanovskaya; Golub & Wilkinson), every rank(B^j) and every q-BT
+    member read off one SVD per step.
+
+    Step 1 is B's thin SVD B = U1 S1 V1*: rank(B) = r_1 under the flat
+    cutoff `rank_cutoff((n, n), sigma_max(B))`, and B^+. Its basis U_1 of
+    R(B) is Q, B V1 = Q R (a Householder QR, taken when a step or a frame
+    of a singular B first needs it): B applied to V1 lies in R(B) to the
+    rounding of one product, where U1 carries the SVD's backward error.
+    M_1 = U_1* B U_1. Step j >= 2 takes the SVD of M_(j-1) and keeps the
+    r_j = rank(B^j) values above the same cutoff; when none falls under
+    it, values up to 100 times it are deflated too, and a step that drops
+    one that way is recorded in `widened`. The q-BT member
+    (B P_{B^q})^+ = U_q V'_r S'_r^-1 U_(q+1)* is read off step q + 1 alone
+    (`member`), with no factorization of its own.
+
+    The staircase holds B's shape, its thin SVD and U_1; it holds a
+    singular B only until U_1 is formed, and an operand's B is the memo's
+    private copy of its bytes. `ranks` (rank(B^j), j = 0, 1, ... as far as
+    `search` decided them) and `widened` are held for good; the steps for
+    at most three j >= 2: the last two decided, Ind(B) and Ind(B) + 1 once
+    the ranks stopped, and the last one read (`step`). Any other step is
+    formed again from the nearest one held below it, with the same bits.
+    The r x r powers P_j = M^(j-1) S1, B^j = U1 P_j V1* with M = S1 V1* U1,
+    are formed by products of M (`power`); the Drazin core is kept for the
+    last k asked (`core`).
+
+    An operand's staircase is the operand memo's (`_Operand.staircase`)
+    and a pair's are the pair's (`weighted.WeightedPair`); either is shared
+    by every call that reads it, in any thread, and changes in place, only
+    under its lock: `ranks` only grows, and a rank once decided never
+    changes, so a call reads the ranks it searched whatever other calls
+    add after them.
     """
 
-    def __init__(self, shape: tuple[int, int], usv: tuple[np.ndarray, np.ndarray, np.ndarray]):
-        s = usv[1]
-        self.shape = shape
+    def __init__(self, a: np.ndarray, usv: tuple[np.ndarray, np.ndarray, np.ndarray]):
+        u, s, vh = usv
+        n = a.shape[0]
+        self.shape = a.shape
         self.usv = usv
         self.s1 = float(s[0]) if s.size else 0.0
-        self.ranks = [shape[0], rank_from_values(s, shape, self.s1)]
-        self._held: dict[int, _Factored] = {}
-        self._basis = 0
+        self.cut = rank_cutoff(a.shape, self.s1)
+        r = _kept(s, a.shape, None, None)
+        self.ranks = [n, r]
+        self.widened: list[int] = []
+        self.u1, self.vh1 = u[:, :r], vh[:r]
+        # a singular square B, kept until its first basis is formed
+        self._a = a if a.shape == (n, n) and r < n else None
+        self._base: _Step | None = None
+        self._held: dict[int, _Step] = {}
+        self._read = 0
         self._core: tuple[int, np.ndarray] | None = None
         self._lock = threading.Lock()
 
@@ -288,100 +311,122 @@ class _Powers:
         return len(self.ranks) - 2
 
     @cached_property
-    def _frame(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """U1, S1, V1* and V1* U1; a B of rank 0 takes no SVD."""
-        r = self.ranks[1]
-        if r:
-            u, s, vh = self.usv
-            u1, s, vh1 = u[:, :r], s[:r], vh[:r]
-        else:
-            n = self.shape[0]
-            u1, s, vh1 = (np.zeros((n, 0), dtype=np.complex128), np.zeros(0),
-                          np.zeros((0, n), dtype=np.complex128))
-        return u1, s, vh1, vh1 @ u1
-
-    @property
-    def u1(self) -> np.ndarray:
-        return self._frame[0]
-
-    @property
-    def vh1(self) -> np.ndarray:
-        return self._frame[2]
-
-    @property
     def vh1_u1(self) -> np.ndarray:
         """V1* U1, which joins two powers: P_(i+j) = P_i (V1* U1) P_j."""
-        return self._frame[3]
+        return self.vh1 @ self.u1
 
     @cached_property
     def m(self) -> np.ndarray:
-        """M = S1 V1* U1, the compression of B: B U1 = U1 M."""
-        _, s, _, vh1_u1 = self._frame
-        return s[:, None] * vh1_u1
+        """M = S1 V1* U1, B compressed on its SVD: B U1 = U1 M."""
+        return self.usv[1][:self.ranks[1], None] * self.vh1_u1
 
-    def pinv(self) -> np.ndarray:
-        """B^+ from B's thin SVD, its rank decided as in `_Factored.pinv`."""
-        return _svd_pinv(self.usv, _kept(self.usv[1], self.shape, None, None))
+    def _next(self, prev: _Step, r: int | None = None) -> tuple[_Step, int, bool]:
+        """The step after `prev`, at rank r, or at the rank the cutoff
+        decides when r is None; with that rank and whether it was widened."""
+        kept = prev.m.shape[0]
+        u, s, vh = _thin_svd(prev.m)
+        widened = False
+        if r is None:
+            values = s.tolist()
+            r = len([v for v in values if v > self.cut])
+            if r == kept:
+                r = len([v for v in values if v > 100.0 * self.cut])
+                widened = r < kept
+        basis, vhr = prev.basis, vh[:r]
+        step = _Step(basis @ u[:, :r], s[:r], basis @ vhr.conj().T, s[:r, None] * (vhr @ u[:, :r]))
+        return step, r, widened
 
-    def power(self, j: int) -> _Factored:
-        """P_j for j >= 1, held or formed from the highest power held below
-        it, its thin SVD taken on first use: its rank is read from the SVD
-        that also gives its basis, whichever call forms it."""
-        held = self._held
-        if j in held:
-            return held[j]
-        s = self._frame[1]
-        if j == 1:
-            return _Factored(np.diag(s).astype(np.complex128), thin=True, shape=self.shape)
-        e = max((i for i in held if i < j), default=1)
-        # P_2 = M S1 scales the columns of M
-        p = held[e].a if e > 1 else self.m * s
-        for _ in range(max(e, 2), j):
-            p = self.m @ p
-        return _Factored(p, thin=True, shape=self.shape)
-
-    def _hold(self, j: int, p: _Factored) -> None:
-        """Hold P_j, and drop every power but the last two ranked and the
-        basis power."""
+    def _hold(self, j: int, step: _Step) -> None:
+        """Hold step j, and drop every step but the last two decided and
+        the last one read."""
         last = len(self.ranks) - 1
-        self._held = {i: f for i, f in {**self._held, j: p}.items()
-                      if i in (last - 1, last, self._basis)}
+        self._held = {i: f for i, f in {**self._held, j: step}.items()
+                      if i in (last - 1, last, self._read)}
 
     def search(self, last: int) -> int:
         """min(Ind(B), last - 1): decide rank(B^j) for j = 2, 3, ... up to
-        the first j with rank(B^j) = rank(B^(j-1)), or up to j = last, each
-        on P_j's thin SVD against sigma_max(B)^j, once per chain: a chain
-        already searched that far decides nothing."""
+        the first j with rank(B^j) = rank(B^(j-1)), or up to j = last, one
+        step each, once per staircase: a staircase already searched that
+        far decides nothing."""
         with self._lock:
             ranks = self.ranks
             while ranks[-1] != ranks[-2] and len(ranks) <= last:
                 j = len(ranks)
-                anchor = _anchor(self.s1, j)
-                p = self.power(j)
-                ranks.append(p.rank(anchor))
-                self._hold(j, p)
+                step, r, widened = self._next(self._formed(j - 1))
+                ranks.append(r)
+                if widened:
+                    self.widened.append(j)
+                self._hold(j, step)
             return min(self.index, last - 1)
 
-    def factored(self, q: int) -> _Factored:
-        """P_q, q >= 2, thin; held as the basis power when the
-        chain does not hold it already."""
-        with self._lock:
-            p = self._held.get(q)
-            if p is None:
-                p = self.power(q)
-                self._basis = q
-                self._hold(q, p)
-        return p
+    def _first(self) -> _Step:
+        """Step 1: U_1 = Q from B V1 = Q R and M_1 = U_1* B U_1, formed when
+        a step or a frame first needs it; U_1 = U1 for a nonsingular B."""
+        if self._base is None:
+            a, self._a = self._a, None
+            u1 = self.u1 if a is None else np.linalg.qr(a @ self.vh1.conj().T)[0]
+            self._base = _Step(u1, None, None, None if a is None else u1.conj().T @ (a @ u1))
+        return self._base
 
-    def basis(self, q: int) -> np.ndarray:
-        """An orthonormal basis of R(B^q), q >= 1, in U1's coordinates: the
-        leading rank(B^q) left singular vectors of P_q, the count `search`
-        decided, so U1 times it spans R(B^q). P_1 = S1 is diagonal and
-        takes no SVD, and neither does a rank of 0."""
-        r = self.ranks[q]
-        if q > 1:
-            return self.factored(q).range_basis(fixed_rank=r)
-        return np.eye(self._frame[1].size, r, dtype=np.complex128)
+    def _formed(self, j: int) -> _Step:
+        """Step j, 1 <= j <= the last decided: held, or formed again at its
+        decided rank from the nearest step held below it."""
+        if j in self._held:
+            return self._held[j]
+        i = max((i for i in self._held if i < j), default=1)
+        step = self._held[i] if i > 1 else self._first()
+        for jj in range(i + 1, j + 1):
+            step = self._next(step, self.ranks[jj])[0]
+        return step
+
+    def step(self, j: int) -> _Step:
+        """Step j, 1 <= j <= the last decided, held from now on as the last
+        step read."""
+        with self._lock:
+            step = self._formed(j)
+            self._read = j
+            self._hold(j, step)
+        return step
+
+    def read(self, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """What the member of order q, 0 <= q < the last decided step,
+        reads off step q + 1, B U_q = U_(q+1) S'_r x*: U_(q+1), S'_r and
+        x = U_q V'_r; at q = 0, B's thin SVD, U1, S1 and V1."""
+        if q:
+            step = self.step(q + 1)
+            return step.basis, step.s, step.x
+        return self.u1, self.usv[1][:self.ranks[1]], self.vh1.conj().T
+
+    def member(self, q: int) -> np.ndarray:
+        """(B P_{B^q})^+ for 0 <= q < the last decided step, read off step
+        q + 1: B U_q = U_(q+1) S'_r V'_r*, so the member is
+        U_q V'_r S'_r^-1 U_(q+1)*; at q = 0 it is B^+ from B's thin SVD, and
+        0 at a rank of 0."""
+        basis, s, x = self.read(q)
+        return (x / s) @ basis.conj().T
+
+    def frame(self, k: int) -> np.ndarray:
+        """[U_k | complement], a unitary whose first rank(B^k) columns span
+        R(B^k): U_k from step k, or from the last decided one past it, where
+        the ranges stop growing smaller, completed by one complete
+        Householder QR of U_k. I at k = 0."""
+        if k == 0:
+            return np.eye(self.shape[0], dtype=np.complex128)
+        basis = self.step(min(k, len(self.ranks) - 1)).basis
+        rest = np.linalg.qr(basis, mode="complete")[0][:, basis.shape[1]:]
+        return np.concatenate([basis, rest], axis=1)
+
+    def power(self, j: int) -> np.ndarray:
+        """P_j = M^(j-1) S1 for j >= 1, B^j = U1 P_j V1*, formed by
+        products of M."""
+        s = self.usv[1][:self.ranks[1]]
+        if j == 1:
+            return np.diag(s).astype(np.complex128)
+        # P_2 = M S1 scales the columns of M
+        p = self.m * s
+        for _ in range(2, j):
+            p = self.m @ p
+        return p
 
     def core(self, k: int) -> np.ndarray:
         """P_k P_(2k+1)^+ P_k for k >= 1, the r x r core of the Drazin
@@ -392,22 +437,12 @@ class _Powers:
         with self._lock:
             if self._core is None or self._core[0] != k:
                 anchor = _anchor(self.s1, 2 * k + 1)
-                pk, pk1 = self.power(k).a, self.power(k + 1).a
-                p2k1 = _Factored(pk1 @ self.vh1_u1 @ pk, shape=self.shape)
+                pk = self.power(k)
+                p2k1 = _Factored(self.power(k + 1) @ self.vh1_u1 @ pk, shape=self.shape)
                 core = pk @ p2k1.pinv(scale=anchor) @ pk
                 core.setflags(write=False)
                 self._core = (k, core)
             return self._core[1]
-
-
-def _anchor(s1: float, j: int) -> float:
-    """s1^j, the rank anchor of a j-th power, s1 = sigma_max: read before the
-    power is formed, so an overflow is a DomainError naming j."""
-    try:
-        return s1 ** j
-    except OverflowError:
-        raise DomainError(
-            f"sigma_max^{j}, the rank anchor of power {j}, overflows") from None
 
 
 def _power_projector(b: np.ndarray, q: int, s: float) -> np.ndarray:
@@ -417,54 +452,21 @@ def _power_projector(b: np.ndarray, q: int, s: float) -> np.ndarray:
     return _Factored(np.linalg.matrix_power(b, q)).proj_range(scale=s ** q)
 
 
-def _pinned_pinv(x: np.ndarray, r: int) -> np.ndarray:
-    """X^+ for X of pinned rank r. At full column rank X = Q R (thin
-    Householder QR) gives X^+ = R^{-1} Q* with one `numpy.linalg.solve` on R
-    and no SVD; below it, or if R is exactly singular, the SVD keeps r values."""
-    if r >= x.shape[1]:
-        q, rr = np.linalg.qr(x)
-        try:
-            return np.linalg.solve(rr, q.conj().T)
-        except np.linalg.LinAlgError:
-            pass
-    return _Factored(x).pinv(fixed_rank=r)
-
-
-def _qbt_kernel(chain: _Powers, q: int, r: int,
-                wu1: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """(W A W P_{(AW)^q})^+ for q >= 1 on the chain of AW = U1 S1 V1*, r its
-    rank, rank(W (AW)^(q+1)), which the caller decides.
-
-    U1 Ũ spans R((AW)^q), Ũ the chain's basis of it (`_Powers.basis`), and
-    with `wu1` = (R, L), the Householder QR W U1 = R L that the pair keeps,
-    the result is U1 Ũ (L M Ũ)^+ R*. With wu1 None it is the square
-    (A P_{A^q})^+: R = U1, L = I, and r = rank(A^(q+1)) from the chain's
-    search, which must have reached q + 1. The rank of L M Ũ is pinned at
-    r; its trailing values are rounding noise. When r equals the column
-    count of L M Ũ, which is q >= Ind(A) for the square, one QR replaces
-    the SVD (`_pinned_pinv`)."""
-    right, lm = (chain.u1, chain.m) if wu1 is None else (wu1[0], wu1[1] @ chain.m)
-    if r == 0:
-        return np.zeros((chain.shape[0], right.shape[0]), dtype=np.complex128)
-    ut = chain.basis(q)
-    return chain.u1 @ (ut @ _pinned_pinv(lm @ ut, r)) @ right.conj().T
-
-
 def matrix_index(b) -> IndexReport:
     """Index of a square matrix: rank stabilization point of its powers.
 
-    The rank of B^j is taken relative to sigma_max(B)^j and decided on the
-    r x r compression of B^j (`_Powers`); one thin SVD of B gives
-    sigma_max(B), rank(B) and the frame, and settles a nonsingular B. A
-    singular B adds one thin SVD of an r x r matrix per power: Ind(B) + 1
-    SVDs in all. The operand memo (`_operand`) keeps B's thin SVD and its
-    searched chain, so after any call that searched B this far, another
-    call on the same B takes none. The search is capped at n (the index
-    never exceeds n).
+    Each rank(B^j) is decided by one step of B's staircase (`_Staircase`)
+    under the flat cutoff of B: one thin SVD of B gives sigma_max(B),
+    rank(B) and the first step, and settles a nonsingular B. A singular B
+    adds one SVD of an r x r matrix per step: Ind(B) + 1 SVDs in all. The
+    operand memo (`_operand`) keeps B's thin SVD and its searched
+    staircase, so after any call that searched B this far, another call on
+    the same B takes none. The search is capped at n (the index never
+    exceeds n).
     """
-    chain = _operand(b, "matrix_index").powers()
-    k = chain.search(chain.shape[0] + 1)
-    return IndexReport(index=k, rank_sequence=tuple(chain.ranks), sigma_max=chain.s1)
+    stairs = _operand(b, "matrix_index").staircase()
+    k = stairs.search(stairs.shape[0] + 1)
+    return IndexReport(index=k, rank_sequence=tuple(stairs.ranks), sigma_max=stairs.s1)
 
 
 def _stacked_rank_equal(stacked: np.ndarray, scale: float | None, *operands: _Factored) -> bool:

@@ -5,12 +5,12 @@ q-BT inverse (W A W P_{(AW)^q})^+, which reduces to (WAW)^+ at q = 0, to
 the W-weighted BT inverse at q = 1, and to the W-weighted core-EP inverse
 for q >= k = max(Ind(AW), Ind(WA)).
 
-Every power of AW is read in the r x r coordinates of AW's thin SVD,
-r = rank(AW) (`projectors._Powers`), and W enters through W U1, so no
-power of AW is factored at full size. The q-BT construction is one
-kernel, `projectors._qbt_kernel`, which the square q-BT inverse shares
-with W absent; q = 0 is the pseudoinverse of W A W. The pair's chain of
-AW decides every rank((AW)^j), and `_member_rank` the member's rank.
+The pair's staircase of AW (`projectors._Staircase`) decides every
+rank((AW)^j), and its step q + 1, AW U_q = U_(q+1) S' V'*, gives the
+member: W A W P_{(AW)^q} = W U_(q+1) S' (U_q V')*, so the member is
+U_q V' (W U_(q+1) S')^+, and its rank, rank(W (AW)^(q+1)), is that of
+W U_(q+1) under the flat cutoff of W (`_member_read`). Every route to the
+member reads that one rank; q = 0 is the pseudoinverse of W A W.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from numpy.linalg import matrix_power
 
 from .classical import _drazin, _qbt, check_q
 from .errors import DomainError, NumericError, ShapeError
-from .matrix import Tolerances, as_matrix, exponent, frobenius, resolve_tol
-from .projectors import _anchor, _Factored, _Powers, _qbt_kernel
+from .matrix import Tolerances, as_matrix, exponent, frobenius, rank_from_values, resolve_tol
+from .projectors import _Factored, _Staircase
 
 
 @dataclass(frozen=True)
@@ -38,17 +38,14 @@ class WeightedPair:
     The indices of AW and WA can differ by at most one; a larger spread
     indicates a rank misclassification and is rejected.
 
-    The chains of AW and WA (`projectors._Powers`, one thin SVD each) are
-    those `from_matrices` searched the indices on; a pair built otherwise
-    (by `dataclasses.replace`) runs the same searches on first use. Every
-    weighted routine, the weighted decomposition and every q on one pair
-    read them, in any thread: like an operand's chain, each forms its
-    powers thin, so the search's SVD of P_k also gives the decomposition's
-    frame, and changes in place under its lock. Beside them the pair
-    keeps the Householder QR of W U1, U1 the range basis of AW's chain,
-    taken when the member rank (`_member_rank`) first needs it and then
-    read by every q. None of these are fields: equality, `dataclasses.replace` and
-    the printed form see only the data above.
+    The staircases of AW and WA (`projectors._Staircase`, one thin SVD
+    each) are those `from_matrices` searched the indices on; a pair built
+    otherwise (by `dataclasses.replace`) runs the same searches on first
+    use. Every weighted routine, the weighted decomposition and every q on
+    one pair read them, in any thread: like an operand's staircase, each
+    changes in place under its lock, and its steps give the members and
+    the decomposition's frames. They are not fields: equality,
+    `dataclasses.replace` and the printed form see only the data above.
     """
 
     a: np.ndarray
@@ -84,8 +81,8 @@ class WeightedPair:
         pair = cls(a=a, w=w, ind_aw=ind_aw, ind_wa=ind_wa, k=max(ind_aw, ind_wa),
                    rank_sequence_aw=tuple(aw.ranks), rank_sequence_wa=tuple(wa.ranks),
                    sigma_max_a=_Factored(a).sigma_max, sigma_max_w=_Factored(w).sigma_max)
-        # the searches' chains become the pair's, so their truncations are
-        # the decisions rank_sequence_aw[1] and rank_sequence_wa[1] record
+        # the searches' staircases become the pair's, so their steps are
+        # the decisions the rank sequences record
         pair.__dict__.update(_aw=aw, _wa=wa)
         return pair
 
@@ -94,52 +91,57 @@ class WeightedPair:
         return self.a.shape
 
     @cached_property
-    def _aw(self) -> _Powers:
+    def _aw(self) -> _Staircase:
         return _searched(self.a, self.w)
 
     @cached_property
-    def _wa(self) -> _Powers:
+    def _wa(self) -> _Staircase:
         return _searched(self.w, self.a)
 
-    @cached_property
-    def _wu1(self) -> tuple[np.ndarray, np.ndarray]:
-        """(R, L) with W U1 = R L, the `wu1` of `projectors._qbt_kernel`."""
-        return np.linalg.qr(self.w @ self._aw.u1)
+
+def _searched(x: np.ndarray, y: np.ndarray) -> _Staircase:
+    """The staircase of the square product X Y, its index searched."""
+    stairs = _Factored(x @ y).staircase()
+    stairs.search(x.shape[0] + 1)
+    return stairs
 
 
-def _searched(x: np.ndarray, y: np.ndarray) -> _Powers:
-    """The chain of the square product X Y, its index searched on the
-    product's thin SVD, which also gives the chain's frame."""
-    chain = _Factored(x @ y).powers()
-    chain.search(x.shape[0] + 1)
-    return chain
-
-
-def _member_rank(p: WeightedPair, q: int) -> int:
-    """rank(W (AW)^(q+1)), the rank of the q-BT member (W A W P_{(AW)^q})^+,
-    since W A W maps R((AW)^q) onto R(W (AW)^(q+1)); every route to the
-    member reads it here but `weighted_qbt` at q = 0, a pseudoinverse under
-    its own cutoff. Decided on L P_(q+1), which has the singular values of
-    W (AW)^(q+1) (W U1 = R L, the pair's QR), against the power's anchor
-    sigma_max(W) (sigma_max(A) sigma_max(W))^(q+1), read first so that an
-    overflow is a DomainError naming the power; the product's own trailing
-    values are rounding noise that a flat cutoff cannot reliably reject."""
-    sw = p.sigma_max_w
-    anchor = sw * _anchor(p.sigma_max_a * sw, q + 1)
-    return _Factored(p._wu1[1] @ p._aw.power(q + 1).a, shape=p.w.shape).rank(anchor)
+def _member_read(p: WeightedPair, q: int) -> tuple[int, tuple, _Factored]:
+    """The member rank rank(W (AW)^(q+1)), what the member of order q reads
+    off AW's staircase (`_Staircase.read`: U_(q+1), S' and U_q V'), and
+    W U_(q+1) thin-factored. The step read is q + 1 up to Ind(AW) + 1,
+    past which R((AW)^q) stops changing. W A W maps R((AW)^q) onto
+    R(W (AW)^(q+1)) = R(W U_(q+1)), whose rank is decided against
+    `rank_cutoff(W.shape, sigma_max(W))`: U_(q+1) has orthonormal columns,
+    so W's own noise floor is the product's. Every route to the member
+    reads its rank here but `weighted_qbt` at q = 0, a pseudoinverse under
+    its own cutoff."""
+    step = p._aw.read(min(q, p._aw.index))
+    wu = _Factored(p.w @ step[0], thin=True)
+    return rank_from_values(wu.s, p.w.shape, p.sigma_max_w), step, wu
 
 
 def weighted_qbt(p: WeightedPair, q: int) -> np.ndarray:
     """W-weighted q-BT inverse (W A W P_{(AW)^q})^+, shape m x n.
 
-    q is clamped at min(k, m): R((AW)^q) is fixed from q = Ind(AW) <= m on,
-    and past it the member rank's anchor (`_member_rank`) only loses accuracy.
+    q is clamped at k. For q >= 1 the member is U_q V' (W U_(q+1) S')^+
+    (`_member_read`) at the member rank r: with W U_(q+1) = Uz Sz Vz* kept
+    at r values and H = Vz_r* S', it is U_q V' H^+ Sz_r^-1 Uz_r*, and at
+    full column rank H^+ = S'^-1 Vz_r takes no factorization.
     """
-    q = min(check_q(q), p.k, p.shape[0])
+    q = min(check_q(q), p.k)
     if q == 0:
         sa, sw = p.sigma_max_a, p.sigma_max_w
         return _Factored(p.w @ p.a @ p.w).pinv(scale=sw * sa * sw)
-    return _qbt_kernel(p._aw, q, _member_rank(p, q), p._wu1)
+    r, (_, s, x), wu = _member_read(p, q)
+    if r == 0:
+        return np.zeros(p.shape, dtype=np.complex128)
+    uz, sz, vzh = wu.usv
+    if r == s.size:
+        h_pinv = vzh[:r].conj().T / s[:, None]
+    else:
+        h_pinv = _Factored(vzh[:r] * s).pinv(fixed_rank=r)
+    return x @ (h_pinv / sz[:r]) @ uz[:, :r].conj().T
 
 
 def weighted_bt(p: WeightedPair) -> np.ndarray:
@@ -154,9 +156,9 @@ def weighted_core_ep(p: WeightedPair) -> np.ndarray:
 
 def weighted_drazin(p: WeightedPair) -> np.ndarray:
     """W-weighted Drazin inverse A (WA)^d (WA)^d; (WA)^d reads Ind(WA) from
-    the pair and sigma_max(WA) from the pair's chain of WA, and for
+    the pair and sigma_max(WA) from the pair's staircase of WA, and for
     Ind(WA) > 0 its first call factors the r x r compression of
-    (WA)^(2k+1), whose core the chain keeps."""
+    (WA)^(2k+1), whose core the staircase keeps."""
     d = _drazin(p._wa, p.ind_wa)
     return p.a @ d @ d
 
@@ -166,16 +168,17 @@ def weighted_qbt_product_forms(p: WeightedPair, q: int) -> tuple[np.ndarray, np.
 
     [W (AW)^(q+1) ((AW)^q)^+]^+  and  [(WA)^(q+1) W ((AW)^q)^+]^+.
 
-    Both read the chain of AW (`_Powers`): ((AW)^q)^+ = V1 P_q^+ U1* for
-    q >= 1, P_q^+ kept at rank((AW)^q) from the chain's search, so each
-    operand is an n x rank(AW) matrix times U1*, and U1 times its
-    pseudoinverse is the result. The first operand is W U1 P_(q+1) P_q^+;
-    the second forms (WA)^(q+1) W V1 itself. Both pseudoinverses keep the
-    member's rank (`_member_rank`).
+    Both read the staircase of AW: ((AW)^q)^+ = V1 P_q^+ U1* for q >= 1,
+    P_q the r x r power formed by products of M (`_Staircase.power`) and
+    P_q^+ kept at rank((AW)^q) from the staircase's search, so each operand
+    is an n x rank(AW) matrix times U1*, and U1 times its pseudoinverse is
+    the result. The first operand is W U1 P_(q+1) P_q^+; the second forms
+    (WA)^(q+1) W V1 itself. Both pseudoinverses keep the member's rank
+    (`_member_read`).
     """
     q = min(check_q(q), p.k)
     aw = p._aw
-    r = _member_rank(p, q)
+    r = _member_read(p, q)[0]
     if r == 0:
         zero = np.zeros(p.shape, dtype=np.complex128)
         return zero, zero.copy()
@@ -184,18 +187,18 @@ def weighted_qbt_product_forms(p: WeightedPair, q: int) -> tuple[np.ndarray, np.
         # (AW)^0 = I: the operands are W A W in its two groupings
         x1 = _Factored(p.w @ (p.a @ p.w)).pinv(fixed_rank=r)
         return x1, _Factored(wa_q1_w).pinv(fixed_rank=r)
-    pq_pinv = aw.power(q).pinv(fixed_rank=aw.ranks[q])
-    x1 = aw.u1 @ _Factored(p.w @ aw.u1 @ aw.power(q + 1).a @ pq_pinv).pinv(fixed_rank=r)
+    pq_pinv = _Factored(aw.power(q)).pinv(fixed_rank=aw.ranks[q])
+    x1 = aw.u1 @ _Factored(p.w @ aw.u1 @ aw.power(q + 1) @ pq_pinv).pinv(fixed_rank=r)
     x2 = aw.u1 @ _Factored(wa_q1_w @ aw.vh1.conj().T @ pq_pinv).pinv(fixed_rank=r)
     return x1, x2
 
 
 def weighted_qbt_via_square(p: WeightedPair, q: int) -> np.ndarray:
     """(W ((AW)^{q-BT})^+)^+: the weighted inverse through the square q-BT
-    inverse of the product AW on the pair's chain of AW, the result kept
-    at the member's rank (`_member_rank`)."""
+    inverse of the product AW on the pair's staircase of AW, the result
+    kept at the member's rank (`_member_read`)."""
     q = min(check_q(q), p.k)
-    r = _member_rank(p, q)
+    r = _member_read(p, q)[0]
     if r == 0:
         return np.zeros(p.shape, dtype=np.complex128)
     inner = _Factored(_qbt(p._aw, q)).pinv()

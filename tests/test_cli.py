@@ -191,8 +191,9 @@ class TestInverseCommands:
         monkeypatch.setattr(np.linalg, "svd", counted(np.linalg.svd))
         monkeypatch.setattr(np.linalg, "qr", counted(np.linalg.qr))
         # the library and the CLI's residuals search every index through
-        # the chain's one search
-        monkeypatch.setattr(projectors._Powers, "search", index_span(projectors._Powers.search))
+        # the staircase's one search
+        monkeypatch.setattr(projectors._Staircase, "search",
+                            index_span(projectors._Staircase.search))
         files = [write_csv(tmp_path / f"m{i}.csv", rows) for i, rows in enumerate(PAIR_5X4)]
         runs = {}
         for extra in ([], ["--verify"]):
@@ -221,9 +222,9 @@ class TestInverseCommands:
         assert shapes.count((6, 6)) == 2
 
     def test_qbt_verify_searches_no_index_of_its_own(self, tmp_path, capsys, monkeypatch):
-        # the residuals read the index off the chain the routine searched,
+        # the residuals read the index off the staircase the routine searched,
         # which the operand memo keeps: --verify adds the SVD of A^2 for its
-        # projector and no SVD of an r x r power
+        # projector and takes no staircase step
         shapes = []
         real_svd = np.linalg.svd
 
@@ -307,38 +308,45 @@ class TestErrorPaths:
         code, _, err = run_main(capsys, "drazin", a)
         assert code == 4
 
-    @pytest.mark.parametrize("kind", ["core-ep", "drazin"])
-    def test_overflow_is_domain_error(self, tmp_path, capsys, kind):
-        # a 24x24 Jordan chain with links 1e14: sigma_max^j overflows in the index search
-        chain = np.diag(np.full(23, 1e14), 1)
-        a = write_csv(tmp_path / "j.csv", [["%g" % v for v in row] for row in chain])
-        code, _, err = run_main(capsys, kind, a)
+    # inputs whose anchors still overflow: the core-EP decomposition of a
+    # 24x24 Jordan chain with links 1e14 reads sigma_max^24 for its
+    # nilpotency residual, and the Drazin inverse of diag(1e150, 0) reads
+    # sigma_max^3 for its core
+    OVERFLOWS = pytest.mark.parametrize("argv, rows, power", [
+        (["decompose", "core-ep"], np.diag(np.full(23, 1e14), 1), 24),
+        (["drazin"], np.diag([1e150, 0.0]), 3),
+    ], ids=["core-ep", "drazin"])
+
+    @OVERFLOWS
+    def test_overflow_is_domain_error(self, tmp_path, capsys, argv, rows, power):
+        a = write_csv(tmp_path / "j.csv", [["%g" % v for v in row] for row in rows])
+        code, _, err = run_main(capsys, *argv, a)
         assert code == 4
         assert err.startswith("error:")
 
-    @pytest.mark.parametrize("kind", ["core-ep", "drazin"])
-    def test_overflow_prints_one_error_line(self, tmp_path, kind):
+    @OVERFLOWS
+    def test_overflow_prints_one_error_line(self, tmp_path, argv, rows, power):
         # in a child, whose stderr pytest does not capture: no numpy warning
         # comes before the error
-        chain = np.diag(np.full(23, 1e14), 1)
-        a = write_csv(tmp_path / "j.csv", [["%g" % v for v in row] for row in chain])
-        proc = subprocess.run([sys.executable, "-m", "geninv", kind, a],
+        a = write_csv(tmp_path / "j.csv", [["%g" % v for v in row] for row in rows])
+        proc = subprocess.run([sys.executable, "-m", "geninv", *argv, a],
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 4
         assert proc.stdout == ""
         [line] = proc.stderr.splitlines()
-        assert line.startswith("error:") and "power 23" in line
+        assert line.startswith("error:") and f"power {power}" in line
 
     def test_weighted_overflow_prints_one_error_line(self, tmp_path):
-        # the pair builds, and the member rank's anchor (1e200)^2 overflows
-        a = write_csv(tmp_path / "a.csv", [["1e100", 1], [0, 0]])
-        w = write_csv(tmp_path / "w.csv", [[0, 0], [1, "1e100"]])
-        proc = subprocess.run([sys.executable, "-m", "geninv", "wqbt", "--q", "1", a, w],
+        # the pair builds with Ind(WA) = 1, and the core of (WA)^d reads
+        # sigma_max(WA)^3 = 1e450
+        a = write_csv(tmp_path / "a.csv", [["1e150", 0], [0, 0]])
+        w = write_csv(tmp_path / "w.csv", [[1, 0], [0, 1]])
+        proc = subprocess.run([sys.executable, "-m", "geninv", "wdrazin", a, w],
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 4
         assert proc.stdout == ""
         [line] = proc.stderr.splitlines()
-        assert line.startswith("error:") and "power 2" in line
+        assert line.startswith("error:") and "power 3" in line
 
     @pytest.mark.parametrize("name, text, where", [
         ("a.csv", "1,2\n3,1e400\n", "line 2, column 3"),

@@ -1,8 +1,7 @@
-import sys
-
 import numpy as np
 import pytest
 
+from geninv import weighted
 from geninv.classical import qbt_inverse
 from geninv.corpus import random_pairs, random_square
 from geninv.decomposition import (_canonical_blocks, block_pinv, canonical_qbt,
@@ -10,7 +9,7 @@ from geninv.decomposition import (_canonical_blocks, block_pinv, canonical_qbt,
                                   core_ep_decompose, weighted_core_ep_decompose)
 from geninv.errors import DomainError, NumericError
 from geninv.matrix import conjugate_transpose, frobenius, rank, sigma_max
-from geninv.projectors import _Factored, _Powers, matrix_index, power
+from geninv.projectors import _Factored, _Staircase, matrix_index, power
 from geninv.weighted import weighted_qbt
 
 from conftest import random_complex, rel
@@ -64,7 +63,7 @@ class TestWeightedCoreEPDecompose:
             raise AssertionError("index searched again")
 
         with monkeypatch.context() as patch:
-            patch.setattr(_Powers, "search", no_index)
+            patch.setattr(_Staircase, "search", no_index)
             decompositions = [weighted_core_ep_decompose(p) for p in pairs]
         for p, d in zip(pairs, decompositions):
             assert p.rank_sequence_aw == matrix_index(p.a @ p.w).rank_sequence
@@ -159,9 +158,10 @@ class TestCanonicalForms:
 
 
 def test_canonical_forms_are_independent_of_the_qbt_kernel(pairs, monkeypatch):
-    # the canonical route is the check that does not read the q-BT kernel:
-    # with every binding of it made to raise, each canonical form still
-    # matches the direct route, computed before the kernel was cut off
+    # the canonical route is the check that does not read the members off
+    # the staircase: with the square and the weighted member reads made to
+    # raise, each canonical form still matches the direct route, computed
+    # before the reads were cut off
     rng = np.random.default_rng(17)
     squares = [random_square(rng, n, index=k) for k in (0, 1, 2, 3) for n in (6, 12)]
     cases = []
@@ -180,12 +180,11 @@ def test_canonical_forms_are_independent_of_the_qbt_kernel(pairs, monkeypatch):
                                                         scale=d.sigma_max_a, a3_rank=r),
                       np.linalg.pinv(p.a)))
 
-    def kernel_called(*args, **kwargs):
-        raise AssertionError("the q-BT kernel was called")
+    def member_read(*args, **kwargs):
+        raise AssertionError("a member was read off the staircase")
 
-    for name, module in list(sys.modules.items()):
-        if name == "geninv" or name.startswith("geninv."):
-            monkeypatch.setattr(module, "_qbt_kernel", kernel_called, raising=False)
+    monkeypatch.setattr(_Staircase, "member", member_read, raising=True)
+    monkeypatch.setattr(weighted, "_member_read", member_read, raising=True)
     for route, reference in cases:
         got = route()
         if isinstance(reference, tuple):

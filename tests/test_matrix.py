@@ -5,7 +5,7 @@ from geninv.classical import outer_inverse_check
 from geninv.decomposition import weighted_core_ep_decompose
 from geninv.errors import DecompositionError, DomainError, ShapeError
 from geninv.matrix import (DEFAULT_TOL, Tolerances, as_matrix, conjugate_transpose,
-                           frobenius, rank, rank_cutoff, resolve_tol, sigma_max)
+                           frobenius, nilpotency, rank, rank_cutoff, resolve_tol, sigma_max)
 from geninv.corpus import random_planted_pair
 from geninv.projectors import pinv
 from geninv.weighted import WeightedPair, cline_shift_check
@@ -121,3 +121,15 @@ class TestNorms:
         assert at[0, 0] == 1 - 1j
         assert at[1, 0] == 2
         assert at[1, 1] == -3j
+
+
+class TestNilpotency:
+    def test_reads_the_power_of_its_scale(self):
+        n = np.diag([1.0], 1).astype(np.complex128)
+        assert nilpotency(n, 2, 3.0) == 0.0
+        assert nilpotency(n, 1, 4.0) == pytest.approx(0.25)
+
+    def test_an_overflowing_scale_is_a_domain_error_naming_the_power(self):
+        # (1e200)^2 leaves the double range: read first, before N^2 is formed
+        with pytest.raises(DomainError, match="power 2"):
+            nilpotency(np.eye(2), 2, 1e200)

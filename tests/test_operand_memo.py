@@ -1,9 +1,9 @@
 """The operand memo (`projectors._operand`): a public routine called on the
-matrix the previous call factored reads that matrix's thin SVD and the
-searched chain of its powers instead of taking them again, and returns
-what a call on an empty memo returns, bit for bit. A hit needs the same
-shape and bytes, and the factors are read-only. The chain is shared by
-every call on the operand, in any thread, and changes in place under its
+matrix the previous call factored reads that matrix's thin SVD and its
+searched staircase instead of taking them again, and returns what a call
+on an empty memo returns, bit for bit. A hit needs the same shape and
+bytes, and the factors are read-only. The staircase is shared by every
+call on the operand, in any thread, and changes in place under its
 lock."""
 
 import dataclasses
@@ -93,7 +93,7 @@ def test_a_warm_call_equals_a_cold_call(svds, label, a, k):
 
 @pytest.mark.parametrize("order", ["forward", "reversed"])
 def test_a_family_called_in_turn_equals_its_cold_calls(squares, order):
-    # each call reads the chain the calls before it searched, past its own
+    # each call reads the staircase the calls before it searched, past its own
     # q or short of it, and with other powers kept
     for k, a in squares.items():
         calls = routines(k)
@@ -108,33 +108,34 @@ def test_a_family_called_in_turn_equals_its_cold_calls(squares, order):
 
 
 def test_a_long_chain_keeps_at_most_three_powers():
-    # a 64 x 64 Jordan block has index 64: its chain ranks every power, yet
-    # holds P_64, P_65 and the last power a q-BT inverse read for its basis
+    # a 64 x 64 Jordan block has index 64: its staircase decides every
+    # rank, yet holds the factors of steps 64 and 65 and of the last step a
+    # q-BT inverse read, step q + 1
     n = 64
     a = np.diag(np.ones(n - 1), 1).astype(np.complex128)
     assert matrix_index(a).index == n
-    chain = projectors._memo[2]
-    assert len(chain.ranks) == n + 2 and sorted(chain._held) == [n, n + 1]
+    stairs = projectors._memo[2]
+    assert len(stairs.ranks) == n + 2 and sorted(stairs._held) == [n, n + 1]
     for q in (*range(n + 2), 40, 3):
         qbt_inverse(a, q)
-        chain = projectors._memo[2]
-        assert len(chain._held) <= 3, q
-        assert chain.ranks == list(range(n, -1, -1)) + [0]
-    assert sorted(chain._held) == [3, n, n + 1]
+        stairs = projectors._memo[2]
+        assert len(stairs._held) <= 3, q
+        assert stairs.ranks == list(range(n, -1, -1)) + [0]
+    assert sorted(stairs._held) == [4, n, n + 1]
 
 
 def test_the_memo_frees_the_old_chain_when_a_new_operand_replaces_it(squares):
-    # the chain holds the shape and the factors, never the operand, so no
-    # reference cycle keeps an old chain until a collection
+    # the staircase holds the shape and the factors, never the operand, so
+    # no reference cycle keeps an old staircase until a collection
     gc.disable()
     try:
         qbt_inverse(squares[3], 2)
-        chain = projectors._memo[2]
-        held = weakref.ref(chain._held[3])
-        chain = weakref.ref(chain)
-        alive = chain() is not None and held() is not None
+        stairs = projectors._memo[2]
+        held = weakref.ref(stairs._held[3])
+        stairs = weakref.ref(stairs)
+        alive = stairs() is not None and held() is not None
         qbt_inverse(squares[2], 1)
-        freed = chain() is None and held() is None
+        freed = stairs() is None and held() is None
     finally:
         gc.enable()
     assert alive and freed
@@ -248,7 +249,7 @@ def test_threads_alternating_two_operands_match_the_serial_results(squares):
 
 def test_threads_sharing_the_chains_match_the_cold_results(squares):
     # each thread runs the families of two operands from its own offset, so
-    # its calls read chains that other threads published, extend them and
+    # its calls read staircases that other threads published, extend them and
     # publish again, while other calls replace the entry or empty the memo
     cases = [(k, name, call) for k in (2, 3) for name, call in routines(k).items()]
     expected = {}
@@ -270,11 +271,10 @@ def test_threads_sharing_the_chains_match_the_cold_results(squares):
 
 
 def test_threads_sharing_a_pair_match_the_serial_results():
-    # the threads share the pair's chains of AW and WA: the q-BT inverses
-    # read and hold basis powers, the Drazin inverse forms the core and the
-    # decomposition reads P_k; a pair built by `dataclasses.replace` also
-    # searches its chains and takes the QR of W U1 in whichever thread
-    # comes first
+    # the threads share the pair's staircases of AW and WA: the q-BT
+    # inverses read and hold steps, the Drazin inverse forms the core and
+    # the decomposition reads step k; a pair built by `dataclasses.replace`
+    # also searches its staircases in whichever thread comes first
     planted = random_planted_pair(np.random.default_rng(3), 3, max_dim=8)
     pair = WeightedPair.from_matrices(planted.a, planted.w)
     calls = {f"weighted_qbt_{q}": lambda p, q=q: weighted_qbt(p, q) for q in range(pair.k + 2)}

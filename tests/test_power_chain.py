@@ -1,6 +1,9 @@
-"""The rank search on the r x r compression of B's thin SVD makes the
-decisions of the rule it replaced: rank(B^j) from a values-only SVD of the
-formed power B^j, cut off at shape (n, n) against sigma_max(B)^j."""
+"""The staircase's rank search makes the decisions of the rule it
+replaced, rank(B^j) from a values-only SVD of the formed power B^j cut off
+at shape (n, n) against sigma_max(B)^j, wherever that rule is right: on
+the corpus products and on random squares. On squares with Jordan links
+of 1e-7 or 1e-9, or with a graded core, it reads the planted index where
+the power rule does not."""
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ import pytest
 from geninv import corpus
 from geninv.decomposition import core_ep_decompose
 from geninv.matrix import rank_cutoff
+from geninv import projectors
 from geninv.projectors import _Factored, matrix_index
 
 
@@ -26,10 +30,11 @@ def power_rule(b: np.ndarray) -> tuple[int, ...]:
     return tuple(ranks)
 
 
-def probe_square(rng: np.random.Generator, link: float, graded: bool) -> np.ndarray:
+def probe_square(rng: np.random.Generator, link: float, graded: bool,
+                 links: int = 2) -> np.ndarray:
     """24 x 24 U [[T, C], [0, N]] U*: a 12 x 12 core T, N a Jordan chain of
-    two links of magnitude `link` (planted index 3). A graded T has
-    singular values spaced geometrically from 1 to 1e-4."""
+    `links` links of magnitude `link` (planted index links + 1). A graded T
+    has singular values spaced geometrically from 1 to 1e-4."""
     t = 12
     if graded:
         core = (corpus.random_unitary(rng, t) @ np.diag(np.geomspace(1.0, 1e-4, t))
@@ -37,7 +42,8 @@ def probe_square(rng: np.random.Generator, link: float, graded: bool) -> np.ndar
     else:
         core = corpus.random_nonsingular(rng, t)
     nil = np.zeros((t, t), dtype=np.complex128)
-    nil[0, 1] = nil[1, 2] = link
+    idx = np.arange(links)
+    nil[idx, idx + 1] = link
     coupling = rng.standard_normal((t, t)) + 1j * rng.standard_normal((t, t))
     u = corpus.random_unitary(rng, 2 * t)
     return u @ np.block([[core, coupling], [np.zeros((t, t)), nil]]) @ u.conj().T
@@ -68,13 +74,22 @@ PROBES = pytest.mark.parametrize("link, graded", [(1e-7, False), (1e-9, False), 
 
 @PROBES
 def test_probe_squares_keep_their_rank_sequences(link, graded):
-    # the rule is kept, right or wrong: the linked cores read index 2 for
-    # the planted 3, the graded ones read 3
+    # every family reads the planted index 3, where the power rule reads 2
+    # on the linked ones; on the graded ones the flat cutoff alone would
+    # read 2, and the widened step 3 reads 3
     for seed in range(5):
         b = probe_square(np.random.default_rng([seed, 24]), link, graded)
-        ranks = power_rule(b)
-        assert ranks[-1] == 12 and len(ranks) - 2 == (3 if graded else 2)
-        assert matrix_index(b).rank_sequence == ranks, seed
+        assert matrix_index(b).rank_sequence == (24, 14, 13, 12, 12), seed
+        assert len(power_rule(b)) - 2 == (3 if graded else 2), seed
+        assert projectors._memo[2].widened == ([3] if graded else []), seed
+
+
+def test_links_of_1e_5_read_index_4():
+    # three links of 1e-5: the power rule reads rank(A^3) = 12, index 3
+    for seed in range(5):
+        b = probe_square(np.random.default_rng([seed, 24]), 1e-5, False, links=3)
+        assert matrix_index(b).rank_sequence == (24, 15, 14, 13, 12, 12), seed
+        assert len(power_rule(b)) - 2 == 3, seed
 
 
 @PROBES
@@ -92,19 +107,31 @@ def test_probe_squares_decompose_with_a_negligible_lower_left_block(link, graded
 
 def test_chain_powers_are_the_powers(rng):
     b = corpus.random_square(rng, 12, index=3)
-    chain = _Factored(b, thin=True).powers()
-    chain.search(13)
+    stairs = _Factored(b, thin=True).staircase()
+    stairs.search(13)
     for j in (1, 2, 3, 4, 7):
         bj = np.linalg.matrix_power(b, j)
-        got = chain.u1 @ chain.power(j).a @ chain.vh1
+        got = stairs.u1 @ stairs.power(j) @ stairs.vh1
         assert np.linalg.norm(got - bj) <= 1e-13 * np.linalg.norm(bj), j
 
 
 def test_chain_keeps_few_powers():
-    # a long search holds the last two powers, not every power
+    # a 40 x 40 shift has index 40: its staircase decides all 42 ranks and
+    # holds the factors of the last two steps only, each an n x n frame and
+    # r x r factors, not the factors of every step; a step read below them
+    # is formed again from the first basis with the same bits, and held as
+    # the last one read
     n = 40
     b = np.diag(np.ones(n - 1), 1).astype(np.complex128)
-    chain = _Factored(b).powers()
-    assert chain.search(n + 1) == n
-    assert len(chain.ranks) - 2 == n
-    assert sorted(chain._held) == [n, n + 1]
+    stairs = _Factored(b).staircase()
+    assert stairs.search(n + 1) == n
+    assert stairs.ranks == [*range(n, -1, -1), 0]
+    assert sorted(stairs._held) == [n, n + 1]
+    held = stairs._held[n]
+    assert stairs.step(n) is held
+    first = stairs.step(7)
+    assert sorted(stairs._held) == [7, n, n + 1]
+    again = _Factored(b).staircase()
+    again.search(n + 1)
+    assert all(np.array_equal(x, y) for x, y in
+               zip(vars(first).values(), vars(again.step(7)).values()))

@@ -1,17 +1,19 @@
-"""The full-column-rank QR branch of the q-BT kernel and the decomposition
-frames read off the thin SVD of the chain, each against an independent
-route: the SVD branch on the same operand, and the exact projector."""
+"""The members read off the staircase's steps and the decomposition frames
+it gives, each against independent routes on the same operands: the SVD
+pseudoinverse of A P at the rank the staircase decided, P the projector
+the checks build from the full-size power, and the exact oracle."""
 
 import numpy as np
 import pytest
 
-from geninv import projectors
+from geninv import weighted
 from geninv.classical import qbt_inverse
 from geninv.corpus import random_pairs, random_square
 from geninv.decomposition import core_ep_decompose, weighted_core_ep_decompose
-from geninv.exact import exact_power, exact_proj_range, float_of, rmatrix_from_complex
+from geninv.exact import (exact_power, exact_proj_range, exact_qbt, exact_weighted_qbt, float_of,
+                          rmatrix_from_complex)
 from geninv.matrix import frobenius, unitarity
-from geninv.projectors import _Factored, _pinned_pinv
+from geninv.projectors import _Factored, _power_projector, matrix_index
 from geninv.weighted import WeightedPair, weighted_qbt
 
 
@@ -35,46 +37,40 @@ def _square_operands():
     return out
 
 
-def _both_branches(monkeypatch, call):
-    """call() as it runs, with which branch each kernel pseudoinverse took,
-    and call() again with every kernel pseudoinverse taken by the SVD."""
-    taken = []
-
-    def spy(x, r):
-        taken.append(r >= x.shape[1])
-        return _pinned_pinv(x, r)
-
-    monkeypatch.setattr(projectors, "_pinned_pinv", spy)
-    got = call()
-    monkeypatch.setattr(projectors, "_pinned_pinv",
-                        lambda x, r: _Factored(x).pinv(fixed_rank=r))
-    ref = call()
-    return got, ref, taken
-
-
 @pytest.mark.parametrize("offset", [0, 1])
-def test_qbt_kernel_takes_the_qr_exactly_from_the_index(monkeypatch, member59, offset):
+def test_qbt_kernel_takes_the_qr_exactly_from_the_index(member59, offset):
+    # the member (A P_{A^q})^+ read off step q + 1, at q = k + offset and,
+    # below the index, at q = k - 1, against the SVD pseudoinverse of A P
+    # at rank(A^(q+1)), and for the integer member 59 against exact_qbt
     squares = _square_operands()
     squares["seed 3 member 59 WA"] = member59.w @ member59.a
     for name, b in squares.items():
-        k = projectors.matrix_index(b).index
-        got, ref, taken = _both_branches(monkeypatch, lambda: qbt_inverse(b, k + offset))
-        assert taken == [True], name
-        # U1 Ũ has orthonormal columns, so this is the relative distance
-        # between the two pseudoinverses of the one operand M Ũ
-        assert _relative(got, ref) <= 1e-13, name
-        # below the index the SVD stays
-        if k > 1:
-            _, _, taken = _both_branches(monkeypatch, lambda: qbt_inverse(b, k - 1))
-            assert taken == [False], name
+        report = matrix_index(b)
+        k, ranks = report.index, report.rank_sequence
+        for q in {k + offset, max(k - 1, 1)}:
+            p = _power_projector(b, min(q, k), report.sigma_max)
+            got = qbt_inverse(b, q)
+            ref = _Factored(b @ p).pinv(fixed_rank=ranks[min(q, k) + 1])
+            assert _relative(got, ref) <= 1e-13, (name, q)
+            if name.startswith("seed 3"):
+                exact = float_of(exact_qbt(rmatrix_from_complex(b), q))
+                assert _relative(got, exact) <= 1e-13, (name, q)
 
 
-def test_weighted_kernel_takes_the_qr_at_full_rank(monkeypatch, member59):
+def test_weighted_kernel_takes_the_qr_at_full_rank(member59):
+    # the weighted member at q = k, U_k V' (W U_(k+1) S')^+, against the SVD
+    # pseudoinverse of W A W P at the member rank, and the exact oracle on
+    # the integer pairs
     for planted in [member59, *random_pairs(1, 6)]:
         p = WeightedPair.from_matrices(planted.a, planted.w)
-        got, ref, taken = _both_branches(monkeypatch, lambda: weighted_qbt(p, p.k))
-        assert taken == [True]
-        assert _relative(got, ref) <= 1e-13
+        r = weighted._member_read(p, p.k)[0]
+        proj = _power_projector(p.a @ p.w, p.k, p.sigma_max_a * p.sigma_max_w)
+        got = weighted_qbt(p, p.k)
+        assert _relative(got, _Factored(p.w @ p.a @ p.w @ proj).pinv(fixed_rank=r)) <= 1e-13
+        if planted.integer_entries:
+            exact = exact_weighted_qbt(rmatrix_from_complex(planted.a),
+                                       rmatrix_from_complex(planted.w), p.k)
+            assert _relative(got, float_of(exact)) <= 1e-13
 
 
 def _nilpotent(n):
@@ -125,7 +121,13 @@ def test_pair_frames_are_unitary_and_span_the_core_ranges():
 
 
 def test_exactly_singular_r_falls_back_to_the_svd():
-    # a pinned full rank that an exact zero column contradicts: the
-    # triangular solve cannot run, and the SVD keeps the nonzero values
-    x = np.array([[2, 0], [0, 0], [1, 0]], dtype=np.complex128)
-    assert frobenius(_pinned_pinv(x, 2) - np.linalg.pinv(x)) <= 1e-15
+    # AW is the 4 x 4 shift and W kills e1: W U_2 has rank 1 for its two
+    # columns, so the member at q = 1 keeps one value of W U_2 S' and takes
+    # the SVD of Vz_1* S'; it is the exact member
+    a = np.diag(np.ones(3), 1).astype(np.complex128)
+    w = np.diag([0, 1, 1, 1]).astype(np.complex128)
+    p = WeightedPair.from_matrices(a, w)
+    r, (_, s, _), _ = weighted._member_read(p, 1)
+    assert (r, s.size) == (1, 2)
+    exact = float_of(exact_weighted_qbt(rmatrix_from_complex(a), rmatrix_from_complex(w), 1))
+    assert frobenius(weighted_qbt(p, 1) - exact) <= 1e-15

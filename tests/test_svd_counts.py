@@ -3,7 +3,7 @@ reads sigma_max, ranks, range bases and pseudoinverses off that
 factorization. The pins are cold counts, taken with the operand memo
 empty (`conftest.cold_operand_memo`, and `cold()` between calls on one
 matrix); a warm call, on the operand the previous call factored, reads
-its thin SVD and its searched power chain from the memo."""
+its thin SVD and its searched staircase from the memo."""
 
 import numpy as np
 import pytest
@@ -39,10 +39,20 @@ def test_pinv_takes_one_thin_svd(svds, rng):
     assert [kwargs.get("full_matrices") for _, kwargs in svds] == [False]
 
 
+def test_pinv_of_a_singular_square_takes_no_qr(svds, qrs, squares):
+    # the operand memo makes the staircase with the thin SVD, and its first
+    # basis, the QR of A V1, waits for a step or a frame to need it
+    a = squares[2]
+    svds.clear()
+    qrs.clear()
+    pinv(a)
+    assert (len(svds), qrs) == (1, [])
+
+
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_matrix_index_takes_index_plus_one(svds, squares, k):
     # one thin SVD of A settles a nonsingular A; a singular one adds one
-    # values-only SVD of P_j per power j = 2 .. k + 1
+    # SVD of M_(j-1) per staircase step j = 2 .. k + 1
     report = matrix_index(squares[k])
     assert report.index == k
     assert svds[0] == (squares[k].shape, {"full_matrices": False})
@@ -58,13 +68,10 @@ def test_qbt_zero_is_one_pinv(svds, squares, k):
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_qbt_takes_min_q_index_plus_three(svds, squares, k):
-    # the thin SVD of A, one thin SVD of P_j per power j = 2 .. min(q, k) + 1,
-    # whose P_q also gives U, and (M U)^+ while q < k; from q = k on M U has
-    # full column rank and a QR gives its pseudoinverse. Past the index the
-    # ranks stop at j = k + 1 and the chain still holds P_k. At k = 0 the
-    # SVD of A serves A^+ for every q
-    expected = {1: 1, 2: 1} if k == 0 else {q: min(q, k) + 2 - (q >= k)
-                                            for q in range(1, k + 3)}
+    # the thin SVD of A and one SVD per staircase step j = 2 .. min(q, k) + 1;
+    # the member is read off step min(q, k) + 1 and takes none of its own.
+    # At k = 0 the SVD of A serves A^+ for every q
+    expected = {q: 1 + min(q, k) for q in range(1, k + 3)}
     for q, count in expected.items():
         cold()
         svds.clear()
@@ -74,21 +81,20 @@ def test_qbt_takes_min_q_index_plus_three(svds, squares, k):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_qbt_kernel_takes_one_qr_exactly_from_the_index(svds, qrs, squares, k):
-    # (M U)^+, M U of shape rank(A) x rank(A^q), from one QR and no SVD
-    # exactly when its pinned rank, rank(A^(q+1)), is its column count:
-    # q >= Ind(A). Below the index the SVD stays and no QR is taken
-    ranks = matrix_index(squares[k]).rank_sequence
+    # a cold q-BT inverse takes one QR, of A V1 (n x rank(A)), for the
+    # staircase's first basis, and exactly the SVDs of its steps: A's, then
+    # M_(j-1), rank(A^(j-1)) square, for j = 2 .. min(q, k) + 1. The member
+    # read takes neither
+    a = squares[k]
+    ranks = matrix_index(a).rank_sequence
     for q in range(1, k + 3):
         cold()
         svds.clear()
         qrs.clear()
-        qbt_inverse(squares[k], q)
-        q_eff = min(q, k)
-        operand = (ranks[1], ranks[q_eff])
-        assert qrs == ([operand] if q >= k else []), q
-        pinv_svds = [shape for shape, kwargs in svds[1 + q_eff:]
-                     if kwargs.get("full_matrices") is False and shape == operand]
-        assert len(pinv_svds) == (q < k), q
+        qbt_inverse(a, q)
+        steps = [(ranks[j - 1], ranks[j - 1]) for j in range(2, min(q, k) + 2)]
+        assert qrs == [(a.shape[0], ranks[1])], q
+        assert [shape for shape, _ in svds] == [a.shape, *steps], q
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
@@ -204,20 +210,15 @@ def test_square_routines_factor_only_a_at_full_size(svds, squares, name, k):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_a_repeat_call_takes_no_full_size_svd(svds, squares, name, k):
     # the second call on the same A reads its thin SVD and its searched
-    # power chain from the operand memo: no SVD of A or of any P_j. What a
-    # repeat takes is the kernel's (M U)^+ below the index, q < k, an SVD
-    # of shape rank(A) x rank(A^q); the chain keeps P_q, and from q = k on
-    # a QR gives (M U)^+
+    # staircase from the operand memo, and the staircase holds the step the
+    # first call read: no SVD at all
     a = squares[k]
-    ranks = matrix_index(a).rank_sequence
-    for i, call in enumerate(SQUARE_CALLS[name](a, k)):
-        q = i + 1
+    for call in SQUARE_CALLS[name](a, k):
         cold()
         call()
         svds.clear()
         call()
-        below = name == "qbt_inverse" and q < k
-        assert svds == ([((ranks[1], ranks[q]), {"full_matrices": False})] if below else [])
+        assert svds == []
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -234,13 +235,17 @@ def test_pair_routines_factor_only_the_operands_at_full_size(svds, k):
     assert all(shape in ((m, n), (n, m), (m, m), (n, n)) or max(shape) <= r
                for shape, _ in svds)
     assert sum(max(shape) > r for shape, _ in svds) <= 6
-    # the pair keeps the chain of AW its index search built: the SVD of AW
-    # taken there serves every q
+    # the pair keeps the staircase of AW its index search built: the SVD of
+    # AW taken there serves every q, and each member factors W U_(q'+1),
+    # n x rank((AW)^(q'+1)) with q' = min(q, Ind(AW)), and no other matrix
+    # but M_1 when step 2, which the pair no longer holds, is formed again
     svds.clear()
     for q in range(1, p.k + 2):
         weighted_qbt(p, q)
-    count, first, longest = _ranks_and_sides(svds, [(m, m)])
-    assert (count, first) == (0, True) and longest <= p.rank_sequence_aw[1]
+    seq, ind = p.rank_sequence_aw, p.ind_aw
+    members = [(n, seq[min(q, ind) + 1]) for q in range(1, p.k + 2)]
+    formed = [(seq[1], seq[1])] if ind > 2 else []
+    assert [shape for shape, _ in svds] == formed + members
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
@@ -254,34 +259,34 @@ def test_core_ep_decompose_takes_index_plus_three(svds, squares, k):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_weighted_qbt_takes_the_qr_of_w_u1_once_per_pair(qrs, k):
-    # the pair keeps the QR of W U1 (n x rank(AW)) its first q-BT inverse
-    # of q >= 1 takes; every other QR is of an operand L M U, one per q
-    # whose pinned rank is its column count
+    # the members are read off the pair's staircase of AW, whose first
+    # basis from_matrices took: no q-BT inverse of q >= 1 takes a QR
     planted = random_planted_pair(np.random.default_rng(k), k, max_dim=8)
     p = WeightedPair.from_matrices(planted.a, planted.w)
-    n, r1 = p.shape[1], p.rank_sequence_aw[1]
-    assert n > r1
     qrs.clear()
     for q in range(1, p.k + 2):
         weighted_qbt(p, q)
-    assert qrs.count((n, r1)) == 1
-    assert qrs[0] == (n, r1)
-    assert all(shape[0] == r1 for shape in qrs[1:])
+    assert qrs == []
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_decompositions_take_no_qr(qrs, squares, k):
-    # both frames come from the thin SVDs the chains hold
+    # each frame is U_k from the staircase, completed by one QR of U_k; a
+    # cold singular square also takes the QR of A V1 for its staircase's
+    # first basis, and the pair's staircases took theirs in from_matrices
     a = squares[k]
+    ranks = matrix_index(a).rank_sequence
+    n = a.shape[0]
+    cold()
     qrs.clear()
     core_ep_decompose(a)
-    assert qrs == []
+    assert qrs == ([(n, ranks[1]), (n, ranks[k])] if k else [])
     if k:
         planted = random_planted_pair(np.random.default_rng(k), k, max_dim=8)
         p = WeightedPair.from_matrices(planted.a, planted.w)
         qrs.clear()
-        weighted_core_ep_decompose(p)
-        assert qrs == []
+        d = weighted_core_ep_decompose(p)
+        assert qrs == [(p.shape[0], d.t_dim), (p.shape[1], d.t_dim)]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -339,7 +344,9 @@ def test_weighted_qbt_reads_the_pair_scales(svds):
     assert len(svds) == 1
     svds.clear()
     weighted_qbt(p, 1)
-    assert len(svds) == 2
+    # the SVD of W U_2, which gives the member rank and, at full column
+    # rank, the member
+    assert len(svds) == 1
 
 
 def test_range_contained_takes_two(svds, rng):
@@ -388,7 +395,7 @@ def test_weighted_core_ep_decompose_takes_two(svds, k):
 
 def test_example_checks_share_their_operands(svds):
     run_example_checks()
-    assert len(svds) == 52
+    assert len(svds) == 49
 
 
 def test_corpus_checks_build_each_operand_once_per_member_and_exponent(svds):
@@ -396,4 +403,4 @@ def test_corpus_checks_build_each_operand_once_per_member_and_exponent(svds):
     # each pair's weighted routines share one SVD of AW and one of WA, and
     # the square routines on AW, then WA, share each one's searched chain
     run_random_corpus(seed=11, count=10, max_dim=7)
-    assert len(svds) == 2088
+    assert len(svds) == 2067

@@ -315,15 +315,15 @@ class TestMeasurementsSeeFaults:
         assert min(check.residuals["q-ge-k_k+1"], check.residuals["q-ge-k_k+2"]) > 1e-3
 
     def test_right_product_sees_an_understated_index(self, pair4x3, monkeypatch):
-        search = projectors._Powers.search
+        search = projectors._Staircase.search
 
-        def understated(chain, last):
+        def understated(stairs, last):
             # the square Drazin inverse's search reports Ind(B) - 1, as if
             # it stopped at j = Ind(B); every other search is left whole
-            k = search(chain, last)
+            k = search(stairs, last)
             return max(k - 1, 0) if sys._getframe(1).f_code is classical.drazin.__code__ else k
 
-        monkeypatch.setattr(projectors._Powers, "search", understated)
+        monkeypatch.setattr(projectors._Staircase, "search", understated)
         values = member_measurements(pair4x3)["corpus.wdrazin.equations"]
         assert values["right_product"] > 1e-3
 

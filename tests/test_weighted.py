@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ class TestWeightedPair:
         assert WeightedPair.from_matrices(a, w).shape == (4, 3)
 
     def test_a_replaced_pair_searches_the_same_chains(self, pairs):
-        # dataclasses.replace keeps no chain: the copy searches AW and WA on
+        # dataclasses.replace keeps no staircase: the copy searches AW and WA on
         # first use as from_matrices does, so the routines that read the
         # square q-BT inverses of the products return the same bits
         for p in pairs:
@@ -156,8 +157,9 @@ class TestAlternateFormulas:
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_every_route_reads_one_member_rank(self, monkeypatch, k):
-        # rank(W (AW)^(q+1)) is decided in one place: one less there moves
-        # the direct route, both product forms and the via-square route
+        # rank(W (AW)^(q+1)) is decided in one place, the staircase member
+        # read: one less there moves the direct route, both product forms
+        # and the via-square route
         planted = random_planted_pair(np.random.default_rng(k), k, max_dim=8)
         p = WeightedPair.from_matrices(planted.a, planted.w)
         routes = {"direct": lambda q: weighted_qbt(p, q),
@@ -166,8 +168,13 @@ class TestAlternateFormulas:
                   "via-square": lambda q: weighted_qbt_via_square(p, q)}
         before = {(name, q): route(q) for name, route in routes.items()
                   for q in range(1, p.k + 1)}
-        member_rank = weighted._member_rank
-        monkeypatch.setattr(weighted, "_member_rank", lambda p, q: member_rank(p, q) - 1)
+        member_read = weighted._member_read
+
+        def one_less(p, q):
+            r, step, wu = member_read(p, q)
+            return r - 1, step, wu
+
+        monkeypatch.setattr(weighted, "_member_read", one_less, raising=True)
         for (name, q), x in before.items():
             assert rel(routes[name](q), x) > 1e-3, (name, q)
 
@@ -192,14 +199,17 @@ class TestAlternateFormulas:
 
 
 class TestOverflow:
-    """The member rank's anchor sigma_max(W) (sigma_max(A) sigma_max(W))^(q+1)
-    is read before the product is factored, so a pair whose anchor leaves
-    the double range is a DomainError naming the power, as for the square
-    routines."""
+    """A = [[1e100, 1], [0, 0]], W = [[0, 0], [1, 1e100]]: AW and WA are
+    idempotent, but the value 1 of each staircase's second step sits under
+    the flat cutoff 2 eps 1e100, so the pair builds at k = 2 with
+    rank((AW)^2) = 0. No power of a scale is read on the way, so every
+    q-BT route returns 0 with no OverflowError and no numpy warning, as it
+    does at 1e20 and 1e50; the weighted decomposition's nilpotency check
+    reads (sigma_max(A) sigma_max(W))^2 = 1e400 and is a DomainError naming
+    the power."""
 
     @pytest.fixture(scope="class")
     def pair(self):
-        # builds at k = 2; (sigma_max(A) sigma_max(W))^2 is 1e400
         p = WeightedPair.from_matrices([[1e100, 1], [0, 0]], [[0, 0], [1, 1e100]])
         assert p.k == 2
         return p
@@ -208,8 +218,14 @@ class TestOverflow:
     @pytest.mark.parametrize("route", [weighted_qbt, weighted_qbt_product_forms,
                                        weighted_qbt_via_square])
     def test_member_rank_anchor(self, pair, route, q):
-        with pytest.raises(DomainError, match=f"power {q + 1}"):
-            route(pair, q)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = route(pair, q)
+        assert not np.any(out)
+
+    def test_decomposition_names_the_power(self, pair):
+        with pytest.raises(DomainError, match="power 2"):
+            weighted_core_ep_decompose(pair)
 
 
 class TestWeightedDrazin:
