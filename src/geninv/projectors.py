@@ -181,8 +181,7 @@ class _Operand(_Factored):
             usv = _thin_svd(a)
             for factor in usv:
                 factor.setflags(write=False)
-            own = np.frombuffer(key, dtype=np.complex128).reshape(a.shape)
-            entry = _memo = (a.shape, key, _Staircase(own, usv))
+            entry = _memo = (a.shape, key, _Staircase(a, usv))
         return entry[2]
 
     @property
@@ -257,19 +256,19 @@ class _Staircase:
 
     Step 1 is B's thin SVD B = U1 S1 V1*: rank(B) = r_1 under the flat
     cutoff `rank_cutoff((n, n), sigma_max(B))`, and B^+. Its basis U_1 of
-    R(B) is Q, B V1 = Q R (a Householder QR, taken when a step or a frame
-    of a singular B first needs it): B applied to V1 lies in R(B) to the
-    rounding of one product, where U1 carries the SVD's backward error.
-    M_1 = U_1* B U_1. Step j >= 2 takes the SVD of M_(j-1) and keeps the
-    r_j = rank(B^j) values above the same cutoff; when none falls under
-    it, values up to 100 times it are deflated too, and a step that drops
-    one that way is recorded in `widened`. The q-BT member
+    R(B) is Q, B V1 = Q R (a Householder QR of a singular B, taken with
+    the staircase): B applied to V1 lies in R(B) to the rounding of one
+    product, where U1 carries the SVD's backward error. M_1 = U_1* B U_1.
+    Step j >= 2 takes the SVD of M_(j-1) and keeps the r_j = rank(B^j)
+    values above the same cutoff; when none falls under it but the values
+    show a gap, some under 100 times the cutoff and some over it, those
+    under are deflated too, and the step is recorded in `widened`. A block
+    that lies under 100 times the cutoff as a whole is kept. The q-BT member
     (B P_{B^q})^+ = U_q V'_r S'_r^-1 U_(q+1)* is read off step q + 1 alone
     (`member`), with no factorization of its own.
 
-    The staircase holds B's shape, its thin SVD and U_1; it holds a
-    singular B only until U_1 is formed, and an operand's B is the memo's
-    private copy of its bytes. `ranks` (rank(B^j), j = 0, 1, ... as far as
+    The staircase holds B's shape, its thin SVD and step 1, never B
+    itself. `ranks` (rank(B^j), j = 0, 1, ... as far as
     `search` decided them) and `widened` are held for good; the steps for
     at most three j >= 2: the last two decided, Ind(B) and Ind(B) + 1 once
     the ranks stopped, and the last one read (`step`). Any other step is
@@ -297,9 +296,13 @@ class _Staircase:
         self.ranks = [n, r]
         self.widened: list[int] = []
         self.u1, self.vh1 = u[:, :r], vh[:r]
-        # a singular square B, kept until its first basis is formed
-        self._a = a if a.shape == (n, n) and r < n else None
-        self._base: _Step | None = None
+        # step 1: U_1 = Q from B V1 = Q R and M_1 = U_1* B U_1, or U1 for a
+        # nonsingular B, whose staircase has no step 2
+        basis, m = self.u1, None
+        if a.shape == (n, n) and r < n:
+            basis = np.linalg.qr(a @ self.vh1.conj().T)[0]
+            m = basis.conj().T @ (a @ basis)
+        self._first = _Step(basis, None, None, m)
         self._held: dict[int, _Step] = {}
         self._read = 0
         self._core: tuple[int, np.ndarray] | None = None
@@ -329,9 +332,9 @@ class _Staircase:
         if r is None:
             values = s.tolist()
             r = len([v for v in values if v > self.cut])
-            if r == kept:
-                r = len([v for v in values if v > 100.0 * self.cut])
-                widened = r < kept
+            wide = len([v for v in values if v > 100.0 * self.cut])
+            if r == kept and 0 < wide < kept:
+                r, widened = wide, True
         basis, vhr = prev.basis, vh[:r]
         step = _Step(basis @ u[:, :r], s[:r], basis @ vhr.conj().T, s[:r, None] * (vhr @ u[:, :r]))
         return step, r, widened
@@ -359,22 +362,13 @@ class _Staircase:
                 self._hold(j, step)
             return min(self.index, last - 1)
 
-    def _first(self) -> _Step:
-        """Step 1: U_1 = Q from B V1 = Q R and M_1 = U_1* B U_1, formed when
-        a step or a frame first needs it; U_1 = U1 for a nonsingular B."""
-        if self._base is None:
-            a, self._a = self._a, None
-            u1 = self.u1 if a is None else np.linalg.qr(a @ self.vh1.conj().T)[0]
-            self._base = _Step(u1, None, None, None if a is None else u1.conj().T @ (a @ u1))
-        return self._base
-
     def _formed(self, j: int) -> _Step:
         """Step j, 1 <= j <= the last decided: held, or formed again at its
         decided rank from the nearest step held below it."""
         if j in self._held:
             return self._held[j]
         i = max((i for i in self._held if i < j), default=1)
-        step = self._held[i] if i > 1 else self._first()
+        step = self._held[i] if i > 1 else self._first
         for jj in range(i + 1, j + 1):
             step = self._next(step, self.ranks[jj])[0]
         return step

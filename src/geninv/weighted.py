@@ -126,8 +126,7 @@ def weighted_qbt(p: WeightedPair, q: int) -> np.ndarray:
 
     q is clamped at k. For q >= 1 the member is U_q V' (W U_(q+1) S')^+
     (`_member_read`) at the member rank r: with W U_(q+1) = Uz Sz Vz* kept
-    at r values and H = Vz_r* S', it is U_q V' H^+ Sz_r^-1 Uz_r*, and at
-    full column rank H^+ = S'^-1 Vz_r takes no factorization.
+    at r values and H = Vz_r* S', it is U_q V' H^+ Sz_r^-1 Uz_r*.
     """
     q = min(check_q(q), p.k)
     if q == 0:
@@ -137,10 +136,7 @@ def weighted_qbt(p: WeightedPair, q: int) -> np.ndarray:
     if r == 0:
         return np.zeros(p.shape, dtype=np.complex128)
     uz, sz, vzh = wu.usv
-    if r == s.size:
-        h_pinv = vzh[:r].conj().T / s[:, None]
-    else:
-        h_pinv = _Factored(vzh[:r] * s).pinv(fixed_rank=r)
+    h_pinv = _Factored(vzh[:r] * s).pinv(fixed_rank=r)
     return x @ (h_pinv / sz[:r]) @ uz[:, :r].conj().T
 
 
@@ -158,7 +154,9 @@ def weighted_drazin(p: WeightedPair) -> np.ndarray:
     """W-weighted Drazin inverse A (WA)^d (WA)^d; (WA)^d reads Ind(WA) from
     the pair and sigma_max(WA) from the pair's staircase of WA, and for
     Ind(WA) > 0 its first call factors the r x r compression of
-    (WA)^(2k+1), whose core the staircase keeps."""
+    (WA)^(2k+1), whose core the staircase keeps. It returns 0, with no
+    warning, when rank((WA)^k) falls under the flat cutoff, as a badly
+    scaled pair's can where the exact answer is nonzero."""
     d = _drazin(p._wa, p.ind_wa)
     return p.a @ d @ d
 

@@ -2,7 +2,8 @@
 decided on a formed power against sigma_max^j does not, each checked
 against its planted structure or the exact oracle: the benchmark's four
 adversarial squares, a scaled integer square, and a scaled pair whose
-member rank a power anchor misread."""
+member rank a power anchor misread; and a scaled idempotent whose step
+value, near the cutoff, is kept."""
 
 import sys
 import warnings
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from geninv import corpus
-from geninv.classical import qbt_inverse
+from geninv.classical import core_ep, qbt_inverse
 from geninv.decomposition import core_ep_decompose
 from geninv.exact import exact_index, exact_qbt, float_of, rmatrix_from_complex
 from geninv.projectors import matrix_index
@@ -64,7 +65,19 @@ def test_scaled_integer_square_against_the_exact_oracle(c):
             assert rel(qbt_inverse(b, q), x) <= c * 1e-15, (seed, q)
 
 
-@pytest.mark.parametrize("c", [1e4, 1e8, 1e12])
+@pytest.mark.parametrize("c", [1e14, 1e15])
+def test_scaled_idempotent_keeps_its_step_value(c):
+    # A = [[1, c], [0, 0]] is idempotent: M_1 = [1] lies over the cutoff
+    # 2 eps c but under 100 times it, and a block that lies there as a
+    # whole is kept, not widened to rank 0
+    a = np.array([[1, c], [0, 0]])
+    assert matrix_index(a).rank_sequence == (2, 1, 1)
+    projector = np.array([[1, 0], [0, 0]])
+    for x in (qbt_inverse(a, 1), core_ep(a)):
+        assert np.abs(x - projector).max() <= 1e-12
+
+
+@pytest.mark.parametrize("c", [1e4, 1e8, 1e12, 1e14])
 def test_scaled_pair_members_are_exact(c):
     # A = [[c, 1], [0, 0]], W = [[0, 0], [1, c]]: AW and WA are idempotent,
     # and W (AW)^2 has the value 1 beside sigma_max(W) = c, which an anchor
