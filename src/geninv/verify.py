@@ -9,28 +9,43 @@ reference pairs (float and exact paths) and a seeded random corpus.
 Check results are data: residuals are always reported, even on pass, so
 tolerance drift is observable. Expected-inequality checks assert a lower
 bound on the gap so rounding noise cannot fake a pass.
+
+Each corpus member is a task of its own: its checks fold into fresh
+aggregators, and its perturbations come from its own child seed,
+`SeedSequence([seed, 0x5eed]).spawn(count)[i]`. On Linux the tasks run
+in forked worker processes, one per usable CPU with at least 8 members
+each, when the caller has no second Python thread; otherwise, and for
+`jobs=1`, they run in-process. The parent folds the results in member
+order with the same strict comparisons as a serial fold, so the report
+is the same bytes for any number of workers.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
+import sys
+import threading
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 from numpy.linalg import matrix_power
 
 from . import reference as ref
 from .classical import _outer_inverse_check, drazin, qbt_inverse
-from .corpus import random_pairs
+from .corpus import PlantedPair, random_pairs
 from .decomposition import (block_pinv, canonical_qbt, canonical_qbt_products,
                             canonical_weighted_qbt, core_ep_decompose,
                             weighted_core_ep_decompose)
 from .errors import (DecompositionError, DomainError, NumericError, ShapeError)
-from .exact import (_matmul, exact_pair_index, exact_pinv, exact_qbt,
+from .exact import (_qbt_at, _ZMat, exact_pair_index, exact_pinv,
                     exact_weighted_qbt, float_of, requal, rmatrix)
 from . import matrix
-from .matrix import Tolerances, frobenius, rel, resolve_tol
+from .matrix import Tolerances, exponent, frobenius, rel, resolve_tol
 from .projectors import _Factored, _nullspace_equal, _power_projector, _range_equal, pinv
 from .weighted import (WeightedPair, cline_shift_check,
                        dual_representation_gap, weighted_drazin, weighted_qbt,
@@ -45,6 +60,11 @@ EXAMPLE_GAP_FLOOR = 1e-3
 # bounded factors, so a detected violation sits far above 1e-6.
 CORPUS_GAP_FLOOR = 1e-6
 _PERTURBATION = 1e-2
+# Fewest corpus members per worker process. On a 2-core host 2 workers
+# lost to the in-process run at 3 and 8 members (84 against 56 ms, 167
+# against 130 ms) and won from 10 on (125 against 194 ms; 205 against
+# 358 ms at 16).
+_MEMBERS_PER_WORKER = 8
 # Safety factor on rank anchors built from measured factor norms.  Set
 # predicates anchor their cutoffs to the product of the computed factors'
 # largest singular values; the factor covers the accumulation constants of
@@ -279,19 +299,21 @@ def run_example_checks(tol: Tolerances | None = None) -> ConformanceReport:
     # dual_representation_gap returns ((AW)^{qbt})^2 A and A ((WA)^{qbt})^2
     # next to the weighted inverse: the squared products of the table
     duals = {q: dual_representation_gap(p, q) for q in (1, 2, 3)}
-    eaw = _matmul(ea, ew)
-    ewa = _matmul(ew, ea)
+    # the exact products are chained in Gaussian integers over one
+    # denominator, and each table's entries are read off once
+    zea, zew = _ZMat.of(ea), _ZMat.of(ew)
+    zaw, zwa = zea @ zew, zew @ zea
     for q, (_, lft, rgt) in duals.items():
-        ex_aw = exact_qbt(eaw, q)
-        ex_wa = exact_qbt(ewa, q)
+        ex_aw = _qbt_at(zaw, zaw, q)
+        ex_wa = _qbt_at(zwa, zwa, q)
         results.append(_residual_check(
             f"examples.pair4x3.square-products.q{q}",
             {"left_float": rel(lft, ref.float_matrix(ref.AW_SQ_PRODUCT_4X3[q])),
              "left_exact_mismatch": _exact_flag(
-                 _matmul(_matmul(ex_aw, ex_aw), ea), ref.AW_SQ_PRODUCT_4X3[q]),
+                 (ex_aw @ ex_aw @ zea).to_gr(), ref.AW_SQ_PRODUCT_4X3[q]),
              "right_float": rel(rgt, ref.float_matrix(ref.WA_SQ_PRODUCT_4X3[q])),
              "right_exact_mismatch": _exact_flag(
-                 _matmul(ea, _matmul(ex_wa, ex_wa)), ref.WA_SQ_PRODUCT_4X3[q])},
+                 (zea @ ex_wa @ ex_wa).to_gr(), ref.WA_SQ_PRODUCT_4X3[q])},
             atol, f"both squared products, q={q}"))
 
     for q in (1, 2):
@@ -472,7 +494,12 @@ def _reduction_residuals(p: WeightedPair, xs: list[np.ndarray],
 class _Extreme:
     """Aggregates the extreme value seen per measurement name: the largest
     residual or, for expected-inequality checks (gaps=True), the smallest
-    gap; `where` names the member of the most extreme single value."""
+    gap; `where` names the member of the most extreme single value.
+
+    A value replaces the one held only when it is strictly more extreme,
+    and NaN ranks beyond every number, so it is never dropped: the fold is
+    over a total order and keeps the first of equal extremes, which is
+    what lets `merge` reproduce it from per-member aggregators."""
 
     def __init__(self, gaps: bool):
         self.gaps = gaps
@@ -481,6 +508,8 @@ class _Extreme:
         self._peak: float | None = None
 
     def _beats(self, v: float, than: float) -> bool:
+        if than != than or v != v:
+            return than == than
         return v < than if self.gaps else v > than
 
     def update(self, values: dict[str, float], where: str):
@@ -491,6 +520,17 @@ class _Extreme:
             if self._peak is None or self._beats(v, self._peak):
                 self._peak = v
                 self.where = where
+
+    def merge(self, other: _Extreme):
+        """Fold in an aggregator of later values: the result equals this one
+        updated with every value `other` was updated with, in their order."""
+        for k, v in other.values.items():
+            if k not in self.values or self._beats(v, self.values[k]):
+                self.values[k] = v
+        if other._peak is not None and (self._peak is None
+                                        or self._beats(other._peak, self._peak)):
+            self._peak = other._peak
+            self.where = other.where
 
     def check(self, check_id: str, bound: float) -> CheckResult:
         """Residuals below `bound`, or gaps above it."""
@@ -755,35 +795,83 @@ def _corpus_member_checks(p: WeightedPair, integer: bool, planted_k: int,
                 {"float_vs_exact": rel(xs[min(q, k)], ex)}, f"{where} q={q}")
 
 
+def _corpus_aggregators() -> dict[str, _Extreme]:
+    return {cid: _Extreme(gaps=cid.startswith("corpus.uniqueness."))
+            for cid in CHECK_REGISTRY if cid.startswith("corpus.")}
+
+
+def _member_task(i: int, member: PlantedPair, member_seed: np.random.SeedSequence,
+                 tol: Tolerances) -> dict[str, _Extreme]:
+    """Every check of member i, folded into fresh aggregators. Its
+    perturbations come from its own seed, so its values depend neither on
+    the members before it nor on the process that runs it."""
+    agg = _corpus_aggregators()
+    p = member.to_weighted()
+    where = f"member {i} (k={member.planted_index}, " \
+            f"{'integer' if member.integer_entries else 'float'})"
+    try:
+        _corpus_member_checks(p, member.integer_entries, member.planted_index,
+                              where, tol, np.random.default_rng(member_seed), agg)
+    except (DomainError, ShapeError, NumericError, DecompositionError) as exc:
+        # a member that crashes a library routine is a failure of that
+        # member, not of the whole run
+        agg["corpus.pair-validity"].update(
+            {"library_error": float("inf")}, f"{where}: {exc}")
+    return agg
+
+
+def _workers(jobs: int | None, count: int) -> int:
+    """Worker processes for `count` members; 1 runs them in-process.
+
+    `jobs` (None: every CPU this process may run on) is capped at those
+    CPUs and at one worker per _MEMBERS_PER_WORKER members. Workers are
+    forked, so there are none off Linux, nor while a second Python thread
+    is alive: a lock it held (a staircase's) would be copied held.
+    """
+    if jobs is not None:
+        jobs = exponent(jobs, "jobs", least=1)
+    if not sys.platform.startswith("linux") or threading.active_count() > 1:
+        return 1
+    cpus = len(os.sched_getaffinity(0))
+    return max(1, min(cpus if jobs is None else min(jobs, cpus),
+                      count // _MEMBERS_PER_WORKER))
+
+
 def run_random_corpus(seed: int, count: int, max_dim: int = 8,
-                      tol: Tolerances | None = None) -> ConformanceReport:
+                      tol: Tolerances | None = None,
+                      jobs: int | None = None) -> ConformanceReport:
     """Run every invariant suite over a deterministic seeded corpus.
 
     Each registered corpus check appears once, carrying the worst residual
-    observed over all members and all applicable exponents.
+    observed over all members and all applicable exponents. Members are
+    checked in up to `jobs` forked worker processes (`_workers`); their
+    results are folded in member order, so the report is the same for any
+    number of workers.
     """
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
     if max_dim < 2:
         raise DomainError(f"max_dim must be >= 2, got {max_dim}")
+    workers = _workers(jobs, count)
     tol = resolve_tol(tol)
     atol = tol.residual_atol
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5eed]))
-    agg = {cid: _Extreme(gaps=cid.startswith("corpus.uniqueness."))
-           for cid in CHECK_REGISTRY if cid.startswith("corpus.")}
-
-    for i, member in enumerate(random_pairs(seed, count, max_dim)):
-        p = member.to_weighted()
-        where = f"member {i} (k={member.planted_index}, " \
-                f"{'integer' if member.integer_entries else 'float'})"
-        try:
-            _corpus_member_checks(p, member.integer_entries, member.planted_index,
-                                  where, tol, rng, agg)
-        except (DomainError, ShapeError, NumericError, DecompositionError) as exc:
-            # a member that crashes a library routine is a failure of that
-            # member, not of the whole run
-            agg["corpus.pair-validity"].update(
-                {"library_error": float("inf")}, f"{where}: {exc}")
+    tasks = (range(count), random_pairs(seed, count, max_dim),
+             np.random.SeedSequence([seed, 0x5eed]).spawn(count))
+    task = partial(_member_task, tol=tol)
+    agg = _corpus_aggregators()
+    pool = None if workers == 1 else ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        # about ten chunks per worker: few enough that pickling stays small,
+        # enough that the workers finish close together
+        done = map(task, *tasks) if pool is None else \
+            pool.map(task, *tasks, chunksize=max(1, count // (10 * workers)))
+        for member_agg in done:
+            for cid, extreme in member_agg.items():
+                agg[cid].merge(extreme)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
     results = tuple(agg[cid].check(cid, CORPUS_GAP_FLOOR if agg[cid].gaps else atol)
                     for cid in sorted(agg))
@@ -791,11 +879,12 @@ def run_random_corpus(seed: int, count: int, max_dim: int = 8,
 
 
 def run_all(seed: int = 1, count: int = 100, max_dim: int = 8,
-            tol: Tolerances | None = None) -> ConformanceReport:
-    """Reference-pair checks plus the full random-corpus run, merged."""
+            tol: Tolerances | None = None, jobs: int | None = None) -> ConformanceReport:
+    """Reference-pair checks plus the full random-corpus run, merged; `jobs`
+    as for `run_random_corpus`."""
     tol = resolve_tol(tol)
     ex = run_example_checks(tol)
-    co = run_random_corpus(seed, count, max_dim, tol)
+    co = run_random_corpus(seed, count, max_dim, tol, jobs)
     return ConformanceReport(results=ex.results + co.results,
                              corpus_seed=seed, tolerance=tol)
 
