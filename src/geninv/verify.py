@@ -13,11 +13,12 @@ bound on the gap so rounding noise cannot fake a pass.
 Each corpus member is a task of its own: its checks fold into fresh
 aggregators, and its perturbations come from its own child seed,
 `SeedSequence([seed, 0x5eed]).spawn(count)[i]`. On Linux the tasks run
-in forked worker processes, one per usable CPU with at least 8 members
-each, when the caller has no second Python thread; otherwise, and for
-`jobs=1`, they run in-process. The parent folds the results in member
-order with the same strict comparisons as a serial fold, so the report
-is the same bytes for any number of workers.
+in forked worker processes, one per CPU the process may run on (so
+`taskset -c 0` runs them in-process) with at least 8 members each, when
+the caller has no second Python thread; otherwise they run in-process.
+The parent folds the results in member order with the same strict
+comparisons as a serial fold, so the report is the same bytes for any
+number of workers.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .errors import (DecompositionError, DomainError, NumericError, ShapeError)
 from .exact import (_qbt_at, _ZMat, exact_pair_index, exact_pinv,
                     exact_weighted_qbt, float_of, requal, rmatrix)
 from . import matrix
-from .matrix import Tolerances, exponent, frobenius, rel, resolve_tol
+from .matrix import Tolerances, frobenius, rel, resolve_tol
 from .projectors import _Factored, _nullspace_equal, _power_projector, _range_equal, pinv
 from .weighted import (WeightedPair, cline_shift_check,
                        dual_representation_gap, weighted_drazin, weighted_qbt,
@@ -820,39 +821,37 @@ def _member_task(i: int, member: PlantedPair, member_seed: np.random.SeedSequenc
     return agg
 
 
-def _workers(jobs: int | None, count: int) -> int:
+def _workers(count: int) -> int:
     """Worker processes for `count` members; 1 runs them in-process.
 
-    `jobs` (None: every CPU this process may run on) is capped at those
-    CPUs and at one worker per _MEMBERS_PER_WORKER members. Workers are
-    forked, so there are none off Linux, nor while a second Python thread
-    is alive: a lock it held (a staircase's) would be copied held.
+    One per CPU this process may run on (`os.sched_getaffinity`, which
+    `taskset` sets), but no more than one per _MEMBERS_PER_WORKER members.
+    Workers are forked, so there are none off Linux, nor while a second
+    Python thread is alive: a lock it held (a staircase's) would be copied
+    held. That check sees Python threads only: forking also rests on the
+    BLAS library being fork-safe, as OpenBLAS is (it joins its own thread
+    pool before each fork and starts it again at its next call).
     """
-    if jobs is not None:
-        jobs = exponent(jobs, "jobs", least=1)
     if not sys.platform.startswith("linux") or threading.active_count() > 1:
         return 1
-    cpus = len(os.sched_getaffinity(0))
-    return max(1, min(cpus if jobs is None else min(jobs, cpus),
-                      count // _MEMBERS_PER_WORKER))
+    return max(1, min(len(os.sched_getaffinity(0)), count // _MEMBERS_PER_WORKER))
 
 
 def run_random_corpus(seed: int, count: int, max_dim: int = 8,
-                      tol: Tolerances | None = None,
-                      jobs: int | None = None) -> ConformanceReport:
+                      tol: Tolerances | None = None) -> ConformanceReport:
     """Run every invariant suite over a deterministic seeded corpus.
 
     Each registered corpus check appears once, carrying the worst residual
     observed over all members and all applicable exponents. Members are
-    checked in up to `jobs` forked worker processes (`_workers`); their
-    results are folded in member order, so the report is the same for any
-    number of workers.
+    checked in forked worker processes (`_workers`); their results are
+    folded in member order, so the report is the same for any number of
+    workers.
     """
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
     if max_dim < 2:
         raise DomainError(f"max_dim must be >= 2, got {max_dim}")
-    workers = _workers(jobs, count)
+    workers = _workers(count)
     tol = resolve_tol(tol)
     atol = tol.residual_atol
     tasks = (range(count), random_pairs(seed, count, max_dim),
@@ -879,12 +878,11 @@ def run_random_corpus(seed: int, count: int, max_dim: int = 8,
 
 
 def run_all(seed: int = 1, count: int = 100, max_dim: int = 8,
-            tol: Tolerances | None = None, jobs: int | None = None) -> ConformanceReport:
-    """Reference-pair checks plus the full random-corpus run, merged; `jobs`
-    as for `run_random_corpus`."""
+            tol: Tolerances | None = None) -> ConformanceReport:
+    """Reference-pair checks plus the full random-corpus run, merged."""
     tol = resolve_tol(tol)
     ex = run_example_checks(tol)
-    co = run_random_corpus(seed, count, max_dim, tol, jobs)
+    co = run_random_corpus(seed, count, max_dim, tol)
     return ConformanceReport(results=ex.results + co.results,
                              corpus_seed=seed, tolerance=tol)
 

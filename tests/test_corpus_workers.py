@@ -10,7 +10,7 @@ import pytest
 
 from geninv import decomposition, verify
 from geninv.corpus import random_pairs
-from geninv.errors import DomainError, NumericError
+from geninv.errors import NumericError
 from geninv.matrix import frobenius
 from geninv.verify import run_all, run_random_corpus
 
@@ -18,10 +18,15 @@ linux_only = pytest.mark.skipif(not sys.platform.startswith("linux"),
                                 reason="corpus workers are forked on Linux only")
 
 
+def on_cpus(monkeypatch, count):
+    """Lets this process run on `count` CPUs, as `taskset` would."""
+    monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: set(range(count)),
+                        raising=False)
+
+
 @pytest.fixture
 def pools(monkeypatch):
-    """Counts the worker pools built, on a process that may run on two
-    CPUs, so that jobs=2 forks two workers on any Linux host."""
+    """Counts the worker pools built."""
     built = []
     real = verify.ProcessPoolExecutor
 
@@ -29,9 +34,16 @@ def pools(monkeypatch):
         built.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(verify, "ProcessPoolExecutor", counted)
     return built
+
+
+def on_both(monkeypatch, run):
+    """run() on one CPU, in-process, and on two, in two workers."""
+    on_cpus(monkeypatch, 1)
+    serial = run()
+    on_cpus(monkeypatch, 2)
+    return serial, run()
 
 
 class Recorded(Exception):
@@ -84,23 +96,23 @@ def test_a_nan_measurement_is_kept():
 
 
 @linux_only
-def test_the_corpus_report_does_not_depend_on_the_worker_count(pools):
-    serial = run_random_corpus(7, 40, 7, jobs=1).to_json()
-    assert not pools
-    assert run_random_corpus(7, 40, 7, jobs=2).to_json() == serial
+def test_the_corpus_report_does_not_depend_on_the_worker_count(pools, monkeypatch):
+    serial, parallel = on_both(monkeypatch, lambda: run_random_corpus(7, 40, 7).to_json())
+    assert parallel == serial
     assert pools == [(2,)]
 
 
 @linux_only
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_run_all_does_not_depend_on_the_worker_count(pools, seed):
-    assert run_all(seed, 100, 8, jobs=1).to_json() == run_all(seed, 100, 8, jobs=2).to_json()
+def test_run_all_does_not_depend_on_the_worker_count(pools, monkeypatch, seed):
+    serial, parallel = on_both(monkeypatch, lambda: run_all(seed, 100, 8).to_json())
+    assert parallel == serial
     assert pools == [(2,)]
 
 
 @linux_only
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_workers_see_a_fault_in_the_canonical_blocks(pools, monkeypatch, jobs):
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_workers_see_a_fault_in_the_canonical_blocks(pools, monkeypatch, cpus):
     # as tests/test_verify.py's z-identity test: the workers are forked
     # after the fault is patched in, so they run it too
     canonical_blocks = decomposition._canonical_blocks
@@ -114,10 +126,11 @@ def test_workers_see_a_fault_in_the_canonical_blocks(pools, monkeypatch, jobs):
         return canonical_blocks(core, coupling, x3, gap)
 
     monkeypatch.setattr(decomposition, "_canonical_blocks", perturbed)
-    [check] = [r for r in run_random_corpus(seed=1, count=30, jobs=jobs).results
+    on_cpus(monkeypatch, cpus)
+    [check] = [r for r in run_random_corpus(seed=1, count=30).results
                if r.check_id == "corpus.decomposition.z-identity"]
     assert check.residuals["z"] >= 1e-8
-    assert len(pools) == jobs - 1
+    assert len(pools) == cpus - 1
 
 
 @linux_only
@@ -131,7 +144,7 @@ def test_a_library_error_in_a_worker_is_reported_as_in_process(pools, monkeypatc
         return weighted_drazin(p)
 
     monkeypatch.setattr(verify, "weighted_drazin", failing)
-    reports = [run_random_corpus(7, 40, 7, jobs=jobs) for jobs in (1, 2)]
+    reports = on_both(monkeypatch, lambda: run_random_corpus(7, 40, 7))
     assert pools == [(2,)]
     assert reports[0].to_json() == reports[1].to_json()
     [check] = [r for r in reports[1].results if r.check_id == "corpus.pair-validity"]
@@ -142,7 +155,8 @@ def test_a_library_error_in_a_worker_is_reported_as_in_process(pools, monkeypatc
 
 @linux_only
 def test_no_worker_outlives_the_run(pools, monkeypatch):
-    run_all(1, 16, 6, jobs=2)
+    on_cpus(monkeypatch, 2)
+    run_all(1, 16, 6)
     assert pools and multiprocessing.active_children() == []
 
     def broken(*args):
@@ -150,17 +164,17 @@ def test_no_worker_outlives_the_run(pools, monkeypatch):
 
     monkeypatch.setattr(verify, "weighted_drazin", broken)
     with pytest.raises(RuntimeError, match="not a library error"):
-        run_all(1, 16, 6, jobs=2)
+        run_all(1, 16, 6)
     assert len(pools) == 2 and multiprocessing.active_children() == []
 
 
 def test_no_pool_while_a_second_thread_is_alive(monkeypatch, recorder):
-    monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    on_cpus(monkeypatch, 2)
     release = threading.Event()
     other = threading.Thread(target=release.wait)
     other.start()
     try:
-        report = run_random_corpus(7, 16, 6, jobs=2)
+        report = run_random_corpus(7, 16, 6)
     finally:
         release.set()
         other.join(timeout=60)
@@ -168,25 +182,15 @@ def test_no_pool_while_a_second_thread_is_alive(monkeypatch, recorder):
     assert report.passed and recorder == []
 
 
-@pytest.mark.parametrize("jobs", [0, -1, True, 2.0])
-def test_jobs_must_be_a_positive_int(recorder, jobs):
-    with pytest.raises(DomainError, match="jobs must be a positive integer"):
-        run_random_corpus(7, 40, 7, jobs=jobs)
-    assert recorder == []
-
-
 @linux_only
-@pytest.mark.parametrize("cpus, jobs, workers", [
-    (64, 10**6, 12),   # one worker per 8 of the 100 members
-    (4, 10**6, 4),     # no more workers than usable CPUs
-    (64, None, 12),
-    (4, None, 4),
-    (64, 3, 3),
+@pytest.mark.parametrize("cpus, workers", [
+    (64, 12),   # one worker per 8 of the 100 members
+    (4, 4),     # no more workers than usable CPUs
 ])
-def test_the_worker_count_is_capped(monkeypatch, recorder, cpus, jobs, workers):
-    monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+def test_the_worker_count_is_capped(monkeypatch, recorder, cpus, workers):
+    on_cpus(monkeypatch, cpus)
     with pytest.raises(Recorded):
-        run_random_corpus(1, 100, 8, jobs=jobs)
+        run_random_corpus(1, 100, 8)
     assert recorder == [workers]
 
 
@@ -194,6 +198,6 @@ def test_the_worker_count_is_capped(monkeypatch, recorder, cpus, jobs, workers):
 @pytest.mark.parametrize("count", [10, 15])
 def test_small_corpora_run_in_process(monkeypatch, recorder, count):
     # fewer than 8 members for each of two workers: no pool
-    monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: set(range(64)))
+    on_cpus(monkeypatch, 64)
     run_random_corpus(11, count, 6)
     assert recorder == []
