@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import ShapeError, index_above_one
 from .matrix import Tolerances, as_matrix, exponent, frobenius, resolve_tol
 from .projectors import _Factored, _nullspace_equal, _operand, _range_equal, _Staircase
 
@@ -56,25 +56,33 @@ def drazin(a) -> np.ndarray:
     return _drazin(stairs, stairs.search(stairs.shape[0] + 1))
 
 
-def _group(a: _Factored) -> np.ndarray:
-    stairs = a.staircase()
+def _index_at_most_one(stairs: _Staircase, name: str) -> int:
+    """Ind(A) from A's staircase, which must be at most 1 for the inverse
+    `name`."""
     k = stairs.search(stairs.shape[0] + 1)
     if k > 1:
-        raise DomainError(f"group inverse requires index <= 1, computed index is {k}")
-    return _drazin(stairs, k)
+        raise index_above_one(name, k)
+    return k
 
 
 def group_inverse(a) -> np.ndarray:
     """Group inverse A^# = A (A^3)^+ A (A^+ when A is nonsingular), defined
     only when Ind(A) <= 1."""
-    return _group(_operand(a, "group_inverse"))
+    stairs = _operand(a, "group_inverse").staircase()
+    return _drazin(stairs, _index_at_most_one(stairs, "group inverse"))
 
 
 def core_inverse(a) -> np.ndarray:
     """Core inverse A^# A A^+, defined only when Ind(A) <= 1. One thin SVD
-    of A serves rank(A), the frame of A^# and A^+."""
-    a = _operand(a, "core_inverse")
-    return _group(a) @ a.a @ a.pinv()
+    of A serves rank(A) and the frame of A^# = U1 C V1* (`_drazin`); since
+    A A^+ = U1 U1*, the inverse is U1 (C V1* U1) U1*, formed in that frame
+    with no product of two n x n matrices. A^+ when A is nonsingular."""
+    stairs = _operand(a, "core_inverse").staircase()
+    k = _index_at_most_one(stairs, "core inverse")
+    if k == 0 or stairs.ranks[1] == 0:
+        return _drazin(stairs, k)
+    u1 = stairs.u1
+    return u1 @ (stairs.core(1) @ stairs.vh1_u1) @ u1.conj().T
 
 
 def qbt_inverse(a, q: int) -> np.ndarray:

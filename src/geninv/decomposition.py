@@ -86,6 +86,13 @@ class CoreEPDecomposition:
         """Rebuild the original matrix U [[T, S], [0, N]] U*."""
         return self.u @ self.middle() @ self.u.conj().T
 
+    @cached_property
+    def _t_inverse(self) -> np.ndarray:
+        """T^-1, the whole of `canonical_qbt` at q >= Ind(A)
+        (`_core_inverse`). Kept on the decomposition once formed; not a
+        field."""
+        return _core_inverse(self.t, self.u.shape[0])
+
     def residuals(self, a) -> dict[str, float]:
         """Reconstruction of A, unitarity of U and nilpotency of N."""
         return {
@@ -155,6 +162,21 @@ class WeightedCoreEPDecomposition:
         a1, a2, a3, w1, w2, w3 = self.a1, self.a2, self.a3, self.w1, self.w2, self.w3
         coupling = w1 @ a1 @ w2 + w1 @ a2 @ w3 + w2 @ a3 @ w3
         return w1 @ a1 @ w1, _frozen(coupling), w3 @ a3 @ w3, a3 @ w3
+
+    @cached_property
+    def _qbt_inverse(self) -> np.ndarray:
+        """C^-1 for C = W1 A1 W1, the core term of `canonical_weighted_qbt`
+        where (A3 W3)^q has rank 0 (`_core_inverse`). Kept beside
+        `_qbt_blocks`; not a field."""
+        return _core_inverse(self._qbt_blocks[0], self.u.shape[0])
+
+    @cached_property
+    def _product_inverses(self) -> tuple[np.ndarray, np.ndarray]:
+        """(A1 W1)^-1 and (W1 A1)^-1, the core terms of
+        `canonical_qbt_products` where a product's trailing power has rank 0
+        (`_core_inverse`). Kept once formed; not a field."""
+        return (_core_inverse(self.a1 @ self.w1, self.u.shape[0]),
+                _core_inverse(self.w1 @ self.a1, self.v.shape[0]))
 
     def residuals(self, a, w) -> dict[str, float]:
         """Reconstructions of A and W, unitarity of U and V, nilpotency of
@@ -304,24 +326,40 @@ class CanonicalParts:
     omega: np.ndarray
 
 
+def _k_pinv(kh: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """K^+ for K* = kh of full column rank: one Householder QR K* = Q R
+    gives K^+ = Q R^{-*}, taken as (R^{-1} Q*)* with one
+    `numpy.linalg.solve` on R; its error grows like cond(K), where
+    inverting K K* would square it. A diagonal entry of R at or under the
+    rank cutoff of `shape`, the shape of the canonical form's K*, against
+    the largest bounds sigma_min(K) under that cutoff and raises."""
+    q, r = np.linalg.qr(kh)
+    diag = np.abs(np.diagonal(r))
+    if diag.size and diag.min() <= rank_cutoff(shape, diag.max()):
+        raise NumericError("[C, M G] is numerically rank deficient; the canonical "
+                           "block formula requires C nonsingular")
+    return np.linalg.solve(r, q.conj().T).conj().T
+
+
+def _core_inverse(core: np.ndarray, rows: int) -> np.ndarray:
+    """C^-1 for the core term C of a canonical form whose frame has `rows`
+    rows. Where the trailing block's power has rank 0, P = 0, so X3 = 0,
+    G = 0 and K^+ = [C^-1; 0]: the form is U_t C^-1 V_t*. One t x t QR of
+    C* gives it, with the rank check `_canonical_blocks` makes on
+    K* = [C*; 0], whose R is that of C*."""
+    return _k_pinv(core.conj().T, (rows, core.shape[0]))
+
+
 def _canonical_blocks(core, coupling, x3, gap):
     """[[C* O, -C* O M X3], [G M* O, X3 - G M* O M X3]] with
     O = [C C* + M G M*]^{-1}, and K^+ for K = [C, M G].
 
     G, an orthogonal projector (G = G* = G^2), makes C C* + M G M* = K K*,
-    so C* O and G M* O are the two row blocks of K^+ = K* (K K*)^{-1}. One
-    Householder QR K* = Q R gives K^+ = Q R^{-*}, taken as (R^{-1} Q*)*
-    with one `numpy.linalg.solve` on R; its error grows like cond(K), where
-    inverting K K* would square it. K has full row rank whenever C is
-    nonsingular; a diagonal entry of R at or under the rank cutoff,
-    against the largest, bounds sigma_min(K) under that cutoff."""
+    so C* O and G M* O are the two row blocks of K^+ = K* (K K*)^{-1}, read
+    off one QR of K* (`_k_pinv`). K has full row rank whenever C is
+    nonsingular."""
     kh = np.concatenate([core.conj().T, gap @ coupling.conj().T])
-    q, r = np.linalg.qr(kh)
-    diag = np.abs(np.diagonal(r))
-    if diag.size and diag.min() <= rank_cutoff(kh.shape, diag.max()):
-        raise NumericError("[C, M G] is numerically rank deficient; the canonical "
-                           "block formula requires C nonsingular")
-    k_pinv = np.linalg.solve(r, q.conj().T).conj().T
+    k_pinv = _k_pinv(kh, kh.shape)
     t = core.shape[0]
     mx = coupling @ x3
     b11, b21 = k_pinv[:t], k_pinv[t:]
@@ -352,18 +390,29 @@ def _canonical(core, coupling, b3, q: int, rank_q: int | None = None, base=None,
     return _canonical_blocks(core, coupling, x3, p - x3 @ m)
 
 
+def _thin_form(u: np.ndarray, c_inv: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """U_t C^-1 V_t*, t the side of C^-1: a canonical form whose middle
+    has C^-1 as its only nonzero block, formed in the frames' leading
+    columns with no product of a full frame."""
+    t = c_inv.shape[0]
+    return u[:, :t] @ c_inv @ v[:, :t].conj().T
+
+
 def canonical_qbt(d: CoreEPDecomposition, q: int) -> np.ndarray:
     """q-BT inverse of a square matrix assembled from its core-EP blocks.
 
     Equals the direct (A P_{A^q})^+ computation; the two routes share no
     pseudoinverse call on the full matrix, and this one factors only the
     nilpotent block, with the ranks of N^q and N^(q+1) read off the
-    parent's sequence. q is clamped at the index, as in `qbt_inverse`.
+    parent's sequence. q is clamped at the index, as in `qbt_inverse`; at
+    the index N^q = 0 and the form is U_r T^-1 U_r* (`_core_inverse`).
     """
     q = min(check_q(q), d.index)
     r = d.rank
-    middle, _ = _canonical(d.t, d.s, d.nil, q, d.power_rank(q) - r,
-                           fixed_rank=d.power_rank(q + 1) - r)
+    rank_q = d.power_rank(q) - r
+    if rank_q == 0:
+        return _thin_form(d.u, d._t_inverse, d.u)
+    middle, _ = _canonical(d.t, d.s, d.nil, q, rank_q, fixed_rank=d.power_rank(q + 1) - r)
     return d.u @ middle @ d.u.conj().T
 
 
@@ -377,14 +426,20 @@ def canonical_weighted_qbt(d: WeightedCoreEPDecomposition,
     sigma_max(W). C, M, W3 A3 W3 and A3 W3 are formed once per
     decomposition (`_qbt_blocks`). Returns the assembled matrix together
     with (M, Omega_W). q is clamped at max(Ind(AW), Ind(WA)), as in
-    `weighted_qbt`.
+    `weighted_qbt`. At q >= Ind(AW), (A3 W3)^q = 0 and the form is
+    U_t C^-1 V_t* with Omega_W = C^-* C^-1, C^-1 kept with the blocks
+    (`_core_inverse`).
     """
     q = min(check_q(q), max(d.ind_aw, d.ind_wa))
     core, coupling, nil, base = d._qbt_blocks
-    middle, k_pinv = _canonical(core, coupling, nil, q, d.power_rank_aw(q) - d.t_dim,
-                                base=base,
-                                scale=d.sigma_max_w * d.sigma_max_a * d.sigma_max_w)
-    x = d.u @ middle @ d.v.conj().T
+    rank_q = d.power_rank_aw(q) - d.t_dim
+    if rank_q == 0:
+        k_pinv = d._qbt_inverse
+        x = _thin_form(d.u, k_pinv, d.v)
+    else:
+        middle, k_pinv = _canonical(core, coupling, nil, q, rank_q, base=base,
+                                    scale=d.sigma_max_w * d.sigma_max_a * d.sigma_max_w)
+        x = d.u @ middle @ d.v.conj().T
     omega = k_pinv.conj().T @ k_pinv
     return x, CanonicalParts(m_block=coupling, omega=_frozen(omega))
 
@@ -395,14 +450,19 @@ def canonical_qbt_products(d: WeightedCoreEPDecomposition,
 
     AW is triangularized by U with core A1W1, coupling A1W2 + A2W3 and
     nilpotent part A3W3; WA by V with core W1A1, coupling W1A2 + W2A3 and
-    nilpotent part W3A3. q is clamped at max(Ind(AW), Ind(WA)).
+    nilpotent part W3A3. q is clamped at max(Ind(AW), Ind(WA)). A product
+    whose nilpotent part's q-th power has rank 0 (q >= its index) gets
+    U_t (A1W1)^-1 U_t* or V_t (W1A1)^-1 V_t* (`_core_inverse`).
     """
     q = min(check_q(q), max(d.ind_aw, d.ind_wa))
     t = d.t_dim
     out = []
-    for frame, core, coupling, nil, rank in (
+    for side, (frame, core, coupling, nil, rank) in enumerate((
             (d.u, d.a1 @ d.w1, d.a1 @ d.w2 + d.a2 @ d.w3, d.a3 @ d.w3, d.power_rank_aw),
-            (d.v, d.w1 @ d.a1, d.w1 @ d.a2 + d.w2 @ d.a3, d.w3 @ d.a3, d.power_rank_wa)):
+            (d.v, d.w1 @ d.a1, d.w1 @ d.a2 + d.w2 @ d.a3, d.w3 @ d.a3, d.power_rank_wa))):
+        if rank(q) == t:
+            out.append(_thin_form(frame, d._product_inverses[side], frame))
+            continue
         middle, _ = _canonical(core, coupling, nil, q, rank(q) - t, fixed_rank=rank(q + 1) - t)
         out.append(frame @ middle @ frame.conj().T)
     return out[0], out[1]

@@ -30,3 +30,9 @@ class ParseError(ValueError):
         if line is not None:
             loc = f" (line {line}" + (f", column {column}" if column is not None else "") + ")"
         super().__init__(message + loc)
+
+
+def index_above_one(name: str, k: int) -> DomainError:
+    """The error of an inverse defined only for Ind(A) <= 1 (`name`: group
+    inverse, core inverse), worded the same on the float and exact paths."""
+    return DomainError(f"{name} requires index at most 1, computed index is {k}")

@@ -45,7 +45,7 @@ from fractions import Fraction
 import numpy as np
 
 from .classical import check_q
-from .errors import DomainError, NumericError, ShapeError
+from .errors import DomainError, NumericError, ShapeError, index_above_one
 from .matrix import exponent
 
 MAX_EXACT_DIM = 32
@@ -484,10 +484,11 @@ def _drazin(a: _ZMat, ak: _ZMat, f: _ZMat) -> _ZMat:
     return f @ (_inv(fh_ak @ (a @ f)) @ fh_ak)
 
 
-def _group(a: _ZMat) -> _ZMat:
+def _group(a: _ZMat, name: str) -> _ZMat:
+    """A^# for the inverse `name`, which requires Ind(A) <= 1."""
     k, ak, f = _index_search(a)
     if k > 1:
-        raise DomainError(f"group inverse requires index at most 1, computed index {k}")
+        raise index_above_one(name, k)
     return _drazin(a, ak, f)
 
 
@@ -601,12 +602,12 @@ def exact_drazin(a: np.ndarray) -> np.ndarray:
 
 
 def exact_group(a: np.ndarray) -> np.ndarray:
-    return _group(_check_square(a, "index")).to_gr()
+    return _group(_check_square(a, "index"), "group inverse").to_gr()
 
 
 def exact_core(a: np.ndarray) -> np.ndarray:
     z = _check_square(a, "index")
-    return (_group(z) @ z @ _pinv(z)).to_gr()
+    return (_group(z, "core inverse") @ z @ _pinv(z)).to_gr()
 
 
 def exact_core_ep(a: np.ndarray) -> np.ndarray:

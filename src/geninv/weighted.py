@@ -126,7 +126,10 @@ def weighted_qbt(p: WeightedPair, q: int) -> np.ndarray:
 
     q is clamped at k. For q >= 1 the member is U_q V' (W U_(q+1) S')^+
     (`_member_read`) at the member rank r: with W U_(q+1) = Uz Sz Vz* kept
-    at r values and H = Vz_r* S', it is U_q V' H^+ Sz_r^-1 Uz_r*.
+    at r values and H = Vz_r* S', it is U_q V' H^+ Sz_r^-1 Uz_r*. When the
+    member keeps every column, r = rank((AW)^(q+1)), H is square and
+    invertible and H^-1 = S'^-1 Vz takes no SVD; otherwise H^+ is pinned
+    at rank r.
     """
     q = min(check_q(q), p.k)
     if q == 0:
@@ -136,7 +139,10 @@ def weighted_qbt(p: WeightedPair, q: int) -> np.ndarray:
     if r == 0:
         return np.zeros(p.shape, dtype=np.complex128)
     uz, sz, vzh = wu.usv
-    h_pinv = _Factored(vzh[:r] * s).pinv(fixed_rank=r)
+    if r == s.size:
+        h_pinv = vzh.conj().T / s[:, None]
+    else:
+        h_pinv = _Factored(vzh[:r] * s).pinv(fixed_rank=r)
     return x @ (h_pinv / sz[:r]) @ uz[:, :r].conj().T
 
 
@@ -154,11 +160,18 @@ def weighted_drazin(p: WeightedPair) -> np.ndarray:
     """W-weighted Drazin inverse A (WA)^d (WA)^d; (WA)^d reads Ind(WA) from
     the pair and sigma_max(WA) from the pair's staircase of WA, and for
     Ind(WA) > 0 its first call factors the r x r compression of
-    (WA)^(2k+1), whose core the staircase keeps. It returns 0, with no
-    warning, when rank((WA)^k) falls under the flat cutoff, as a badly
-    scaled pair's can where the exact answer is nonzero."""
-    d = _drazin(p._wa, p.ind_wa)
-    return p.a @ d @ d
+    (WA)^(2k+1), whose core the staircase keeps. Then (WA)^d = U1 C V1*
+    in WA's thin frame (`classical._drazin`), and the result is
+    (A U1)(C V1* U1 C) V1*, with no product of two n x n matrices. It
+    returns 0, with no warning, when rank((WA)^k) falls under the flat
+    cutoff, as a badly scaled pair's can where the exact answer is
+    nonzero."""
+    stairs, k = p._wa, p.ind_wa
+    if k == 0 or stairs.ranks[k] == 0:
+        d = _drazin(stairs, k)
+        return p.a @ d @ d
+    c = stairs.core(k)
+    return (p.a @ stairs.u1) @ (c @ stairs.vh1_u1 @ c) @ stairs.vh1
 
 
 def weighted_qbt_product_forms(p: WeightedPair, q: int) -> tuple[np.ndarray, np.ndarray]:

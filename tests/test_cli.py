@@ -303,6 +303,14 @@ class TestErrorPaths:
         assert code == 4
         assert "index" in err
 
+    @pytest.mark.parametrize("exact", [[], ["--exact"]])
+    def test_index_above_one_names_the_routine(self, tmp_path, capsys, exact):
+        a = write_csv(tmp_path / "n.csv", SQUARE_I2)
+        for kind, name in (("core", "core inverse"), ("group", "group inverse")):
+            code, _, err = run_main(capsys, kind, a, *exact)
+            assert code == 4
+            assert err == f"error: {name} requires index at most 1, computed index is 2\n"
+
     def test_shape_error(self, tmp_path, capsys):
         a = write_csv(tmp_path / "a.csv", [[1, 2, 3], [4, 5, 6]])
         code, _, err = run_main(capsys, "drazin", a)

@@ -138,6 +138,33 @@ def test_canonical_weighted_qbt_takes_two_while_the_block_power_is_nonzero(svds,
         assert len(svds) == expected, q
 
 
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_canonical_forms_at_the_index_take_one_small_qr_per_decomposition(qrs, squares, k):
+    # where the trailing block's power has rank 0 (q >= its index) a form is
+    # U_t C^-1 V_t*: C^-1 from one t x t QR of C*, kept on the
+    # decomposition, and no n x t QR of [C*; 0]. Below the index each call
+    # takes the n x t QR of K* = [C*; G M*]
+    d = core_ep_decompose(squares[k])
+    n, r = squares[k].shape[0], d.rank
+    qrs.clear()
+    for q in range(k + 3):
+        canonical_qbt(d, q)
+    assert qrs == [(n, r)] * k + [(r, r)]
+    if k:
+        planted = random_planted_pair(np.random.default_rng(k), k, max_dim=8)
+        p = WeightedPair.from_matrices(planted.a, planted.w)
+        d = weighted_core_ep_decompose(p)
+        m, t = p.shape[0], d.t_dim
+        qrs.clear()
+        for q in range(p.k + 3):
+            canonical_weighted_qbt(d, q)
+        assert qrs == [(m, t)] * p.ind_aw + [(t, t)]
+        qrs.clear()
+        for q in range(p.k, p.k + 3):
+            canonical_qbt_products(d, q)
+        assert qrs == [(t, t), (t, t)]
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_weighted_drazin_reads_the_pair_index(svds, k):
     planted = random_planted_pair(np.random.default_rng(k), k, max_dim=8)
@@ -228,15 +255,18 @@ def test_pair_routines_factor_only_the_operands_at_full_size(svds, k):
     # the pair keeps the staircase of AW its index search built: the SVD of
     # AW taken there serves every q, and each member factors W U_(q'+1),
     # n x rank((AW)^(q'+1)) with q' = min(q, Ind(AW)), and H = Vz_r* S',
-    # r x rank((AW)^(q'+1)) at the member rank r, and no other matrix but
-    # M_1 when step 2, which the pair no longer holds, is formed again
+    # r x rank((AW)^(q'+1)) at the member rank r when r is short of
+    # rank((AW)^(q'+1)) (a square H is inverted with no SVD), and no other
+    # matrix but M_1 when step 2, which the pair no longer holds, is formed
+    # again
     svds.clear()
     for q in range(1, p.k + 2):
         weighted_qbt(p, q)
     shapes = [shape for shape, _ in svds]
     seq, ind = p.rank_sequence_aw, p.ind_aw
-    members = [shape for q in range(1, p.k + 2) for c in [seq[min(q, ind) + 1]]
-               for shape in [(n, c), (_member_read(p, q)[0], c)]]
+    members = [shape for q in range(1, p.k + 2)
+               for c, r in [(seq[min(q, ind) + 1], _member_read(p, q)[0])]
+               for shape in [(n, c)] + ([(r, c)] if r < c else [])]
     formed = [(seq[1], seq[1])] if ind > 2 else []
     assert shapes == formed + members
 
@@ -337,7 +367,10 @@ def test_weighted_qbt_reads_the_pair_scales(svds):
     assert len(svds) == 1
     svds.clear()
     weighted_qbt(p, 1)
-    assert len(svds) == 2
+    # W U_2 alone: the member keeps every column, so H = Vz* S' is square
+    # and inverted with no SVD
+    assert len(svds) == 1
+    assert _member_read(p, 1)[0] == p.rank_sequence_aw[2]
 
 
 def test_range_contained_takes_two(svds, rng):
@@ -386,7 +419,7 @@ def test_weighted_core_ep_decompose_takes_two(svds, k):
 
 def test_example_checks_share_their_operands(svds):
     run_example_checks()
-    assert len(svds) == 54
+    assert len(svds) == 49
 
 
 def test_corpus_checks_build_each_operand_once_per_member_and_exponent(svds):
@@ -394,4 +427,4 @@ def test_corpus_checks_build_each_operand_once_per_member_and_exponent(svds):
     # each pair's weighted routines share one SVD of AW and one of WA, and
     # the square routines on AW, then WA, share each one's searched chain
     run_random_corpus(seed=11, count=10, max_dim=7)
-    assert len(svds) == 2086
+    assert len(svds) == 2067
