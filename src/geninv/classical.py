@@ -9,13 +9,14 @@ rank(A). Its search (`_Staircase.search`) alone decides every rank(A^j),
 and each routine reads Ind(A), or its order clamped at it, from it. The
 q-BT member of order q is read off step q + 1 with no factorization of
 its own (`_Staircase.member`); q = 0 reads step 1, A's thin SVD, so it is
-A^+. The Drazin inverse reads the r x r core the staircase keeps
-(`_Staircase.core`). A takes that SVD once per distinct value, not per
-call: each routine takes A through `projectors._operand`, which keeps
-the thin SVD of the last operand it factored and its searched staircase,
-so the family of one A (q = 0, 1, ..., Ind(A), its Drazin, group and
-core inverses) factors A once at full size, takes each step once and
-shares one P_(2k+1)^+.
+A^+. The Drazin inverse is one solve on the staircase
+(`_Staircase.drazin`): A^d = U_k G, U_k the basis of R(A^k) that the
+search holds, with no power of A formed. A takes that SVD once per
+distinct value, not per call: each routine takes A through
+`projectors._operand`, which keeps the thin SVD of the last operand it
+factored and its searched staircase, so the family of one A (q = 0, 1,
+..., Ind(A), its Drazin, group and core inverses) factors A once at full
+size, takes each step once and shares one solve.
 """
 
 from __future__ import annotations
@@ -38,20 +39,20 @@ def check_q(q, n: int | None = None) -> int:
 
 
 def _drazin(stairs: _Staircase, k: int) -> np.ndarray:
-    """A^d = A^k (A^(2k+1))^+ A^k for k = Ind(A), in the coordinates of
-    A's thin SVD: U1 P_k P_(2k+1)^+ P_k V1*, its core P_k P_(2k+1)^+ P_k
-    kept on the staircase (`_Staircase.core`). A^+ when k = 0, and 0 when
-    rank(A^k) = 0."""
+    """A^d = U_k G for k = Ind(A), from the solve the staircase keeps
+    (`_Staircase.drazin`). A^+ when k = 0, and 0 when rank(A^k) = 0."""
     if k == 0:
         return stairs.member(0)
     if stairs.ranks[k] == 0:
         n = stairs.shape[0]
         return np.zeros((n, n), dtype=np.complex128)
-    return stairs.u1 @ stairs.core(k) @ stairs.vh1
+    uk, g = stairs.drazin(k)
+    return uk @ g
 
 
 def drazin(a) -> np.ndarray:
-    """Drazin inverse A^d = A^k (A^(2k+1))^+ A^k with k = Ind(A)."""
+    """Drazin inverse A^d: the X with XAX = X, AX = XA and XA^(k+1) = A^k,
+    k = Ind(A)."""
     stairs = _operand(a, "drazin").staircase()
     return _drazin(stairs, stairs.search(stairs.shape[0] + 1))
 
@@ -66,23 +67,23 @@ def _index_at_most_one(stairs: _Staircase, name: str) -> int:
 
 
 def group_inverse(a) -> np.ndarray:
-    """Group inverse A^# = A (A^3)^+ A (A^+ when A is nonsingular), defined
-    only when Ind(A) <= 1."""
+    """Group inverse A^#, the Drazin inverse at Ind(A) <= 1 (A^+ when A is
+    nonsingular), defined only there."""
     stairs = _operand(a, "group_inverse").staircase()
     return _drazin(stairs, _index_at_most_one(stairs, "group inverse"))
 
 
 def core_inverse(a) -> np.ndarray:
-    """Core inverse A^# A A^+, defined only when Ind(A) <= 1. One thin SVD
-    of A serves rank(A) and the frame of A^# = U1 C V1* (`_drazin`); since
-    A A^+ = U1 U1*, the inverse is U1 (C V1* U1) U1*, formed in that frame
-    with no product of two n x n matrices. A^+ when A is nonsingular."""
+    """Core inverse A^# A A^+, defined only when Ind(A) <= 1. A^# = U_1 G
+    (`_Staircase.drazin`), U_1 a basis of R(A), and A A^+ = U_1 U_1*, so
+    the inverse is U_1 (G U_1) U_1*, formed in that frame with no product
+    of two n x n matrices. A^+ when A is nonsingular."""
     stairs = _operand(a, "core_inverse").staircase()
     k = _index_at_most_one(stairs, "core inverse")
     if k == 0 or stairs.ranks[1] == 0:
         return _drazin(stairs, k)
-    u1 = stairs.u1
-    return u1 @ (stairs.core(1) @ stairs.vh1_u1) @ u1.conj().T
+    u1, g = stairs.drazin(1)
+    return u1 @ (g @ u1) @ u1.conj().T
 
 
 def qbt_inverse(a, q: int) -> np.ndarray:

@@ -11,8 +11,7 @@ value by default, but callers working with derived quantities (blocks
 extracted from a decomposition, products of a pair) can anchor the cutoff
 to the parent matrix's scale via the `scale` argument; noise floors are
 set by the data a matrix was computed from, not by the matrix itself.
-Only the Drazin core (`projectors._Staircase.core`) and `nilpotency` read
-a power of a scale, through `_anchor`.
+No rank decision reads a power of a scale, so none can overflow.
 
 Input is validated once, at the boundary. Every public function that
 takes a matrix passes each input through `as_matrix` (2-D, complex128,
@@ -114,22 +113,12 @@ def core_residuals(a, x) -> dict[str, float]:
             "chain": rel(x @ a @ a, a)}
 
 
-def _anchor(s1: float, j: int) -> float:
-    """s1^j, the anchor of a j-th power, s1 = sigma_max: read before the
-    power is formed, so an overflow is a DomainError naming j."""
-    try:
-        return s1 ** j
-    except OverflowError:
-        raise DomainError(
-            f"sigma_max^{j}, the anchor of power {j}, overflows") from None
-
-
 def nilpotency(n, k: int, scale: float) -> float:
-    """‖N^k‖ / max(1, scale^k): how far N is from nilpotent of index at
-    most k, against the k-th power of its parent's largest singular value,
-    read first (`_anchor`)."""
-    anchor = _anchor(scale, k)
-    return frobenius(np.linalg.matrix_power(n, k)) / max(1.0, anchor)
+    """‖(N / max(1, scale))^k‖ = ‖N^k‖ / max(1, scale)^k: how far N is from
+    nilpotent of index at most k, against the k-th power of its parent's
+    largest singular value. N is scaled before the power is formed, so no
+    power of the scale is ever formed and none overflows."""
+    return frobenius(np.linalg.matrix_power(n / max(1.0, scale), k))
 
 
 def unitarity(u) -> float:

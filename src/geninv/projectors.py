@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NumericError, ShapeError
-from .matrix import _anchor, as_matrix, exponent, rank_cutoff, rank_from_values, singular_values
+from .matrix import as_matrix, exponent, rank_cutoff, rank_from_values, singular_values
 
 
 @dataclass(frozen=True)
@@ -34,8 +34,8 @@ class IndexReport:
 
     index: smallest k >= 0 with rank(B^k) = rank(B^(k+1)).
     rank_sequence: rank(B^j) for j = 0 .. index + 1.
-    sigma_max: largest singular value of B, the anchor of every rank
-        decision on its powers.
+    sigma_max: largest singular value of B, the scale of the one flat
+        cutoff that decides every rank(B^j).
     """
 
     index: int
@@ -66,20 +66,16 @@ class _Factored:
     bits can differ from the thin SVD's.
 
     `scale` anchors the cutoff to a parent matrix's largest singular value
-    when the matrix is a derived quantity (power, extracted block), and
-    `shape` is the shape the cutoff reads when the matrix is a compression
-    of a larger one with the same singular values (`_Staircase.core`).
+    when the matrix is a derived quantity (power, extracted block).
     `fixed_rank` bypasses the cutoff and keeps exactly that many singular
     values; callers use it when the rank is known from structure and the
     trailing singular values are pure rounding noise. A rank pinned at 0
     keeps nothing and takes no SVD.
     """
 
-    def __init__(self, a: np.ndarray, thin: bool = False,
-                 shape: tuple[int, int] | None = None):
+    def __init__(self, a: np.ndarray, thin: bool = False):
         self.a = a
         self.thin = thin
-        self.shape = a.shape if shape is None else shape
 
     @cached_property
     def usv(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -96,11 +92,11 @@ class _Factored:
         return float(self.s[0]) if self.s.size else 0.0
 
     def rank(self, scale: float | None = None) -> int:
-        return rank_from_values(self.s, self.shape, scale)
+        return rank_from_values(self.s, self.a.shape, scale)
 
     def _keep(self, scale: float | None, fixed_rank: int | None) -> int:
         """How many singular values `pinv` and `range_basis` keep."""
-        return 0 if fixed_rank == 0 else _kept(self.usv[1], self.shape, scale, fixed_rank)
+        return 0 if fixed_rank == 0 else _kept(self.usv[1], self.a.shape, scale, fixed_rank)
 
     def pinv(self, scale: float | None = None, fixed_rank: int | None = None) -> np.ndarray:
         r = self._keep(scale, fixed_rank)
@@ -273,9 +269,9 @@ class _Staircase:
     at most three j >= 2: the last two decided, Ind(B) and Ind(B) + 1 once
     the ranks stopped, and the last one read (`step`). Any other step is
     formed again from the nearest one held below it, with the same bits.
-    The r x r powers P_j = M^(j-1) S1, B^j = U1 P_j V1* with M = S1 V1* U1,
-    are formed by products of M (`power`); the Drazin core is kept for the
-    last k asked (`core`).
+    The Drazin inverse B^d = U_k G, k = Ind(B), is one solve on step 1's
+    M_1 and step k's basis (`drazin`), kept for the last k asked; no power
+    of B is formed.
 
     An operand's staircase is the operand memo's (`_Operand.staircase`)
     and a pair's are the pair's (`weighted.WeightedPair`); either is shared
@@ -298,30 +294,20 @@ class _Staircase:
         self.u1, self.vh1 = u[:, :r], vh[:r]
         # step 1: U_1 = Q from B V1 = Q R and M_1 = U_1* B U_1, or U1 for a
         # nonsingular B, whose staircase has no step 2
-        basis, m = self.u1, None
+        basis, m, self._r = self.u1, None, None
         if a.shape == (n, n) and r < n:
-            basis = np.linalg.qr(a @ self.vh1.conj().T)[0]
+            basis, self._r = np.linalg.qr(a @ self.vh1.conj().T)
             m = basis.conj().T @ (a @ basis)
         self._first = _Step(basis, None, None, m)
         self._held: dict[int, _Step] = {}
         self._read = 0
-        self._core: tuple[int, np.ndarray] | None = None
+        self._solved: tuple[int, np.ndarray, np.ndarray] | None = None
         self._lock = threading.Lock()
 
     @property
     def index(self) -> int:
         """min(Ind(B), last - 1) after `search` up to j = last."""
         return len(self.ranks) - 2
-
-    @cached_property
-    def vh1_u1(self) -> np.ndarray:
-        """V1* U1, which joins two powers: P_(i+j) = P_i (V1* U1) P_j."""
-        return self.vh1 @ self.u1
-
-    @cached_property
-    def m(self) -> np.ndarray:
-        """M = S1 V1* U1, B compressed on its SVD: B U1 = U1 M."""
-        return self.usv[1][:self.ranks[1], None] * self.vh1_u1
 
     def _next(self, prev: _Step, r: int | None = None) -> tuple[_Step, int, bool]:
         """The step after `prev`, at rank r, or at the rank the cutoff
@@ -410,33 +396,45 @@ class _Staircase:
         rest = np.linalg.qr(basis, mode="complete")[0][:, basis.shape[1]:]
         return np.concatenate([basis, rest], axis=1)
 
-    def power(self, j: int) -> np.ndarray:
-        """P_j = M^(j-1) S1 for j >= 1, B^j = U1 P_j V1*, formed by
-        products of M."""
-        s = self.usv[1][:self.ranks[1]]
-        if j == 1:
-            return np.diag(s).astype(np.complex128)
-        # P_2 = M S1 scales the columns of M
-        p = self.m * s
-        for _ in range(2, j):
-            p = self.m @ p
-        return p
+    def drazin(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """(U_k, G) with B^d = U_k G, for k = Ind(B) >= 1 and rank(B^k) > 0:
+        one solve in step 1's r x r coordinates, kept for the last k asked,
+        so the Drazin, group and core inverses share it.
 
-    def core(self, k: int) -> np.ndarray:
-        """P_k P_(2k+1)^+ P_k for k >= 1, the r x r core of the Drazin
-        inverse B^d = U1 P_k P_(2k+1)^+ P_k V1* at k = Ind(B), with
-        P_(2k+1) = P_(k+1) V1* U1 P_k and its cutoff that of the n x n power
-        B^(2k+1), anchored at sigma_max(B)^(2k+1). Kept for the last k
-        asked, so Drazin, group and core inverses share one P_(2k+1)^+."""
+        Step 1 gives B = U_1 R V1* and B U_1 = U_1 M_1. With U_k = U_1 Ũ,
+        T = Ũ* M_1 Ũ is B on R(B^k), nonsingular, and with P̃ = I - Ũ Ũ*,
+        (M_1 P̃)^k = 0; so
+        Y = sum_(i<k) T^-(i+1) Ũ* (M_1 P̃)^i, taken by Horner, solves
+        T Y - Y M_1 P̃ = Ũ* and M_1^d = Ũ Y (Wang's core-EP form: the
+        Sylvester equation T X - X N = -S of its blocks). By Cline's formula
+        B^d = U_1 (M_1^d)^2 R V1* = U_k T^-1 Y R V1*, taken as
+        G = T^-1 [(I - Y M_1 Ũ) U_k* + Y R V1*], whose bracket maps U_k to
+        I however Y rounds. No power of B or of a scale is formed. T is
+        factored by one QR, T^-1 = R^-1 Q*; a diagonal entry of its R at or
+        under the flat cutoff, which a misread index gives, raises
+        NumericError."""
         with self._lock:
-            if self._core is None or self._core[0] != k:
-                anchor = _anchor(self.s1, 2 * k + 1)
-                pk = self.power(k)
-                p2k1 = _Factored(self.power(k + 1) @ self.vh1_u1 @ pk, shape=self.shape)
-                core = pk @ p2k1.pinv(scale=anchor) @ pk
-                core.setflags(write=False)
-                self._core = (k, core)
-            return self._core[1]
+            if self._solved is None or self._solved[0] != k:
+                first, uk = self._first, self._formed(k).basis
+                m1, r = first.m, first.m.shape[0]
+                # at k = 1, U_k = U_1: T = M_1 and the sum is its one term
+                ut = first.basis.conj().T @ uk if k > 1 else np.eye(r, dtype=np.complex128)
+                uth, m1ut = ut.conj().T, m1 @ ut
+                t = uth @ m1ut
+                qt, rt = np.linalg.qr(t)
+                if np.abs(np.diagonal(rt)).min() <= self.cut:
+                    raise NumericError(
+                        f"B on R(B^{k}) is singular at the rank cutoff; "
+                        f"the Drazin inverse needs it nonsingular at index {k}")
+                t_inv = np.linalg.solve(rt, qt.conj().T)
+                nil = m1 - m1ut @ uth
+                y = t_inv @ uth
+                for _ in range(k - 1):
+                    y = t_inv @ (uth + y @ nil)
+                g = t_inv @ ((np.eye(t.shape[0]) - y @ m1ut) @ uk.conj().T + (y @ self._r) @ self.vh1)
+                g.setflags(write=False)
+                self._solved = (k, uk, g)
+            return self._solved[1:]
 
 
 def _power_projector(b: np.ndarray, q: int, s: float) -> np.ndarray:

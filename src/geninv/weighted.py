@@ -34,7 +34,9 @@ class WeightedPair:
     ind_aw = Ind(AW), ind_wa = Ind(WA), k = max of both; the rank
     sequences hold rank((AW)^j) and rank((WA)^j) for j = 0 .. index + 1;
     sigma_max_a and sigma_max_w are the largest singular values of A and
-    W, the anchors of every rank decision the weighted routines make.
+    W: W's sets the cutoff of every member rank (`_member_read`), and
+    their product scales the q = 0 member's cutoff and the weighted
+    decomposition's checks.
     The indices of AW and WA can differ by at most one; a larger spread
     indicates a rank misclassification and is rejected.
 
@@ -158,20 +160,18 @@ def weighted_core_ep(p: WeightedPair) -> np.ndarray:
 
 def weighted_drazin(p: WeightedPair) -> np.ndarray:
     """W-weighted Drazin inverse A (WA)^d (WA)^d; (WA)^d reads Ind(WA) from
-    the pair and sigma_max(WA) from the pair's staircase of WA, and for
-    Ind(WA) > 0 its first call factors the r x r compression of
-    (WA)^(2k+1), whose core the staircase keeps. Then (WA)^d = U1 C V1*
-    in WA's thin frame (`classical._drazin`), and the result is
-    (A U1)(C V1* U1 C) V1*, with no product of two n x n matrices. It
-    returns 0, with no warning, when rank((WA)^k) falls under the flat
-    cutoff, as a badly scaled pair's can where the exact answer is
-    nonzero."""
+    the pair, and for Ind(WA) > 0 it is U_k G, one solve on the pair's
+    staircase of WA (`_Staircase.drazin`), which takes no factorization
+    past the search's. The result is (A U_k)(G U_k) G, with no product of
+    two n x n matrices. It returns 0, with no warning, when rank((WA)^k)
+    falls under the flat cutoff, as a badly scaled pair's can where the
+    exact answer is nonzero."""
     stairs, k = p._wa, p.ind_wa
     if k == 0 or stairs.ranks[k] == 0:
         d = _drazin(stairs, k)
         return p.a @ d @ d
-    c = stairs.core(k)
-    return (p.a @ stairs.u1) @ (c @ stairs.vh1_u1 @ c) @ stairs.vh1
+    uk, g = stairs.drazin(k)
+    return (p.a @ uk) @ (g @ uk) @ g
 
 
 def weighted_qbt_product_forms(p: WeightedPair, q: int) -> tuple[np.ndarray, np.ndarray]:
@@ -179,28 +179,25 @@ def weighted_qbt_product_forms(p: WeightedPair, q: int) -> tuple[np.ndarray, np.
 
     [W (AW)^(q+1) ((AW)^q)^+]^+  and  [(WA)^(q+1) W ((AW)^q)^+]^+.
 
-    Both read the staircase of AW: ((AW)^q)^+ = V1 P_q^+ U1* for q >= 1,
-    P_q the r x r power formed by products of M (`_Staircase.power`) and
-    P_q^+ kept at rank((AW)^q) from the staircase's search, so each operand
-    is an n x rank(AW) matrix times U1*, and U1 times its pseudoinverse is
-    the result. The first operand is W U1 P_(q+1) P_q^+; the second forms
-    (WA)^(q+1) W V1 itself. Both pseudoinverses keep the member's rank
-    (`_member_read`).
+    Both are formed as written, from the products' powers: ((AW)^q)^+ is
+    kept at rank((AW)^q) from the pair's staircase of AW, and both outer
+    pseudoinverses keep the member's rank (`_member_read`).
     """
     q = min(check_q(q), p.k)
-    aw = p._aw
     r = _member_read(p, q)[0]
     if r == 0:
         zero = np.zeros(p.shape, dtype=np.complex128)
         return zero, zero.copy()
+    aw = p.a @ p.w
     wa_q1_w = matrix_power(p.w @ p.a, q + 1) @ p.w
     if q == 0:
         # (AW)^0 = I: the operands are W A W in its two groupings
-        x1 = _Factored(p.w @ (p.a @ p.w)).pinv(fixed_rank=r)
+        x1 = _Factored(p.w @ aw).pinv(fixed_rank=r)
         return x1, _Factored(wa_q1_w).pinv(fixed_rank=r)
-    pq_pinv = _Factored(aw.power(q)).pinv(fixed_rank=aw.ranks[q])
-    x1 = aw.u1 @ _Factored(p.w @ aw.u1 @ aw.power(q + 1) @ pq_pinv).pinv(fixed_rank=r)
-    x2 = aw.u1 @ _Factored(wa_q1_w @ aw.vh1.conj().T @ pq_pinv).pinv(fixed_rank=r)
+    awq = matrix_power(aw, q)
+    awq_pinv = _Factored(awq).pinv(fixed_rank=p._aw.ranks[q])
+    x1 = _Factored(p.w @ (aw @ awq) @ awq_pinv).pinv(fixed_rank=r)
+    x2 = _Factored(wa_q1_w @ awq_pinv).pinv(fixed_rank=r)
     return x1, x2
 
 

@@ -19,7 +19,7 @@ from conftest import rel
 ROUTES = {"drazin": (drazin, exact_drazin), "core_ep": (core_ep, exact_core_ep)}
 
 # (median, maximum) per route
-BOUNDS = {"drazin": (4.3e-15, 2.9e-12), "core_ep": (1.5e-15, 3.9e-14)}
+BOUNDS = {"drazin": (2.3e-15, 6.5e-14), "core_ep": (1.5e-15, 3.9e-14)}
 
 
 @pytest.fixture(scope="module")

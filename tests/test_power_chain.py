@@ -9,10 +9,13 @@ import numpy as np
 import pytest
 
 from geninv import corpus
+from geninv.classical import drazin
 from geninv.decomposition import core_ep_decompose
 from geninv.matrix import rank_cutoff
 from geninv import projectors
 from geninv.projectors import _Factored, matrix_index
+
+from conftest import rel
 
 
 def power_rule(b: np.ndarray) -> tuple[int, ...]:
@@ -35,6 +38,14 @@ def probe_square(rng: np.random.Generator, link: float, graded: bool,
     """24 x 24 U [[T, C], [0, N]] U*: a 12 x 12 core T, N a Jordan chain of
     `links` links of magnitude `link` (planted index links + 1). A graded T
     has singular values spaced geometrically from 1 to 1e-4."""
+    u, core, coupling, nil = probe_factors(rng, link, graded, links)
+    t = core.shape[0]
+    return u @ np.block([[core, coupling], [np.zeros((t, t)), nil]]) @ u.conj().T
+
+
+def probe_factors(rng: np.random.Generator, link: float, graded: bool,
+                  links: int = 2) -> tuple[np.ndarray, ...]:
+    """The planted factors U, T, C and N of `probe_square`."""
     t = 12
     if graded:
         core = (corpus.random_unitary(rng, t) @ np.diag(np.geomspace(1.0, 1e-4, t))
@@ -45,8 +56,7 @@ def probe_square(rng: np.random.Generator, link: float, graded: bool,
     idx = np.arange(links)
     nil[idx, idx + 1] = link
     coupling = rng.standard_normal((t, t)) + 1j * rng.standard_normal((t, t))
-    u = corpus.random_unitary(rng, 2 * t)
-    return u @ np.block([[core, coupling], [np.zeros((t, t)), nil]]) @ u.conj().T
+    return corpus.random_unitary(rng, 2 * t), core, coupling, nil
 
 
 def corpus_products(seed: int) -> list[np.ndarray]:
@@ -105,14 +115,36 @@ def test_probe_squares_decompose_with_a_negligible_lower_left_block(link, graded
         assert np.linalg.norm(dropped) <= 1e-10 * np.linalg.norm(b), seed
 
 
-def test_chain_powers_are_the_powers(rng):
-    b = corpus.random_square(rng, 12, index=3)
-    stairs = _Factored(b, thin=True).staircase()
-    stairs.search(13)
-    for j in (1, 2, 3, 4, 7):
-        bj = np.linalg.matrix_power(b, j)
-        got = stairs.u1 @ stairs.power(j) @ stairs.vh1
-        assert np.linalg.norm(got - bj) <= 1e-13 * np.linalg.norm(bj), j
+def planted_drazin(u, core, coupling, nil, k: int) -> np.ndarray:
+    """The Drazin inverse of U [[T, C], [0, N]] U^-1 for the planted
+    factors of `probe_square`, N nilpotent of index at most k, in 50-digit
+    arithmetic: U [[T^-1, X], [0, 0]] U^-1, X = sum_(i<k) T^-(i+2) C N^i."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        t_inv = mp.matrix(core.tolist()) ** -1
+        c, n = mp.matrix(coupling.tolist()), mp.matrix(nil.tolist())
+        x, left, right = mp.zeros(*coupling.shape), t_inv * t_inv, mp.eye(n.rows)
+        for _ in range(k):
+            x, left, right = x + left * c * right, left * t_inv, right * n
+        d = mp.zeros(2 * core.shape[0])
+        for i in range(core.shape[0]):
+            for j in range(core.shape[0]):
+                d[i, j], d[i, core.shape[0] + j] = t_inv[i, j], x[i, j]
+        ut = mp.matrix(u.tolist())
+        return np.array((ut * d * ut ** -1).tolist(), dtype=np.complex128)
+
+
+@pytest.mark.parametrize("link, graded, bound", [
+    (1e-7, False, 1e-14), (1e-9, False, 1e-14), (1.0, True, 1e-3)],
+    ids=["links-1e-7", "links-1e-9", "graded-1e-4"])
+def test_probe_drazin_against_planted_factors(link, graded, bound):
+    # the graded core puts ||A^d|| near 3e14, and the Drazin inverse of the
+    # rounded input is within 1e-4 of the planted one
+    for seed in range(3):
+        b = probe_square(np.random.default_rng([seed, 24]), link, graded)
+        factors = probe_factors(np.random.default_rng([seed, 24]), link, graded)
+        exact = planted_drazin(*factors, 3)
+        assert rel(drazin(b), exact) <= bound, seed
 
 
 def test_chain_keeps_few_powers():

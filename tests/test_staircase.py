@@ -3,7 +3,10 @@ decided on a formed power against sigma_max^j does not, each checked
 against its planted structure or the exact oracle: the benchmark's four
 adversarial squares, a scaled integer square, and a scaled pair whose
 member rank a power anchor misread; and a scaled idempotent whose step
-value, near the cutoff, is kept."""
+value, near the cutoff, is kept. The idempotent's Drazin, group and core
+inverses and the scaled pair's weighted Drazin inverse are checked too,
+which a Drazin core read off a formed power against sigma_max^(2k+1)
+returned as 0."""
 
 import sys
 import warnings
@@ -13,12 +16,12 @@ import numpy as np
 import pytest
 
 from geninv import corpus
-from geninv.classical import core_ep, qbt_inverse
+from geninv.classical import core_ep, core_inverse, drazin, group_inverse, qbt_inverse
 from geninv.decomposition import core_ep_decompose
 from geninv.exact import exact_index, exact_qbt, float_of, rmatrix_from_complex
 from geninv.projectors import matrix_index
-from geninv.weighted import (WeightedPair, weighted_qbt, weighted_qbt_product_forms,
-                             weighted_qbt_via_square)
+from geninv.weighted import (WeightedPair, weighted_drazin, weighted_qbt,
+                             weighted_qbt_product_forms, weighted_qbt_via_square)
 
 from conftest import rel
 
@@ -65,16 +68,19 @@ def test_scaled_integer_square_against_the_exact_oracle(c):
             assert rel(qbt_inverse(b, q), x) <= c * 1e-15, (seed, q)
 
 
-@pytest.mark.parametrize("c", [1e14, 1e15])
+@pytest.mark.parametrize("c", [1e8, 1e12, 1e14, 1e15])
 def test_scaled_idempotent_keeps_its_step_value(c):
-    # A = [[1, c], [0, 0]] is idempotent: M_1 = [1] lies over the cutoff
-    # 2 eps c but under 100 times it, and a block that lies there as a
-    # whole is kept, not widened to rank 0
+    # A = [[1, c], [0, 0]] is idempotent: from c = 1e14 on, M_1 = [1] lies
+    # over the cutoff 2 eps c but under 100 times it, and a block that lies
+    # there as a whole is kept, not widened to rank 0. A is its own Drazin
+    # and group inverse, and its core inverse is the projector A A^+
     a = np.array([[1, c], [0, 0]])
     assert matrix_index(a).rank_sequence == (2, 1, 1)
     projector = np.array([[1, 0], [0, 0]])
-    for x in (qbt_inverse(a, 1), core_ep(a)):
+    for x in (qbt_inverse(a, 1), core_ep(a), core_inverse(a)):
         assert np.abs(x - projector).max() <= 1e-12
+    for x in (drazin(a), group_inverse(a)):
+        assert rel(x, a) <= 1e-15
 
 
 @pytest.mark.parametrize("c", [1e4, 1e8, 1e12, 1e14])
@@ -89,5 +95,8 @@ def test_scaled_pair_members_are_exact(c):
         warnings.simplefilter("error")
         routes = [weighted_qbt(p, 1), *weighted_qbt_product_forms(p, 1),
                   weighted_qbt_via_square(p, 1)]
+        # the W-weighted Drazin inverse A ((WA)^d)^2 = A WA is A itself
+        wdrazin = weighted_drazin(p)
     for x in routes:
         assert np.abs(x - exact).max() <= 1e-12
+    assert rel(wdrazin, p.a) <= 1e-15

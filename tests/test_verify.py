@@ -7,7 +7,7 @@ import pytest
 
 from geninv import classical, decomposition, projectors, verify
 from geninv.errors import DecompositionError, DomainError, NumericError, ShapeError
-from geninv.corpus import random_planted_pair
+from geninv.corpus import PlantedPair, random_planted_pair
 from geninv.matrix import DEFAULT_TOL, Tolerances, frobenius
 from geninv.reference import pair_4x3_float
 from geninv.verify import (CHECK_REGISTRY, run_all, run_example_checks,
@@ -324,8 +324,13 @@ class TestMeasurementsSeeFaults:
             return max(k - 1, 0) if sys._getframe(1).f_code is classical.drazin.__code__ else k
 
         monkeypatch.setattr(projectors._Staircase, "search", understated)
-        values = member_measurements(pair4x3)["corpus.wdrazin.equations"]
-        assert values["right_product"] > 1e-3
+        # B on R(B^(Ind(B) - 1)) is singular, so the Drazin solve raises
+        # NumericError, and the runner records the member's library error
+        member = PlantedPair(pair4x3.a, pair4x3.w, pair4x3.k, False)
+        validity = verify._member_task(0, member, np.random.SeedSequence(0),
+                                       DEFAULT_TOL)["corpus.pair-validity"]
+        assert validity.values["library_error"] == float("inf")
+        assert "singular at the rank cutoff" in validity.where
 
     def test_classical_q_beyond_sees_an_understated_index(self, pair4x3):
         assert pair4x3.ind_aw >= 1

@@ -9,7 +9,7 @@ from geninv.classical import qbt_inverse
 from geninv.corpus import random_pairs, random_planted_pair, random_square
 from geninv.decomposition import (canonical_qbt_products, canonical_weighted_qbt,
                                   weighted_core_ep_decompose)
-from geninv.errors import DomainError, ShapeError
+from geninv.errors import ShapeError
 from geninv.exact import exact_weighted_qbt, requal, rmatrix
 from geninv.projectors import pinv, power
 from geninv.reference import (PAIR_4X3_A, PAIR_4X3_W, WCEP_4X3, WQBT_4X3, float_matrix,
@@ -205,8 +205,8 @@ class TestOverflow:
     rank((AW)^2) = 0. No power of a scale is read on the way, so every
     q-BT route returns 0 with no OverflowError and no numpy warning, as it
     does at 1e20 and 1e50; the weighted decomposition's nilpotency check
-    reads (sigma_max(A) sigma_max(W))^2 = 1e400 and is a DomainError naming
-    the power."""
+    forms no power of sigma_max(A) sigma_max(W) = 1e200 either, so the
+    decomposition builds at t = 0, as at 1e20."""
 
     @pytest.fixture(scope="class")
     def pair(self):
@@ -223,9 +223,12 @@ class TestOverflow:
             out = route(pair, q)
         assert not np.any(out)
 
-    def test_decomposition_names_the_power(self, pair):
-        with pytest.raises(DomainError, match="power 2"):
-            weighted_core_ep_decompose(pair)
+    def test_decomposition_builds_at_t_0(self, pair):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = weighted_core_ep_decompose(pair)
+        assert d.t_dim == 0
+        assert d.residuals(pair.a, pair.w)["nilpotency_aw"] == 0.0
 
 
 class TestWeightedDrazin:
