@@ -119,14 +119,13 @@ def core_ep(a) -> np.ndarray:
 
 
 def outer_inverse_check(a, x, range_gen, null_gen,
-                        tol: Tolerances | None = None,
-                        scale: float | None = None) -> bool:
+                        tol: Tolerances | None = None) -> bool:
     """True iff X is the outer inverse of A with R(X) = R(range_gen) and
-    N(X) = N(null_gen): XAX = X plus both set equalities (rank-based).
+    N(X) = N(null_gen): XAX = X plus both set equalities (rank-based,
+    each rank under the flat cutoff of its stack).
 
-    `scale` anchors the rank decisions when the generators are derived
-    products whose entries may be rounding noise. A passing candidate
-    takes 5 SVDs: one per stack, one per generator and one of X.
+    A passing candidate takes 5 SVDs: one per stack, one per generator
+    and one of X.
     """
     a = as_matrix(a)
     x = as_matrix(x)
@@ -139,13 +138,14 @@ def outer_inverse_check(a, x, range_gen, null_gen,
     if null_gen.shape[1] != x.shape[1]:
         raise ShapeError("null-space generator must have as many columns as the candidate")
     return _outer_inverse_check(a, _Factored(x), _Factored(range_gen), _Factored(null_gen),
-                                resolve_tol(tol), scale)
+                                resolve_tol(tol), None)
 
 
 def _outer_inverse_check(a: np.ndarray, x: _Factored, range_gen: _Factored,
                          null_gen: _Factored, tol: Tolerances, scale: float | None) -> bool:
     """`outer_inverse_check` on validated operands whose singular values a
-    caller may already hold."""
+    caller may already hold; `scale` anchors the rank decisions when the
+    generators are derived products whose entries may be rounding noise."""
     xm = x.a
     if not tol.close(frobenius(xm @ a @ xm - xm), frobenius(xm)):
         return False

@@ -6,12 +6,13 @@ in the library comes from `numpy.linalg`: numpy is its only runtime
 dependency. Every rank decision in the library goes through the one
 cutoff rule defined here, `rank_cutoff`: a singular value of an m x n
 matrix counts toward the rank iff it exceeds max(m, n) * eps times a
-reference scale. The reference scale is the matrix's own largest singular
-value by default, but callers working with derived quantities (blocks
-extracted from a decomposition, products of a pair) can anchor the cutoff
-to the parent matrix's scale via the `scale` argument; noise floors are
-set by the data a matrix was computed from, not by the matrix itself.
-No rank decision reads a power of a scale, so none can overflow.
+reference scale. A public routine's reference is its operand's own
+largest singular value, and no caller can choose another. Inside the
+library, derived quantities (blocks extracted from a decomposition,
+products of a pair) anchor the cutoff to the parent matrix's scale
+(`rank_from_values`' `scale`): noise floors are set by the data a matrix
+was computed from, not by the matrix itself. No rank decision reads a
+power of a scale, so none can overflow.
 
 Input is validated once, at the boundary. Every public function that
 takes a matrix passes each input through `as_matrix` (2-D, complex128,
@@ -191,8 +192,8 @@ def rank_from_values(s: np.ndarray, shape: tuple[int, int], scale: float | None 
     return len([v for v in values if v > cut])
 
 
-def rank(a, scale: float | None = None) -> int:
-    """Numerical rank: singular values above rank_cutoff(shape, max(sigma_max, scale))."""
+def rank(a) -> int:
+    """Numerical rank: singular values above rank_cutoff(shape, sigma_max)."""
     a = as_matrix(a)
-    return rank_from_values(singular_values(a), a.shape, scale)
+    return rank_from_values(singular_values(a), a.shape)
 

@@ -109,9 +109,8 @@ class _Factored:
         r = self._keep(scale, None)
         return 1.0 / float(self.usv[1][r - 1]) if r else 0.0
 
-    def range_basis(self, scale: float | None = None,
-                    fixed_rank: int | None = None) -> np.ndarray:
-        r = self._keep(scale, fixed_rank)
+    def range_basis(self) -> np.ndarray:
+        r = self._keep(None, None)
         return self.usv[0][:, :r] if r else np.zeros((self.a.shape[0], 0), dtype=np.complex128)
 
     def proj_range(self, scale: float | None = None, fixed_rank: int | None = None) -> np.ndarray:
@@ -200,27 +199,27 @@ def _operand(a, name: str | None = None) -> _Operand:
     return _Operand(a)
 
 
-def pinv(a, scale: float | None = None, fixed_rank: int | None = None) -> np.ndarray:
-    """Moore-Penrose inverse via one thin SVD with a relative singular-value
-    cutoff; `scale` and `fixed_rank` as in `_Factored`."""
-    return _operand(a).pinv(scale, fixed_rank)
+def pinv(a) -> np.ndarray:
+    """Moore-Penrose inverse via one thin SVD, its rank decided by the flat
+    cutoff `rank_cutoff(a.shape, sigma_max(a))`."""
+    return _operand(a).pinv()
 
 
-def range_basis(b, scale: float | None = None, fixed_rank: int | None = None) -> np.ndarray:
+def range_basis(b) -> np.ndarray:
     """Orthonormal basis U_r of the range of B: the leading left singular
     vectors of one thin SVD, r decided as in `pinv`, so U_r U_r* = P_B.
     A copy, since the memo's U is shared and read-only."""
-    return _operand(b).range_basis(scale, fixed_rank).copy()
+    return _operand(b).range_basis().copy()
 
 
-def proj_range(b, scale: float | None = None, fixed_rank: int | None = None) -> np.ndarray:
+def proj_range(b) -> np.ndarray:
     """Orthogonal projector P_B = B B^+ onto the range of B."""
-    return _operand(b).proj_range(scale, fixed_rank)
+    return _operand(b).proj_range()
 
 
-def proj_corange(b, scale: float | None = None, fixed_rank: int | None = None) -> np.ndarray:
+def proj_corange(b) -> np.ndarray:
     """Orthogonal projector Q_B = B^+ B onto the range of B*."""
-    return _operand(b).proj_corange(scale, fixed_rank)
+    return _operand(b).proj_corange()
 
 
 def power(b, q: int) -> np.ndarray:
@@ -438,10 +437,12 @@ class _Staircase:
 
 
 def _power_projector(b: np.ndarray, q: int, s: float) -> np.ndarray:
-    """P_{B^q} from the full-size power B^q, its rank decided against s^q
-    for s a scale of B: the reference the checks compare the chain's
-    results with, built apart from it."""
-    return _Factored(np.linalg.matrix_power(b, q)).proj_range(scale=s ** q)
+    """P_{B^q} from the full-size power (B / s)^q, its rank decided against
+    1 for s a scale of B: the rule that cuts B^q against s^q, with no
+    power of s formed, so none overflows (B is 0 where s is). The
+    reference the checks compare the staircase's results with, built
+    apart from it."""
+    return _Factored(np.linalg.matrix_power(b / s if s else b, q)).proj_range(scale=1.0)
 
 
 def matrix_index(b) -> IndexReport:
@@ -492,41 +493,33 @@ def _operands(x, y, axis: int, name: str) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def range_contained(x, y, scale: float | None = None) -> bool:
-    """True iff R(x) is contained in R(y), decided as rank([y | x]) = rank(y).
-
-    `scale` anchors the rank cutoff when x or y is a derived quantity whose
-    entries may be pure rounding noise.
-    """
+def range_contained(x, y) -> bool:
+    """True iff R(x) is contained in R(y), decided as rank([y | x]) = rank(y)."""
     x, y = _operands(x, y, 0, "range_contained")
-    return _stacked_rank_equal(np.concatenate([y, x], axis=1), scale, _Factored(y))
+    return _stacked_rank_equal(np.concatenate([y, x], axis=1), None, _Factored(y))
 
 
-def nullspace_contained(y, x, scale: float | None = None) -> bool:
-    """True iff N(y) is contained in N(x), decided as rank(rows(y, x)) = rank(y).
-
-    `scale` anchors the rank cutoff as in `range_contained`.
-    """
+def nullspace_contained(y, x) -> bool:
+    """True iff N(y) is contained in N(x), decided as rank(rows(y, x)) = rank(y)."""
     y, x = _operands(y, x, 1, "nullspace_contained")
-    return _stacked_rank_equal(np.concatenate([y, x]), scale, _Factored(y))
+    return _stacked_rank_equal(np.concatenate([y, x]), None, _Factored(y))
 
 
-def range_equal(x, y, scale: float | None = None) -> bool:
+def range_equal(x, y) -> bool:
     """True iff R(x) = R(y), decided as rank([y | x]) = rank(y) = rank(x).
 
     One SVD of the stack and one of each operand: 3 in all, 2 when
-    rank(y) already differs. `scale` anchors the rank cutoff as in
-    `range_contained`.
+    rank(y) already differs.
     """
     x, y = _operands(x, y, 0, "range_equal")
-    return _range_equal(_Factored(x), _Factored(y), scale)
+    return _range_equal(_Factored(x), _Factored(y), None)
 
 
-def nullspace_equal(x, y, scale: float | None = None) -> bool:
+def nullspace_equal(x, y) -> bool:
     """True iff N(x) = N(y), decided as rank(rows(y, x)) = rank(y) = rank(x),
     with the SVD count of `range_equal`."""
     x, y = _operands(x, y, 1, "nullspace_equal")
-    return _nullspace_equal(_Factored(x), _Factored(y), scale)
+    return _nullspace_equal(_Factored(x), _Factored(y), None)
 
 
 __all__ = [

@@ -466,8 +466,9 @@ def _reduction_residuals(p: WeightedPair, xs: list[np.ndarray],
     q = 0 is read as the Penrose equations of xs[0] against WAW, q =
     Ind(AW) as those of xs[Ind(AW)] against W A W pk (worst of four), and
     q >= k as the range stabilization R((AW)^q) = R((AW)^k) that lets
-    weighted_qbt clamp q at k: U U* for a basis U of R((AW)^q), q = k + 1,
-    k + 2, against pk. None compares weighted_qbt with another of its calls.
+    weighted_qbt clamp q at k: P_{(AW)^q} from the full-size power
+    (`_power_projector`), q = k + 1, k + 2, against pk. None compares
+    weighted_qbt with another of its calls.
     """
     a, w = p.a, p.w
     aw, wa = a @ w, w @ a
@@ -475,8 +476,7 @@ def _reduction_residuals(p: WeightedPair, xs: list[np.ndarray],
     x1 = xs[min(1, k)]
     f1, f2 = forms_q1
     s_aw = p.sigma_max_a * p.sigma_max_w
-    bases = {q: _Factored(matrix_power(aw, q)).range_basis(scale=s_aw ** q)
-             for q in (k + 1, k + 2)}
+    pqs = {q: _power_projector(aw, q, s_aw) for q in (k + 1, k + 2)}
     return {
         "q0": matrix.penrose_residuals(w @ a @ w, xs[0]),
         "q1": {"eq1": rel(x1 @ w @ a @ w @ x1, x1),
@@ -484,7 +484,7 @@ def _reduction_residuals(p: WeightedPair, xs: list[np.ndarray],
                "eq3": rel(aw @ x1, aw @ f2)},
         "ind-aw": {"vs_core_ep": max(
             matrix.penrose_residuals(w @ a @ w @ pk, xs[p.ind_aw]).values())},
-        "q-ge-k": {f"k+{q - k}": rel(u @ u.conj().T, pk) for q, u in bases.items()},
+        "q-ge-k": {f"k+{q - k}": rel(pq, pk) for q, pq in pqs.items()},
     }
 
 

@@ -10,7 +10,8 @@ rank((AW)^j), and its step q + 1, AW U_q = U_(q+1) S' V'*, gives the
 member: W A W P_{(AW)^q} = W U_(q+1) S' (U_q V')*, so the member is
 U_q V' (W U_(q+1) S')^+, and its rank, rank(W (AW)^(q+1)), is that of
 W U_(q+1) under the flat cutoff of W (`_member_read`). Every route to the
-member reads that one rank; q = 0 is the pseudoinverse of W A W.
+member, at every q, reads that one rank; at q = 0, step 1 is AW's thin
+SVD AW = U1 S1 V1*, and the member (W A W)^+ is V1 (W U1 S1)^+.
 """
 
 from __future__ import annotations
@@ -35,8 +36,7 @@ class WeightedPair:
     sequences hold rank((AW)^j) and rank((WA)^j) for j = 0 .. index + 1;
     sigma_max_a and sigma_max_w are the largest singular values of A and
     W: W's sets the cutoff of every member rank (`_member_read`), and
-    their product scales the q = 0 member's cutoff and the weighted
-    decomposition's checks.
+    their product scales the weighted decomposition's checks.
     The indices of AW and WA can differ by at most one; a larger spread
     indicates a rank misclassification and is rejected.
 
@@ -116,8 +116,7 @@ def _member_read(p: WeightedPair, q: int) -> tuple[int, tuple, _Factored]:
     R(W (AW)^(q+1)) = R(W U_(q+1)), whose rank is decided against
     `rank_cutoff(W.shape, sigma_max(W))`: U_(q+1) has orthonormal columns,
     so W's own noise floor is the product's. Every route to the member
-    reads its rank here but `weighted_qbt` at q = 0, a pseudoinverse under
-    its own cutoff."""
+    reads its rank here, at every q."""
     step = p._aw.read(min(q, p._aw.index))
     wu = _Factored(p.w @ step[0], thin=True)
     return rank_from_values(wu.s, p.w.shape, p.sigma_max_w), step, wu
@@ -126,17 +125,14 @@ def _member_read(p: WeightedPair, q: int) -> tuple[int, tuple, _Factored]:
 def weighted_qbt(p: WeightedPair, q: int) -> np.ndarray:
     """W-weighted q-BT inverse (W A W P_{(AW)^q})^+, shape m x n.
 
-    q is clamped at k. For q >= 1 the member is U_q V' (W U_(q+1) S')^+
-    (`_member_read`) at the member rank r: with W U_(q+1) = Uz Sz Vz* kept
-    at r values and H = Vz_r* S', it is U_q V' H^+ Sz_r^-1 Uz_r*. When the
-    member keeps every column, r = rank((AW)^(q+1)), H is square and
-    invertible and H^-1 = S'^-1 Vz takes no SVD; otherwise H^+ is pinned
-    at rank r.
+    q is clamped at k. The member is U_q V' (W U_(q+1) S')^+
+    (`_member_read`; at q = 0, V1 (W U1 S1)^+ = (W A W)^+) at the member
+    rank r: with W U_(q+1) = Uz Sz Vz* kept at r values and H = Vz_r* S',
+    it is U_q V' H^+ Sz_r^-1 Uz_r*. When the member keeps every column,
+    r = rank((AW)^(q+1)), H is square and invertible and H^-1 = S'^-1 Vz
+    takes no SVD; otherwise H^+ is pinned at rank r.
     """
     q = min(check_q(q), p.k)
-    if q == 0:
-        sa, sw = p.sigma_max_a, p.sigma_max_w
-        return _Factored(p.w @ p.a @ p.w).pinv(scale=sw * sa * sw)
     r, (_, s, x), wu = _member_read(p, q)
     if r == 0:
         return np.zeros(p.shape, dtype=np.complex128)

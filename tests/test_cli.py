@@ -344,6 +344,19 @@ class TestErrorPaths:
         assert line in proc.stdout.splitlines()
         assert proc.stderr == ""
 
+    @pytest.mark.parametrize("argv", [["core-ep", "--verify"], ["qbt", "--q", "30", "--verify"]],
+                             ids=["core-ep", "qbt"])
+    def test_verify_on_a_large_chain_exits_0(self, tmp_path, capsys, argv):
+        # the check's projector onto R(A^24) cuts (A / 1e14)^24 against 1,
+        # where a cut against (1e14)^24 overflowed
+        rows = np.diag(np.full(23, 1e14), 1)
+        a = write_csv(tmp_path / "j.csv", [["%g" % v for v in row] for row in rows])
+        code, out, err = run_main(capsys, *argv, a)
+        assert code == 0
+        residuals = [line for line in out.splitlines() if line.startswith("residual ")]
+        assert residuals == [f"residual {name} = 0.000000e+00" for name in PENROSE]
+        assert err == ""
+
     def test_weighted_large_scale_exits_0(self, tmp_path):
         # the pair builds with Ind(WA) = 1, where sigma_max(WA)^3 = 1e450
         a = write_csv(tmp_path / "a.csv", [["1e150", 0], [0, 0]])

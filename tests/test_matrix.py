@@ -5,7 +5,8 @@ from geninv.classical import outer_inverse_check
 from geninv.decomposition import weighted_core_ep_decompose
 from geninv.errors import DecompositionError, DomainError, ShapeError
 from geninv.matrix import (DEFAULT_TOL, Tolerances, as_matrix, conjugate_transpose,
-                           frobenius, nilpotency, rank, rank_cutoff, resolve_tol, sigma_max)
+                           frobenius, nilpotency, rank, rank_cutoff, rank_from_values,
+                           resolve_tol, sigma_max, singular_values)
 from geninv.corpus import random_planted_pair
 from geninv.projectors import pinv
 from geninv.weighted import WeightedPair, cline_shift_check
@@ -104,7 +105,7 @@ class TestRank:
         # against an external anchor
         a = 1e-17 * np.eye(2)
         assert rank(a) == 2
-        assert rank(a, scale=1.0) == 0
+        assert rank_from_values(singular_values(a), a.shape, 1.0) == 0
 
 
 class TestNorms:

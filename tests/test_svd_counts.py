@@ -253,22 +253,22 @@ def test_pair_routines_factor_only_the_operands_at_full_size(svds, k):
                for shape, _ in svds)
     assert sum(max(shape) > r for shape, _ in svds) <= 6
     # the pair keeps the staircase of AW its index search built: the SVD of
-    # AW taken there serves every q, and each member factors W U_(q'+1),
-    # n x rank((AW)^(q'+1)) with q' = min(q, Ind(AW)), and H = Vz_r* S',
-    # r x rank((AW)^(q'+1)) at the member rank r when r is short of
-    # rank((AW)^(q'+1)) (a square H is inverted with no SVD), and no other
-    # matrix but M_1 when step 2, which the pair no longer holds, is formed
-    # again
+    # AW taken there serves every q, q = 0 included (step 1 is that SVD),
+    # and each member factors W U_(q'+1), n x rank((AW)^(q'+1)) with
+    # q' = min(q, Ind(AW)), and H = Vz_r* S', r x rank((AW)^(q'+1)) at the
+    # member rank r when r is short of rank((AW)^(q'+1)) (a square H is
+    # inverted with no SVD), and no other matrix but M_1 when step 2, which
+    # the pair no longer holds, is formed again for q = 1
     svds.clear()
-    for q in range(1, p.k + 2):
+    for q in range(p.k + 2):
         weighted_qbt(p, q)
     shapes = [shape for shape, _ in svds]
     seq, ind = p.rank_sequence_aw, p.ind_aw
-    members = [shape for q in range(1, p.k + 2)
-               for c, r in [(seq[min(q, ind) + 1], _member_read(p, q)[0])]
-               for shape in [(n, c)] + ([(r, c)] if r < c else [])]
+    members = [[shape for c, r in [(seq[min(q, ind) + 1], _member_read(p, q)[0])]
+                for shape in [(n, c)] + ([(r, c)] if r < c else [])]
+               for q in range(p.k + 2)]
     formed = [(seq[1], seq[1])] if ind > 2 else []
-    assert shapes == formed + members
+    assert shapes == members[0] + formed + sum(members[1:], [])
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
@@ -418,8 +418,10 @@ def test_weighted_core_ep_decompose_takes_two(svds, k):
 
 
 def test_example_checks_share_their_operands(svds):
+    # the 4x3 pair's q = 0 member keeps fewer columns than rank(AW), so
+    # its H = Vz_r* S1 takes an SVD
     run_example_checks()
-    assert len(svds) == 49
+    assert len(svds) == 50
 
 
 def test_corpus_checks_build_each_operand_once_per_member_and_exponent(svds):

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from geninv import classical, decomposition, projectors, verify
+from geninv import classical, decomposition, projectors, verify, weighted
 from geninv.errors import DecompositionError, DomainError, NumericError, ShapeError
 from geninv.corpus import PlantedPair, random_planted_pair
 from geninv.matrix import DEFAULT_TOL, Tolerances, frobenius
@@ -251,14 +251,18 @@ class TestMeasurementsSeeFaults:
 
     @pytest.fixture
     def cutoff_drops_one(self, monkeypatch):
-        """Every cutoff-decided pseudoinverse keeps one singular value too few."""
+        """Every cutoff-decided pseudoinverse, and every weighted member,
+        keeps one singular value too few."""
         kept = projectors._kept
+        member_rank = weighted.rank_from_values
 
         def short(s, shape, scale, fixed_rank):
             r = kept(s, shape, scale, fixed_rank)
             return max(r - 1, 0) if fixed_rank is None else r
 
         monkeypatch.setattr(projectors, "_kept", short)
+        monkeypatch.setattr(weighted, "rank_from_values",
+                            lambda *args: max(member_rank(*args) - 1, 0))
 
     @pytest.fixture
     def bt_for_every_q(self, monkeypatch):
