@@ -7,10 +7,13 @@ A = U [[A1, A2], [0, A3]] V*, W = V [[W1, W2], [0, W3]] U* with A1, W1
 nonsingular and A3W3, W3A3 nilpotent. On top of them: a block formula
 for the Moore-Penrose inverse of a 2x2 upper triangular matrix with
 nonsingular leading block, and canonical block forms of the q-BT and
-W-weighted q-BT inverses, all built by one function, `_canonical`, at
-ranks read off the parent's rank sequence and without the direct route's
-member read (`projectors._Staircase.member`), so each is an independent
-check of it. Both decompositions take their frame [U_k | complement]
+W-weighted q-BT inverses, all built by one route at every q: `_canonical`
+forms compact factors in a basis of the trailing block's power's range,
+at ranks read off the parent's rank sequence and without the direct
+route's member read (`projectors._Staircase.member`), so each is an
+independent check of it, and `_form` multiplies them into the frames'
+leading columns and E. A decomposition keeps its forms' factors at the index
+(`_memoized`). Both decompositions take their frame [U_k | complement]
 from a staircase step (`_Staircase.frame`). Each decomposition reports
 the residuals `geninv decompose` prints and the runner reads.
 """
@@ -87,11 +90,10 @@ class CoreEPDecomposition:
         return self.u @ self.middle() @ self.u.conj().T
 
     @cached_property
-    def _t_inverse(self) -> np.ndarray:
-        """T^-1, the whole of `canonical_qbt` at q >= Ind(A)
-        (`_core_inverse`). Kept on the decomposition once formed; not a
-        field."""
-        return _core_inverse(self.t, self.u.shape[0])
+    def _factors(self) -> dict:
+        """The compact factors of `canonical_qbt` at the index (`_memoized`);
+        not a field."""
+        return {}
 
     def residuals(self, a) -> dict[str, float]:
         """Reconstruction of A, unitarity of U and nilpotency of N."""
@@ -164,19 +166,10 @@ class WeightedCoreEPDecomposition:
         return w1 @ a1 @ w1, _frozen(coupling), w3 @ a3 @ w3, a3 @ w3
 
     @cached_property
-    def _qbt_inverse(self) -> np.ndarray:
-        """C^-1 for C = W1 A1 W1, the core term of `canonical_weighted_qbt`
-        where (A3 W3)^q has rank 0 (`_core_inverse`). Kept beside
-        `_qbt_blocks`; not a field."""
-        return _core_inverse(self._qbt_blocks[0], self.u.shape[0])
-
-    @cached_property
-    def _product_inverses(self) -> tuple[np.ndarray, np.ndarray]:
-        """(A1 W1)^-1 and (W1 A1)^-1, the core terms of
-        `canonical_qbt_products` where a product's trailing power has rank 0
-        (`_core_inverse`). Kept once formed; not a field."""
-        return (_core_inverse(self.a1 @ self.w1, self.u.shape[0]),
-                _core_inverse(self.w1 @ self.a1, self.v.shape[0]))
+    def _factors(self) -> dict:
+        """The compact factors of `canonical_weighted_qbt` and
+        `canonical_qbt_products` at the index (`_memoized`); not a field."""
+        return {}
 
     def residuals(self, a, w) -> dict[str, float]:
         """Reconstructions of A and W, unitarity of U and V, nilpotency of
@@ -284,7 +277,8 @@ def block_pinv(u, v, a1, a2, a3, scale: float | None = None,
 
     Uses the closed form with Omega = [A1 A1* + A2 (I - Q_{A3}) A2*]^{-1};
     returns V [[A1* O, -A1* O A2 A3^+], [(I-Q) A2* O, A3^+ - (I-Q) A2* O A2 A3^+]] U*,
-    the canonical form of q = 0 (`_canonical`): X3 = A3^+, G = I - Q_{A3}.
+    the canonical form of q = 0 (`_canonical`, E = I): X3 = A3^+,
+    G = I - Q_{A3}.
 
     `a3_rank` pins the rank used for A3^+.  When the blocks come from a
     decomposition of a full matrix B, pass rank(B) - t: the trailing
@@ -309,8 +303,7 @@ def block_pinv(u, v, a1, a2, a3, scale: float | None = None,
     s1 = scale if scale is not None else max(a1f.sigma_max, a2f.sigma_max, a3f.sigma_max)
     if a1f.rank(scale=s1) != t:
         raise DomainError("leading block is singular; the block formula requires A1 nonsingular")
-    middle, _ = _canonical(a1, a2, a3, 0, scale=s1, fixed_rank=a3_rank)
-    return v @ middle @ u.conj().T
+    return _form(v, u, _canonical(a1, a2, a3, 0, scale=s1, fixed_rank=a3_rank))
 
 
 @dataclass(frozen=True)
@@ -326,76 +319,84 @@ class CanonicalParts:
     omega: np.ndarray
 
 
-def _k_pinv(kh: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """K^+ for K* = kh of full column rank: one Householder QR K* = Q R
-    gives K^+ = Q R^{-*}, taken as (R^{-1} Q*)* with one
-    `numpy.linalg.solve` on R; its error grows like cond(K), where
-    inverting K K* would square it. A diagonal entry of R at or under the
-    rank cutoff of `shape`, the shape of the canonical form's K*, against
-    the largest bounds sigma_min(K) under that cutoff and raises."""
+def _k_pinv(core: np.ndarray, coupling: np.ndarray, gap: np.ndarray, rows: int) -> np.ndarray:
+    """K^+ in compact form, for the compact K* = [C*; Z (M E)*], `coupling`
+    = M E and `gap` = Z. One Householder QR K* = Q R gives K^+ = Q R^{-*},
+    taken as (R^{-1} Q*)* with one `numpy.linalg.solve` on R; its error
+    grows like cond(K), where inverting K K* would square it. K has full
+    row rank whenever C is nonsingular: a diagonal entry of R at or under
+    the rank cutoff of the full form's K*, `rows` x t, against the largest
+    bounds sigma_min(K) under that cutoff and raises."""
+    kh = np.concatenate([core.conj().T, gap @ coupling.conj().T])
     q, r = np.linalg.qr(kh)
     diag = np.abs(np.diagonal(r))
-    if diag.size and diag.min() <= rank_cutoff(shape, diag.max()):
+    if diag.size and diag.min() <= rank_cutoff((rows, core.shape[0]), diag.max()):
         raise NumericError("[C, M G] is numerically rank deficient; the canonical "
                            "block formula requires C nonsingular")
     return np.linalg.solve(r, q.conj().T).conj().T
 
 
-def _core_inverse(core: np.ndarray, rows: int) -> np.ndarray:
-    """C^-1 for the core term C of a canonical form whose frame has `rows`
-    rows. Where the trailing block's power has rank 0, P = 0, so X3 = 0,
-    G = 0 and K^+ = [C^-1; 0]: the form is U_t C^-1 V_t*. One t x t QR of
-    C* gives it, with the rank check `_canonical_blocks` makes on
-    K* = [C*; 0], whose R is that of C*."""
-    return _k_pinv(core.conj().T, (rows, core.shape[0]))
-
-
-def _canonical_blocks(core, coupling, x3, gap):
-    """[[C* O, -C* O M X3], [G M* O, X3 - G M* O M X3]] with
-    O = [C C* + M G M*]^{-1}, and K^+ for K = [C, M G].
-
-    G, an orthogonal projector (G = G* = G^2), makes C C* + M G M* = K K*,
-    so C* O and G M* O are the two row blocks of K^+ = K* (K K*)^{-1}, read
-    off one QR of K* (`_k_pinv`). K has full row rank whenever C is
-    nonsingular."""
-    kh = np.concatenate([core.conj().T, gap @ coupling.conj().T])
-    k_pinv = _k_pinv(kh, kh.shape)
-    t = core.shape[0]
-    mx = coupling @ x3
-    b11, b21 = k_pinv[:t], k_pinv[t:]
-    return _assemble(b11, -b11 @ mx, b21, x3 - b21 @ mx), k_pinv
-
-
 def _canonical(core, coupling, b3, q: int, rank_q: int | None = None, base=None,
                scale: float | None = None, fixed_rank: int | None = None):
-    """`_canonical_blocks` for the trailing block B3: X3 = (B3 P)^+ and
-    G = P - X3 B3 P, P the orthogonal projector onto R(base^q), base = B3
-    unless given.
-
-    P is I at q = 0; otherwise it comes from one SVD of base^q at rank_q,
-    the exact rank the caller reads off the parent's rank sequence, and
-    with X3 it is 0 with no SVD when rank_q is 0. The extracted block's own
-    trailing singular values are rounding noise at the parent's scale, so
-    X3 keeps `fixed_rank` singular values where the parent's sequence gives
-    that rank, and otherwise cuts them against `scale`, the parent's.
-    P_{X3} = X3 B3 P keeps the rank X3 was built with and takes no SVD.
+    """The compact factors (E, Y^+, middle) of the canonical form
+    [[C* O, -C* O M X3], [G M* O, X3 - G M* O M X3]], O = (K K*)^-1 and
+    K = [C, M G], with X3 = (B3 P)^+ and G = P - X3 B3 P for the trailing
+    block B3 and P = E E*. E is an orthonormal basis of R(base^q), base =
+    B3 unless given: I at q = 0, empty with no SVD where rank_q (read off
+    the parent's rank sequence) is 0, and otherwise the leading rank_q left
+    singular vectors of the block's own power, never a staircase step.
+    With Y = B3 E, X3 = E Y^+ and G = E Z E* for Z = I - Y^+ Y, so
+    K^+ = diag(I, E) K_c^+ for the compact K_c* = [C*; Z (M E)*],
+    (t + rank_q) x t (`_k_pinv`), and Omega = (K_c^+)* K_c^+. The middle
+    is [[K1, -K1 M E], [K2, I - K2 M E]] (`_form`), K_c^+ its first t
+    columns. The block's trailing singular values are rounding noise at
+    the parent's scale, so Y^+ keeps `fixed_rank` of them where the
+    parent's sequence gives that rank, and otherwise cuts them against
+    `scale`, the parent's.
     """
+    cols = b3.shape[1]
     if q == 0:
-        p = np.eye(b3.shape[1], dtype=np.complex128)
+        e = np.eye(cols, dtype=np.complex128)
+    elif rank_q == 0:
+        e = np.zeros((cols, 0), dtype=np.complex128)
     else:
-        p = _Factored(matrix_power(b3 if base is None else base, q)).proj_range(
-            fixed_rank=rank_q)
-    m = b3 @ p
-    x3 = _Factored(m).pinv(scale, 0 if rank_q == 0 else fixed_rank)
-    return _canonical_blocks(core, coupling, x3, p - x3 @ m)
+        e = _Factored(matrix_power(b3 if base is None else base, q)).usv[0][:, :rank_q]
+    y = b3 @ e
+    y_pinv = _Factored(y).pinv(scale, fixed_rank if e.shape[1] else 0)
+    me = coupling @ e
+    k_pinv = _k_pinv(core, me, np.eye(e.shape[1]) - y_pinv @ y, core.shape[0] + cols)
+    t, r = k_pinv.shape[1], e.shape[1]
+    return e, y_pinv, np.concatenate([k_pinv, np.eye(t + r, r, -t) - k_pinv @ me], axis=1)
 
 
-def _thin_form(u: np.ndarray, c_inv: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """U_t C^-1 V_t*, t the side of C^-1: a canonical form whose middle
-    has C^-1 as its only nonzero block, formed in the frames' leading
-    columns with no product of a full frame."""
-    t = c_inv.shape[0]
-    return u[:, :t] @ c_inv @ v[:, :t].conj().T
+def _form(left: np.ndarray, right: np.ndarray, factors) -> np.ndarray:
+    """The canonical form from `_canonical`'s factors, in the frames' leading
+    t columns L_t, R_t and the others L_c, R_c:
+
+        [L_t, L_c E] [[K1, -K1 M E], [K2, I - K2 M E]] [R_t*; Y^+ R_c*]
+        = (L_t K1 + L_c E K2)(R_t* - M E Y^+ R_c*) + (L_c E)(Y^+ R_c*),
+
+    K1 the first t rows of the compact K^+ and K2 the rest. The factors
+    are t + rank_q wide, the whole frame only at q = 0 (E = I); where E
+    is empty the form is L_t C^-1 R_t*."""
+    e, y_pinv, middle = factors
+    t = middle.shape[0] - e.shape[1]
+    lm = np.concatenate([left[:, :t], left[:, t:] @ e], axis=1) @ middle
+    return lm @ np.concatenate([right[:, :t].conj().T, y_pinv @ right[:, t:].conj().T])
+
+
+def _memoized(d, form: str, rank_q: int, build):
+    """`build()`, the compact factors of one canonical form at trailing rank
+    rank_q. Those at rank 0, which every q at or past the index shares and
+    whose middle is C^-1, t x t, are kept on the decomposition d under the
+    form's name once built; below the index each q has factors of its own,
+    up to n x n at q = 0, built anew. Threads that miss at once each build
+    the same factors, and the first one stored is the one returned."""
+    if rank_q:
+        return build()
+    memo = d._factors
+    found = memo.get(form)
+    return found if found is not None else memo.setdefault(form, build())
 
 
 def canonical_qbt(d: CoreEPDecomposition, q: int) -> np.ndarray:
@@ -405,15 +406,15 @@ def canonical_qbt(d: CoreEPDecomposition, q: int) -> np.ndarray:
     pseudoinverse call on the full matrix, and this one factors only the
     nilpotent block, with the ranks of N^q and N^(q+1) read off the
     parent's sequence. q is clamped at the index, as in `qbt_inverse`; at
-    the index N^q = 0 and the form is U_r T^-1 U_r* (`_core_inverse`).
+    the index N^q = 0 and the form is U_r T^-1 U_r*. The compact factors
+    at the index are kept on the decomposition (`_memoized`).
     """
     q = min(check_q(q), d.index)
     r = d.rank
     rank_q = d.power_rank(q) - r
-    if rank_q == 0:
-        return _thin_form(d.u, d._t_inverse, d.u)
-    middle, _ = _canonical(d.t, d.s, d.nil, q, rank_q, fixed_rank=d.power_rank(q + 1) - r)
-    return d.u @ middle @ d.u.conj().T
+    factors = _memoized(d, "qbt", rank_q, lambda: _canonical(
+        d.t, d.s, d.nil, q, rank_q, fixed_rank=d.power_rank(q + 1) - r))
+    return _form(d.u, d.u, factors)
 
 
 def canonical_weighted_qbt(d: WeightedCoreEPDecomposition,
@@ -424,24 +425,21 @@ def canonical_weighted_qbt(d: WeightedCoreEPDecomposition,
     inner inverse X3 = (W3 A3 W3 P_{(A3W3)^q})^+, the W3-weighted q-BT
     inverse of A3, its rank cut against sigma_max(W) sigma_max(A)
     sigma_max(W). C, M, W3 A3 W3 and A3 W3 are formed once per
-    decomposition (`_qbt_blocks`). Returns the assembled matrix together
+    decomposition (`_qbt_blocks`), and the compact factors at the index
+    once (`_memoized`). Returns the assembled matrix together
     with (M, Omega_W). q is clamped at max(Ind(AW), Ind(WA)), as in
     `weighted_qbt`. At q >= Ind(AW), (A3 W3)^q = 0 and the form is
-    U_t C^-1 V_t* with Omega_W = C^-* C^-1, C^-1 kept with the blocks
-    (`_core_inverse`).
+    U_t C^-1 V_t* with Omega_W = C^-* C^-1.
     """
     q = min(check_q(q), max(d.ind_aw, d.ind_wa))
     core, coupling, nil, base = d._qbt_blocks
     rank_q = d.power_rank_aw(q) - d.t_dim
-    if rank_q == 0:
-        k_pinv = d._qbt_inverse
-        x = _thin_form(d.u, k_pinv, d.v)
-    else:
-        middle, k_pinv = _canonical(core, coupling, nil, q, rank_q, base=base,
-                                    scale=d.sigma_max_w * d.sigma_max_a * d.sigma_max_w)
-        x = d.u @ middle @ d.v.conj().T
+    factors = _memoized(d, "weighted", rank_q, lambda: _canonical(
+        core, coupling, nil, q, rank_q, base=base,
+        scale=d.sigma_max_w * d.sigma_max_a * d.sigma_max_w))
+    k_pinv = factors[2][:, :d.t_dim]  # the middle's first t columns
     omega = k_pinv.conj().T @ k_pinv
-    return x, CanonicalParts(m_block=coupling, omega=_frozen(omega))
+    return _form(d.u, d.v, factors), CanonicalParts(m_block=coupling, omega=_frozen(omega))
 
 
 def canonical_qbt_products(d: WeightedCoreEPDecomposition,
@@ -452,20 +450,20 @@ def canonical_qbt_products(d: WeightedCoreEPDecomposition,
     nilpotent part A3W3; WA by V with core W1A1, coupling W1A2 + W2A3 and
     nilpotent part W3A3. q is clamped at max(Ind(AW), Ind(WA)). A product
     whose nilpotent part's q-th power has rank 0 (q >= its index) gets
-    U_t (A1W1)^-1 U_t* or V_t (W1A1)^-1 V_t* (`_core_inverse`).
+    U_t (A1W1)^-1 U_t* or V_t (W1A1)^-1 V_t*, its compact factors kept on
+    the decomposition (`_memoized`).
     """
     q = min(check_q(q), max(d.ind_aw, d.ind_wa))
     t = d.t_dim
-    out = []
-    for side, (frame, core, coupling, nil, rank) in enumerate((
-            (d.u, d.a1 @ d.w1, d.a1 @ d.w2 + d.a2 @ d.w3, d.a3 @ d.w3, d.power_rank_aw),
-            (d.v, d.w1 @ d.a1, d.w1 @ d.a2 + d.w2 @ d.a3, d.w3 @ d.a3, d.power_rank_wa))):
-        if rank(q) == t:
-            out.append(_thin_form(frame, d._product_inverses[side], frame))
-            continue
-        middle, _ = _canonical(core, coupling, nil, q, rank(q) - t, fixed_rank=rank(q + 1) - t)
-        out.append(frame @ middle @ frame.conj().T)
-    return out[0], out[1]
+    a1, a2, a3, w1, w2, w3 = d.a1, d.a2, d.a3, d.w1, d.w2, d.w3
+
+    def form(side, frame, rank, blocks):
+        factors = _memoized(d, side, rank(q) - t, lambda: _canonical(
+            *blocks(), q, rank(q) - t, fixed_rank=rank(q + 1) - t))
+        return _form(frame, frame, factors)
+
+    return (form("aw", d.u, d.power_rank_aw, lambda: (a1 @ w1, a1 @ w2 + a2 @ w3, a3 @ w3)),
+            form("wa", d.v, d.power_rank_wa, lambda: (w1 @ a1, w1 @ a2 + w2 @ a3, w3 @ a3)))
 
 
 __all__ = [

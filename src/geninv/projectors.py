@@ -67,10 +67,10 @@ class _Factored:
 
     `scale` anchors the cutoff to a parent matrix's largest singular value
     when the matrix is a derived quantity (power, extracted block).
-    `fixed_rank` bypasses the cutoff and keeps exactly that many singular
-    values; callers use it when the rank is known from structure and the
-    trailing singular values are pure rounding noise. A rank pinned at 0
-    keeps nothing and takes no SVD.
+    `pinv`'s `fixed_rank` bypasses the cutoff and keeps exactly that many
+    singular values; callers use it when the rank is known from structure
+    and the trailing singular values are pure rounding noise. A rank pinned
+    at 0 keeps nothing and takes no SVD.
     """
 
     def __init__(self, a: np.ndarray, thin: bool = False):
@@ -113,12 +113,11 @@ class _Factored:
         r = self._keep(None, None)
         return self.usv[0][:, :r] if r else np.zeros((self.a.shape[0], 0), dtype=np.complex128)
 
-    def proj_range(self, scale: float | None = None, fixed_rank: int | None = None) -> np.ndarray:
-        return self.a @ self.pinv(scale, fixed_rank)
+    def proj_range(self, scale: float | None = None) -> np.ndarray:
+        return self.a @ self.pinv(scale)
 
-    def proj_corange(self, scale: float | None = None,
-                     fixed_rank: int | None = None) -> np.ndarray:
-        return self.pinv(scale, fixed_rank) @ self.a
+    def proj_corange(self, scale: float | None = None) -> np.ndarray:
+        return self.pinv(scale) @ self.a
 
     def staircase(self) -> "_Staircase":
         """A new staircase of this square matrix, on its thin SVD."""

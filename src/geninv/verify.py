@@ -778,7 +778,8 @@ def _corpus_member_checks(p: WeightedPair, integer: bool, planted_k: int,
 
         # the canonical form's Omega inverts C C* + M Z M* with the paper's
         # Z = P (I - Q) P, P onto R((A3W3)^q), Q onto R((W3A3W3 P)*)
-        p3 = _Factored(matrix_power(d.a3 @ d.w3, q)).proj_range(fixed_rank=d.power_rank_aw(q) - t)
+        f3 = _Factored(matrix_power(d.a3 @ d.w3, q))
+        p3 = f3.a @ f3.pinv(fixed_rank=d.power_rank_aw(q) - t)
         q3 = _Factored(d.w3 @ d.a3 @ d.w3 @ p3).proj_corange(scale=sw * sa * sw)
         z = p3 @ (np.eye(m - t) - q3) @ p3
         c, mb = d.w1 @ d.a1 @ d.w1, parts.m_block

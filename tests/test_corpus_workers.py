@@ -115,17 +115,17 @@ def test_run_all_does_not_depend_on_the_worker_count(pools, monkeypatch, seed):
 def test_workers_see_a_fault_in_the_canonical_blocks(pools, monkeypatch, cpus):
     # as tests/test_verify.py's z-identity test: the workers are forked
     # after the fault is patched in, so they run it too
-    canonical_blocks = decomposition._canonical_blocks
+    k_pinv = decomposition._k_pinv
     rng = np.random.default_rng(0)
 
-    def perturbed(core, coupling, x3, gap):
+    def perturbed(core, coupling, gap, rows):
         e = rng.standard_normal(gap.shape) + 1j * rng.standard_normal(gap.shape)
         e = e + e.conj().T
         if frobenius(e):
             gap = gap + 1e-6 * frobenius(gap) / frobenius(e) * e
-        return canonical_blocks(core, coupling, x3, gap)
+        return k_pinv(core, coupling, gap, rows)
 
-    monkeypatch.setattr(decomposition, "_canonical_blocks", perturbed)
+    monkeypatch.setattr(decomposition, "_k_pinv", perturbed)
     on_cpus(monkeypatch, cpus)
     [check] = [r for r in run_random_corpus(seed=1, count=30).results
                if r.check_id == "corpus.decomposition.z-identity"]

@@ -4,7 +4,7 @@ import pytest
 from geninv import weighted
 from geninv.classical import qbt_inverse
 from geninv.corpus import random_pairs, random_square
-from geninv.decomposition import (_canonical_blocks, block_pinv, canonical_qbt,
+from geninv.decomposition import (_k_pinv, block_pinv, canonical_qbt,
                                   canonical_qbt_products, canonical_weighted_qbt,
                                   core_ep_decompose, weighted_core_ep_decompose)
 from geninv.errors import DomainError, NumericError
@@ -141,11 +141,12 @@ class TestCanonicalForms:
                 assert rel((d.u.conj().T @ got @ d.v)[:t, :t], c.conj().T @ parts.omega) < 1e-8
 
     def test_rank_deficient_coupling_is_a_numeric_error(self):
-        # K = [C, M G] with a singular C and M G = 0 has rank 1 < 2
+        # the compact K* = [C*; Z (M E)*] with a singular C and M E = 0 has
+        # rank 1 < 2
         core = np.diag([1.0, 0.0]).astype(np.complex128)
         zero = np.zeros((2, 1), dtype=np.complex128)
         with pytest.raises(NumericError):
-            _canonical_blocks(core, zero, zero.T, np.eye(1, dtype=np.complex128))
+            _k_pinv(core, zero, np.eye(1, dtype=np.complex128), 3)
 
     def test_product_canonicals_match_square_qbt(self, pairs):
         for p in pairs[:5]:

@@ -4,7 +4,8 @@ searched staircase instead of taking them again, and returns what a call
 on an empty memo returns, bit for bit. A hit needs the same shape and
 bytes, and the factors are read-only. The staircase is shared by every
 call on the operand, in any thread, and changes in place under its
-lock."""
+lock. A decomposition keeps its canonical forms' factors at the index,
+which threads sharing it read and fill as one does."""
 
 import dataclasses
 import gc
@@ -19,7 +20,8 @@ from conftest import cold
 from geninv import projectors
 from geninv.classical import bt_inverse, core_ep, core_inverse, drazin, group_inverse, qbt_inverse
 from geninv.corpus import random_pairs, random_planted_pair, random_square
-from geninv.decomposition import core_ep_decompose, weighted_core_ep_decompose
+from geninv.decomposition import (canonical_qbt, canonical_qbt_products, canonical_weighted_qbt,
+                                  core_ep_decompose, weighted_core_ep_decompose)
 from geninv.matrix import rank
 from geninv.projectors import matrix_index, pinv, proj_corange, proj_range, range_basis
 from geninv.weighted import WeightedPair, weighted_drazin, weighted_qbt
@@ -291,4 +293,29 @@ def test_threads_sharing_a_pair_match_the_serial_results():
 
     for out in in_threads(work):
         assert len(out) == 2 * len(cases)
+        assert all(got == serial[name] for name, got in out)
+
+
+def test_threads_sharing_a_decomposition_match_the_serial_results():
+    # the threads share one weighted and one square decomposition, whose
+    # memos start empty: each form's factors at the index are built by
+    # whichever thread comes first and read by the others
+    planted = random_planted_pair(np.random.default_rng(3), 3, max_dim=8)
+    pair = WeightedPair.from_matrices(planted.a, planted.w)
+    shared = (weighted_core_ep_decompose(pair), core_ep_decompose(pair.a @ pair.w))
+    calls = {}
+    for q in range(pair.k + 2):
+        calls[f"canonical_weighted_qbt_{q}"] = lambda w, s, q=q: canonical_weighted_qbt(w, q)
+        calls[f"canonical_qbt_products_{q}"] = lambda w, s, q=q: canonical_qbt_products(w, q)
+        calls[f"canonical_qbt_{q}"] = lambda w, s, q=q: canonical_qbt(s, q)
+    serial = {name: bits(call(*map(dataclasses.replace, shared))) for name, call in calls.items()}
+    names = list(calls)
+
+    def work(out, start):
+        for i in range(2 * len(names)):
+            name = names[(start * 5 + i) % len(names)]
+            out.append((name, bits(calls[name](*shared))))
+
+    for out in in_threads(work, threads=8):
+        assert len(out) == 2 * len(names)
         assert all(got == serial[name] for name, got in out)

@@ -24,14 +24,11 @@ CUTOFF_INPUTS = [{"scale": 1e15}]
 
 
 def assert_fixed_rank_ignores_cutoff_inputs(a, r):
-    """With fixed_rank set, the pseudoinverse and both projectors of a
-    held factorization return the same bytes whatever scale they are
-    given."""
-    for name in ("pinv", "proj_range", "proj_corange"):
-        plain = getattr(_Factored(a), name)(fixed_rank=r).tobytes()
-        for extra in CUTOFF_INPUTS:
-            got = getattr(_Factored(a), name)(fixed_rank=r, **extra).tobytes()
-            assert got == plain, (name, extra)
+    """With fixed_rank set, the pseudoinverse of a held factorization
+    returns the same bytes whatever scale it is given."""
+    plain = _Factored(a).pinv(fixed_rank=r).tobytes()
+    for extra in CUTOFF_INPUTS:
+        assert _Factored(a).pinv(fixed_rank=r, **extra).tobytes() == plain, extra
 
 
 def anchored_contained(big, other, scale, axis):

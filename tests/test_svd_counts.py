@@ -117,9 +117,9 @@ def test_canonical_qbt_factors_only_blocks_of_nonzero_rank(svds, squares, k):
     for q in range(k + 2):
         svds.clear()
         canonical_qbt(d, q)
-        # P_{N^q} for 0 < q (P = I at q = 0, taken as is) and (N P)^+, each
-        # only while its pinned rank, rank(N^q) or rank(N^{q+1}), is nonzero;
-        # P_{X3} = X3 (N P) takes none
+        # the basis E of R(N^q) for 0 < q (E = I at q = 0, taken as is) and
+        # Y^+ = (N E)^+, each only while its pinned rank, rank(N^q) or
+        # rank(N^{q+1}), is nonzero; Z = I - Y^+ Y takes none
         assert len(svds) == (0 < q < k) + (q + 1 < k), q
 
 
@@ -132,33 +132,41 @@ def test_canonical_weighted_qbt_takes_two_while_the_block_power_is_nonzero(svds,
         svds.clear()
         canonical_weighted_qbt(d, q)
         # q = 0: (W3 A3 W3)^+ alone. q >= Ind(AW): (A3 W3)^q has rank 0, so
-        # P = 0 and X3 = 0 with no SVD. Otherwise one SVD of (A3 W3)^q for
-        # P and one of W3 A3 W3 P for X3; P_{X3} = X3 W3 A3 W3 P takes none
+        # E is empty and Y^+ = 0 with no SVD. Otherwise one SVD of
+        # (A3 W3)^q for E and one of Y = W3 A3 W3 E for Y^+; Z = I - Y^+ Y
+        # takes none
         expected = 1 if q == 0 else 0 if q >= p.ind_aw else 2
         assert len(svds) == expected, q
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
-def test_canonical_forms_at_the_index_take_one_small_qr_per_decomposition(qrs, squares, k):
+def test_canonical_forms_at_the_index_take_one_small_qr_per_decomposition(svds, qrs, squares, k):
     # where the trailing block's power has rank 0 (q >= its index) a form is
     # U_t C^-1 V_t*: C^-1 from one t x t QR of C*, kept on the
-    # decomposition, and no n x t QR of [C*; 0]. Below the index each call
-    # takes the n x t QR of K* = [C*; G M*]
+    # decomposition. Below the index each q takes the QR of the compact
+    # K* = [C*; Z (M E)*], (t + rank_q) x t: n rows at q = 0 only, where E
+    # is I. No SVD has n rows
     d = core_ep_decompose(squares[k])
     n, r = squares[k].shape[0], d.rank
+    svds.clear()
     qrs.clear()
     for q in range(k + 3):
         canonical_qbt(d, q)
-    assert qrs == [(n, r)] * k + [(r, r)]
+    assert qrs == [(d.power_rank(q), r) for q in range(k)] + [(r, r)]
+    assert all(rows < n for rows, _ in qrs[1:])
+    assert all(shape[0] < n for shape, _ in svds)
     if k:
         planted = random_planted_pair(np.random.default_rng(k), k, max_dim=8)
         p = WeightedPair.from_matrices(planted.a, planted.w)
         d = weighted_core_ep_decompose(p)
         m, t = p.shape[0], d.t_dim
+        svds.clear()
         qrs.clear()
         for q in range(p.k + 3):
             canonical_weighted_qbt(d, q)
-        assert qrs == [(m, t)] * p.ind_aw + [(t, t)]
+        assert qrs == [(d.power_rank_aw(q), t) for q in range(p.ind_aw)] + [(t, t)]
+        assert all(rows < m for rows, _ in qrs[1:])
+        assert all(max(shape) < max(p.shape) for shape, _ in svds)
         qrs.clear()
         for q in range(p.k, p.k + 3):
             canonical_qbt_products(d, q)

@@ -1,8 +1,8 @@
-"""Members formed from their nonzero blocks: the canonical forms where the
-trailing block's power has rank 0 (U_t C^-1 V_t*), `weighted_qbt` with a
-square H, `core_inverse` in A's thin frame and `weighted_drazin` in WA's.
-Each is compared with the general route it replaces and with the exact
-path on integer inputs."""
+"""Members formed from their nonzero blocks: the canonical forms, one route
+for every q (U_t C^-1 V_t* where the trailing block's power has rank 0),
+`weighted_qbt` with a square H, `core_inverse` in A's thin frame and
+`weighted_drazin` in WA's. Each is compared with the exact path on integer
+inputs."""
 
 import dataclasses
 
@@ -10,10 +10,9 @@ import numpy as np
 import pytest
 
 from geninv.classical import core_inverse, group_inverse
-from geninv.corpus import random_planted_pair, random_square
-from geninv.decomposition import (_canonical, canonical_qbt, canonical_qbt_products,
-                                  canonical_weighted_qbt, core_ep_decompose,
-                                  weighted_core_ep_decompose)
+from geninv.corpus import random_integer_unimodular, random_planted_pair, random_square
+from geninv.decomposition import (canonical_qbt, canonical_qbt_products, canonical_weighted_qbt,
+                                  core_ep_decompose, weighted_core_ep_decompose)
 from geninv.errors import DomainError
 from geninv.exact import (exact_core, exact_group, exact_qbt, exact_weighted_drazin,
                           exact_weighted_qbt, float_of, rmatrix_from_complex)
@@ -33,32 +32,13 @@ def _exact(x):
     return rmatrix_from_complex(np.asarray(x, dtype=np.complex128))
 
 
-def _general_square(d, q):
-    """canonical_qbt by the general route, `_canonical` at every q."""
-    r = d.rank
-    middle, _ = _canonical(d.t, d.s, d.nil, q, d.power_rank(q) - r,
-                           fixed_rank=d.power_rank(q + 1) - r)
-    return d.u @ middle @ d.u.conj().T
-
-
-def _general_weighted(d, q):
-    """canonical_weighted_qbt's matrix and Omega by the general route."""
-    core, coupling, nil, base = d._qbt_blocks
-    middle, k_pinv = _canonical(core, coupling, nil, q, d.power_rank_aw(q) - d.t_dim, base=base,
-                                scale=d.sigma_max_w * d.sigma_max_a * d.sigma_max_w)
-    return d.u @ middle @ d.v.conj().T, k_pinv.conj().T @ k_pinv
-
-
-def _general_products(d, q):
-    t = d.t_dim
-    a1, a2, a3, w1, w2, w3 = d.a1, d.a2, d.a3, d.w1, d.w2, d.w3
-    out = []
-    for frame, blocks, rank in (
-            (d.u, (a1 @ w1, a1 @ w2 + a2 @ w3, a3 @ w3), d.power_rank_aw),
-            (d.v, (w1 @ a1, w1 @ a2 + w2 @ a3, w3 @ a3), d.power_rank_wa)):
-        middle, _ = _canonical(*blocks, q, rank(q) - t, fixed_rank=rank(q + 1) - t)
-        out.append(frame @ middle @ frame.conj().T)
-    return out
+def _integer_squares(k, seed):
+    """Integer squares: a unimodular one (index 0) at k = 0, otherwise AW
+    and WA of an integer planted pair with max(Ind(AW), Ind(WA)) = k."""
+    if k == 0:
+        return [random_integer_unimodular(np.random.default_rng([seed, 0]), 8)[0]]
+    p = _planted(k, integer=True, seed=seed)
+    return [p.a @ p.w, p.w @ p.a]
 
 
 def _trailing_nan(frame, t):
@@ -72,26 +52,35 @@ def _trailing_nan(frame, t):
 class TestCanonicalFormsAtTheIndex:
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
     def test_square_form_matches_the_general_route(self, k):
+        # the exact q-BT inverse at every q from 0 to the index + 1
         for seed in range(4):
-            d = core_ep_decompose(random_square(np.random.default_rng([seed, k]), 10, index=k))
-            for q in range(k, k + 2):
-                general = _general_square(d, min(q, d.index))
-                assert rel(canonical_qbt(d, q), general) < 1e-13, (seed, q)
+            for a in _integer_squares(k, seed):
+                d = core_ep_decompose(a)
+                for q in range(d.index + 2):
+                    want = float_of(exact_qbt(_exact(a), q))
+                    assert rel(canonical_qbt(d, q), want) < 1e-12, (seed, q)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_weighted_forms_match_the_general_route(self, k):
+        # the exact W-weighted q-BT inverse and the exact q-BT inverses of
+        # AW and WA at every q from 0 to k + 1; Omega through the leading
+        # block of U* X V, which is C* Omega
         for seed in range(4):
-            p = _planted(k, seed=seed)
+            p = _planted(k, integer=True, seed=seed)
+            ea, ew = _exact(p.a), _exact(p.w)
+            eaw, ewa = _exact(p.a @ p.w), _exact(p.w @ p.a)
             d = weighted_core_ep_decompose(p)
-            for q in range(p.ind_aw, p.k + 2):
+            t = d.t_dim
+            c = d.w1 @ d.a1 @ d.w1
+            for q in range(p.k + 2):
+                want = float_of(exact_weighted_qbt(ea, ew, q))
                 x, parts = canonical_weighted_qbt(d, q)
-                x0, omega0 = _general_weighted(d, min(q, p.k))
-                assert rel(x, x0) < 1e-13, (seed, q)
-                assert rel(parts.omega, omega0) < 1e-13, (seed, q)
-            for q in range(min(p.ind_aw, p.ind_wa), p.k + 2):
-                for got, want in zip(canonical_qbt_products(d, q),
-                                     _general_products(d, min(q, p.k))):
-                    assert rel(got, want) < 1e-13, (seed, q)
+                assert rel(x, want) < 1e-12, (seed, q)
+                lead = (d.u.conj().T @ want @ d.v)[:t, :t]
+                assert rel(c.conj().T @ parts.omega, lead) < 1e-12, (seed, q)
+                c_aw, c_wa = canonical_qbt_products(d, q)
+                assert rel(c_aw, float_of(exact_qbt(eaw, q))) < 1e-12, (seed, q)
+                assert rel(c_wa, float_of(exact_qbt(ewa, q))) < 1e-12, (seed, q)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_forms_match_the_exact_path_on_integer_pairs(self, k):
@@ -132,14 +121,29 @@ class TestCanonicalFormsAtTheIndex:
                 assert np.array_equal(got, want), q
 
     def test_the_core_inverse_is_kept_per_decomposition(self):
+        # one memo per decomposition keeps each form's factors at the index,
+        # which every q past it shares: its middle is C^-1, t x t. A form
+        # below the index is built anew and kept nowhere
         p = _planted(2)
         d = weighted_core_ep_decompose(p)
         first = canonical_weighted_qbt(d, p.k)[1].omega
-        assert "_qbt_inverse" in d.__dict__
+        assert list(d._factors) == ["weighted"]
         assert np.array_equal(canonical_weighted_qbt(d, p.k + 3)[1].omega, first)
+        assert d._factors["weighted"][2].shape == (d.t_dim, d.t_dim)
+        for q in range(p.ind_aw):
+            canonical_weighted_qbt(d, q)
+            canonical_qbt_products(d, q)
+        assert list(d._factors) == ["weighted"]
+        canonical_qbt_products(d, p.k + 1)
+        assert sorted(d._factors) == ["aw", "wa", "weighted"]
         sq = core_ep_decompose(random_square(np.random.default_rng(2), 8, index=2))
+        canonical_qbt(sq, 0)
+        assert not sq._factors
         canonical_qbt(sq, 2)
-        assert "_t_inverse" in sq.__dict__
+        canonical_qbt(sq, 3)
+        assert list(sq._factors) == ["qbt"]
+        # a copy of the decomposition starts with no factors
+        assert not dataclasses.replace(sq)._factors
 
 
 class TestWeightedQbtBranches:

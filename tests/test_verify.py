@@ -226,20 +226,21 @@ def test_system_checks_see_a_perturbed_inverse(pair4x3, monkeypatch):
 
 
 def test_z_identity_sees_a_perturbed_gram_factor(monkeypatch):
-    # z-identity reads the canonical form's own Omega: with the projector G
-    # it is built from moved by a 1e-6 relative Hermitian perturbation,
-    # Omega no longer inverts the Gram factor C C* + M Z M*
-    canonical_blocks = decomposition._canonical_blocks
+    # z-identity reads the canonical form's own Omega: with the compact
+    # projector Z = I - Y^+ Y it is built from moved by a 1e-6 relative
+    # Hermitian perturbation, Omega no longer inverts the Gram factor
+    # C C* + M Z M*
+    k_pinv = decomposition._k_pinv
     rng = np.random.default_rng(0)
 
-    def perturbed(core, coupling, x3, gap):
+    def perturbed(core, coupling, gap, rows):
         e = rng.standard_normal(gap.shape) + 1j * rng.standard_normal(gap.shape)
         e = e + e.conj().T
         if frobenius(e):
             gap = gap + 1e-6 * frobenius(gap) / frobenius(e) * e
-        return canonical_blocks(core, coupling, x3, gap)
+        return k_pinv(core, coupling, gap, rows)
 
-    monkeypatch.setattr(decomposition, "_canonical_blocks", perturbed)
+    monkeypatch.setattr(decomposition, "_k_pinv", perturbed)
     [check] = [r for r in run_random_corpus(seed=1, count=30).results
                if r.check_id == "corpus.decomposition.z-identity"]
     assert check.residuals["z"] >= 1e-8
