@@ -342,8 +342,9 @@ def _canonical(core, coupling, b3, q: int, rank_q: int | None = None, base=None,
     [[C* O, -C* O M X3], [G M* O, X3 - G M* O M X3]], O = (K K*)^-1 and
     K = [C, M G], with X3 = (B3 P)^+ and G = P - X3 B3 P for the trailing
     block B3 and P = E E*. E is an orthonormal basis of R(base^q), base =
-    B3 unless given: I at q = 0, empty with no SVD where rank_q (read off
-    the parent's rank sequence) is 0, and otherwise the leading rank_q left
+    B3 unless given: I at q = 0, carried as None so that no product
+    multiplies by it, empty with no SVD where rank_q (read off the
+    parent's rank sequence) is 0, and otherwise the leading rank_q left
     singular vectors of the block's own power, never a staircase step.
     With Y = B3 E, X3 = E Y^+ and G = E Z E* for Z = I - Y^+ Y, so
     K^+ = diag(I, E) K_c^+ for the compact K_c* = [C*; Z (M E)*],
@@ -356,16 +357,15 @@ def _canonical(core, coupling, b3, q: int, rank_q: int | None = None, base=None,
     """
     cols = b3.shape[1]
     if q == 0:
-        e = np.eye(cols, dtype=np.complex128)
+        e = None
     elif rank_q == 0:
         e = np.zeros((cols, 0), dtype=np.complex128)
     else:
         e = _Factored(matrix_power(b3 if base is None else base, q)).usv[0][:, :rank_q]
-    y = b3 @ e
-    y_pinv = _Factored(y).pinv(scale, fixed_rank if e.shape[1] else 0)
-    me = coupling @ e
-    k_pinv = _k_pinv(core, me, np.eye(e.shape[1]) - y_pinv @ y, core.shape[0] + cols)
-    t, r = k_pinv.shape[1], e.shape[1]
+    y, me, r = (b3, coupling, cols) if e is None else (b3 @ e, coupling @ e, e.shape[1])
+    y_pinv = _Factored(y).pinv(scale, fixed_rank if r else 0)
+    k_pinv = _k_pinv(core, me, np.eye(r) - y_pinv @ y, core.shape[0] + cols)
+    t = k_pinv.shape[1]
     return e, y_pinv, np.concatenate([k_pinv, np.eye(t + r, r, -t) - k_pinv @ me], axis=1)
 
 
@@ -377,11 +377,12 @@ def _form(left: np.ndarray, right: np.ndarray, factors) -> np.ndarray:
         = (L_t K1 + L_c E K2)(R_t* - M E Y^+ R_c*) + (L_c E)(Y^+ R_c*),
 
     K1 the first t rows of the compact K^+ and K2 the rest. The factors
-    are t + rank_q wide, the whole frame only at q = 0 (E = I); where E
-    is empty the form is L_t C^-1 R_t*."""
+    are t + rank_q wide, the whole frame only at q = 0, where E = I is
+    None and L_c E is L_c; where E is empty the form is L_t C^-1 R_t*."""
     e, y_pinv, middle = factors
-    t = middle.shape[0] - e.shape[1]
-    lm = np.concatenate([left[:, :t], left[:, t:] @ e], axis=1) @ middle
+    t = middle.shape[0] - y_pinv.shape[0]
+    lm = np.concatenate([left[:, :t], left[:, t:] if e is None else left[:, t:] @ e],
+                        axis=1) @ middle
     return lm @ np.concatenate([right[:, :t].conj().T, y_pinv @ right[:, t:].conj().T])
 
 

@@ -7,14 +7,15 @@ decides every rank(A^j) under one flat cutoff and gives a basis of each
 R(A^j), the q-BT members and the decomposition frames.
 
 Every public routine that reads its operand's thin SVD takes the operand
-through `_operand`, which keeps the thin SVD of the last operand it
-factored and its searched staircase: consecutive calls on one matrix (the
-q-BT family of one A, its index, its Drazin inverse, its decomposition)
-factor it once and decide each rank(A^j) once. A call hits only on an
-operand equal bit for bit to the kept one, and every step the staircase
-forms is formed the same way whichever call forms it, so a result never
-depends on which calls came before it. Values-only rank decisions
-(`matrix.rank`, `_stacked_rank_equal`) never read the memo."""
+through `_operand`, which keeps the last operand it factored with its
+searched staircase (its singular values and first rank(A) singular
+vectors; a pair build empties it, `_release_memo`): consecutive calls on
+one matrix (the q-BT family of one A, its index, its Drazin inverse, its
+decomposition) factor it once and decide each rank(A^j) once. A call
+hits only on an operand equal bit for bit to the kept one, and every step
+the staircase forms is formed the same way whichever call forms it, so a
+result never depends on which calls came before it. Values-only rank
+decisions (`matrix.rank`, `_stacked_rank_equal`) never read the memo."""
 
 from __future__ import annotations
 
@@ -95,8 +96,15 @@ class _Factored:
         return rank_from_values(self.s, self.a.shape, scale)
 
     def _keep(self, scale: float | None, fixed_rank: int | None) -> int:
-        """How many singular values `pinv` and `range_basis` keep."""
-        return 0 if fixed_rank == 0 else _kept(self.usv[1], self.a.shape, scale, fixed_rank)
+        """How many singular values `pinv` and `range_basis` keep: never
+        more than the singular vectors held, which a staircase cuts at
+        rank(A) (`_Staircase`)."""
+        if fixed_rank == 0:
+            return 0
+        u, s, _ = self.usv
+        r = _kept(s, self.a.shape, scale, fixed_rank)
+        assert r <= u.shape[1], f"keeps {r} singular vectors of the {u.shape[1]} held"
+        return r
 
     def pinv(self, scale: float | None = None, fixed_rank: int | None = None) -> np.ndarray:
         r = self._keep(scale, fixed_rank)
@@ -143,13 +151,24 @@ def _thin_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 # (shape, bytes, staircase) of the operand `_Operand` factored last, or
-# None; the staircase holds the operand's thin SVD (U, s, V*). A miss
-# replaces the whole entry with one assignment of a new tuple, so a thread
-# reads the old entry or the new one, never a mix: two threads that miss
-# at once each use their own operand's staircase, and the later assignment
-# stays. Every call on the operand, in any thread, shares the staircase,
-# which changes in place under its own lock (`_Staircase`).
+# None; the staircase holds the operand's singular values and its first
+# rank(A) singular vectors (U, s, V*). A miss replaces the whole entry
+# with one assignment of a new tuple, and `_release_memo` empties it with
+# one assignment of None, so a thread reads the old entry or the new one,
+# never a mix: two threads that miss at once each use their own operand's
+# staircase, and the later assignment stays. Every call on the operand,
+# in any thread, shares the staircase, which changes in place under its
+# own lock (`_Staircase`).
 _memo: tuple | None = None
+
+
+def _release_memo() -> None:
+    """Empty the operand memo. `weighted.WeightedPair.from_matrices` calls
+    it: no pair routine reads the memo, so the last square's entry is freed
+    before the pair factors AW and WA, at the cost of one full-size SVD
+    when that square is called again."""
+    global _memo
+    _memo = None
 
 
 class _Operand(_Factored):
@@ -158,9 +177,11 @@ class _Operand(_Factored):
     the memo's shape and bytes, and is otherwise made and put in the memo
     in place of the old entry. The key is a private copy of the operand's
     bytes, so a -0.0 that was 0.0, or any in-place edit of the caller's
-    array, misses. The factors are read-only, since every later hit
-    returns the same arrays; `s` is the thin SVD's, so a rank read here is
-    the one a cold call reads."""
+    array, misses. `usv` is the staircase's: every singular value, so a
+    rank read here is the one a cold call reads, and U and V* cut at
+    rank(A), as far as `pinv`, `range_basis` and the projectors read them.
+    The factors are read-only, since every later hit returns the same
+    arrays."""
 
     def __init__(self, a: np.ndarray):
         super().__init__(a, thin=True)
@@ -172,10 +193,7 @@ class _Operand(_Factored):
         key = a.tobytes()
         entry = _memo
         if entry is None or entry[0] != a.shape or entry[1] != key:
-            usv = _thin_svd(a)
-            for factor in usv:
-                factor.setflags(write=False)
-            entry = _memo = (a.shape, key, _Staircase(a, usv))
+            entry = _memo = (a.shape, key, _Staircase(a, _thin_svd(a)))
         return entry[2]
 
     @property
@@ -261,8 +279,12 @@ class _Staircase:
     (B P_{B^q})^+ = U_q V'_r S'_r^-1 U_(q+1)* is read off step q + 1 alone
     (`member`), with no factorization of its own.
 
-    The staircase holds B's shape, its thin SVD and step 1, never B
-    itself. `ranks` (rank(B^j), j = 0, 1, ... as far as
+    The staircase holds B's shape, every singular value of B and its
+    first r_1 singular vectors, read-only (copies of U[:, :r_1] and
+    V*[:r_1], which free the rest; the factors of a B of full rank as
+    they are), and step 1, never B itself. No reader goes past vector r_1:
+    `read(0)` and `drazin` read U1 and V1* at r_1, and `_Factored._keep`
+    checks the width it reads. `ranks` (rank(B^j), j = 0, 1, ... as far as
     `search` decided them) and `widened` are held for good; the steps for
     at most three j >= 2: the last two decided, Ind(B) and Ind(B) + 1 once
     the ranks stopped, and the last one read (`step`). Any other step is
@@ -283,13 +305,18 @@ class _Staircase:
         u, s, vh = usv
         n = a.shape[0]
         self.shape = a.shape
-        self.usv = usv
         self.s1 = float(s[0]) if s.size else 0.0
         self.cut = rank_cutoff(a.shape, self.s1)
         r = _kept(s, a.shape, None, None)
         self.ranks = [n, r]
         self.widened: list[int] = []
-        self.u1, self.vh1 = u[:, :r], vh[:r]
+        # copies, so the vectors past r, which no reader reads, are freed
+        if r < s.size:
+            u, vh = u[:, :r].copy(), vh[:r].copy()
+        for factor in (u, s, vh):
+            factor.setflags(write=False)
+        self.usv = (u, s, vh)
+        self.u1, self.vh1 = u, vh
         # step 1: U_1 = Q from B V1 = Q R and M_1 = U_1* B U_1, or U1 for a
         # nonsingular B, whose staircase has no step 2
         basis, m, self._r = self.u1, None, None

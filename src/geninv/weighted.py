@@ -25,7 +25,7 @@ from numpy.linalg import matrix_power
 from .classical import _drazin, _qbt, check_q
 from .errors import DomainError, NumericError, ShapeError
 from .matrix import Tolerances, as_matrix, exponent, frobenius, rank_from_values, resolve_tol
-from .projectors import _Factored, _Staircase
+from .projectors import _Factored, _release_memo, _Staircase
 
 
 @dataclass(frozen=True)
@@ -41,12 +41,13 @@ class WeightedPair:
     indicates a rank misclassification and is rejected.
 
     The staircases of AW and WA (`projectors._Staircase`, one thin SVD
-    each) are those `from_matrices` searched the indices on; a pair built
-    otherwise (by `dataclasses.replace`) runs the same searches on first
-    use. Every weighted routine, the weighted decomposition and every q on
-    one pair read them, in any thread: like an operand's staircase, each
-    changes in place under its lock, and its steps give the members and
-    the decomposition's frames. They are not fields: equality,
+    each, its singular vectors cut at rank(AW) and rank(WA)) are those
+    `from_matrices` searched the indices on; a pair built otherwise (by
+    `dataclasses.replace`) runs the same searches on first use. Every
+    weighted routine, the weighted decomposition and every q on one pair
+    read them, in any thread: like an operand's staircase, each changes in
+    place under its lock, and its steps give the members and the
+    decomposition's frames. They are not fields: equality,
     `dataclasses.replace` and the printed form see only the data above.
     """
 
@@ -62,6 +63,13 @@ class WeightedPair:
 
     @classmethod
     def from_matrices(cls, a, w) -> "WeightedPair":
+        """The pair (A, W), validated, with both indices searched. No
+        weighted routine reads the operand memo of the square routines
+        (`projectors._operand`), since each reads the pair's own
+        staircases, so the build empties it before it factors AW and WA
+        (`projectors._release_memo`): the last square's entry is freed,
+        and a square routine called again on that matrix takes its
+        full-size SVD once more."""
         a = as_matrix(a)
         w = as_matrix(w)
         if a.shape[0] != w.shape[1] or a.shape[1] != w.shape[0]:
@@ -70,6 +78,7 @@ class WeightedPair:
                 f"got {w.shape[0]}x{w.shape[1]}")
         if not np.any(w):
             raise DomainError("weight matrix must be nonzero")
+        _release_memo()
         aw, wa = _searched(a, w), _searched(w, a)
         ind_aw, ind_wa = aw.index, wa.index
         if abs(ind_aw - ind_wa) > 1:

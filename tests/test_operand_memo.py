@@ -2,10 +2,11 @@
 matrix the previous call factored reads that matrix's thin SVD and its
 searched staircase instead of taking them again, and returns what a call
 on an empty memo returns, bit for bit. A hit needs the same shape and
-bytes, and the factors are read-only. The staircase is shared by every
-call on the operand, in any thread, and changes in place under its
-lock. A decomposition keeps its canonical forms' factors at the index,
-which threads sharing it read and fill as one does."""
+bytes, and the factors are read-only: every singular value, and U and V*
+only as wide as rank(A). Building a pair empties the memo. The staircase
+is shared by every call on the operand, in any thread, and changes in
+place under its lock. A decomposition keeps its canonical forms' factors
+at the index, which threads sharing it read and fill as one does."""
 
 import dataclasses
 import gc
@@ -143,6 +144,49 @@ def test_the_memo_frees_the_old_chain_when_a_new_operand_replaces_it(squares):
     assert alive and freed
 
 
+def test_a_pair_build_empties_the_memo_and_frees_the_old_staircase(squares):
+    # no pair routine reads the memo, so building a pair drops the last
+    # square's entry; nothing else holds its staircase or its factors
+    planted = random_planted_pair(np.random.default_rng(2), 2, max_dim=8)
+    gc.disable()
+    try:
+        qbt_inverse(squares[3], 2)
+        stairs = projectors._memo[2]
+        held, u = weakref.ref(stairs._held[3]), weakref.ref(stairs.usv[0])
+        stairs = weakref.ref(stairs)
+        alive = all(ref() is not None for ref in (stairs, held, u))
+        WeightedPair.from_matrices(planted.a, planted.w)
+        freed = all(ref() is None for ref in (stairs, held, u))
+    finally:
+        gc.enable()
+    assert alive and freed and projectors._memo is None
+
+
+def test_a_rank_r_operand_keeps_its_first_r_singular_vectors(squares):
+    # every singular value, and U and V* exactly rank(A) wide: read-only
+    # arrays of their own, so the SVD's other vectors are freed
+    a = squares[2]
+    n, r = a.shape[0], matrix_index(a).rank_sequence[1]
+    assert r < n
+    u, s, vh = projectors._memo[2].usv
+    assert u.shape == (n, r) and vh.shape == (r, n) and s.shape == (n,)
+    for factor in (u, s, vh):
+        assert factor.base is None and not factor.flags.writeable
+    full_u, full_s, full_vh = np.linalg.svd(a, full_matrices=False)
+    assert bits(u) == bits(full_u[:, :r].copy()) and bits(vh) == bits(full_vh[:r].copy())
+    assert bits(s) == bits(full_s)
+
+
+def test_a_nonsingular_operand_keeps_its_factors_as_they_are(squares, rng):
+    # a nonsingular square, or a rectangle of full rank, keeps the thin
+    # SVD's arrays themselves, read-only
+    for a in (squares[0], rng.standard_normal((7, 4)) + 0j):
+        pinv(a)
+        usv = projectors._memo[2].usv
+        assert bits(usv) == bits(np.linalg.svd(a, full_matrices=False))
+        assert all(f.base is None and not f.flags.writeable for f in usv)
+
+
 def test_an_in_place_edit_gives_the_edited_matrix_cold_result(squares):
     a = squares[2].copy()
     before = bits(qbt_inverse(a, 2))
@@ -270,6 +314,37 @@ def test_threads_sharing_the_chains_match_the_cold_results(squares):
     for out in in_threads(work):
         assert len(out) == 2 * len(cases)
         assert all(got == expected[key] for key, got in out)
+
+
+def test_threads_building_pairs_beside_square_calls_match_the_serial_results(squares):
+    # half the threads build pairs, each build emptying the operand memo,
+    # while the others run the families of two squares: a square call finds
+    # the memo emptied before its miss, after it, or between two calls on
+    # its operand, and still returns what a cold call returns
+    planted = random_planted_pair(np.random.default_rng(3), 3, max_dim=8)
+
+    def pair_call(member):
+        return lambda: member(WeightedPair.from_matrices(planted.a, planted.w))
+
+    pair_cases = [(f"weighted_qbt_{q}", pair_call(lambda p, q=q: weighted_qbt(p, q)))
+                  for q in range(5)] + [("weighted_drazin", pair_call(weighted_drazin))]
+    square_cases = [((k, name), lambda k=k, call=call: call(squares[k]))
+                    for k in (2, 3) for name, call in routines(k).items()]
+    expected = {}
+    for key, call in pair_cases + square_cases:
+        cold()
+        expected[key] = bits(call())
+    cold()
+
+    def work(out, start):
+        cases = pair_cases if start % 2 else square_cases
+        for i in range(2 * len(cases)):
+            key, call = cases[(start * 5 + i) % len(cases)]
+            out.append((key, bits(call())))
+
+    for out in in_threads(work):
+        assert all(got == expected[key] for key, got in out)
+        assert len(out) in (2 * len(pair_cases), 2 * len(square_cases))
 
 
 def test_threads_sharing_a_pair_match_the_serial_results():

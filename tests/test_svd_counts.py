@@ -246,6 +246,20 @@ def test_a_repeat_call_takes_no_full_size_svd(svds, squares, name, k):
         assert svds == []
 
 
+def test_a_square_called_again_after_a_pair_build_takes_one_full_size_svd(svds, squares):
+    # building a pair empties the operand memo, so the square's second call
+    # factors it once more, and takes the steps its first call took: the
+    # one cost of the release
+    a = squares[2]
+    planted = random_planted_pair(np.random.default_rng(2), 2, max_dim=8)
+    qbt_inverse(a, 1)
+    WeightedPair.from_matrices(planted.a, planted.w)
+    svds.clear()
+    qbt_inverse(a, 1)
+    assert sum(shape == a.shape for shape, _ in svds) == 1
+    assert svds[0] == (a.shape, {"full_matrices": False}) and len(svds) == 2
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_pair_routines_factor_only_the_operands_at_full_size(svds, k):
     planted = random_planted_pair(np.random.default_rng(k), k, max_dim=8)
