@@ -303,7 +303,7 @@ def block_pinv(u, v, a1, a2, a3, scale: float | None = None,
     s1 = scale if scale is not None else max(a1f.sigma_max, a2f.sigma_max, a3f.sigma_max)
     if a1f.rank(scale=s1) != t:
         raise DomainError("leading block is singular; the block formula requires A1 nonsingular")
-    return _form(v, u, _canonical(a1, a2, a3, 0, scale=s1, fixed_rank=a3_rank))
+    return _form(v, u, _canonical(a1, a2, a3, 0, scale=s1, y_rank=a3_rank))
 
 
 @dataclass(frozen=True)
@@ -337,7 +337,7 @@ def _k_pinv(core: np.ndarray, coupling: np.ndarray, gap: np.ndarray, rows: int) 
 
 
 def _canonical(core, coupling, b3, q: int, rank_q: int | None = None, base=None,
-               scale: float | None = None, fixed_rank: int | None = None):
+               scale: float | None = None, y_rank: int | None = None):
     """The compact factors (E, Y^+, middle) of the canonical form
     [[C* O, -C* O M X3], [G M* O, X3 - G M* O M X3]], O = (K K*)^-1 and
     K = [C, M G], with X3 = (B3 P)^+ and G = P - X3 B3 P for the trailing
@@ -351,9 +351,8 @@ def _canonical(core, coupling, b3, q: int, rank_q: int | None = None, base=None,
     (t + rank_q) x t (`_k_pinv`), and Omega = (K_c^+)* K_c^+. The middle
     is [[K1, -K1 M E], [K2, I - K2 M E]] (`_form`), K_c^+ its first t
     columns. The block's trailing singular values are rounding noise at
-    the parent's scale, so Y^+ keeps `fixed_rank` of them where the
-    parent's sequence gives that rank, and otherwise cuts them against
-    `scale`, the parent's.
+    the parent's scale, so Y^+ keeps `y_rank` of them where the
+    parent's sequence gives that rank, and otherwise `rank(scale)`.
     """
     cols = b3.shape[1]
     if q == 0:
@@ -363,7 +362,8 @@ def _canonical(core, coupling, b3, q: int, rank_q: int | None = None, base=None,
     else:
         e = _Factored(matrix_power(b3 if base is None else base, q)).usv[0][:, :rank_q]
     y, me, r = (b3, coupling, cols) if e is None else (b3 @ e, coupling @ e, e.shape[1])
-    y_pinv = _Factored(y).pinv(scale, fixed_rank if r else 0)
+    y_op = _Factored(y, thin=True)
+    y_pinv = y_op.pinv((y_op.rank(scale) if y_rank is None else y_rank) if r else 0)
     k_pinv = _k_pinv(core, me, np.eye(r) - y_pinv @ y, core.shape[0] + cols)
     t = k_pinv.shape[1]
     return e, y_pinv, np.concatenate([k_pinv, np.eye(t + r, r, -t) - k_pinv @ me], axis=1)
@@ -414,7 +414,7 @@ def canonical_qbt(d: CoreEPDecomposition, q: int) -> np.ndarray:
     r = d.rank
     rank_q = d.power_rank(q) - r
     factors = _memoized(d, "qbt", rank_q, lambda: _canonical(
-        d.t, d.s, d.nil, q, rank_q, fixed_rank=d.power_rank(q + 1) - r))
+        d.t, d.s, d.nil, q, rank_q, y_rank=d.power_rank(q + 1) - r))
     return _form(d.u, d.u, factors)
 
 
@@ -460,7 +460,7 @@ def canonical_qbt_products(d: WeightedCoreEPDecomposition,
 
     def form(side, frame, rank, blocks):
         factors = _memoized(d, side, rank(q) - t, lambda: _canonical(
-            *blocks(), q, rank(q) - t, fixed_rank=rank(q + 1) - t))
+            *blocks(), q, rank(q) - t, y_rank=rank(q + 1) - t))
         return _form(frame, frame, factors)
 
     return (form("aw", d.u, d.power_rank_aw, lambda: (a1 @ w1, a1 @ w2 + a2 @ w3, a3 @ w3)),

@@ -10,9 +10,11 @@ reference scale. A public routine's reference is its operand's own
 largest singular value, and no caller can choose another. Inside the
 library, derived quantities (blocks extracted from a decomposition,
 products of a pair) anchor the cutoff to the parent matrix's scale
-(`rank_from_values`' `scale`): noise floors are set by the data a matrix
-was computed from, not by the matrix itself. No rank decision reads a
-power of a scale, so none can overflow.
+(`rank_from_values`' `scale`, read by `projectors._Factored.rank`): noise
+floors are set by the data a matrix was computed from, not by the matrix
+itself. No routine's rank decision reads a power of a scale, so none can
+overflow; only the conformance runner's corpus grid cuts (AW)^q against
+(sigma_max(A) sigma_max(W))^q.
 
 Input is validated once, at the boundary. Every public function that
 takes a matrix passes each input through `as_matrix` (2-D, complex128,

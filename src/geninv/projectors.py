@@ -44,15 +44,6 @@ class IndexReport:
     sigma_max: float
 
 
-def _kept(s: np.ndarray, shape: tuple[int, int], scale: float | None,
-          fixed_rank: int | None) -> int:
-    """How many of the singular values s to keep: the cutoff rule, or
-    `fixed_rank` capped at the nonzero count."""
-    if fixed_rank is None:
-        return rank_from_values(s, shape, scale)
-    return min(int(fixed_rank), len([v for v in s.tolist() if v > 0.0]))
-
-
 class _Factored:
     """A matrix and its SVD, taken on first use and then kept.
 
@@ -66,12 +57,13 @@ class _Factored:
     by each call, and a values-only `s` is never memoized, since its last
     bits can differ from the thin SVD's.
 
-    `scale` anchors the cutoff to a parent matrix's largest singular value
-    when the matrix is a derived quantity (power, extracted block).
-    `pinv`'s `fixed_rank` bypasses the cutoff and keeps exactly that many
-    singular values; callers use it when the rank is known from structure
-    and the trailing singular values are pure rounding noise. A rank pinned
-    at 0 keeps nothing and takes no SVD.
+    Only `rank(scale)` reads a scale, a parent matrix's largest singular
+    value, when the matrix is a derived quantity (power, extracted block).
+    `pinv`, `proj_range` and `proj_corange` keep r singular values: a count
+    read off `rank(scale)` (on a `thin` matrix, so the rank cuts the values
+    kept) or known from structure, or the flat cutoff's when r is None; a
+    count of 0 takes no SVD. The projectors are U_r U_r* and V_r V_r*, not
+    A A^+ and A^+ A, whose error grows with the condition of A.
     """
 
     def __init__(self, a: np.ndarray, thin: bool = False):
@@ -95,47 +87,39 @@ class _Factored:
     def rank(self, scale: float | None = None) -> int:
         return rank_from_values(self.s, self.a.shape, scale)
 
-    def _keep(self, scale: float | None, fixed_rank: int | None) -> int:
-        """How many singular values `pinv` and `range_basis` keep: never
-        more than the singular vectors held, which a staircase cuts at
-        rank(A) (`_Staircase`)."""
-        if fixed_rank == 0:
-            return 0
-        u, s, _ = self.usv
-        r = _kept(s, self.a.shape, scale, fixed_rank)
-        assert r <= u.shape[1], f"keeps {r} singular vectors of the {u.shape[1]} held"
-        return r
-
-    def pinv(self, scale: float | None = None, fixed_rank: int | None = None) -> np.ndarray:
-        r = self._keep(scale, fixed_rank)
+    def _vectors(self, r: int | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """U_r, S_r and V_r* of the thin SVD, r capped at the nonzero values,
+        or decided by the flat cutoff when None; never more than the
+        singular vectors held, which a staircase cuts at rank(A)
+        (`_Staircase`)."""
+        m, n = self.a.shape
         if r == 0:
-            return np.zeros(self.a.shape[::-1], dtype=np.complex128)
-        return _svd_pinv(self.usv, r)
+            return (np.zeros((m, 0), dtype=np.complex128), np.zeros(0),
+                    np.zeros((0, n), dtype=np.complex128))
+        u, s, vh = self.usv
+        r = rank_from_values(s, (m, n)) if r is None else min(r, np.count_nonzero(s > 0.0))
+        assert r <= u.shape[1], f"keeps {r} singular vectors of the {u.shape[1]} held"
+        return u[:, :r], s[:r], vh[:r]
 
-    def pinv_sigma_max(self, scale: float | None = None) -> float:
-        """sigma_max of `pinv(scale)`: the reciprocal of the last kept value."""
-        r = self._keep(scale, None)
-        return 1.0 / float(self.usv[1][r - 1]) if r else 0.0
+    def pinv(self, r: int | None = None) -> np.ndarray:
+        """V_r S_r^-1 U_r*, the pseudoinverse at r kept values."""
+        u, s, vh = self._vectors(r)
+        return (vh.conj().T / s) @ u.conj().T
 
     def range_basis(self) -> np.ndarray:
-        r = self._keep(None, None)
-        return self.usv[0][:, :r] if r else np.zeros((self.a.shape[0], 0), dtype=np.complex128)
+        return self._vectors(None)[0]
 
-    def proj_range(self, scale: float | None = None) -> np.ndarray:
-        return self.a @ self.pinv(scale)
+    def proj_range(self, r: int | None = None) -> np.ndarray:
+        u = self._vectors(r)[0]
+        return u @ u.conj().T
 
-    def proj_corange(self, scale: float | None = None) -> np.ndarray:
-        return self.pinv(scale) @ self.a
+    def proj_corange(self, r: int | None = None) -> np.ndarray:
+        vh = self._vectors(r)[2]
+        return vh.conj().T @ vh
 
     def staircase(self) -> "_Staircase":
         """A new staircase of this square matrix, on its thin SVD."""
         return _Staircase(self.a, self.usv)
-
-
-def _svd_pinv(usv: tuple[np.ndarray, np.ndarray, np.ndarray], r: int) -> np.ndarray:
-    """V_r S_r^-1 U_r*, the pseudoinverse at rank r from a thin SVD."""
-    u, s, vh = usv
-    return (vh[:r].conj().T / s[:r]) @ u[:, :r].conj().T
 
 
 def _thin_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -230,12 +214,12 @@ def range_basis(b) -> np.ndarray:
 
 
 def proj_range(b) -> np.ndarray:
-    """Orthogonal projector P_B = B B^+ onto the range of B."""
+    """Orthogonal projector P_B = B B^+ onto the range of B: U_r U_r*."""
     return _operand(b).proj_range()
 
 
 def proj_corange(b) -> np.ndarray:
-    """Orthogonal projector Q_B = B^+ B onto the range of B*."""
+    """Orthogonal projector Q_B = B^+ B onto the range of B*: V_r V_r*."""
     return _operand(b).proj_corange()
 
 
@@ -283,7 +267,7 @@ class _Staircase:
     first r_1 singular vectors, read-only (copies of U[:, :r_1] and
     V*[:r_1], which free the rest; the factors of a B of full rank as
     they are), and step 1, never B itself. No reader goes past vector r_1:
-    `read(0)` and `drazin` read U1 and V1* at r_1, and `_Factored._keep`
+    `read(0)` and `drazin` read U1 and V1* at r_1, and `_Factored._vectors`
     checks the width it reads. `ranks` (rank(B^j), j = 0, 1, ... as far as
     `search` decided them) and `widened` are held for good; the steps for
     at most three j >= 2: the last two decided, Ind(B) and Ind(B) + 1 once
@@ -307,7 +291,7 @@ class _Staircase:
         self.shape = a.shape
         self.s1 = float(s[0]) if s.size else 0.0
         self.cut = rank_cutoff(a.shape, self.s1)
-        r = _kept(s, a.shape, None, None)
+        r = rank_from_values(s, a.shape)
         self.ranks = [n, r]
         self.widened: list[int] = []
         # copies, so the vectors past r, which no reader reads, are freed
@@ -463,12 +447,13 @@ class _Staircase:
 
 
 def _power_projector(b: np.ndarray, q: int, s: float) -> np.ndarray:
-    """P_{B^q} from the full-size power (B / s)^q, its rank decided against
-    1 for s a scale of B: the rule that cuts B^q against s^q, with no
-    power of s formed, so none overflows (B is 0 where s is). The
-    reference the checks compare the staircase's results with, built
-    apart from it."""
-    return _Factored(np.linalg.matrix_power(b / s if s else b, q)).proj_range(scale=1.0)
+    """P_{B^q} = U_r U_r* of the full-size power (B / s)^q, r decided
+    against 1 for s a scale of B: the rule that cuts B^q against s^q, with
+    no power of s formed, so none overflows (B is 0 where s is). The
+    reference the checks compare the staircase's results with, built apart
+    from it."""
+    power = _Factored(np.linalg.matrix_power(b / s if s else b, q), thin=True)
+    return power.proj_range(power.rank(1.0))
 
 
 def matrix_index(b) -> IndexReport:

@@ -402,8 +402,8 @@ def _system_residuals(p: WeightedPair, x0: np.ndarray, pq: np.ndarray,
     a, w = p.a, p.w
     aw, wa, waw = a @ w, w @ a, w @ a @ w
     s_waw = p.sigma_max_w * p.sigma_max_a * p.sigma_max_w
-    p_gen = range_gen.proj_range(scale=s_waw)
-    q_gen = range_gen.proj_corange(scale=s_waw)
+    r_gen = range_gen.rank(s_waw)
+    p_gen, q_gen = range_gen.proj_range(r_gen), range_gen.proj_corange(r_gen)
     out = []
     for x in candidates:
         eq2 = rel(x @ wa, x0 @ wa)
@@ -570,11 +570,12 @@ def _corpus_member_checks(p: WeightedPair, integer: bool, planted_k: int,
     xs = [weighted_qbt(p, q) for q in range(k + 1)]
     x_ops = [_Factored(x) for x in xs]
     forms = [weighted_qbt_product_forms(p, q) for q in range(k + 1)]
-    # P_{(AW)^q} = (AW)^q ((AW)^q)^+, and the pseudoinverse serves the
-    # power-range generator too
+    # P_{(AW)^q} = U_r U_r* of (AW)^q, its rank r cut against s_aw^q, and
+    # the pseudoinverse at r serves the power-range generator too
     awqs = [_Factored(matrix_power(aw, q), thin=True) for q in q_grid]
-    pq_pinvs = [f.pinv(scale=s_aw ** q) for q, f in zip(q_grid, awqs)]
-    pqs = [f.a @ f_pinv for f, f_pinv in zip(awqs, pq_pinvs)]
+    awq_ranks = [f.rank(s_aw ** q) for q, f in zip(q_grid, awqs)]
+    pq_pinvs = [f.pinv(r) for f, r in zip(awqs, awq_ranks)]
+    pqs = [f.proj_range(r) for f, r in zip(awqs, awq_ranks)]
     # the q-BT grids of both products, the core-EP inverse of each its entry
     # at the product's own index, and their Drazin inverses; each operand's
     # calls run before the next operand's, so the operand memo serves every
@@ -665,11 +666,12 @@ def _corpus_member_checks(p: WeightedPair, integer: bool, planted_k: int,
         null_gen = awq1_h @ w.conj().T
         range_op, null_op = _range_generator(p, pq), _Factored(null_gen)
         # one thin SVD of (AW)^{q-BT} gives its pseudoinverse, that
-        # pseudoinverse's sigma_max and the singular values the set
-        # predicates read
+        # pseudoinverse's sigma_max (the reciprocal of the last value kept)
+        # and the singular values the set predicates read
         aw_qbt_op = _Factored(aw_qbt, thin=True)
-        inner = aw_qbt_op.pinv()
-        s_inner = aw_qbt_op.pinv_sigma_max()
+        r_inner = aw_qbt_op.rank()
+        inner = aw_qbt_op.pinv(r_inner)
+        s_inner = 1.0 / float(aw_qbt_op.s[r_inner - 1]) if r_inner else 0.0
         # anchors for set predicates: measured factor norms, not powers of
         # norm bounds, so the cutoff tracks the actual magnitudes instead of
         # compounding worst-case overestimates across q
@@ -701,9 +703,10 @@ def _corpus_member_checks(p: WeightedPair, integer: bool, planted_k: int,
              "right": rel(c_wa, wa_qbts[q])}, where_q)
 
         # range / null-space properties
+        r_gen = range_op.rank(anchor_rg)
         agg["corpus.properties.range-null"].update({
-            "range_defect": rel(range_op.proj_range(scale=anchor_rg) @ x, x),
-            "null_defect": _null_defect(range_op.proj_corange(scale=anchor_rg), x),
+            "range_defect": rel(range_op.proj_range(r_gen) @ x, x),
+            "null_defect": _null_defect(range_op.proj_corange(r_gen), x),
             "set_mismatch": _set_eq_flags(x_op, range_op, scale=anchor_rg),
         }, where_q)
         adj_gen = inner.conj().T @ w.conj().T
@@ -711,8 +714,9 @@ def _corpus_member_checks(p: WeightedPair, integer: bool, planted_k: int,
             {"set_mismatch": _set_eq_flags(x_op, _Factored(adj_gen),
                                            scale=_CHAIN_MARGIN * s_inner * sw)},
             where_q)
-        pq_pinv = pq_pinvs[q]
-        pow_anchor = _CHAIN_MARGIN * awqs[q].pinv_sigma_max(scale=s_aw ** q) * s_awq1_m * sw
+        pq_pinv, r_q = pq_pinvs[q], awq_ranks[q]
+        s_pq_pinv = 1.0 / float(awqs[q].s[r_q - 1]) if r_q else 0.0
+        pow_anchor = _CHAIN_MARGIN * s_pq_pinv * s_awq1_m * sw
         pow_gen = pq_pinv.conj().T @ null_gen
         agg["corpus.properties.power-range"].update({
             "range_mismatch": _flag(_range_equal(x_op, _Factored(pow_gen), pow_anchor)),
@@ -745,7 +749,8 @@ def _corpus_member_checks(p: WeightedPair, integer: bool, planted_k: int,
             where_q)
 
         # square-family checks on the product AW
-        y = _Factored(aw @ pq).pinv(scale=s_aw)
+        y_op = _Factored(aw @ pq, thin=True)
+        y = y_op.pinv(y_op.rank(s_aw))
         agg["corpus.classical.five-way"].update({
             "outer_eq": rel(aw_qbt @ aw @ aw_qbt, aw_qbt),
             "left_eq": rel(aw @ aw_qbt, aw @ y),
@@ -778,9 +783,9 @@ def _corpus_member_checks(p: WeightedPair, integer: bool, planted_k: int,
 
         # the canonical form's Omega inverts C C* + M Z M* with the paper's
         # Z = P (I - Q) P, P onto R((A3W3)^q), Q onto R((W3A3W3 P)*)
-        f3 = _Factored(matrix_power(d.a3 @ d.w3, q))
-        p3 = f3.a @ f3.pinv(fixed_rank=d.power_rank_aw(q) - t)
-        q3 = _Factored(d.w3 @ d.a3 @ d.w3 @ p3).proj_corange(scale=sw * sa * sw)
+        p3 = _Factored(matrix_power(d.a3 @ d.w3, q)).proj_range(d.power_rank_aw(q) - t)
+        y3 = _Factored(d.w3 @ d.a3 @ d.w3 @ p3, thin=True)
+        q3 = y3.proj_corange(y3.rank(sw * sa * sw))
         z = p3 @ (np.eye(m - t) - q3) @ p3
         c, mb = d.w1 @ d.a1 @ d.w1, parts.m_block
         gram = c @ c.conj().T + mb @ z @ mb.conj().T

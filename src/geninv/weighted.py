@@ -149,7 +149,7 @@ def weighted_qbt(p: WeightedPair, q: int) -> np.ndarray:
     if r == s.size:
         h_pinv = vzh.conj().T / s[:, None]
     else:
-        h_pinv = _Factored(vzh[:r] * s).pinv(fixed_rank=r)
+        h_pinv = _Factored(vzh[:r] * s).pinv(r)
     return x @ (h_pinv / sz[:r]) @ uz[:, :r].conj().T
 
 
@@ -197,12 +197,12 @@ def weighted_qbt_product_forms(p: WeightedPair, q: int) -> tuple[np.ndarray, np.
     wa_q1_w = matrix_power(p.w @ p.a, q + 1) @ p.w
     if q == 0:
         # (AW)^0 = I: the operands are W A W in its two groupings
-        x1 = _Factored(p.w @ aw).pinv(fixed_rank=r)
-        return x1, _Factored(wa_q1_w).pinv(fixed_rank=r)
+        x1 = _Factored(p.w @ aw).pinv(r)
+        return x1, _Factored(wa_q1_w).pinv(r)
     awq = matrix_power(aw, q)
-    awq_pinv = _Factored(awq).pinv(fixed_rank=p._aw.ranks[q])
-    x1 = _Factored(p.w @ (aw @ awq) @ awq_pinv).pinv(fixed_rank=r)
-    x2 = _Factored(wa_q1_w @ awq_pinv).pinv(fixed_rank=r)
+    awq_pinv = _Factored(awq).pinv(p._aw.ranks[q])
+    x1 = _Factored(p.w @ (aw @ awq) @ awq_pinv).pinv(r)
+    x2 = _Factored(wa_q1_w @ awq_pinv).pinv(r)
     return x1, x2
 
 
@@ -215,7 +215,7 @@ def weighted_qbt_via_square(p: WeightedPair, q: int) -> np.ndarray:
     if r == 0:
         return np.zeros(p.shape, dtype=np.complex128)
     inner = _Factored(_qbt(p._aw, q)).pinv()
-    return _Factored(p.w @ inner).pinv(fixed_rank=r)
+    return _Factored(p.w @ inner).pinv(r)
 
 
 def cline_shift_check(p: WeightedPair, ell: int, tol: Tolerances | None = None) -> bool:

@@ -18,17 +18,23 @@ def jordan_nilpotent(n):
     return np.eye(n, k=1).astype(np.complex128)
 
 
-# cutoff inputs that a pinned rank must ignore: each moves the cutoff rank
-# of diag(1, 1e-2, 1e-4) below 2
-CUTOFF_INPUTS = [{"scale": 1e15}]
+# a scale that moves the cutoff rank of diag(1, 1e-2, 1e-4) below 2
+CUTOFF_SCALES = [1e15]
 
 
-def assert_fixed_rank_ignores_cutoff_inputs(a, r):
-    """With fixed_rank set, the pseudoinverse of a held factorization
-    returns the same bytes whatever scale it is given."""
-    plain = _Factored(a).pinv(fixed_rank=r).tobytes()
-    for extra in CUTOFF_INPUTS:
-        assert _Factored(a).pinv(fixed_rank=r, **extra).tobytes() == plain, extra
+def assert_pinned_count_reads_the_held_svd(a, r):
+    """A pinned count and `rank(scale)` read one held thin SVD: the values
+    `rank` cuts are the thin SVD's, a later read takes no SVD, and the
+    count `rank` reads gives the bytes of the same count pinned on a
+    fresh matrix."""
+    f = _Factored(a, thin=True)
+    pinned = f.pinv(r).tobytes()
+    usv = f.usv
+    for scale in [None, *CUTOFF_SCALES]:
+        kept = f.rank(scale)
+        assert f.s is usv[1] and f.usv is usv, scale
+        assert f.pinv(kept).tobytes() == _Factored(a).pinv(kept).tobytes(), scale
+    assert f.pinv(r).tobytes() == pinned
 
 
 def anchored_contained(big, other, scale, axis):
@@ -62,17 +68,18 @@ class TestPinv:
 
     def test_fixed_rank_truncates(self):
         a = np.diag([1.0, 1e-2, 1e-4]).astype(np.complex128)
-        x = _Factored(a).pinv(fixed_rank=2)
+        x = _Factored(a).pinv(2)
         assert rel(x, np.diag([1.0, 1e2, 0.0])) < 1e-12
-        assert_fixed_rank_ignores_cutoff_inputs(a, 2)
-        for extra in CUTOFF_INPUTS:
-            assert np.count_nonzero(_Factored(a).pinv(**extra)) < 2
+        assert_pinned_count_reads_the_held_svd(a, 2)
+        for scale in CUTOFF_SCALES:
+            f = _Factored(a, thin=True)
+            assert np.count_nonzero(f.pinv(f.rank(scale))) < 2
 
     def test_fixed_rank_capped_by_true_rank(self):
         a = np.diag([1.0, 0.0]).astype(np.complex128)
-        x = _Factored(a).pinv(fixed_rank=5)
+        x = _Factored(a).pinv(5)
         assert rel(x, np.diag([1.0, 0.0])) < 1e-15
-        assert_fixed_rank_ignores_cutoff_inputs(a, 5)
+        assert_pinned_count_reads_the_held_svd(a, 5)
 
 
 class TestProjectors:
@@ -91,6 +98,18 @@ class TestProjectors:
 
     def test_projector_of_zero_is_zero(self):
         assert np.all(proj_range(np.zeros((3, 3))) == 0)
+
+    def test_projectors_stay_exact_on_an_ill_conditioned_range(self):
+        # 12 x 12 of rank 6, sigma geometric from 1 to 1e-9: B B^+ is off
+        # by about cond * eps = 1e-7, the kept singular vectors by eps
+        rng = np.random.default_rng(12)
+        u = np.linalg.qr(random_complex(rng, 12, 6))[0]
+        v = np.linalg.qr(random_complex(rng, 12, 6))[0]
+        b = (u * np.geomspace(1.0, 1e-9, 6)) @ v.conj().T
+        for p in (proj_range(b), proj_corange(b)):
+            assert frobenius(p @ p - p) <= 1e-13
+            assert frobenius(conjugate_transpose(p) - p) <= 1e-13
+            assert round(np.trace(p).real) == 6
 
 
 class TestPower:

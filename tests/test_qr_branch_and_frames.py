@@ -50,7 +50,7 @@ def test_qbt_kernel_takes_the_qr_exactly_from_the_index(member59, offset):
         for q in {k + offset, max(k - 1, 1)}:
             p = _power_projector(b, min(q, k), report.sigma_max)
             got = qbt_inverse(b, q)
-            ref = _Factored(b @ p).pinv(fixed_rank=ranks[min(q, k) + 1])
+            ref = _Factored(b @ p).pinv(ranks[min(q, k) + 1])
             assert _relative(got, ref) <= 1e-13, (name, q)
             if name.startswith("seed 3"):
                 exact = float_of(exact_qbt(rmatrix_from_complex(b), q))
@@ -66,7 +66,7 @@ def test_weighted_kernel_takes_the_qr_at_full_rank(member59):
         r = weighted._member_read(p, p.k)[0]
         proj = _power_projector(p.a @ p.w, p.k, p.sigma_max_a * p.sigma_max_w)
         got = weighted_qbt(p, p.k)
-        assert _relative(got, _Factored(p.w @ p.a @ p.w @ proj).pinv(fixed_rank=r)) <= 1e-13
+        assert _relative(got, _Factored(p.w @ p.a @ p.w @ proj).pinv(r)) <= 1e-13
         if planted.integer_entries:
             exact = exact_weighted_qbt(rmatrix_from_complex(planted.a),
                                        rmatrix_from_complex(planted.w), p.k)
