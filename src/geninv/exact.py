@@ -29,11 +29,13 @@ of the following, with F the pivot columns of the matrix named:
 
 All of it stays inside the rational field; SVD-based routes would not.
 The q-BT construction is written once, `_qbt`, and the square kinds call
-it with A for W A W. Input is read by one rule (`_check_size`): entries
-that are not all GaussianRational are converted as `rmatrix_from_complex`
-converts them, so an integer numpy array never enters the elimination as
-wrapping numpy integers. This path is the ground truth the float path is
-compared against and is size-guarded to stay desk-scale.
+it with A for W A W. Every input enters in one walk (`_admit`): each
+entry, read off a numeric array by `tolist()` and so never as a wrapping
+numpy integer, takes the one rule `_parts` (which `rmatrix` builds by too)
+straight into a `_ZMat`'s integers, and a routine forms Gaussian
+rationals (`to_gr`) only for the value it returns. This path is the ground
+truth the float path is compared against and is size-guarded to stay
+desk-scale.
 """
 
 from __future__ import annotations
@@ -149,37 +151,36 @@ _GR_ZERO = GaussianRational()
 _GR_ONE = GaussianRational(Fraction(1))
 
 
+def _parts(value) -> tuple:
+    """The real and imaginary parts of one value, each an int or a
+    Fraction: the one rule for what may enter the exact path. A
+    GaussianRational, an int or a Fraction enters as it is, a float or a
+    complex only with integer parts; anything else is a DomainError."""
+    if isinstance(value, GaussianRational):
+        return value.real, value.imag
+    if isinstance(value, (int, Fraction)):
+        return value, 0
+    if isinstance(value, (float, complex)):
+        value = complex(value)
+        if not (value.real.is_integer() and value.imag.is_integer()):
+            raise DomainError(f"non-integer value {value!r} cannot enter the exact path")
+        return int(value.real), int(value.imag)
+    raise DomainError(f"unsupported exact scalar {value!r}")
+
+
 def rmatrix(rows) -> np.ndarray:
     """Object matrix from nested scalars (int, Fraction, complex int,
-    GaussianRational)."""
+    GaussianRational), each read by `_parts`."""
     data = []
     width = None
     for row in rows:
-        entries = []
-        for value in row:
-            if isinstance(value, GaussianRational):
-                entries.append(value)
-            elif isinstance(value, (int, Fraction)):
-                entries.append(GaussianRational(Fraction(value)))
-            elif isinstance(value, (float, complex)):
-                value = complex(value)
-                if not (value.real.is_integer() and value.imag.is_integer()):
-                    raise DomainError(
-                        f"non-integer value {value!r} cannot enter the exact path")
-                entries.append(GaussianRational(Fraction(int(value.real)),
-                                                Fraction(int(value.imag))))
-            else:
-                raise DomainError(f"unsupported exact scalar {value!r}")
+        entries = [GaussianRational(*_parts(value)) for value in row]
         if width is None:
             width = len(entries)
         elif len(entries) != width:
             raise ShapeError("ragged rows in exact matrix")
         data.append(entries)
-    out = np.empty((len(data), width if width is not None else 0), dtype=object)
-    for i, row in enumerate(data):
-        for j, value in enumerate(row):
-            out[i, j] = value
-    return out
+    return np.array(data, dtype=object).reshape(len(data), width or 0)
 
 
 def rmatrix_from_complex(a: np.ndarray) -> np.ndarray:
@@ -236,21 +237,6 @@ class _ZMat:
             im = None if im is None else im // g
         self.re, self.im, self.den = re, im, den
 
-    @classmethod
-    def of(cls, a: np.ndarray) -> "_ZMat":
-        """From an object array of Gaussian rationals."""
-        reals = [v.real for v in a.flat]
-        imags = [v.imag for v in a.flat]
-        if not any(imags):
-            imags = []
-        den = math.lcm(*(x.denominator for x in reals), *(x.denominator for x in imags))
-
-        def scaled(parts):
-            ints = [x.numerator * (den // x.denominator) for x in parts]
-            return np.array(ints, dtype=object).reshape(a.shape)
-
-        return cls(scaled(reals), scaled(imags) if imags else None, den)
-
     def to_gr(self) -> np.ndarray:
         """Object array of GaussianRational entries."""
         out = np.empty(self.re.shape, dtype=object)
@@ -263,6 +249,13 @@ class _ZMat:
     @property
     def shape(self) -> tuple[int, int]:
         return self.re.shape
+
+    def __eq__(self, other: "_ZMat") -> bool:
+        """Equal values: the gcd reduction leaves one (re, im, den) per
+        matrix."""
+        return (self.den == other.den and np.array_equal(self.re, other.re)
+                and (self.im is None) == (other.im is None)
+                and (self.im is None or np.array_equal(self.im, other.im)))
 
     @property
     def H(self) -> "_ZMat":
@@ -528,38 +521,41 @@ def _qbt_at(waw: _ZMat, aw: _ZMat, q: int) -> _ZMat:
     return _pinv(waw) if q == 0 else _qbt(waw, _pivot_columns(_power(aw, q)))
 
 
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape[0]}x{a.shape[1]} by {b.shape[0]}x{b.shape[1]}")
-    return (_ZMat.of(a) @ _ZMat.of(b)).to_gr()
-
-
-def _check_size(a) -> np.ndarray:
-    """a as an object array of GaussianRational, at most MAX_EXACT_DIM on a
-    side: other entries are converted as `rmatrix` converts them (a numeric
-    array as `rmatrix_from_complex` does), and one that is not an exact
-    integer, Fraction or GaussianRational is a DomainError."""
-    a = np.asarray(a)
+def _admit(a) -> _ZMat:
+    """A 2-D input as a _ZMat, in one walk over its entries: the way into
+    every exact routine. A numeric array's entries are read as `tolist()`
+    reads them, an object array's as they are, and nested rows are stacked
+    by `np.asarray`; each entry takes `_parts`' rule. At most
+    MAX_EXACT_DIM on a side."""
+    try:
+        a = np.asarray(a)
+    except ValueError as exc:
+        raise ShapeError("ragged rows in exact matrix") from exc
     if a.ndim != 2:
         raise ShapeError(f"expected a 2-D matrix, got {a.ndim}-D")
-    if max(a.shape, default=0) > MAX_EXACT_DIM:
+    if max(a.shape) > MAX_EXACT_DIM:
         raise DomainError(
             f"exact path is limited to {MAX_EXACT_DIM}x{MAX_EXACT_DIM}, got "
             f"{a.shape[0]}x{a.shape[1]}")
-    if a.dtype == object and all(type(v) is GaussianRational for v in a.flat):
-        return a
-    return rmatrix(a.tolist()).reshape(a.shape)
+    parts = [_parts(value) for value in a.ravel().tolist()]
+    den = math.lcm(*(x.denominator for pair in parts for x in pair))
+
+    def scaled(k):
+        ints = [pair[k].numerator * (den // pair[k].denominator) for pair in parts]
+        return np.array(ints, dtype=object).reshape(a.shape)
+
+    return _ZMat(scaled(0), scaled(1), den)
 
 
-def _check_square(a: np.ndarray, what: str) -> _ZMat:
-    a = _check_size(a)
-    if a.shape[0] != a.shape[1]:
+def _check_square(a, what: str) -> _ZMat:
+    z = _admit(a)
+    if z.shape[0] != z.shape[1]:
         raise ShapeError(f"{what} requires a square matrix")
-    return _ZMat.of(a)
+    return z
 
 
 def exact_rank(a: np.ndarray) -> int:
-    return _rank(_ZMat.of(_check_size(a)))
+    return _rank(_admit(a))
 
 
 def full_rank_factorization(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -567,14 +563,13 @@ def full_rank_factorization(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     F collects the pivot columns of A; G is the nonzero rows of the RREF.
     """
-    a = _check_size(a)
-    pivots, g = _frf(_ZMat.of(a))
-    f = a[:, pivots] if pivots else rzeros(a.shape[0], 0)
-    return f, g.to_gr()
+    z = _admit(a)
+    pivots, g = _frf(z)
+    return _columns(z, pivots).to_gr(), g.to_gr()
 
 
 def exact_pinv(a: np.ndarray) -> np.ndarray:
-    return _pinv(_ZMat.of(_check_size(a))).to_gr()
+    return _pinv(_admit(a)).to_gr()
 
 
 def exact_power(a: np.ndarray, q: int) -> np.ndarray:
@@ -587,7 +582,7 @@ def exact_index(a: np.ndarray) -> int:
 
 
 def exact_proj_range(b: np.ndarray) -> np.ndarray:
-    return _proj_range(_ZMat.of(_check_size(b))).to_gr()
+    return _proj_range(_admit(b)).to_gr()
 
 
 def exact_qbt(a: np.ndarray, q: int) -> np.ndarray:
@@ -619,17 +614,15 @@ def exact_bt(a: np.ndarray) -> np.ndarray:
     return exact_qbt(a, 1)
 
 
-def _check_pair(a: np.ndarray, w: np.ndarray) -> tuple[_ZMat, _ZMat]:
-    a = _check_size(a)
-    w = _check_size(w)
-    if a.shape[0] != w.shape[1] or a.shape[1] != w.shape[0]:
+def _check_pair(a, w) -> tuple[_ZMat, _ZMat]:
+    za, zw = _admit(a), _admit(w)
+    (m, n), shape = za.shape, zw.shape
+    if shape != (n, m):
         raise ShapeError(
-            f"weight must be {a.shape[1]}x{a.shape[0]} for a {a.shape[0]}x{a.shape[1]} matrix, "
-            f"got {w.shape[0]}x{w.shape[1]}")
-    zw = _ZMat.of(w)
+            f"weight must be {n}x{m} for a {m}x{n} matrix, got {shape[0]}x{shape[1]}")
     if not zw.re.any() and zw.im is None:
         raise DomainError("weight matrix must be nonzero")
-    return _ZMat.of(a), zw
+    return za, zw
 
 
 def exact_pair_index(a: np.ndarray, w: np.ndarray) -> tuple[int, int, int]:

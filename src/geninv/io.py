@@ -8,8 +8,9 @@ exact path (Gaussian-rational object arrays); printing floats uses 17
 significant digits and printing exact values uses fraction strings, so a
 parse/print round trip is lossless in both directions. On the float path
 each component is the double nearest its exact value, and a component
-outside the double range is a parse error. On the exact path a decimal
-exponent beyond +-MAX_EXACT_EXPONENT is a parse error.
+outside the double range is a parse error. On the exact path a JSON number
+is read by its text, as a CSV token is, and a decimal exponent beyond
++-MAX_EXACT_EXPONENT is a parse error.
 """
 
 from __future__ import annotations
@@ -209,7 +210,8 @@ def _parse_csv(text: str, exact: bool) -> np.ndarray:
 
 
 def _json_component(value, exact: bool, where: str):
-    """A Fraction, or on the float path the double nearest it."""
+    """A Fraction, or on the float path the double nearest it. On the exact
+    path a JSON float arrives as its text."""
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise ParseError(f"{where}: component {value!r} is not a number or fraction string")
     try:
@@ -277,7 +279,9 @@ def _float_json_data(data: list, m: int, n: int) -> np.ndarray | None:
 
 def _parse_json(text: str, exact: bool) -> np.ndarray:
     try:
-        doc = json.loads(text)
+        # on the exact path a JSON float keeps its text, so it takes
+        # _fraction's rule as a CSV token does: 0.1 is 1/10, not the double
+        doc = json.loads(text, parse_float=str) if exact else json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
     if not isinstance(doc, dict):

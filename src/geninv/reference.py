@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import GaussianRational, rmatrix
+from .exact import rmatrix
 
 PAIR_4X3_A = ((1, 1, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0))
 PAIR_4X3_W = ((1, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
@@ -78,7 +78,7 @@ def float_matrix(rows) -> np.ndarray:
 
 
 def exact_matrix(rows) -> np.ndarray:
-    return rmatrix([[GaussianRational(Fraction(x)) for x in row] for row in rows])
+    return rmatrix(rows)
 
 
 def pair_4x3_float() -> tuple[np.ndarray, np.ndarray]:

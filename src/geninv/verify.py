@@ -43,8 +43,7 @@ from .decomposition import (block_pinv, canonical_qbt, canonical_qbt_products,
                             canonical_weighted_qbt, core_ep_decompose,
                             weighted_core_ep_decompose)
 from .errors import (DecompositionError, DomainError, NumericError, ShapeError)
-from .exact import (_qbt_at, _ZMat, exact_pair_index, exact_pinv,
-                    exact_weighted_qbt, float_of, requal, rmatrix)
+from .exact import _admit, _check_pair, _pair_index, _pinv, _qbt_at, float_of
 from . import matrix
 from .matrix import Tolerances, frobenius, rel, resolve_tol
 from .projectors import _Factored, _nullspace_equal, _power_projector, _range_equal, pinv
@@ -254,8 +253,8 @@ def _proj_eq_residuals(p_mat: _Factored, range_gen: _Factored, null_gen: _Factor
 
 
 def _exact_flag(got, rows) -> float:
-    """0.0 if the exact matrix equals the fraction table, else 1.0."""
-    return _flag(requal(got, ref.exact_matrix(rows)))
+    """0.0 if the exact matrix (a _ZMat) equals the fraction table, else 1.0."""
+    return _flag(got == _admit(rows))
 
 
 # --------------------------------------------------------------------------
@@ -272,49 +271,49 @@ def _stein_pair() -> tuple[np.ndarray, np.ndarray]:
 
 
 def run_example_checks(tol: Tolerances | None = None) -> ConformanceReport:
-    """Run every reference-pair check on both the float and exact paths."""
+    """Run every reference-pair check on both the float and exact paths.
+
+    The exact side admits each pair and each fraction table once and
+    computes and compares in Gaussian integers over one denominator."""
     tol = resolve_tol(tol)
     atol = tol.residual_atol
     pairs, indices = {}, {}
-    for name, (fa, fw), (ea, ew), expected in (
-            ("pair4x3", ref.pair_4x3_float(), ref.pair_4x3_exact(), ref.INDICES_4X3),
-            ("pair5x4", ref.pair_5x4_float(), ref.pair_5x4_exact(), ref.INDICES_5X4)):
+    for name, (fa, fw), exact_pair, expected in (
+            ("pair4x3", ref.pair_4x3_float(), (ref.PAIR_4X3_A, ref.PAIR_4X3_W), ref.INDICES_4X3),
+            ("pair5x4", ref.pair_5x4_float(), (ref.PAIR_5X4_A, ref.PAIR_5X4_W), ref.INDICES_5X4)):
         p = WeightedPair.from_matrices(fa, fw)
-        got, exact = (p.ind_aw, p.ind_wa, p.k), exact_pair_index(ea, ew)
-        pairs[name] = p, ea, ew
+        za, zw = _check_pair(*exact_pair)
+        got, exact = (p.ind_aw, p.ind_wa, p.k), _pair_index(za, zw)
+        pairs[name] = p, za, zw
         indices[name] = _residual_check(
             f"examples.{name}.indices",
             {"float_mismatch": _flag(got == expected), "exact_mismatch": _flag(exact == expected)},
             atol, f"expected {expected}, float {got}, exact {exact}")
     results = [indices["pair4x3"]]
 
-    p, ea, ew = pairs["pair4x3"]
+    p, za, zw = pairs["pair4x3"]
+    zaw, zwa = za @ zw, zw @ za
+    zwaw = zw @ zaw
     xs = [weighted_qbt(p, q) for q in range(p.k + 1)]
     for q, table in sorted(ref.WQBT_4X3.items()):
         results.append(_residual_check(
             f"examples.pair4x3.wqbt.q{q}",
             {"float": rel(xs[min(q, p.k)], ref.float_matrix(table)),
-             "exact_mismatch": _exact_flag(exact_weighted_qbt(ea, ew, q), table)},
+             "exact_mismatch": _exact_flag(_qbt_at(zwaw, zaw, q), table)},
             atol, f"4x3 pair, q={q}"))
 
     # dual_representation_gap returns ((AW)^{qbt})^2 A and A ((WA)^{qbt})^2
     # next to the weighted inverse: the squared products of the table
     duals = {q: dual_representation_gap(p, q) for q in (1, 2, 3)}
-    # the exact products are chained in Gaussian integers over one
-    # denominator, and each table's entries are read off once
-    zea, zew = _ZMat.of(ea), _ZMat.of(ew)
-    zaw, zwa = zea @ zew, zew @ zea
     for q, (_, lft, rgt) in duals.items():
         ex_aw = _qbt_at(zaw, zaw, q)
         ex_wa = _qbt_at(zwa, zwa, q)
         results.append(_residual_check(
             f"examples.pair4x3.square-products.q{q}",
             {"left_float": rel(lft, ref.float_matrix(ref.AW_SQ_PRODUCT_4X3[q])),
-             "left_exact_mismatch": _exact_flag(
-                 (ex_aw @ ex_aw @ zea).to_gr(), ref.AW_SQ_PRODUCT_4X3[q]),
+             "left_exact_mismatch": _exact_flag(ex_aw @ ex_aw @ za, ref.AW_SQ_PRODUCT_4X3[q]),
              "right_float": rel(rgt, ref.float_matrix(ref.WA_SQ_PRODUCT_4X3[q])),
-             "right_exact_mismatch": _exact_flag(
-                 (zea @ ex_wa @ ex_wa).to_gr(), ref.WA_SQ_PRODUCT_4X3[q])},
+             "right_exact_mismatch": _exact_flag(za @ ex_wa @ ex_wa, ref.WA_SQ_PRODUCT_4X3[q])},
             atol, f"both squared products, q={q}"))
 
     for q in (1, 2):
@@ -370,12 +369,12 @@ def run_example_checks(tol: Tolerances | None = None) -> ConformanceReport:
     sa, sw_ = _stein_pair()
     ps = WeightedPair.from_matrices(sa, sw_)
     float_res = rel(weighted_qbt(ps, 0), pinv(sa))
-    e_sa = rmatrix([[int(v.real) for v in row] for row in sa])
-    e_sw = rmatrix([[int(v.real) for v in row] for row in sw_])
+    zsa, zsw = _check_pair(sa, sw_)
+    zsaw = zsa @ zsw
     results.append(_residual_check(
         "examples.stein.mp-reduction",
         {"float": float_res,
-         "exact_mismatch": _flag(requal(exact_weighted_qbt(e_sa, e_sw, 0), exact_pinv(e_sa))),
+         "exact_mismatch": _flag(_qbt_at(zsw @ zsaw, zsaw, 0) == _pinv(zsa)),
          "sandwich_is_a": rel(sw_ @ sa @ sw_, sa)},
         atol, "integer pair with W A W = A"))
 
@@ -794,10 +793,11 @@ def _corpus_member_checks(p: WeightedPair, integer: bool, planted_k: int,
 
     # exact-path agreement on integer members
     if integer:
-        ea = rmatrix([[complex(v) for v in row] for row in a])
-        ew = rmatrix([[complex(v) for v in row] for row in w])
+        za, zw = _check_pair(a, w)
+        zaw = za @ zw
+        zwaw = zw @ zaw
         for q in sorted({1, k}):
-            ex = float_of(exact_weighted_qbt(ea, ew, q))
+            ex = float_of(_qbt_at(zwaw, zaw, q).to_gr())
             agg["corpus.exact.float-agreement"].update(
                 {"float_vs_exact": rel(xs[min(q, k)], ex)}, f"{where} q={q}")
 

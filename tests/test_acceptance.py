@@ -15,7 +15,7 @@ from geninv.classical import qbt_inverse
 from geninv.corpus import random_pairs
 from geninv.decomposition import (block_pinv, canonical_weighted_qbt,
                                   weighted_core_ep_decompose)
-from geninv.exact import (_matmul, conj_t, exact_pair_index, exact_pinv,
+from geninv.exact import (conj_t, exact_pair_index, exact_pinv,
                           exact_qbt, exact_weighted_bt, exact_weighted_core_ep,
                           exact_weighted_qbt, float_of, requal, reye,
                           rmatrix_from_complex)
@@ -60,8 +60,8 @@ def corpus_report():
 def test_criterion_1_reference_values_reproduced_exactly():
     t0 = time.perf_counter()
     a, w = pair_4x3_exact()
-    aw = _matmul(a, w)
-    wa = _matmul(w, a)
+    aw = a @ w
+    wa = w @ a
 
     expected_by_name = {
         "weighted core-EP": (exact_weighted_core_ep(a, w), WCEP_4X3),
@@ -72,11 +72,11 @@ def test_criterion_1_reference_values_reproduced_exactly():
     for q in (1, 2, 3):
         x_aw = exact_qbt(aw, q)
         expected_by_name[f"square product AW q={q}"] = (
-            _matmul(_matmul(x_aw, x_aw), a), AW_SQ_PRODUCT_4X3[q])
+            x_aw @ x_aw @ a, AW_SQ_PRODUCT_4X3[q])
     for q in (1, 2):
         y_wa = exact_qbt(wa, q)
         expected_by_name[f"square product WA q={q}"] = (
-            _matmul(_matmul(a, y_wa), y_wa), WA_SQ_PRODUCT_4X3[q])
+            a @ y_wa @ y_wa, WA_SQ_PRODUCT_4X3[q])
 
     for name, (got, frozen) in expected_by_name.items():
         assert requal(got, exact_matrix(frozen)), name
@@ -102,25 +102,25 @@ def test_criterion_1_reference_values_reproduced_exactly():
 
 def test_criterion_2_candidate_solves_two_equations_but_not_the_third():
     a, w = pair_5x4_exact()
-    aw = _matmul(a, w)
-    wa = _matmul(w, a)
-    waw = _matmul(w, aw)
+    aw = a @ w
+    wa = w @ a
+    waw = w @ aw
     x0 = exact_weighted_qbt(a, w, 1)
-    q_aw = _matmul(exact_pinv(aw), aw)
+    q_aw = exact_pinv(aw) @ aw
     complement = np.array(reye(q_aw.shape[0]) - q_aw, dtype=object)
-    x = _matmul(q_aw, x0) + _matmul(complement, conj_t(w))
+    x = q_aw @ x0 + complement @ conj_t(w)
 
     # equations 1 and 3 hold exactly
-    assert requal(_matmul(_matmul(x, waw), x), x)
-    assert requal(_matmul(aw, x), _matmul(aw, x0))
+    assert requal(x @ waw @ x, x)
+    assert requal(aw @ x, aw @ x0)
     # float residuals of the same two equations are at rounding level
     xf, x0f, wawf, awf = map(float_of, (x, x0, waw, aw))
     assert rel(xf @ wawf @ xf, xf) < 1e-10
     assert rel(awf @ xf, awf @ x0f) < 1e-10
 
     # the second equation fails: X W A differs from X0 W A
-    xwa = _matmul(x, wa)
-    x0wa = _matmul(x0, wa)
+    xwa = x @ wa
+    x0wa = x0 @ wa
     assert requal(xwa, exact_matrix(XWA_5X4))
     assert requal(x0wa, exact_matrix(X0WA_5X4))
     assert not requal(xwa, x0wa)

@@ -5,15 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geninv.errors import DomainError, NumericError
+from geninv.errors import DomainError, NumericError, ShapeError
 from geninv.exact import (GaussianRational, exact_bt, exact_core, exact_core_ep,
                           exact_drazin, exact_group, exact_index,
                           exact_pair_index, exact_pinv, exact_power, exact_proj_range,
                           exact_qbt,
-                          exact_rank, exact_weighted_core_ep, exact_weighted_drazin,
+                          exact_rank, exact_weighted_bt, exact_weighted_core_ep,
+                          exact_weighted_drazin,
                           exact_weighted_qbt, float_of,
                           full_rank_factorization, reye, rmatrix,
-                          rmatrix_from_complex, rzeros, requal, conj_t, _matmul)
+                          rmatrix_from_complex, rzeros, requal, conj_t, _admit)
 from geninv.classical import check_q
 from geninv.reference import (INDICES_4X3, INDICES_5X4, pair_4x3_exact,
                               pair_5x4_exact)
@@ -72,15 +73,15 @@ class TestExactLinearAlgebra:
         assert exact_rank(a) == 2
         f, gmat = full_rank_factorization(a)
         assert f.shape == (3, 2) and gmat.shape == (2, 3)
-        assert requal(_matmul(f, gmat), a)
+        assert requal(f @ gmat, a)
 
     def test_pinv_penrose_exactly(self):
         a = from_ints([[1, 1, 0], [0, 1, 1]])
         x = exact_pinv(a)
-        assert requal(_matmul(_matmul(a, x), a), a)
-        assert requal(_matmul(_matmul(x, a), x), x)
-        ax = _matmul(a, x)
-        xa = _matmul(x, a)
+        assert requal(a @ x @ a, a)
+        assert requal(x @ a @ x, x)
+        ax = a @ x
+        xa = x @ a
         assert requal(conj_t(ax), ax)
         assert requal(conj_t(xa), xa)
 
@@ -135,9 +136,9 @@ class TestExactInverses:
         a = from_ints([[2, 0, 1], [0, 0, 1], [0, 0, 0]])
         k = exact_index(a)
         x = exact_drazin(a)
-        assert requal(_matmul(_matmul(x, a), x), x)
-        assert requal(_matmul(a, x), _matmul(x, a))
-        assert requal(_matmul(x, exact_power(a, k + 1)), exact_power(a, k))
+        assert requal(x @ a @ x, x)
+        assert requal(a @ x, x @ a)
+        assert requal(x @ exact_power(a, k + 1), exact_power(a, k))
 
     def test_group_requires_low_index(self):
         nil = from_ints([[0, 1], [0, 0]])
@@ -179,10 +180,10 @@ def exact_matrix_strategy(draw):
 @settings(max_examples=30, deadline=None)
 def test_exact_pinv_penrose_property(a):
     x = exact_pinv(a)
-    ax = _matmul(a, x)
-    xa = _matmul(x, a)
-    assert requal(_matmul(ax, a), a)
-    assert requal(_matmul(xa, x), x)
+    ax = a @ x
+    xa = x @ a
+    assert requal(ax @ a, a)
+    assert requal(xa @ x, x)
     assert requal(conj_t(ax), ax)
     assert requal(conj_t(xa), xa)
 
@@ -343,7 +344,7 @@ def assert_kernel_matches_reference(a):
 @settings(max_examples=60, deadline=None)
 def test_kernel_matches_reference_on_rectangular(ab):
     a, b = ab
-    assert requal(_matmul(a, b), ref_matmul(a, b))
+    assert requal((_admit(a) @ _admit(b)).to_gr(), ref_matmul(a, b))
     assert_kernel_matches_reference(a)
 
 
@@ -367,7 +368,7 @@ def test_kernel_matches_reference_at_the_dimension_limit():
     a = rmatrix_from_complex(ints(32, 24) @ ints(24, 32))
     b = rmatrix_from_complex(ints(32, 32))
     b[:, 5] = g(Fraction(1, 3), Fraction(-2, 5))
-    assert requal(_matmul(a, b), ref_matmul(a, b))
+    assert requal((_admit(a) @ _admit(b)).to_gr(), ref_matmul(a, b))
     assert_kernel_matches_reference(a)
     nil = rmatrix_from_complex(np.triu(ints(32, 32), 30))
     assert exact_index(nil) == ref_index(nil) == 2
@@ -458,3 +459,134 @@ def test_numeric_arrays_give_the_rmatrix_from_complex_result(a):
         else:
             got, expected = call(a), call(exact)
             assert got == expected if isinstance(got, int) else requal(got, expected)
+
+
+# --------------------------------------------------------------------------
+# Admission: every public entry point takes its operands by one rule. Each
+# accepted form gives the values its Gaussian-rational form gives, and each
+# rejected one raises the error recorded here.
+
+_SQUARE_CALLS = {
+    "exact_power": lambda a: exact_power(a, 2),
+    "exact_index": exact_index,
+    "exact_qbt": lambda a: exact_qbt(a, 2),
+    "exact_drazin": exact_drazin,
+    "exact_group": exact_group,
+    "exact_core": exact_core,
+    "exact_core_ep": exact_core_ep,
+    "exact_bt": exact_bt,
+}
+_SINGLE_CALLS = {
+    "exact_rank": exact_rank,
+    "full_rank_factorization": full_rank_factorization,
+    "exact_pinv": exact_pinv,
+    "exact_proj_range": exact_proj_range,
+    **_SQUARE_CALLS,
+}
+_PAIR_CALLS = {
+    "exact_pair_index": exact_pair_index,
+    "exact_weighted_qbt": lambda a, w: exact_weighted_qbt(a, w, 2),
+    "exact_weighted_bt": exact_weighted_bt,
+    "exact_weighted_core_ep": exact_weighted_core_ep,
+    "exact_weighted_drazin": exact_weighted_drazin,
+}
+
+
+def gr_array(rows):
+    """Object array of GaussianRational, entry by entry from (re, im) or re."""
+    out = np.empty((len(rows), len(rows[0])), dtype=object)
+    for idx in np.ndindex(out.shape):
+        value = rows[idx[0]][idx[1]]
+        out[idx] = g(*value) if isinstance(value, tuple) else g(value)
+    return out
+
+
+# (A, W) in each accepted form, beside the same values as GaussianRational
+# arrays. Each A has index 1, so the group and core inverses exist.
+_ACCEPTED = {
+    "int64": (np.array([[2, -1], [0, 0]], dtype=np.int64),
+              np.array([[1, 0], [1, 1]], dtype=np.int64),
+              [[2, -1], [0, 0]], [[1, 0], [1, 1]]),
+    "float64": (np.array([[2.0, -1.0], [0.0, 0.0]]), np.array([[1.0, 0.0], [1.0, 1.0]]),
+                [[2, -1], [0, 0]], [[1, 0], [1, 1]]),
+    "complex128": (np.array([[2, 1j], [0, 0]]), np.array([[1, 0], [1j, 1]]),
+                   [[2, (0, 1)], [0, 0]], [[1, 0], [(0, 1), 1]]),
+    "object": (np.array([[Fraction(1, 2), g(0, 1)], [0, 0]], dtype=object),
+               np.array([[1, Fraction(1, 3)], [g(0, -1), 2]], dtype=object),
+               [[Fraction(1, 2), (0, 1)], [0, 0]], [[1, Fraction(1, 3)], [(0, -1), 2]]),
+    "nested lists": ([[2, Fraction(-1, 3)], [0, 0]], [[1, 0], [1, 1]],
+                     [[2, Fraction(-1, 3)], [0, 0]], [[1, 0], [1, 1]]),
+}
+
+
+def same(got, expected) -> bool:
+    if isinstance(got, tuple):
+        return len(got) == len(expected) and all(map(same, got, expected))
+    if isinstance(got, np.ndarray):
+        return got.dtype == object and requal(got, expected)
+    return got == expected
+
+
+@pytest.mark.parametrize("form", sorted(_ACCEPTED))
+@pytest.mark.parametrize("name", sorted(_SINGLE_CALLS))
+def test_accepted_forms_give_the_gaussian_rational_values(name, form):
+    a, _w, rows, _w_rows = _ACCEPTED[form]
+    call = _SINGLE_CALLS[name]
+    assert same(call(a), call(gr_array(rows)))
+
+
+@pytest.mark.parametrize("form", sorted(_ACCEPTED))
+@pytest.mark.parametrize("name", sorted(_PAIR_CALLS))
+def test_accepted_pairs_give_the_gaussian_rational_values(name, form):
+    a, w, rows, w_rows = _ACCEPTED[form]
+    call = _PAIR_CALLS[name]
+    assert same(call(a, w), call(gr_array(rows), gr_array(w_rows)))
+
+
+_INT64_ONE = np.int64(1)
+
+# rejected operands, with the error type and message each raises
+_REJECTED = {
+    "non-integer float": (np.array([[0.5, 1.0], [0.0, 0.0]]), DomainError,
+                          "non-integer value (0.5+0j) cannot enter the exact path"),
+    "string": (np.array([["1", 2], [0, 0]], dtype=object), DomainError,
+               "unsupported exact scalar '1'"),
+    "numpy integer in an object array": (
+        np.array([[_INT64_ONE, 0], [0, 0]], dtype=object), DomainError,
+        f"unsupported exact scalar {_INT64_ONE!r}"),
+    "1-D": (np.array([1, 2]), ShapeError, "expected a 2-D matrix, got 1-D"),
+    "33 x 33": (np.zeros((33, 33), dtype=np.int64), DomainError,
+                "exact path is limited to 32x32, got 33x33"),
+    # numpy's own ValueError escaped here once; a ragged input is a ShapeError now
+    "ragged rows": ([[1, 2], [3]], ShapeError, "ragged rows in exact matrix"),
+}
+
+
+def assert_raises(call, error, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
+
+
+@pytest.mark.parametrize("case", sorted(_REJECTED))
+@pytest.mark.parametrize("name", sorted(_SINGLE_CALLS))
+def test_rejected_operands_raise_the_recorded_error(name, case):
+    bad, error, message = _REJECTED[case]
+    assert_raises(lambda: _SINGLE_CALLS[name](bad), error, message)
+
+
+@pytest.mark.parametrize("case", sorted(_REJECTED))
+@pytest.mark.parametrize("name", sorted(_PAIR_CALLS))
+def test_rejected_pair_operands_raise_the_recorded_error(name, case):
+    bad, error, message = _REJECTED[case]
+    a, w = _ACCEPTED["int64"][:2]
+    call = _PAIR_CALLS[name]
+    assert_raises(lambda: call(bad, w), error, message)
+    assert_raises(lambda: call(a, bad), error, message)
+
+
+@pytest.mark.parametrize("name", sorted(_PAIR_CALLS))
+def test_a_zero_weight_is_rejected(name):
+    a = _ACCEPTED["int64"][0]
+    assert_raises(lambda: _PAIR_CALLS[name](a, np.zeros((2, 2), dtype=np.int64)),
+                  DomainError, "weight matrix must be nonzero")

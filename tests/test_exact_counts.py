@@ -2,18 +2,24 @@
 tests/test_svd_counts.py pins SVDs: every rank is one forward-only
 elimination (`_pivots`), and every pseudoinverse, projector and Drazin
 inverse reads the pivot columns of one and inverts one r x r matrix
-(`_inv`, one Gauss-Jordan `_rref` of [N | I])."""
+(`_inv`, one Gauss-Jordan `_rref` of [N | I]). And how many times an
+operand enters the exact path (`_admit`): once per call."""
+
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from geninv import exact
-from geninv.exact import (exact_core, exact_core_ep, exact_drazin, exact_group, exact_index,
-                          exact_pinv, exact_proj_range, exact_qbt, exact_rank,
+from geninv import exact, verify
+from geninv.exact import (exact_bt, exact_core, exact_core_ep, exact_drazin, exact_group,
+                          exact_index, exact_pair_index, exact_pinv, exact_power,
+                          exact_proj_range, exact_qbt, exact_rank, exact_weighted_bt,
                           exact_weighted_core_ep, exact_weighted_drazin, exact_weighted_qbt,
                           full_rank_factorization, rmatrix)
 from geninv.cli import main
-from geninv.reference import INDICES_4X3, PAIR_4X3_A, PAIR_4X3_W, pair_4x3_exact
+from geninv.reference import (AW_SQ_PRODUCT_4X3, INDICES_4X3, PAIR_4X3_A, PAIR_4X3_W,
+                              PAIR_5X4_A, PAIR_5X4_W, WA_SQ_PRODUCT_4X3, WQBT_4X3,
+                              pair_4x3_exact)
 
 
 @pytest.fixture
@@ -171,3 +177,61 @@ def test_exact_penrose_residuals_search_only_the_index_of_aw(eliminations, tmp_p
     assert len(residuals) == 4
     assert all(ln.endswith(" = 0.000000e+00") for ln in residuals)
     assert eliminations == expected
+
+
+@pytest.fixture
+def admissions(monkeypatch):
+    """Calls of `_admit` per operand, keyed by the operand's identity, from
+    the entry points and from the conformance runner alike."""
+    taken = Counter()
+    admit = exact._admit
+
+    def counted(a):
+        taken[id(a)] += 1
+        return admit(a)
+
+    monkeypatch.setattr(exact, "_admit", counted)
+    monkeypatch.setattr(verify, "_admit", counted)
+    return taken
+
+
+def power(a):
+    return exact_power(a, 3)
+
+
+def qbt(a):
+    return exact_qbt(a, 2)
+
+
+def weighted_qbt(a, w):
+    return exact_weighted_qbt(a, w, 2)
+
+
+@pytest.mark.parametrize("call", [
+    exact_rank, full_rank_factorization, exact_pinv, exact_proj_range, power, exact_index,
+    qbt, exact_drazin, exact_group, exact_core, exact_core_ep, exact_bt,
+], ids=lambda call: call.__name__)
+def test_each_call_admits_its_operand_once(admissions, call):
+    a = square(1)
+    call(a)
+    assert admissions == {id(a): 1}
+
+
+@pytest.mark.parametrize("call", [
+    exact_pair_index, weighted_qbt, exact_weighted_bt, exact_weighted_core_ep,
+    exact_weighted_drazin,
+], ids=lambda call: call.__name__)
+def test_each_weighted_call_admits_each_operand_once(admissions, call):
+    a, w = pair_4x3_exact()
+    call(a, w)
+    assert admissions == {id(a): 1, id(w): 1}
+
+
+def test_the_reference_pair_checks_admit_each_pair_and_table_once(admissions):
+    # the two reference pairs and the frozen tables the exact checks compare
+    # against, then the Stein pair, whose two arrays the call builds itself
+    assert verify.run_example_checks().passed
+    tables = [PAIR_4X3_A, PAIR_4X3_W, PAIR_5X4_A, PAIR_5X4_W, *WQBT_4X3.values(),
+              *AW_SQ_PRODUCT_4X3.values(), *WA_SQ_PRODUCT_4X3.values()]
+    assert {id(table) for table in tables} < admissions.keys()
+    assert sorted(admissions.values()) == [1] * (len(tables) + 2)

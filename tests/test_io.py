@@ -115,6 +115,26 @@ class TestJson:
         assert a[0, 0] == GaussianRational(Fraction(1, 3))
         assert a[0, 1] == GaussianRational(Fraction(0), Fraction(2))
 
+    @pytest.mark.parametrize("csv, number, expected", [
+        ("0.1", "0.1", GaussianRational(Fraction(1, 10))),
+        ("-2.5e-3", "-2.5e-3", GaussianRational(Fraction(-1, 400))),
+        ("1e-400", "1e-400", GaussianRational(Fraction(1, 10 ** 400))),
+        ("0.1+0.2i", "[0.1, 0.2]", GaussianRational(Fraction(1, 10), Fraction(1, 5))),
+        (str(2 ** 53 + 1), str(2 ** 53 + 1), GaussianRational(Fraction(2 ** 53 + 1))),
+    ])
+    def test_exact_mode_reads_json_numbers_by_their_text(self, csv, number, expected):
+        # a JSON float is not rounded to a double first: it takes the value
+        # its text names, as the same text does in a CSV file
+        text = f'{{"rows": 1, "cols": 1, "data": [[{number}]]}}'
+        from_json = parse_matrix(text, "json", exact=True)
+        assert from_json[0, 0] == parse_matrix(csv, "csv", exact=True)[0, 0] == expected
+
+    def test_exact_mode_bounds_a_json_exponent_as_csv_does(self):
+        for text, fmt in (('{"rows": 1, "cols": 1, "data": [[1e5000]]}', "json"),
+                          ("1e5000", "csv")):
+            with pytest.raises(ParseError, match=f"decimal exponent beyond \\+-{MAX_EXACT_EXPONENT}"):
+                parse_matrix(text, fmt, exact=True)
+
     def test_invalid_json_reports_position(self):
         with pytest.raises(ParseError) as exc:
             parse_matrix('{"rows": 1,\n "cols": }', "json")
