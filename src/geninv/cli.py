@@ -18,17 +18,20 @@ residual layer of `matrix`, which the conformance runner reads too:
 max(1, sigma_max) of the matrix it rebuilds. `decompose` appends the
 decomposition's own `residuals`, the values the runner reads.
 
-Exit codes: 0 success, 2 usage error, 3 parse error, 4 domain error
-(overflow on badly scaled input included), 5 verification failure.
+Exit codes: 0 success, 1 stdout closed before the output was written
+(a process started through `run` only), 2 usage error, 3 parse error,
+4 domain error (overflow on badly scaled input included), 5 verification
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 import geninv
 
@@ -314,5 +317,34 @@ def main(argv=None) -> int:
         return 4
 
 
+def run() -> NoReturn:
+    """Run `main` on the process's arguments and exit with its code: the
+    one entry of `python -m geninv`, `python -m geninv.cli` and the
+    `geninv` console script.
+
+    The heap the imports made (numpy's modules, this package's float path)
+    is frozen first, so the cyclic collector never walks it again: not in
+    the collections a call triggers, such as a JSON parse's, and not in the
+    ones at interpreter exit, which walked all of it on every call. What a
+    call allocates is still collected. `main` never freezes: in a test run
+    or a library caller's process, which goes on after the call, a freeze
+    would keep every object then alive, garbage cycles included, out of
+    every later collection.
+
+    A reader that closes stdout early (`geninv pinv a.csv | head -c 1`)
+    makes the process exit 1 with nothing on stderr: stdout is flushed
+    here, and on a broken pipe it is pointed at the null device, so the
+    flush at interpreter exit has nowhere to fail.
+    """
+    gc.freeze()
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,4 +1,6 @@
+import gc
 import json
+import os
 import subprocess
 import sys
 import time
@@ -9,7 +11,7 @@ import pytest
 import geninv
 from geninv import cli, matrix, projectors
 from geninv.cli import main
-from geninv.io import parse_matrix
+from geninv.io import format_matrix, parse_matrix
 from geninv.reference import (PAIR_4X3_A, PAIR_4X3_W, PAIR_5X4_A, PAIR_5X4_W, WCEP_4X3,
                               WQBT_4X3, float_matrix)
 
@@ -578,6 +580,83 @@ def test_entry_point_roundtrip(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip().splitlines() == ["1,0", "0,1/2"]
+
+
+# Loaded ahead of the CLI in a child: records gc.get_freeze_count() each
+# time a parser starts parsing, which `main` does first, and prints the
+# counts on stderr at exit.
+FREEZE_PROBE = """
+import argparse, atexit, gc, sys
+counts = []
+parse_args = argparse.ArgumentParser.parse_args
+def probe(self, *args, **kwargs):
+    counts.append(gc.get_freeze_count())
+    return parse_args(self, *args, **kwargs)
+argparse.ArgumentParser.parse_args = probe
+atexit.register(lambda: sys.stderr.write("\\nfreeze counts %s" % counts))
+"""
+
+
+@pytest.mark.parametrize("entry", [
+    ["-m", "geninv"],
+    ["-m", "geninv.cli"],
+    ["-c", "from geninv.cli import run; run()"],
+], ids=["python-m-geninv", "python-m-geninv.cli", "run"])
+def test_every_process_entry_reaches_main_frozen(tmp_path, entry):
+    (tmp_path / "sitecustomize.py").write_text(FREEZE_PROBE)
+    path = os.pathsep.join(filter(None, [str(tmp_path), os.environ.get("PYTHONPATH")]))
+    a = write_csv(tmp_path / "a.csv", [[2, 0], [0, 0]])
+    proc = subprocess.run([sys.executable, *entry, "pinv", a], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["0.5,0", "0,0"]
+    counts = json.loads(proc.stderr.rsplit("freeze counts ", 1)[1])
+    assert len(counts) == 1 and counts[0] > 0
+
+
+def test_main_in_process_never_freezes(pair_files, capsys):
+    before = gc.get_freeze_count()
+    assert run_main(capsys, "wqbt", "--q", "2", *pair_files)[0] == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_a_child_prints_what_main_prints(tmp_path, capsys):
+    # every inverse kind on both paths with --verify, both decompositions,
+    # a parse error and a usage error: stdout, stderr and exit code of
+    # `python -m geninv` are those of `main` in this process
+    calls = []
+    for i, (kind, args, matrices, _) in enumerate(VERIFY_CASES):
+        files = [write_csv(tmp_path / f"{i}_{j}.csv", rows) for j, rows in enumerate(matrices)]
+        calls += [[kind, *args, *files, "--verify"], [kind, *args, *files, "--verify", "--exact"]]
+    square = write_csv(tmp_path / "square.csv", SQUARE_I2)
+    a, w = (write_csv(tmp_path / f"{name}.csv", rows) for name, rows in zip("aw", PAIR_4X3))
+    bad = tmp_path / "bad.csv"
+    bad.write_text("1,2\n3,x\n")
+    calls += [["decompose", "core-ep", square], ["decompose", "weighted-core-ep", a, w],
+              ["pinv", str(bad)], ["qbt", square]]
+    codes = []
+    for argv in calls:
+        proc = subprocess.run([sys.executable, "-m", "geninv", *argv], capture_output=True,
+                              text=True, timeout=60)
+        code, out, err = run_main(capsys, *argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err), argv
+        codes.append(code)
+    assert codes == [0] * (len(calls) - 2) + [3, 2]
+
+
+def test_closed_stdout_exits_1_with_nothing_on_stderr(tmp_path):
+    rows = np.random.default_rng(64).standard_normal((64, 64))
+    a = tmp_path / "a.csv"
+    a.write_text(format_matrix(rows, "csv") + "\n")
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "geninv", "pinv", str(a)], stdout=write,
+                              stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
 
 
 SCIPY_PROBE = """
